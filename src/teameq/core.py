@@ -175,10 +175,6 @@ class HashPolicy:
         return f"HashPolicy(n_actions={self.n_actions}, seed={self.seed})"
 
 
-#: Anything with ``n_actions`` and ``dist(obs)`` works as a member policy.
-MemberPolicy = IndividualPolicy
-
-
 # ---------------------------------------------------------------------------
 # Team policies
 

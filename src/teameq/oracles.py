@@ -43,10 +43,8 @@ from .core import (
     team_value,
 )
 
-#: Support-enumeration is used when the smaller matrix side has at most this
-#: many strategies (larger instances go through the self-play loop).
-SUPPORT_ENUM_MAX = 6
-_SUPPORT_ENUM_COST_CAP = 300_000
+#: Pivot and reduced-cost threshold of the maxmin simplex.
+_SIMPLEX_EPS = 1e-12
 
 
 def subseed(seed: int, name: str) -> int:
@@ -58,13 +56,11 @@ def subseed(seed: int, name: str) -> int:
 
 
 class MaxminConvergenceError(RuntimeError):
-    """The iterative solver hit its cap; carries the best solution so far."""
+    """The maxmin simplex hit its pivot cap or could not certify ``tol``;
+    carries the certified strategies of its last tableau."""
 
-    def __init__(self, best: "MaxminSolution | None", tol: float, iterations: int):
-        super().__init__(
-            f"maxmin gap {best.gap if best else float('inf'):.3g} > tol {tol:g} "
-            f"after {iterations} iterations"
-        )
+    def __init__(self, best: "MaxminSolution", tol: float, pivots: int):
+        super().__init__(f"maxmin gap {best.gap:.3g} > tol {tol:g} after {pivots} pivots")
         self.best = best
 
 
@@ -113,121 +109,15 @@ def _certify(matrix: np.ndarray, x: np.ndarray, y: np.ndarray) -> MaxminSolution
     return MaxminSolution(x, y, value, max(row_slack, col_slack, 0.0))
 
 
-def _equalize(matrix: np.ndarray, rows, cols) -> MaxminSolution | None:
-    """Solve the square equalization system on a support pair and certify
-    on the full matrix.  Returns None for singular or infeasible systems."""
-    k = len(rows)
-    sub = matrix[np.ix_(rows, cols)]
-    lhs_x = np.zeros((k + 1, k + 1))
-    lhs_x[:k, :k] = sub.T
-    lhs_x[:k, k] = -1.0
-    lhs_x[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    lhs_y = np.zeros((k + 1, k + 1))
-    lhs_y[:k, :k] = sub
-    lhs_y[:k, k] = -1.0
-    lhs_y[k, :k] = 1.0
-    try:
-        sol_x = np.linalg.solve(lhs_x, rhs)
-        sol_y = np.linalg.solve(lhs_y, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    xs, ys = sol_x[:k], sol_y[:k]
-    if xs.min() < -1e-9 or ys.min() < -1e-9:
-        return None
-    x = np.zeros(matrix.shape[0])
-    y = np.zeros(matrix.shape[1])
-    x[list(rows)] = np.clip(xs, 0.0, None)
-    y[list(cols)] = np.clip(ys, 0.0, None)
-    if x.sum() <= 0 or y.sum() <= 0:
-        return None
-    return _certify(matrix, x, y)
-
-
-def _support_enumeration(matrix: np.ndarray, tol: float) -> MaxminSolution | None:
+def _tableau_solution(matrix: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> MaxminSolution:
+    """Certify a simplex tableau's duals (row mix) and primal (column mix) on
+    the original matrix; a side that clips to all zeros becomes uniform."""
     rows, cols = matrix.shape
-    best = None
-    for k in range(1, min(rows, cols) + 1):
-        for s_rows in itertools.combinations(range(rows), k):
-            for s_cols in itertools.combinations(range(cols), k):
-                sol = _equalize(matrix, s_rows, s_cols)
-                if sol is None:
-                    continue
-                if sol.gap <= tol:
-                    return sol
-                if best is None or sol.gap < best.gap:
-                    best = sol
-    return best
-
-
-def _refine_supports(matrix, x_avg, y_avg, tol) -> MaxminSolution | None:
-    """Guess supports from approximate strategies and solve them exactly."""
-    rows, cols = matrix.shape
-    best = None
-    tried = set()
-    for thresh in (1e-2, 1e-4, 1e-8):
-        sup_r = [i for i in range(rows) if x_avg[i] > thresh * x_avg.max()]
-        sup_c = [j for j in range(cols) if y_avg[j] > thresh * y_avg.max()]
-        k = min(max(len(sup_r), len(sup_c)), rows, cols)
-        top_r = tuple(sorted(np.argsort(-x_avg, kind="stable")[:k]))
-        top_c = tuple(sorted(np.argsort(-y_avg, kind="stable")[:k]))
-        if (top_r, top_c) in tried:
-            continue
-        tried.add((top_r, top_c))
-        sol = _equalize(matrix, top_r, top_c)
-        if sol is not None and (best is None or sol.gap < best.gap):
-            best = sol
-        if best is not None and best.gap <= tol:
-            return best
-    return best
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
-
-
-def _mw_solve(matrix: np.ndarray, tol: float, cap: int) -> MaxminSolution:
-    """Optimistic multiplicative-weights self-play with periodic support
-    refinement; terminates as soon as the gap certificate meets tol."""
-    rows, cols = matrix.shape
-    lo, hi = float(matrix.min()), float(matrix.max())
-    scale = (hi - lo) or 1.0
-    norm = (matrix - lo) / scale
-    logx = np.zeros(rows)
-    logy = np.zeros(cols)
-    gx_prev = np.zeros(rows)
-    gy_prev = np.zeros(cols)
-    x_sum = np.zeros(rows)
-    y_sum = np.zeros(cols)
-    eta = 0.5
-    best: MaxminSolution | None = None
-    check_at = 25
-    for t in range(1, cap + 1):
-        x = _softmax(logx)
-        y = _softmax(logy)
-        x_sum += x
-        y_sum += y
-        gx = norm @ y
-        gy = norm.T @ x
-        logx += eta * (2.0 * gx - gx_prev)
-        logy -= eta * (2.0 * gy - gy_prev)
-        gx_prev, gy_prev = gx, gy
-        if t >= check_at or t == cap:
-            check_at = min(check_at * 2, check_at + 5000)
-            x_avg = x_sum / x_sum.sum()
-            y_avg = y_sum / y_sum.sum()
-            for cand in (
-                _certify(matrix, x_avg, y_avg),
-                _refine_supports(matrix, x_avg, y_avg, tol),
-                _certify(matrix, x, y),
-            ):
-                if cand is not None and (best is None or cand.gap < best.gap):
-                    best = cand
-            if best is not None and best.gap <= tol:
-                return best
-    raise MaxminConvergenceError(best, tol, cap)
+    x = np.clip(tableau[rows, cols:-1], 0.0, None)
+    y = np.zeros(cols)
+    in_q = basis < cols
+    y[basis[in_q]] = np.clip(tableau[:rows, -1][in_q], 0.0, None)
+    return _certify(matrix, x if x.any() else np.ones(rows), y if y.any() else np.ones(cols))
 
 
 def solve_matrix_maxmin(
@@ -235,10 +125,19 @@ def solve_matrix_maxmin(
 ) -> MaxminSolution:
     """Maxmin (equilibrium) of a zero-sum matrix game.
 
-    The row player maximizes ``row_mix @ matrix @ col_mix``.  Small games
-    (smaller side at most SUPPORT_ENUM_MAX) are solved by square-support
-    enumeration; larger ones by a multiplicative-weights self-play loop
-    with a best-response gap certificate.  Deterministic for fixed inputs.
+    The row player maximizes ``row_mix @ matrix @ col_mix``.  The matrix is
+    shifted to be strictly positive, ``A = matrix - min(matrix) + 1``, and
+    the column player's linear program ``max 1·q s.t. A q <= 1, q >= 0`` is
+    solved by a dense-tableau simplex started from the slack basis.  Pivots
+    follow Bland's rule (smallest entering index, ratio ties to the smallest
+    basis index), so the simplex cannot cycle.  ``col_mix`` is the
+    normalised optimal ``q`` and ``row_mix`` the normalised duals from the
+    objective row; both carry a gap certificate on the original matrix.
+    Deterministic for fixed inputs.
+
+    ``max_iterations`` caps the pivots.  Raises MaxminConvergenceError, with
+    the current tableau's certified strategies, when the cap is hit or the
+    certified gap exceeds ``tol``.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
@@ -246,16 +145,34 @@ def solve_matrix_maxmin(
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     rows, cols = mat.shape
-    if min(rows, cols) <= SUPPORT_ENUM_MAX:
-        cost = sum(
-            math.comb(rows, k) * math.comb(cols, k)
-            for k in range(1, min(rows, cols) + 1)
-        )
-        if cost <= _SUPPORT_ENUM_COST_CAP:
-            sol = _support_enumeration(mat, tol)
-            if sol is not None and sol.gap <= tol:
-                return sol
-    return _mw_solve(mat, tol, max_iterations)
+    tableau = np.zeros((rows + 1, cols + rows + 1))
+    tableau[:rows, :cols] = mat - mat.min() + 1.0
+    tableau[:rows, cols:-1] = np.eye(rows)
+    tableau[:rows, -1] = 1.0
+    tableau[rows, :cols] = -1.0
+    basis = np.arange(cols, cols + rows)
+    pivots = 0
+    while (entering := np.flatnonzero(tableau[rows, :-1] < -_SIMPLEX_EPS)).size:
+        if pivots == max_iterations:
+            raise MaxminConvergenceError(_tableau_solution(mat, tableau, basis), tol, pivots)
+        j = entering[0]
+        candidates = np.flatnonzero(tableau[:rows, j] > _SIMPLEX_EPS)
+        if not candidates.size:
+            break  # only round-off can get here: the LP is bounded
+        ratios = tableau[candidates, -1] / tableau[candidates, j]
+        # absolute tie test: round-off can leave the right-hand side slightly negative
+        ties = candidates[ratios <= ratios.min() + _SIMPLEX_EPS]
+        r = ties[np.argmin(basis[ties])]
+        tableau[r] /= tableau[r, j]
+        factors = tableau[:, j].copy()
+        factors[r] = 0.0
+        tableau -= np.outer(factors, tableau[r])
+        basis[r] = j
+        pivots += 1
+    sol = _tableau_solution(mat, tableau, basis)
+    if sol.gap > tol:
+        raise MaxminConvergenceError(sol, tol, pivots)
+    return sol
 
 
 # ---------------------------------------------------------------------------

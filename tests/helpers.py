@@ -1,7 +1,7 @@
 """Independent oracles shared by the test modules.
 
-The LP solver here is the dual route for the support-enumeration /
-self-play maxmin implementation and must stay independent of it.
+The LP solver here is the dual route for the simplex maxmin
+implementation and must stay independent of it.
 """
 
 import numpy as np

@@ -66,6 +66,11 @@ class TestPsroCommand:
         assert read(out_a / "history.csv") == read(out_b / "history.csv")
         assert read(out_a / "population.json") == read(out_b / "population.json")
 
+    def test_shared_oracle_degenerate_meta_games(self, tmp_path):
+        # Team-PSRO meta-games on this game are degenerate (several equilibria)
+        args = ["psro", "--game", "random:n1=2,n2=2,actions=3,seed=501", "--oracle", "shared"]
+        assert main(args + ["--out", str(tmp_path / "p")]) == EXIT_OK
+
 
 class TestReportCommand:
     def test_idempotent_re_emission(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,6 +36,19 @@ from teameq.oracles import (
     shared_maxmin_grid,
     solve_matrix_maxmin,
 )
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small integer-valued matrices, 1xn and nx1 included, with a row and a
+    column possibly duplicated."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mat = draw(arrays(np.float64, (rows, cols), elements=st.integers(-2, 2).map(float)))
+    if draw(st.booleans()):
+        mat = np.vstack([mat, mat[draw(st.integers(0, rows - 1))]])
+    if draw(st.booleans()):
+        mat = np.hstack([mat, mat[:, [draw(st.integers(0, cols - 1))]]])
+    return mat
 
 
 def pure(actions, counts=(2, 2)):
@@ -75,8 +88,7 @@ class TestSolveMatrixMaxmin:
             assert value - (sol.row_mix @ mat).min() <= 1e-8
 
     def test_duality_certificate_selfplay_path(self):
-        # both sides above the support-enumeration cutoff
-        rng = np.random.default_rng(1)
+        # 9x9 matrices, each solved over several pivots
         for seed in range(5):
             mat = np.random.default_rng(seed).uniform(-1, 1, size=(9, 9))
             sol = solve_matrix_maxmin(mat, tol=1e-7)
@@ -87,7 +99,7 @@ class TestSolveMatrixMaxmin:
     def test_iteration_cap_reports_best(self):
         mat = np.random.default_rng(2).uniform(-1, 1, size=(10, 10))
         with pytest.raises(MaxminConvergenceError) as exc:
-            solve_matrix_maxmin(mat, tol=1e-13, max_iterations=30)
+            solve_matrix_maxmin(mat, tol=1e-13, max_iterations=5)
         assert exc.value.best is not None
         assert exc.value.best.gap >= 0.0
 
@@ -96,6 +108,19 @@ class TestSolveMatrixMaxmin:
         a = solve_matrix_maxmin(mat, tol=1e-7)
         b = solve_matrix_maxmin(mat, tol=1e-7)
         assert np.array_equal(a.row_mix, b.row_mix) and a.value == b.value
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_matrices())
+    @example(np.full((3, 4), 2.0))
+    @example(np.array([[1.0, -2.0, 0.0, 3.0, -1.0]]))
+    @example(np.array([[1.0], [-2.0], [0.0], [3.0], [-1.0]]))
+    def test_degenerate_integer_matrices_match_lp(self, mat):
+        # small integer entries make ratio ties and degenerate pivots common
+        sol = solve_matrix_maxmin(mat)
+        lp_val, _ = lp_maxmin(mat)
+        assert abs(sol.value - lp_val) <= 1e-9
+        assert sol.gap <= 1e-9
+        assert np.array_equal(sol.row_mix, solve_matrix_maxmin(mat).row_mix)
 
 
 class TestBestResponseJoint:
