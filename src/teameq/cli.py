@@ -364,7 +364,6 @@ def cmd_verify(args) -> int:
         "f_team": 0.0,
         "f_policy": 0.0,
         "seed": 0,
-        "tol": None,
     }
     cfg = _merged_config(args, defaults)
     if not cfg["game"]:

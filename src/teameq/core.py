@@ -144,6 +144,33 @@ class ConstantPolicy:
         return f"ConstantPolicy({self.action}/{self.n_actions})"
 
 
+class UniformPolicy:
+    """Uniform policy at every observation.
+
+    Lazy counterpart of :meth:`IndividualPolicy.uniform`: usable on games
+    whose observation space is expensive to enumerate.  Every observation
+    shares one read-only row.
+    """
+
+    __slots__ = ("n_actions", "_row")
+
+    def __init__(self, n_actions: int):
+        if n_actions < 1:
+            raise ValueError("n_actions must be >= 1")
+        self.n_actions = int(n_actions)
+        self._row = np.full(self.n_actions, 1.0 / self.n_actions)
+        self._row.setflags(write=False)
+
+    def dist(self, obs: Obs) -> np.ndarray:
+        return self._row
+
+    def pure_action(self, obs: Obs) -> int | None:
+        return 0 if self.n_actions == 1 else None
+
+    def __repr__(self):
+        return f"UniformPolicy({self.n_actions})"
+
+
 class HashPolicy:
     """Deterministic pseudo-random policy: a seeded stable hash of the
     observation picks the action.  Used for reproducible random restarts

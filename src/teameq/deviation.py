@@ -27,7 +27,7 @@ from .core import (
     check_team_policy,
     team_value,
 )
-from .oracles import _reachable_member_obs
+from .oracles import TABLE_ENUMERATION_BOUND, _reachable_member_obs
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ def _pure_member_policies(game: Game, team: int, member: int, cfg: EvalConfig):
     n_actions = game.action_counts[team - 1][member]
     if game.is_normal_form:
         return [IndividualPolicy.deterministic(n_actions, a) for a in range(n_actions)]
-    obs_set = _reachable_member_obs(game, team, cfg)
+    obs_set = _reachable_member_obs(game, team, cfg, n_actions)
     count = n_actions ** len(obs_set)
-    if count > 4096:
+    if count > TABLE_ENUMERATION_BOUND:
         raise ValueError(
             f"{count} pure member policies exceed the enumeration bound"
         )

@@ -19,6 +19,7 @@ from .core import (
     Game,
     IndividualPolicy,
     ProductPolicy,
+    UniformPolicy,
     team_value,
 )
 from .oracles import (
@@ -107,20 +108,7 @@ def _uniform_product(game: Game, team: int) -> ProductPolicy:
     counts = game.action_counts[team - 1]
     if game.is_normal_form:
         return ProductPolicy([IndividualPolicy.uniform(c) for c in counts])
-
-    class _UniformLazy:
-        __slots__ = ("n_actions",)
-
-        def __init__(self, n):
-            self.n_actions = n
-
-        def dist(self, obs):
-            return np.full(self.n_actions, 1.0 / self.n_actions)
-
-        def pure_action(self, obs):
-            return None
-
-    return ProductPolicy([_UniformLazy(c) for c in counts])
+    return ProductPolicy([UniformPolicy(c) for c in counts])
 
 
 def exploitability_profile(

@@ -46,6 +46,10 @@ from .core import (
 #: Pivot and reduced-cost threshold of the maxmin simplex.
 _SIMPLEX_EPS = 1e-12
 
+#: Most pure tables a stochastic enumeration visits: shared tables in
+#: best_response_shared, one member's tables in deviation specs.
+TABLE_ENUMERATION_BOUND = 4096
+
 
 def subseed(seed: int, name: str) -> int:
     """Stable named sub-stream of a root seed."""
@@ -135,9 +139,11 @@ def solve_matrix_maxmin(
     objective row; both carry a gap certificate on the original matrix.
     Deterministic for fixed inputs.
 
-    ``max_iterations`` caps the pivots.  Raises MaxminConvergenceError, with
-    the current tableau's certified strategies, when the cap is hit or the
-    certified gap exceeds ``tol``.
+    ``tol`` is relative to the payoff scale: the certified gap must not
+    exceed ``tol * max(1, max|matrix|)``, so it is absolute for payoffs
+    within ±1.  ``max_iterations`` caps the pivots.  Raises
+    MaxminConvergenceError, with the current tableau's certified strategies,
+    when the cap is hit or the certified gap exceeds the scaled tolerance.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
@@ -145,6 +151,7 @@ def solve_matrix_maxmin(
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     rows, cols = mat.shape
+    tol = tol * max(1.0, float(np.abs(mat).max()))
     tableau = np.zeros((rows + 1, cols + rows + 1))
     tableau[:rows, :cols] = mat - mat.min() + 1.0
     tableau[:rows, cols:-1] = np.eye(rows)
@@ -276,6 +283,21 @@ def _unit_action_space(game, team, unit) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(counts[m]) for m in unit)))
 
 
+def _ties_members(unit_actions) -> bool:
+    """Whether every unit action gives all unit members one common action
+    (with more than one to choose from): such members act as one table, so
+    they must observe alike."""
+    return len(unit_actions) > 1 and all(len(set(ua)) == 1 for ua in unit_actions)
+
+
+def _check_tied_observations(tied: bool, key: tuple) -> None:
+    if tied and len(set(key)) > 1:
+        raise ExactBRUnsupported(
+            "members tied to one action observe differently at a reached state; "
+            "one shared table cannot express the tied best response"
+        )
+
+
 def _unit_best_response_exact(
     game: StochasticTeamGame,
     team: int,
@@ -283,6 +305,7 @@ def _unit_best_response_exact(
     own_members: tuple,
     opp_policy,
     cfg: EvalConfig,
+    unit_actions: list[tuple[int, ...]] | None = None,
 ):
     """Exact finite-horizon best response of a unit of members (all others,
     including the single opponent team policy, held fixed).
@@ -290,9 +313,14 @@ def _unit_best_response_exact(
     Backward induction over the layered reachable graph.  Requires the unit
     members' observations to determine the dynamic-programming stage (the
     built-in skirmish encodes the step counter in the state); raises
-    ExactBRUnsupported otherwise.  Returns (member tables, value).
+    ExactBRUnsupported otherwise.  ``unit_actions`` restricts the unit's
+    joint actions (default: all of them, lexicographic); when it ties the
+    members to one common action they must observe alike at every reached
+    state, else ExactBRUnsupported.  Returns (member tables, value).
     """
-    unit_actions = _unit_action_space(game, team, unit)
+    if unit_actions is None:
+        unit_actions = _unit_action_space(game, team, unit)
+    tied = _ties_members(unit_actions)
     layers: list[set] = [{s for s, p in game.initial if p > 0.0}]
     ops = 0
     for _ in range(game.horizon):
@@ -333,8 +361,9 @@ def _unit_best_response_exact(
             # unit_actions is lexicographically ordered: first max wins
             best_ua = next(ua for ua in unit_actions if q[ua] == best_val)
             new_values[state] = best_val
-            for pos, member in enumerate(unit):
-                obs = game.member_obs(team, member, state)
+            key = tuple(game.member_obs(team, member, state) for member in unit)
+            _check_tied_observations(tied, key)
+            for pos, obs in enumerate(key):
                 prev = assign[pos].get(obs)
                 if prev is None:
                     assign[pos][obs] = best_ua[pos]
@@ -401,7 +430,7 @@ def _occupancy_and_values(game, team, own_members, opp_policy, cfg):
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20
+    game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20, unit_actions=None
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -409,10 +438,13 @@ def _unit_improve_weighted(
     Against a non-degenerate mixture the member faces a hidden opponent
     identity, so exact best response is a POMDP; this greedy scheme is the
     tabular analogue of on-policy improvement and is paired with a
-    keep-if-better guard by the callers.
+    keep-if-better guard by the callers.  ``unit_actions`` is as in
+    _unit_best_response_exact.
     """
     counts = game.action_counts[team - 1]
-    unit_actions = _unit_action_space(game, team, unit)
+    if unit_actions is None:
+        unit_actions = _unit_action_space(game, team, unit)
+    tied = _ties_members(unit_actions)
     members = list(own_members)
 
     def full_value(mems) -> float:
@@ -434,6 +466,7 @@ def _unit_improve_weighted(
                     if d <= 0.0:
                         continue
                     key = tuple(game.member_obs(team, m, state) for m in unit)
+                    _check_tied_observations(tied, key)
                     row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
                     for (own_t, opp_t), p in _others_support(
                         game, team, members, unit, atom, state
@@ -666,10 +699,24 @@ def _ascent_simplex_max(tensor: np.ndarray, seed: int, starts: int = 10):
 def best_response_shared(
     game: Game, opponent, team: int, cfg: EvalConfig | None = None, seed: int = 0
 ):
-    """Best shared policy: pure shared actions by enumeration, refined by an
-    exact mixed-shared search (exact for two-member teams and for 2-action
-    teams of any size; seeded ascent otherwise).  Returns the better of the
-    pure and mixed candidates."""
+    """Best shared policy and its value.
+
+    Normal form: pure shared actions by enumeration, refined by an exact
+    mixed-shared search (exact for two-member teams and for 2-action teams
+    of any size; seeded ascent otherwise); returns the better of the pure
+    and mixed candidates.
+
+    Stochastic: the best pure stationary shared table.  While at most
+    TABLE_ENUMERATION_BOUND tables exist over the reachable member
+    observations, every table is evaluated.  Beyond that, a deterministic
+    shared policy plays one common action for every member wherever the
+    members observe alike, so the unit of all members searches the
+    diagonal joint actions ``(a, ..., a)``: exact backward induction
+    against a single opponent policy, occupancy-weighted greedy improvement
+    with a keep-if-better guard against a mixture.  Raises EvaluationError
+    when the members observe differently at a reached state or their
+    observations do not fix the decision stage.
+    """
     cfg = cfg or EvalConfig()
     counts = game.action_counts[team - 1]
     if len(set(counts)) != 1:
@@ -694,12 +741,26 @@ def best_response_shared(
         )
         return policy, best_val
     atoms = as_mixture(opponent)
-    obs_set = _reachable_member_obs(game, team, cfg)
-    n_tables = n_actions ** len(obs_set)
-    if n_tables > 4096:
-        raise EvaluationError(
-            f"{n_tables} pure shared policies exceed the enumeration bound"
-        )
+    obs_set = _reachable_member_obs(game, team, cfg, n_actions)
+    if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
+        unit = tuple(range(n_members))
+        diagonal = [(a,) * n_members for a in range(n_actions)]
+        base = tuple(ConstantPolicy(n_actions, 0) for _ in unit)
+        try:
+            if len(atoms) == 1:
+                tables, value = _unit_best_response_exact(
+                    game, team, unit, base, atoms[0][0], cfg, diagonal
+                )
+            else:
+                tables, value = _unit_improve_weighted(
+                    game, team, unit, base, atoms, cfg, unit_actions=diagonal
+                )
+        except ExactBRUnsupported as err:
+            raise EvaluationError(
+                "too many pure shared tables to enumerate, and the diagonal "
+                f"dynamic program does not apply: {err}"
+            ) from err
+        return SharedPolicy(tables[0], n_members), value
     best_val, best_policy = -math.inf, None
     for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
         table = {
@@ -712,8 +773,15 @@ def best_response_shared(
     return best_policy, float(best_val)
 
 
-def _reachable_member_obs(game: StochasticTeamGame, team: int, cfg) -> list:
-    """Member observations reachable under any play, enumeration-bounded."""
+def _reachable_member_obs(
+    game: StochasticTeamGame, team: int, cfg, n_actions: int
+) -> list:
+    """Member observations reachable under any play, sorted.
+
+    The scan stops early, returning the observations found so far, once
+    ``n_actions ** len(observations)`` exceeds TABLE_ENUMERATION_BOUND;
+    callers compare that count with the bound.
+    """
     states = {s for s, p in game.initial if p > 0.0}
     seen = set(states)
     obs_set = set()
@@ -730,6 +798,8 @@ def _reachable_member_obs(game: StochasticTeamGame, team: int, cfg) -> list:
         for state in frontier:
             for member in range(game.team_sizes[team - 1]):
                 obs_set.add(game.member_obs(team, member, state))
+            if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
+                return sorted(obs_set, key=repr)
             for joint in joints:
                 ops += 1
                 if ops > cfg.exact_bound:

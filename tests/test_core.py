@@ -15,6 +15,7 @@ from teameq.core import (
     NormalFormTeamGame,
     ProductPolicy,
     SharedPolicy,
+    UniformPolicy,
     evaluate,
     expected_team_reward,
     game_from_dict,
@@ -174,6 +175,14 @@ class TestStochasticEvaluation:
         p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
         with pytest.raises(EvaluationError):
             evaluate(g, p, p, EvalConfig(exact_bound=2))
+
+    def test_uniform_policy_matches_uniform_table(self):
+        g = random_stochastic_game(seed=4)
+        lazy = ProductPolicy([UniformPolicy(2)] * 2)
+        table = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
+        assert evaluate(g, lazy, lazy).value == pytest.approx(evaluate(g, table, table).value, abs=1e-12)
+        row = UniformPolicy(3).dist("any")
+        assert not row.flags.writeable and UniformPolicy(3).pure_action("any") is None
 
     def test_mc_reports_stderr_and_n(self):
         g = random_stochastic_game(seed=4)

@@ -1,5 +1,7 @@
 """Deviation policy spaces, sample budgets and equilibrium verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,25 @@ class TestBuildDeviationSpec:
                 individual=(),
                 correlated=(pure((1, 1)),),
             )
+
+    def test_member_enumeration_bound_fails_fast(self):
+        # the observation scan stops once 6^|observations| passes the bound,
+        # long before its transition budget
+        from teameq.core import ConstantPolicy
+        from teameq.games import SkirmishConfig, grid_skirmish
+
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=4))
+        calls = []
+
+        def transition(state, joint):
+            calls.append(state)
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        cand = ProductPolicy([ConstantPolicy(6, 4)] * 2)
+        with pytest.raises(ValueError, match="pure member policies exceed the enumeration bound"):
+            build_deviation_spec(counted, 1, cand, NoCorrelation())
+        assert len(calls) < 10_000
 
     def test_joint_requires_normal_form(self):
         from teameq.games import SkirmishConfig, grid_skirmish

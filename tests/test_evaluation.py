@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import lp_maxmin
 from teameq.core import (
+    ConstantPolicy,
+    HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,
@@ -23,7 +25,15 @@ from teameq.evaluation import (
     exploitability_profile,
     rpp,
 )
-from teameq.games import SadConfig, anti_coordination, example1, random_team_game, sad
+from teameq.games import (
+    SadConfig,
+    SkirmishConfig,
+    anti_coordination,
+    example1,
+    grid_skirmish,
+    random_team_game,
+    sad,
+)
 from teameq.oracles import solve_matrix_maxmin
 from teameq.psro import PsroConfig, run_psro
 
@@ -87,6 +97,18 @@ class TestExploitabilityProfile:
         report = exploitability_profile(g, cand, classes=("synchronized",))
         entry = report.result("synchronized")
         assert not entry.applicable and entry.opponent_reward is None
+
+    def test_synchronized_on_skirmish(self):
+        # the shared oracle searches common actions by backward induction
+        # where 6^|observations| pure tables cannot be enumerated
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        entries = (
+            ProductPolicy([HashPolicy(6, 5), HashPolicy(6, 6)]),
+            ProductPolicy([ConstantPolicy(6, 4), HashPolicy(6, 8)]),
+        )
+        for cand in (Candidate.single(1, entries[0]), Candidate(1, entries, (0.5, 0.5))):
+            entry = exploitability_profile(g, cand, classes=("synchronized",)).results[0]
+            assert entry.applicable and np.isfinite(entry.opponent_reward)
 
     def test_class_order(self):
         g = example1()

@@ -1,5 +1,8 @@
 """Maxmin solver and best-response oracle tests."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,7 @@ from helpers import lp_maxmin
 from teameq.core import (
     ConstantPolicy,
     EvalConfig,
+    EvaluationError,
     HashPolicy,
     IndividualPolicy,
     ProductPolicy,
@@ -122,6 +126,17 @@ class TestSolveMatrixMaxmin:
         assert sol.gap <= 1e-9
         assert np.array_equal(sol.row_mix, solve_matrix_maxmin(mat).row_mix)
 
+    def test_tolerance_scales_with_payoffs(self):
+        # at payoffs of 1e6 an absolute 1e-9 sits at floating-point round-off
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            mat = 1e6 * rng.uniform(-1, 1, size=(rng.integers(2, 30), rng.integers(2, 30)))
+            scale = np.abs(mat).max()
+            sol = solve_matrix_maxmin(mat)
+            lp_val, _ = lp_maxmin(mat)
+            assert sol.gap <= 1e-9 * scale
+            assert abs(sol.value - lp_val) <= 1e-9 * scale
+
 
 class TestBestResponseJoint:
     def test_example1_vs_zeros(self):
@@ -208,6 +223,80 @@ class TestBestResponseShared:
         g = NormalFormTeamGame((2, 1), ((2, 3), (2,)), np.zeros((2, 3, 2)))
         with pytest.raises(DimensionError):
             best_response_shared(g, ProductPolicy.pure((0,), (2,)), 1)
+
+
+def _diagonal_expectimax(game, team, opponent, state, steps):
+    """Best discounted team reward over per-state common actions (a, ..., a)
+    against a deterministic opponent, by recursion on the raw callables."""
+    if steps == 0:
+        return 0.0
+    n = game.team_sizes[team - 1]
+    opp_team = 3 - team
+    opp = tuple(
+        m.pure_action(game.member_obs(opp_team, i, state))
+        for i, m in enumerate(opponent.members)
+    )
+    sign = 1.0 if team == 1 else -1.0
+    best = -np.inf
+    for a in range(game.action_counts[team - 1][0]):
+        joint = ((a,) * n, opp) if team == 1 else (opp, (a,) * n)
+        tail = sum(
+            p * _diagonal_expectimax(game, team, opponent, s2, steps - 1)
+            for s2, p in game.transition(state, joint)
+        )
+        best = max(best, sign * game.reward(state, joint) + game.discount * tail)
+    return best
+
+
+class TestBestResponseSharedStochastic:
+    @pytest.mark.parametrize("horizon", [2, 3])
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_single_atom_is_diagonal_expectimax(self, horizon, team):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
+        opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
+        policy, value = best_response_shared(g, opp, team)
+        expected = sum(
+            p * _diagonal_expectimax(g, team, opp, s, g.horizon) for s, p in g.initial
+        )
+        assert isinstance(policy, SharedPolicy)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert team_value(g, team, policy, opp) == pytest.approx(value, abs=1e-12)
+        assert value <= best_response_joint(g, opp, team)[1] + 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_enumeration_is_best_stationary_table(self, seed, team):
+        g = random_stochastic_game(seed=seed)
+        opp_a = ProductPolicy([HashPolicy(2, seed), HashPolicy(2, seed + 7)])
+        opp_b = SharedPolicy(HashPolicy(2, seed + 3), 2)
+        tables = [
+            SharedPolicy(IndividualPolicy(2, {s: np.eye(2)[a] for s, a in enumerate(acts)}), 2)
+            for acts in itertools.product(range(2), repeat=3)
+        ]
+        for opponent in (opp_a, [(opp_a, 0.4), (opp_b, 0.6)]):
+            policy, value = best_response_shared(g, opponent, team)
+            best = max(team_value(g, team, t, opponent) for t in tables)
+            assert value == pytest.approx(best, abs=1e-12)
+            assert team_value(g, team, policy, opponent) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_partial_observation_refused(self, mixture):
+        g = dataclasses.replace(
+            grid_skirmish(SkirmishConfig(3, 3, 2, 2)), member_obs=lambda team, m, s: (s, m)
+        )
+        opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        if mixture:
+            opp = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+        with pytest.raises(EvaluationError, match="observe differently"):
+            best_response_shared(g, opp, 2)
+
+    def test_stage_free_observations_refused(self):
+        # 2^13 tables are too many to enumerate, and the observations carry
+        # no step counter, so the best response needs two actions at one state
+        g = random_stochastic_game(n_states=13, seed=1)
+        opp = ProductPolicy([HashPolicy(2, 1), HashPolicy(2, 2)])
+        with pytest.raises(EvaluationError, match="decision stage"):
+            best_response_shared(g, opp, 1)
 
 
 class TestSharedMaxminGrid:
