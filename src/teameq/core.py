@@ -479,8 +479,10 @@ class EvalConfig:
     mode:
       - "exact": exact finite-horizon value (always used for normal form).
       - "mc": Monte-Carlo rollouts; requires a seed.
-    ``exact_bound`` limits the per-step work of exact stochastic evaluation
-    (touched state x joint-action-support pairs).
+    ``exact_bound`` caps the (state, joint action) pairs that any exact
+    stochastic pass touches in one step: evaluation, and the oracles' dynamic
+    programs, which also count every joint action their free members can
+    complete.  A pass that would touch more raises EvaluationError.
     """
 
     mode: str = "exact"
@@ -525,51 +527,131 @@ def _nf_value(game: NormalFormTeamGame, p1, p2) -> float:
     return float(d1 @ game.matrix() @ d2)
 
 
-def _joint_support(game: StochasticTeamGame, obs: Obs, p1, p2):
-    """Support of the joint action distribution at ``obs``: (action, prob)."""
-    per_player = []
-    for team, policy in ((1, p1), (2, p2)):
-        obs_list = game.member_observations(team, obs)
-        for member, mo in zip(policy.members, obs_list, strict=True):
-            d = member.dist(mo)
-            per_player.append([(a, d[a]) for a in np.nonzero(d)[0]])
-    n1 = game.team_sizes[0]
+def _members_view(policy) -> tuple:
+    if isinstance(policy, (ProductPolicy, SharedPolicy)):
+        return policy.members
+    raise DimensionError(
+        "a distributed (product or shared) team policy is required here"
+    )
+
+
+# Every exact stochastic pass (evaluation and the oracles' dynamic programs)
+# walks the same finite-horizon layered graph: _joint_support lists the joint
+# actions played at a state, _forward walks the layers, _backward runs
+# backward induction over a recorded walk.
+
+
+def _joint_support(game, team, members, opponent, state, unit=(), unit_actions=((),)):
+    """Joint actions at ``state`` when ``team``'s members play ``members``
+    and the other team plays ``opponent``, except the members in ``unit``,
+    which are free.  Returns ``[(prob, [(unit_action, joint), ...])]``: one
+    entry per combination of the fixed players' actions with positive
+    probability, completed by each of ``unit_actions``.  The probability
+    multiplies ``team``'s members first, then the opponent's."""
+    fixed = [i for i in range(len(members)) if i not in unit]
+    slots = []
+    for side, policies, free in ((team, members, unit), (3 - team, _members_view(opponent), ())):
+        obs_list = game.member_observations(side, state)
+        for i, (member, obs) in enumerate(zip(policies, obs_list, strict=True)):
+            if i not in free:
+                d = member.dist(obs)
+                slots.append([(int(a), float(d[a])) for a in np.nonzero(d)[0]])
     out = []
-    for combo in itertools.product(*per_player):
+    own = [0] * len(members)
+    for combo in itertools.product(*slots):
         prob = math.prod(p for _, p in combo)
-        acts = tuple(int(a) for a, _ in combo)
-        out.append(((acts[:n1], acts[n1:]), prob))
+        if prob <= 0.0:
+            continue
+        for i, (a, _) in zip(fixed, combo):
+            own[i] = a
+        opp = tuple(a for a, _ in combo[len(fixed):])
+        pairs = []
+        for ua in unit_actions:
+            for i, a in zip(unit, ua):
+                own[i] = a
+            pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
+        out.append((prob, pairs))
     return out
 
 
-def _stochastic_exact(game: StochasticTeamGame, p1, p2, cfg: EvalConfig) -> float:
+def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig):
+    """Walk ``game.horizon`` steps from the distribution ``start`` of
+    (state, prob) pairs.
+
+    Yields ``(t, state, prob, rows)`` step by step, states in first-reached
+    order; ``rows`` is ``support(t, state)`` with each joint action's
+    successor row added: ``[(prob, [(unit_action, joint, successors), ...])]``.
+    Successors with positive probability form the next layer, weighted by
+    the state's and the combination's probability (summed over unit
+    actions); only that layer's distribution is kept.  Raises
+    EvaluationError when one step touches more than ``cfg.exact_bound``
+    (state, joint action) pairs.
+    """
     dist: dict[Obs, float] = {}
-    for obs, p in game.initial:
-        dist[obs] = dist.get(obs, 0.0) + p
-    total = 0.0
-    gamma_t = 1.0
-    for _ in range(game.horizon):
-        step_ops = 0
+    for state, p in start:
+        if p > 0.0:
+            dist[state] = dist.get(state, 0.0) + p
+    for t in range(game.horizon):
+        step_pairs = 0
         nxt: dict[Obs, float] = {}
-        for obs, p_obs in dist.items():
-            support = _joint_support(game, obs, p1, p2)
-            step_ops += len(support)
-            if step_ops > cfg.exact_bound:
+        for state, p_state in dist.items():
+            combos = support(t, state)
+            step_pairs += sum(len(pairs) for _, pairs in combos)
+            if step_pairs > cfg.exact_bound:
                 raise EvaluationError(
-                    "exact evaluation budget exceeded "
-                    f"({step_ops} state-action pairs in one step > {cfg.exact_bound}); "
-                    "raise EvalConfig.exact_bound or use Monte-Carlo"
+                    f"exact budget exceeded ({step_pairs} state-action pairs in one "
+                    f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound or use "
+                    "Monte-Carlo evaluation"
                 )
-            for joint, p_act in support:
-                w = p_obs * p_act
-                if w == 0.0:
-                    continue
-                total += gamma_t * w * game.step_reward(obs, joint)
-                for nobs, pt in game.successors(obs, joint):
-                    if pt > 0.0:
-                        nxt[nobs] = nxt.get(nobs, 0.0) + w * pt
+            rows = []
+            for p, pairs in combos:
+                w = p_state * p
+                row = []
+                for ua, joint in pairs:
+                    succ = game.successors(state, joint)
+                    for s2, pt in succ:
+                        if pt > 0.0:
+                            nxt[s2] = nxt.get(s2, 0.0) + w * pt
+                    row.append((ua, joint, succ))
+                rows.append((p, row))
+            yield t, state, p_state, rows
         dist = nxt
-        gamma_t *= game.discount
+
+
+def _backward(game: StochasticTeamGame, walk, team: int) -> list[dict]:
+    """Backward induction for ``team`` over ``walk``, the list of tuples
+    `_forward` yielded.  Returns one dict per step mapping each state to
+    ``{unit_action: action value}``.  A state's value is its best action
+    value; a successor outside the next layer (reached with probability 0)
+    counts 0."""
+    sign = 1.0 if team == 1 else -1.0
+    q: list[dict] = [{} for _ in range(game.horizon)]
+    values: list[dict] = [{} for _ in range(game.horizon + 1)]
+    for t, state, _p, rows in reversed(walk):
+        after = values[t + 1]
+        acts: dict = {}
+        for p, row in rows:
+            for ua, joint, succ in row:
+                tail = sum(pt * after.get(s2, 0.0) for s2, pt in succ)
+                acts[ua] = acts.get(ua, 0.0) + p * (
+                    sign * game.step_reward(state, joint) + game.discount * tail
+                )
+        q[t][state] = acts
+        values[t][state] = max(acts.values())
+    return q
+
+
+def _stochastic_exact(game: StochasticTeamGame, p1, p2, cfg: EvalConfig) -> float:
+    discounts = [1.0]
+    for _ in range(game.horizon - 1):
+        discounts.append(discounts[-1] * game.discount)
+    total = 0.0
+    walk = _forward(
+        game, game.initial, lambda t, s: _joint_support(game, 1, p1.members, p2, s), cfg
+    )
+    for t, state, p_state, rows in walk:
+        for p, ((_, joint, _),) in rows:
+            total += discounts[t] * (p_state * p) * game.step_reward(state, joint)
     return total
 
 

@@ -37,6 +37,10 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     StochasticTeamGame,
+    _backward,
+    _forward,
+    _joint_support,
+    _members_view,
     as_mixture,
     check_team_policy,
     team_action_dist,
@@ -204,14 +208,6 @@ def team_reward_tensor(game: NormalFormTeamGame, team: int, opponent) -> np.ndar
     return (-(d1 @ mat)).reshape(game.action_counts[1])
 
 
-def _members_view(policy) -> tuple:
-    if isinstance(policy, (ProductPolicy, SharedPolicy)):
-        return policy.members
-    raise DimensionError(
-        "a distributed (product or shared) team policy is required here"
-    )
-
-
 def _contract(tensor: np.ndarray, dists: list, fixed: dict) -> float:
     """Contract member axes: fixed axes are indexed, the rest averaged."""
     out = tensor
@@ -233,49 +229,7 @@ def _member_values(tensor: np.ndarray, dists: list, member: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stochastic-game machinery: layered reachability and exact unit BR
-
-
-def _policy_support(policy_like, obs) -> list[tuple[int, float]]:
-    d = policy_like.dist(obs)
-    return [(int(a), float(d[a])) for a in np.nonzero(d)[0]]
-
-
-def _others_support(game, team, own_members, unit, opp_policy, state):
-    """Support over all non-unit players' actions: list of
-    ((team1_actions_template, team2_actions_template), prob) with the unit
-    members' slots set to None."""
-    opp_team = 3 - team
-    own_obs = game.member_observations(team, state)
-    opp_obs = game.member_observations(opp_team, state)
-    opp_members = _members_view(opp_policy)
-    slots = []
-    for i, member in enumerate(own_members):
-        if i in unit:
-            slots.append([(None, 1.0)])
-        else:
-            slots.append(_policy_support(member, own_obs[i]))
-    for i, member in enumerate(opp_members):
-        slots.append(_policy_support(member, opp_obs[i]))
-    n_own = len(own_members)
-    out = []
-    for combo in itertools.product(*slots):
-        prob = math.prod(p for _, p in combo)
-        if prob <= 0.0:
-            continue
-        acts = [a for a, _ in combo]
-        own_acts, opp_acts = acts[:n_own], acts[n_own:]
-        out.append(((own_acts, opp_acts), prob))
-    return out
-
-
-def _assemble_joint(team, own_template, opp_acts, unit, unit_action):
-    own = list(own_template)
-    for pos, member in enumerate(unit):
-        own[member] = unit_action[pos]
-    if team == 1:
-        return (tuple(own), tuple(opp_acts))
-    return (tuple(opp_acts), tuple(own))
+# Stochastic-game machinery: exact and greedy unit best responses
 
 
 def _unit_action_space(game, team, unit) -> list[tuple[int, ...]]:
@@ -321,46 +275,18 @@ def _unit_best_response_exact(
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
     tied = _ties_members(unit_actions)
-    layers: list[set] = [{s for s, p in game.initial if p > 0.0}]
-    ops = 0
-    for _ in range(game.horizon):
-        nxt = set()
-        for state in layers[-1]:
-            others = _others_support(game, team, own_members, unit, opp_policy, state)
-            ops += len(others) * len(unit_actions)
-            if ops > cfg.exact_bound:
-                raise EvaluationError(
-                    "exact best-response budget exceeded; raise EvalConfig.exact_bound"
-                )
-            for (own_t, opp_t), _p in others:
-                for ua in unit_actions:
-                    joint = _assemble_joint(team, own_t, opp_t, unit, ua)
-                    for s2, pt in game.successors(state, joint):
-                        if pt > 0.0:
-                            nxt.add(s2)
-        layers.append(nxt)
-    sign = 1.0 if team == 1 else -1.0
-    values: dict = {s: 0.0 for s in layers[game.horizon]}
+
+    def support(t, state):
+        return _joint_support(game, team, own_members, opp_policy, state, unit, unit_actions)
+
+    q = _backward(game, list(_forward(game, game.initial, support, cfg)), team)
     assign: list[dict] = [dict() for _ in unit]
-    for t in reversed(range(game.horizon)):
-        new_values: dict = {}
-        for state in sorted(layers[t], key=repr):
-            q = {ua: 0.0 for ua in unit_actions}
-            for (own_t, opp_t), p in _others_support(
-                game, team, own_members, unit, opp_policy, state
-            ):
-                for ua in unit_actions:
-                    joint = _assemble_joint(team, own_t, opp_t, unit, ua)
-                    tail = sum(
-                        pt * values[s2] for s2, pt in game.successors(state, joint)
-                    )
-                    q[ua] += p * (
-                        sign * game.step_reward(state, joint) + game.discount * tail
-                    )
-            best_val = max(q.values())
+    for layer in reversed(q):
+        for state in sorted(layer, key=repr):
+            acts = layer[state]
+            best_val = max(acts.values())
             # unit_actions is lexicographically ordered: first max wins
-            best_ua = next(ua for ua in unit_actions if q[ua] == best_val)
-            new_values[state] = best_val
+            best_ua = next(ua for ua in unit_actions if acts[ua] == best_val)
             key = tuple(game.member_obs(team, member, state) for member in unit)
             _check_tied_observations(tied, key)
             for pos, obs in enumerate(key):
@@ -372,8 +298,7 @@ def _unit_best_response_exact(
                         "member observations do not determine the decision stage; "
                         "exact tabular best response is not expressible"
                     )
-        values = new_values
-    value = sum(p * values[s] for s, p in game.initial if p > 0.0)
+    value = sum(p * max(q[0][s].values()) for s, p in game.initial if p > 0.0)
     counts = game.action_counts[team - 1]
     tables = []
     for pos, member in enumerate(unit):
@@ -388,45 +313,6 @@ def _unit_best_response_exact(
             )
         )
     return tables, float(value)
-
-
-def _occupancy_and_values(game, team, own_members, opp_policy, cfg):
-    """Discounted state occupancies and on-policy values for one opponent
-    atom, everything held fixed.  Returns (occ, values) keyed by (t, state)."""
-    dist = {}
-    for s, p in game.initial:
-        if p > 0.0:
-            dist[s] = dist.get(s, 0.0) + p
-    occ: dict = {}
-    per_state_support: dict = {}
-    layer_states = [dict(dist)]
-    for t in range(game.horizon):
-        nxt: dict = {}
-        for state, p_state in layer_states[-1].items():
-            occ[(t, state)] = occ.get((t, state), 0.0) + (game.discount**t) * p_state
-            support = _others_support(game, team, own_members, (), opp_policy, state)
-            per_state_support[(t, state)] = support
-            for (own_t, opp_t), p in support:
-                joint = _assemble_joint(team, own_t, opp_t, (), ())
-                for s2, pt in game.successors(state, joint):
-                    if pt > 0.0:
-                        nxt[s2] = nxt.get(s2, 0.0) + p_state * p * pt
-        layer_states.append(nxt)
-    sign = 1.0 if team == 1 else -1.0
-    values = {s: 0.0 for s in layer_states[game.horizon]}
-    all_values: dict = {}
-    for t in reversed(range(game.horizon)):
-        new_values = {}
-        for state in layer_states[t]:
-            total = 0.0
-            for (own_t, opp_t), p in per_state_support[(t, state)]:
-                joint = _assemble_joint(team, own_t, opp_t, (), ())
-                tail = sum(pt * values[s2] for s2, pt in game.successors(state, joint))
-                total += p * (sign * game.step_reward(state, joint) + game.discount * tail)
-            new_values[state] = total
-            all_values[(t, state)] = total
-        values = new_values
-    return occ, all_values, layer_states
 
 
 def _unit_improve_weighted(
@@ -454,38 +340,46 @@ def _unit_improve_weighted(
             for atom, w in opp_atoms
         )
 
+    sign = 1.0 if team == 1 else -1.0
     value = full_value(members)
     for _ in range(rounds):
         qbar: dict = {}
         for atom, w in opp_atoms:
-            occ, vals, layers = _occupancy_and_values(game, team, members, atom, cfg)
-            sign = 1.0 if team == 1 else -1.0
-            for t in range(game.horizon):
-                for state, _p in layers[t].items():
-                    d = occ.get((t, state), 0.0)
-                    if d <= 0.0:
-                        continue
-                    key = tuple(game.member_obs(team, m, state) for m in unit)
-                    _check_tied_observations(tied, key)
-                    row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
-                    for (own_t, opp_t), p in _others_support(
-                        game, team, members, unit, atom, state
-                    ):
-                        for ua in unit_actions:
-                            joint = _assemble_joint(team, own_t, opp_t, unit, ua)
-                            nxt = game.successors(state, joint)
-                            tail = sum(
-                                pt * vals.get((t + 1, s2), 0.0) for s2, pt in nxt
+            walk = list(
+                _forward(
+                    game,
+                    game.initial,
+                    lambda t, s: _joint_support(game, team, members, atom, s),
+                    cfg,
+                )
+            )
+            # on-policy values by step; a state reached only off-policy counts 0
+            after = [
+                {s: acts[()] for s, acts in layer.items()}
+                for layer in _backward(game, walk, team)
+            ] + [{}]
+            for t, state, p_state, _rows in walk:
+                d = (game.discount**t) * p_state
+                if d <= 0.0:
+                    continue
+                key = tuple(game.member_obs(team, m, state) for m in unit)
+                _check_tied_observations(tied, key)
+                row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
+                for p, pairs in _joint_support(
+                    game, team, members, atom, state, unit, unit_actions
+                ):
+                    for ua, joint in pairs:
+                        nxt = game.successors(state, joint)
+                        tail = sum(pt * after[t + 1].get(s2, 0.0) for s2, pt in nxt)
+                        row[ua] += (
+                            w
+                            * d
+                            * p
+                            * (
+                                sign * game.step_reward(state, joint)
+                                + game.discount * tail
                             )
-                            row[ua] += (
-                                w
-                                * d
-                                * p
-                                * (
-                                    sign * game.step_reward(state, joint)
-                                    + game.discount * tail
-                                )
-                            )
+                        )
         tables = [dict() for _ in unit]
         for key in sorted(qbar, key=repr):
             row = qbar[key]
@@ -782,35 +676,30 @@ def _reachable_member_obs(
     ``n_actions ** len(observations)`` exceeds TABLE_ENUMERATION_BOUND;
     callers compare that count with the bound.
     """
-    states = {s for s, p in game.initial if p > 0.0}
-    seen = set(states)
-    obs_set = set()
-    frontier = list(states)
-    joints = list(
-        itertools.product(
+    every_joint = [
+        ((), joint)
+        for joint in itertools.product(
             itertools.product(*(range(c) for c in game.action_counts[0])),
             itertools.product(*(range(c) for c in game.action_counts[1])),
         )
-    )
-    ops = 0
-    for _ in range(game.horizon):
-        nxt = []
-        for state in frontier:
-            for member in range(game.team_sizes[team - 1]):
-                obs_set.add(game.member_obs(team, member, state))
-            if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
-                return sorted(obs_set, key=repr)
-            for joint in joints:
-                ops += 1
-                if ops > cfg.exact_bound:
-                    raise EvaluationError(
-                        "observation enumeration budget exceeded"
-                    )
-                for s2, pt in game.successors(state, joint):
-                    if pt > 0.0 and s2 not in seen:
-                        seen.add(s2)
-                        nxt.append(s2)
-        frontier = nxt
+    ]
+    obs_set: set = set()
+    expanded: set = set()
+
+    def too_many() -> bool:
+        return n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND
+
+    def support(t, state):
+        # a state reached again at a later step adds nothing new
+        obs_set.update(game.member_observations(team, state))
+        if too_many() or state in expanded:
+            return []
+        expanded.add(state)
+        return [(1.0, every_joint)]
+
+    for _ in _forward(game, game.initial, support, cfg):
+        if too_many():
+            break
     return sorted(obs_set, key=repr)
 
 
@@ -863,60 +752,21 @@ def advantage_decompose(
 
 def _stochastic_q_tensor(game, team, members, opponent, obs, cfg):
     """Q(obs, .) over the team's joint actions with the opponent
-    marginalized, at the full remaining horizon."""
-    own_policy = ProductPolicy(members)
-    p1 = own_policy if team == 1 else opponent
-    p2 = opponent if team == 1 else own_policy
-    layers = [{obs}]
-    for _ in range(game.horizon):
-        nxt = set()
-        for state in layers[-1]:
-            for (own_t, opp_t), _p in _others_support(
-                game, team, members, (), opponent, state
-            ):
-                joint = _assemble_joint(team, own_t, opp_t, (), ())
-                for s2, pt in game.successors(state, joint):
-                    if pt > 0.0:
-                        nxt.add(s2)
-        # the team may deviate at the root: expand root successors fully
-        if len(layers) == 1:
-            for joint in _all_joints(game):
-                for s2, pt in game.successors(obs, joint):
-                    if pt > 0.0:
-                        nxt.add(s2)
-        layers.append(nxt)
-    sign = 1.0 if team == 1 else -1.0
-    values = {s: 0.0 for s in layers[game.horizon]}
-    for t in reversed(range(1, game.horizon)):
-        new_values = {}
-        for state in layers[t]:
-            total = 0.0
-            for (own_t, opp_t), p in _others_support(
-                game, team, members, (), opponent, state
-            ):
-                joint = _assemble_joint(team, own_t, opp_t, (), ())
-                tail = sum(pt * values[s2] for s2, pt in game.successors(state, joint))
-                total += p * (sign * game.step_reward(state, joint) + game.discount * tail)
-            new_values[state] = total
-        values = new_values
-    counts = game.action_counts[team - 1]
-    tensor = np.zeros(counts)
-    unit = tuple(range(len(counts)))
-    for (own_t, opp_t), p in _others_support(game, team, members, unit, opponent, obs):
-        for ua in itertools.product(*(range(c) for c in counts)):
-            joint = _assemble_joint(team, own_t, opp_t, unit, ua)
-            tail = sum(pt * values[s2] for s2, pt in game.successors(obs, joint))
-            tensor[ua] += p * (
-                sign * game.step_reward(obs, joint) + game.discount * tail
-            )
+    marginalized, at the full remaining horizon: the team is free at the
+    root and plays ``members`` afterwards."""
+    unit = tuple(range(len(members)))
+    team_joints = _unit_action_space(game, team, unit)
+
+    def support(t, state):
+        if t == 0:
+            return _joint_support(game, team, members, opponent, state, unit, team_joints)
+        return _joint_support(game, team, members, opponent, state)
+
+    root = _backward(game, list(_forward(game, [(obs, 1.0)], support, cfg)), team)[0][obs]
+    tensor = np.zeros(game.action_counts[team - 1])
+    for ua, value in root.items():
+        tensor[ua] = value
     return tensor
-
-
-def _all_joints(game):
-    return itertools.product(
-        itertools.product(*(range(c) for c in game.action_counts[0])),
-        itertools.product(*(range(c) for c in game.action_counts[1])),
-    )
 
 
 @dataclass(frozen=True)
@@ -1077,18 +927,12 @@ def sebr(
                     changed = True
                 advantages: tuple[float, ...] = ()
                 if game.is_normal_form:
-                    joint = ProductPolicy(members).pure_joint_action([NF_OBS] * n)
+                    own = ProductPolicy(members)
+                    joint = own.pure_joint_action([NF_OBS] * n)
                     if joint is not None:
-                        tensor = team_reward_tensor(game, team, opponent)
-                        dists = [mm.dist(NF_OBS) for mm in members]
-                        fixed: dict[int, int] = {}
-                        partials = [_contract(tensor, dists, fixed)]
-                        for mem in order:
-                            fixed[mem] = joint[mem]
-                            partials.append(_contract(tensor, dists, fixed))
-                        advantages = tuple(
-                            float(b - a) for a, b in zip(partials, partials[1:])
-                        )
+                        profile = (own, opponent) if team == 1 else (opponent, own)
+                        terms = advantage_decompose(game, *profile, team, joint, order=order)
+                        advantages = tuple(float(x) for x in terms)
                 channel.log(
                     ChannelEntry(
                         member=member,

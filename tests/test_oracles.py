@@ -225,12 +225,12 @@ class TestBestResponseShared:
             best_response_shared(g, ProductPolicy.pure((0,), (2,)), 1)
 
 
-def _diagonal_expectimax(game, team, opponent, state, steps):
-    """Best discounted team reward over per-state common actions (a, ..., a)
-    against a deterministic opponent, by recursion on the raw callables."""
+def _expectimax(game, team, opponent, state, steps, team_actions):
+    """Best discounted team reward over per-state team actions drawn from
+    ``team_actions`` against a deterministic opponent, by recursion on the
+    raw callables."""
     if steps == 0:
         return 0.0
-    n = game.team_sizes[team - 1]
     opp_team = 3 - team
     opp = tuple(
         m.pure_action(game.member_obs(opp_team, i, state))
@@ -238,10 +238,10 @@ def _diagonal_expectimax(game, team, opponent, state, steps):
     )
     sign = 1.0 if team == 1 else -1.0
     best = -np.inf
-    for a in range(game.action_counts[team - 1][0]):
-        joint = ((a,) * n, opp) if team == 1 else (opp, (a,) * n)
+    for acts in team_actions:
+        joint = (acts, opp) if team == 1 else (opp, acts)
         tail = sum(
-            p * _diagonal_expectimax(game, team, opponent, s2, steps - 1)
+            p * _expectimax(game, team, opponent, s2, steps - 1, team_actions)
             for s2, p in game.transition(state, joint)
         )
         best = max(best, sign * game.reward(state, joint) + game.discount * tail)
@@ -249,19 +249,33 @@ def _diagonal_expectimax(game, team, opponent, state, steps):
 
 
 class TestBestResponseSharedStochastic:
-    @pytest.mark.parametrize("horizon", [2, 3])
+    # the shared oracle searches the common actions (a, ..., a), the joint
+    # oracle every team joint action
+    @pytest.mark.parametrize(
+        "horizon, oracle",
+        [
+            pytest.param(h, o, id=str(h) if o == "shared" else f"{h}-joint")
+            for o in ("shared", "joint")
+            for h in (2, 3)
+        ],
+    )
     @pytest.mark.parametrize("team", [1, 2])
-    def test_single_atom_is_diagonal_expectimax(self, horizon, team):
+    def test_single_atom_is_diagonal_expectimax(self, horizon, oracle, team):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
         opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
-        policy, value = best_response_shared(g, opp, team)
+        if oracle == "shared":
+            policy, value = best_response_shared(g, opp, team)
+            team_actions = [(a, a) for a in range(6)]
+            assert isinstance(policy, SharedPolicy)
+            assert value <= best_response_joint(g, opp, team)[1] + 1e-9
+        else:
+            policy, value = best_response_joint(g, opp, team)
+            team_actions = list(itertools.product(range(6), repeat=2))
         expected = sum(
-            p * _diagonal_expectimax(g, team, opp, s, g.horizon) for s, p in g.initial
+            p * _expectimax(g, team, opp, s, g.horizon, team_actions) for s, p in g.initial
         )
-        assert isinstance(policy, SharedPolicy)
         assert value == pytest.approx(expected, abs=1e-12)
         assert team_value(g, team, policy, opp) == pytest.approx(value, abs=1e-12)
-        assert value <= best_response_joint(g, opp, team)[1] + 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("team", [1, 2])
@@ -297,6 +311,65 @@ class TestBestResponseSharedStochastic:
         opp = ProductPolicy([HashPolicy(2, 1), HashPolicy(2, 2)])
         with pytest.raises(EvaluationError, match="decision stage"):
             best_response_shared(g, opp, 1)
+
+
+class TestStochasticPasses:
+    """Every exact stochastic pass walks the layered graph forward once and
+    runs backward induction over what the walk recorded."""
+
+    @pytest.mark.parametrize("run", ["joint", "joint-mixture", "shared", "sebr", "advantage"])
+    def test_zero_probability_successors_count_zero(self, run):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        padded = dataclasses.replace(
+            g, transition=lambda s, j: (*g.transition(s, j), ("never", 0.0))
+        )
+        opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
+        mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+        start = g.initial[0][0]
+        value = {
+            "joint": lambda game: best_response_joint(game, opp, 1)[1],
+            "joint-mixture": lambda game: best_response_joint(game, mix, 2)[1],
+            "shared": lambda game: best_response_shared(game, opp, 2)[1],
+            "sebr": lambda game: team_value(game, 1, sebr(game, opp, 1, restarts=1), opp),
+            "advantage": lambda game: tuple(
+                advantage_decompose(game, opp, opp, 1, (4, 4), obs=start)
+            ),
+        }[run]
+        assert value(padded) == value(g)
+
+    def test_advantage_decompose_respects_exact_bound(self):
+        # the root alone touches 36 (state, joint action) pairs
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        with pytest.raises(EvaluationError, match="exact budget exceeded"):
+            advantage_decompose(
+                g, opp, opp, 1, (4, 4), obs=g.initial[0][0], cfg=EvalConfig(exact_bound=10)
+            )
+
+    def test_one_callable_call_per_state_and_joint_action(self):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        transitions, rewards = [], []
+
+        def transition(state, joint):
+            transitions.append((state, joint))
+            return g.transition(state, joint)
+
+        def reward(state, joint):
+            rewards.append((state, joint))
+            return g.reward(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition, reward=reward)
+        opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        passes = [
+            (lambda: best_response_joint(counted, opp, 1), 2232),
+            (lambda: advantage_decompose(counted, opp, opp, 1, (4, 4), obs=g.initial[0][0]), 50),
+        ]
+        for run, expected in passes:
+            transitions.clear()
+            rewards.clear()
+            run()
+            assert len(transitions) == len(set(transitions)) == expected
+            assert len(rewards) == expected and set(rewards) == set(transitions)
 
 
 class TestSharedMaxminGrid:
