@@ -55,14 +55,22 @@ def _check_dist(dist: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _support_of(dist: np.ndarray) -> tuple:
+    """``((action, prob), ...)`` for the positive-probability actions."""
+    return tuple((int(a), float(dist[a])) for a in np.nonzero(dist)[0])
+
+
 # ---------------------------------------------------------------------------
 # Individual (per-player) policies
+#
+# Every member policy offers dist(obs), the action distribution as a numpy
+# row, and support(obs), its positive-probability (action, prob) pairs.
 
 
 class IndividualPolicy:
     """Tabular per-player policy: observation -> distribution over actions."""
 
-    __slots__ = ("n_actions", "_table", "_fallback")
+    __slots__ = ("n_actions", "_table", "_support", "_fallback")
 
     def __init__(
         self,
@@ -71,7 +79,7 @@ class IndividualPolicy:
         fallback: "IndividualPolicy | None" = None,
     ):
         self.n_actions = int(n_actions)
-        tab = {}
+        tab, support = {}, {}
         for obs, dist in table.items():
             arr = _check_dist(dist, f"policy entry for obs {obs!r}")
             if arr.shape != (self.n_actions,):
@@ -80,7 +88,9 @@ class IndividualPolicy:
                     f"expected {self.n_actions}"
                 )
             tab[obs] = arr
+            support[obs] = _support_of(arr)
         self._table = tab
+        self._support = support
         self._fallback = fallback
 
     @classmethod
@@ -104,6 +114,14 @@ class IndividualPolicy:
             return self._fallback.dist(obs)
         raise KeyError(f"no policy entry for observation {obs!r}")
 
+    def support(self, obs: Obs) -> tuple:
+        entry = self._support.get(obs)
+        if entry is not None:
+            return entry
+        if self._fallback is not None:
+            return self._fallback.support(obs)
+        raise KeyError(f"no policy entry for observation {obs!r}")
+
     def observations(self) -> tuple:
         return tuple(self._table)
 
@@ -124,18 +142,22 @@ class ConstantPolicy:
     games whose observation space is expensive to enumerate.
     """
 
-    __slots__ = ("n_actions", "action")
+    __slots__ = ("n_actions", "action", "_support")
 
     def __init__(self, n_actions: int, action: int):
         if not 0 <= action < n_actions:
             raise ValueError(f"action {action} outside [0, {n_actions})")
         self.n_actions = int(n_actions)
         self.action = int(action)
+        self._support = ((self.action, 1.0),)
 
     def dist(self, obs: Obs) -> np.ndarray:
         row = np.zeros(self.n_actions)
         row[self.action] = 1.0
         return row
+
+    def support(self, obs: Obs) -> tuple:
+        return self._support
 
     def pure_action(self, obs: Obs) -> int:
         return self.action
@@ -152,7 +174,7 @@ class UniformPolicy:
     shares one read-only row.
     """
 
-    __slots__ = ("n_actions", "_row")
+    __slots__ = ("n_actions", "_row", "_support")
 
     def __init__(self, n_actions: int):
         if n_actions < 1:
@@ -160,9 +182,13 @@ class UniformPolicy:
         self.n_actions = int(n_actions)
         self._row = np.full(self.n_actions, 1.0 / self.n_actions)
         self._row.setflags(write=False)
+        self._support = _support_of(self._row)
 
     def dist(self, obs: Obs) -> np.ndarray:
         return self._row
+
+    def support(self, obs: Obs) -> tuple:
+        return self._support
 
     def pure_action(self, obs: Obs) -> int | None:
         return 0 if self.n_actions == 1 else None
@@ -194,6 +220,9 @@ class HashPolicy:
         row = np.zeros(self.n_actions)
         row[self._action(obs)] = 1.0
         return row
+
+    def support(self, obs: Obs) -> tuple:
+        return ((self._action(obs), 1.0),)
 
     def pure_action(self, obs: Obs) -> int:
         return self._action(obs)
@@ -554,8 +583,7 @@ def _joint_support(game, team, members, opponent, state, unit=(), unit_actions=(
         obs_list = game.member_observations(side, state)
         for i, (member, obs) in enumerate(zip(policies, obs_list, strict=True)):
             if i not in free:
-                d = member.dist(obs)
-                slots.append([(int(a), float(d[a])) for a in np.nonzero(d)[0]])
+                slots.append(member.support(obs))
     out = []
     own = [0] * len(members)
     for combo in itertools.product(*slots):
@@ -641,49 +669,35 @@ def _backward(game: StochasticTeamGame, walk, team: int) -> list[dict]:
     return q
 
 
-def _stochastic_exact(game: StochasticTeamGame, p1, p2, cfg: EvalConfig) -> float:
+def _profile_walk(game: StochasticTeamGame, p1, p2, cfg: EvalConfig):
+    """The `_forward` walk of the profile (p1, p2) from the initial states,
+    team 1's members multiplied first: the walk exact evaluation sums."""
+    return _forward(
+        game, game.initial, lambda t, s: _joint_support(game, 1, p1.members, p2, s), cfg
+    )
+
+
+def _walk_value(game: StochasticTeamGame, walk) -> float:
+    """Expected discounted team-1 reward of a `_profile_walk`."""
     discounts = [1.0]
     for _ in range(game.horizon - 1):
         discounts.append(discounts[-1] * game.discount)
     total = 0.0
-    walk = _forward(
-        game, game.initial, lambda t, s: _joint_support(game, 1, p1.members, p2, s), cfg
-    )
     for t, state, p_state, rows in walk:
         for p, ((_, joint, _),) in rows:
             total += discounts[t] * (p_state * p) * game.step_reward(state, joint)
     return total
 
 
-def _freeze_episode_policy(policy, rng: np.random.Generator):
-    """Resolve episode-level mixtures: JointMix atoms are drawn per episode."""
-    if isinstance(policy, JointMixPolicy):
-        idx = rng.choice(len(policy.atoms), p=policy.weights)
-        return ProductPolicy(
-            [ConstantPolicy(n, a) for n, a in zip(_atom_counts(policy), policy.atoms[idx])]
-        )
-    return policy
-
-
-def _atom_counts(policy: JointMixPolicy):
-    # action counts recovered lazily: upper bound by max atom value + 1
-    maxes = [0] * policy.n_members
-    for atom in policy.atoms:
-        for i, a in enumerate(atom):
-            maxes[i] = max(maxes[i], a + 1)
-    return maxes
-
-
 def rollout(game: StochasticTeamGame, p1, p2, rng: np.random.Generator) -> float:
-    """One seeded episode; returns the discounted team-1 return."""
-    f1 = _freeze_episode_policy(p1, rng)
-    f2 = _freeze_episode_policy(p2, rng)
+    """One seeded episode of product or shared team policies; returns the
+    discounted team-1 return."""
     obs_list, probs = zip(*game.initial)
     obs = obs_list[int(rng.choice(len(obs_list), p=np.asarray(probs)))]
     total, gamma_t = 0.0, 1.0
     for _ in range(game.horizon):
-        a1 = sample_joint_action(f1, game.member_observations(1, obs), rng)
-        a2 = sample_joint_action(f2, game.member_observations(2, obs), rng)
+        a1 = sample_joint_action(p1, game.member_observations(1, obs), rng)
+        a2 = sample_joint_action(p2, game.member_observations(2, obs), rng)
         joint = (a1, a2)
         total += gamma_t * game.step_reward(obs, joint)
         succ = game.successors(obs, joint)
@@ -709,7 +723,7 @@ def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> EvalResult:
     if cfg.mode == "exact":
         if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
             raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
-        return EvalResult(_stochastic_exact(game, p1, p2, cfg), 0.0, 1, "exact")
+        return EvalResult(_walk_value(game, _profile_walk(game, p1, p2, cfg)), 0.0, 1, "exact")
     if cfg.seed is None:
         raise EvaluationError("Monte-Carlo evaluation requires an explicit seed")
     rng = np.random.default_rng(cfg.seed)

@@ -135,8 +135,6 @@ def exploitability_profile(
     for name in classes:
         if name not in CLASS_ORDER:
             raise ValueError(f"unknown correlation class {name!r}")
-        stderr = 0.0
-        note = ""
         if name == "joint":
             _, reward = best_response_joint(game, mix, opp, cfg=cfg)
         elif name == "synchronized":
@@ -150,10 +148,9 @@ def exploitability_profile(
             )
         elif name == "no_correlation":
             start = ProductPolicy([ConstantPolicy(c, 0) for c in counts])
-            policy = best_response_individual(game, mix, opp, start, cfg=cfg)
-            reward = team_value(game, opp, policy, mix, cfg)
+            _, reward = best_response_individual(game, mix, opp, start, cfg=cfg)
         elif name == "sequential":
-            policy = sebr(
+            _, reward = sebr(
                 game,
                 mix,
                 opp,
@@ -161,10 +158,9 @@ def exploitability_profile(
                 seed=subseed(seed, "exploit/sebr"),
                 cfg=cfg,
             )
-            reward = team_value(game, opp, policy, mix, cfg)
         else:  # random
             reward = team_value(game, opp, _uniform_product(game, opp), mix, cfg)
-        results.append(ClassResult(name, float(reward), stderr, note=note))
+        results.append(ClassResult(name, float(reward)))
     return ExploitReport(candidate_id or "candidate", candidate.team, tuple(results))
 
 

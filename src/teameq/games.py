@@ -153,32 +153,34 @@ def grid_skirmish(cfg: SkirmishConfig) -> StochasticTeamGame:
     first 4-adjacent opponent, if any, on pre-move positions.  Move
     conflicts resolve by agent priority (lower global index wins); swaps
     are blocked.  Per-step reward is damage dealt by team 1 minus damage
-    dealt by team 2.
+    dealt by team 2.  Each cell's 4-adjacent cells and move targets are
+    tabulated when the game is built, so a step is table lookups.
     """
     w, h, n = cfg.width, cfg.height, cfg.team_size
     n_agents = 2 * n
     start_cells = tuple(range(n)) + tuple(w * h - 1 - i for i in range(n))
     start = (0, start_cells)
 
-    def _xy(cell: int) -> tuple[int, int]:
-        return cell % w, cell // w
-
-    def _adjacent(c1: int, c2: int) -> bool:
-        x1, y1 = _xy(c1)
-        x2, y2 = _xy(c2)
-        return abs(x1 - x2) + abs(y1 - y2) == 1
-
-    def _flat_actions(joint):
-        return tuple(joint[0]) + tuple(joint[1])
+    # targets[cell][move] is the cell a move leads to (moves off the board are
+    # absent); neighbours[cell] holds the 4-adjacent cells
+    targets = []
+    for cell in range(w * h):
+        x, y = cell % w, cell // w
+        targets.append({
+            a: (y + dy) * w + x + dx
+            for a, (dx, dy) in _MOVES.items()
+            if 0 <= x + dx < w and 0 <= y + dy < h
+        })
+    neighbours = [frozenset(moves.values()) for moves in targets]
 
     def reward(state, joint) -> float:
         _, pos = state
-        acts = _flat_actions(joint)
+        acts = tuple(joint[0]) + tuple(joint[1])
         hits = [0, 0]
         for team, (lo, hi) in enumerate(((0, n), (n, n_agents))):
-            foes = range(n, n_agents) if team == 0 else range(0, n)
+            foes = pos[n:] if team == 0 else pos[:n]
             for k in range(lo, hi):
-                if acts[k] == _ATTACK and any(_adjacent(pos[k], pos[f]) for f in foes):
+                if acts[k] == _ATTACK and not neighbours[pos[k]].isdisjoint(foes):
                     hits[team] += 1
         return cfg.damage * (hits[0] - hits[1])
 
@@ -186,20 +188,12 @@ def grid_skirmish(cfg: SkirmishConfig) -> StochasticTeamGame:
         t, pos = state
         if t >= cfg.horizon:
             return ((state, 1.0),)
-        acts = _flat_actions(joint)
+        acts = tuple(joint[0]) + tuple(joint[1])
         new_pos = list(pos)
         occupied = set(pos)
         for k in range(n_agents):
-            a = acts[k]
-            if a not in _MOVES:
-                continue
-            dx, dy = _MOVES[a]
-            x, y = _xy(pos[k])
-            nx, ny = x + dx, y + dy
-            if not (0 <= nx < w and 0 <= ny < h):
-                continue
-            tgt = ny * w + nx
-            if tgt in occupied:
+            tgt = targets[pos[k]].get(acts[k])
+            if tgt is None or tgt in occupied:
                 continue
             occupied.remove(new_pos[k])
             occupied.add(tgt)

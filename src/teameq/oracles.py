@@ -41,6 +41,8 @@ from .core import (
     _forward,
     _joint_support,
     _members_view,
+    _profile_walk,
+    _walk_value,
     as_mixture,
     check_team_policy,
     team_action_dist,
@@ -316,43 +318,51 @@ def _unit_best_response_exact(
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20, unit_actions=None
+    game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20, unit_actions=None,
+    value=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
 
     Against a non-degenerate mixture the member faces a hidden opponent
     identity, so exact best response is a POMDP; this greedy scheme is the
-    tabular analogue of on-policy improvement and is paired with a
-    keep-if-better guard by the callers.  ``unit_actions`` is as in
-    _unit_best_response_exact.
+    tabular analogue of on-policy improvement.  Each round scores the
+    unit's actions by a one-step lookahead over the current policy's walks
+    against every atom, then keeps the greedy candidate only if its value
+    beats the current value by more than 1e-15 (keep-if-better guard).
+    The candidate's walks give that value and, once it is kept, the next
+    round's walks.  ``value`` is the starting policy's value against the
+    mixture when the caller already holds it.  ``unit_actions`` is as in
+    _unit_best_response_exact.  Returns (unit members' policies, value).
     """
     counts = game.action_counts[team - 1]
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
     tied = _ties_members(unit_actions)
-    members = list(own_members)
+    sign = 1.0 if team == 1 else -1.0
 
-    def full_value(mems) -> float:
-        own_policy = ProductPolicy(mems)
+    def walks_of(mems) -> list:
+        own = ProductPolicy(mems)
+        return [
+            list(_profile_walk(game, *((own, atom) if team == 1 else (atom, own)), cfg))
+            for atom, _ in opp_atoms
+        ]
+
+    def value_of(mems, walks) -> float:
+        if cfg.mode != "exact":  # Monte-Carlo mode guards with its estimates
+            return _value_vs_atoms(game, team, mems, opp_atoms, cfg)
+        # team_value's arithmetic, so the value equals an evaluation
         return sum(
-            w * team_value(game, team, own_policy, atom, cfg)
-            for atom, w in opp_atoms
+            w * (sign * _walk_value(game, walk)) for (_, w), walk in zip(opp_atoms, walks)
         )
 
-    sign = 1.0 if team == 1 else -1.0
-    value = full_value(members)
+    members = list(own_members)
+    walks = walks_of(members)
+    if value is None:
+        value = value_of(members, walks)
     for _ in range(rounds):
         qbar: dict = {}
-        for atom, w in opp_atoms:
-            walk = list(
-                _forward(
-                    game,
-                    game.initial,
-                    lambda t, s: _joint_support(game, team, members, atom, s),
-                    cfg,
-                )
-            )
+        for (atom, w), walk in zip(opp_atoms, walks):
             # on-policy values by step; a state reached only off-policy counts 0
             after = [
                 {s: acts[()] for s, acts in layer.items()}
@@ -394,10 +404,10 @@ def _unit_improve_weighted(
                 {obs: np.eye(counts[member])[a] for obs, a in tables[pos].items()},
                 fallback=members[member],
             )
-        cand_value = full_value(candidate)
+        cand_walks = walks_of(candidate)
+        cand_value = value_of(candidate, cand_walks)
         if cand_value > value + 1e-15:
-            members = candidate
-            value = cand_value
+            members, walks, value = candidate, cand_walks, cand_value
         else:
             break
     return [members[m] for m in unit], value
@@ -439,59 +449,77 @@ def best_response_individual(
     start: ProductPolicy,
     sweeps: int = 50,
     cfg: EvalConfig | None = None,
-) -> ProductPolicy:
+):
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap.  A member switches only on strict improvement,
-    so the team value never decreases across updates."""
+    so the team value never decreases across updates.
+
+    Returns ``(policy, value)``: the final product policy and its value
+    against ``opponent``, as ``team_value`` gives it (up to the sign of a
+    zero), carried through the updates instead of evaluated again.
+    """
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, start)
     members = list(start.members)
+    value = _value_vs_atoms(game, team, members, as_mixture(opponent), cfg)
     n = len(members)
     for _ in range(sweeps):
         changed = False
         for m in range(n):
-            new_member, improved = _member_update(game, team, m, members, opponent, cfg)
+            new_member, improved, value = _member_update(
+                game, team, m, members, opponent, cfg, value
+            )
             if improved:
                 members[m] = new_member
                 changed = True
         if not changed:
             break
-    return ProductPolicy(members)
+    return ProductPolicy(members), value
 
 
-def _member_update(game, team, member, members, opponent, cfg):
+def _value_vs_atoms(game, team, members, atoms, cfg) -> float:
+    """Value of the product of ``members`` against opponent atoms
+    ``[(policy, weight), ...]``, by one evaluation per atom."""
+    own = ProductPolicy(members)
+    return sum(w * team_value(game, team, own, atom, cfg) for atom, w in atoms)
+
+
+def _member_update(game, team, member, members, opponent, cfg, current):
     """One member's exact pure best response, switch on strict improvement.
 
-    Returns (policy, changed).  Normal-form updates are closed-form; the
-    stochastic path uses exact backward induction for a single opponent
-    atom and occupancy-weighted improvement with a keep-if-better guard
-    for mixtures.
+    ``current`` is the team's value before the update.  Returns (policy,
+    changed, value after the update).  Normal-form updates are
+    closed-form; the stochastic path uses exact backward induction for a
+    single opponent atom and the guarded greedy improvement for mixtures,
+    whose value is the kept policy's evaluation.  The other paths evaluate
+    the switched policy once, since the closed-form and DP values can
+    differ from evaluation in the last bits.
     """
+    atoms = as_mixture(opponent)
     if game.is_normal_form:
         tensor = team_reward_tensor(game, team, opponent)
         dists = [m.dist(NF_OBS) for m in members]
         values = _member_values(tensor, dists, member)
-        current = float(values @ dists[member])
         best = int(np.argmax(values))
-        if values[best] > current:
-            return IndividualPolicy.deterministic(len(values), best), True
-        return members[member], False
-    atoms = as_mixture(opponent)
-    current = sum(
-        w * team_value(game, team, ProductPolicy(members), atom, cfg)
-        for atom, w in atoms
-    )
-    if len(atoms) == 1:
+        if values[best] <= float(values @ dists[member]):
+            return members[member], False, current
+        tables = [IndividualPolicy.deterministic(len(values), best)]
+    elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], cfg
         )
+        if value <= current + 1e-15:
+            return members[member], False, current
     else:
         tables, value = _unit_improve_weighted(
-            game, team, (member,), tuple(members), atoms, cfg
+            game, team, (member,), tuple(members), atoms, cfg, value=current
         )
-    if value > current + 1e-15:
-        return tables[0], True
-    return members[member], False
+        if value <= current + 1e-15:
+            return members[member], False, current
+        return tables[0], True, value
+    updated = list(members)
+    updated[member] = tables[0]
+    return tables[0], True, _value_vs_atoms(game, team, updated, atoms, cfg)
 
 
 def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
@@ -882,13 +910,15 @@ def sebr(
     channel: CommChannel | None = None,
     trace: list | None = None,
     cfg: EvalConfig | None = None,
-) -> ProductPolicy:
+):
     """Sequential best response: members update in ``order``, each
     best-responding exactly given predecessors' updated policies and
     successors' current policies, against a fixed opponent policy or
     mixture.  Each member update weakly improves the team value; a sweep
-    with no change terminates the ascent.  The highest-value result over
-    the restart set is returned (ties keep the earliest start).
+    with no change terminates the ascent.  Returns ``(policy, value)`` for
+    the highest-value result over the restart set (ties keep the earliest
+    start); the value is the one the updates carried, equal to
+    ``team_value`` of the policy up to the sign of a zero.
 
     ``trace``, when given, collects (restart, sweep, member, value_before,
     value_after) tuples across all updates for auditing.
@@ -901,29 +931,21 @@ def sebr(
         raise ValueError("order must be a permutation of the team's members")
     atoms = as_mixture(opponent)
     best_policy, best_value = None, -math.inf
-
-    def value_of(members) -> float:
-        return sum(
-            w * team_value(game, team, ProductPolicy(members), atom, cfg)
-            for atom, w in atoms
-        )
-
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
-        value = value_of(members)
+        value = _value_vs_atoms(game, team, members, atoms, cfg)
         for sweep in range(max_sweeps):
             channel.clear()
             changed = False
             for member in order:
                 before = value
-                new_member, improved = _member_update(
-                    game, team, member, members, opponent, cfg
+                new_member, improved, value = _member_update(
+                    game, team, member, members, opponent, cfg, value
                 )
                 if improved:
                     members[member] = new_member
-                    value = value_of(members)
                     changed = True
                 advantages: tuple[float, ...] = ()
                 if game.is_normal_form:
@@ -948,7 +970,7 @@ def sebr(
         if value > best_value + 1e-15:
             best_value = value
             best_policy = ProductPolicy(members)
-    return best_policy
+    return best_policy, best_value
 
 
 def shared_maxmin_grid(game: NormalFormTeamGame, team: int, points: int = 10001):

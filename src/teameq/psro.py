@@ -81,21 +81,30 @@ def initial_population(game: Game, cfg: EvalConfig | None = None) -> Population:
     return Population((seeds[0],), (seeds[1],), np.array([[value]]), cfg.mode)
 
 
+def _new_line(game, team, entry, pop, cfg) -> np.ndarray:
+    """The meta row (team 1) or column (team 2) the entry would add."""
+    opponents = pop.team2 if team == 1 else pop.team1
+    if team == 1:
+        return np.array([team_value(game, 1, entry, o, cfg) for o in opponents])
+    return np.array([team_value(game, 1, o, entry, cfg) for o in opponents])
+
+
 def extend_population(
-    game: Game, pop: Population, entry, team: int, cfg: EvalConfig | None = None
+    game: Game, pop: Population, entry, team: int, cfg: EvalConfig | None = None,
+    line: np.ndarray | None = None,
 ) -> Population:
-    """Append one entry; only the new row or column is evaluated, existing
-    cells are untouched."""
+    """Append one entry; existing cells are untouched.  ``line`` is the
+    entry's new meta row (team 1) or column (team 2) when the caller has
+    already evaluated it, as ``run_psro`` has for its duplicate check;
+    otherwise it is evaluated here."""
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, entry)
+    if line is None:
+        line = _new_line(game, team, entry, pop, cfg)
     if team == 1:
-        row = [
-            team_value(game, 1, entry, opponent, cfg) for opponent in pop.team2
-        ]
-        payoffs = np.vstack([pop.payoffs, np.asarray(row)[None, :]])
+        payoffs = np.vstack([pop.payoffs, line[None, :]])
         return replace(pop, team1=pop.team1 + (entry,), payoffs=payoffs)
-    col = [team_value(game, 1, own, entry, cfg) for own in pop.team1]
-    payoffs = np.hstack([pop.payoffs, np.asarray(col)[:, None]])
+    payoffs = np.hstack([pop.payoffs, line[:, None]])
     return replace(pop, team2=pop.team2 + (entry,), payoffs=payoffs)
 
 
@@ -162,20 +171,29 @@ class PsroResult:
     iterations: int
 
 
-def _best_entry_vs(game, team, entries, opponent_mix, cfg) -> ProductPolicy | None:
-    """Population entry with the highest value against the opponent mixture
-    (used as the incumbent start for local oracles)."""
+def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | None:
+    """Population entry with the highest value against the opponent
+    meta-strategy (used as the incumbent start for local oracles).  The
+    values are read off the meta matrix, summed in ``mixture_value``'s
+    order, so they equal ``team_value`` against the opponent mixture."""
+    lines = pop.payoffs if team == 1 else pop.payoffs.T
     best, best_val = None, -math.inf
-    for entry in entries:
-        val = team_value(game, team, entry, opponent_mix, cfg)
+    for entry, line in zip(pop.entries(team), lines):
+        total = 0.0
+        for w, cell in zip(opp_weights, line):
+            if w > 0.0:
+                total += float(w) * cell
+        val = total if team == 1 else -total
         if val > best_val:
             best, best_val = entry, val
     return best
 
 
-def _oracle_response(game, team, opponent_mix, pop, cfg: PsroConfig, iteration: int):
-    """One oracle call; returns (policy, value vs the opponent mixture)."""
+def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: int):
+    """One oracle call against the opponent's meta-strategy ``opp_weights``;
+    returns (policy, value vs the opponent mixture)."""
     eval_cfg = cfg.eval
+    opponent_mix = pop.mixture(3 - team, opp_weights)
     if cfg.oracle == "joint":
         return best_response_joint(game, opponent_mix, team, cfg=eval_cfg)
     if cfg.oracle == "shared":
@@ -183,14 +201,13 @@ def _oracle_response(game, team, opponent_mix, pop, cfg: PsroConfig, iteration: 
             game, opponent_mix, team, cfg=eval_cfg,
             seed=subseed(cfg.seed, f"shared/t{team}/i{iteration}"),
         )
-    incumbent = _best_entry_vs(game, team, pop.entries(team), opponent_mix, eval_cfg)
+    incumbent = _best_entry_vs(pop, team, opp_weights)
     if cfg.oracle == "individual":
         start = _as_product(incumbent, game.action_counts[team - 1])
-        policy = best_response_individual(
+        return best_response_individual(
             game, opponent_mix, team, start, sweeps=cfg.individual_sweeps, cfg=eval_cfg
         )
-        return policy, team_value(game, team, policy, opponent_mix, eval_cfg)
-    policy = sebr(
+    return sebr(
         game,
         opponent_mix,
         team,
@@ -201,15 +218,6 @@ def _oracle_response(game, team, opponent_mix, pop, cfg: PsroConfig, iteration: 
         seed=subseed(cfg.seed, f"sebr/t{team}/i{iteration}"),
         cfg=eval_cfg,
     )
-    return policy, team_value(game, team, policy, opponent_mix, eval_cfg)
-
-
-def _new_line(game, team, entry, pop, cfg) -> np.ndarray:
-    """The meta row (team 1) or column (team 2) the entry would add."""
-    opponents = pop.team2 if team == 1 else pop.team1
-    if team == 1:
-        return np.array([team_value(game, 1, entry, o, cfg) for o in opponents])
-    return np.array([team_value(game, 1, o, entry, cfg) for o in opponents])
 
 
 def _is_duplicate(line: np.ndarray, existing: np.ndarray, tol: float) -> bool:
@@ -235,8 +243,9 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
         for team in (1, 2):
             if team not in cfg.expand_teams:
                 continue
-            opponent_mix = pop.mixture(3 - team, meta_2 if team == 1 else meta_1)
-            policy, br_value = _oracle_response(game, team, opponent_mix, pop, cfg, iteration)
+            policy, br_value = _oracle_response(
+                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration
+            )
             team_meta_value = value if team == 1 else -value
             gains[team] = br_value - team_meta_value
             if gains[team] <= cfg.gain_tol:
@@ -245,7 +254,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
             if _is_duplicate(line, existing, cfg.duplicate_tol):
                 continue
-            new_pop = extend_population(game, new_pop, policy, team, cfg.eval)
+            new_pop = extend_population(game, new_pop, policy, team, cfg.eval, line=line)
             appended = True
         history.append(
             IterationRecord(

@@ -1,5 +1,7 @@
 """Built-in game generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,94 @@ class TestGridSkirmish:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             SkirmishConfig(1, 1, 2, horizon=1)
+
+
+def _geometric_skirmish(cfg):
+    """The skirmish callables as written before the board was tabulated:
+    adjacency and move targets recomputed from coordinates at every step."""
+    w, h, n = cfg.width, cfg.height, cfg.team_size
+    n_agents = 2 * n
+    moves = {0: (0, -1), 1: (0, 1), 2: (-1, 0), 3: (1, 0)}
+
+    def xy(cell):
+        return cell % w, cell // w
+
+    def adjacent(c1, c2):
+        (x1, y1), (x2, y2) = xy(c1), xy(c2)
+        return abs(x1 - x2) + abs(y1 - y2) == 1
+
+    def reward(state, joint):
+        _, pos = state
+        acts = tuple(joint[0]) + tuple(joint[1])
+        hits = [0, 0]
+        for team, (lo, hi) in enumerate(((0, n), (n, n_agents))):
+            foes = range(n, n_agents) if team == 0 else range(0, n)
+            for k in range(lo, hi):
+                if acts[k] == 5 and any(adjacent(pos[k], pos[f]) for f in foes):
+                    hits[team] += 1
+        return cfg.damage * (hits[0] - hits[1])
+
+    def transition(state, joint):
+        t, pos = state
+        if t >= cfg.horizon:
+            return ((state, 1.0),)
+        acts = tuple(joint[0]) + tuple(joint[1])
+        new_pos = list(pos)
+        occupied = set(pos)
+        for k in range(n_agents):
+            if acts[k] not in moves:
+                continue
+            dx, dy = moves[acts[k]]
+            x, y = xy(pos[k])
+            nx, ny = x + dx, y + dy
+            if not (0 <= nx < w and 0 <= ny < h):
+                continue
+            tgt = ny * w + nx
+            if tgt in occupied:
+                continue
+            occupied.remove(new_pos[k])
+            occupied.add(tgt)
+            new_pos[k] = tgt
+        return (((t + 1, tuple(new_pos)), 1.0),)
+
+    return transition, reward
+
+
+class TestSkirmishTables:
+    """The tabulated skirmish callables return what the geometric ones do."""
+
+    @staticmethod
+    def _joints(n):
+        return list(itertools.product(itertools.product(range(6), repeat=n), repeat=2))
+
+    @staticmethod
+    def _assert_same(game, reference, states, joints):
+        ref_transition, ref_reward = reference
+        for state in states:
+            for joint in joints:
+                assert game.transition(state, joint) == ref_transition(state, joint)
+                assert game.reward(state, joint) == ref_reward(state, joint)
+
+    @pytest.mark.parametrize("width, height", [(2, 1), (3, 2)])
+    def test_small_boards_exhaustive(self, width, height):
+        cfg = SkirmishConfig(width, height, 1, horizon=2, damage=0.5)
+        g = grid_skirmish(cfg)
+        cells = range(width * height)
+        states = [
+            (t, pos) for t in range(cfg.horizon + 1) for pos in itertools.permutations(cells, 2)
+        ]
+        self._assert_same(g, _geometric_skirmish(cfg), states, self._joints(1))
+
+    def test_first_two_steps(self):
+        # every state the first two steps are played from, with every joint action
+        cfg = SkirmishConfig(3, 3, 2, horizon=3)
+        g = grid_skirmish(cfg)
+        reference = _geometric_skirmish(cfg)
+        joints = self._joints(2)
+        start = g.initial[0][0]
+        states = {start} | {s2 for j in joints for s2, _ in reference[0](start, j)}
+        assert len(states) == 46
+        self._assert_same(g, reference, sorted(states), joints)
 
 
 class TestRandomTeamGame:

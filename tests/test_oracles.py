@@ -59,6 +59,14 @@ def pure(actions, counts=(2, 2)):
     return ProductPolicy.pure(actions, counts)
 
 
+def _checked_value(game, team, result, opponent):
+    """An oracle's (policy, value) result reduced to its value, after
+    checking it against an evaluation of the policy."""
+    policy, value = result
+    assert value == team_value(game, team, policy, opponent)
+    return value
+
+
 class TestSolveMatrixMaxmin:
     def test_example1_matrix(self):
         g = example1()
@@ -159,20 +167,23 @@ class TestBestResponseIndividual:
     def test_stuck_at_zeros(self):
         # unilateral moves from (0,0) lose: -1 and 0 against value 1
         g = example1()
-        result = best_response_individual(g, pure((0, 0)), 1, pure((0, 0)))
+        result, value = best_response_individual(g, pure((0, 0)), 1, pure((0, 0)))
         assert result.pure_joint_action([0, 0]) == (0, 0)
         assert expected_team_reward(g, result, pure((0, 0))) == 1.0
+        assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_stays_at_bonus(self):
         g = example1()
-        result = best_response_individual(g, pure((0, 0)), 1, pure((1, 1)))
+        result, value = best_response_individual(g, pure((0, 0)), 1, pure((1, 1)))
         assert result.pure_joint_action([0, 0]) == (1, 1)
+        assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_zero_sweeps_noop(self):
         g = example1()
         start = pure((0, 1))
-        result = best_response_individual(g, pure((0, 0)), 1, start, sweeps=0)
+        result, value = best_response_individual(g, pure((0, 0)), 1, start, sweeps=0)
         assert result.pure_joint_action([0, 0]) == (0, 1)
+        assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_value_never_decreases(self):
         for seed in range(20):
@@ -180,8 +191,9 @@ class TestBestResponseIndividual:
             opp = pure((seed % 3, (seed + 1) % 3), (3, 3))
             start = pure((0, 0), (3, 3))
             v0 = expected_team_reward(g, start, opp)
-            result = best_response_individual(g, opp, 1, start)
+            result, value = best_response_individual(g, opp, 1, start)
             assert expected_team_reward(g, result, opp) >= v0 - 1e-12
+            assert value == team_value(g, 1, result, opp)
 
 
 class TestBestResponseShared:
@@ -330,7 +342,7 @@ class TestStochasticPasses:
             "joint": lambda game: best_response_joint(game, opp, 1)[1],
             "joint-mixture": lambda game: best_response_joint(game, mix, 2)[1],
             "shared": lambda game: best_response_shared(game, opp, 2)[1],
-            "sebr": lambda game: team_value(game, 1, sebr(game, opp, 1, restarts=1), opp),
+            "sebr": lambda game: _checked_value(game, 1, sebr(game, opp, 1, restarts=1), opp),
             "advantage": lambda game: tuple(
                 advantage_decompose(game, opp, opp, 1, (4, 4), obs=start)
             ),
@@ -441,20 +453,23 @@ class TestAdvantageDecompose:
 class TestSebr:
     def test_anti_coordination_reaches_heterogeneous(self):
         g = anti_coordination()
-        policy = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
         joint = policy.pure_joint_action([0, 0])
         assert joint in ((0, 1), (1, 0))
         assert expected_team_reward(g, policy, pure((0, 0))) == 1.0
+        assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_example1_local_optimum(self):
         g = example1()
-        policy = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
         assert policy.pure_joint_action([0, 0]) == (0, 0)
+        assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_example1_restarts_escape(self):
         g = example1()
-        policy = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
+        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
         assert policy.pure_joint_action([0, 0]) == (1, 1)
+        assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_per_update_monotonicity_normal_form(self):
         for seed in range(30):
@@ -492,9 +507,10 @@ class TestSebr:
     def test_deterministic(self):
         g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=9)
         opp = pure((1, 2), (3, 3))
-        a = sebr(g, opp, 1, restarts=4, seed=3)
-        b = sebr(g, opp, 1, restarts=4, seed=3)
+        a, value_a = sebr(g, opp, 1, restarts=4, seed=3)
+        b, value_b = sebr(g, opp, 1, restarts=4, seed=3)
         assert a.pure_joint_action([0, 0]) == b.pure_joint_action([0, 0])
+        assert value_a == value_b == team_value(g, 1, a, opp)
 
     def test_audit_serialization(self):
         import json
@@ -510,8 +526,9 @@ class TestSebr:
     def test_mixture_opponent(self):
         g = example1()
         mix = [(pure((0, 0)), 0.5), (pure((0, 1)), 0.5)]
-        policy = sebr(g, mix, 1, restarts=4, seed=0)
+        policy, returned = sebr(g, mix, 1, restarts=4, seed=0)
         value = team_value(g, 1, policy, mix)
+        assert returned == value
         # exhaustive check over pure products
         best = max(
             team_value(g, 1, pure(j), mix) for j in g.joint_actions(1)
@@ -526,10 +543,12 @@ class TestDominanceOrdering:
             opp = ProductPolicy([HashPolicy(2, seed + 5), HashPolicy(2, seed + 6)])
             _, v_joint = best_response_joint(g, opp, 1)
             _, v_shared = best_response_shared(g, opp, 1)
-            indiv = best_response_individual(g, opp, 1, pure((0, 0)))
+            indiv, returned_indiv = best_response_individual(g, opp, 1, pure((0, 0)))
             v_indiv = expected_team_reward(g, indiv, opp)
-            seq = sebr(g, opp, 1, restarts=2, seed=seed)
+            assert returned_indiv == team_value(g, 1, indiv, opp)
+            seq, returned_seq = sebr(g, opp, 1, restarts=2, seed=seed)
             v_seq = expected_team_reward(g, seq, opp)
+            assert returned_seq == team_value(g, 1, seq, opp)
             assert v_joint >= v_seq - 1e-9
             assert v_joint >= v_shared - 1e-9
             assert v_joint >= v_indiv - 1e-9

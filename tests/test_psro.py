@@ -1,5 +1,7 @@
 """PSRO loop, meta solving and population bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,14 @@ from teameq.core import (
     expected_team_reward,
     mixture_value,
 )
-from teameq.games import anti_coordination, example1, random_team_game
+from teameq.evaluation import Candidate, exploitability_profile
+from teameq.games import (
+    SkirmishConfig,
+    anti_coordination,
+    example1,
+    grid_skirmish,
+    random_team_game,
+)
 from teameq.psro import (
     PsroConfig,
     SebrConfig,
@@ -165,3 +174,54 @@ class TestRunPsro:
             PsroConfig(oracle="nope")
         with pytest.raises(ValueError):
             PsroConfig(expand_teams=())
+
+
+class TestSkirmishSPsro:
+    """S-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations, seed 0."""
+
+    @staticmethod
+    def _run():
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        calls = [0]
+
+        def transition(state, joint):
+            calls[0] += 1
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        return g, run_psro(counted, PsroConfig(oracle="sebr", max_iterations=4, seed=0)), calls[0]
+
+    def test_golden_values(self):
+        g, result, _ = self._run()
+        history = [
+            (r.iteration, r.meta_value, r.br_gain_1, r.br_gain_2, r.pop_1, r.pop_2)
+            for r in result.history
+        ]
+        assert history == [
+            (1, 0.0, 3.705, 2.755, 2, 2),
+            (2, 3.705, 0.0, 5.5575, 2, 3),
+            (3, -1.1400000000000001, 4.016794871794872, 0.9143750000000002, 3, 4),
+            (4, 0.04749999999999999, 2.7075, 1.9, 4, 5),
+        ]
+        assert result.population.payoffs.tolist() == [
+            [0.0, -2.755, -0.9025, -2.755, -0.9025],
+            [3.705, 3.705, -1.8525, 0.04749999999999999, -1.8525],
+            [3.705, 3.705, 2.755, 0.04749999999999999, -1.8525],
+            [2.755, 2.755, 1.805, 2.755, 0.0],
+        ]
+        assert result.meta_1.tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert result.meta_2.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert (result.value, result.converged, result.iterations) == (0.0, False, 4)
+        report = exploitability_profile(g, Candidate.from_psro(result, 1), seed=0)
+        assert [(r.class_name, r.opponent_reward) for r in report.results] == [
+            ("sequential", 1.8525),
+            ("joint", 2.755),
+            ("synchronized", 0.9025),
+            ("no_correlation", 0.9025),
+            ("random", -0.021587577160493747),
+        ]
+
+    def test_transition_calls(self):
+        # pins the work: evaluating a (policy, opponent) pair a second time
+        # raises the count
+        assert self._run()[2] == 11379
