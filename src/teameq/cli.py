@@ -475,7 +475,9 @@ def _serializable(policy, game, team):
 def _load_candidate(run_dir: str, team: int) -> Candidate:
     path = os.path.join(run_dir, "population.json")
     if not os.path.exists(path):
-        raise CliError(f"missing artifact {path} (psro run on a normal-form game?)")
+        raise CliError(
+            f"missing artifact {path} (psro writes it for normal-form games only)"
+        )
     with open(path) as fh:
         data = json.load(fh)
     entries = tuple(policy_from_dict(d) for d in data[f"team{team}"])

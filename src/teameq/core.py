@@ -94,12 +94,42 @@ class IndividualPolicy:
         self._fallback = fallback
 
     @classmethod
+    def from_actions(
+        cls,
+        n_actions: int,
+        actions: Mapping[Obs, int],
+        fallback: "IndividualPolicy | None" = None,
+    ):
+        """Deterministic table playing ``actions[obs]`` at each observation.
+
+        Equal to the validated constructor given the one-hot rows, without
+        building and checking a row per entry: each action's entries share
+        one read-only one-hot row and one support.  Raises ValueError for
+        an action outside ``[0, n_actions)``.
+        """
+        n = int(n_actions)
+        eye = np.eye(n)
+        eye.setflags(write=False)
+        rows: dict = {}
+        tab, support = {}, {}
+        for obs, a in actions.items():
+            if a not in rows:
+                if not 0 <= a < n:
+                    raise ValueError(f"action {a} outside [0, {n})")
+                rows[a] = (eye[a], ((int(a), 1.0),))
+            tab[obs], support[obs] = rows[a]
+        policy = cls.__new__(cls)
+        policy.n_actions = n
+        policy._table = tab
+        policy._support = support
+        policy._fallback = fallback
+        return policy
+
+    @classmethod
     def deterministic(cls, n_actions: int, action: int, obs_keys: Iterable[Obs] = (NF_OBS,)):
         if not 0 <= action < n_actions:
             raise ValueError(f"action {action} outside [0, {n_actions})")
-        row = np.zeros(n_actions)
-        row[action] = 1.0
-        return cls(n_actions, {o: row for o in obs_keys})
+        return cls.from_actions(n_actions, dict.fromkeys(obs_keys, action))
 
     @classmethod
     def uniform(cls, n_actions: int, obs_keys: Iterable[Obs] = (NF_OBS,)):
@@ -202,18 +232,15 @@ class HashPolicy:
     observation picks the action.  Used for reproducible random restarts
     without enumerating the observation space."""
 
-    __slots__ = ("n_actions", "seed")
+    __slots__ = ("n_actions", "seed", "_key")
 
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
         self.seed = int(seed)
+        self._key = self.seed.to_bytes(8, "little", signed=True)
 
     def _action(self, obs: Obs) -> int:
-        digest = hashlib.blake2b(
-            repr(obs).encode(),
-            digest_size=8,
-            key=self.seed.to_bytes(8, "little", signed=True),
-        ).digest()
+        digest = hashlib.blake2b(repr(obs).encode(), digest_size=8, key=self._key).digest()
         return int.from_bytes(digest, "little") % self.n_actions
 
     def dist(self, obs: Obs) -> np.ndarray:
@@ -567,54 +594,107 @@ def _members_view(policy) -> tuple:
 # Every exact stochastic pass (evaluation and the oracles' dynamic programs)
 # walks the same finite-horizon layered graph: _joint_support lists the joint
 # actions played at a state, _forward walks the layers, _backward runs
-# backward induction over a recorded walk.
+# backward induction over a recorded walk.  The walks ask ``steps`` for each
+# (state, joint action)'s successors row and step reward: the game itself,
+# or the _StepTable of the oracle call they serve.
 
 
-def _joint_support(game, team, members, opponent, state, unit=(), unit_actions=((),)):
+class _StepTable:
+    """The validated ``successors`` row and ``step_reward`` of each (state,
+    joint action) asked for, each computed by ``game`` once.
+
+    An iterated search (SeBR, iterated individual best responses, the greedy
+    improvement) walks the same steps from sweep to sweep and round to
+    round; it builds one table at entry and drops it when it returns, so a
+    table holds one call's keys only.  Single-pass work asks the game
+    directly: its keys do not repeat, so a table would only cost time and
+    memory.
+    """
+
+    __slots__ = ("_game", "_rows", "_rewards")
+
+    def __init__(self, game: StochasticTeamGame):
+        self._game = game
+        self._rows: dict = {}
+        self._rewards: dict = {}
+
+    def successors(self, obs: Obs, joint_action: tuple) -> tuple:
+        key = (obs, joint_action)
+        try:
+            return self._rows[key]
+        except KeyError:
+            row = self._rows[key] = self._game.successors(obs, joint_action)
+            return row
+
+    def step_reward(self, obs: Obs, joint_action: tuple) -> float:
+        key = (obs, joint_action)
+        try:
+            return self._rewards[key]
+        except KeyError:
+            r = self._rewards[key] = self._game.step_reward(obs, joint_action)
+            return r
+
+
+def _joint_support(
+    game, team, members, opponent, state, completions: dict, unit=(), unit_actions=((),)
+):
     """Joint actions at ``state`` when ``team``'s members play ``members``
     and the other team plays ``opponent``, except the members in ``unit``,
     which are free.  Returns ``[(prob, [(unit_action, joint), ...])]``: one
     entry per combination of the fixed players' actions with positive
     probability, completed by each of ``unit_actions``.  The probability
-    multiplies ``team``'s members first, then the opponent's."""
-    fixed = [i for i in range(len(members)) if i not in unit]
+    multiplies ``team``'s members first, then the opponent's.
+
+    ``completions`` maps a combination of the fixed players' actions to its
+    completion list.  A caller passes one dict to every state it visits
+    with the same ``team``, ``unit`` and ``unit_actions``, so each list is
+    built once and then shared: callers must not mutate it."""
     slots = []
     for side, policies, free in ((team, members, unit), (3 - team, _members_view(opponent), ())):
         obs_list = game.member_observations(side, state)
         for i, (member, obs) in enumerate(zip(policies, obs_list, strict=True)):
             if i not in free:
                 slots.append(member.support(obs))
+    # prefix products: the same multiplications, in the same order, as
+    # math.prod over each combination
+    combos = [(1.0, ())]
+    for slot in slots:
+        combos = [(p * q, acts + (a,)) for p, acts in combos for a, q in slot]
     out = []
-    own = [0] * len(members)
-    for combo in itertools.product(*slots):
-        prob = math.prod(p for _, p in combo)
+    for prob, acts in combos:
         if prob <= 0.0:
             continue
-        for i, (a, _) in zip(fixed, combo):
-            own[i] = a
-        opp = tuple(a for a, _ in combo[len(fixed):])
-        pairs = []
-        for ua in unit_actions:
-            for i, a in zip(unit, ua):
+        pairs = completions.get(acts)
+        if pairs is None:
+            fixed = [i for i in range(len(members)) if i not in unit]
+            own = [0] * len(members)
+            for i, a in zip(fixed, acts):
                 own[i] = a
-            pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
+            opp = acts[len(fixed):]
+            pairs = completions[acts] = []
+            for ua in unit_actions:
+                for i, a in zip(unit, ua):
+                    own[i] = a
+                pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
         out.append((prob, pairs))
     return out
 
 
-def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig):
+def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=None):
     """Walk ``game.horizon`` steps from the distribution ``start`` of
     (state, prob) pairs.
 
     Yields ``(t, state, prob, rows)`` step by step, states in first-reached
     order; ``rows`` is ``support(t, state)`` with each joint action's
-    successor row added: ``[(prob, [(unit_action, joint, successors), ...])]``.
+    successor row, from ``steps`` (default: the game), added:
+    ``[(prob, [(unit_action, joint, successors), ...])]``.
     Successors with positive probability form the next layer, weighted by
     the state's and the combination's probability (summed over unit
     actions); only that layer's distribution is kept.  Raises
     EvaluationError when one step touches more than ``cfg.exact_bound``
     (state, joint action) pairs.
     """
+    successors = (game if steps is None else steps).successors
     dist: dict[Obs, float] = {}
     for state, p in start:
         if p > 0.0:
@@ -636,7 +716,7 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig):
                 w = p_state * p
                 row = []
                 for ua, joint in pairs:
-                    succ = game.successors(state, joint)
+                    succ = successors(state, joint)
                     for s2, pt in succ:
                         if pt > 0.0:
                             nxt[s2] = nxt.get(s2, 0.0) + w * pt
@@ -646,12 +726,14 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig):
         dist = nxt
 
 
-def _backward(game: StochasticTeamGame, walk, team: int) -> list[dict]:
+def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dict]:
     """Backward induction for ``team`` over ``walk``, the list of tuples
-    `_forward` yielded.  Returns one dict per step mapping each state to
+    `_forward` yielded, with step rewards from ``steps`` (default: the
+    game).  Returns one dict per step mapping each state to
     ``{unit_action: action value}``.  A state's value is its best action
     value; a successor outside the next layer (reached with probability 0)
     counts 0."""
+    step_reward = (game if steps is None else steps).step_reward
     sign = 1.0 if team == 1 else -1.0
     q: list[dict] = [{} for _ in range(game.horizon)]
     values: list[dict] = [{} for _ in range(game.horizon + 1)]
@@ -662,30 +744,37 @@ def _backward(game: StochasticTeamGame, walk, team: int) -> list[dict]:
             for ua, joint, succ in row:
                 tail = sum(pt * after.get(s2, 0.0) for s2, pt in succ)
                 acts[ua] = acts.get(ua, 0.0) + p * (
-                    sign * game.step_reward(state, joint) + game.discount * tail
+                    sign * step_reward(state, joint) + game.discount * tail
                 )
         q[t][state] = acts
         values[t][state] = max(acts.values())
     return q
 
 
-def _profile_walk(game: StochasticTeamGame, p1, p2, cfg: EvalConfig):
+def _profile_walk(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None):
     """The `_forward` walk of the profile (p1, p2) from the initial states,
     team 1's members multiplied first: the walk exact evaluation sums."""
+    completions: dict = {}
     return _forward(
-        game, game.initial, lambda t, s: _joint_support(game, 1, p1.members, p2, s), cfg
+        game,
+        game.initial,
+        lambda t, s: _joint_support(game, 1, p1.members, p2, s, completions),
+        cfg,
+        steps,
     )
 
 
-def _walk_value(game: StochasticTeamGame, walk) -> float:
-    """Expected discounted team-1 reward of a `_profile_walk`."""
+def _walk_value(game: StochasticTeamGame, walk, steps=None) -> float:
+    """Expected discounted team-1 reward of a `_profile_walk`, with step
+    rewards from ``steps`` (default: the game)."""
+    step_reward = (game if steps is None else steps).step_reward
     discounts = [1.0]
     for _ in range(game.horizon - 1):
         discounts.append(discounts[-1] * game.discount)
     total = 0.0
     for t, state, p_state, rows in walk:
         for p, ((_, joint, _),) in rows:
-            total += discounts[t] * (p_state * p) * game.step_reward(state, joint)
+            total += discounts[t] * (p_state * p) * step_reward(state, joint)
     return total
 
 

@@ -37,6 +37,7 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     StochasticTeamGame,
+    _StepTable,
     _backward,
     _forward,
     _joint_support,
@@ -262,6 +263,7 @@ def _unit_best_response_exact(
     opp_policy,
     cfg: EvalConfig,
     unit_actions: list[tuple[int, ...]] | None = None,
+    steps=None,
 ):
     """Exact finite-horizon best response of a unit of members (all others,
     including the single opponent team policy, held fixed).
@@ -272,16 +274,20 @@ def _unit_best_response_exact(
     ExactBRUnsupported otherwise.  ``unit_actions`` restricts the unit's
     joint actions (default: all of them, lexicographic); when it ties the
     members to one common action they must observe alike at every reached
-    state, else ExactBRUnsupported.  Returns (member tables, value).
+    state, else ExactBRUnsupported.  ``steps`` is the calling oracle's
+    step table (default: the game).  Returns (member tables, value).
     """
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
     tied = _ties_members(unit_actions)
+    completions: dict = {}
 
     def support(t, state):
-        return _joint_support(game, team, own_members, opp_policy, state, unit, unit_actions)
+        return _joint_support(
+            game, team, own_members, opp_policy, state, completions, unit, unit_actions
+        )
 
-    q = _backward(game, list(_forward(game, game.initial, support, cfg)), team)
+    q = _backward(game, list(_forward(game, game.initial, support, cfg, steps)), team, steps)
     assign: list[dict] = [dict() for _ in unit]
     for layer in reversed(q):
         for state in sorted(layer, key=repr):
@@ -302,24 +308,16 @@ def _unit_best_response_exact(
                     )
     value = sum(p * max(q[0][s].values()) for s, p in game.initial if p > 0.0)
     counts = game.action_counts[team - 1]
-    tables = []
-    for pos, member in enumerate(unit):
-        tables.append(
-            IndividualPolicy(
-                counts[member],
-                {
-                    obs: np.eye(counts[member])[a]
-                    for obs, a in assign[pos].items()
-                },
-                fallback=own_members[member],
-            )
-        )
+    tables = [
+        IndividualPolicy.from_actions(counts[member], assign[pos], own_members[member])
+        for pos, member in enumerate(unit)
+    ]
     return tables, float(value)
 
 
 def _unit_improve_weighted(
     game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20, unit_actions=None,
-    value=None,
+    value=None, steps=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -333,28 +331,26 @@ def _unit_improve_weighted(
     The candidate's walks give that value and, once it is kept, the next
     round's walks.  ``value`` is the starting policy's value against the
     mixture when the caller already holds it.  ``unit_actions`` is as in
-    _unit_best_response_exact.  Returns (unit members' policies, value).
+    _unit_best_response_exact.  ``steps`` is the calling oracle's step
+    table; without one the greedy builds its own.  Returns (unit members'
+    policies, value).
     """
     counts = game.action_counts[team - 1]
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
     tied = _ties_members(unit_actions)
     sign = 1.0 if team == 1 else -1.0
+    if steps is None:
+        steps = _StepTable(game)
+    completions: dict = {}
 
     def walks_of(mems) -> list:
-        own = ProductPolicy(mems)
-        return [
-            list(_profile_walk(game, *((own, atom) if team == 1 else (atom, own)), cfg))
-            for atom, _ in opp_atoms
-        ]
+        return [list(walk) for walk in _atom_walks(game, team, mems, opp_atoms, cfg, steps)]
 
     def value_of(mems, walks) -> float:
         if cfg.mode != "exact":  # Monte-Carlo mode guards with its estimates
-            return _value_vs_atoms(game, team, mems, opp_atoms, cfg)
-        # team_value's arithmetic, so the value equals an evaluation
-        return sum(
-            w * (sign * _walk_value(game, walk)) for (_, w), walk in zip(opp_atoms, walks)
-        )
+            return _value_vs_atoms(game, team, mems, opp_atoms, cfg, steps)
+        return _atoms_value(game, team, opp_atoms, walks, steps)
 
     members = list(own_members)
     walks = walks_of(members)
@@ -366,7 +362,7 @@ def _unit_improve_weighted(
             # on-policy values by step; a state reached only off-policy counts 0
             after = [
                 {s: acts[()] for s, acts in layer.items()}
-                for layer in _backward(game, walk, team)
+                for layer in _backward(game, walk, team, steps)
             ] + [{}]
             for t, state, p_state, _rows in walk:
                 d = (game.discount**t) * p_state
@@ -376,17 +372,17 @@ def _unit_improve_weighted(
                 _check_tied_observations(tied, key)
                 row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
                 for p, pairs in _joint_support(
-                    game, team, members, atom, state, unit, unit_actions
+                    game, team, members, atom, state, completions, unit, unit_actions
                 ):
                     for ua, joint in pairs:
-                        nxt = game.successors(state, joint)
+                        nxt = steps.successors(state, joint)
                         tail = sum(pt * after[t + 1].get(s2, 0.0) for s2, pt in nxt)
                         row[ua] += (
                             w
                             * d
                             * p
                             * (
-                                sign * game.step_reward(state, joint)
+                                sign * steps.step_reward(state, joint)
                                 + game.discount * tail
                             )
                         )
@@ -399,10 +395,8 @@ def _unit_improve_weighted(
                 tables[pos][key[pos]] = best_ua[pos]
         candidate = list(members)
         for pos, member in enumerate(unit):
-            candidate[member] = IndividualPolicy(
-                counts[member],
-                {obs: np.eye(counts[member])[a] for obs, a in tables[pos].items()},
-                fallback=members[member],
+            candidate[member] = IndividualPolicy.from_actions(
+                counts[member], tables[pos], members[member]
             )
         cand_walks = walks_of(candidate)
         cand_value = value_of(candidate, cand_walks)
@@ -460,14 +454,15 @@ def best_response_individual(
     """
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, start)
+    steps = _StepTable(game)
     members = list(start.members)
-    value = _value_vs_atoms(game, team, members, as_mixture(opponent), cfg)
+    value = _value_vs_atoms(game, team, members, as_mixture(opponent), cfg, steps)
     n = len(members)
     for _ in range(sweeps):
         changed = False
         for m in range(n):
             new_member, improved, value = _member_update(
-                game, team, m, members, opponent, cfg, value
+                game, team, m, members, opponent, cfg, value, steps
             )
             if improved:
                 members[m] = new_member
@@ -477,14 +472,39 @@ def best_response_individual(
     return ProductPolicy(members), value
 
 
-def _value_vs_atoms(game, team, members, atoms, cfg) -> float:
+def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
     """Value of the product of ``members`` against opponent atoms
-    ``[(policy, weight), ...]``, by one evaluation per atom."""
+    ``[(policy, weight), ...]``, by one evaluation per atom.  Exact
+    stochastic evaluations make `evaluate`'s checks and walk the calling
+    oracle's step table ``steps``."""
     own = ProductPolicy(members)
-    return sum(w * team_value(game, team, own, atom, cfg) for atom, w in atoms)
+    if game.is_normal_form or cfg.mode != "exact":
+        return sum(w * team_value(game, team, own, atom, cfg) for atom, w in atoms)
+    check_team_policy(game, team, own)
+    for atom, _ in atoms:
+        check_team_policy(game, 3 - team, atom)
+    walks = _atom_walks(game, team, members, atoms, cfg, steps)
+    return _atoms_value(game, team, atoms, walks, steps)
 
 
-def _member_update(game, team, member, members, opponent, cfg, current):
+def _atom_walks(game, team, members, atoms, cfg, steps):
+    """The `_profile_walk` of the product of ``members`` against each
+    opponent atom, one after the other."""
+    own = ProductPolicy(members)
+    for atom, _ in atoms:
+        yield _profile_walk(game, *((own, atom) if team == 1 else (atom, own)), cfg, steps)
+
+
+def _atoms_value(game, team, atoms, walks, steps) -> float:
+    """Value against opponent atoms from one walk per atom, in `team_value`'s
+    arithmetic, so it equals the evaluation up to the sign of a zero."""
+    sign = 1.0 if team == 1 else -1.0
+    return sum(
+        w * (sign * _walk_value(game, walk, steps)) for (_, w), walk in zip(atoms, walks)
+    )
+
+
+def _member_update(game, team, member, members, opponent, cfg, current, steps):
     """One member's exact pure best response, switch on strict improvement.
 
     ``current`` is the team's value before the update.  Returns (policy,
@@ -493,7 +513,8 @@ def _member_update(game, team, member, members, opponent, cfg, current):
     single opponent atom and the guarded greedy improvement for mixtures,
     whose value is the kept policy's evaluation.  The other paths evaluate
     the switched policy once, since the closed-form and DP values can
-    differ from evaluation in the last bits.
+    differ from evaluation in the last bits.  ``steps`` is the calling
+    oracle's step table.
     """
     atoms = as_mixture(opponent)
     if game.is_normal_form:
@@ -506,20 +527,20 @@ def _member_update(game, team, member, members, opponent, cfg, current):
         tables = [IndividualPolicy.deterministic(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
-            game, team, (member,), tuple(members), atoms[0][0], cfg
+            game, team, (member,), tuple(members), atoms[0][0], cfg, steps=steps
         )
         if value <= current + 1e-15:
             return members[member], False, current
     else:
         tables, value = _unit_improve_weighted(
-            game, team, (member,), tuple(members), atoms, cfg, value=current
+            game, team, (member,), tuple(members), atoms, cfg, value=current, steps=steps
         )
         if value <= current + 1e-15:
             return members[member], False, current
         return tables[0], True, value
     updated = list(members)
     updated[member] = tables[0]
-    return tables[0], True, _value_vs_atoms(game, team, updated, atoms, cfg)
+    return tables[0], True, _value_vs_atoms(game, team, updated, atoms, cfg, steps)
 
 
 def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
@@ -685,10 +706,8 @@ def best_response_shared(
         return SharedPolicy(tables[0], n_members), value
     best_val, best_policy = -math.inf, None
     for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
-        table = {
-            obs: np.eye(n_actions)[a] for obs, a in zip(obs_set, assignment)
-        }
-        policy = SharedPolicy(IndividualPolicy(n_actions, table), n_members)
+        table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
+        policy = SharedPolicy(table, n_members)
         val = sum(w * team_value(game, team, policy, atom, cfg) for atom, w in atoms)
         if val > best_val + 1e-15:
             best_val, best_policy = val, policy
@@ -784,11 +803,12 @@ def _stochastic_q_tensor(game, team, members, opponent, obs, cfg):
     root and plays ``members`` afterwards."""
     unit = tuple(range(len(members)))
     team_joints = _unit_action_space(game, team, unit)
+    completions: dict = {}
 
     def support(t, state):
         if t == 0:
-            return _joint_support(game, team, members, opponent, state, unit, team_joints)
-        return _joint_support(game, team, members, opponent, state)
+            return _joint_support(game, team, members, opponent, state, {}, unit, team_joints)
+        return _joint_support(game, team, members, opponent, state, completions)
 
     root = _backward(game, list(_forward(game, [(obs, 1.0)], support, cfg)), team)[0][obs]
     tensor = np.zeros(game.action_counts[team - 1])
@@ -930,19 +950,20 @@ def sebr(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     atoms = as_mixture(opponent)
+    steps = _StepTable(game)
     best_policy, best_value = None, -math.inf
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
-        value = _value_vs_atoms(game, team, members, atoms, cfg)
+        value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
         for sweep in range(max_sweeps):
             channel.clear()
             changed = False
             for member in order:
                 before = value
                 new_member, improved, value = _member_update(
-                    game, team, member, members, opponent, cfg, value
+                    game, team, member, members, opponent, cfg, value, steps
                 )
                 if improved:
                     members[member] = new_member

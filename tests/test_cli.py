@@ -130,6 +130,15 @@ class TestEvalCommand:
         header = read(out / "report.csv").splitlines()[0]
         assert header.endswith("sequential,joint,synchronized,no_correlation,random")
 
+    def test_exploit_from_stochastic_run_names_missing_population(self, tmp_path, capsys):
+        run = tmp_path / "p"
+        game = "skirmish:w=2,h=2,n=1,H=2"
+        assert main(["psro", "--game", game, "--oracle", "sebr", "--out", str(run)]) == EXIT_OK
+        rc = main(["eval", "--game", game, "--mode", "exploit", "--run", str(run), "--out", str(tmp_path / "e")])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "population.json" in err and "normal-form games only" in err
+
     def test_elo_ratings(self, tmp_path):
         matches = tmp_path / "m.csv"
         matches.write_text("a,b,score\na,b,1\n")

@@ -10,6 +10,7 @@ from teameq.core import (
     DimensionError,
     EvalConfig,
     EvaluationError,
+    HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,
@@ -27,7 +28,13 @@ from teameq.core import (
     sample_joint_action,
     team_value,
 )
-from teameq.games import example1, random_stochastic_game, random_team_game
+from teameq.games import (
+    SkirmishConfig,
+    example1,
+    grid_skirmish,
+    random_stochastic_game,
+    random_team_game,
+)
 
 
 def pure(actions, counts=(2, 2)):
@@ -219,6 +226,45 @@ class TestValidation:
         entries = [(pure((0, 0)), 1.0 / 128)] * 128
         with pytest.raises(EvaluationError):
             mixture_value(g, entries, pure((0, 0)))
+
+
+class TestDeterministicTables:
+    def test_hash_policy_actions_pinned(self):
+        # SeBR's random restarts reach result files: the hash must not move
+        state = grid_skirmish(SkirmishConfig(3, 3, 2, 3)).initial[0][0]
+        assert state == (0, (0, 1, 8, 7))
+        cases = [
+            ((5, 0, 0), 4),
+            ((5, 12345, state), 3),
+            ((5, -3, state), 1),
+            ((4, 2**62, "abc"), 3),
+            ((7, 17, (1, (2, 3))), 2),
+            ((2, 1, None), 0),
+        ]
+        for (n, seed, obs), action in cases:
+            policy = HashPolicy(n, seed)
+            assert policy._action(obs) == policy.pure_action(obs) == action
+            assert policy.support(obs) == ((action, 1.0),)
+
+    def test_from_actions_matches_validated_table(self):
+        actions = {0: 2, "a": 0, (1, (2, 3)): 2, None: 1}
+        fallback = IndividualPolicy.uniform(3, obs_keys=["other"])
+        fast = IndividualPolicy.from_actions(3, actions, fallback)
+        slow = IndividualPolicy(3, {o: np.eye(3)[a] for o, a in actions.items()}, fallback)
+        assert fast.observations() == slow.observations()
+        for obs in (*actions, "other"):
+            assert np.array_equal(fast.dist(obs), slow.dist(obs))
+            assert not fast.dist(obs).flags.writeable
+            assert fast.support(obs) == slow.support(obs)
+            assert fast.pure_action(obs) == slow.pure_action(obs)
+        assert fast.dist(0) is fast.dist((1, (2, 3)))
+        with pytest.raises(KeyError):
+            IndividualPolicy.from_actions(3, actions).dist("other")
+
+    @pytest.mark.parametrize("action", [-1, 3])
+    def test_from_actions_rejects_actions_out_of_range(self, action):
+        with pytest.raises(ValueError, match="outside"):
+            IndividualPolicy.from_actions(3, {0: 1, 1: action})
 
 
 class TestSerialization:

@@ -18,6 +18,8 @@ from teameq.core import (
     IndividualPolicy,
     ProductPolicy,
     SharedPolicy,
+    UniformPolicy,
+    evaluate,
     expected_team_reward,
     team_value,
 )
@@ -372,9 +374,18 @@ class TestStochasticPasses:
 
         counted = dataclasses.replace(g, transition=transition, reward=reward)
         opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+        zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        # single passes ask the game; an iterated oracle asks its step table,
+        # which asks the game once per key over all sweeps and rounds
         passes = [
+            (lambda: evaluate(counted, opp, ProductPolicy([UniformPolicy(6)] * 2)), 1764),
             (lambda: best_response_joint(counted, opp, 1), 2232),
             (lambda: advantage_decompose(counted, opp, opp, 1, (4, 4), obs=g.initial[0][0]), 50),
+            (lambda: best_response_joint(counted, mix, 2), 180),
+            (lambda: best_response_individual(counted, mix, 1, zeros), 71),
+            (lambda: sebr(counted, opp, 1, restarts=2), 245),
+            (lambda: sebr(counted, mix, 2, restarts=2), 143),
         ]
         for run, expected in passes:
             transitions.clear()
@@ -382,6 +393,24 @@ class TestStochasticPasses:
             run()
             assert len(transitions) == len(set(transitions)) == expected
             assert len(rewards) == expected and set(rewards) == set(transitions)
+
+    def test_step_table_lives_for_one_call(self):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        calls = [0]
+
+        def transition(state, joint):
+            calls[0] += 1
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+        for run in (lambda: sebr(counted, opp, 1, restarts=2), lambda: sebr(counted, mix, 2)):
+            calls[0] = 0
+            value = run()[1]
+            once = calls[0]
+            assert run()[1] == value
+            assert calls[0] == 2 * once > 0
 
 
 class TestSharedMaxminGrid:
