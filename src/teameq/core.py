@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -534,7 +533,10 @@ class EvalConfig:
 
     mode:
       - "exact": exact finite-horizon value (always used for normal form).
-      - "mc": Monte-Carlo rollouts; requires a seed.
+      - "mc": Monte-Carlo rollouts; requires a seed.  Only `evaluate` and
+        what is built on it (`team_value`, `rpp`, `verify_equilibrium`)
+        estimate; the oracles ignore the mode and compute exactly, and
+        PSRO and the exploitability profile refuse "mc".
     ``exact_bound`` caps the (state, joint action) pairs that any exact
     stochastic pass touches in one step: evaluation, and the oracles' dynamic
     programs, which also count every joint action their free members can
@@ -708,8 +710,9 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
             if step_pairs > cfg.exact_bound:
                 raise EvaluationError(
                     f"exact budget exceeded ({step_pairs} state-action pairs in one "
-                    f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound or use "
-                    "Monte-Carlo evaluation"
+                    f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound, or "
+                    "estimate a single profile with evaluate / team_value in "
+                    "Monte-Carlo mode"
                 )
             rows = []
             for p, pairs in combos:
@@ -835,9 +838,7 @@ def mixture_value(game: Game, mix1, mix2, cfg: EvalConfig | None = None) -> floa
     """
     pairs1, pairs2 = as_mixture(mix1), as_mixture(mix2)
     if len(pairs1) > MIXTURE_SUPPORT_LIMIT or len(pairs2) > MIXTURE_SUPPORT_LIMIT:
-        raise EvaluationError(
-            f"mixture support exceeds {MIXTURE_SUPPORT_LIMIT}; use Monte-Carlo instead"
-        )
+        raise EvaluationError(f"mixture support exceeds {MIXTURE_SUPPORT_LIMIT}")
     total = 0.0
     for pol1, w1 in pairs1:
         for pol2, w2 in pairs2:
@@ -977,13 +978,3 @@ def policy_from_dict(data: Mapping):
         return JointMixPolicy([tuple(a) for a in data["atoms"]], data["weights"])
     raise ValueError(f"unknown policy kind {kind!r}")
 
-
-def save_game(game: NormalFormTeamGame, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(game_to_dict(game), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_game(path) -> NormalFormTeamGame:
-    with open(path) as fh:
-        return game_from_dict(json.load(fh))

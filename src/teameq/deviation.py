@@ -127,11 +127,10 @@ def _pure_member_policies(game: Game, team: int, member: int, cfg: EvalConfig):
         raise ValueError(
             f"{count} pure member policies exceed the enumeration bound"
         )
-    out = []
-    for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
-        table = {o: np.eye(n_actions)[a] for o, a in zip(obs_set, assignment)}
-        out.append(IndividualPolicy(n_actions, table))
-    return out
+    return [
+        IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
+        for assignment in itertools.product(range(n_actions), repeat=len(obs_set))
+    ]
 
 
 def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig, bound: int):

@@ -68,7 +68,6 @@ class Candidate:
 class ClassResult:
     class_name: str
     opponent_reward: float | None
-    stderr: float = 0.0
     applicable: bool = True
     note: str = ""
 
@@ -76,7 +75,6 @@ class ClassResult:
         return {
             "class": self.class_name,
             "opponent_reward": None if self.opponent_reward is None else float(self.opponent_reward),
-            "stderr": float(self.stderr),
             "applicable": self.applicable,
             "note": self.note,
         }
@@ -125,9 +123,12 @@ def exploitability_profile(
     Joint uses the fully correlated best response, Synchronized the shared
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
-    the sebr oracle, and Random the uniform product policy.
+    the sebr oracle, and Random the uniform product policy.  Every reward is
+    exact: ``cfg.mode`` must be "exact".
     """
     cfg = cfg or EvalConfig()
+    if cfg.mode != "exact":
+        raise ValueError(f"the profile needs exact evaluation, got mode {cfg.mode!r}")
     opp = 3 - candidate.team
     mix = candidate.mixture()
     counts = game.action_counts[opp - 1]
@@ -140,7 +141,7 @@ def exploitability_profile(
         elif name == "synchronized":
             if len(set(counts)) != 1:
                 results.append(
-                    ClassResult(name, None, 0.0, applicable=False, note="heterogeneous team")
+                    ClassResult(name, None, applicable=False, note="heterogeneous team")
                 )
                 continue
             _, reward = best_response_shared(

@@ -6,11 +6,12 @@ Four oracles with different cooperative ability:
 - shared: best shared (parameter-tied) policy, members sampling independently,
 - individual: round-robin iterated unilateral best responses,
 - sebr: sequential coordinate ascent where each member best-responds exactly
-  given its predecessors' updated policies, logged through a communication
-  channel and justified by the per-member advantage decomposition.
+  given its predecessors' updated policies, optionally logged through a
+  communication channel with the per-member advantage decomposition.
 
 All oracles are pure functions, deterministic given (inputs, seed), and
-break ties lexicographically on action indices.
+break ties lexicographically on action indices.  They compute exact values
+only: of an EvalConfig they read ``exact_bound`` alone, never ``mode``.
 """
 
 from __future__ import annotations
@@ -347,15 +348,10 @@ def _unit_improve_weighted(
     def walks_of(mems) -> list:
         return [list(walk) for walk in _atom_walks(game, team, mems, opp_atoms, cfg, steps)]
 
-    def value_of(mems, walks) -> float:
-        if cfg.mode != "exact":  # Monte-Carlo mode guards with its estimates
-            return _value_vs_atoms(game, team, mems, opp_atoms, cfg, steps)
-        return _atoms_value(game, team, opp_atoms, walks, steps)
-
     members = list(own_members)
     walks = walks_of(members)
     if value is None:
-        value = value_of(members, walks)
+        value = _atoms_value(game, team, opp_atoms, walks, steps)
     for _ in range(rounds):
         qbar: dict = {}
         for (atom, w), walk in zip(opp_atoms, walks):
@@ -399,7 +395,7 @@ def _unit_improve_weighted(
                 counts[member], tables[pos], members[member]
             )
         cand_walks = walks_of(candidate)
-        cand_value = value_of(candidate, cand_walks)
+        cand_value = _atoms_value(game, team, opp_atoms, cand_walks, steps)
         if cand_value > value + 1e-15:
             members, walks, value = candidate, cand_walks, cand_value
         else:
@@ -473,12 +469,12 @@ def best_response_individual(
 
 
 def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
-    """Value of the product of ``members`` against opponent atoms
-    ``[(policy, weight), ...]``, by one evaluation per atom.  Exact
-    stochastic evaluations make `evaluate`'s checks and walk the calling
-    oracle's step table ``steps``."""
+    """Exact value of the product of ``members`` against opponent atoms
+    ``[(policy, weight), ...]``, by one evaluation per atom.  Stochastic
+    evaluations make `evaluate`'s checks and walk the calling oracle's step
+    table ``steps``."""
     own = ProductPolicy(members)
-    if game.is_normal_form or cfg.mode != "exact":
+    if game.is_normal_form:
         return sum(w * team_value(game, team, own, atom, cfg) for atom, w in atoms)
     check_team_policy(game, team, own)
     for atom, _ in atoms:
@@ -651,14 +647,14 @@ def best_response_shared(
 
     Stochastic: the best pure stationary shared table.  While at most
     TABLE_ENUMERATION_BOUND tables exist over the reachable member
-    observations, every table is evaluated.  Beyond that, a deterministic
-    shared policy plays one common action for every member wherever the
-    members observe alike, so the unit of all members searches the
-    diagonal joint actions ``(a, ..., a)``: exact backward induction
-    against a single opponent policy, occupancy-weighted greedy improvement
-    with a keep-if-better guard against a mixture.  Raises EvaluationError
-    when the members observe differently at a reached state or their
-    observations do not fix the decision stage.
+    observations, every table is evaluated, all through one step table.
+    Beyond that, a deterministic shared policy plays one common action for
+    every member wherever the members observe alike, so the unit of all
+    members searches the diagonal joint actions ``(a, ..., a)``: exact
+    backward induction against a single opponent policy, occupancy-weighted
+    greedy improvement with a keep-if-better guard against a mixture.
+    Raises EvaluationError when the members observe differently at a
+    reached state or their observations do not fix the decision stage.
     """
     cfg = cfg or EvalConfig()
     counts = game.action_counts[team - 1]
@@ -704,11 +700,12 @@ def best_response_shared(
                 f"dynamic program does not apply: {err}"
             ) from err
         return SharedPolicy(tables[0], n_members), value
+    steps = _StepTable(game)
     best_val, best_policy = -math.inf, None
     for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
         table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
         policy = SharedPolicy(table, n_members)
-        val = sum(w * team_value(game, team, policy, atom, cfg) for atom, w in atoms)
+        val = _value_vs_atoms(game, team, policy.members, atoms, cfg, steps)
         if val > best_val + 1e-15:
             best_val, best_policy = val, policy
     return best_policy, float(best_val)
@@ -918,6 +915,20 @@ def _as_product(policy, counts) -> ProductPolicy:
     raise DimensionError(f"cannot convert {policy!r} to a product policy")
 
 
+def _channel_entry(game, team, members, member, opponent, order, value) -> ChannelEntry:
+    """Channel record of one member update, with advantage terms when the
+    team plays a pure joint action of a normal-form game."""
+    advantages: tuple[float, ...] = ()
+    if game.is_normal_form:
+        own = ProductPolicy(members)
+        joint = own.pure_joint_action([NF_OBS] * len(members))
+        if joint is not None:
+            profile = (own, opponent) if team == 1 else (opponent, own)
+            terms = advantage_decompose(game, *profile, team, joint, order=order)
+            advantages = tuple(float(x) for x in terms)
+    return ChannelEntry(member, _policy_summary(members[member]), advantages, value)
+
+
 def sebr(
     game: Game,
     opponent,
@@ -940,11 +951,13 @@ def sebr(
     start); the value is the one the updates carried, equal to
     ``team_value`` of the policy up to the sign of a zero.
 
-    ``trace``, when given, collects (restart, sweep, member, value_before,
-    value_after) tuples across all updates for auditing.
+    ``channel``, when given, is cleared at each sweep start and logs every
+    member update with its advantage terms (normal form, pure team joint
+    action); without one nothing is logged.  ``trace``, when given,
+    collects (restart, sweep, member, value_before, value_after) tuples
+    across all updates for auditing.
     """
     cfg = cfg or EvalConfig()
-    channel = channel if channel is not None else CommChannel()
     n = game.team_sizes[team - 1]
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
@@ -958,7 +971,8 @@ def sebr(
         members = list(start_policy.members)
         value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
         for sweep in range(max_sweeps):
-            channel.clear()
+            if channel is not None:
+                channel.clear()
             changed = False
             for member in order:
                 before = value
@@ -968,22 +982,10 @@ def sebr(
                 if improved:
                     members[member] = new_member
                     changed = True
-                advantages: tuple[float, ...] = ()
-                if game.is_normal_form:
-                    own = ProductPolicy(members)
-                    joint = own.pure_joint_action([NF_OBS] * n)
-                    if joint is not None:
-                        profile = (own, opponent) if team == 1 else (opponent, own)
-                        terms = advantage_decompose(game, *profile, team, joint, order=order)
-                        advantages = tuple(float(x) for x in terms)
-                channel.log(
-                    ChannelEntry(
-                        member=member,
-                        policy_summary=_policy_summary(members[member]),
-                        advantages=advantages,
-                        team_reward=value,
+                if channel is not None:
+                    channel.log(
+                        _channel_entry(game, team, members, member, opponent, order, value)
                     )
-                )
                 if trace is not None:
                     trace.append((restart_idx, sweep, member, before, value))
             if not changed:

@@ -48,8 +48,6 @@ class Population:
     team1: tuple
     team2: tuple
     payoffs: np.ndarray
-    eval_mode: str = "exact"
-    stderr: np.ndarray | None = None
 
     def __post_init__(self):
         payoffs = np.asarray(self.payoffs, dtype=float)
@@ -78,7 +76,7 @@ def initial_population(game: Game, cfg: EvalConfig | None = None) -> Population:
         counts = game.action_counts[team - 1]
         seeds.append(ProductPolicy([ConstantPolicy(c, 0) for c in counts]))
     value = team_value(game, 1, seeds[0], seeds[1], cfg)
-    return Population((seeds[0],), (seeds[1],), np.array([[value]]), cfg.mode)
+    return Population((seeds[0],), (seeds[1],), np.array([[value]]))
 
 
 def _new_line(game, team, entry, pop, cfg) -> np.ndarray:
@@ -126,7 +124,8 @@ class PsroConfig:
     """Loop configuration; the oracle kind selects the PSRO variant:
     sebr -> S-PSRO, shared -> Team-PSRO, individual -> Indep-PSRO,
     joint -> Joint-PSRO.  ``expand_teams`` restricts which populations grow
-    (a frozen opponent is treated as gain 0)."""
+    (a frozen opponent is treated as gain 0).  Gains compare oracle values
+    with meta values, so ``eval.mode`` must be "exact"."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -142,6 +141,8 @@ class PsroConfig:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
+        if self.eval.mode != "exact":
+            raise ValueError(f"PSRO needs exact evaluation, got mode {self.eval.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.meta_tol <= 0 or self.gain_tol <= 0:

@@ -197,6 +197,16 @@ class TestStochasticEvaluation:
         res = evaluate(g, p, p, EvalConfig(mode="mc", mc_samples=500, seed=5))
         assert res.n == 500 and res.mode == "mc" and res.stderr > 0
 
+    def test_mc_mixture_support_limit(self):
+        # Monte-Carlo goes through the same support check, so the refusal
+        # must not offer it as a way out
+        g = random_stochastic_game(seed=0)
+        p = ProductPolicy([ConstantPolicy(2, 0)] * 2)
+        mix = [(p, 1.0 / 65)] * 65
+        with pytest.raises(EvaluationError, match="mixture support exceeds 64") as err:
+            team_value(g, 1, mix, p, EvalConfig(mode="mc", seed=1))
+        assert "monte" not in str(err.value).lower()
+
 
 class TestValidation:
     def test_distribution_must_sum_to_one(self):

@@ -1,5 +1,7 @@
 """Exploitability profiles, relative population performance, Elo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import lp_maxmin
 from teameq.core import (
     ConstantPolicy,
+    EvalConfig,
     HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
@@ -109,6 +112,20 @@ class TestExploitabilityProfile:
         for cand in (Candidate.single(1, entries[0]), Candidate(1, entries, (0.5, 0.5))):
             entry = exploitability_profile(g, cand, classes=("synchronized",)).results[0]
             assert entry.applicable and np.isfinite(entry.opponent_reward)
+
+    def test_monte_carlo_refused_before_any_class(self):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+        calls = []
+
+        def transition(state, joint):
+            calls.append((state, joint))
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        cand = Candidate.single(1, ProductPolicy([HashPolicy(6, 5), HashPolicy(6, 6)]))
+        with pytest.raises(ValueError, match="exact evaluation"):
+            exploitability_profile(counted, cand, cfg=EvalConfig(mode="mc", seed=0))
+        assert calls == []
 
     def test_class_order(self):
         g = example1()

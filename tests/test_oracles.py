@@ -307,6 +307,25 @@ class TestBestResponseSharedStochastic:
             assert value == pytest.approx(best, abs=1e-12)
             assert team_value(g, team, policy, opponent) == pytest.approx(value, abs=1e-12)
 
+    def test_enumeration_asks_each_step_once(self):
+        # the observation scan expands 3 states x 16 joint actions; every
+        # table is then valued through one step table of 24 distinct keys
+        g = random_stochastic_game(seed=0)
+        calls = []
+
+        def transition(state, joint):
+            calls.append((state, joint))
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        uniform = ProductPolicy([UniformPolicy(2)] * 2)
+        hashed = ProductPolicy([HashPolicy(2, 0), HashPolicy(2, 7)])
+        for opponent in (uniform, [(uniform, 0.5), (hashed, 0.5)]):
+            calls.clear()
+            _, value = best_response_shared(counted, opponent, 1)
+            assert len(calls) == 72
+            assert value == best_response_shared(g, opponent, 1)[1]
+
     @pytest.mark.parametrize("mixture", [False, True])
     def test_partial_observation_refused(self, mixture):
         g = dataclasses.replace(
@@ -532,6 +551,27 @@ class TestSebr:
         sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0, channel=channel)
         for entry in channel.entries:
             assert len(entry.advantages) == 2
+
+    def test_no_channel_no_advantages(self, monkeypatch):
+        import teameq.oracles as oracles
+
+        g = example1()
+        opp = pure((0, 0))
+        calls = [0]
+        decompose = oracles.advantage_decompose
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "advantage_decompose", counted)
+        without = sebr(g, opp, 1, restarts=4, seed=0)
+        assert calls[0] == 0
+        channel = CommChannel()
+        policy, value = sebr(g, opp, 1, restarts=4, seed=0, channel=channel)
+        assert calls[0] > 0 and channel.entries
+        rows = [[m.dist(0).tolist() for m in p.members] for p in (without[0], policy)]
+        assert rows[0] == rows[1] and without[1] == value
 
     def test_deterministic(self):
         g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=9)

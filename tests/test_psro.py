@@ -7,6 +7,7 @@ import pytest
 
 from helpers import lp_maxmin
 from teameq.core import (
+    EvalConfig,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
@@ -174,6 +175,11 @@ class TestRunPsro:
             PsroConfig(oracle="nope")
         with pytest.raises(ValueError):
             PsroConfig(expand_teams=())
+
+    def test_monte_carlo_refused(self):
+        # gains compare oracle values with meta values: both must be exact
+        with pytest.raises(ValueError, match="exact evaluation"):
+            PsroConfig(eval=EvalConfig(mode="mc", seed=0))
 
 
 class TestSkirmishSPsro:
