@@ -414,7 +414,7 @@ class NormalFormTeamGame:
         return True
 
     def joint_count(self, team: int) -> int:
-        return int(np.prod(self.action_counts[team - 1]))
+        return math.prod(self.action_counts[team - 1])
 
     def joint_actions(self, team: int) -> list[tuple[int, ...]]:
         """All pure joint actions of a team, in lexicographic order."""
@@ -471,7 +471,7 @@ class StochasticTeamGame:
 
     def successors(self, obs: Obs, joint_action: tuple) -> tuple[tuple[Obs, float], ...]:
         rows = tuple(self.transition(obs, joint_action))
-        total = sum(p for _, p in rows)
+        total = rows[0][1] if len(rows) == 1 else sum(p for _, p in rows)
         if abs(total - 1.0) > DIST_TOL:
             raise ValueError(
                 f"transition row for {obs!r}, {joint_action!r} sums to {total}, not 1"
@@ -597,28 +597,39 @@ def _members_view(policy) -> tuple:
 # walks the same finite-horizon layered graph: _joint_support lists the joint
 # actions played at a state, _forward walks the layers, _backward runs
 # backward induction over a recorded walk.  The walks ask ``steps`` for each
-# (state, joint action)'s successors row and step reward: the game itself,
-# or the _StepTable of the oracle call they serve.
+# (state, joint action)'s successors row and step reward, and for member
+# observations: the game itself, or the _StepTable of the oracle call they
+# serve.
 
 
 class _StepTable:
-    """The validated ``successors`` row and ``step_reward`` of each (state,
-    joint action) asked for, each computed by ``game`` once.
+    """What one oracle call's walks ask, each computed once: the validated
+    ``successors`` row and ``step_reward`` of each (state, joint action),
+    each state's member observations, and, state by state, the member
+    supports of the opponent atoms the call registers at entry.
 
     An iterated search (SeBR, iterated individual best responses, the greedy
-    improvement) walks the same steps from sweep to sweep and round to
-    round; it builds one table at entry and drops it when it returns, so a
-    table holds one call's keys only.  Single-pass work asks the game
-    directly: its keys do not repeat, so a table would only cost time and
-    memory.
+    improvement, the shared table enumeration) walks the same steps from
+    sweep to sweep and round to round, against the same opponent atoms; it
+    builds one table at entry and drops it when it returns, so a table holds
+    one call's keys only.  The searching team's members change within the
+    call, so their supports are never kept; `_joint_support`'s completion
+    lists are, since they depend on supports only.  Single-pass
+    work asks the game directly: its keys do not repeat, so a table would
+    only cost time and memory.
     """
 
-    __slots__ = ("_game", "_rows", "_rewards")
+    __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions")
 
-    def __init__(self, game: StochasticTeamGame):
+    def __init__(self, game: StochasticTeamGame, atoms=()):
         self._game = game
         self._rows: dict = {}
         self._rewards: dict = {}
+        self._obs: dict = {}
+        # an atom plays one side only, so its supports are keyed by state;
+        # atoms are keyed by identity
+        self._atoms: dict = {atom: {} for atom, _ in atoms}
+        self._completions: dict = {}
 
     def successors(self, obs: Obs, joint_action: tuple) -> tuple:
         key = (obs, joint_action)
@@ -636,50 +647,108 @@ class _StepTable:
             r = self._rewards[key] = self._game.step_reward(obs, joint_action)
             return r
 
+    def member_observations(self, side: int, obs: Obs) -> tuple:
+        key = (side, obs)
+        try:
+            return self._obs[key]
+        except KeyError:
+            found = self._obs[key] = self._game.member_observations(side, obs)
+            return found
+
+    def completions(self, team: int, unit=(), unit_actions=((),)) -> dict:
+        """The ``completions`` dict of every `_joint_support` call of this
+        oracle call with the same ``team``, ``unit`` and ``unit_actions``."""
+        return self._completions.setdefault((team, unit, tuple(unit_actions)), {})
+
+    def supports(self, side: int, policy, state: Obs) -> tuple:
+        """`_member_supports` of the team policy ``policy`` playing
+        ``side``; kept per state when ``policy`` is a registered atom."""
+        kept = self._atoms.get(policy)
+        if kept is None:
+            return _member_supports(self, side, _members_view(policy), state)
+        try:
+            return kept[state]
+        except KeyError:
+            slots = kept[state] = _member_supports(self, side, _members_view(policy), state)
+            return slots
+
+
+def _member_supports(steps, side, members, state, free=()) -> tuple:
+    """The supports of ``members`` playing ``side`` at ``state``, except the
+    members in ``free``, with observations from ``steps`` (the game or a
+    step table)."""
+    obs_list = steps.member_observations(side, state)
+    return tuple([
+        member.support(obs)
+        for i, (member, obs) in enumerate(zip(members, obs_list, strict=True))
+        if i not in free
+    ])
+
 
 def _joint_support(
-    game, team, members, opponent, state, completions: dict, unit=(), unit_actions=((),)
+    game, team, members, opponent, state, completions: dict, unit=(), unit_actions=((),),
+    steps=None,
 ):
     """Joint actions at ``state`` when ``team``'s members play ``members``
     and the other team plays ``opponent``, except the members in ``unit``,
     which are free.  Returns ``[(prob, [(unit_action, joint), ...])]``: one
     entry per combination of the fixed players' actions with positive
     probability, completed by each of ``unit_actions``.  The probability
-    multiplies ``team``'s members first, then the opponent's.
+    multiplies ``team``'s members first, then the opponent's.  ``steps`` is
+    the calling oracle's step table (default: the game), which keeps a
+    registered opponent atom's supports.
 
-    ``completions`` maps a combination of the fixed players' actions to its
-    completion list.  A caller passes one dict to every state it visits
-    with the same ``team``, ``unit`` and ``unit_actions``, so each list is
-    built once and then shared: callers must not mutate it."""
-    slots = []
-    for side, policies, free in ((team, members, unit), (3 - team, _members_view(opponent), ())):
-        obs_list = game.member_observations(side, state)
-        for i, (member, obs) in enumerate(zip(policies, obs_list, strict=True)):
-            if i not in free:
-                slots.append(member.support(obs))
+    ``completions`` maps the fixed players' supports to the list they give.
+    A caller passes one dict to every state it visits with the same
+    ``team``, ``unit`` and ``unit_actions``, so each list is built once and
+    then shared: callers must not mutate it."""
+    if steps is None:
+        slots = _member_supports(game, team, members, state, unit) + _member_supports(
+            game, 3 - team, _members_view(opponent), state
+        )
+    else:
+        slots = _member_supports(steps, team, members, state, unit) + steps.supports(
+            3 - team, opponent, state
+        )
+    return _complete(slots, completions, team, len(members), unit, unit_actions)
+
+
+def _complete(slots, completions: dict, team, n_members, unit=(), unit_actions=((),)):
+    """`_joint_support`'s list from the fixed players' supports ``slots``,
+    ``team``'s fixed members first, kept in ``completions``."""
+    out = completions.get(slots)
+    if out is not None:
+        return out
     # prefix products: the same multiplications, in the same order, as
     # math.prod over each combination
     combos = [(1.0, ())]
     for slot in slots:
         combos = [(p * q, acts + (a,)) for p, acts in combos for a, q in slot]
-    out = []
+    fixed = [i for i in range(n_members) if i not in unit]
+    out = completions[slots] = []
     for prob, acts in combos:
         if prob <= 0.0:
             continue
-        pairs = completions.get(acts)
-        if pairs is None:
-            fixed = [i for i in range(len(members)) if i not in unit]
-            own = [0] * len(members)
-            for i, a in zip(fixed, acts):
+        own = [0] * n_members
+        for i, a in zip(fixed, acts):
+            own[i] = a
+        opp = acts[len(fixed):]
+        pairs = []
+        for ua in unit_actions:
+            for i, a in zip(unit, ua):
                 own[i] = a
-            opp = acts[len(fixed):]
-            pairs = completions[acts] = []
-            for ua in unit_actions:
-                for i, a in zip(unit, ua):
-                    own[i] = a
-                pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
+            pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
         out.append((prob, pairs))
     return out
+
+
+def _budget_error(step_pairs: int, cfg: EvalConfig) -> EvaluationError:
+    return EvaluationError(
+        f"exact budget exceeded ({step_pairs} state-action pairs in one "
+        f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound, or "
+        "estimate a single profile with evaluate / team_value in "
+        "Monte-Carlo mode"
+    )
 
 
 def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=None):
@@ -708,12 +777,7 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
             combos = support(t, state)
             step_pairs += sum(len(pairs) for _, pairs in combos)
             if step_pairs > cfg.exact_bound:
-                raise EvaluationError(
-                    f"exact budget exceeded ({step_pairs} state-action pairs in one "
-                    f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound, or "
-                    "estimate a single profile with evaluate / team_value in "
-                    "Monte-Carlo mode"
-                )
+                raise _budget_error(step_pairs, cfg)
             rows = []
             for p, pairs in combos:
                 w = p_state * p
@@ -756,15 +820,22 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
 
 def _profile_walk(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None):
     """The `_forward` walk of the profile (p1, p2) from the initial states,
-    team 1's members multiplied first: the walk exact evaluation sums."""
-    completions: dict = {}
-    return _forward(
-        game,
-        game.initial,
-        lambda t, s: _joint_support(game, 1, p1.members, p2, s, completions),
-        cfg,
-        steps,
-    )
+    team 1's members multiplied first: the walk exact evaluation sums.
+    With a step table ``steps``, whichever side is a registered atom has its
+    supports kept there, and so are the completion lists."""
+    if steps is None:
+        completions: dict = {}
+
+        def support(t, s):
+            return _joint_support(game, 1, p1.members, p2, s, completions)
+    else:
+        n1, completions = game.team_sizes[0], steps.completions(1)
+
+        def support(t, s):
+            slots = steps.supports(1, p1, s) + steps.supports(2, p2, s)
+            return _complete(slots, completions, 1, n1)
+
+    return _forward(game, game.initial, support, cfg, steps)
 
 
 def _walk_value(game: StochasticTeamGame, walk, steps=None) -> float:

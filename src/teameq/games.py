@@ -157,47 +157,53 @@ def grid_skirmish(cfg: SkirmishConfig) -> StochasticTeamGame:
     tabulated when the game is built, so a step is table lookups.
     """
     w, h, n = cfg.width, cfg.height, cfg.team_size
-    n_agents = 2 * n
     start_cells = tuple(range(n)) + tuple(w * h - 1 - i for i in range(n))
     start = (0, start_cells)
 
-    # targets[cell][move] is the cell a move leads to (moves off the board are
-    # absent); neighbours[cell] holds the 4-adjacent cells
+    # targets[cell][action] is the cell the action moves to, None for stay,
+    # attack and moves off the board; neighbours[cell] holds the 4-adjacent
+    # cells
     targets = []
     for cell in range(w * h):
         x, y = cell % w, cell // w
-        targets.append({
-            a: (y + dy) * w + x + dx
-            for a, (dx, dy) in _MOVES.items()
-            if 0 <= x + dx < w and 0 <= y + dy < h
-        })
-    neighbours = [frozenset(moves.values()) for moves in targets]
+        row = [None] * SKIRMISH_ACTIONS
+        for a, (dx, dy) in _MOVES.items():
+            if 0 <= x + dx < w and 0 <= y + dy < h:
+                row[a] = (y + dy) * w + x + dx
+        targets.append(tuple(row))
+    neighbours = [frozenset(c for c in row if c is not None) for row in targets]
+    damage, horizon = cfg.damage, cfg.horizon
 
     def reward(state, joint) -> float:
         _, pos = state
-        acts = tuple(joint[0]) + tuple(joint[1])
-        hits = [0, 0]
-        for team, (lo, hi) in enumerate(((0, n), (n, n_agents))):
-            foes = pos[n:] if team == 0 else pos[:n]
-            for k in range(lo, hi):
-                if acts[k] == _ATTACK and not neighbours[pos[k]].isdisjoint(foes):
-                    hits[team] += 1
-        return cfg.damage * (hits[0] - hits[1])
+        acts1, acts2 = joint
+        hits1 = hits2 = 0
+        if _ATTACK in acts1:
+            foes = pos[n:]
+            for k, a in enumerate(acts1):
+                if a == _ATTACK and not neighbours[pos[k]].isdisjoint(foes):
+                    hits1 += 1
+        if _ATTACK in acts2:
+            foes = pos[:n]
+            for k, a in enumerate(acts2, n):
+                if a == _ATTACK and not neighbours[pos[k]].isdisjoint(foes):
+                    hits2 += 1
+        return damage * (hits1 - hits2)
 
     def transition(state, joint):
         t, pos = state
-        if t >= cfg.horizon:
+        if t >= horizon:
             return ((state, 1.0),)
-        acts = tuple(joint[0]) + tuple(joint[1])
+        # agents move in index order; the positions stay distinct, so the
+        # occupied cells are exactly new_pos
         new_pos = list(pos)
-        occupied = set(pos)
-        for k in range(n_agents):
-            tgt = targets[pos[k]].get(acts[k])
-            if tgt is None or tgt in occupied:
-                continue
-            occupied.remove(new_pos[k])
-            occupied.add(tgt)
-            new_pos[k] = tgt
+        k = 0
+        for acts in joint:
+            for a in acts:
+                tgt = targets[pos[k]][a]
+                if tgt is not None and tgt not in new_pos:
+                    new_pos[k] = tgt
+                k += 1
         return (((t + 1, tuple(new_pos)), 1.0),)
 
     return StochasticTeamGame(

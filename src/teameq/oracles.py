@@ -40,6 +40,7 @@ from .core import (
     StochasticTeamGame,
     _StepTable,
     _backward,
+    _budget_error,
     _forward,
     _joint_support,
     _members_view,
@@ -281,11 +282,11 @@ def _unit_best_response_exact(
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
     tied = _ties_members(unit_actions)
-    completions: dict = {}
+    completions = {} if steps is None else steps.completions(team, unit, unit_actions)
 
     def support(t, state):
         return _joint_support(
-            game, team, own_members, opp_policy, state, completions, unit, unit_actions
+            game, team, own_members, opp_policy, state, completions, unit, unit_actions, steps
         )
 
     q = _backward(game, list(_forward(game, game.initial, support, cfg, steps)), team, steps)
@@ -333,8 +334,11 @@ def _unit_improve_weighted(
     round's walks.  ``value`` is the starting policy's value against the
     mixture when the caller already holds it.  ``unit_actions`` is as in
     _unit_best_response_exact.  ``steps`` is the calling oracle's step
-    table; without one the greedy builds its own.  Returns (unit members'
-    policies, value).
+    table, with ``opp_atoms`` registered; without one the greedy builds its
+    own.  Returns (unit members' policies, value, fixed point), where fixed
+    point says the last round rejected its candidate rather than ending at
+    the ``rounds`` cap: the greedy run again from its result, before any
+    other member changes, keeps that result.
     """
     counts = game.action_counts[team - 1]
     if unit_actions is None:
@@ -342,8 +346,8 @@ def _unit_improve_weighted(
     tied = _ties_members(unit_actions)
     sign = 1.0 if team == 1 else -1.0
     if steps is None:
-        steps = _StepTable(game)
-    completions: dict = {}
+        steps = _StepTable(game, opp_atoms)
+    completions = steps.completions(team, unit, unit_actions)
 
     def walks_of(mems) -> list:
         return [list(walk) for walk in _atom_walks(game, team, mems, opp_atoms, cfg, steps)]
@@ -364,11 +368,12 @@ def _unit_improve_weighted(
                 d = (game.discount**t) * p_state
                 if d <= 0.0:
                     continue
-                key = tuple(game.member_obs(team, m, state) for m in unit)
+                obs = steps.member_observations(team, state)
+                key = tuple(obs[m] for m in unit)
                 _check_tied_observations(tied, key)
                 row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
                 for p, pairs in _joint_support(
-                    game, team, members, atom, state, completions, unit, unit_actions
+                    game, team, members, atom, state, completions, unit, unit_actions, steps
                 ):
                     for ua, joint in pairs:
                         nxt = steps.successors(state, joint)
@@ -399,8 +404,8 @@ def _unit_improve_weighted(
         if cand_value > value + 1e-15:
             members, walks, value = candidate, cand_walks, cand_value
         else:
-            break
-    return [members[m] for m in unit], value
+            return [members[m] for m in unit], value, True
+    return [members[m] for m in unit], value, False
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +433,7 @@ def best_response_joint(game: Game, opponent, team: int, cfg: EvalConfig | None 
             game, team, unit, tuple(base), atoms[0][0], cfg
         )
         return ProductPolicy(tables), value
-    tables, value = _unit_improve_weighted(game, team, unit, tuple(base), atoms, cfg)
+    tables, value, _ = _unit_improve_weighted(game, team, unit, tuple(base), atoms, cfg)
     return ProductPolicy(tables), value
 
 
@@ -446,23 +451,30 @@ def best_response_individual(
 
     Returns ``(policy, value)``: the final product policy and its value
     against ``opponent``, as ``team_value`` gives it (up to the sign of a
-    zero), carried through the updates instead of evaluated again.
+    zero), carried through the updates instead of evaluated again.  A
+    settled member's update is skipped (see `_member_update`).
     """
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, start)
-    steps = _StepTable(game)
+    atoms = as_mixture(opponent)
+    steps = _StepTable(game, atoms)
     members = list(start.members)
-    value = _value_vs_atoms(game, team, members, as_mixture(opponent), cfg, steps)
-    n = len(members)
+    value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
+    settled: set = set()
     for _ in range(sweeps):
         changed = False
-        for m in range(n):
-            new_member, improved, value = _member_update(
+        for m in range(len(members)):
+            if m in settled:
+                continue
+            new_member, improved, value, fixed = _member_update(
                 game, team, m, members, opponent, cfg, value, steps
             )
             if improved:
                 members[m] = new_member
                 changed = True
+                settled.clear()
+            if fixed:
+                settled.add(m)
         if not changed:
             break
     return ProductPolicy(members), value
@@ -504,13 +516,21 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     """One member's exact pure best response, switch on strict improvement.
 
     ``current`` is the team's value before the update.  Returns (policy,
-    changed, value after the update).  Normal-form updates are
+    changed, value after the update, settled).  Normal-form updates are
     closed-form; the stochastic path uses exact backward induction for a
     single opponent atom and the guarded greedy improvement for mixtures,
     whose value is the kept policy's evaluation.  The other paths evaluate
     the switched policy once, since the closed-form and DP values can
     differ from evaluation in the last bits.  ``steps`` is the calling
-    oracle's step table.
+    oracle's step table, with the opponent's atoms registered.
+
+    Settled means the same update, run again before any teammate switches,
+    provably changes nothing, so callers skip it until a teammate switches.
+    It holds when the update made no change; after a closed-form switch
+    (the member's values do not depend on its own row); after a DP switch
+    whose value is at most the evaluated value + 1e-15 (the DP value does
+    not depend on the member's own table, so the guard would reject it);
+    and after a greedy switch that ended on a rejected candidate.
     """
     atoms = as_mixture(opponent)
     if game.is_normal_form:
@@ -519,24 +539,25 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
         values = _member_values(tensor, dists, member)
         best = int(np.argmax(values))
         if values[best] <= float(values @ dists[member]):
-            return members[member], False, current
+            return members[member], False, current, True
         tables = [IndividualPolicy.deterministic(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], cfg, steps=steps
         )
         if value <= current + 1e-15:
-            return members[member], False, current
+            return members[member], False, current, True
     else:
-        tables, value = _unit_improve_weighted(
+        tables, value, fixed = _unit_improve_weighted(
             game, team, (member,), tuple(members), atoms, cfg, value=current, steps=steps
         )
         if value <= current + 1e-15:
-            return members[member], False, current
-        return tables[0], True, value
+            return members[member], False, current, True
+        return tables[0], True, value, fixed
     updated = list(members)
     updated[member] = tables[0]
-    return tables[0], True, _value_vs_atoms(game, team, updated, atoms, cfg, steps)
+    after = _value_vs_atoms(game, team, updated, atoms, cfg, steps)
+    return tables[0], True, after, game.is_normal_form or value <= after + 1e-15
 
 
 def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
@@ -647,7 +668,8 @@ def best_response_shared(
 
     Stochastic: the best pure stationary shared table.  While at most
     TABLE_ENUMERATION_BOUND tables exist over the reachable member
-    observations, every table is evaluated, all through one step table.
+    observations, every table is evaluated.  The observation scan and
+    either branch share one step table.
     Beyond that, a deterministic shared policy plays one common action for
     every member wherever the members observe alike, so the unit of all
     members searches the diagonal joint actions ``(a, ..., a)``: exact
@@ -680,7 +702,8 @@ def best_response_shared(
         )
         return policy, best_val
     atoms = as_mixture(opponent)
-    obs_set = _reachable_member_obs(game, team, cfg, n_actions)
+    steps = _StepTable(game, atoms)
+    obs_set = _reachable_member_obs(game, team, cfg, n_actions, steps)
     if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
         unit = tuple(range(n_members))
         diagonal = [(a,) * n_members for a in range(n_actions)]
@@ -688,11 +711,11 @@ def best_response_shared(
         try:
             if len(atoms) == 1:
                 tables, value = _unit_best_response_exact(
-                    game, team, unit, base, atoms[0][0], cfg, diagonal
+                    game, team, unit, base, atoms[0][0], cfg, diagonal, steps
                 )
             else:
-                tables, value = _unit_improve_weighted(
-                    game, team, unit, base, atoms, cfg, unit_actions=diagonal
+                tables, value, _ = _unit_improve_weighted(
+                    game, team, unit, base, atoms, cfg, unit_actions=diagonal, steps=steps
                 )
         except ExactBRUnsupported as err:
             raise EvaluationError(
@@ -700,7 +723,6 @@ def best_response_shared(
                 f"dynamic program does not apply: {err}"
             ) from err
         return SharedPolicy(tables[0], n_members), value
-    steps = _StepTable(game)
     best_val, best_policy = -math.inf, None
     for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
         table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
@@ -712,38 +734,57 @@ def best_response_shared(
 
 
 def _reachable_member_obs(
-    game: StochasticTeamGame, team: int, cfg, n_actions: int
+    game: StochasticTeamGame, team: int, cfg, n_actions: int, steps=None
 ) -> list:
-    """Member observations reachable under any play, sorted.
+    """Member observations of the states reachable under any play at steps
+    0 to H-1 (the steps a policy acts at), sorted.
 
-    The scan stops early, returning the observations found so far, once
-    ``n_actions ** len(observations)`` exceeds TABLE_ENUMERATION_BOUND;
-    callers compare that count with the bound.
+    Breadth-first over every joint action, asking ``steps`` (default: the
+    game) for successors; a state reached again is not expanded again.  A
+    state's observations count as soon as it is reached, and the scan stops,
+    returning the observations found so far, once ``n_actions **
+    len(observations)`` exceeds TABLE_ENUMERATION_BOUND; callers compare
+    that count with the bound.  Raises EvaluationError when one step would
+    expand more than ``cfg.exact_bound`` (state, joint action) pairs.
     """
-    every_joint = [
-        ((), joint)
-        for joint in itertools.product(
+    look = game if steps is None else steps
+    every_joint = list(
+        itertools.product(
             itertools.product(*(range(c) for c in game.action_counts[0])),
             itertools.product(*(range(c) for c in game.action_counts[1])),
         )
-    ]
+    )
     obs_set: set = set()
-    expanded: set = set()
 
-    def too_many() -> bool:
+    def reach(state) -> bool:
+        """Count ``state``'s observations; True once there are too many."""
+        obs_set.update(look.member_observations(team, state))
         return n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND
 
-    def support(t, state):
-        # a state reached again at a later step adds nothing new
-        obs_set.update(game.member_observations(team, state))
-        if too_many() or state in expanded:
-            return []
-        expanded.add(state)
-        return [(1.0, every_joint)]
-
-    for _ in _forward(game, game.initial, support, cfg):
-        if too_many():
-            break
+    layer: dict = {}
+    for state, p in game.initial:
+        if p > 0.0 and state not in layer:
+            layer[state] = None
+            if reach(state):
+                return sorted(obs_set, key=repr)
+    expanded: set = set()
+    for _ in range(game.horizon - 1):
+        nxt: dict = {}
+        step_pairs = 0
+        for state in layer:
+            if state in expanded:
+                continue
+            expanded.add(state)
+            step_pairs += len(every_joint)
+            if step_pairs > cfg.exact_bound:
+                raise _budget_error(step_pairs, cfg)
+            for joint in every_joint:
+                for s2, pt in look.successors(state, joint):
+                    if pt > 0.0 and s2 not in nxt:
+                        nxt[s2] = None
+                        if reach(s2):
+                            return sorted(obs_set, key=repr)
+        layer = nxt
     return sorted(obs_set, key=repr)
 
 
@@ -951,6 +992,8 @@ def sebr(
     start); the value is the one the updates carried, equal to
     ``team_value`` of the policy up to the sign of a zero.
 
+    A settled member's update (see `_member_update`) is skipped: it would
+    change nothing, and it is logged and traced as an unchanged update.
     ``channel``, when given, is cleared at each sweep start and logs every
     member update with its advantage terms (normal form, pure team joint
     action); without one nothing is logged.  ``trace``, when given,
@@ -963,25 +1006,30 @@ def sebr(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     atoms = as_mixture(opponent)
-    steps = _StepTable(game)
+    steps = _StepTable(game, atoms)
     best_policy, best_value = None, -math.inf
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
         value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
+        settled: set = set()
         for sweep in range(max_sweeps):
             if channel is not None:
                 channel.clear()
             changed = False
             for member in order:
                 before = value
-                new_member, improved, value = _member_update(
-                    game, team, member, members, opponent, cfg, value, steps
-                )
-                if improved:
-                    members[member] = new_member
-                    changed = True
+                if member not in settled:
+                    new_member, improved, value, fixed = _member_update(
+                        game, team, member, members, opponent, cfg, value, steps
+                    )
+                    if improved:
+                        members[member] = new_member
+                        changed = True
+                        settled.clear()
+                    if fixed:
+                        settled.add(member)
                 if channel is not None:
                     channel.log(
                         _channel_entry(game, team, members, member, opponent, order, value)

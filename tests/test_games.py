@@ -208,9 +208,9 @@ class TestSkirmishTables:
         ]
         self._assert_same(g, _geometric_skirmish(cfg), states, self._joints(1))
 
-    def test_first_two_steps(self):
+    def _assert_first_two_steps(self, damage):
         # every state the first two steps are played from, with every joint action
-        cfg = SkirmishConfig(3, 3, 2, horizon=3)
+        cfg = SkirmishConfig(3, 3, 2, horizon=3, damage=damage)
         g = grid_skirmish(cfg)
         reference = _geometric_skirmish(cfg)
         joints = self._joints(2)
@@ -218,6 +218,24 @@ class TestSkirmishTables:
         states = {start} | {s2 for j in joints for s2, _ in reference[0](start, j)}
         assert len(states) == 46
         self._assert_same(g, reference, sorted(states), joints)
+
+    def test_first_two_steps(self):
+        self._assert_first_two_steps(1.0)
+
+    def test_first_two_steps_scaled_damage(self):
+        self._assert_first_two_steps(2.5)
+
+    def test_three_a_side(self):
+        # six agents on nine cells, every joint action: from the start state,
+        # and once team 1 has stepped down next to team 2, where attacks land
+        cfg = SkirmishConfig(3, 3, 3, horizon=2)
+        g = grid_skirmish(cfg)
+        joints = self._joints(3)
+        assert len(joints) == 46656
+        start = g.initial[0][0]
+        ((engaged, _),) = g.transition(start, ((1, 1, 1), (4, 4, 4)))
+        assert engaged == (1, (3, 4, 5, 8, 7, 6))
+        self._assert_same(g, _geometric_skirmish(cfg), [start, engaged], joints)
 
 
 class TestRandomTeamGame:

@@ -1,6 +1,8 @@
 """Maxmin solver and best-response oracle tests."""
 
 import dataclasses
+import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -31,6 +33,7 @@ from teameq.games import (
     random_stochastic_game,
     random_team_game,
 )
+from teameq import oracles
 from teameq.oracles import (
     CommChannel,
     MaxminConvergenceError,
@@ -38,6 +41,7 @@ from teameq.oracles import (
     best_response_individual,
     best_response_joint,
     best_response_shared,
+    channel_to_dicts,
     sebr,
     shared_maxmin_grid,
     solve_matrix_maxmin,
@@ -308,8 +312,9 @@ class TestBestResponseSharedStochastic:
             assert team_value(g, team, policy, opponent) == pytest.approx(value, abs=1e-12)
 
     def test_enumeration_asks_each_step_once(self):
-        # the observation scan expands 3 states x 16 joint actions; every
-        # table is then valued through one step table of 24 distinct keys
+        # the observation scan expands 3 states x 16 joint actions through
+        # the call's step table; every table is then valued through the same
+        # table, whose 48 keys hold the 24 the evaluations walk
         g = random_stochastic_game(seed=0)
         calls = []
 
@@ -323,8 +328,31 @@ class TestBestResponseSharedStochastic:
         for opponent in (uniform, [(uniform, 0.5), (hashed, 0.5)]):
             calls.clear()
             _, value = best_response_shared(counted, opponent, 1)
-            assert len(calls) == 72
+            assert len(calls) == 48
             assert value == best_response_shared(g, opponent, 1)[1]
+
+    def test_scan_stops_at_the_enumeration_bound(self):
+        # with 6 actions the fifth observation makes 6^5 > 4096 tables; the
+        # start state and its first four successors show five, so the scan
+        # stops after 4 transitions, and the diagonal search asks every step
+        # once through the step table the scan filled
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        calls = []
+
+        def transition(state, joint):
+            calls.append((state, joint))
+            return g.transition(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition)
+        assert len(oracles._reachable_member_obs(counted, 1, EvalConfig(), 6)) == 5
+        assert len(calls) == 4
+        opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
+        mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+        for opponent, expected in ((opp, 94), (mix, 52)):
+            calls.clear()
+            _, value = best_response_shared(counted, opponent, 2)
+            assert len(calls) == len(set(calls)) == expected
+            assert value == best_response_shared(g, opponent, 2)[1]
 
     @pytest.mark.parametrize("mixture", [False, True])
     def test_partial_observation_refused(self, mixture):
@@ -621,3 +649,154 @@ class TestDominanceOrdering:
             assert v_joint >= v_seq - 1e-9
             assert v_joint >= v_shared - 1e-9
             assert v_joint >= v_indiv - 1e-9
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@functools.cache
+def _acting_states(horizon):
+    """Skirmish 3x3 2v2 states reachable under any play at steps 0 to H-1."""
+    game = grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
+    joints = list(itertools.product(itertools.product(range(6), repeat=2), repeat=2))
+    layer = [s for s, _ in game.initial]
+    seen = list(layer)
+    for _ in range(game.horizon - 1):
+        reached = {s2: None for s in layer for j in joints for s2, _ in game.transition(s, j)}
+        layer = [s for s in reached if s not in set(seen)]
+        seen += layer
+    return game, seen
+
+
+def _actions_digest(game, team, policy, states) -> str:
+    """Digest of the actions ``policy`` plays at every one of ``states``."""
+    return _digest([
+        tuple(m.pure_action(o) for m, o in zip(policy.members, game.member_observations(team, s)))
+        for s in states
+    ])
+
+
+_SETTLE_ATOM = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+_SETTLE_OPPONENTS = {
+    "atom": _SETTLE_ATOM,
+    "mix": [
+        (_SETTLE_ATOM, 0.5),
+        (ProductPolicy([ConstantPolicy(6, 4), UniformPolicy(6)]), 0.5),
+    ],
+}
+
+
+class TestSettledMembers:
+    """A member whose update is provably a fixed point is settled, and its
+    update is skipped until a teammate switches.  The results, traces and
+    channels equal those of running every update: the pinned values,
+    digests and update counts were recorded with every update run."""
+
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        """The (changed, settled) flags of every `_member_update` call."""
+        flags = []
+        real = oracles._member_update
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            flags.append(out[1::2])
+            return out
+
+        monkeypatch.setattr(oracles, "_member_update", counted)
+        return flags
+
+    @pytest.mark.parametrize(
+        "opponent, team, value, entries, actions, trace_digest",
+        [
+            ("atom", 1, 1.8525, 8, "c158a0cf1cd83d2d", "6617cbfad2ce60ae"),
+            ("atom", 2, 2.755, 10, "e905c1bd3666c28e", "545c17595084ff5e"),
+            ("mix", 1, 0.6112326388888889, 10, "a352e7a5c11aeba4", "4d2e134c6ac8a75d"),
+            ("mix", 2, 1.6718460648148143, 10, "482070d0ebbd4881", "e725b86f16e1786a"),
+        ],
+    )
+    def test_sebr_skirmish(self, updates, opponent, team, value, entries, actions, trace_digest):
+        game, states = _acting_states(3)
+        trace = []
+        policy, got = sebr(game, _SETTLE_OPPONENTS[opponent], team, restarts=2, seed=3, trace=trace)
+        assert got == value
+        assert len(trace) == entries and _digest(trace) == trace_digest
+        assert _actions_digest(game, team, policy, states) == actions
+        # every update runs but the skipped ones, each traced as unchanged
+        assert len(updates) < len(trace)
+
+    @pytest.mark.parametrize(
+        "opponent, team, value, every_update, actions",
+        [
+            ("atom", 1, 1.805, 4, "3e65d15dfa6ae87c"),
+            ("atom", 2, 2.755, 4, "720177757b15ac1c"),
+            ("mix", 1, 0.48896412037037035, 6, "c1ef424f826e9941"),
+            ("mix", 2, 2.5711574074074073, 6, "003c625f2f3d5f99"),
+        ],
+    )
+    def test_individual_skirmish(self, updates, opponent, team, value, every_update, actions):
+        game, states = _acting_states(3)
+        zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        policy, got = best_response_individual(game, _SETTLE_OPPONENTS[opponent], team, zeros)
+        assert got == value
+        assert _actions_digest(game, team, policy, states) == actions
+        assert len(updates) < every_update
+
+    def test_greedy_at_its_rounds_cap_is_not_settled(self, updates, monkeypatch):
+        # a greedy cut by its rounds cap may improve further when run again
+        real = oracles._unit_improve_weighted
+        monkeypatch.setattr(
+            oracles,
+            "_unit_improve_weighted",
+            lambda *args, **kwargs: real(*args, **{**kwargs, "rounds": 1}),
+        )
+        game, states = _acting_states(3)
+        for team, value, entries, actions, trace_digest in (
+            (1, 0.6112326388888889, 14, "a352e7a5c11aeba4", "cc516859822a8b24"),
+            (2, 1.7136284722222217, 12, "c1c429615fc06e8e", "2d8a6bbcef39777b"),
+        ):
+            updates.clear()
+            trace = []
+            policy, got = sebr(game, _SETTLE_OPPONENTS["mix"], team, restarts=2, seed=3, trace=trace)
+            assert got == value
+            assert len(trace) == entries and _digest(trace) == trace_digest
+            assert _actions_digest(game, team, policy, states) == actions
+            assert (True, False) in updates
+
+    def test_dp_switch_above_its_evaluation_is_not_settled(self, updates):
+        # at this reward scale member 1's DP value, 63.78300000000001, exceeds
+        # the evaluated 63.783 by more than 1e-15: the same update would
+        # switch again, so it runs in every sweep up to max_sweeps
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3, damage=37.3, discount=0.9))
+        opp = ProductPolicy([HashPolicy(6, 0), HashPolicy(6, 100)])
+        trace = []
+        _, value = sebr(g, opp, 1, restarts=0, max_sweeps=4, trace=trace)
+        assert value == 63.783
+        assert trace == [(0, 0, 0, 0.0, 30.213), (0, 0, 1, 30.213, 63.783)] + [
+            (0, sweep, member, 63.783, 63.783) for sweep in (1, 2, 3) for member in (0, 1)
+        ]
+        assert updates[1::2] == [(True, False)] * 4
+
+    @pytest.mark.parametrize("opponent, value", [((0, 0), 1.0), ((0, 1), 0.0)])
+    def test_sebr_anti_coordination(self, updates, opponent, value):
+        # every pure start; closed-form switches settle at once
+        g = anti_coordination()
+        channel, trace = CommChannel(), []
+        policy, got = sebr(g, pure(opponent), 1, restarts=4, seed=0, channel=channel, trace=trace)
+        assert got == value
+        assert policy.pure_joint_action([0, 0]) == (1, 0)
+        low = value - 1.0
+        assert trace == [
+            (0, 0, 0, low, value), (0, 0, 1, value, value),
+            (0, 1, 0, value, value), (0, 1, 1, value, value),
+            (1, 0, 0, value, value), (1, 0, 1, value, value),
+            (2, 0, 0, value, value), (2, 0, 1, value, value),
+            (3, 0, 0, low, value), (3, 0, 1, value, value),
+            (3, 1, 0, value, value), (3, 1, 1, value, value),
+        ]
+        assert channel_to_dicts(channel) == [
+            {"member": 0, "policy": "pure:0", "advantages": [0.0, 0.0], "team_reward": value},
+            {"member": 1, "policy": "pure:1", "advantages": [0.0, 0.0], "team_reward": value},
+        ]
+        assert len(updates) == 8 < len(trace)
