@@ -26,10 +26,13 @@ import time
 
 from . import __version__
 from .core import (
+    NF_OBS,
     ConstantPolicy,
     IndividualPolicy,
+    JointMixPolicy,
     NormalFormTeamGame,
     ProductPolicy,
+    SharedPolicy,
     game_from_dict,
     game_to_dict,
     policy_from_dict,
@@ -457,8 +460,6 @@ def cmd_psro(args) -> int:
 
 def _serializable(policy, game, team):
     """Make population entries serializable: lazy policies become tables."""
-    from .core import NF_OBS, SharedPolicy, JointMixPolicy
-
     if isinstance(policy, (JointMixPolicy,)):
         return policy
     counts = game.action_counts[team - 1]
@@ -483,10 +484,6 @@ def _load_candidate(run_dir: str, team: int) -> Candidate:
     entries = tuple(policy_from_dict(d) for d in data[f"team{team}"])
     weights = tuple(float(w) for w in data[f"meta_{team}"])
     return Candidate(team, entries, weights)
-
-
-def _load_population_entries(run_dir: str, team: int):
-    return _load_candidate(run_dir, team).entries
 
 
 def cmd_eval(args) -> int:
@@ -541,8 +538,8 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     if mode == "rpp":
         game = parse_game_spec(_require(cfg, "game"))
-        entries_a = _load_population_entries(_require(cfg, "run_a"), 1)
-        entries_b = _load_population_entries(_require(cfg, "run_b"), 2)
+        entries_a = _load_candidate(_require(cfg, "run_a"), 1).entries
+        entries_b = _load_candidate(_require(cfg, "run_b"), 2).entries
         value = rpp(game, entries_a, entries_b, tol=float(cfg["tol"]))
         payload = {
             "command": "eval/rpp",

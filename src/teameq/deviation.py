@@ -24,6 +24,7 @@ from .core import (
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
+    _members_view,
     check_team_policy,
     team_value,
 )
@@ -157,16 +158,6 @@ def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig, bound: int):
     return out
 
 
-def _candidate_members(game: Game, team: int, candidate):
-    if isinstance(candidate, ProductPolicy):
-        return list(candidate.members)
-    if isinstance(candidate, SharedPolicy):
-        return list(candidate.members)
-    raise DimensionError(
-        "individual deviations need a distributed (product or shared) candidate"
-    )
-
-
 def build_deviation_spec(
     game: Game,
     team: int,
@@ -199,7 +190,7 @@ def build_deviation_spec(
         return out
 
     if isinstance(correlation, NoCorrelation):
-        _candidate_members(game, team, candidate)  # must be distributed
+        _members_view(candidate)  # must be distributed
         return DeviationSpec(team, correlation, candidate, tuple(individual_deviations()), ())
 
     if isinstance(correlation, PivotFollowers):
@@ -230,7 +221,7 @@ def build_deviation_spec(
             if game.is_normal_form:
                 cand_joint = None
                 if isinstance(candidate, (ProductPolicy, SharedPolicy)):
-                    members = _candidate_members(game, team, candidate)
+                    members = _members_view(candidate)
                     acts = [m.pure_action(0) for m in members]
                     if all(a is not None for a in acts):
                         cand_joint = tuple(acts)
@@ -375,7 +366,7 @@ def verify_equilibrium(
         best_witness: dict = {}
         deviations = []
         if spec.individual:
-            members = _candidate_members(game, team, own)
+            members = _members_view(own)
             for member, pol in spec.individual:
                 dev_members = list(members)
                 dev_members[member] = pol

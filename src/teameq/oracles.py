@@ -4,7 +4,8 @@ Four oracles with different cooperative ability:
 
 - joint: argmax over pure team joint actions/policies (full coordination),
 - shared: best shared (parameter-tied) policy, members sampling independently,
-- individual: round-robin iterated unilateral best responses,
+- individual: round-robin iterated unilateral best responses, which is sebr
+  from one start with no restarts,
 - sebr: sequential coordinate ascent where each member best-responds exactly
   given its predecessors' updated policies, optionally logged through a
   communication channel with the per-member advantage decomposition.
@@ -441,43 +442,17 @@ def best_response_individual(
     game: Game,
     opponent,
     team: int,
-    start: ProductPolicy,
+    start,
     sweeps: int = 50,
     cfg: EvalConfig | None = None,
 ):
     """Round-robin iterated pure unilateral best responses until a fixed
-    point or the sweep cap.  A member switches only on strict improvement,
-    so the team value never decreases across updates.
-
-    Returns ``(policy, value)``: the final product policy and its value
-    against ``opponent``, as ``team_value`` gives it (up to the sign of a
-    zero), carried through the updates instead of evaluated again.  A
-    settled member's update is skipped (see `_member_update`).
+    point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
+    ``start`` is any team policy `sebr` takes as a start (product, shared or
+    joint mix).  Returns ``(policy, value)`` as `sebr` does.
     """
-    cfg = cfg or EvalConfig()
     check_team_policy(game, team, start)
-    atoms = as_mixture(opponent)
-    steps = _StepTable(game, atoms)
-    members = list(start.members)
-    value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
-    settled: set = set()
-    for _ in range(sweeps):
-        changed = False
-        for m in range(len(members)):
-            if m in settled:
-                continue
-            new_member, improved, value, fixed = _member_update(
-                game, team, m, members, opponent, cfg, value, steps
-            )
-            if improved:
-                members[m] = new_member
-                changed = True
-                settled.clear()
-            if fixed:
-                settled.add(m)
-        if not changed:
-            break
-    return ProductPolicy(members), value
+    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, cfg=cfg)
 
 
 def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
@@ -525,7 +500,7 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     oracle's step table, with the opponent's atoms registered.
 
     Settled means the same update, run again before any teammate switches,
-    provably changes nothing, so callers skip it until a teammate switches.
+    provably changes nothing, so `sebr` skips it until a teammate switches.
     It holds when the update made no change; after a closed-form switch
     (the member's values do not depend on its own row); after a DP switch
     whose value is at most the evaluated value + 1e-15 (the DP value does
@@ -975,7 +950,7 @@ def sebr(
     opponent,
     team: int,
     order: tuple[int, ...] | None = None,
-    start: ProductPolicy | None = None,
+    start=None,
     restarts: int = 4,
     max_sweeps: int = 50,
     seed: int = 0,

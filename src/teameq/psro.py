@@ -25,7 +25,6 @@ from .core import (
 )
 from .oracles import (
     MaxminSolution,
-    _as_product,
     best_response_individual,
     best_response_joint,
     best_response_shared,
@@ -35,6 +34,9 @@ from .oracles import (
 )
 
 ORACLES = ("joint", "shared", "individual", "sebr")
+
+#: Largest meta-line difference at which a response counts as a duplicate.
+_DUPLICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,18 +116,23 @@ def meta_solve(payoffs, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, floa
 
 @dataclass(frozen=True)
 class SebrConfig:
-    order: tuple[int, ...] | None = None
+    """S-PSRO oracle settings: ``restarts`` seeded starts besides the
+    incumbent (see `sebr_starts`)."""
+
     restarts: int = 4
-    max_sweeps: int = 50
 
 
 @dataclass(frozen=True)
 class PsroConfig:
     """Loop configuration; the oracle kind selects the PSRO variant:
     sebr -> S-PSRO, shared -> Team-PSRO, individual -> Indep-PSRO,
-    joint -> Joint-PSRO.  ``expand_teams`` restricts which populations grow
-    (a frozen opponent is treated as gain 0).  Gains compare oracle values
-    with meta values, so ``eval.mode`` must be "exact"."""
+    joint -> Joint-PSRO.  ``max_iterations`` caps the loop, ``meta_tol`` is
+    the meta-solve tolerance and ``gain_tol`` the best-response gain at
+    which a team stops expanding.  ``expand_teams`` restricts which
+    populations grow (a frozen opponent is treated as gain 0).  Gains
+    compare oracle values with meta values, so ``eval.mode`` must be
+    "exact".  ``seed`` roots the oracles' random streams and ``sebr`` holds
+    the S-PSRO oracle's settings."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -135,8 +142,6 @@ class PsroConfig:
     seed: int = 0
     expand_teams: tuple[int, ...] = (1, 2)
     sebr: SebrConfig = field(default_factory=SebrConfig)
-    individual_sweeps: int = 50
-    duplicate_tol: float = 1e-9
 
     def __post_init__(self):
         if self.oracle not in ORACLES:
@@ -204,27 +209,22 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
         )
     incumbent = _best_entry_vs(pop, team, opp_weights)
     if cfg.oracle == "individual":
-        start = _as_product(incumbent, game.action_counts[team - 1])
-        return best_response_individual(
-            game, opponent_mix, team, start, sweeps=cfg.individual_sweeps, cfg=eval_cfg
-        )
+        return best_response_individual(game, opponent_mix, team, incumbent, cfg=eval_cfg)
     return sebr(
         game,
         opponent_mix,
         team,
-        order=cfg.sebr.order,
         start=incumbent,
         restarts=cfg.sebr.restarts,
-        max_sweeps=cfg.sebr.max_sweeps,
         seed=subseed(cfg.seed, f"sebr/t{team}/i{iteration}"),
         cfg=eval_cfg,
     )
 
 
-def _is_duplicate(line: np.ndarray, existing: np.ndarray, tol: float) -> bool:
+def _is_duplicate(line: np.ndarray, existing: np.ndarray) -> bool:
     if existing.size == 0:
         return False
-    return bool(np.any(np.max(np.abs(existing - line[None, :]), axis=1) <= tol))
+    return bool(np.any(np.max(np.abs(existing - line[None, :]), axis=1) <= _DUPLICATE_TOL))
 
 
 def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
@@ -253,7 +253,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
                 continue
             line = _new_line(game, team, policy, new_pop, cfg.eval)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
-            if _is_duplicate(line, existing, cfg.duplicate_tol):
+            if _is_duplicate(line, existing):
                 continue
             new_pop = extend_population(game, new_pop, policy, team, cfg.eval, line=line)
             appended = True

@@ -18,6 +18,7 @@ from teameq.core import (
     EvaluationError,
     HashPolicy,
     IndividualPolicy,
+    JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
     UniformPolicy,
@@ -181,6 +182,13 @@ class TestBestResponseIndividual:
     def test_stays_at_bonus(self):
         g = example1()
         result, value = best_response_individual(g, pure((0, 0)), 1, pure((1, 1)))
+        assert result.pure_joint_action([0, 0]) == (1, 1)
+        assert value == team_value(g, 1, result, pure((0, 0)))
+
+    def test_joint_mix_start_is_its_top_atom(self):
+        g = example1()
+        start = JointMixPolicy(((0, 0), (1, 1)), (0.25, 0.75))
+        result, value = best_response_individual(g, pure((0, 0)), 1, start)
         assert result.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, result, pure((0, 0)))
 

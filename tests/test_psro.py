@@ -183,10 +183,11 @@ class TestRunPsro:
 
 
 class TestSkirmishSPsro:
-    """S-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations, seed 0."""
+    """S-PSRO and Indep-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations,
+    seed 0."""
 
     @staticmethod
-    def _run():
+    def _run(oracle="sebr"):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
         calls = [0]
 
@@ -195,7 +196,8 @@ class TestSkirmishSPsro:
             return g.transition(state, joint)
 
         counted = dataclasses.replace(g, transition=transition)
-        return g, run_psro(counted, PsroConfig(oracle="sebr", max_iterations=4, seed=0)), calls[0]
+        cfg = PsroConfig(oracle=oracle, max_iterations=4, seed=0)
+        return g, run_psro(counted, cfg), calls[0]
 
     def test_golden_values(self):
         g, result, _ = self._run()
@@ -232,3 +234,28 @@ class TestSkirmishSPsro:
         # or an oracle asking the game again for a step it already walked,
         # raises the count
         assert self._run()[2] == 3257
+
+    def test_individual_oracle_golden_values(self):
+        # Indep-PSRO; its exploitability profile is left unpinned: the
+        # joint class reads below the sequential one there (ROADMAP item 1)
+        _, result, calls = self._run("individual")
+        history = [
+            (r.iteration, r.meta_value, r.br_gain_1, r.br_gain_2, r.pop_1, r.pop_2)
+            for r in result.history
+        ]
+        assert history == [
+            (1, 0.0, 3.705, 2.755, 2, 2),
+            (2, 3.705, 0.0, 5.5575, 2, 3),
+            (3, -1.1400000000000001, 4.016794871794872, 0.9143750000000002, 3, 4),
+            (4, 0.04749999999999999, 1.8050000000000002, 0.9499999999999998, 4, 5),
+        ]
+        assert result.population.payoffs.tolist() == [
+            [0.0, -2.755, -0.9025, -2.755, -0.9025],
+            [3.705, 3.705, -1.8525, 0.04749999999999999, -0.9025],
+            [3.705, 3.705, 2.755, 0.04749999999999999, -0.9025],
+            [3.705, 3.705, -1.8525, 1.8525, -0.9025],
+        ]
+        assert result.meta_1.tolist() == [0.0, 0.7938144329896907, 0.20618556701030932, 0.0]
+        assert result.meta_2.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert (result.value, result.converged, result.iterations) == (-0.9025, False, 4)
+        assert calls == 894
