@@ -11,9 +11,17 @@ flows from the single manifest seed through named sub-streams, so two runs
 with identical manifests and exact evaluation produce byte-identical
 CSVs.  Exit codes: 0 success, 2 verification FAIL, 1 error.
 
+Each command's options are declared once, in ``OPTIONS``: the key is the
+manifest config key, the flag is ``--key`` with ``-`` for ``_`` (``klass``
+is ``--class``), and the default gives the type (``str`` where it is
+``None``); ``CHOICES`` lists the allowed values of a few keys.  Every
+command also takes ``--out/-o`` and ``--config``.  Only the invoked
+command's parser is built.
+
 Config precedence: command-line flags override the optional ``--config``
-JSON file, which overrides built-in defaults; the merged configuration is
-what the manifest records.
+JSON file, which overrides the defaults.  File values go through the same
+type and choice checks as flags, and the merged configuration is what the
+manifest records.
 """
 
 from __future__ import annotations
@@ -181,24 +189,119 @@ def parse_profile_spec(spec: str, game):
 
 
 # ---------------------------------------------------------------------------
-# Run directory plumbing
+# Options
 
 
-def _merged_config(args: argparse.Namespace, defaults: dict) -> dict:
-    file_cfg = {}
-    if getattr(args, "config", None):
+OPTIONS = {
+    "game": {"game": None, "seed": 0},
+    "solve": {"game": None, "tol": 1e-6, "seed": 0},
+    "verify": {
+        "game": None,
+        "profile": "all-zeros",
+        "klass": "none",
+        "pivot": 0,
+        "epsilon": 1e-6,
+        "n_init": 16,
+        "seed": 0,
+    },
+    "psro": {
+        "game": None,
+        "oracle": "sebr",
+        "iters": 40,
+        "tol": 1e-6,
+        "seed": 0,
+        "expand": "both",
+        "restarts": 4,
+    },
+    "eval": {
+        "game": None,
+        "mode": "exploit",
+        "run": None,
+        "run_a": None,
+        "run_b": None,
+        "profile": None,
+        "team": 1,
+        "classes": ",".join(CLASS_ORDER),
+        "matches": None,
+        "k": 32.0,
+        "base": 1200.0,
+        "seed": 0,
+        "tol": 1e-6,
+    },
+    "report": {"run": None, "format": "csv", "seed": 0},
+}
+
+CHOICES = {
+    "klass": ("none", "pivot", "sequential", "joint"),
+    "oracle": ("joint", "shared", "individual", "sebr"),
+    "expand": ("both", "1", "2"),
+    "mode": ("exploit", "rpp", "elo"),
+    "format": ("csv", "json-lines"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + ("class" if key == "klass" else key.replace("_", "-"))
+
+
+def _converter(key: str, default):
+    """Parse one option value from its string form: the default's type,
+    then the allowed choices."""
+    cast = str if default is None else type(default)
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise CliError(f"{_flag(key)} expects {cast.__name__}, got {text!r}") from None
+        if key in CHOICES and value not in CHOICES[key]:
+            raise CliError(f"{_flag(key)} must be one of {', '.join(CHOICES[key])}, got {text!r}")
+        return value
+
+    return convert
+
+
+def build_parser(command: str) -> _Parser:
+    """The parser of one command: its ``OPTIONS`` plus --out/-o and --config."""
+    parser = _Parser(prog=f"teameq {command}")
+    parser.add_argument("--out", "-o", help=f"output directory (default ${OUT_ENV} or ./teameq-run)")
+    parser.add_argument("--config", help="JSON config file (flags override it)")
+    for key, default in OPTIONS[command].items():
+        parser.add_argument(
+            _flag(key),
+            dest=key,
+            type=_converter(key, default),
+            choices=CHOICES.get(key),
+            help=None if default is None else f"default {default}",
+        )
+    return parser
+
+
+def _merged_config(command: str, args: argparse.Namespace) -> dict:
+    """Defaults, then the --config file's values, then the flags given."""
+    options = OPTIONS[command]
+    merged = dict(options)
+    if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    merged = dict(defaults)
-    merged.update({k: v for k, v in file_cfg.items() if k in defaults})
-    merged.update(
-        {k: v for k, v in vars(args).items() if k in defaults and v is not None}
-    )
+            for key, value in json.load(fh).items():
+                if key in options and value is not None:
+                    merged[key] = _converter(key, options[key])(str(value))
+    merged.update({k: v for k, v in vars(args).items() if k in options and v is not None})
     return merged
 
 
-def _out_dir(args) -> str:
-    out = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "teameq-run"
+def _require(cfg: dict, key: str):
+    if not cfg.get(key):
+        raise CliError(f"{_flag(key)} is required")
+    return cfg[key]
+
+
+# ---------------------------------------------------------------------------
+# Run directory plumbing
+
+
+def _out_dir(out: str | None) -> str:
+    out = out or os.environ.get(OUT_ENV) or "teameq-run"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -209,12 +312,12 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def write_manifest(out: str, command: str, game_spec, config: dict) -> dict:
+def write_manifest(out: str, command: str, config: dict) -> dict:
     manifest = {
         "tool": "teameq",
         "version": __version__,
         "command": command,
-        "game": game_spec,
+        "game": config.get("game"),
         "config": config,
         "seed": config.get("seed"),
         "tolerance": config.get("tol"),
@@ -278,14 +381,10 @@ def emit_report(run_dir: str, fmt: str) -> list[str]:
 # Subcommands
 
 
-def cmd_game(args) -> int:
-    defaults = {"game": None, "seed": 0}
-    cfg = _merged_config(args, defaults)
-    if not cfg["game"]:
-        raise CliError("--game is required")
-    game = parse_game_spec(cfg["game"])
-    out = _out_dir(args)
-    write_manifest(out, "game", cfg["game"], cfg)
+def cmd_game(cfg: dict, out: str | None) -> int:
+    game = parse_game_spec(_require(cfg, "game"))
+    out = _out_dir(out)
+    write_manifest(out, "game", cfg)
     t0 = time.perf_counter()
     _write_json(os.path.join(out, "game.json"), game_file_dict(game, cfg["game"]))
     _write_json(
@@ -300,18 +399,14 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    defaults = {"game": None, "tol": 1e-6, "seed": 0}
-    cfg = _merged_config(args, defaults)
-    if not cfg["game"]:
-        raise CliError("--game is required")
-    game = parse_game_spec(cfg["game"])
+def cmd_solve(cfg: dict, out: str | None) -> int:
+    game = parse_game_spec(_require(cfg, "game"))
     if not game.is_normal_form:
         raise CliError("solve works on normal-form games (joint-action matrix)")
-    out = _out_dir(args)
-    write_manifest(out, "solve", cfg["game"], cfg)
+    out = _out_dir(out)
+    write_manifest(out, "solve", cfg)
     t0 = time.perf_counter()
-    solution = solve_matrix_maxmin(game.matrix(), tol=float(cfg["tol"]))
+    solution = solve_matrix_maxmin(game.matrix(), tol=cfg["tol"])
     summary = {
         "command": "solve",
         "game": game.name,
@@ -335,53 +430,27 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_CLASS_FLAGS = {"none", "pivot", "sequential", "joint"}
-
-
 def _correlation_from_flags(cfg) -> object:
     label = cfg["klass"]
-    if label == "none":
-        return NoCorrelation()
     if label == "pivot":
-        return PivotFollowers(pivot=int(cfg["pivot"]))
+        return PivotFollowers(pivot=cfg["pivot"])
     if label == "sequential":
-        sf = SampleFactor(
-            f_team=float(cfg["f_team"]),
-            f_policy=float(cfg["f_policy"]),
-            n_init=int(cfg["n_init"]),
-        )
-        return Sequential(sample_factor=sf, seed=int(cfg["seed"]))
-    if label == "joint":
-        return Joint()
-    raise CliError(f"--class must be one of {sorted(_CLASS_FLAGS)}")
+        return Sequential(sample_factor=SampleFactor(n_init=cfg["n_init"]), seed=cfg["seed"])
+    return NoCorrelation() if label == "none" else Joint()
 
 
-def cmd_verify(args) -> int:
-    defaults = {
-        "game": None,
-        "profile": "all-zeros",
-        "klass": "none",
-        "pivot": 0,
-        "epsilon": 1e-6,
-        "n_init": 16,
-        "f_team": 0.0,
-        "f_policy": 0.0,
-        "seed": 0,
-    }
-    cfg = _merged_config(args, defaults)
-    if not cfg["game"]:
-        raise CliError("--game is required")
-    game = parse_game_spec(cfg["game"])
+def cmd_verify(cfg: dict, out: str | None) -> int:
+    game = parse_game_spec(_require(cfg, "game"))
     profile = parse_profile_spec(cfg["profile"], game)
-    out = _out_dir(args)
-    write_manifest(out, "verify", cfg["game"], cfg)
+    out = _out_dir(out)
+    write_manifest(out, "verify", cfg)
     t0 = time.perf_counter()
     correlation = _correlation_from_flags(cfg)
     specs = [
         build_deviation_spec(game, team, profile[team - 1], correlation)
         for team in (1, 2)
     ]
-    report = verify_equilibrium(game, profile, specs, epsilon=float(cfg["epsilon"]))
+    report = verify_equilibrium(game, profile, specs, epsilon=cfg["epsilon"])
     payload = report.to_dict()
     payload["wall_clock_seconds"] = time.perf_counter() - t0
     _write_json(os.path.join(out, "verify.json"), payload)
@@ -395,34 +464,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_psro(args) -> int:
-    defaults = {
-        "game": None,
-        "oracle": "sebr",
-        "iters": 40,
-        "tol": 1e-6,
-        "seed": 0,
-        "expand": "both",
-        "restarts": 4,
-    }
-    cfg = _merged_config(args, defaults)
-    if not cfg["game"]:
-        raise CliError("--game is required")
-    game = parse_game_spec(cfg["game"])
-    out = _out_dir(args)
-    write_manifest(out, "psro", cfg["game"], cfg)
+def cmd_psro(cfg: dict, out: str | None) -> int:
+    game = parse_game_spec(_require(cfg, "game"))
+    out = _out_dir(out)
+    write_manifest(out, "psro", cfg)
     t0 = time.perf_counter()
-    expand = {"both": (1, 2), "1": (1,), "2": (2,)}.get(str(cfg["expand"]))
-    if expand is None:
-        raise CliError("--expand must be both, 1 or 2")
     pcfg = PsroConfig(
         oracle=cfg["oracle"],
-        max_iterations=int(cfg["iters"]),
-        meta_tol=float(cfg["tol"]),
-        gain_tol=float(cfg["tol"]),
-        seed=int(cfg["seed"]),
-        expand_teams=expand,
-        sebr=SebrConfig(restarts=int(cfg["restarts"])),
+        max_iterations=cfg["iters"],
+        meta_tol=cfg["tol"],
+        gain_tol=cfg["tol"],
+        seed=cfg["seed"],
+        expand_teams={"both": (1, 2), "1": (1,), "2": (2,)}[cfg["expand"]],
+        sebr=SebrConfig(restarts=cfg["restarts"]),
     )
     result = run_psro(game, pcfg)
     records = [
@@ -486,30 +540,14 @@ def _load_candidate(run_dir: str, team: int) -> Candidate:
     return Candidate(team, entries, weights)
 
 
-def cmd_eval(args) -> int:
-    defaults = {
-        "game": None,
-        "mode": "exploit",
-        "run": None,
-        "run_a": None,
-        "run_b": None,
-        "profile": None,
-        "team": 1,
-        "classes": ",".join(CLASS_ORDER),
-        "matches": None,
-        "k": 32.0,
-        "base": 1200.0,
-        "seed": 0,
-        "tol": 1e-6,
-    }
-    cfg = _merged_config(args, defaults)
-    out = _out_dir(args)
-    write_manifest(out, "eval", cfg.get("game"), cfg)
+def cmd_eval(cfg: dict, out: str | None) -> int:
+    out = _out_dir(out)
+    write_manifest(out, "eval", cfg)
     t0 = time.perf_counter()
     mode = cfg["mode"]
     if mode == "exploit":
         game = parse_game_spec(_require(cfg, "game"))
-        team = int(cfg["team"])
+        team = cfg["team"]
         if cfg["run"]:
             candidate = _load_candidate(cfg["run"], team)
             cand_id = f"{cfg['run']}:team{team}"
@@ -519,9 +557,9 @@ def cmd_eval(args) -> int:
             cand_id = f"{cfg['profile']}:team{team}"
         else:
             raise CliError("eval exploit needs --run or --profile")
-        classes = tuple(c.strip() for c in str(cfg["classes"]).split(",") if c.strip())
+        classes = tuple(c.strip() for c in cfg["classes"].split(",") if c.strip())
         report = exploitability_profile(
-            game, candidate, classes=classes, seed=int(cfg["seed"]), candidate_id=cand_id
+            game, candidate, classes=classes, seed=cfg["seed"], candidate_id=cand_id
         )
         payload = report.to_dict()
         payload["wall_clock_seconds"] = time.perf_counter() - t0
@@ -540,7 +578,7 @@ def cmd_eval(args) -> int:
         game = parse_game_spec(_require(cfg, "game"))
         entries_a = _load_candidate(_require(cfg, "run_a"), 1).entries
         entries_b = _load_candidate(_require(cfg, "run_b"), 2).entries
-        value = rpp(game, entries_a, entries_b, tol=float(cfg["tol"]))
+        value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
         payload = {
             "command": "eval/rpp",
             "value": value,
@@ -552,44 +590,33 @@ def cmd_eval(args) -> int:
         _write_json(os.path.join(out, "summary.json"), payload)
         print(f"rpp {fmt9(value)}")
         return EXIT_OK
-    if mode == "elo":
-        path = _require(cfg, "matches")
-        matches = []
-        with open(path) as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line or (i == 0 and line.lower().startswith("a,")):
-                    continue
-                a, b, score = line.split(",")
-                matches.append((a, b, float(score)))
-        ratings = elo_ratings(MatchLedger(tuple(matches)), k=float(cfg["k"]), base=float(cfg["base"]))
-        payload = {
-            "command": "eval/elo",
-            "ratings": {k_: float(v) for k_, v in sorted(ratings.items())},
-            "wall_clock_seconds": time.perf_counter() - t0,
-        }
-        _write_json(os.path.join(out, "ratings.json"), payload)
-        _write_csv(
-            os.path.join(out, "ratings.csv"),
-            ["player", "rating"],
-            [[k_, v] for k_, v in sorted(ratings.items())],
-        )
-        _write_json(os.path.join(out, "summary.json"), payload)
-        for k_, v in sorted(ratings.items()):
-            print(f"{k_}: {fmt9(v)}")
-        return EXIT_OK
-    raise CliError("--mode must be exploit, rpp or elo")
+    matches = []  # mode "elo"
+    with open(_require(cfg, "matches")) as fh:
+        for i, line in enumerate(fh):
+            line = line.strip()
+            if not line or (i == 0 and line.lower().startswith("a,")):
+                continue
+            a, b, score = line.split(",")
+            matches.append((a, b, float(score)))
+    ratings = elo_ratings(MatchLedger(tuple(matches)), k=cfg["k"], base=cfg["base"])
+    payload = {
+        "command": "eval/elo",
+        "ratings": {k_: float(v) for k_, v in sorted(ratings.items())},
+        "wall_clock_seconds": time.perf_counter() - t0,
+    }
+    _write_json(os.path.join(out, "ratings.json"), payload)
+    _write_csv(
+        os.path.join(out, "ratings.csv"),
+        ["player", "rating"],
+        [[k_, v] for k_, v in sorted(ratings.items())],
+    )
+    _write_json(os.path.join(out, "summary.json"), payload)
+    for k_, v in sorted(ratings.items()):
+        print(f"{k_}: {fmt9(v)}")
+    return EXIT_OK
 
 
-def _require(cfg: dict, key: str):
-    if not cfg.get(key):
-        raise CliError(f"--{key.replace('_', '-')} is required for this mode")
-    return cfg[key]
-
-
-def cmd_report(args) -> int:
-    defaults = {"run": None, "format": "csv"}
-    cfg = _merged_config(args, defaults)
+def cmd_report(cfg: dict, out: str | None) -> int:
     written = emit_report(_require(cfg, "run"), cfg["format"])
     for path in written:
         print(f"wrote {path}")
@@ -597,67 +624,6 @@ def cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="teameq", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--out", "-o", help=f"output directory (default ${OUT_ENV} or ./teameq-run)")
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="root seed for all sub-streams")
-
-    p_game = sub.add_parser("game", help="emit a builtin game to file")
-    common(p_game)
-    p_game.add_argument("--game", help="builtin spec or JSON path")
-
-    p_solve = sub.add_parser("solve", help="matrix maxmin / CTME of a normal-form game")
-    common(p_solve)
-    p_solve.add_argument("--game")
-    p_solve.add_argument("--tol", type=float)
-
-    p_verify = sub.add_parser("verify", help="equilibrium check under a correlation class")
-    common(p_verify)
-    p_verify.add_argument("--game")
-    p_verify.add_argument("--profile")
-    p_verify.add_argument("--class", dest="klass", choices=sorted(_CLASS_FLAGS))
-    p_verify.add_argument("--pivot", type=int)
-    p_verify.add_argument("--epsilon", type=float)
-    p_verify.add_argument("--n-init", dest="n_init", type=int)
-    p_verify.add_argument("--f-team", dest="f_team", type=float)
-    p_verify.add_argument("--f-policy", dest="f_policy", type=float)
-
-    p_psro = sub.add_parser("psro", help="population loop with a chosen oracle")
-    common(p_psro)
-    p_psro.add_argument("--game")
-    p_psro.add_argument("--oracle", choices=["joint", "shared", "individual", "sebr"])
-    p_psro.add_argument("--iters", type=int)
-    p_psro.add_argument("--tol", type=float)
-    p_psro.add_argument("--expand", choices=["both", "1", "2"])
-    p_psro.add_argument("--restarts", type=int)
-
-    p_eval = sub.add_parser("eval", help="exploitability profile / rpp / elo")
-    common(p_eval)
-    p_eval.add_argument("--game")
-    p_eval.add_argument("--mode", choices=["exploit", "rpp", "elo"])
-    p_eval.add_argument("--run", help="psro run directory with a saved population")
-    p_eval.add_argument("--run-a", dest="run_a")
-    p_eval.add_argument("--run-b", dest="run_b")
-    p_eval.add_argument("--profile")
-    p_eval.add_argument("--team", type=int)
-    p_eval.add_argument("--classes")
-    p_eval.add_argument("--matches", help="CSV of (a,b,score) rows")
-    p_eval.add_argument("--k", type=float)
-    p_eval.add_argument("--base", type=float)
-    p_eval.add_argument("--tol", type=float)
-
-    p_report = sub.add_parser("report", help="re-emit run artifacts")
-    common(p_report)
-    p_report.add_argument("--run")
-    p_report.add_argument("--format", choices=["csv", "json-lines"])
-
-    return parser
 
 
 _COMMANDS = {
@@ -671,12 +637,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(f"usage: teameq {{{','.join(_COMMANDS)}}} [options]\n\n{__doc__}")
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise CliError("a subcommand is required (game, solve, verify, psro, eval, report)")
-        return _COMMANDS[args.command](args)
+        if command not in _COMMANDS:
+            raise CliError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+        args = build_parser(command).parse_args(argv[1:])
+        return _COMMANDS[command](_merged_config(command, args), args.out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -427,9 +427,6 @@ class NormalFormTeamGame:
         """Team-1 payoff as a (team-1 joints) x (team-2 joints) matrix."""
         return self.payoff.reshape(self.joint_count(1), self.joint_count(2))
 
-    def homogeneous(self, team: int) -> bool:
-        return len(set(self.action_counts[team - 1])) == 1
-
 
 @dataclass(frozen=True)
 class StochasticTeamGame:

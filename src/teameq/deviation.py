@@ -30,6 +30,8 @@ from .core import (
 )
 from .oracles import TABLE_ENUMERATION_BOUND, _reachable_member_obs
 
+JOINT_POLICY_BOUND = 10**6  # pure team joint policies a spec may enumerate
+
 
 @dataclass(frozen=True)
 class SampleFactor:
@@ -71,7 +73,6 @@ class PivotFollowers:
 
 @dataclass(frozen=True)
 class Sequential:
-    order: tuple[int, ...] | None = None
     sample_factor: SampleFactor = field(default_factory=lambda: SampleFactor(n_init=16))
     seed: int = 0
     name = "sequential"
@@ -134,14 +135,14 @@ def _pure_member_policies(game: Game, team: int, member: int, cfg: EvalConfig):
     ]
 
 
-def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig, bound: int):
+def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig):
     """All pure team joint policies as deterministic products (normal form:
     one per pure joint action, lexicographic order)."""
     counts = game.action_counts[team - 1]
     if game.is_normal_form:
         total = int(np.prod(counts))
-        if total > bound:
-            raise ValueError(f"{total} pure joint policies exceed the bound {bound}")
+        if total > JOINT_POLICY_BOUND:
+            raise ValueError(f"{total} pure joint policies exceed the bound {JOINT_POLICY_BOUND}")
         return [
             (joint, ProductPolicy.pure(joint, counts))
             for joint in itertools.product(*(range(c) for c in counts))
@@ -150,8 +151,8 @@ def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig, bound: int):
         _pure_member_policies(game, team, m, cfg) for m in range(len(counts))
     ]
     total = math.prod(len(p) for p in per_member)
-    if total > bound:
-        raise ValueError(f"{total} pure joint policies exceed the bound {bound}")
+    if total > JOINT_POLICY_BOUND:
+        raise ValueError(f"{total} pure joint policies exceed the bound {JOINT_POLICY_BOUND}")
     out = []
     for combo in itertools.product(*per_member):
         out.append((None, ProductPolicy(combo)))
@@ -166,7 +167,6 @@ def build_deviation_spec(
     delta_team: int = 0,
     delta_policy: int = 0,
     cfg: EvalConfig | None = None,
-    enumeration_bound: int = 10**6,
 ) -> DeviationSpec:
     """Construct the deviation space of ``team`` for one correlation class.
 
@@ -207,7 +207,7 @@ def build_deviation_spec(
     if isinstance(correlation, Joint):
         if not game.is_normal_form:
             raise DimensionError("joint deviation spaces are enumerable for normal form only")
-        joints = _pure_joint_policies(game, team, cfg, enumeration_bound)
+        joints = _pure_joint_policies(game, team, cfg)
         return DeviationSpec(team, correlation, candidate, (), tuple(p for _, p in joints))
 
     if isinstance(correlation, Sequential):
@@ -216,7 +216,7 @@ def build_deviation_spec(
         remaining = budget - len(indiv)
         correlated: list = []
         if remaining > 0:
-            joints = _pure_joint_policies(game, team, cfg, enumeration_bound)
+            joints = _pure_joint_policies(game, team, cfg)
             exclude = set()
             if game.is_normal_form:
                 cand_joint = None
@@ -337,7 +337,7 @@ def verify_equilibrium(
     game: Game,
     profile: tuple,
     specs,
-    epsilon: float | None = None,
+    epsilon: float = 1e-6,
     cfg: EvalConfig | None = None,
 ) -> VerificationReport:
     """Check a candidate profile against per-team deviation spaces.
@@ -354,8 +354,6 @@ def verify_equilibrium(
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     spec_map = {s.team: s for s in (specs if isinstance(specs, (list, tuple)) else specs.values())}
-    if epsilon is None:
-        epsilon = 1e-6
     checks = []
     for team in sorted(spec_map):
         spec = spec_map[team]

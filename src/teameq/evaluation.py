@@ -116,15 +116,14 @@ def exploitability_profile(
     cfg: EvalConfig | None = None,
     seed: int = 0,
     candidate_id: str = "",
-    sebr_restarts: int = 4,
 ) -> ExploitReport:
     """Opponent reward per correlation class against a frozen candidate.
 
     Joint uses the fully correlated best response, Synchronized the shared
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
-    the sebr oracle, and Random the uniform product policy.  Every reward is
-    exact: ``cfg.mode`` must be "exact".
+    the sebr oracle (its default 4 restarts), and Random the uniform product
+    policy.  Every reward is exact: ``cfg.mode`` must be "exact".
     """
     cfg = cfg or EvalConfig()
     if cfg.mode != "exact":
@@ -151,14 +150,7 @@ def exploitability_profile(
             start = ProductPolicy([ConstantPolicy(c, 0) for c in counts])
             _, reward = best_response_individual(game, mix, opp, start, cfg=cfg)
         elif name == "sequential":
-            _, reward = sebr(
-                game,
-                mix,
-                opp,
-                restarts=sebr_restarts,
-                seed=subseed(seed, "exploit/sebr"),
-                cfg=cfg,
-            )
+            _, reward = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"), cfg=cfg)
         else:  # random
             reward = team_value(game, opp, _uniform_product(game, opp), mix, cfg)
         results.append(ClassResult(name, float(reward)))

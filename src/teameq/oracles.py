@@ -503,9 +503,12 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     provably changes nothing, so `sebr` skips it until a teammate switches.
     It holds when the update made no change; after a closed-form switch
     (the member's values do not depend on its own row); after a DP switch
-    whose value is at most the evaluated value + 1e-15 (the DP value does
-    not depend on the member's own table, so the guard would reject it);
-    and after a greedy switch that ended on a rejected candidate.
+    whose value is at most the evaluated value plus `_dp_slack` of it (the
+    DP value does not depend on the member's own table, so the guard would
+    reject it); and after a greedy switch that ended on a rejected
+    candidate.  The single-atom DP guard uses the same relative slack: a DP
+    value and an evaluation of the same policy can differ in the last bits
+    at any payoff scale.
     """
     atoms = as_mixture(opponent)
     if game.is_normal_form:
@@ -520,7 +523,7 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], cfg, steps=steps
         )
-        if value <= current + 1e-15:
+        if value <= current + _dp_slack(current):
             return members[member], False, current, True
     else:
         tables, value, fixed = _unit_improve_weighted(
@@ -532,7 +535,12 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     updated = list(members)
     updated[member] = tables[0]
     after = _value_vs_atoms(game, team, updated, atoms, cfg, steps)
-    return tables[0], True, after, game.is_normal_form or value <= after + 1e-15
+    return tables[0], True, after, game.is_normal_form or value <= after + _dp_slack(after)
+
+
+def _dp_slack(value: float) -> float:
+    """Round-off allowance between a DP value and an evaluation near ``value``."""
+    return 1e-12 * max(1.0, abs(value))
 
 
 def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:

@@ -170,6 +170,29 @@ class TestErrorContract:
     def test_unreadable_game_file(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_ERROR
 
+    def test_dropped_sample_factor_flags(self, tmp_path):
+        # the budget of a verify run is --n-init; growth-rate flags are gone
+        for flag in ("--f-team", "--f-policy"):
+            args = ["verify", "--game", "example1", "--class", "sequential", flag, "1"]
+            assert main(args + ["--out", str(tmp_path / "v")]) == EXIT_ERROR
+
+    def test_bad_choice_and_type(self, capsys):
+        assert main(["psro", "--oracle", "bogus"]) == EXIT_ERROR
+        assert "--oracle must be one of" in capsys.readouterr().err
+        assert main(["psro", "--iters", "2.5"]) == EXIT_ERROR
+        assert "--iters expects int" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "psro" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["psro", "--help"])
+        assert exc.value.code == 0
+        assert "--oracle" in capsys.readouterr().out
+
+    def test_no_subcommand(self):
+        assert main([]) == EXIT_ERROR
+
     def test_verify_fail_is_not_an_error(self, tmp_path):
         rc = main(
             ["verify", "--game", "example1", "--profile", "all-zeros", "--class", "joint", "--out", str(tmp_path / "v")]
@@ -187,6 +210,17 @@ class TestConfigPrecedence:
         assert manifest["config"]["oracle"] == "joint"  # from config file
         assert manifest["config"]["seed"] == 9  # flag wins
         assert manifest["seed"] == 9
+
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oracle": "joint", "iters": "3", "tol": 1, "expand": 1}))
+        out = tmp_path / "p"
+        assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        config = json.loads(read(out / "manifest.json"))["config"]
+        assert (config["iters"], config["tol"], config["expand"]) == (3, 1.0, "1")
+        cfg.write_text(json.dumps({"oracle": "bogus"}))
+        assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "--oracle must be one of" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TEAMEQ_OUT", str(tmp_path / "envout"))

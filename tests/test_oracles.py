@@ -27,12 +27,14 @@ from teameq.core import (
     team_value,
 )
 from teameq.games import (
+    SadConfig,
     SkirmishConfig,
     anti_coordination,
     example1,
     grid_skirmish,
     random_stochastic_game,
     random_team_game,
+    sad,
 )
 from teameq import oracles
 from teameq.oracles import (
@@ -242,6 +244,54 @@ class TestBestResponseShared:
                 expected_team_reward(g, pure((a, a), (3, 3)), opp) for a in range(3)
             )
             assert value >= pure_best - 1e-12
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls = []
+        real = getattr(oracles, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, name, counted)
+        return calls
+
+    def test_two_action_team_of_three_beats_the_q_grid(self, monkeypatch):
+        # three members with two actions: the exact polynomial search in q
+        calls = self._counted(monkeypatch, "_two_action_poly_max")
+        g = random_team_game((3, 3), ((2, 2, 2), (2, 2, 2)), seed=3)
+        opp = pure((0, 0, 0), (2, 2, 2))
+        joints = list(itertools.product(range(2), repeat=3))
+        rewards = np.array([expected_team_reward(g, pure(j, (2, 2, 2)), opp) for j in joints])
+
+        def shared_value(q):
+            q = np.asarray(q, dtype=float)[..., None]
+            ones = np.array(joints).sum(axis=1)
+            return (rewards * q**ones * (1 - q) ** (3 - ones)).sum(axis=-1)
+
+        policy, value = best_response_shared(g, opp, 1)
+        assert calls == ["_two_action_poly_max"]
+        dist = policy.policy.dist(0)
+        assert 0 < dist[1] < 1  # the optimum is interior on this game
+        assert value >= shared_value(np.linspace(0.0, 1.0, 10_001)).max()
+        assert value == pytest.approx(float(shared_value(dist[1])), abs=1e-12)
+
+    def test_sad_team_of_three_ascent(self, monkeypatch):
+        # three members with six actions: the seeded multi-start ascent
+        calls = self._counted(monkeypatch, "_ascent_simplex_max")
+        g = sad(SadConfig(n_players=3, seek_max=3))
+        half = IndividualPolicy(6, {0: np.array([0.5, 0, 0, 0, 0, 0.5])})
+        opp = ProductPolicy([half] * 3)
+        policy, value = best_response_shared(g, opp, 1, seed=3)
+        assert calls == ["_ascent_simplex_max"]
+        pure_best = max(
+            team_value(g, 1, SharedPolicy(IndividualPolicy.deterministic(6, a), 3), opp)
+            for a in range(6)
+        )
+        assert value >= pure_best
+        assert best_response_shared(g, opp, 1, seed=3)[1] == value
+        assert value == pytest.approx(team_value(g, 1, policy, opp), abs=1e-12)
 
     def test_heterogeneous_rejected(self):
         from teameq.core import DimensionError, NormalFormTeamGame
@@ -773,18 +823,21 @@ class TestSettledMembers:
             assert (True, False) in updates
 
     def test_dp_switch_above_its_evaluation_is_not_settled(self, updates):
-        # at this reward scale member 1's DP value, 63.78300000000001, exceeds
-        # the evaluated 63.783 by more than 1e-15: the same update would
-        # switch again, so it runs in every sweep up to max_sweeps
+        # at this reward scale member 1's DP value, 63.78300000000001, reads
+        # one ulp above the evaluated 63.783; that is round-off within the
+        # relative slack, so the switch settles and the ascent stops after
+        # sweep 1 instead of switching to an equivalent table every sweep
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3, damage=37.3, discount=0.9))
         opp = ProductPolicy([HashPolicy(6, 0), HashPolicy(6, 100)])
         trace = []
         _, value = sebr(g, opp, 1, restarts=0, max_sweeps=4, trace=trace)
         assert value == 63.783
-        assert trace == [(0, 0, 0, 0.0, 30.213), (0, 0, 1, 30.213, 63.783)] + [
-            (0, sweep, member, 63.783, 63.783) for sweep in (1, 2, 3) for member in (0, 1)
+        assert trace == [
+            (0, 0, 0, 0.0, 30.213), (0, 0, 1, 30.213, 63.783),
+            (0, 1, 0, 63.783, 63.783), (0, 1, 1, 63.783, 63.783),
         ]
-        assert updates[1::2] == [(True, False)] * 4
+        # member 1 is skipped in sweep 1: its DP switch settled it
+        assert updates == [(True, True), (True, True), (False, True)]
 
     @pytest.mark.parametrize("opponent, value", [((0, 0), 1.0), ((0, 1), 0.0)])
     def test_sebr_anti_coordination(self, updates, opponent, value):
