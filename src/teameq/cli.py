@@ -283,9 +283,15 @@ def _merged_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(options)
     if args.config:
         with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                if key in options and value is not None:
-                    merged[key] = _converter(key, options[key])(str(value))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise CliError(f"--config {args.config} must hold a JSON object")
+        unknown = [key for key in data if key not in options]
+        if unknown:
+            raise CliError(f"unrecognized config keys for {command}: {', '.join(unknown)}")
+        for key, value in data.items():
+            if value is not None:
+                merged[key] = _converter(key, options[key])(str(value))
     merged.update({k: v for k, v in vars(args).items() if k in options and v is not None})
     return merged
 
@@ -527,7 +533,16 @@ def _serializable(policy, game, team):
     return ProductPolicy(members)
 
 
-def _load_candidate(run_dir: str, team: int) -> Candidate:
+def _load_candidate(run_dir: str, team: int, game_spec: str) -> Candidate:
+    """Team ``team``'s meta-strategy of a finished normal-form PSRO run,
+    which its manifest must say was made on ``game_spec``."""
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        raise CliError(f"missing artifact {path}: the run's game is unknown")
+    with open(path) as fh:
+        made_on = json.load(fh).get("game")
+    if made_on != game_spec:
+        raise CliError(f"run {run_dir} was made on game {made_on!r}, not on --game {game_spec!r}")
     path = os.path.join(run_dir, "population.json")
     if not os.path.exists(path):
         raise CliError(
@@ -549,7 +564,7 @@ def cmd_eval(cfg: dict, out: str | None) -> int:
         game = parse_game_spec(_require(cfg, "game"))
         team = cfg["team"]
         if cfg["run"]:
-            candidate = _load_candidate(cfg["run"], team)
+            candidate = _load_candidate(cfg["run"], team, cfg["game"])
             cand_id = f"{cfg['run']}:team{team}"
         elif cfg["profile"]:
             profile = parse_profile_spec(cfg["profile"], game)
@@ -576,8 +591,8 @@ def cmd_eval(cfg: dict, out: str | None) -> int:
         return EXIT_OK
     if mode == "rpp":
         game = parse_game_spec(_require(cfg, "game"))
-        entries_a = _load_candidate(_require(cfg, "run_a"), 1).entries
-        entries_b = _load_candidate(_require(cfg, "run_b"), 2).entries
+        entries_a = _load_candidate(_require(cfg, "run_a"), 1, cfg["game"]).entries
+        entries_b = _load_candidate(_require(cfg, "run_b"), 2, cfg["game"]).entries
         value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
         payload = {
             "command": "eval/rpp",

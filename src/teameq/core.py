@@ -561,9 +561,16 @@ class EvalResult:
 
 
 def team_action_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
-    """Distribution over a team's pure joint actions (flattened, row-major)."""
+    """Distribution over a team's pure joint actions (flattened, row-major).
+
+    Checks ``policy`` with `check_team_policy` first.  `evaluate`, which has
+    checked both policies itself, builds its distributions unchecked."""
     check_team_policy(game, team, policy)
-    counts = game.action_counts[team - 1]
+    return _joint_dist(game, team, policy)
+
+
+def _joint_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
+    """`team_action_dist` of an already checked policy."""
     if isinstance(policy, JointMixPolicy):
         out = np.zeros(game.joint_count(team))
         for atom, w in zip(policy.atoms, policy.weights):
@@ -577,9 +584,20 @@ def team_action_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
 
 
 def _nf_value(game: NormalFormTeamGame, p1, p2) -> float:
-    d1 = team_action_dist(game, 1, p1)
-    d2 = team_action_dist(game, 2, p2)
+    d1 = _joint_dist(game, 1, p1)
+    d2 = _joint_dist(game, 2, p2)
     return float(d1 @ game.matrix() @ d2)
+
+
+def _nf_team_value(matrix: np.ndarray, team: int, own: np.ndarray, opponent: np.ndarray) -> float:
+    """`team_value` of two normal-form team policies from their joint-action
+    distributions ``own`` and ``opponent`` and the game's `matrix`, in its
+    arithmetic: ``(d1 @ M) @ d2`` plus 0.0 (so -0.0 reads 0.0), negated
+    for team 2.  Loops that evaluate one policy against many keep each
+    distribution once and call this instead of `team_value`."""
+    if team == 1:
+        return 0.0 + float(own @ matrix @ opponent)
+    return -(0.0 + float(opponent @ matrix @ own))
 
 
 def _members_view(policy) -> tuple:
@@ -870,7 +888,9 @@ def rollout(game: StochasticTeamGame, p1, p2, rng: np.random.Generator) -> float
 def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> EvalResult:
     """Expected team-1 reward of a policy profile.
 
-    Normal-form profiles are evaluated exactly (multilinear expectation).
+    Both policies are checked with `check_team_policy` once, here.
+    Normal-form profiles are evaluated exactly (multilinear expectation)
+    from joint-action distributions built without checking them again.
     Stochastic profiles use exact finite-horizon dynamic programming within
     the configured budget, or seeded Monte-Carlo with a reported standard
     error.

@@ -25,7 +25,9 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     _members_view,
+    _nf_team_value,
     check_team_policy,
+    team_action_dist,
     team_value,
 )
 from .oracles import TABLE_ENUMERATION_BOUND, _reachable_member_obs
@@ -333,6 +335,17 @@ def _witness_for(game, spec, kind, payload) -> dict:
     return {"kind": "correlated", "joint_action": joint}
 
 
+def _values_against(game: Game, team: int, opponent, cfg: EvalConfig):
+    """``team``'s `team_value` of a policy against the fixed ``opponent``,
+    as a function of the policy.  On a normal-form game it builds the
+    opponent's joint-action distribution once and each policy's once."""
+    if not game.is_normal_form:
+        return lambda policy: team_value(game, team, policy, opponent, cfg)
+    mat = game.matrix()
+    opp = team_action_dist(game, 3 - team, opponent)
+    return lambda policy: _nf_team_value(mat, team, team_action_dist(game, team, policy), opp)
+
+
 def verify_equilibrium(
     game: Game,
     profile: tuple,
@@ -358,8 +371,8 @@ def verify_equilibrium(
     for team in sorted(spec_map):
         spec = spec_map[team]
         own = p1 if team == 1 else p2
-        opponent = p2 if team == 1 else p1
-        base = team_value(game, team, own, opponent, cfg)
+        value_of = _values_against(game, team, p2 if team == 1 else p1, cfg)
+        base = value_of(own)
         best_gain = -math.inf
         best_witness: dict = {}
         deviations = []
@@ -375,7 +388,7 @@ def verify_equilibrium(
             best_gain = 0.0
             best_witness = {"kind": "none"}
         for kind, payload, dev_policy in deviations:
-            gain = team_value(game, team, dev_policy, opponent, cfg) - base
+            gain = value_of(dev_policy) - base
             if gain > best_gain:
                 best_gain = gain
                 best_witness = _witness_for(game, spec, kind, payload)

@@ -45,12 +45,12 @@ from .core import (
     _forward,
     _joint_support,
     _members_view,
+    _nf_team_value,
     _profile_walk,
     _walk_value,
     as_mixture,
     check_team_policy,
     team_action_dist,
-    team_value,
 )
 
 #: Pivot and reduced-cost threshold of the maxmin simplex.
@@ -196,22 +196,45 @@ def solve_matrix_maxmin(
 # Reward tensors for normal-form oracles
 
 
-def _mixture_joint_dist(game: NormalFormTeamGame, team: int, mixture) -> np.ndarray:
-    out = np.zeros(game.joint_count(team))
-    for policy, w in as_mixture(mixture):
-        out += w * team_action_dist(game, team, policy)
+def _mixed_dist(size: int, weighted) -> np.ndarray:
+    """The mixture of joint-action distributions ``[(dist, weight), ...]``."""
+    out = np.zeros(size)
+    for dist, w in weighted:
+        out += w * dist
     return out
+
+
+def _reward_tensor(game: NormalFormTeamGame, team: int, opponent_dist: np.ndarray) -> np.ndarray:
+    """`team_reward_tensor` against the opponent's joint-action distribution."""
+    mat = game.matrix()
+    if team == 1:
+        return (mat @ opponent_dist).reshape(game.action_counts[0])
+    return (-(opponent_dist @ mat)).reshape(game.action_counts[1])
 
 
 def team_reward_tensor(game: NormalFormTeamGame, team: int, opponent) -> np.ndarray:
     """Expected reward of ``team`` for each of its pure joint actions
     against a fixed opponent policy or mixture; one axis per member."""
-    mat = game.matrix()
-    if team == 1:
-        d2 = _mixture_joint_dist(game, 2, opponent)
-        return (mat @ d2).reshape(game.action_counts[0])
-    d1 = _mixture_joint_dist(game, 1, opponent)
-    return (-(d1 @ mat)).reshape(game.action_counts[1])
+    opp = 3 - team
+    weighted = [(team_action_dist(game, opp, p), w) for p, w in as_mixture(opponent)]
+    return _reward_tensor(game, team, _mixed_dist(game.joint_count(opp), weighted))
+
+
+class _NormalFormTable:
+    """What one normal-form SeBR call reads in every update, built once at
+    entry: the game's matrix, each opponent atom's joint-action
+    distribution and the team's reward tensor against the opponent.  It
+    takes the place of the stochastic oracles' `_StepTable` and is dropped
+    when the call returns."""
+
+    __slots__ = ("matrix", "atom_dists", "tensor")
+
+    def __init__(self, game: NormalFormTeamGame, team: int, atoms):
+        opp = 3 - team
+        self.matrix = game.matrix()
+        self.atom_dists = [team_action_dist(game, opp, atom) for atom, _ in atoms]
+        weighted = [(d, w) for d, (_, w) in zip(self.atom_dists, atoms)]
+        self.tensor = _reward_tensor(game, team, _mixed_dist(game.joint_count(opp), weighted))
 
 
 def _contract(tensor: np.ndarray, dists: list, fixed: dict) -> float:
@@ -457,12 +480,18 @@ def best_response_individual(
 
 def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
     """Exact value of the product of ``members`` against opponent atoms
-    ``[(policy, weight), ...]``, by one evaluation per atom.  Stochastic
-    evaluations make `evaluate`'s checks and walk the calling oracle's step
-    table ``steps``."""
+    ``[(policy, weight), ...]``, by one evaluation per atom, summed in
+    `team_value`'s arithmetic.  ``steps`` is the calling oracle's table: on
+    a normal-form game a `_NormalFormTable`, whose atom distributions meet
+    the product's, checked once; otherwise a step table that the walks read
+    after `evaluate`'s checks."""
     own = ProductPolicy(members)
     if game.is_normal_form:
-        return sum(w * team_value(game, team, own, atom, cfg) for atom, w in atoms)
+        dist = team_action_dist(game, team, own)
+        return sum(
+            w * _nf_team_value(steps.matrix, team, dist, d)
+            for (_, w), d in zip(atoms, steps.atom_dists)
+        )
     check_team_policy(game, team, own)
     for atom, _ in atoms:
         check_team_policy(game, 3 - team, atom)
@@ -497,7 +526,8 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     whose value is the kept policy's evaluation.  The other paths evaluate
     the switched policy once, since the closed-form and DP values can
     differ from evaluation in the last bits.  ``steps`` is the calling
-    oracle's step table, with the opponent's atoms registered.
+    oracle's table: the `_NormalFormTable` of ``opponent`` on a normal-form
+    game, else a step table with the opponent's atoms registered.
 
     Settled means the same update, run again before any teammate switches,
     provably changes nothing, so `sebr` skips it until a teammate switches.
@@ -512,9 +542,8 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
     """
     atoms = as_mixture(opponent)
     if game.is_normal_form:
-        tensor = team_reward_tensor(game, team, opponent)
         dists = [m.dist(NF_OBS) for m in members]
-        values = _member_values(tensor, dists, member)
+        values = _member_values(steps.tensor, dists, member)
         best = int(np.argmax(values))
         if values[best] <= float(values @ dists[member]):
             return members[member], False, current, True
@@ -989,7 +1018,10 @@ def sebr(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     atoms = as_mixture(opponent)
-    steps = _StepTable(game, atoms)
+    if game.is_normal_form:
+        steps = _NormalFormTable(game, team, atoms)
+    else:
+        steps = _StepTable(game, atoms)
     best_policy, best_value = None, -math.inf
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)

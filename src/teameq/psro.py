@@ -20,7 +20,9 @@ from .core import (
     EvalConfig,
     Game,
     ProductPolicy,
+    _nf_team_value,
     check_team_policy,
+    team_action_dist,
     team_value,
 )
 from .oracles import (
@@ -81,12 +83,28 @@ def initial_population(game: Game, cfg: EvalConfig | None = None) -> Population:
     return Population((seeds[0],), (seeds[1],), np.array([[value]]))
 
 
-def _new_line(game, team, entry, pop, cfg) -> np.ndarray:
-    """The meta row (team 1) or column (team 2) the entry would add."""
+def _new_line(game, team, entry, pop, cfg, dists=None):
+    """The meta row (team 1) or column (team 2) the entry would add, and on
+    a normal-form game the entry's joint-action distribution (else None).
+
+    On a normal-form game each cell is `team_value`'s arithmetic on the two
+    distributions, so the entry is checked once.  ``dists`` maps each team
+    to its entries' distributions when the caller keeps them, as `run_psro`
+    does; otherwise the opponents' are built here."""
     opponents = pop.team2 if team == 1 else pop.team1
+    if not game.is_normal_form:
+        if team == 1:
+            return np.array([team_value(game, 1, entry, o, cfg) for o in opponents]), None
+        return np.array([team_value(game, 1, o, entry, cfg) for o in opponents]), None
+    mat = game.matrix()
+    dist = team_action_dist(game, team, entry)
+    if dists is None:
+        opp_dists = [team_action_dist(game, 3 - team, o) for o in opponents]
+    else:
+        opp_dists = dists[3 - team]
     if team == 1:
-        return np.array([team_value(game, 1, entry, o, cfg) for o in opponents])
-    return np.array([team_value(game, 1, o, entry, cfg) for o in opponents])
+        return np.array([_nf_team_value(mat, 1, dist, d) for d in opp_dists]), dist
+    return np.array([_nf_team_value(mat, 1, d, dist) for d in opp_dists]), dist
 
 
 def extend_population(
@@ -100,7 +118,7 @@ def extend_population(
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, entry)
     if line is None:
-        line = _new_line(game, team, entry, pop, cfg)
+        line, _ = _new_line(game, team, entry, pop, cfg)
     if team == 1:
         payoffs = np.vstack([pop.payoffs, line[None, :]])
         return replace(pop, team1=pop.team1 + (entry,), payoffs=payoffs)
@@ -231,8 +249,18 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     """Algorithm loop: meta-solve, oracle best responses against the
     opponent meta-strategies, append non-duplicate responses, stop when
     both teams' best-response gains fall within the tolerance (restricted
-    equilibrium) or the iteration cap is hit (reported, not fatal)."""
+    equilibrium) or the iteration cap is hit (reported, not fatal).
+
+    On a normal-form game the run keeps each entry's joint-action
+    distribution from the moment it joins, so a new meta line costs one
+    distribution and one contraction per cell.  A run that stops because
+    nothing was appended returns the meta solution of its last iteration,
+    whose matrix is the final one; a run that hits the cap solves the final
+    matrix once more."""
     pop = initial_population(game, cfg.eval)
+    dists = None
+    if game.is_normal_form:
+        dists = {t: [team_action_dist(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
     history: list[IterationRecord] = []
     converged = False
     iteration = 0
@@ -251,11 +279,13 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             gains[team] = br_value - team_meta_value
             if gains[team] <= cfg.gain_tol:
                 continue
-            line = _new_line(game, team, policy, new_pop, cfg.eval)
+            line, dist = _new_line(game, team, policy, new_pop, cfg.eval, dists)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
             if _is_duplicate(line, existing):
                 continue
             new_pop = extend_population(game, new_pop, policy, team, cfg.eval, line=line)
+            if dists is not None:
+                dists[team].append(dist)
             appended = True
         history.append(
             IterationRecord(
@@ -271,7 +301,8 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
         if not appended:
             converged = all(gains[t] <= cfg.gain_tol for t in cfg.expand_teams)
             break
-    meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.meta_tol)
+    else:
+        meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.meta_tol)
     return PsroResult(
         population=pop,
         meta_1=meta_1,

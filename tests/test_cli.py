@@ -159,6 +159,22 @@ class TestEvalCommand:
         assert rc == EXIT_OK
         assert "value" in json.loads(read(out / "rpp.json"))
 
+    def test_run_from_another_game_is_refused(self, tmp_path, capsys):
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        main(["psro", "--game", "example1", "--oracle", "joint", "--out", str(run_a)])
+        main(["psro", "--game", "anti_coordination", "--oracle", "sebr", "--out", str(run_b)])
+        out = ["--out", str(tmp_path / "e")]
+        exploit = ["eval", "--game", "anti_coordination", "--mode", "exploit", "--run", str(run_a)]
+        assert main(exploit + out) == EXIT_ERROR
+        assert "was made on game 'example1', not on --game 'anti_coordination'" in capsys.readouterr().err
+        pair = ["eval", "--game", "example1", "--mode", "rpp", "--run-a", str(run_a), "--run-b", str(run_b)]
+        assert main(pair + out) == EXIT_ERROR
+        assert "was made on game 'anti_coordination'" in capsys.readouterr().err
+        (run_a / "manifest.json").unlink()
+        exploit = ["eval", "--game", "example1", "--mode", "exploit", "--run", str(run_a)]
+        assert main(exploit + out) == EXIT_ERROR
+        assert "manifest.json" in capsys.readouterr().err
+
 
 class TestErrorContract:
     def test_unknown_subcommand(self, capsys):
@@ -221,6 +237,15 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"oracle": "bogus"}))
         assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
         assert "--oracle must be one of" in capsys.readouterr().err
+
+    def test_unknown_config_keys_are_refused(self, tmp_path, capsys):
+        # like an unknown flag: a misspelt key must not fall back to the default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iter": 2, "oracle": "joint", "seeds": 1}))
+        out = tmp_path / "p"
+        assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "unrecognized config keys for psro: iter, seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TEAMEQ_OUT", str(tmp_path / "envout"))

@@ -17,6 +17,7 @@ from teameq.core import (
     ProductPolicy,
     SharedPolicy,
     UniformPolicy,
+    _nf_team_value,
     evaluate,
     expected_team_reward,
     game_from_dict,
@@ -26,6 +27,7 @@ from teameq.core import (
     policy_to_dict,
     product_to_joint,
     sample_joint_action,
+    team_action_dist,
     team_value,
 )
 from teameq.games import (
@@ -80,6 +82,24 @@ class TestNormalFormEvaluation:
         g = example1()
         with pytest.raises(DimensionError):
             expected_team_reward(g, ProductPolicy.pure((0,), (2,)), pure((0, 0)))
+
+    def test_distribution_values_are_team_value_bit_for_bit(self):
+        # the loops that keep joint-action distributions read values this way
+        rng = np.random.default_rng(1)
+        games = [random_team_game((2, 2), ((3, 2), (2, 3)), seed=s) for s in range(4)]
+        games.append(NormalFormTeamGame((2, 2), ((3, 2), (2, 3)), np.zeros((3, 2, 2, 3))))
+        for g in games:
+            p1, p2 = (
+                ProductPolicy([IndividualPolicy(c, {0: rng.dirichlet(np.ones(c))}) for c in counts])
+                for counts in g.action_counts
+            )
+            j2 = JointMixPolicy([(0, 2), (1, 0)], [0.3, 0.7])
+            for team, own, opp in ((1, p1, p2), (1, p1, j2), (2, p2, p1), (2, j2, p1)):
+                dists = team_action_dist(g, team, own), team_action_dist(g, 3 - team, opp)
+                got = _nf_team_value(g.matrix(), team, *dists)
+                assert repr(got) == repr(team_value(g, team, own, opp))
+        with pytest.raises(DimensionError):
+            team_action_dist(g, 1, ProductPolicy.pure((0,), (2,)))
 
     def test_shared_policy_needs_homogeneous_spaces(self):
         g = NormalFormTeamGame((2, 1), ((2, 3), (2,)), np.zeros((2, 3, 2)))

@@ -182,6 +182,51 @@ class TestRunPsro:
             PsroConfig(eval=EvalConfig(mode="mc", seed=0))
 
 
+class TestMetaSolveCalls:
+    """A run solves each meta matrix once: once per iteration, plus the
+    final matrix when the cap stops a run that has just appended."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import teameq.psro as psro_module
+
+        solves = []
+        original = psro_module.meta_solve
+
+        def counted(payoffs, tol=1e-6):
+            solves.append((np.array(payoffs), original(payoffs, tol)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(psro_module, "meta_solve", counted)
+        return solves
+
+    @staticmethod
+    def _assert_last_solve_returned(solves, result):
+        matrix, (meta_1, meta_2, value) = solves[-1]
+        assert matrix.tolist() == result.population.payoffs.tolist()
+        assert result.meta_1.tolist() == meta_1.tolist()
+        assert result.meta_2.tolist() == meta_2.tolist()
+        assert result.value == value
+
+    def test_converged_run(self, monkeypatch):
+        solves = self._counted(monkeypatch)
+        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+        result = run_psro(g, PsroConfig(oracle="joint", max_iterations=18, seed=0))
+        assert result.converged and result.iterations > 1
+        assert len(solves) == result.iterations
+        self._assert_last_solve_returned(solves, result)
+
+    def test_capped_run(self, monkeypatch):
+        solves = self._counted(monkeypatch)
+        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+        result = run_psro(g, PsroConfig(oracle="joint", max_iterations=2, seed=0))
+        assert not result.converged and result.iterations == 2
+        before, last = result.history
+        assert (last.pop_1, last.pop_2) != (before.pop_1, before.pop_2)  # appended at the cap
+        assert len(solves) == result.iterations + 1
+        self._assert_last_solve_returned(solves, result)
+
+
 class TestSkirmishSPsro:
     """S-PSRO and Indep-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations,
     seed 0."""
