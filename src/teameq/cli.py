@@ -453,8 +453,8 @@ def cmd_verify(cfg: dict, out: str | None) -> int:
     t0 = time.perf_counter()
     correlation = _correlation_from_flags(cfg)
     specs = [
-        build_deviation_spec(game, team, profile[team - 1], correlation)
-        for team in (1, 2)
+        build_deviation_spec(game, t, profile[t - 1], correlation, opponent=profile[2 - t])
+        for t in (1, 2)
     ]
     report = verify_equilibrium(game, profile, specs, epsilon=cfg["epsilon"])
     payload = report.to_dict()

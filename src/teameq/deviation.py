@@ -3,6 +3,9 @@
 A deviation spec collects, for one team and one equilibrium candidate, the
 individual deviation set I (one member changes, teammates stay at the
 candidate) and the correlated deviation set C (coordinated team changes).
+On a normal-form game the sets enumerate pure deviations.  On a stochastic
+game they are the oracles' exact best responses to the profile's other
+side, so they are specific to that profile.
 With joint-correlation specs the verification is the full correlated-team
 maxmin check; with no-correlation specs it is the Nash check; sequential
 specs carry a sample-factor budget on |I| + |C|.
@@ -20,17 +23,20 @@ from .core import (
     DimensionError,
     EvalConfig,
     Game,
+    HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
     _members_view,
     _nf_team_value,
+    _StepTable,
+    as_mixture,
     check_team_policy,
     team_action_dist,
     team_value,
 )
-from .oracles import TABLE_ENUMERATION_BOUND, _reachable_member_obs
+from .oracles import _table_search, best_response_joint, best_response_shared, sebr_starts
 
 JOINT_POLICY_BOUND = 10**6  # pure team joint policies a spec may enumerate
 
@@ -93,7 +99,8 @@ class DeviationSpec:
     """Deviation policy space of one team against a fixed candidate.
 
     ``individual`` holds (member, replacement policy) pairs with teammates
-    fixed at the candidate; ``correlated`` holds whole team policies.
+    fixed at the candidate; ``correlated`` holds whole team policies.  On a
+    stochastic game both hold best responses to the profile's other side.
     """
 
     team: int
@@ -120,45 +127,16 @@ class DeviationSpec:
         return self.correlation.name
 
 
-def _pure_member_policies(game: Game, team: int, member: int, cfg: EvalConfig):
-    """All pure policies of one member (bounded enumeration for stochastic)."""
-    n_actions = game.action_counts[team - 1][member]
-    if game.is_normal_form:
-        return [IndividualPolicy.deterministic(n_actions, a) for a in range(n_actions)]
-    obs_set = _reachable_member_obs(game, team, cfg, n_actions)
-    count = n_actions ** len(obs_set)
-    if count > TABLE_ENUMERATION_BOUND:
-        raise ValueError(
-            f"{count} pure member policies exceed the enumeration bound"
-        )
-    return [
-        IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
-        for assignment in itertools.product(range(n_actions), repeat=len(obs_set))
-    ]
-
-
-def _pure_joint_policies(game: Game, team: int, cfg: EvalConfig):
-    """All pure team joint policies as deterministic products (normal form:
-    one per pure joint action, lexicographic order)."""
+def _pure_joint_policies(game: Game, team: int):
+    """Each pure joint action of a normal-form team with its pure product."""
     counts = game.action_counts[team - 1]
-    if game.is_normal_form:
-        total = int(np.prod(counts))
-        if total > JOINT_POLICY_BOUND:
-            raise ValueError(f"{total} pure joint policies exceed the bound {JOINT_POLICY_BOUND}")
-        return [
-            (joint, ProductPolicy.pure(joint, counts))
-            for joint in itertools.product(*(range(c) for c in counts))
-        ]
-    per_member = [
-        _pure_member_policies(game, team, m, cfg) for m in range(len(counts))
-    ]
-    total = math.prod(len(p) for p in per_member)
+    total = int(np.prod(counts))
     if total > JOINT_POLICY_BOUND:
         raise ValueError(f"{total} pure joint policies exceed the bound {JOINT_POLICY_BOUND}")
-    out = []
-    for combo in itertools.product(*per_member):
-        out.append((None, ProductPolicy(combo)))
-    return out
+    return [
+        (joint, ProductPolicy.pure(joint, counts))
+        for joint in itertools.product(*(range(c) for c in counts))
+    ]
 
 
 def build_deviation_spec(
@@ -169,27 +147,45 @@ def build_deviation_spec(
     delta_team: int = 0,
     delta_policy: int = 0,
     cfg: EvalConfig | None = None,
+    *,
+    opponent=None,
 ) -> DeviationSpec:
     """Construct the deviation space of ``team`` for one correlation class.
 
+    Normal form, by enumeration of pure deviations:
     - NoCorrelation: I = every pure unilateral deviation, C empty.
-    - PivotFollowers: C = one shared policy per pure pivot policy, I empty.
-    - Joint: C = every pure team joint policy (normal form).
+    - PivotFollowers: C = one shared policy per pure pivot action, I empty.
+    - Joint: C = every pure team joint action.
     - Sequential: a seeded budgeted subset of the union, individual
-      deviations enumerated first, then pure joint policies sampled
-      uniformly without replacement.
+      deviations first, then joint actions sampled without replacement.
+
+    Stochastic, by exact best responses to ``opponent``, the profile's
+    other side (required there, not read on normal form), so the sets are
+    specific to the profile: I holds one `oracles._table_search` table per
+    member with its teammates at the candidate, pivot C
+    `best_response_shared`, joint C `best_response_joint`; Sequential takes
+    the member tables, then `sebr_starts`' seeded deterministic products.
     """
     cfg = cfg or EvalConfig()
     check_team_policy(game, team, candidate)
     n_members = game.team_sizes[team - 1]
     counts = game.action_counts[team - 1]
+    if not game.is_normal_form:
+        if opponent is None:
+            raise ValueError("stochastic deviation sets need the profile's opponent=")
+        check_team_policy(game, 3 - team, opponent)
+
+    pure = IndividualPolicy.deterministic
 
     def individual_deviations():
-        out = []
-        for member in range(n_members):
-            for pol in _pure_member_policies(game, team, member, cfg):
-                out.append((member, pol))
-        return out
+        if game.is_normal_form:
+            return [(m, pure(c, a)) for m, c in enumerate(counts) for a in range(c)]
+        members, atoms = _members_view(candidate), as_mixture(opponent)
+        steps = _StepTable(game, atoms)
+        return [
+            (m, _table_search(game, team, (m,), members, atoms, cfg, steps)[0])
+            for m in range(n_members)
+        ]
 
     if isinstance(correlation, NoCorrelation):
         _members_view(candidate)  # must be distributed
@@ -200,48 +196,40 @@ def build_deviation_spec(
             raise ValueError(f"pivot {correlation.pivot} is not a team member")
         if len(set(counts)) != 1:
             raise DimensionError("pivot-followers requires homogeneous action spaces")
-        shared = [
-            SharedPolicy(pol, n_members)
-            for pol in _pure_member_policies(game, team, correlation.pivot, cfg)
-        ]
+        if game.is_normal_form:
+            shared = [SharedPolicy(pure(counts[0], a), n_members) for a in range(counts[0])]
+        else:
+            shared = [best_response_shared(game, opponent, team, cfg)[0]]
         return DeviationSpec(team, correlation, candidate, (), tuple(shared))
 
     if isinstance(correlation, Joint):
-        if not game.is_normal_form:
-            raise DimensionError("joint deviation spaces are enumerable for normal form only")
-        joints = _pure_joint_policies(game, team, cfg)
-        return DeviationSpec(team, correlation, candidate, (), tuple(p for _, p in joints))
+        if game.is_normal_form:
+            joints = [pol for _, pol in _pure_joint_policies(game, team)]
+        else:
+            joints = [best_response_joint(game, opponent, team, cfg)[0]]
+        return DeviationSpec(team, correlation, candidate, (), tuple(joints))
 
     if isinstance(correlation, Sequential):
         budget = sample_budget(correlation.sample_factor, delta_team, delta_policy)
         indiv = individual_deviations()[:budget]
         remaining = budget - len(indiv)
         correlated: list = []
-        if remaining > 0:
-            joints = _pure_joint_policies(game, team, cfg)
+        if remaining > 0 and not game.is_normal_form:
+            correlated = sebr_starts(game, team, None, remaining, correlation.seed)
+        elif remaining > 0:
             exclude = set()
-            if game.is_normal_form:
-                cand_joint = None
-                if isinstance(candidate, (ProductPolicy, SharedPolicy)):
-                    members = _members_view(candidate)
-                    acts = [m.pure_action(0) for m in members]
-                    if all(a is not None for a in acts):
-                        cand_joint = tuple(acts)
-                if cand_joint is not None:
+            if isinstance(candidate, (ProductPolicy, SharedPolicy)):
+                cand_joint = tuple(m.pure_action(0) for m in _members_view(candidate))
+                if None not in cand_joint:
                     exclude.add(cand_joint)
                     for member, pol in indiv:
-                        a = pol.pure_action(0)
                         dev = list(cand_joint)
-                        dev[member] = a
+                        dev[member] = pol.pure_action(0)
                         exclude.add(tuple(dev))
-            pool = [
-                (ja, pol) for ja, pol in joints if ja is None or ja not in exclude
-            ]
+            pool = [pol for ja, pol in _pure_joint_policies(game, team) if ja not in exclude]
             rng = np.random.default_rng(correlation.seed)
-            take = min(remaining, len(pool))
-            if take > 0:
-                idx = rng.choice(len(pool), size=take, replace=False)
-                correlated = [pool[i][1] for i in idx]
+            idx = rng.choice(len(pool), size=min(remaining, len(pool)), replace=False)
+            correlated = [pool[i] for i in idx]
         return DeviationSpec(
             team, correlation, candidate, tuple(indiv), tuple(correlated), budget=budget
         )
@@ -264,6 +252,9 @@ def _pure_joint_signature(game: Game, team: int, policy):
             return ("nf", tuple(acts))
         sigs = []
         for m in members:
+            if isinstance(m, HashPolicy):  # pure at every observation
+                sigs.append(repr(m))
+                continue
             if not isinstance(m, IndividualPolicy):
                 return None
             entries = []
@@ -373,8 +364,7 @@ def verify_equilibrium(
         own = p1 if team == 1 else p2
         value_of = _values_against(game, team, p2 if team == 1 else p1, cfg)
         base = value_of(own)
-        best_gain = -math.inf
-        best_witness: dict = {}
+        best_gain, best_witness = -math.inf, {}
         deviations = []
         if spec.individual:
             members = _members_view(own)
@@ -385,8 +375,7 @@ def verify_equilibrium(
         for pol in spec.correlated:
             deviations.append(("correlated", pol, pol))
         if not deviations:
-            best_gain = 0.0
-            best_witness = {"kind": "none"}
+            best_gain, best_witness = 0.0, {"kind": "none"}
         for kind, payload, dev_policy in deviations:
             gain = value_of(dev_policy) - base
             if gain > best_gain:

@@ -56,8 +56,7 @@ from .core import (
 #: Pivot and reduced-cost threshold of the maxmin simplex.
 _SIMPLEX_EPS = 1e-12
 
-#: Most pure tables a stochastic enumeration visits: shared tables in
-#: best_response_shared, one member's tables in deviation specs.
+#: Most pure tables `_table_search` enumerates for one unit of members.
 TABLE_ENUMERATION_BOUND = 4096
 
 
@@ -432,6 +431,53 @@ def _unit_improve_weighted(
     return [members[m] for m in unit], value, False
 
 
+def _unit_best_response(game, team, unit, own_members, atoms, cfg, unit_actions=None, steps=None):
+    """Exact backward induction against one opponent atom, the guarded greedy
+    improvement against a mixture.  Returns (unit members' tables, value)."""
+    if len(atoms) == 1:
+        return _unit_best_response_exact(
+            game, team, unit, own_members, atoms[0][0], cfg, unit_actions, steps
+        )
+    return _unit_improve_weighted(
+        game, team, unit, own_members, atoms, cfg, unit_actions=unit_actions, steps=steps
+    )[:2]
+
+
+def _table_search(game, team, unit, own_members, atoms, cfg, steps):
+    """Best pure stationary table that every member of ``unit`` plays, the
+    other members held at ``own_members``, against opponent atoms that the
+    step table ``steps`` registers.  Returns (table, value).
+
+    Up to TABLE_ENUMERATION_BOUND tables over the reachable member
+    observations, every table is evaluated and the first best wins.
+    Beyond, the unit's members play one common action wherever they
+    observe alike, so `_unit_best_response` searches the diagonal joint
+    actions ``(a, ..., a)``; EvaluationError when that does not apply.
+    """
+    n_actions = game.action_counts[team - 1][unit[0]]
+    obs_set = _reachable_member_obs(game, team, cfg, n_actions, steps)
+    if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
+        diagonal = [(a,) * len(unit) for a in range(n_actions)]
+        try:
+            tables, value = _unit_best_response(
+                game, team, unit, own_members, atoms, cfg, diagonal, steps
+            )
+        except ExactBRUnsupported as err:
+            raise EvaluationError(
+                "too many pure tables to enumerate, and the diagonal "
+                f"dynamic program does not apply: {err}"
+            ) from err
+        return tables[0], value
+    best_val, best_table = -math.inf, None
+    for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
+        table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
+        trial = [table if m in unit else p for m, p in enumerate(own_members)]
+        val = _value_vs_atoms(game, team, trial, atoms, cfg, steps)
+        if val > best_val + 1e-15:
+            best_val, best_table = val, table
+    return best_table, float(best_val)
+
+
 # ---------------------------------------------------------------------------
 # Best-response oracles
 
@@ -448,16 +494,9 @@ def best_response_joint(game: Game, opponent, team: int, cfg: EvalConfig | None 
         idx = int(np.argmax(values))
         joint = game.joint_actions(team)[idx]
         return JointMixPolicy.pure(joint), float(values[idx])
-    atoms = as_mixture(opponent)
     unit = tuple(range(game.team_sizes[team - 1]))
-    counts = game.action_counts[team - 1]
-    base = [ConstantPolicy(c, 0) for c in counts]
-    if len(atoms) == 1:
-        tables, value = _unit_best_response_exact(
-            game, team, unit, tuple(base), atoms[0][0], cfg
-        )
-        return ProductPolicy(tables), value
-    tables, value, _ = _unit_improve_weighted(game, team, unit, tuple(base), atoms, cfg)
+    base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
+    tables, value = _unit_best_response(game, team, unit, base, as_mixture(opponent), cfg)
     return ProductPolicy(tables), value
 
 
@@ -678,17 +717,10 @@ def best_response_shared(
     of any size; seeded ascent otherwise); returns the better of the pure
     and mixed candidates.
 
-    Stochastic: the best pure stationary shared table.  While at most
-    TABLE_ENUMERATION_BOUND tables exist over the reachable member
-    observations, every table is evaluated.  The observation scan and
-    either branch share one step table.
-    Beyond that, a deterministic shared policy plays one common action for
-    every member wherever the members observe alike, so the unit of all
-    members searches the diagonal joint actions ``(a, ..., a)``: exact
-    backward induction against a single opponent policy, occupancy-weighted
-    greedy improvement with a keep-if-better guard against a mixture.
-    Raises EvaluationError when the members observe differently at a
-    reached state or their observations do not fix the decision stage.
+    Stochastic: the best pure stationary shared table, by `_table_search`
+    over the unit of all members.  Raises EvaluationError when the members
+    observe differently at a reached state or their observations do not fix
+    the decision stage.
     """
     cfg = cfg or EvalConfig()
     counts = game.action_counts[team - 1]
@@ -714,35 +746,11 @@ def best_response_shared(
         )
         return policy, best_val
     atoms = as_mixture(opponent)
-    steps = _StepTable(game, atoms)
-    obs_set = _reachable_member_obs(game, team, cfg, n_actions, steps)
-    if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
-        unit = tuple(range(n_members))
-        diagonal = [(a,) * n_members for a in range(n_actions)]
-        base = tuple(ConstantPolicy(n_actions, 0) for _ in unit)
-        try:
-            if len(atoms) == 1:
-                tables, value = _unit_best_response_exact(
-                    game, team, unit, base, atoms[0][0], cfg, diagonal, steps
-                )
-            else:
-                tables, value, _ = _unit_improve_weighted(
-                    game, team, unit, base, atoms, cfg, unit_actions=diagonal, steps=steps
-                )
-        except ExactBRUnsupported as err:
-            raise EvaluationError(
-                "too many pure shared tables to enumerate, and the diagonal "
-                f"dynamic program does not apply: {err}"
-            ) from err
-        return SharedPolicy(tables[0], n_members), value
-    best_val, best_policy = -math.inf, None
-    for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
-        table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
-        policy = SharedPolicy(table, n_members)
-        val = _value_vs_atoms(game, team, policy.members, atoms, cfg, steps)
-        if val > best_val + 1e-15:
-            best_val, best_policy = val, policy
-    return best_policy, float(best_val)
+    base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
+    table, value = _table_search(
+        game, team, tuple(range(n_members)), base, atoms, cfg, _StepTable(game, atoms)
+    )
+    return SharedPolicy(table, n_members), value
 
 
 def _reachable_member_obs(
@@ -755,9 +763,9 @@ def _reachable_member_obs(
     game) for successors; a state reached again is not expanded again.  A
     state's observations count as soon as it is reached, and the scan stops,
     returning the observations found so far, once ``n_actions **
-    len(observations)`` exceeds TABLE_ENUMERATION_BOUND; callers compare
-    that count with the bound.  Raises EvaluationError when one step would
-    expand more than ``cfg.exact_bound`` (state, joint action) pairs.
+    len(observations)`` exceeds TABLE_ENUMERATION_BOUND.  Raises
+    EvaluationError when one step would expand more than
+    ``cfg.exact_bound`` (state, joint action) pairs.
     """
     look = game if steps is None else steps
     every_joint = list(
@@ -838,9 +846,13 @@ def advantage_decompose(
         tensor = _stochastic_q_tensor(game, team, members, opponent, obs, cfg)
         obs_list = game.member_observations(team, obs)
         dists = [m.dist(o) for m, o in zip(members, obs_list)]
-    partials = []
+    return _advantage_terms(tensor, dists, team_action, order)
+
+
+def _advantage_terms(tensor, dists, team_action, order) -> np.ndarray:
+    """`advantage_decompose`'s terms from a reward tensor and member dists."""
     fixed: dict[int, int] = {}
-    partials.append(_contract(tensor, dists, fixed))
+    partials = [_contract(tensor, dists, fixed)]
     for member in order:
         fixed[member] = int(team_action[member])
         partials.append(_contract(tensor, dists, fixed))
@@ -968,16 +980,15 @@ def _as_product(policy, counts) -> ProductPolicy:
     raise DimensionError(f"cannot convert {policy!r} to a product policy")
 
 
-def _channel_entry(game, team, members, member, opponent, order, value) -> ChannelEntry:
-    """Channel record of one member update, with advantage terms when the
-    team plays a pure joint action of a normal-form game."""
+def _channel_entry(game, members, member, order, value, steps) -> ChannelEntry:
+    """Channel record of one member update, with advantage terms from the
+    `sebr` call's table when the team plays a normal-form pure joint action."""
     advantages: tuple[float, ...] = ()
     if game.is_normal_form:
-        own = ProductPolicy(members)
-        joint = own.pure_joint_action([NF_OBS] * len(members))
+        joint = ProductPolicy(members).pure_joint_action([NF_OBS] * len(members))
         if joint is not None:
-            profile = (own, opponent) if team == 1 else (opponent, own)
-            terms = advantage_decompose(game, *profile, team, joint, order=order)
+            dists = [m.dist(NF_OBS) for m in members]
+            terms = _advantage_terms(steps.tensor, dists, joint, order)
             advantages = tuple(float(x) for x in terms)
     return ChannelEntry(member, _policy_summary(members[member]), advantages, value)
 
@@ -1047,7 +1058,7 @@ def sebr(
                         settled.add(member)
                 if channel is not None:
                     channel.log(
-                        _channel_entry(game, team, members, member, opponent, order, value)
+                        _channel_entry(game, members, member, order, value, steps)
                     )
                 if trace is not None:
                     trace.append((restart_idx, sweep, member, before, value))

@@ -35,6 +35,34 @@ class TestVerifyCommand:
         assert team1["verdict"] == "FAIL"
         assert team1["witness"]["joint_action"] == [1, 1]
 
+    def test_empty_sequential_budget_passes(self, tmp_path):
+        out = tmp_path / "v"
+        rc = main(
+            [
+                "verify", "--game", "example1", "--profile", "all-zeros",
+                "--class", "sequential", "--n-init", "0", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        for team in json.loads(read(out / "verify.json"))["teams"]:
+            assert team["budget"] == 0 and team["verdict"] == "PASS"
+            assert team["max_gain"] == 0.0 and team["witness"] == {"kind": "none"}
+
+    @pytest.mark.parametrize("horizon", [2, 3, 4, 5])
+    def test_skirmish_checks_answer_for_every_class(self, tmp_path, horizon):
+        gains = {}
+        for klass in ("none", "pivot", "sequential", "joint"):
+            out = tmp_path / klass
+            argv = [
+                "verify", "--game", f"skirmish:w=3,h=3,n=2,H={horizon}",
+                "--profile", "all-zeros", "--class", klass, "--out", str(out),
+            ]
+            assert main(argv) in (EXIT_OK, EXIT_VERIFY_FAIL), klass
+            gains[klass] = [t["max_gain"] for t in json.loads(read(out / "verify.json"))["teams"]]
+        for team in (0, 1):
+            assert gains["joint"][team] >= gains["none"][team]
+            assert gains["joint"][team] >= gains["pivot"][team]
+
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "v"
         main(["verify", "--game", "example1", "--profile", "all-zeros", "--class", "none", "--out", str(out)])

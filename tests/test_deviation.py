@@ -1,6 +1,7 @@
 """Deviation policy spaces, sample budgets and equilibrium verification."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hypothesis import strategies as st
 
 from helpers import lp_maxmin
 from teameq.core import (
+    ConstantPolicy,
     DimensionError,
+    EvalConfig,
+    HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
     expected_team_reward,
+    team_value,
 )
 from teameq.deviation import (
     DeviationSpec,
@@ -28,7 +33,15 @@ from teameq.deviation import (
     sample_budget,
     verify_equilibrium,
 )
-from teameq.games import anti_coordination, example1, random_team_game
+from teameq.games import (
+    SkirmishConfig,
+    anti_coordination,
+    example1,
+    grid_skirmish,
+    random_stochastic_game,
+    random_team_game,
+)
+from teameq.oracles import _unit_best_response_exact, best_response_joint
 
 
 def pure(actions, counts=(2, 2)):
@@ -137,34 +150,39 @@ class TestBuildDeviationSpec:
                 correlated=(pure((1, 1)),),
             )
 
-    def test_member_enumeration_bound_fails_fast(self):
-        # the observation scan stops once 6^|observations| passes the bound,
-        # long before its transition budget
-        from teameq.core import ConstantPolicy
-        from teameq.games import SkirmishConfig, grid_skirmish
-
+    def test_member_deviations_are_exact_best_responses(self):
+        # 6^|observations| member tables are far too many to enumerate; each
+        # member's deviation is its dynamic-programming best response with
+        # the teammate at the candidate, and the two searches share one step
+        # table, so no (state, joint action) reaches the game twice
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=4))
         calls = []
 
         def transition(state, joint):
-            calls.append(state)
+            calls.append((state, joint))
             return g.transition(state, joint)
 
         counted = dataclasses.replace(g, transition=transition)
         cand = ProductPolicy([ConstantPolicy(6, 4)] * 2)
-        with pytest.raises(ValueError, match="pure member policies exceed the enumeration bound"):
-            build_deviation_spec(counted, 1, cand, NoCorrelation())
-        assert len(calls) < 10_000
+        opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
+        spec = build_deviation_spec(counted, 1, cand, NoCorrelation(), opponent=opp)
+        assert len(calls) == len(set(calls))
+        assert [member for member, _ in spec.individual] == [0, 1]
+        for member, table in spec.individual:
+            _, best = _unit_best_response_exact(g, 1, (member,), cand.members, opp, EvalConfig())
+            deviation = ProductPolicy([table if m == member else p for m, p in enumerate(cand.members)])
+            assert team_value(g, 1, deviation, opp) == pytest.approx(best, abs=1e-12)
 
-    def test_joint_requires_normal_form(self):
-        from teameq.games import SkirmishConfig, grid_skirmish
-
+    def test_stochastic_joint_is_the_joint_best_response(self):
         g = grid_skirmish(SkirmishConfig(2, 1, 1, horizon=1))
-        from teameq.core import ConstantPolicy
-
         cand = ProductPolicy([ConstantPolicy(6, 4)])
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="opponent"):
             build_deviation_spec(g, 1, cand, Joint())
+        spec = build_deviation_spec(g, 1, cand, Joint(), opponent=cand)
+        assert repr(spec.correlated) == repr((best_response_joint(g, cand, 1)[0],))
+        # a normal-form spec does not read the opponent
+        nf_spec = build_deviation_spec(example1(), 1, pure((0, 0)), Joint(), opponent=object())
+        assert len(nf_spec.correlated) == 4
 
 
 class TestCooperativeAbility:
@@ -182,6 +200,16 @@ class TestCooperativeAbility:
         g = example1()
         spec = build_deviation_spec(g, 1, pure((0, 0)), Joint())
         assert cooperative_ability(g, spec) == 4
+
+    def test_stochastic_sequential_counts_seeded_products(self):
+        # a budget of 5 holds the two member tables, then three seeded
+        # deterministic products
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        corr = Sequential(sample_factor=SampleFactor(n_init=5), seed=4)
+        spec = build_deviation_spec(g, 1, zeros, corr, opponent=zeros)
+        assert (len(spec.individual), len(spec.correlated)) == (2, 3)
+        assert cooperative_ability(g, spec) == 3
 
 
 class TestVerifyEquilibrium:
@@ -266,3 +294,82 @@ class TestVerifyEquilibrium:
         mix = JointMixPolicy([(0, 0), (1, 1)], [0.5, 0.5])
         with pytest.raises(DimensionError):
             build_deviation_spec(g, 1, mix, NoCorrelation())
+
+
+def _reachable_tables(game, n_actions):
+    """Every pure stationary table over the member observations of the
+    states any play reaches at steps 0 to H-1."""
+    every_joint = list(
+        itertools.product(
+            itertools.product(*(range(c) for c in game.action_counts[0])),
+            itertools.product(*(range(c) for c in game.action_counts[1])),
+        )
+    )
+    layer = {s for s, p in game.initial if p > 0}
+    seen = set(layer)
+    for _ in range(game.horizon - 1):
+        layer = {s2 for s in layer for j in every_joint for s2, p in game.successors(s, j) if p > 0}
+        seen |= layer
+    obs = sorted(
+        {o for team in (1, 2) for s in seen for o in game.member_observations(team, s)}, key=repr
+    )
+    return [
+        IndividualPolicy.from_actions(n_actions, dict(zip(obs, acts)))
+        for acts in itertools.product(range(n_actions), repeat=len(obs))
+    ]
+
+
+class TestStochasticGainsMatchBruteForce:
+    """On games small enough to enumerate every pure table, each class's
+    max gain is the best over the tables that class may deviate to."""
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            grid_skirmish(SkirmishConfig(2, 2, 2, 2)),
+            random_stochastic_game(horizon=1, seed=0),
+            random_stochastic_game(horizon=1, seed=1),
+        ],
+        ids=["skirmish-2x2", "random-h1-s0", "random-h1-s1"],
+    )
+    @pytest.mark.parametrize("hashed", [False, True], ids=["zeros", "hashed"])
+    def test_max_gains(self, game, hashed):
+        def side(t):
+            counts = game.action_counts[t]
+            if hashed:
+                return ProductPolicy([HashPolicy(c, 5 * t + m) for m, c in enumerate(counts)])
+            return ProductPolicy([ConstantPolicy(c, 0) for c in counts])
+
+        profile = (side(0), side(1))
+        tables = _reachable_tables(game, game.action_counts[0][0])
+        classes = [NoCorrelation(), PivotFollowers(0), Sequential(), Joint()]
+        gains = {}
+        for corr in classes:
+            specs = [
+                build_deviation_spec(game, t, profile[t - 1], corr, opponent=profile[2 - t])
+                for t in (1, 2)
+            ]
+            report = verify_equilibrium(game, profile, specs)
+            gains[corr.name] = [c.max_gain for c in report.checks]
+        for team in (1, 2):
+            own, opp = profile[team - 1], profile[2 - team]
+            base = team_value(game, team, own, opp)
+
+            def gain(members):
+                return team_value(game, team, ProductPolicy(members), opp) - base
+
+            n = len(own.members)
+            none = max(
+                gain([t if i == m else p for i, p in enumerate(own.members)])
+                for m in range(n)
+                for t in tables
+            )
+            pivot = max(gain([t] * n) for t in tables)
+            joint = max(gain(list(combo)) for combo in itertools.product(tables, repeat=n))
+            got = {name: g[team - 1] for name, g in gains.items()}
+            assert got["no_correlation"] == pytest.approx(none, abs=1e-12)
+            assert got["pivot_followers"] == pytest.approx(pivot, abs=1e-12)
+            assert got["joint"] == pytest.approx(joint, abs=1e-12)
+            # the sequential budget (16) holds every member table, then
+            # seeded products: between the unilateral and the joint gain
+            assert none - 1e-12 <= got["sequential"] <= joint + 1e-12

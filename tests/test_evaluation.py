@@ -169,6 +169,20 @@ class TestRpp:
         lp_val, _ = lp_maxmin(matrix)
         assert rpp(g, pop_a, pop_b) == pytest.approx(lp_val, abs=1e-6)
 
+    def test_stochastic_cells_are_team_values(self):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+        const = [(1, 3), (5, 5), (3, 1), (0, 2), (2, 0)]
+        pop_a = [ProductPolicy([ConstantPolicy(6, a) for a in acts]) for acts in const[:3]]
+        pop_b = [ProductPolicy([ConstantPolicy(6, a) for a in acts]) for acts in const[1:]]
+        pop_b.append(ProductPolicy([HashPolicy(6, 3), HashPolicy(6, 4)]))
+        matrix = cross_payoff_matrix(g, pop_a, pop_b)
+        assert np.abs(matrix).max() > 0
+        for i, a in enumerate(pop_a):
+            for j, b in enumerate(pop_b):
+                assert matrix[i, j] == team_value(g, 1, a, b)
+        lp_val, _ = lp_maxmin(matrix)
+        assert rpp(g, pop_a, pop_b) == pytest.approx(lp_val, abs=1e-6)
+
     def test_empty_population_rejected(self):
         g = example1()
         with pytest.raises(ValueError):

@@ -638,19 +638,30 @@ class TestSebr:
         for entry in channel.entries:
             assert len(entry.advantages) == 2
 
+    def test_channel_advantages_are_advantage_decompose(self):
+        # the channel contracts the call's reward tensor; the terms are
+        # those of the public decomposition, bit for bit
+        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=4)
+        opp = [(pure((0, 1), (3, 3)), 0.25), (pure((2, 2), (3, 3)), 0.75)]
+        channel = CommChannel()
+        policy, _ = sebr(g, opp, 1, start=pure((0, 0), (3, 3)), restarts=0, channel=channel)
+        joint = policy.pure_joint_action([0, 0])
+        expected = tuple(float(x) for x in advantage_decompose(g, policy, opp, 1, joint))
+        assert channel.entries[-1].advantages == expected
+
     def test_no_channel_no_advantages(self, monkeypatch):
         import teameq.oracles as oracles
 
         g = example1()
         opp = pure((0, 0))
         calls = [0]
-        decompose = oracles.advantage_decompose
+        terms = oracles._advantage_terms
 
         def counted(*args, **kwargs):
             calls[0] += 1
-            return decompose(*args, **kwargs)
+            return terms(*args, **kwargs)
 
-        monkeypatch.setattr(oracles, "advantage_decompose", counted)
+        monkeypatch.setattr(oracles, "_advantage_terms", counted)
         without = sebr(g, opp, 1, restarts=4, seed=0)
         assert calls[0] == 0
         channel = CommChannel()

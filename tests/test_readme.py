@@ -29,7 +29,7 @@ def test_cli_lines_exit_as_documented(tmp_path, monkeypatch):
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("teameq ")
     ]
-    assert len(lines) == 11
+    assert len(lines) == 12
     monkeypatch.chdir(tmp_path)
     (tmp_path / "matches.csv").write_text("a,b,score\na,b,1\nb,a,0.5\n")
     for line in lines:
