@@ -100,7 +100,19 @@ def fmt9(x) -> str:
     return str(x)
 
 
-def _kv_spec(body: str) -> dict:
+#: The keys each builtin game spec accepts, aliases included.
+_SPEC_KEYS = {
+    "example1": (),
+    "anti_coordination": (),
+    "sad": ("N", "n", "A", "a", "B", "b"),
+    "random": ("n1", "n2", "actions", "lo", "hi", "seed"),
+    "skirmish": ("w", "h", "n", "H", "horizon", "damage", "gamma"),
+}
+
+
+def _kv_spec(name: str, body: str) -> dict:
+    """The ``key=value`` fields of a builtin spec's body; a key the game
+    does not take is refused, as an unknown flag is."""
     out = {}
     if body:
         for part in body.split(","):
@@ -108,6 +120,9 @@ def _kv_spec(body: str) -> dict:
             if not _:
                 raise CliError(f"malformed game spec field {part!r}, expected key=value")
             out[key.strip()] = val.strip()
+    unknown = [key for key in out if key not in _SPEC_KEYS[name]]
+    if unknown:
+        raise CliError(f"unrecognized game spec keys for {name}: {', '.join(unknown)}")
     return out
 
 
@@ -115,12 +130,20 @@ def parse_game_spec(spec: str):
     """Builtin game spec ('example1', 'sad:N=2,A=3', ...) or a JSON file path."""
     name, _, body = spec.partition(":")
     name = name.strip().lower().replace("-", "_")
+    if name not in _SPEC_KEYS:
+        if os.path.exists(spec):
+            with open(spec) as fh:
+                data = json.load(fh)
+            if data.get("type") == "builtin":
+                return parse_game_spec(data["spec"])
+            return game_from_dict(data)
+        raise CliError(f"unknown game spec or missing file: {spec!r}")
+    kv = _kv_spec(name, body)
     if name == "example1":
         return example1()
     if name == "anti_coordination":
         return anti_coordination()
     if name == "sad":
-        kv = _kv_spec(body)
         return sad(
             SadConfig(
                 n_players=int(kv.get("N", kv.get("n", 2))),
@@ -129,7 +152,6 @@ def parse_game_spec(spec: str):
             )
         )
     if name == "random":
-        kv = _kv_spec(body)
         n1 = int(kv.get("n1", 2))
         n2 = int(kv.get("n2", 2))
         acts = int(kv.get("actions", 2))
@@ -139,25 +161,16 @@ def parse_game_spec(spec: str):
             (float(kv.get("lo", -1.0)), float(kv.get("hi", 1.0))),
             seed=int(kv.get("seed", 0)),
         )
-    if name == "skirmish":
-        kv = _kv_spec(body)
-        return grid_skirmish(
-            SkirmishConfig(
-                width=int(kv.get("w", 3)),
-                height=int(kv.get("h", 3)),
-                team_size=int(kv.get("n", 2)),
-                horizon=int(kv.get("H", kv.get("horizon", 4))),
-                damage=float(kv.get("damage", 1.0)),
-                discount=float(kv.get("gamma", 0.95)),
-            )
+    return grid_skirmish(
+        SkirmishConfig(
+            width=int(kv.get("w", 3)),
+            height=int(kv.get("h", 3)),
+            team_size=int(kv.get("n", 2)),
+            horizon=int(kv.get("H", kv.get("horizon", 4))),
+            damage=float(kv.get("damage", 1.0)),
+            discount=float(kv.get("gamma", 0.95)),
         )
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
-        if data.get("type") == "builtin":
-            return parse_game_spec(data["spec"])
-        return game_from_dict(data)
-    raise CliError(f"unknown game spec or missing file: {spec!r}")
+    )
 
 
 def game_file_dict(game, spec: str) -> dict:

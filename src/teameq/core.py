@@ -154,6 +154,11 @@ class IndividualPolicy:
     def observations(self) -> tuple:
         return tuple(self._table)
 
+    @property
+    def fallback(self):
+        """The policy asked at observations outside the table, or None."""
+        return self._fallback
+
     def pure_action(self, obs: Obs) -> int | None:
         """The deterministic action at ``obs``, or None if mixed."""
         d = self.dist(obs)
@@ -338,7 +343,13 @@ class JointMixPolicy:
 
     @classmethod
     def pure(cls, joint_action: Sequence[int]):
-        return cls([tuple(joint_action)], [1.0])
+        """The one-atom mix playing ``joint_action``.  Equal to the validated
+        constructor given ``[1.0]``, without re-checking that row: every
+        pure mix shares one read-only weights row."""
+        policy = cls.__new__(cls)
+        policy.atoms = (tuple(int(a) for a in joint_action),)
+        policy.weights = _PURE_WEIGHTS
+        return policy
 
     @property
     def n_members(self) -> int:
@@ -348,6 +359,8 @@ class JointMixPolicy:
         pairs = ", ".join(f"{a}: {w:.4g}" for a, w in zip(self.atoms, self.weights))
         return f"JointMixPolicy({{{pairs}}})"
 
+
+_PURE_WEIGHTS = _check_dist([1.0], "joint-mix weights")
 
 TeamPolicy = ProductPolicy | SharedPolicy | JointMixPolicy
 

@@ -13,6 +13,7 @@ specs carry a sample-factor budget on |I| + |C|.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -316,14 +317,44 @@ class VerificationReport:
         }
 
 
-def _witness_for(game, spec, kind, payload) -> dict:
+def _member_tables(member) -> tuple:
+    """A member policy as plain data: its table's supports by observation
+    (sorted by ``repr``), then its fallback's; a policy without a table
+    (constant, uniform, hashed) by its ``repr``."""
+    if not isinstance(member, IndividualPolicy):
+        return (repr(member),)
+    entries = tuple(sorted((repr(obs), member.support(obs)) for obs in member.observations()))
+    rest = () if member.fallback is None else _member_tables(member.fallback)
+    return (entries,) + rest
+
+
+def _tables_digest(members) -> str:
+    """Short SHA-256 digest of the member policies' tables."""
+    data = repr(tuple(_member_tables(m) for m in members))
+    return hashlib.sha256(data.encode()).hexdigest()[:12]
+
+
+def _witness_for(game, spec, kind, payload, value) -> dict:
+    """The deviation reaching the largest gain: on normal form its pure
+    action or joint action; on a stochastic game, where a deviation is a
+    table per member, its value against the opponent and a digest of the
+    deviating members' tables."""
     if kind == "individual":
         member, pol = payload
-        action = pol.pure_action(0) if game.is_normal_form else None
-        return {"kind": "individual", "member": member, "action": action}
-    sig = _pure_joint_signature(game, spec.team, payload)
-    joint = list(sig[1]) if sig is not None and sig[0] == "nf" else None
-    return {"kind": "correlated", "joint_action": joint}
+        if game.is_normal_form:
+            return {"kind": "individual", "member": member, "action": pol.pure_action(0)}
+        return {
+            "kind": "individual", "member": member,
+            "value": float(value), "tables": _tables_digest([pol]),
+        }
+    if game.is_normal_form:
+        sig = _pure_joint_signature(game, spec.team, payload)
+        joint = list(sig[1]) if sig is not None else None
+        return {"kind": "correlated", "joint_action": joint}
+    return {
+        "kind": "correlated",
+        "value": float(value), "tables": _tables_digest(_members_view(payload)),
+    }
 
 
 def _values_against(game: Game, team: int, opponent, cfg: EvalConfig):
@@ -377,10 +408,11 @@ def verify_equilibrium(
         if not deviations:
             best_gain, best_witness = 0.0, {"kind": "none"}
         for kind, payload, dev_policy in deviations:
-            gain = value_of(dev_policy) - base
+            value = value_of(dev_policy)
+            gain = value - base
             if gain > best_gain:
                 best_gain = gain
-                best_witness = _witness_for(game, spec, kind, payload)
+                best_witness = _witness_for(game, spec, kind, payload, value)
         checks.append(
             TeamCheck(
                 team=team,

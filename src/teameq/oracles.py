@@ -168,21 +168,21 @@ def solve_matrix_maxmin(
     tableau[rows, :cols] = -1.0
     basis = np.arange(cols, cols + rows)
     pivots = 0
-    while (entering := np.flatnonzero(tableau[rows, :-1] < -_SIMPLEX_EPS)).size:
+    while (entering := (tableau[rows, :-1] < -_SIMPLEX_EPS).nonzero()[0]).size:
         if pivots == max_iterations:
             raise MaxminConvergenceError(_tableau_solution(mat, tableau, basis), tol, pivots)
         j = entering[0]
-        candidates = np.flatnonzero(tableau[:rows, j] > _SIMPLEX_EPS)
+        candidates = (tableau[:rows, j] > _SIMPLEX_EPS).nonzero()[0]
         if not candidates.size:
             break  # only round-off can get here: the LP is bounded
         ratios = tableau[candidates, -1] / tableau[candidates, j]
         # absolute tie test: round-off can leave the right-hand side slightly negative
         ties = candidates[ratios <= ratios.min() + _SIMPLEX_EPS]
-        r = ties[np.argmin(basis[ties])]
+        r = ties[basis[ties].argmin()]
         tableau[r] /= tableau[r, j]
         factors = tableau[:, j].copy()
         factors[r] = 0.0
-        tableau -= np.outer(factors, tableau[r])
+        tableau -= factors[:, None] * tableau[r]
         basis[r] = j
         pivots += 1
     sol = _tableau_solution(mat, tableau, basis)
@@ -211,11 +211,25 @@ def _reward_tensor(game: NormalFormTeamGame, team: int, opponent_dist: np.ndarra
     return (-(opponent_dist @ mat)).reshape(game.action_counts[1])
 
 
-def team_reward_tensor(game: NormalFormTeamGame, team: int, opponent) -> np.ndarray:
+def team_reward_tensor(
+    game: NormalFormTeamGame, team: int, opponent, dists=None
+) -> np.ndarray:
     """Expected reward of ``team`` for each of its pure joint actions
-    against a fixed opponent policy or mixture; one axis per member."""
+    against a fixed opponent policy or mixture; one axis per member.
+
+    ``dists`` holds the joint-action distribution of each positive-weight
+    entry of the opponent mixture, in order, when the caller keeps them;
+    otherwise they are built (and the entries checked) here.  Raises
+    ValueError when ``dists`` does not have one distribution per entry."""
     opp = 3 - team
-    weighted = [(team_action_dist(game, opp, p), w) for p, w in as_mixture(opponent)]
+    atoms = as_mixture(opponent)
+    if dists is None:
+        dists = [team_action_dist(game, opp, p) for p, _ in atoms]
+    elif len(dists) != len(atoms):
+        raise ValueError(
+            f"{len(dists)} distributions for {len(atoms)} positive-weight opponent entries"
+        )
+    weighted = [(d, w) for d, (_, w) in zip(dists, atoms)]
     return _reward_tensor(game, team, _mixed_dist(game.joint_count(opp), weighted))
 
 
@@ -482,18 +496,30 @@ def _table_search(game, team, unit, own_members, atoms, cfg, steps):
 # Best-response oracles
 
 
-def best_response_joint(game: Game, opponent, team: int, cfg: EvalConfig | None = None):
+def best_response_joint(
+    game: Game, opponent, team: int, cfg: EvalConfig | None = None, dists=None
+):
     """Fully correlated best response: the best pure team joint action
     (normal form, returned as a degenerate joint mix) or the centralized
     deterministic joint policy (stochastic, returned as a product of
-    deterministic member policies).  Ties break to the lexicographically
-    smallest joint action."""
+    deterministic member policies).  Returns ``(policy, value)``.  Ties
+    break to the lexicographically smallest joint action.
+
+    On a normal-form game ``dists`` holds the joint-action distribution of
+    each positive-weight entry of the opponent mixture, in order, when the
+    caller keeps them, as `run_psro` does (see `team_reward_tensor`); the
+    result is the same either way.  The joint action is read off the
+    argmax's row-major index, not from the list of joint actions."""
     cfg = cfg or EvalConfig()
     if game.is_normal_form:
-        values = team_reward_tensor(game, team, opponent).ravel()
-        idx = int(np.argmax(values))
-        joint = game.joint_actions(team)[idx]
-        return JointMixPolicy.pure(joint), float(values[idx])
+        values = team_reward_tensor(game, team, opponent, dists).ravel()
+        idx = int(values.argmax())
+        value = float(values[idx])
+        joint = []
+        for count in reversed(game.action_counts[team - 1]):
+            idx, action = divmod(idx, count)
+            joint.append(action)
+        return JointMixPolicy.pure(joint[::-1]), value
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
     tables, value = _unit_best_response(game, team, unit, base, as_mixture(opponent), cfg)

@@ -213,13 +213,21 @@ def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | N
     return best
 
 
-def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: int):
+def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: int, dists=None):
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
-    returns (policy, value vs the opponent mixture)."""
+    returns (policy, value vs the opponent mixture).  ``dists`` is
+    `run_psro`'s record of each entry's joint-action distribution on a
+    normal-form game (else None); the joint oracle reads the opponent's
+    first ``len(opp_weights)``, since entries appended in this iteration
+    follow them."""
     eval_cfg = cfg.eval
     opponent_mix = pop.mixture(3 - team, opp_weights)
     if cfg.oracle == "joint":
-        return best_response_joint(game, opponent_mix, team, cfg=eval_cfg)
+        opp_dists = None
+        if dists is not None:
+            kept = dists[3 - team][: len(opp_weights)]
+            opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
+        return best_response_joint(game, opponent_mix, team, cfg=eval_cfg, dists=opp_dists)
     if cfg.oracle == "shared":
         return best_response_shared(
             game, opponent_mix, team, cfg=eval_cfg,
@@ -273,7 +281,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             if team not in cfg.expand_teams:
                 continue
             policy, br_value = _oracle_response(
-                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration
+                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, dists
             )
             team_meta_value = value if team == 1 else -value
             gains[team] = br_value - team_meta_value

@@ -5,7 +5,15 @@ import os
 
 import pytest
 
-from teameq.cli import EXIT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, emit_report, main
+from teameq.cli import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_VERIFY_FAIL,
+    emit_report,
+    game_file_dict,
+    main,
+    parse_game_spec,
+)
 
 
 def read(path):
@@ -213,6 +221,34 @@ class TestErrorContract:
 
     def test_unreadable_game_file(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ("random:n1=2,n2=2,actions=3,seed=7,actoins=4", "random: actoins"),
+            ("example1:N=3", "example1: N"),
+            ("anti-coordination:seed=1", "anti_coordination: seed"),
+            ("sad:N=2,players=3,A=3", "sad: players"),
+            ("skirmish:w=2,h=2,n=1,H=2,discount=0.9", "skirmish: discount"),
+        ],
+    )
+    def test_unknown_game_spec_keys_are_refused(self, tmp_path, capsys, spec, named):
+        # like an unknown flag: a misspelt key must not fall back to the default
+        out = tmp_path / "p"
+        assert main(["psro", "--game", spec, "--oracle", "joint", "--out", str(out)]) == EXIT_ERROR
+        assert f"unrecognized game spec keys for {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_game_spec_aliases_are_kept(self):
+        same = [
+            ("sad:N=3,A=2,B=0.5", "sad:n=3,a=2,b=0.5"),
+            ("skirmish:w=2,h=2,n=1,H=2", "skirmish:w=2,h=2,n=1,horizon=2"),
+            ("example1", "example1:"),
+        ]
+        for spec, alias in same:
+            assert game_file_dict(parse_game_spec(alias), spec) == game_file_dict(parse_game_spec(spec), spec)
+        g = parse_game_spec("random:n1=1,n2=2,actions=3,lo=0,hi=2,seed=4")
+        assert g.action_counts == ((3,), (3, 3)) and g.matrix().min() >= 0.0
 
     def test_dropped_sample_factor_flags(self, tmp_path):
         # the budget of a verify run is --n-init; growth-rate flags are gone

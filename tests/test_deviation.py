@@ -28,6 +28,7 @@ from teameq.deviation import (
     PivotFollowers,
     SampleFactor,
     Sequential,
+    _tables_digest,
     build_deviation_spec,
     cooperative_ability,
     sample_budget,
@@ -288,6 +289,39 @@ class TestVerifyEquilibrium:
             gains[corr.name] = verify_equilibrium(g, profile, specs).checks[0].max_gain
         assert gains["joint"] <= 1e-9
         assert all(v <= gains["joint"] + 1e-9 for v in gains.values())
+
+    @pytest.mark.parametrize("correlation", [NoCorrelation(), Joint()], ids=["none", "joint"])
+    def test_stochastic_witness_names_the_deviation(self, correlation):
+        # a stochastic deviation is a table per member: the witness gives its
+        # value against the opponent and a digest of the deviating tables
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=4))
+        zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        profile = (zeros, zeros)
+        specs = [build_deviation_spec(g, t, zeros, correlation, opponent=zeros) for t in (1, 2)]
+        report = verify_equilibrium(g, profile, specs)
+        digests = set()
+        for check, spec in zip(report.checks, specs):
+            base = team_value(g, spec.team, zeros, zeros)
+            witness = check.witness
+            individual = isinstance(correlation, NoCorrelation)
+            if individual:
+                assert witness["kind"] == "individual"
+                member, table = spec.individual[witness["member"]]
+                assert member == witness["member"]
+                members = list(zeros.members)
+                members[member] = table
+                deviation, tables = ProductPolicy(members), [table]
+            else:
+                assert witness["kind"] == "correlated"
+                (deviation,) = spec.correlated
+                tables = deviation.members
+            assert set(witness) == {"kind", "value", "tables"} | ({"member"} if individual else set())
+            assert witness["value"] == team_value(g, spec.team, deviation, zeros)
+            assert witness["value"] - base == check.max_gain
+            assert witness["tables"] == _tables_digest(tables)
+            digests.add(witness["tables"])
+        assert len(digests) == 2
+        assert _tables_digest([ConstantPolicy(6, 0)]) != _tables_digest([ConstantPolicy(6, 1)])
 
     def test_individual_deviation_needs_distributed_candidate(self):
         g = example1()

@@ -47,6 +47,23 @@ JOINT_PSRO = {
     500: "037939faec464220",
     501: "f66a4a3b97eef17a",
     502: "8c0252994c359d2b",
+    503: "8d0ef238d2eb7a3d",
+    504: "b2cc04afc0cdb029",
+    505: "6be77f68cc85aabb",
+    506: "7e7b8effda823a39",
+    507: "06c84e0b5756fc0f",
+    508: "6105093035ed7f6b",
+    509: "14d6fa085c8311fc",
+    510: "ed9e908ffcd8bd91",
+    511: "097250f45b64be8a",
+    512: "09e645934f17082c",
+    513: "123c9d331532b1c1",
+    514: "b31224a742b440f4",
+    515: "beb614e408ccf7f5",
+    516: "3e3750b8b0cd63aa",
+    517: "2fd41a1f752fbdd1",
+    518: "741702ad65fcf2e5",
+    519: "22dd7c444cdadd47",
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import lp_maxmin
 from teameq.core import (
+    NF_OBS,
     ConstantPolicy,
     EvalConfig,
     EvaluationError,
@@ -24,6 +25,7 @@ from teameq.core import (
     UniformPolicy,
     evaluate,
     expected_team_reward,
+    team_action_dist,
     team_value,
 )
 from teameq.games import (
@@ -170,6 +172,33 @@ class TestBestResponseJoint:
         g = anti_coordination()
         br, value = best_response_joint(g, pure((0, 0)), 1)
         assert br.atoms == ((0, 1),) and value == 1.0  # ties with (1, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_max_over_joint_actions(self, seed):
+        # unequal member action counts; payoffs in {-1, 0, 1} and dyadic
+        # probabilities keep every value exact, so ties are real ties
+        g = random_team_game((2, 3), ((2, 4), (3, 1, 2)), seed=seed)
+        g = dataclasses.replace(g, payoff=np.round(g.payoff))
+        rng = np.random.default_rng(seed)
+
+        def dyadic(n):
+            return np.bincount(rng.integers(0, n, size=4), minlength=n) / 4.0
+
+        for team in (1, 2):
+            counts = g.action_counts[2 - team]
+            product = ProductPolicy([IndividualPolicy(c, {NF_OBS: dyadic(c)}) for c in counts])
+            joints = g.joint_actions(3 - team)
+            mix = JointMixPolicy([joints[0], joints[-1]], [0.75, 0.25])
+            opponent = [(product, 0.5), (ProductPolicy([ConstantPolicy(c, 0) for c in counts]), 0.0), (mix, 0.5)]
+            values = [team_value(g, team, JointMixPolicy.pure(ja), opponent) for ja in g.joint_actions(team)]
+            first = int(np.argmax(values))
+            dists = [team_action_dist(g, 3 - team, p) for p, w in opponent if w > 0.0]
+            for kept in (None, dists):
+                br, value = best_response_joint(g, opponent, team, dists=kept)
+                assert br.atoms == (g.joint_actions(team)[first],)
+                assert value == values[first]
+            with pytest.raises(ValueError, match="distributions"):
+                best_response_joint(g, opponent, team, dists=dists[:1])
 
 
 class TestBestResponseIndividual:

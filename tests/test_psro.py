@@ -227,6 +227,29 @@ class TestMetaSolveCalls:
         self._assert_last_solve_returned(solves, result)
 
 
+def test_joint_run_builds_each_distribution_once(monkeypatch):
+    # the run keeps every entry's joint-action distribution from the moment
+    # it joins, and the joint oracle reads the kept ones
+    import teameq.core as core_module
+    import teameq.oracles as oracles_module
+    import teameq.psro as psro_module
+
+    calls = []
+    original = core_module.team_action_dist
+
+    def counted(game, team, policy):
+        calls.append(team)
+        return original(game, team, policy)
+
+    for module in (core_module, oracles_module, psro_module):
+        monkeypatch.setattr(module, "team_action_dist", counted)
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+    result = run_psro(g, PsroConfig(oracle="joint", max_iterations=18, seed=0))
+    assert result.converged and result.iterations > 2
+    pop = result.population
+    assert sorted(calls) == [1] * len(pop.team1) + [2] * len(pop.team2)
+
+
 class TestSkirmishSPsro:
     """S-PSRO and Indep-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations,
     seed 0."""
