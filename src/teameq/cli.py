@@ -100,27 +100,39 @@ def fmt9(x) -> str:
     return str(x)
 
 
-#: The keys each builtin game spec accepts, aliases included.
+#: The keys each builtin game spec accepts, one group per setting: its
+#: name, then its aliases.
 _SPEC_KEYS = {
     "example1": (),
     "anti_coordination": (),
-    "sad": ("N", "n", "A", "a", "B", "b"),
-    "random": ("n1", "n2", "actions", "lo", "hi", "seed"),
-    "skirmish": ("w", "h", "n", "H", "horizon", "damage", "gamma"),
+    "sad": (("N", "n"), ("A", "a"), ("B", "b")),
+    "random": (("n1",), ("n2",), ("actions",), ("lo",), ("hi",), ("seed",)),
+    "skirmish": (("w",), ("h",), ("n",), ("H", "horizon"), ("damage",), ("gamma",)),
 }
 
 
 def _kv_spec(name: str, body: str) -> dict:
-    """The ``key=value`` fields of a builtin spec's body; a key the game
-    does not take is refused, as an unknown flag is."""
-    out = {}
+    """The ``key=value`` fields of a builtin spec's body, keyed by each
+    setting's name; a key the game does not take is refused, as an unknown
+    flag is, and so is a setting given twice, under one name or two."""
+    names = {alias: group[0] for group in _SPEC_KEYS[name] for alias in group}
+    out, given, unknown = {}, {}, []
     if body:
         for part in body.split(","):
             key, _, val = part.partition("=")
             if not _:
                 raise CliError(f"malformed game spec field {part!r}, expected key=value")
-            out[key.strip()] = val.strip()
-    unknown = [key for key in out if key not in _SPEC_KEYS[name]]
+            key = key.strip()
+            if key not in names:
+                unknown.append(key)
+                continue
+            setting = names[key]
+            if setting in given:
+                earlier = given[setting]
+                twice = f"{key!r} twice" if earlier == key else f"{key!r} and its alias {earlier!r}"
+                raise CliError(f"game spec for {name} gives {twice}; give each setting once")
+            given[setting] = key
+            out[setting] = val.strip()
     if unknown:
         raise CliError(f"unrecognized game spec keys for {name}: {', '.join(unknown)}")
     return out
@@ -146,9 +158,9 @@ def parse_game_spec(spec: str):
     if name == "sad":
         return sad(
             SadConfig(
-                n_players=int(kv.get("N", kv.get("n", 2))),
-                seek_max=int(kv.get("A", kv.get("a", 3))),
-                attack_bonus=float(kv.get("B", kv.get("b", 1.0))),
+                n_players=int(kv.get("N", 2)),
+                seek_max=int(kv.get("A", 3)),
+                attack_bonus=float(kv.get("B", 1.0)),
             )
         )
     if name == "random":
@@ -166,7 +178,7 @@ def parse_game_spec(spec: str):
             width=int(kv.get("w", 3)),
             height=int(kv.get("h", 3)),
             team_size=int(kv.get("n", 2)),
-            horizon=int(kv.get("H", kv.get("horizon", 4))),
+            horizon=int(kv.get("H", 4)),
             damage=float(kv.get("damage", 1.0)),
             discount=float(kv.get("gamma", 0.95)),
         )

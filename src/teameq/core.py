@@ -234,18 +234,23 @@ class UniformPolicy:
 class HashPolicy:
     """Deterministic pseudo-random policy: a seeded stable hash of the
     observation picks the action.  Used for reproducible random restarts
-    without enumerating the observation space."""
+    without enumerating the observation space.
 
-    __slots__ = ("n_actions", "seed", "_key")
+    Each instance memoises the support it computed per observation, so an
+    observation is hashed once however often the walks ask for it; the
+    memo holds the observations asked so far and lives as long as the
+    policy.  Observations that compare equal share one entry."""
+
+    __slots__ = ("n_actions", "seed", "_key", "_supports")
 
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
         self.seed = int(seed)
         self._key = self.seed.to_bytes(8, "little", signed=True)
+        self._supports: dict = {}
 
     def _action(self, obs: Obs) -> int:
-        digest = hashlib.blake2b(repr(obs).encode(), digest_size=8, key=self._key).digest()
-        return int.from_bytes(digest, "little") % self.n_actions
+        return self.support(obs)[0][0]
 
     def dist(self, obs: Obs) -> np.ndarray:
         row = np.zeros(self.n_actions)
@@ -253,7 +258,13 @@ class HashPolicy:
         return row
 
     def support(self, obs: Obs) -> tuple:
-        return ((self._action(obs), 1.0),)
+        try:
+            return self._supports[obs]
+        except KeyError:
+            digest = hashlib.blake2b(repr(obs).encode(), digest_size=8, key=self._key).digest()
+            action = int.from_bytes(digest, "little") % self.n_actions
+            found = self._supports[obs] = ((action, 1.0),)
+            return found
 
     def pure_action(self, obs: Obs) -> int:
         return self._action(obs)
@@ -624,10 +635,12 @@ def _members_view(policy) -> tuple:
 # Every exact stochastic pass (evaluation and the oracles' dynamic programs)
 # walks the same finite-horizon layered graph: _joint_support lists the joint
 # actions played at a state, _forward walks the layers, _backward runs
-# backward induction over a recorded walk.  The walks ask ``steps`` for each
-# (state, joint action)'s successors row and step reward, and for member
-# observations: the game itself, or the _StepTable of the oracle call they
-# serve.
+# backward induction over a recorded walk, and _profile_value sums a
+# profile's value in one pass over the layers, recording the walk only for
+# a caller that passes a list (the guarded greedy, whose lookahead needs it).
+# The passes ask ``steps`` for each (state, joint action)'s successors row
+# and step reward, and for member observations: the game itself, or the
+# _StepTable of the oracle call they serve.
 
 
 class _StepTable:
@@ -642,9 +655,13 @@ class _StepTable:
     builds one table at entry and drops it when it returns, so a table holds
     one call's keys only.  The searching team's members change within the
     call, so their supports are never kept; `_joint_support`'s completion
-    lists are, since they depend on supports only.  Single-pass
-    work asks the game directly: its keys do not repeat, so a table would
-    only cost time and memory.
+    lists are, since they depend on supports only.  The greedy improvement
+    goes one step further for its lookahead: it keeps, per opponent atom
+    and state, each unit action's successor row and step reward for the
+    whole call, since they do not depend on the unit's own tables.
+    Single-pass work (`evaluate`, a meta-game cell, the `random` profile
+    class) asks the game directly in one value pass: its keys do not
+    repeat, so a table would only cost time and memory.
     """
 
     __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions")
@@ -706,6 +723,8 @@ def _member_supports(steps, side, members, state, free=()) -> tuple:
     members in ``free``, with observations from ``steps`` (the game or a
     step table)."""
     obs_list = steps.member_observations(side, state)
+    if not free:
+        return tuple([member.support(obs) for member, obs in zip(members, obs_list, strict=True)])
     return tuple([
         member.support(obs)
         for i, (member, obs) in enumerate(zip(members, obs_list, strict=True))
@@ -837,7 +856,12 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
         acts: dict = {}
         for p, row in rows:
             for ua, joint, succ in row:
-                tail = sum(pt * after.get(s2, 0.0) for s2, pt in succ)
+                if len(succ) == 1:
+                    # sum's arithmetic on one term: 0 + pt * v
+                    ((s2, pt),) = succ
+                    tail = 0 + pt * after.get(s2, 0.0)
+                else:
+                    tail = sum(pt * after.get(s2, 0.0) for s2, pt in succ)
                 acts[ua] = acts.get(ua, 0.0) + p * (
                     sign * step_reward(state, joint) + game.discount * tail
                 )
@@ -846,37 +870,62 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
     return q
 
 
-def _profile_walk(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None):
-    """The `_forward` walk of the profile (p1, p2) from the initial states,
-    team 1's members multiplied first: the walk exact evaluation sums.
-    With a step table ``steps``, whichever side is a registered atom has its
-    supports kept there, and so are the completion lists."""
+def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None, walk=None):
+    """Expected discounted team-1 reward of the profile (p1, p2), team 1's
+    members multiplied first, in one pass over the layers `_forward` walks
+    from the initial states, within the same per-step budget.
+
+    ``steps`` (default: the game) answers successors rows, step rewards and
+    member observations; with a step table, whichever side is a registered
+    atom has its supports kept there, and so are the completion lists.
+    Each state asks its joint actions' successors rows, then their step
+    rewards; the value sums ``discount**t * (p_state * p) * reward`` state
+    by state in first-reached order.  ``walk``, when given, is a list that
+    receives the tuples `_forward` would yield, for `_backward`.
+    """
     if steps is None:
         completions: dict = {}
 
-        def support(t, s):
+        def support(s):
             return _joint_support(game, 1, p1.members, p2, s, completions)
     else:
         n1, completions = game.team_sizes[0], steps.completions(1)
 
-        def support(t, s):
+        def support(s):
             slots = steps.supports(1, p1, s) + steps.supports(2, p2, s)
             return _complete(slots, completions, 1, n1)
 
-    return _forward(game, game.initial, support, cfg, steps)
-
-
-def _walk_value(game: StochasticTeamGame, walk, steps=None) -> float:
-    """Expected discounted team-1 reward of a `_profile_walk`, with step
-    rewards from ``steps`` (default: the game)."""
-    step_reward = (game if steps is None else steps).step_reward
-    discounts = [1.0]
-    for _ in range(game.horizon - 1):
-        discounts.append(discounts[-1] * game.discount)
-    total = 0.0
-    for t, state, p_state, rows in walk:
-        for p, ((_, joint, _),) in rows:
-            total += discounts[t] * (p_state * p) * step_reward(state, joint)
+    look = game if steps is None else steps
+    successors, step_reward = look.successors, look.step_reward
+    dist: dict[Obs, float] = {}
+    for state, p in game.initial:
+        if p > 0.0:
+            dist[state] = dist.get(state, 0.0) + p
+    total, discount_t = 0.0, 1.0
+    for t in range(game.horizon):
+        step_pairs = 0
+        nxt: dict[Obs, float] = {}
+        for state, p_state in dist.items():
+            combos = support(state)
+            # every combination is completed by the one empty unit action
+            step_pairs += len(combos)
+            if step_pairs > cfg.exact_bound:
+                raise _budget_error(step_pairs, cfg)
+            rows = []
+            for p, ((ua, joint),) in combos:
+                w = p_state * p
+                succ = successors(state, joint)
+                for s2, pt in succ:
+                    if pt > 0.0:
+                        nxt[s2] = nxt.get(s2, 0.0) + w * pt
+                if walk is not None:
+                    rows.append((p, [(ua, joint, succ)]))
+            if walk is not None:
+                walk.append((t, state, p_state, rows))
+            for p, ((_, joint),) in combos:
+                total += discount_t * (p_state * p) * step_reward(state, joint)
+        dist = nxt
+        discount_t *= game.discount
     return total
 
 
@@ -916,7 +965,7 @@ def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> EvalResult:
     if cfg.mode == "exact":
         if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
             raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
-        return EvalResult(_walk_value(game, _profile_walk(game, p1, p2, cfg)), 0.0, 1, "exact")
+        return EvalResult(_profile_value(game, p1, p2, cfg), 0.0, 1, "exact")
     if cfg.seed is None:
         raise EvaluationError("Monte-Carlo evaluation requires an explicit seed")
     rng = np.random.default_rng(cfg.seed)

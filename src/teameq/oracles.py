@@ -46,8 +46,7 @@ from .core import (
     _joint_support,
     _members_view,
     _nf_team_value,
-    _profile_walk,
-    _walk_value,
+    _profile_value,
     as_mixture,
     check_team_policy,
     team_action_dist,
@@ -385,17 +384,39 @@ def _unit_improve_weighted(
     if steps is None:
         steps = _StepTable(game, opp_atoms)
     completions = steps.completions(team, unit, unit_actions)
+    # per atom, each state's unit-observation key and, per combination of
+    # the fixed players' actions, each unit action's successors row and
+    # signed step reward: the unit is free in them, so they hold for the
+    # whole call
+    kept: list[dict] = [{} for _ in opp_atoms]
 
-    def walks_of(mems) -> list:
-        return [list(walk) for walk in _atom_walks(game, team, mems, opp_atoms, cfg, steps)]
+    def lookahead_rows(atom, rows_by_state, state):
+        found = rows_by_state.get(state)
+        if found is not None:
+            return found
+        obs = steps.member_observations(team, state)
+        key = tuple(obs[m] for m in unit)
+        _check_tied_observations(tied, key)
+        rows = [
+            (p, [
+                (ua, steps.successors(state, joint), sign * steps.step_reward(state, joint))
+                for ua, joint in pairs
+            ])
+            for p, pairs in _joint_support(
+                game, team, own_members, atom, state, completions, unit, unit_actions, steps
+            )
+        ]
+        found = rows_by_state[state] = (key, rows)
+        return found
 
     members = list(own_members)
-    walks = walks_of(members)
+    walks = [[] for _ in opp_atoms]
+    start_value = _atoms_value(game, team, members, opp_atoms, cfg, steps, walks)
     if value is None:
-        value = _atoms_value(game, team, opp_atoms, walks, steps)
+        value = start_value
     for _ in range(rounds):
         qbar: dict = {}
-        for (atom, w), walk in zip(opp_atoms, walks):
+        for (atom, w), walk, rows_by_state in zip(opp_atoms, walks, kept):
             # on-policy values by step; a state reached only off-policy counts 0
             after = [
                 {s: acts[()] for s, acts in layer.items()}
@@ -405,25 +426,18 @@ def _unit_improve_weighted(
                 d = (game.discount**t) * p_state
                 if d <= 0.0:
                     continue
-                obs = steps.member_observations(team, state)
-                key = tuple(obs[m] for m in unit)
-                _check_tied_observations(tied, key)
+                key, rows = lookahead_rows(atom, rows_by_state, state)
                 row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
-                for p, pairs in _joint_support(
-                    game, team, members, atom, state, completions, unit, unit_actions, steps
-                ):
-                    for ua, joint in pairs:
-                        nxt = steps.successors(state, joint)
-                        tail = sum(pt * after[t + 1].get(s2, 0.0) for s2, pt in nxt)
-                        row[ua] += (
-                            w
-                            * d
-                            * p
-                            * (
-                                sign * steps.step_reward(state, joint)
-                                + game.discount * tail
-                            )
-                        )
+                values = after[t + 1]
+                for p, pairs in rows:
+                    for ua, succ, reward in pairs:
+                        if len(succ) == 1:
+                            # sum's arithmetic on one term: 0 + pt * v
+                            ((s2, pt),) = succ
+                            tail = 0 + pt * values.get(s2, 0.0)
+                        else:
+                            tail = sum(pt * values.get(s2, 0.0) for s2, pt in succ)
+                        row[ua] += w * d * p * (reward + game.discount * tail)
         tables = [dict() for _ in unit]
         for key in sorted(qbar, key=repr):
             row = qbar[key]
@@ -436,8 +450,8 @@ def _unit_improve_weighted(
             candidate[member] = IndividualPolicy.from_actions(
                 counts[member], tables[pos], members[member]
             )
-        cand_walks = walks_of(candidate)
-        cand_value = _atoms_value(game, team, opp_atoms, cand_walks, steps)
+        cand_walks = [[] for _ in opp_atoms]
+        cand_value = _atoms_value(game, team, candidate, opp_atoms, cfg, steps, cand_walks)
         if cand_value > value + 1e-15:
             members, walks, value = candidate, cand_walks, cand_value
         else:
@@ -560,25 +574,22 @@ def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
     check_team_policy(game, team, own)
     for atom, _ in atoms:
         check_team_policy(game, 3 - team, atom)
-    walks = _atom_walks(game, team, members, atoms, cfg, steps)
-    return _atoms_value(game, team, atoms, walks, steps)
+    return _atoms_value(game, team, members, atoms, cfg, steps)
 
 
-def _atom_walks(game, team, members, atoms, cfg, steps):
-    """The `_profile_walk` of the product of ``members`` against each
-    opponent atom, one after the other."""
+def _atoms_value(game, team, members, atoms, cfg, steps, walks=None) -> float:
+    """Value of the product of ``members`` against opponent atoms
+    ``[(policy, weight), ...]``: one `_profile_value` pass per atom, in
+    order, summed in `team_value`'s arithmetic, so it equals the evaluation
+    up to the sign of a zero.  ``walks``, when given, holds one list per
+    atom that receives that atom's walk."""
     own = ProductPolicy(members)
-    for atom, _ in atoms:
-        yield _profile_walk(game, *((own, atom) if team == 1 else (atom, own)), cfg, steps)
-
-
-def _atoms_value(game, team, atoms, walks, steps) -> float:
-    """Value against opponent atoms from one walk per atom, in `team_value`'s
-    arithmetic, so it equals the evaluation up to the sign of a zero."""
     sign = 1.0 if team == 1 else -1.0
-    return sum(
-        w * (sign * _walk_value(game, walk, steps)) for (_, w), walk in zip(atoms, walks)
-    )
+    values = [
+        _profile_value(game, *((own, atom) if team == 1 else (atom, own)), cfg, steps, walk)
+        for (atom, _), walk in zip(atoms, walks or [None] * len(atoms))
+    ]
+    return sum(w * (sign * v) for (_, w), v in zip(atoms, values))
 
 
 def _member_update(game, team, member, members, opponent, cfg, current, steps):

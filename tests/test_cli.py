@@ -239,6 +239,22 @@ class TestErrorContract:
         assert f"unrecognized game spec keys for {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ("sad:N=2,n=3", "'n' and its alias 'N'"),
+            ("sad:N=3,N=2", "'N' twice"),
+            ("skirmish:H=2,horizon=5", "'horizon' and its alias 'H'"),
+            ("random:seed=1,n1=2,seed=2", "'seed' twice"),
+        ],
+    )
+    def test_repeated_game_spec_keys_are_refused(self, tmp_path, capsys, spec, named):
+        # one value per setting: a repeat or an alias pair must not let one silently win
+        out = tmp_path / "p"
+        assert main(["psro", "--game", spec, "--oracle", "joint", "--out", str(out)]) == EXIT_ERROR
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_game_spec_aliases_are_kept(self):
         same = [
             ("sad:N=3,A=2,B=0.5", "sad:n=3,a=2,b=0.5"),

@@ -1,6 +1,7 @@
 """Game representation and evaluation tests."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -202,6 +203,34 @@ class TestStochasticEvaluation:
         p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
         with pytest.raises(EvaluationError):
             evaluate(g, p, p, EvalConfig(exact_bound=2))
+
+    def test_exact_budget_boundary(self):
+        # the bound caps the (state, joint action) pairs of the widest step,
+        # counted as the walk counts them: a bound equal to that count
+        # passes, one less refuses
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        p1 = ProductPolicy([UniformPolicy(c) for c in g.action_counts[0]])
+        p2 = ProductPolicy([HashPolicy(c, 5 + m) for m, c in enumerate(g.action_counts[1])])
+
+        def joints(policy, team, state):
+            obs = g.member_observations(team, state)
+            return itertools.product(
+                *([a for a, _ in m.support(o)] for m, o in zip(policy.members, obs))
+            )
+
+        layer, widest = {s for s, p in g.initial if p > 0.0}, 0
+        for _ in range(g.horizon):
+            pairs = [
+                (s, (a1, a2)) for s in layer for a1 in joints(p1, 1, s) for a2 in joints(p2, 2, s)
+            ]
+            widest = max(widest, len(pairs))
+            layer = {s2 for s, joint in pairs for s2, pt in g.successors(s, joint) if pt > 0.0}
+        assert widest == 1764
+        exact = evaluate(g, p1, p2).value
+        assert evaluate(g, p1, p2, EvalConfig(exact_bound=widest)).value == exact
+        refused = f"[(]{widest} state-action pairs in one step > {widest - 1}[)]"
+        with pytest.raises(EvaluationError, match=refused):
+            evaluate(g, p1, p2, EvalConfig(exact_bound=widest - 1))
 
     def test_uniform_policy_matches_uniform_table(self):
         g = random_stochastic_game(seed=4)

@@ -528,6 +528,51 @@ class TestStochasticPasses:
             assert len(transitions) == len(set(transitions)) == expected
             assert len(rewards) == expected and set(rewards) == set(transitions)
 
+    def test_greedy_keeps_its_lookahead_rows_for_the_call(self, monkeypatch):
+        # the unit is free in the lookahead's rows, so each (atom, state)'s
+        # joint actions are listed once however many rounds the greedy runs
+        game, states = _acting_states(4)
+        mix = [
+            (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
+        ]
+        zeros = (ConstantPolicy(6, 0), ConstantPolicy(6, 0))
+        asked, rounds = [], [0]
+        joint_support, backward = oracles._joint_support, oracles._backward
+
+        def counted_support(game, team, members, opponent, state, *args, **kwargs):
+            asked.append((id(opponent), state))
+            return joint_support(game, team, members, opponent, state, *args, **kwargs)
+
+        def counted_backward(*args, **kwargs):
+            rounds[0] += 1
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_joint_support", counted_support)
+        monkeypatch.setattr(oracles, "_backward", counted_backward)
+        tables, value, fixed = oracles._unit_improve_weighted(
+            game, 1, (0, 1), zeros, mix, EvalConfig()
+        )
+        assert rounds[0] == 6 * len(mix)
+        assert len(asked) == len(set(asked)) > 0
+        assert (value, fixed) == (2.709875, True)
+        assert _actions_digest(game, 1, ProductPolicy(tables), states) == "112890a05693cc3b"
+
+    def test_greedy_lookahead_asks_a_successors_row_before_its_reward(self):
+        # a pair the lookahead alone reaches, malformed twice: the row's
+        # error is the one raised
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        bad = (5, 5)
+        malformed = dataclasses.replace(
+            g,
+            transition=lambda s, j: ((s, 2.0),) if j[0] == bad else g.transition(s, j),
+            reward=lambda s, j: 1e9 if j[0] == bad else g.reward(s, j),
+        )
+        mix = [
+            (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
+        ]
+        with pytest.raises(ValueError, match="transition row"):
+            best_response_joint(malformed, mix, 1)
+
     def test_step_table_lives_for_one_call(self):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
         calls = [0]
