@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     EvalConfig,
-    EvalResult,
     IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,
@@ -19,10 +18,8 @@ from .core import (
     SharedPolicy,
     StochasticTeamGame,
     evaluate,
-    expected_team_reward,
     mixture_value,
     product_to_joint,
-    sample_joint_action,
     team_value,
 )
 from .deviation import (
@@ -33,7 +30,6 @@ from .deviation import (
     SampleFactor,
     Sequential,
     build_deviation_spec,
-    cooperative_ability,
     sample_budget,
     verify_equilibrium,
 )

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -550,38 +550,17 @@ def check_team_policy(game: Game, team: int, policy) -> None:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """How to evaluate expected team reward.
+    """How to evaluate expected team reward: always exactly.
 
-    mode:
-      - "exact": exact finite-horizon value (always used for normal form).
-      - "mc": Monte-Carlo rollouts; requires a seed.  Only `evaluate` and
-        what is built on it (`team_value`, `rpp`, `verify_equilibrium`)
-        estimate; the oracles ignore the mode and compute exactly, and
-        PSRO and the exploitability profile refuse "mc".
     ``exact_bound`` caps the (state, joint action) pairs that any exact
     stochastic pass touches in one step: evaluation, and the oracles' dynamic
     programs, which also count every joint action their free members can
     complete.  A pass that would touch more raises EvaluationError.
     """
 
-    mode: str = "exact"
-    mc_samples: int = 1000
-    seed: int | None = None
+    # a class constant, not a field, so no caller can set it; perfbench/tracing.py reads it
+    mode: ClassVar[str] = "exact"
     exact_bound: int = 10**6
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "mc"):
-            raise ValueError(f"unknown evaluation mode {self.mode!r}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    stderr: float
-    n: int
-    mode: str
 
 
 def team_action_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
@@ -792,9 +771,7 @@ def _complete(slots, completions: dict, team, n_members, unit=(), unit_actions=(
 def _budget_error(step_pairs: int, cfg: EvalConfig) -> EvaluationError:
     return EvaluationError(
         f"exact budget exceeded ({step_pairs} state-action pairs in one "
-        f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound, or "
-        "estimate a single profile with evaluate / team_value in "
-        "Monte-Carlo mode"
+        f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound"
     )
 
 
@@ -929,54 +906,24 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
     return total
 
 
-def rollout(game: StochasticTeamGame, p1, p2, rng: np.random.Generator) -> float:
-    """One seeded episode of product or shared team policies; returns the
-    discounted team-1 return."""
-    obs_list, probs = zip(*game.initial)
-    obs = obs_list[int(rng.choice(len(obs_list), p=np.asarray(probs)))]
-    total, gamma_t = 0.0, 1.0
-    for _ in range(game.horizon):
-        a1 = sample_joint_action(p1, game.member_observations(1, obs), rng)
-        a2 = sample_joint_action(p2, game.member_observations(2, obs), rng)
-        joint = (a1, a2)
-        total += gamma_t * game.step_reward(obs, joint)
-        succ = game.successors(obs, joint)
-        nxt, ps = zip(*succ)
-        obs = nxt[int(rng.choice(len(nxt), p=np.asarray(ps)))]
-        gamma_t *= game.discount
-    return total
-
-
-def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> EvalResult:
-    """Expected team-1 reward of a policy profile.
+def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> float:
+    """Expected team-1 reward of a policy profile (team 2's reward is the
+    negation).
 
     Both policies are checked with `check_team_policy` once, here.
     Normal-form profiles are evaluated exactly (multilinear expectation)
     from joint-action distributions built without checking them again.
     Stochastic profiles use exact finite-horizon dynamic programming within
-    the configured budget, or seeded Monte-Carlo with a reported standard
-    error.
+    the configured budget.
     """
     cfg = cfg or EvalConfig()
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
-        return EvalResult(_nf_value(game, p1, p2), 0.0, 1, "exact")
-    if cfg.mode == "exact":
-        if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
-            raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
-        return EvalResult(_profile_value(game, p1, p2, cfg), 0.0, 1, "exact")
-    if cfg.seed is None:
-        raise EvaluationError("Monte-Carlo evaluation requires an explicit seed")
-    rng = np.random.default_rng(cfg.seed)
-    samples = np.array([rollout(game, p1, p2, rng) for _ in range(cfg.mc_samples)])
-    stderr = float(samples.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-    return EvalResult(float(samples.mean()), stderr, len(samples), "mc")
-
-
-def expected_team_reward(game: Game, p1, p2, cfg: EvalConfig | None = None) -> float:
-    """Expected team-1 reward (team 2's reward is the negation)."""
-    return evaluate(game, p1, p2, cfg).value
+        return _nf_value(game, p1, p2)
+    if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
+        raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
+    return _profile_value(game, p1, p2, cfg)
 
 
 def mixture_value(game: Game, mix1, mix2, cfg: EvalConfig | None = None) -> float:
@@ -992,7 +939,7 @@ def mixture_value(game: Game, mix1, mix2, cfg: EvalConfig | None = None) -> floa
     total = 0.0
     for pol1, w1 in pairs1:
         for pol2, w2 in pairs2:
-            total += w1 * w2 * expected_team_reward(game, pol1, pol2, cfg)
+            total += w1 * w2 * evaluate(game, pol1, pol2, cfg)
     return total
 
 
@@ -1007,7 +954,7 @@ def team_value(game: Game, team: int, own, opponent, cfg: EvalConfig | None = No
 
 
 # ---------------------------------------------------------------------------
-# Conversions and sampling
+# Conversions
 
 
 def product_to_joint(policy: ProductPolicy, game: NormalFormTeamGame, team: int) -> JointMixPolicy:
@@ -1026,26 +973,6 @@ def product_to_joint(policy: ProductPolicy, game: NormalFormTeamGame, team: int)
             atoms.append(joint)
             weights.append(w)
     return JointMixPolicy(atoms, weights)
-
-
-def sample_joint_action(policy, obs_list: Sequence[Obs], rng: np.random.Generator) -> tuple:
-    """Draw one pure team joint action.
-
-    ``obs_list`` carries each member's private observation.  Shared policies
-    draw one action per member independently from the shared distribution.
-    Joint mixtures draw an atom per call.
-    """
-    if isinstance(policy, JointMixPolicy):
-        idx = int(rng.choice(len(policy.atoms), p=policy.weights))
-        return policy.atoms[idx]
-    members = policy.members
-    if len(obs_list) != len(members):
-        raise DimensionError("one observation per member required")
-    out = []
-    for member, obs in zip(members, obs_list):
-        d = member.dist(obs)
-        out.append(int(rng.choice(len(d), p=d)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

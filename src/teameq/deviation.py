@@ -269,17 +269,6 @@ def _pure_joint_signature(game: Game, team: int, policy):
     return None
 
 
-def cooperative_ability(game: Game, spec: DeviationSpec) -> int:
-    """Count of distinct pure team joint policies reachable through the
-    correlated deviation set; 0 when there is no correlation."""
-    sigs = set()
-    for policy in spec.correlated:
-        sig = _pure_joint_signature(game, spec.team, policy)
-        if sig is not None:
-            sigs.add(sig)
-    return len(sigs)
-
-
 # Verification -------------------------------------------------------------
 
 

@@ -125,11 +125,9 @@ def exploitability_profile(
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
     the sebr oracle (its default 4 restarts), and Random the uniform product
-    policy.  Every reward is exact: ``cfg.mode`` must be "exact".
+    policy.
     """
     cfg = cfg or EvalConfig()
-    if cfg.mode != "exact":
-        raise ValueError(f"the profile needs exact evaluation, got mode {cfg.mode!r}")
     opp = 3 - candidate.team
     mix = candidate.mixture()
     counts = game.action_counts[opp - 1]

@@ -12,7 +12,7 @@ Four oracles with different cooperative ability:
 
 All oracles are pure functions, deterministic given (inputs, seed), and
 break ties lexicographically on action indices.  They compute exact values
-only: of an EvalConfig they read ``exact_bound`` alone, never ``mode``.
+only, within an EvalConfig's ``exact_bound``.
 """
 
 from __future__ import annotations
@@ -1105,26 +1105,3 @@ def sebr(
             best_value = value
             best_policy = ProductPolicy(members)
     return best_policy, best_value
-
-
-def shared_maxmin_grid(game: NormalFormTeamGame, team: int, points: int = 10001):
-    """Worst-case value of independent shared policies for a 2-action team:
-    max over the shared mixing weight q of the minimum team reward across
-    all opponent pure joint actions, on a q-grid of ``points`` samples."""
-    counts = game.action_counts[team - 1]
-    if len(set(counts)) != 1 or counts[0] != 2:
-        raise DimensionError("grid shared maxmin supports 2-action homogeneous teams")
-    n = len(counts)
-    qs = np.linspace(0.0, 1.0, points)
-    dists = np.stack([1.0 - qs, qs], axis=1)
-    joint_dists = np.ones((points, 1))
-    for _ in range(n):
-        joint_dists = np.einsum("pi,pj->pij", joint_dists, dists).reshape(points, -1)
-    mat = game.matrix()
-    if team == 1:
-        vals = joint_dists @ mat
-    else:
-        vals = joint_dists @ (-mat.T)
-    worst = vals.min(axis=1)
-    idx = int(np.argmax(worst))
-    return float(qs[idx]), float(worst[idx])

@@ -147,10 +147,9 @@ class PsroConfig:
     joint -> Joint-PSRO.  ``max_iterations`` caps the loop, ``meta_tol`` is
     the meta-solve tolerance and ``gain_tol`` the best-response gain at
     which a team stops expanding.  ``expand_teams`` restricts which
-    populations grow (a frozen opponent is treated as gain 0).  Gains
-    compare oracle values with meta values, so ``eval.mode`` must be
-    "exact".  ``seed`` roots the oracles' random streams and ``sebr`` holds
-    the S-PSRO oracle's settings."""
+    populations grow (a frozen opponent is treated as gain 0).  ``seed``
+    roots the oracles' random streams and ``sebr`` holds the S-PSRO
+    oracle's settings."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -164,8 +163,6 @@ class PsroConfig:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
-        if self.eval.mode != "exact":
-            raise ValueError(f"PSRO needs exact evaluation, got mode {self.eval.mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.meta_tol <= 0 or self.gain_tol <= 0:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import lp_maxmin
+from helpers import lp_maxmin, shared_maxmin_grid
 from teameq.core import (
     ConstantPolicy,
     EvalConfig,
@@ -18,7 +18,7 @@ from teameq.core import (
     IndividualPolicy,
     ProductPolicy,
     SharedPolicy,
-    expected_team_reward,
+    evaluate,
 )
 from teameq.deviation import Joint, NoCorrelation, build_deviation_spec, SampleFactor, sample_budget, verify_equilibrium
 from teameq.evaluation import Candidate, exploitability_profile
@@ -32,7 +32,7 @@ from teameq.games import (
     random_team_game,
     sad,
 )
-from teameq.oracles import advantage_decompose, sebr, shared_maxmin_grid, solve_matrix_maxmin
+from teameq.oracles import advantage_decompose, sebr, solve_matrix_maxmin
 from teameq.psro import PsroConfig, run_psro
 
 
@@ -48,8 +48,8 @@ def test_criterion_1_example1_ground_truth():
     start = time.perf_counter()
     g = example1()
     zeros = (pure((0, 0)), pure((0, 0)))
-    assert expected_team_reward(g, *zeros) == 1.0
-    assert expected_team_reward(g, pure((1, 1)), pure((0, 0))) == 2.0
+    assert evaluate(g, *zeros) == 1.0
+    assert evaluate(g, pure((1, 1)), pure((0, 0))) == 2.0
 
     nc_specs = [build_deviation_spec(g, t, zeros[t - 1], NoCorrelation()) for t in (1, 2)]
     nc = verify_equilibrium(g, zeros, nc_specs, epsilon=1e-9)
@@ -190,8 +190,8 @@ def test_criterion_7_advantage_identity():
         action = (int(rng.integers(acts)), int(rng.integers(acts)))
         order = (0, 1) if i % 2 == 0 else (1, 0)
         terms = advantage_decompose(g, p1, p2, 1, action, order=order)
-        q_val = expected_team_reward(g, pure(action, (acts, acts)), p2)
-        v_val = expected_team_reward(g, p1, p2)
+        q_val = evaluate(g, pure(action, (acts, acts)), p2)
+        v_val = evaluate(g, p1, p2)
         err = abs(terms.sum() - (q_val - v_val))
         worst = max(worst, err)
         assert err <= 1e-12
@@ -217,7 +217,7 @@ def test_criterion_7_advantage_identity():
         tail_game = dataclasses.replace(g, horizon=g.horizon - 1)
 
         def value_from(state):
-            return expected_team_reward(
+            return evaluate(
                 dataclasses.replace(tail_game, initial=((state, 1.0),)), p1, p2
             )
 

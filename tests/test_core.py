@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import brute_force_value
 from teameq.core import (
     ConstantPolicy,
     DimensionError,
@@ -20,14 +21,12 @@ from teameq.core import (
     UniformPolicy,
     _nf_team_value,
     evaluate,
-    expected_team_reward,
     game_from_dict,
     game_to_dict,
     mixture_value,
     policy_from_dict,
     policy_to_dict,
     product_to_joint,
-    sample_joint_action,
     team_action_dist,
     team_value,
 )
@@ -47,16 +46,16 @@ def pure(actions, counts=(2, 2)):
 class TestNormalFormEvaluation:
     def test_example1_all_zeros(self):
         g = example1()
-        assert expected_team_reward(g, pure((0, 0)), pure((0, 0))) == 1.0
+        assert evaluate(g, pure((0, 0)), pure((0, 0))) == 1.0
 
     def test_example1_bonus_cell(self):
         g = example1()
-        assert expected_team_reward(g, pure((1, 1)), pure((0, 0))) == 2.0
+        assert evaluate(g, pure((1, 1)), pure((0, 0))) == 2.0
 
     def test_example1_cross_cell(self):
         # 1 + nu2 - nu1 with nu1 = 2, nu2 = 1
         g = example1()
-        assert expected_team_reward(g, pure((1, 0)), pure((0, 1))) == 0.0
+        assert evaluate(g, pure((1, 0)), pure((0, 1))) == 0.0
 
     def test_zero_sum(self):
         g = random_team_game((2, 2), ((2, 2), (2, 2)), seed=3)
@@ -75,14 +74,14 @@ class TestNormalFormEvaluation:
             )
             w = rng.uniform()
             mix = JointMixPolicy([joints[0], joints[3]], [w, 1 - w])
-            lhs = expected_team_reward(g, mix, q)
-            rhs = w * expected_team_reward(g, a, q) + (1 - w) * expected_team_reward(g, b, q)
+            lhs = evaluate(g, mix, q)
+            rhs = w * evaluate(g, a, q) + (1 - w) * evaluate(g, b, q)
             assert abs(lhs - rhs) <= 1e-9
 
     def test_dimension_mismatch(self):
         g = example1()
         with pytest.raises(DimensionError):
-            expected_team_reward(g, ProductPolicy.pure((0,), (2,)), pure((0, 0)))
+            evaluate(g, ProductPolicy.pure((0,), (2,)), pure((0, 0)))
 
     def test_distribution_values_are_team_value_bit_for_bit(self):
         # the loops that keep joint-action distributions read values this way
@@ -105,7 +104,7 @@ class TestNormalFormEvaluation:
     def test_shared_policy_needs_homogeneous_spaces(self):
         g = NormalFormTeamGame((2, 1), ((2, 3), (2,)), np.zeros((2, 3, 2)))
         with pytest.raises(DimensionError):
-            expected_team_reward(
+            evaluate(
                 g, SharedPolicy(IndividualPolicy.uniform(2), 2), ProductPolicy.pure((0,), (2,))
             )
 
@@ -137,72 +136,48 @@ class TestProductToJoint:
             rng = np.random.default_rng(seed)
             p = ProductPolicy([IndividualPolicy(2, {0: rng.dirichlet((1, 1))}) for _ in range(2)])
             q = pure((rng.integers(2), rng.integers(2)))
-            direct = expected_team_reward(g, p, q)
-            via_joint = expected_team_reward(g, product_to_joint(p, g, 1), q)
+            direct = evaluate(g, p, q)
+            via_joint = evaluate(g, product_to_joint(p, g, 1), q)
             assert abs(direct - via_joint) <= 1e-9
 
 
-class TestSampling:
-    def test_deterministic_product(self):
-        rng = np.random.default_rng(0)
-        p = pure((1, 0))
-        for _ in range(5):
-            assert sample_joint_action(p, [0, 0], rng) == (1, 0)
-
-    def test_degenerate_joint_mix(self):
-        rng = np.random.default_rng(1)
-        p = JointMixPolicy([(1, 1)], [1.0])
-        assert sample_joint_action(p, [0, 0], rng) == (1, 1)
-
-    def test_shared_samples_independently(self):
-        # empirical joint frequencies of a uniform shared policy over 1e5 draws
-        rng = np.random.default_rng(42)
-        p = SharedPolicy(IndividualPolicy.uniform(2), 2)
-        counts = {}
-        n = 100_000
-        for _ in range(n):
-            a = sample_joint_action(p, [0, 0], rng)
-            counts[a] = counts.get(a, 0) + 1
-        for joint in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert abs(counts.get(joint, 0) / n - 0.25) <= 0.01
-
-    def test_observation_missing(self):
-        p = ProductPolicy([IndividualPolicy.deterministic(2, 0)])
-        with pytest.raises(KeyError):
-            sample_joint_action(p, ["unknown"], np.random.default_rng(0))
-
-
 class TestStochasticEvaluation:
-    def test_mc_requires_seed(self):
-        g = random_stochastic_game(seed=0)
-        p = ProductPolicy([ConstantPolicy(2, 0)] * 2)
-        with pytest.raises(EvaluationError):
-            evaluate(g, p, p, EvalConfig(mode="mc", seed=None))
-
-    def test_exact_vs_mc(self):
-        g = random_stochastic_game(seed=1, horizon=3)
-        p1 = ProductPolicy([ConstantPolicy(2, 0)] * 2)
-        p2 = ProductPolicy([ConstantPolicy(2, 1)] * 2)
-        exact = evaluate(g, p1, p2).value
-        mc = evaluate(g, p1, p2, EvalConfig(mode="mc", mc_samples=4000, seed=9))
-        assert abs(mc.value - exact) <= 4 * mc.stderr + 1e-3
+    def test_exact_matches_brute_force(self):
+        # the layered walk against plain recursion over every joint action
+        # and successor, with mixed and hashed members on both sides
+        games = [random_stochastic_game(seed=seed, horizon=3) for seed in range(3)]
+        games.append(grid_skirmish(SkirmishConfig(3, 3, 2, horizon=2)))
+        for g in games:
+            c1, c2 = g.action_counts
+            uniform = ProductPolicy([UniformPolicy(c) for c in c1])
+            hashed = ProductPolicy([HashPolicy(c, 7 + m) for m, c in enumerate(c2)])
+            assert evaluate(g, uniform, hashed) == pytest.approx(
+                brute_force_value(g, uniform, hashed), abs=1e-12
+            )
+            mixed = ProductPolicy([UniformPolicy(c) for c in c2])
+            hashed1 = ProductPolicy([HashPolicy(c, 3 + m) for m, c in enumerate(c1)])
+            assert evaluate(g, hashed1, mixed) == pytest.approx(
+                brute_force_value(g, hashed1, mixed), abs=1e-12
+            )
 
     def test_truncation_bound(self):
         # finite-horizon value within Rmax * gamma^H / (1 - gamma) of longer runs
         g = random_stochastic_game(seed=2, horizon=4, discount=0.8)
         p1 = ProductPolicy([ConstantPolicy(2, 0)] * 2)
         p2 = ProductPolicy([ConstantPolicy(2, 1)] * 2)
-        v_h = evaluate(g, p1, p2).value
+        v_h = evaluate(g, p1, p2)
         longer = dataclasses.replace(g, horizon=g.horizon + 6)
-        v_hk = evaluate(longer, p1, p2).value
+        v_hk = evaluate(longer, p1, p2)
         bound = g.reward_bound * g.discount**g.horizon / (1 - g.discount)
         assert abs(v_h - v_hk) <= bound + 1e-12
 
     def test_exact_budget_guard(self):
         g = random_stochastic_game(seed=3)
         p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError) as err:
             evaluate(g, p, p, EvalConfig(exact_bound=2))
+        assert "exact_bound" in str(err.value)
+        assert "monte" not in str(err.value).lower()
 
     def test_exact_budget_boundary(self):
         # the bound caps the (state, joint action) pairs of the widest step,
@@ -226,8 +201,8 @@ class TestStochasticEvaluation:
             widest = max(widest, len(pairs))
             layer = {s2 for s, joint in pairs for s2, pt in g.successors(s, joint) if pt > 0.0}
         assert widest == 1764
-        exact = evaluate(g, p1, p2).value
-        assert evaluate(g, p1, p2, EvalConfig(exact_bound=widest)).value == exact
+        exact = evaluate(g, p1, p2)
+        assert evaluate(g, p1, p2, EvalConfig(exact_bound=widest)) == exact
         refused = f"[(]{widest} state-action pairs in one step > {widest - 1}[)]"
         with pytest.raises(EvaluationError, match=refused):
             evaluate(g, p1, p2, EvalConfig(exact_bound=widest - 1))
@@ -236,24 +211,18 @@ class TestStochasticEvaluation:
         g = random_stochastic_game(seed=4)
         lazy = ProductPolicy([UniformPolicy(2)] * 2)
         table = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
-        assert evaluate(g, lazy, lazy).value == pytest.approx(evaluate(g, table, table).value, abs=1e-12)
+        assert evaluate(g, lazy, lazy) == pytest.approx(evaluate(g, table, table), abs=1e-12)
         row = UniformPolicy(3).dist("any")
         assert not row.flags.writeable and UniformPolicy(3).pure_action("any") is None
 
-    def test_mc_reports_stderr_and_n(self):
-        g = random_stochastic_game(seed=4)
-        p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
-        res = evaluate(g, p, p, EvalConfig(mode="mc", mc_samples=500, seed=5))
-        assert res.n == 500 and res.mode == "mc" and res.stderr > 0
-
     def test_mc_mixture_support_limit(self):
-        # Monte-Carlo goes through the same support check, so the refusal
-        # must not offer it as a way out
+        # evaluation is exact only, so the refusal must not offer a
+        # Monte-Carlo estimate as a way out
         g = random_stochastic_game(seed=0)
         p = ProductPolicy([ConstantPolicy(2, 0)] * 2)
         mix = [(p, 1.0 / 65)] * 65
         with pytest.raises(EvaluationError, match="mixture support exceeds 64") as err:
-            team_value(g, 1, mix, p, EvalConfig(mode="mc", seed=1))
+            team_value(g, 1, mix, p, EvalConfig())
         assert "monte" not in str(err.value).lower()
 
 
@@ -351,6 +320,6 @@ class TestSerialization:
         g = example1()
         restored = policy_from_dict(policy_to_dict(policy))
         opp = ProductPolicy.pure((0, 1), (2, 2))
-        assert expected_team_reward(g, restored, opp) == pytest.approx(
-            expected_team_reward(g, policy, opp), abs=1e-12
+        assert evaluate(g, restored, opp) == pytest.approx(
+            evaluate(g, policy, opp), abs=1e-12
         )

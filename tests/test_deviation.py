@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import lp_maxmin
 from teameq.core import (
+    NF_OBS,
     ConstantPolicy,
     DimensionError,
     EvalConfig,
@@ -18,7 +19,6 @@ from teameq.core import (
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
-    expected_team_reward,
     team_value,
 )
 from teameq.deviation import (
@@ -30,7 +30,6 @@ from teameq.deviation import (
     Sequential,
     _tables_digest,
     build_deviation_spec,
-    cooperative_ability,
     sample_budget,
     verify_equilibrium,
 )
@@ -186,21 +185,31 @@ class TestBuildDeviationSpec:
         assert len(nf_spec.correlated) == 4
 
 
+def pure_joint_count(game, spec):
+    """Distinct pure team joint policies in the correlated deviation set:
+    joint actions on a normal-form game; on a stochastic one the seeded
+    products, whose hashed members are pure at every observation."""
+    if game.is_normal_form:
+        keys = {tuple(m.pure_action(NF_OBS) for m in p.members) for p in spec.correlated}
+        return len({k for k in keys if None not in k})
+    return len({tuple(m.seed for m in p.members) for p in spec.correlated})
+
+
 class TestCooperativeAbility:
     def test_no_correlation_is_zero(self):
         g = example1()
         spec = build_deviation_spec(g, 1, pure((0, 0)), NoCorrelation())
-        assert cooperative_ability(g, spec) == 0
+        assert pure_joint_count(g, spec) == 0
 
     def test_pivot_followers(self):
         g = example1()
         spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers(0))
-        assert cooperative_ability(g, spec) == 2  # (0,0) and (1,1)
+        assert pure_joint_count(g, spec) == 2  # (0,0) and (1,1)
 
     def test_joint(self):
         g = example1()
         spec = build_deviation_spec(g, 1, pure((0, 0)), Joint())
-        assert cooperative_ability(g, spec) == 4
+        assert pure_joint_count(g, spec) == 4
 
     def test_stochastic_sequential_counts_seeded_products(self):
         # a budget of 5 holds the two member tables, then three seeded
@@ -210,7 +219,7 @@ class TestCooperativeAbility:
         corr = Sequential(sample_factor=SampleFactor(n_init=5), seed=4)
         spec = build_deviation_spec(g, 1, zeros, corr, opponent=zeros)
         assert (len(spec.individual), len(spec.correlated)) == (2, 3)
-        assert cooperative_ability(g, spec) == 3
+        assert pure_joint_count(g, spec) == 3
 
 
 class TestVerifyEquilibrium:

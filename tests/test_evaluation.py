@@ -1,7 +1,5 @@
 """Exploitability profiles, relative population performance, Elo."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +8,12 @@ from hypothesis import strategies as st
 from helpers import lp_maxmin
 from teameq.core import (
     ConstantPolicy,
-    EvalConfig,
     HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,
     ProductPolicy,
-    expected_team_reward,
+    evaluate,
     team_value,
 )
 from teameq.evaluation import (
@@ -54,7 +51,7 @@ class TestExploitabilityProfile:
         cand = Candidate.single(1, pure((0, 0)))
         report = exploitability_profile(g, cand, classes=("joint",), seed=0)
         brute = max(
-            -expected_team_reward(g, pure((0, 0)), pure(j)) for j in g.joint_actions(2)
+            -evaluate(g, pure((0, 0)), pure(j)) for j in g.joint_actions(2)
         )
         assert report.result("joint").opponent_reward == pytest.approx(brute, abs=1e-12)
 
@@ -73,7 +70,7 @@ class TestExploitabilityProfile:
         cand = Candidate.single(1, pure((1, 0)))
         report = exploitability_profile(g, cand, classes=("random",))
         uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
-        expected = -expected_team_reward(g, pure((1, 0)), uniform)
+        expected = -evaluate(g, pure((1, 0)), uniform)
         assert report.result("random").opponent_reward == pytest.approx(expected, abs=1e-12)
 
     def test_class_dominance(self):
@@ -112,20 +109,6 @@ class TestExploitabilityProfile:
         for cand in (Candidate.single(1, entries[0]), Candidate(1, entries, (0.5, 0.5))):
             entry = exploitability_profile(g, cand, classes=("synchronized",)).results[0]
             assert entry.applicable and np.isfinite(entry.opponent_reward)
-
-    def test_monte_carlo_refused_before_any_class(self):
-        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
-        calls = []
-
-        def transition(state, joint):
-            calls.append((state, joint))
-            return g.transition(state, joint)
-
-        counted = dataclasses.replace(g, transition=transition)
-        cand = Candidate.single(1, ProductPolicy([HashPolicy(6, 5), HashPolicy(6, 6)]))
-        with pytest.raises(ValueError, match="exact evaluation"):
-            exploitability_profile(counted, cand, cfg=EvalConfig(mode="mc", seed=0))
-        assert calls == []
 
     def test_class_order(self):
         g = example1()

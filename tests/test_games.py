@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teameq.core import ConstantPolicy, EvalConfig, ProductPolicy, evaluate, expected_team_reward
+from teameq.core import ConstantPolicy, ProductPolicy, evaluate
 from teameq.games import (
     SadConfig,
     SkirmishConfig,
@@ -39,20 +39,20 @@ class TestSad:
     def test_symmetric_seeks_zero(self):
         g = sad(SadConfig(2, 3))
         zeros = ProductPolicy.pure((0, 0), (6, 6))
-        assert expected_team_reward(g, zeros, zeros) == 0.0
+        assert evaluate(g, zeros, zeros) == 0.0
 
     def test_attack_vs_seek(self):
         # N=1, A=2, B=1: T1 attacks, T2 seeks 2 -> R1 = 1 - 2/2 = 0
         g = sad(SadConfig(1, 2, 1.0))
         attack = ProductPolicy.pure((3,), (5,))
         seek2 = ProductPolicy.pure((2,), (5,))
-        assert expected_team_reward(g, attack, seek2) == 0.0
+        assert evaluate(g, attack, seek2) == 0.0
 
     def test_identical_joint_actions_zero(self):
         g = sad(SadConfig(2, 2))
         for joint in [(0, 1), (3, 3), (4, 2)]:
             p = ProductPolicy.pure(joint, (5, 5))
-            assert expected_team_reward(g, p, p) == 0.0
+            assert evaluate(g, p, p) == 0.0
 
     @given(
         n=st.integers(1, 2),
@@ -66,8 +66,8 @@ class TestSad:
         a = tuple(data.draw(st.integers(0, n_actions - 1)) for _ in range(n))
         b = tuple(data.draw(st.integers(0, n_actions - 1)) for _ in range(n))
         pa, pb = ProductPolicy.pure(a, (n_actions,) * n), ProductPolicy.pure(b, (n_actions,) * n)
-        lhs = expected_team_reward(g, pa, pb)
-        rhs = expected_team_reward(g, pb, pa)
+        lhs = evaluate(g, pa, pb)
+        rhs = evaluate(g, pb, pa)
         assert lhs == pytest.approx(-rhs, abs=1e-12)
 
     def test_enumeration_bound(self):
@@ -78,9 +78,9 @@ class TestSad:
 class TestAntiCoordination:
     def test_cells(self):
         g = anti_coordination()
-        assert expected_team_reward(g, ProductPolicy.pure((0, 1), (2, 2)), ProductPolicy.pure((0, 0), (2, 2))) == 1.0
-        assert expected_team_reward(g, ProductPolicy.pure((0, 0), (2, 2)), ProductPolicy.pure((0, 0), (2, 2))) == 0.0
-        assert expected_team_reward(g, ProductPolicy.pure((1, 0), (2, 2)), ProductPolicy.pure((0, 1), (2, 2))) == 0.0
+        assert evaluate(g, ProductPolicy.pure((0, 1), (2, 2)), ProductPolicy.pure((0, 0), (2, 2))) == 1.0
+        assert evaluate(g, ProductPolicy.pure((0, 0), (2, 2)), ProductPolicy.pure((0, 0), (2, 2))) == 0.0
+        assert evaluate(g, ProductPolicy.pure((1, 0), (2, 2)), ProductPolicy.pure((0, 1), (2, 2))) == 0.0
 
     def test_class_separation_vs_homogeneous_opponent(self):
         # joint coordination reaches 1; independent shared play caps at 0.5
@@ -96,29 +96,28 @@ class TestGridSkirmish:
     def test_stand_apart_and_stay(self):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=5))
         stay = ProductPolicy([ConstantPolicy(6, 4)] * 2)
-        assert expected_team_reward(g, stay, stay) == 0.0
+        assert evaluate(g, stay, stay) == 0.0
 
     def test_adjacent_attack(self):
         g = grid_skirmish(SkirmishConfig(2, 1, 1, horizon=1, damage=1.0))
         attack = ProductPolicy([ConstantPolicy(6, 5)])
         stay = ProductPolicy([ConstantPolicy(6, 4)])
-        assert expected_team_reward(g, attack, stay) == 1.0
+        assert evaluate(g, attack, stay) == 1.0
 
     def test_mirrored_policies_cancel(self):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=4))
         for action in (4, 5):
             p = ProductPolicy([ConstantPolicy(6, action)] * 2)
-            assert expected_team_reward(g, p, p) == 0.0
+            assert evaluate(g, p, p) == 0.0
 
     def test_deterministic_transitions(self):
-        from teameq.core import rollout
-
+        # every step on the path has one successor, reached with certainty
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=4))
-        p1 = ProductPolicy([ConstantPolicy(6, 3), ConstantPolicy(6, 1)])
-        p2 = ProductPolicy([ConstantPolicy(6, 0), ConstantPolicy(6, 2)])
-        r1 = rollout(g, p1, p2, np.random.default_rng(7))
-        r2 = rollout(g, p1, p2, np.random.default_rng(7))
-        assert r1 == r2
+        joint = ((3, 1), (0, 2))
+        ((state, _),) = g.initial
+        for _ in range(g.horizon):
+            ((state, prob),) = g.successors(state, joint)
+            assert prob == 1.0
 
     def test_collisions_block_swaps(self):
         # two agents moving through each other stay in place

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import lp_maxmin
+from helpers import lp_maxmin, shared_maxmin_grid
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
@@ -24,7 +24,6 @@ from teameq.core import (
     SharedPolicy,
     UniformPolicy,
     evaluate,
-    expected_team_reward,
     team_action_dist,
     team_value,
 )
@@ -48,7 +47,6 @@ from teameq.oracles import (
     best_response_shared,
     channel_to_dicts,
     sebr,
-    shared_maxmin_grid,
     solve_matrix_maxmin,
 )
 
@@ -207,7 +205,7 @@ class TestBestResponseIndividual:
         g = example1()
         result, value = best_response_individual(g, pure((0, 0)), 1, pure((0, 0)))
         assert result.pure_joint_action([0, 0]) == (0, 0)
-        assert expected_team_reward(g, result, pure((0, 0))) == 1.0
+        assert evaluate(g, result, pure((0, 0))) == 1.0
         assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_stays_at_bonus(self):
@@ -235,9 +233,9 @@ class TestBestResponseIndividual:
             g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=seed)
             opp = pure((seed % 3, (seed + 1) % 3), (3, 3))
             start = pure((0, 0), (3, 3))
-            v0 = expected_team_reward(g, start, opp)
+            v0 = evaluate(g, start, opp)
             result, value = best_response_individual(g, opp, 1, start)
-            assert expected_team_reward(g, result, opp) >= v0 - 1e-12
+            assert evaluate(g, result, opp) >= v0 - 1e-12
             assert value == team_value(g, 1, result, opp)
 
 
@@ -270,7 +268,7 @@ class TestBestResponseShared:
             opp = pure((rng.integers(3), rng.integers(3)), (3, 3))
             _, value = best_response_shared(g, opp, 1)
             pure_best = max(
-                expected_team_reward(g, pure((a, a), (3, 3)), opp) for a in range(3)
+                evaluate(g, pure((a, a), (3, 3)), opp) for a in range(3)
             )
             assert value >= pure_best - 1e-12
 
@@ -292,7 +290,7 @@ class TestBestResponseShared:
         g = random_team_game((3, 3), ((2, 2, 2), (2, 2, 2)), seed=3)
         opp = pure((0, 0, 0), (2, 2, 2))
         joints = list(itertools.product(range(2), repeat=3))
-        rewards = np.array([expected_team_reward(g, pure(j, (2, 2, 2)), opp) for j in joints])
+        rewards = np.array([evaluate(g, pure(j, (2, 2, 2)), opp) for j in joints])
 
         def shared_value(q):
             q = np.asarray(q, dtype=float)[..., None]
@@ -614,7 +612,7 @@ class TestAdvantageDecompose:
         g = example1()
         uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
         zeros = pure((0, 0))
-        outcomes = [expected_team_reward(g, pure(a), zeros) for a in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+        outcomes = [evaluate(g, pure(a), zeros) for a in [(0, 0), (0, 1), (1, 0), (1, 1)]]
         expected = outcomes[3] - np.mean(outcomes)
         terms = advantage_decompose(g, uniform, zeros, 1, (1, 1))
         assert terms.sum() == pytest.approx(expected, abs=1e-12)
@@ -629,8 +627,8 @@ class TestAdvantageDecompose:
             order = (0, 1) if rng.uniform() < 0.5 else (1, 0)
             terms = advantage_decompose(g, p1, p2, 1, action, order=order)
             # independent joint advantage: Q(a) - V by direct enumeration
-            q_a = expected_team_reward(g, pure(action), p2)
-            v = expected_team_reward(g, p1, p2)
+            q_a = evaluate(g, pure(action), p2)
+            v = evaluate(g, p1, p2)
             assert abs(terms.sum() - (q_a - v)) <= 1e-12
 
     def test_sum_identity_stochastic(self):
@@ -664,7 +662,7 @@ class TestSebr:
         policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
         joint = policy.pure_joint_action([0, 0])
         assert joint in ((0, 1), (1, 0))
-        assert expected_team_reward(g, policy, pure((0, 0))) == 1.0
+        assert evaluate(g, policy, pure((0, 0))) == 1.0
         assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_example1_local_optimum(self):
@@ -784,10 +782,10 @@ class TestDominanceOrdering:
             _, v_joint = best_response_joint(g, opp, 1)
             _, v_shared = best_response_shared(g, opp, 1)
             indiv, returned_indiv = best_response_individual(g, opp, 1, pure((0, 0)))
-            v_indiv = expected_team_reward(g, indiv, opp)
+            v_indiv = evaluate(g, indiv, opp)
             assert returned_indiv == team_value(g, 1, indiv, opp)
             seq, returned_seq = sebr(g, opp, 1, restarts=2, seed=seed)
-            v_seq = expected_team_reward(g, seq, opp)
+            v_seq = evaluate(g, seq, opp)
             assert returned_seq == team_value(g, 1, seq, opp)
             assert v_joint >= v_seq - 1e-9
             assert v_joint >= v_shared - 1e-9

@@ -7,11 +7,10 @@ import pytest
 
 from helpers import lp_maxmin
 from teameq.core import (
-    EvalConfig,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
-    expected_team_reward,
+    evaluate,
     mixture_value,
 )
 from teameq.evaluation import Candidate, exploitability_profile
@@ -148,7 +147,7 @@ class TestRunPsro:
         opp = pure((0, 1))
         lottery = mixture_value(g, list(zip(entries, weights)), opp)
         joint_mix = JointMixPolicy([(0, 0), (1, 1)], weights)
-        assert lottery == pytest.approx(expected_team_reward(g, joint_mix, opp), abs=1e-9)
+        assert lottery == pytest.approx(evaluate(g, joint_mix, opp), abs=1e-9)
 
     def test_duplicate_suppression_terminates(self):
         g = example1()
@@ -175,11 +174,6 @@ class TestRunPsro:
             PsroConfig(oracle="nope")
         with pytest.raises(ValueError):
             PsroConfig(expand_teams=())
-
-    def test_monte_carlo_refused(self):
-        # gains compare oracle values with meta values: both must be exact
-        with pytest.raises(ValueError, match="exact evaluation"):
-            PsroConfig(eval=EvalConfig(mode="mc", seed=0))
 
 
 class TestMetaSolveCalls:
