@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -452,6 +452,11 @@ class NormalFormTeamGame:
         return self.payoff.reshape(self.joint_count(1), self.joint_count(2))
 
 
+def full_observation(team: int, member: int, obs: Obs) -> Obs:
+    """The default ``member_obs``: every member observes the joint observation."""
+    return obs
+
+
 @dataclass(frozen=True)
 class StochasticTeamGame:
     """Tabular two-team zero-sum stochastic game with finite horizon.
@@ -461,7 +466,7 @@ class StochasticTeamGame:
     only reachable entries and validates them on the fly.  Joint actions are
     pairs ``(team1_actions, team2_actions)`` of int tuples.  ``member_obs``
     maps (team, member, joint_obs) to the member's private observation and
-    defaults to full observability.
+    defaults to `full_observation`.
     """
 
     team_sizes: tuple[int, int]
@@ -472,7 +477,7 @@ class StochasticTeamGame:
     discount: float
     horizon: int
     reward_bound: float
-    member_obs: Callable[[int, int, Obs], Obs] = field(default=lambda team, member, obs: obs)
+    member_obs: Callable[[int, int, Obs], Obs] = full_observation
     name: str = ""
 
     def __post_init__(self):
@@ -509,6 +514,8 @@ class StochasticTeamGame:
 
     def member_observations(self, team: int, obs: Obs) -> tuple:
         n = self.team_sizes[team - 1]
+        if self.member_obs is full_observation:
+            return (obs,) * n
         return tuple(self.member_obs(team, i, obs) for i in range(n))
 
 
@@ -637,13 +644,17 @@ class _StepTable:
     lists are, since they depend on supports only.  The greedy improvement
     goes one step further for its lookahead: it keeps, per opponent atom
     and state, each unit action's successor row and step reward for the
-    whole call, since they do not depend on the unit's own tables.
+    whole call, since they do not depend on the unit's own tables.  The
+    table also keeps the last walks of the searching team's members that
+    it is given, with what was computed from them (see `keep_walks`): the
+    next greedy update of the call starts from them instead of walking
+    again.
     Single-pass work (`evaluate`, a meta-game cell, the `random` profile
     class) asks the game directly in one value pass: its keys do not
     repeat, so a table would only cost time and memory.
     """
 
-    __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions")
+    __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions", "_walks")
 
     def __init__(self, game: StochasticTeamGame, atoms=()):
         self._game = game
@@ -654,35 +665,51 @@ class _StepTable:
         # atoms are keyed by identity
         self._atoms: dict = {atom: {} for atom, _ in atoms}
         self._completions: dict = {}
+        self._walks = None
+
+    # a first visit is a miss, so a miss must be cheap: .get, not KeyError
 
     def successors(self, obs: Obs, joint_action: tuple) -> tuple:
         key = (obs, joint_action)
-        try:
-            return self._rows[key]
-        except KeyError:
+        row = self._rows.get(key)
+        if row is None:
             row = self._rows[key] = self._game.successors(obs, joint_action)
-            return row
+        return row
 
     def step_reward(self, obs: Obs, joint_action: tuple) -> float:
         key = (obs, joint_action)
-        try:
-            return self._rewards[key]
-        except KeyError:
+        r = self._rewards.get(key)
+        if r is None:
             r = self._rewards[key] = self._game.step_reward(obs, joint_action)
-            return r
+        return r
 
     def member_observations(self, side: int, obs: Obs) -> tuple:
         key = (side, obs)
-        try:
-            return self._obs[key]
-        except KeyError:
+        found = self._obs.get(key)
+        if found is None:
             found = self._obs[key] = self._game.member_observations(side, obs)
-            return found
+        return found
 
     def completions(self, team: int, unit=(), unit_actions=((),)) -> dict:
         """The ``completions`` dict of every `_joint_support` call of this
         oracle call with the same ``team``, ``unit`` and ``unit_actions``."""
         return self._completions.setdefault((team, unit, tuple(unit_actions)), {})
+
+    def keep_walks(self, team: int, members, atoms, walks: list, value: float, on_policy=None):
+        """Keep the walks ``team``'s product of ``members`` made against
+        ``atoms`` (one list per atom, as `_profile_value` records them), its
+        value against the mixture and, when known, each walk's on-policy
+        state values by step; only the latest are kept."""
+        self._walks = ((team, tuple(members), tuple(atoms)), walks, value, on_policy)
+
+    def kept_walks(self, team: int, members, atoms):
+        """``(walks, value, on-policy values or None)`` kept for ``team``,
+        the very same member and atom objects (policies compare by
+        identity) and equal weights, or None."""
+        kept = self._walks
+        if kept is None or kept[0] != (team, tuple(members), tuple(atoms)):
+            return None
+        return kept[1:]
 
     def supports(self, side: int, policy, state: Obs) -> tuple:
         """`_member_supports` of the team policy ``policy`` playing
@@ -690,11 +717,10 @@ class _StepTable:
         kept = self._atoms.get(policy)
         if kept is None:
             return _member_supports(self, side, _members_view(policy), state)
-        try:
-            return kept[state]
-        except KeyError:
+        slots = kept.get(state)
+        if slots is None:
             slots = kept[state] = _member_supports(self, side, _members_view(policy), state)
-            return slots
+        return slots
 
 
 def _member_supports(steps, side, members, state, free=()) -> tuple:
@@ -739,32 +765,45 @@ def _joint_support(
     return _complete(slots, completions, team, len(members), unit, unit_actions)
 
 
-def _complete(slots, completions: dict, team, n_members, unit=(), unit_actions=((),)):
-    """`_joint_support`'s list from the fixed players' supports ``slots``,
-    ``team``'s fixed members first, kept in ``completions``."""
-    out = completions.get(slots)
-    if out is not None:
-        return out
-    # prefix products: the same multiplications, in the same order, as
-    # math.prod over each combination
+def _combinations(slots) -> list:
+    """Every way to pick one ``(action, prob)`` pair per slot, as ``(prob,
+    actions)`` in lexicographic order of the picks; each probability
+    multiplies its picks from the first slot on, as math.prod does."""
+    if all(len(slot) == 1 for slot in slots):
+        # pure play: the one combination, by the same multiplications
+        prob, acts = 1.0, []
+        for ((a, q),) in slots:
+            prob *= q
+            acts.append(a)
+        return [(prob, tuple(acts))]
     combos = [(1.0, ())]
     for slot in slots:
         combos = [(p * q, acts + (a,)) for p, acts in combos for a, q in slot]
-    fixed = [i for i in range(n_members) if i not in unit]
+    return combos
+
+
+def _complete(slots, completions: dict, team, n_members, unit=(), unit_actions=((),)):
+    """`_joint_support`'s list from the fixed players' supports ``slots``,
+    ``team``'s fixed members first, kept in ``completions``.  The free
+    members ``unit`` are consecutive, in ascending order, so each unit
+    action fills the gap between the fixed members before and after it;
+    ValueError otherwise."""
+    out = completions.get(slots)
+    if out is not None:
+        return out
+    lo = unit[0] if unit else 0
+    if unit != tuple(range(lo, lo + len(unit))):
+        raise ValueError(f"free members {unit} are not consecutive in ascending order")
+    n_fixed = n_members - len(unit)
     out = completions[slots] = []
-    for prob, acts in combos:
+    for prob, acts in _combinations(slots):
         if prob <= 0.0:
             continue
-        own = [0] * n_members
-        for i, a in zip(fixed, acts):
-            own[i] = a
-        opp = acts[len(fixed):]
-        pairs = []
-        for ua in unit_actions:
-            for i, a in zip(unit, ua):
-                own[i] = a
-            pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
-        out.append((prob, pairs))
+        before, after, opp = acts[:lo], acts[lo:n_fixed], acts[n_fixed:]
+        if team == 1:
+            out.append((prob, [(ua, (before + ua + after, opp)) for ua in unit_actions]))
+        else:
+            out.append((prob, [(ua, (opp, before + ua + after)) for ua in unit_actions]))
     return out
 
 

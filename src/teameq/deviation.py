@@ -24,7 +24,6 @@ from .core import (
     DimensionError,
     EvalConfig,
     Game,
-    HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
@@ -238,35 +237,13 @@ def build_deviation_spec(
     raise TypeError(f"unknown correlation class {correlation!r}")
 
 
-def _pure_joint_signature(game: Game, team: int, policy):
-    """Hashable identity of a pure team joint policy, or None if mixed."""
+def _pure_joint_action(policy) -> tuple | None:
+    """The joint action a normal-form team policy plays for sure, or None
+    if it mixes."""
     if isinstance(policy, JointMixPolicy):
-        if len(policy.atoms) == 1:
-            return ("nf", policy.atoms[0])
-        return None
-    if isinstance(policy, (ProductPolicy, SharedPolicy)):
-        members = policy.members
-        if game.is_normal_form:
-            acts = [m.pure_action(0) for m in members]
-            if any(a is None for a in acts):
-                return None
-            return ("nf", tuple(acts))
-        sigs = []
-        for m in members:
-            if isinstance(m, HashPolicy):  # pure at every observation
-                sigs.append(repr(m))
-                continue
-            if not isinstance(m, IndividualPolicy):
-                return None
-            entries = []
-            for obs in sorted(m.observations(), key=repr):
-                a = m.pure_action(obs)
-                if a is None:
-                    return None
-                entries.append((obs, a))
-            sigs.append(tuple(entries))
-        return ("st", tuple(sigs))
-    return None
+        return policy.atoms[0] if len(policy.atoms) == 1 else None
+    acts = tuple(m.pure_action(0) for m in _members_view(policy))
+    return None if None in acts else acts
 
 
 # Verification -------------------------------------------------------------
@@ -337,9 +314,8 @@ def _witness_for(game, spec, kind, payload, value) -> dict:
             "value": float(value), "tables": _tables_digest([pol]),
         }
     if game.is_normal_form:
-        sig = _pure_joint_signature(game, spec.team, payload)
-        joint = list(sig[1]) if sig is not None else None
-        return {"kind": "correlated", "joint_action": joint}
+        joint = _pure_joint_action(payload)
+        return {"kind": "correlated", "joint_action": None if joint is None else list(joint)}
     return {
         "kind": "correlated",
         "value": float(value), "tables": _tables_digest(_members_view(payload)),

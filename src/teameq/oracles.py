@@ -58,6 +58,9 @@ _SIMPLEX_EPS = 1e-12
 #: Most pure tables `_table_search` enumerates for one unit of members.
 TABLE_ENUMERATION_BOUND = 4096
 
+#: Most rounds of `_unit_improve_weighted`'s guarded greedy improvement.
+GREEDY_ROUNDS = 20
+
 
 def subseed(seed: int, name: str) -> int:
     """Stable named sub-stream of a root seed."""
@@ -326,6 +329,7 @@ def _unit_best_response_exact(
         )
 
     q = _backward(game, list(_forward(game, game.initial, support, cfg, steps)), team, steps)
+    look = game if steps is None else steps
     assign: list[dict] = [dict() for _ in unit]
     for layer in reversed(q):
         for state in sorted(layer, key=repr):
@@ -333,7 +337,8 @@ def _unit_best_response_exact(
             best_val = max(acts.values())
             # unit_actions is lexicographically ordered: first max wins
             best_ua = next(ua for ua in unit_actions if acts[ua] == best_val)
-            key = tuple(game.member_obs(team, member, state) for member in unit)
+            obs = look.member_observations(team, state)
+            key = tuple(obs[member] for member in unit)
             _check_tied_observations(tied, key)
             for pos, obs in enumerate(key):
                 prev = assign[pos].get(obs)
@@ -354,8 +359,7 @@ def _unit_best_response_exact(
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, cfg, rounds: int = 20, unit_actions=None,
-    value=None, steps=None,
+    game, team, unit, own_members, opp_atoms, cfg, unit_actions=None, value=None, steps=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -367,13 +371,19 @@ def _unit_improve_weighted(
     against every atom, then keeps the greedy candidate only if its value
     beats the current value by more than 1e-15 (keep-if-better guard).
     The candidate's walks give that value and, once it is kept, the next
-    round's walks.  ``value`` is the starting policy's value against the
-    mixture when the caller already holds it.  ``unit_actions`` is as in
-    _unit_best_response_exact.  ``steps`` is the calling oracle's step
-    table, with ``opp_atoms`` registered; without one the greedy builds its
-    own.  Returns (unit members' policies, value, fixed point), where fixed
-    point says the last round rejected its candidate rather than ending at
-    the ``rounds`` cap: the greedy run again from its result, before any
+    round's walks.  A candidate whose unit members play the current action
+    at every key it scored plays the current policy, so its walks would
+    repeat the current ones: when their value cannot pass the guard it is
+    rejected without a walk.  ``value`` is the starting policy's value
+    against the mixture when the caller already holds it.  ``unit_actions``
+    is as in _unit_best_response_exact.  ``steps`` is the calling oracle's
+    step table, with ``opp_atoms`` registered; without one the greedy builds
+    its own.  The first round starts from the walks ``steps`` kept for the
+    same members and atoms (see `_StepTable.keep_walks`), else it walks
+    them, and the greedy keeps the walks of the policy it returns there.
+    Returns (unit members' policies, value, fixed point), where fixed point
+    says the last round rejected its candidate rather than ending at the
+    GREEDY_ROUNDS cap: the greedy run again from its result, before any
     other member changes, keeps that result.
     """
     counts = game.action_counts[team - 1]
@@ -410,18 +420,24 @@ def _unit_improve_weighted(
         return found
 
     members = list(own_members)
-    walks = [[] for _ in opp_atoms]
-    start_value = _atoms_value(game, team, members, opp_atoms, cfg, steps, walks)
+    start = steps.kept_walks(team, members, opp_atoms)
+    if start is None:
+        walks, on_policy = [[] for _ in opp_atoms], None
+        walked = _atoms_value(game, team, members, opp_atoms, cfg, steps, walks)
+    else:
+        walks, walked, on_policy = start
     if value is None:
-        value = start_value
-    for _ in range(rounds):
-        qbar: dict = {}
-        for (atom, w), walk, rows_by_state in zip(opp_atoms, walks, kept):
+        value = walked
+    fixed = False
+    for _ in range(GREEDY_ROUNDS):
+        if on_policy is None:
             # on-policy values by step; a state reached only off-policy counts 0
-            after = [
-                {s: acts[()] for s, acts in layer.items()}
-                for layer in _backward(game, walk, team, steps)
-            ] + [{}]
+            on_policy = [
+                [{s: acts[()] for s, acts in layer.items()} for layer in layers] + [{}]
+                for layers in (_backward(game, walk, team, steps) for walk in walks)
+            ]
+        qbar: dict = {}
+        for (atom, w), walk, after, rows_by_state in zip(opp_atoms, walks, on_policy, kept):
             for t, state, p_state, _rows in walk:
                 d = (game.discount**t) * p_state
                 if d <= 0.0:
@@ -445,6 +461,14 @@ def _unit_improve_weighted(
             best_ua = next(ua for ua in unit_actions if row[ua] == best_val)
             for pos, _m in enumerate(unit):
                 tables[pos][key[pos]] = best_ua[pos]
+        # a candidate that plays the current policy would walk to ``walked``
+        if walked <= value + 1e-15 and all(
+            members[member].support(obs) == ((a, 1.0),)
+            for pos, member in enumerate(unit)
+            for obs, a in tables[pos].items()
+        ):
+            fixed = True
+            break
         candidate = list(members)
         for pos, member in enumerate(unit):
             candidate[member] = IndividualPolicy.from_actions(
@@ -452,11 +476,13 @@ def _unit_improve_weighted(
             )
         cand_walks = [[] for _ in opp_atoms]
         cand_value = _atoms_value(game, team, candidate, opp_atoms, cfg, steps, cand_walks)
-        if cand_value > value + 1e-15:
-            members, walks, value = candidate, cand_walks, cand_value
-        else:
-            return [members[m] for m in unit], value, True
-    return [members[m] for m in unit], value, False
+        if cand_value <= value + 1e-15:
+            fixed = True
+            break
+        members, walks, walked, value = candidate, cand_walks, cand_value, cand_value
+        on_policy = None
+    steps.keep_walks(team, members, opp_atoms, walks, walked, on_policy)
+    return [members[m] for m in unit], value, fixed
 
 
 def _unit_best_response(game, team, unit, own_members, atoms, cfg, unit_actions=None, steps=None):
@@ -557,13 +583,14 @@ def best_response_individual(
     return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, cfg=cfg)
 
 
-def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
+def _value_vs_atoms(game, team, members, atoms, cfg, steps, walks=None) -> float:
     """Exact value of the product of ``members`` against opponent atoms
     ``[(policy, weight), ...]``, by one evaluation per atom, summed in
     `team_value`'s arithmetic.  ``steps`` is the calling oracle's table: on
     a normal-form game a `_NormalFormTable`, whose atom distributions meet
     the product's, checked once; otherwise a step table that the walks read
-    after `evaluate`'s checks."""
+    after `evaluate`'s checks.  ``walks`` is as in `_atoms_value`
+    (stochastic games only)."""
     own = ProductPolicy(members)
     if game.is_normal_form:
         dist = team_action_dist(game, team, own)
@@ -574,7 +601,7 @@ def _value_vs_atoms(game, team, members, atoms, cfg, steps) -> float:
     check_team_policy(game, team, own)
     for atom, _ in atoms:
         check_team_policy(game, 3 - team, atom)
-    return _atoms_value(game, team, members, atoms, cfg, steps)
+    return _atoms_value(game, team, members, atoms, cfg, steps, walks)
 
 
 def _atoms_value(game, team, members, atoms, cfg, steps, walks=None) -> float:
@@ -1054,6 +1081,9 @@ def sebr(
 
     A settled member's update (see `_member_update`) is skipped: it would
     change nothing, and it is logged and traced as an unchanged update.
+    Against a stochastic mixture each start's evaluation keeps its walks
+    on the call's step table, where the first greedy update starts from
+    them.
     ``channel``, when given, is cleared at each sweep start and logs every
     member update with its advantage terms (normal form, pure team joint
     action); without one nothing is logged.  ``trace``, when given,
@@ -1075,7 +1105,10 @@ def sebr(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
-        value = _value_vs_atoms(game, team, members, atoms, cfg, steps)
+        walks = None if game.is_normal_form or len(atoms) == 1 else [[] for _ in atoms]
+        value = _value_vs_atoms(game, team, members, atoms, cfg, steps, walks)
+        if walks is not None:
+            steps.keep_walks(team, members, atoms, walks, value)
         settled: set = set()
         for sweep in range(max_sweeps):
             if channel is not None:

@@ -5,8 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import brute_force_value
+from teameq import core
 from teameq.core import (
     ConstantPolicy,
     DimensionError,
@@ -215,6 +218,22 @@ class TestStochasticEvaluation:
         row = UniformPolicy(3).dist("any")
         assert not row.flags.writeable and UniformPolicy(3).pure_action("any") is None
 
+    def test_member_observations_match_per_member_calls(self):
+        # under the default full observation every member sees the state,
+        # without a call per member; a custom member_obs is called per member
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        assert g.member_obs is core.full_observation
+        custom = dataclasses.replace(g, member_obs=lambda team, member, s: (s[0], member, team))
+        states = [g.initial[0][0]]
+        for _ in range(g.horizon - 1):
+            states += [s2 for a in range(6) for s2, _ in g.successors(states[-1], ((a, 0), (0, a)))]
+        for game in (g, custom):
+            for team in (1, 2):
+                for state in states:
+                    per_member = tuple(game.member_obs(team, m, state) for m in range(2))
+                    assert game.member_observations(team, state) == per_member
+        assert custom.member_observations(2, states[0]) == ((0, 0, 2), (0, 1, 2))
+
     def test_mc_mixture_support_limit(self):
         # evaluation is exact only, so the refusal must not offer a
         # Monte-Carlo estimate as a way out
@@ -323,3 +342,63 @@ class TestSerialization:
         assert evaluate(g, restored, opp) == pytest.approx(
             evaluate(g, policy, opp), abs=1e-12
         )
+
+
+def _product_combinations(slots) -> list:
+    """Every pick of one (action, prob) pair per slot, multiplied from the
+    first slot on: the generic product that `_combinations` shortcuts."""
+    out = []
+    for picks in itertools.product(*slots):
+        prob = 1.0
+        for _, q in picks:
+            prob *= q
+        out.append((prob, tuple(a for a, _ in picks)))
+    return out
+
+
+def _completion_list(slots, team, unit, unit_actions) -> list:
+    """`_complete`'s list for a two-member team from the generic product."""
+    fixed = [i for i in range(2) if i not in unit]
+    out = []
+    for prob, acts in _product_combinations(slots):
+        if prob > 0.0:
+            pairs = []
+            for ua in unit_actions:
+                own = [0, 0]
+                for i, a in zip(fixed + list(unit), acts[: len(fixed)] + ua):
+                    own[i] = a
+                opp = acts[len(fixed):]
+                pairs.append((ua, (tuple(own), opp) if team == 1 else (opp, tuple(own))))
+            out.append((prob, pairs))
+    return out
+
+
+_supports = st.lists(
+    st.tuples(st.integers(0, 5), st.floats(0.0, 1.0, allow_nan=False)), min_size=1, max_size=3
+).map(tuple)
+_pure_supports = st.tuples(st.integers(0, 5), st.floats(0.0, 1.0)).map(lambda pick: (pick,))
+
+
+class TestCompletions:
+    @given(
+        st.one_of(_pure_supports, _supports),
+        st.lists(_pure_supports, min_size=3, max_size=3),
+        st.sampled_from([1, 2]),
+        st.sampled_from([(), (0,), (1,), (0, 1)]),
+    )
+    def test_completion_lists_equal_the_generic_product(self, first, rest, team, unit):
+        # pure play (every slot one pair) takes a direct path that must give
+        # the generic product's list bit for bit, zero probabilities included
+        slots = tuple([first] + rest)[: 4 - len(unit)]
+        unit_actions = list(itertools.product(range(2), repeat=len(unit)))
+        combos = core._combinations(slots)
+        assert combos == _product_combinations(slots)
+        assert [p.hex() for p, _ in combos] == [p.hex() for p, _ in _product_combinations(slots)]
+        expected = _completion_list(slots, team, unit, unit_actions)
+        assert core._complete(slots, {}, team, 2, unit, unit_actions) == expected
+
+    @pytest.mark.parametrize("unit", [(1, 0), (0, 2)])
+    def test_free_members_must_be_consecutive_and_ascending(self, unit):
+        slots = (((0, 1.0),),) * 2
+        with pytest.raises(ValueError, match="not consecutive"):
+            core._complete(slots, {}, 1, 3, unit, [(0, 0)])

@@ -23,6 +23,7 @@ from teameq.core import (
     ProductPolicy,
     SharedPolicy,
     UniformPolicy,
+    _StepTable,
     evaluate,
     team_action_dist,
     team_value,
@@ -555,6 +556,64 @@ class TestStochasticPasses:
         assert (value, fixed) == (2.709875, True)
         assert _actions_digest(game, 1, ProductPolicy(tables), states) == "112890a05693cc3b"
 
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The number of `_profile_value` passes the oracles make."""
+        count = [0]
+        real = oracles._profile_value
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_profile_value", counted)
+        return count
+
+    def test_greedy_does_not_walk_a_play_identical_candidate(self, walks):
+        # from its own result the greedy's first candidate plays the current
+        # tables at every key it scores: only the start walks are made
+        game, _ = _acting_states(4)
+        mix = [
+            (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
+        ]
+        zeros = (ConstantPolicy(6, 0), ConstantPolicy(6, 0))
+        tables, value, fixed = oracles._unit_improve_weighted(
+            game, 1, (0, 1), zeros, mix, EvalConfig()
+        )
+        assert (value, fixed) == (2.709875, True)
+        walks[0] = 0
+        again, again_value, again_fixed = oracles._unit_improve_weighted(
+            game, 1, (0, 1), tuple(tables), mix, EvalConfig(), value=value
+        )
+        assert walks[0] == len(mix)
+        assert all(a is b for a, b in zip(again, tables))
+        assert (again_value, again_fixed) == (value, True)
+
+    def test_greedy_starts_from_the_walks_of_the_previous_update(self, walks):
+        # member 1's update starts from the walks member 0's update kept on
+        # the shared step table: one walk per atom fewer than a fresh table,
+        # with the same result
+        game, states = _acting_states(4)
+        mix = [
+            (ProductPolicy([HashPolicy(6, 130 + i), HashPolicy(6, 131 + i)]), 0.5) for i in (0, 1)
+        ]
+        start = (HashPolicy(6, 7), HashPolicy(6, 8))
+        steps = _StepTable(game, mix)
+        first, value, _ = oracles._unit_improve_weighted(
+            game, 2, (0,), start, mix, EvalConfig(), steps=steps
+        )
+        members = (first[0], start[1])
+        results = []
+        for table in (steps, _StepTable(game, mix)):
+            walks[0] = 0
+            tables, got, fixed = oracles._unit_improve_weighted(
+                game, 2, (1,), members, mix, EvalConfig(), value=value, steps=table
+            )
+            digest = _actions_digest(game, 2, ProductPolicy(tables), states)
+            results.append((walks[0], got, fixed, digest))
+        (kept, *same), (fresh, *fresh_same) = results
+        assert kept == fresh - len(mix) and same == fresh_same
+
     def test_greedy_lookahead_asks_a_successors_row_before_its_reward(self):
         # a pair the lookahead alone reaches, malformed twice: the row's
         # error is the one raised
@@ -886,12 +945,7 @@ class TestSettledMembers:
 
     def test_greedy_at_its_rounds_cap_is_not_settled(self, updates, monkeypatch):
         # a greedy cut by its rounds cap may improve further when run again
-        real = oracles._unit_improve_weighted
-        monkeypatch.setattr(
-            oracles,
-            "_unit_improve_weighted",
-            lambda *args, **kwargs: real(*args, **{**kwargs, "rounds": 1}),
-        )
+        monkeypatch.setattr(oracles, "GREEDY_ROUNDS", 1)
         game, states = _acting_states(3)
         for team, value, entries, actions, trace_digest in (
             (1, 0.6112326388888889, 14, "a352e7a5c11aeba4", "cc516859822a8b24"),
