@@ -463,7 +463,10 @@ class StochasticTeamGame:
 
     ``transition`` and ``reward`` are callables so that large state spaces
     (e.g. gridworlds) can be represented lazily; exact evaluation touches
-    only reachable entries and validates them on the fly.  Joint actions are
+    only reachable entries and validates them on the fly.  ``reward`` is
+    asked at steps 0 to H-1 and ``transition`` at steps 0 to H-2 only: no
+    value reads a row out of the last step, so a malformed one there is
+    never asked for and never reported.  Joint actions are
     pairs ``(team1_actions, team2_actions)`` of int tuples.  ``member_obs``
     maps (team, member, joint_obs) to the member's private observation and
     defaults to `full_observation`.
@@ -624,9 +627,10 @@ def _members_view(policy) -> tuple:
 # backward induction over a recorded walk, and _profile_value sums a
 # profile's value in one pass over the layers, recording the walk only for
 # a caller that passes a list (the guarded greedy, whose lookahead needs it).
-# The passes ask ``steps`` for each (state, joint action)'s successors row
-# and step reward, and for member observations: the game itself, or the
-# _StepTable of the oracle call they serve.
+# The passes ask ``steps`` for each (state, joint action)'s step reward, for
+# its successors row at steps 0 to H-2 only (no value reads a row out of
+# the last step, which counts 0), and for member observations: the game
+# itself, or the _StepTable of the oracle call they serve.
 
 
 class _StepTable:
@@ -643,8 +647,9 @@ class _StepTable:
     call, so their supports are never kept; `_joint_support`'s completion
     lists are, since they depend on supports only.  The greedy improvement
     goes one step further for its lookahead: it keeps, per opponent atom
-    and state, each unit action's successor row and step reward for the
-    whole call, since they do not depend on the unit's own tables.  The
+    and state, apart for the last step, each unit action's successor row
+    and step reward for the whole call, since they do not depend on the
+    unit's own tables.  The
     table also keeps the last walks of the searching team's members that
     it is given, with what was computed from them (see `keep_walks`): the
     next greedy update of the call starts from them instead of walking
@@ -821,14 +826,16 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
     Yields ``(t, state, prob, rows)`` step by step, states in first-reached
     order; ``rows`` is ``support(t, state)`` with each joint action's
     successor row, from ``steps`` (default: the game), added:
-    ``[(prob, [(unit_action, joint, successors), ...])]``.
-    Successors with positive probability form the next layer, weighted by
-    the state's and the combination's probability (summed over unit
-    actions); only that layer's distribution is kept.  Raises
-    EvaluationError when one step touches more than ``cfg.exact_bound``
-    (state, joint action) pairs.
+    ``[(prob, [(unit_action, joint, successors), ...])]``.  Nothing follows
+    the last step, so its rows carry the empty successor row ``()`` and
+    ``steps`` is not asked for them.  Before it, successors with positive
+    probability form the next layer, weighted by the state's and the
+    combination's probability (summed over unit actions); only that
+    layer's distribution is kept.  Raises EvaluationError when one step
+    touches more than ``cfg.exact_bound`` (state, joint action) pairs.
     """
     successors = (game if steps is None else steps).successors
+    last = game.horizon - 1
     dist: dict[Obs, float] = {}
     for state, p in start:
         if p > 0.0:
@@ -841,17 +848,20 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
             step_pairs += sum(len(pairs) for _, pairs in combos)
             if step_pairs > cfg.exact_bound:
                 raise _budget_error(step_pairs, cfg)
-            rows = []
-            for p, pairs in combos:
-                w = p_state * p
-                row = []
-                for ua, joint in pairs:
-                    succ = successors(state, joint)
-                    for s2, pt in succ:
-                        if pt > 0.0:
-                            nxt[s2] = nxt.get(s2, 0.0) + w * pt
-                    row.append((ua, joint, succ))
-                rows.append((p, row))
+            if t == last:
+                rows = [(p, [(ua, joint, ()) for ua, joint in pairs]) for p, pairs in combos]
+            else:
+                rows = []
+                for p, pairs in combos:
+                    w = p_state * p
+                    row = []
+                    for ua, joint in pairs:
+                        succ = successors(state, joint)
+                        for s2, pt in succ:
+                            if pt > 0.0:
+                                nxt[s2] = nxt.get(s2, 0.0) + w * pt
+                        row.append((ua, joint, succ))
+                    rows.append((p, row))
             yield t, state, p_state, rows
         dist = nxt
 
@@ -862,7 +872,7 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
     game).  Returns one dict per step mapping each state to
     ``{unit_action: action value}``.  A state's value is its best action
     value; a successor outside the next layer (reached with probability 0)
-    counts 0."""
+    counts 0, and so does the empty successor row of the last step."""
     step_reward = (game if steps is None else steps).step_reward
     sign = 1.0 if team == 1 else -1.0
     q: list[dict] = [{} for _ in range(game.horizon)]
@@ -872,7 +882,10 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
         acts: dict = {}
         for p, row in rows:
             for ua, joint, succ in row:
-                if len(succ) == 1:
+                if not succ:
+                    # the last step: what `0 + pt * 0.0` reads for every row
+                    tail = 0.0
+                elif len(succ) == 1:
                     # sum's arithmetic on one term: 0 + pt * v
                     ((s2, pt),) = succ
                     tail = 0 + pt * after.get(s2, 0.0)
@@ -895,9 +908,10 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
     member observations; with a step table, whichever side is a registered
     atom has its supports kept there, and so are the completion lists.
     Each state asks its joint actions' successors rows, then their step
-    rewards; the value sums ``discount**t * (p_state * p) * reward`` state
-    by state in first-reached order.  ``walk``, when given, is a list that
-    receives the tuples `_forward` would yield, for `_backward`.
+    rewards; a state at the last step asks step rewards only, as in
+    `_forward`.  The value sums ``discount**t * (p_state * p) * reward``
+    state by state in first-reached order.  ``walk``, when given, is a list
+    that receives the tuples `_forward` would yield, for `_backward`.
     """
     if steps is None:
         completions: dict = {}
@@ -913,6 +927,7 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
 
     look = game if steps is None else steps
     successors, step_reward = look.successors, look.step_reward
+    last = game.horizon - 1
     dist: dict[Obs, float] = {}
     for state, p in game.initial:
         if p > 0.0:
@@ -927,15 +942,18 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
             step_pairs += len(combos)
             if step_pairs > cfg.exact_bound:
                 raise _budget_error(step_pairs, cfg)
-            rows = []
-            for p, ((ua, joint),) in combos:
-                w = p_state * p
-                succ = successors(state, joint)
-                for s2, pt in succ:
-                    if pt > 0.0:
-                        nxt[s2] = nxt.get(s2, 0.0) + w * pt
-                if walk is not None:
-                    rows.append((p, [(ua, joint, succ)]))
+            if t < last:
+                rows = []
+                for p, ((ua, joint),) in combos:
+                    w = p_state * p
+                    succ = successors(state, joint)
+                    for s2, pt in succ:
+                        if pt > 0.0:
+                            nxt[s2] = nxt.get(s2, 0.0) + w * pt
+                    if walk is not None:
+                        rows.append((p, [(ua, joint, succ)]))
+            elif walk is not None:
+                rows = [(p, [(ua, joint, ())]) for p, ((ua, joint),) in combos]
             if walk is not None:
                 walk.append((t, state, p_state, rows))
             for p, ((_, joint),) in combos:

@@ -332,7 +332,8 @@ def _unit_best_response_exact(
     look = game if steps is None else steps
     assign: list[dict] = [dict() for _ in unit]
     for layer in reversed(q):
-        for state in sorted(layer, key=repr):
+        # _backward fills each layer in reverse first-reached order
+        for state in reversed(layer):
             acts = layer[state]
             best_val = max(acts.values())
             # unit_actions is lexicographically ordered: first max wins
@@ -397,10 +398,13 @@ def _unit_improve_weighted(
     # per atom, each state's unit-observation key and, per combination of
     # the fixed players' actions, each unit action's successors row and
     # signed step reward: the unit is free in them, so they hold for the
-    # whole call
-    kept: list[dict] = [{} for _ in opp_atoms]
+    # whole call.  The last step's rows carry the empty successor row, as
+    # in `_forward`; a state can be reached both at the last step and
+    # before it, so each atom keeps the two kinds in two dicts.
+    kept: list[tuple] = [({}, {}) for _ in opp_atoms]
+    last = game.horizon - 1
 
-    def lookahead_rows(atom, rows_by_state, state):
+    def lookahead_rows(atom, rows_by_state, state, at_last):
         found = rows_by_state.get(state)
         if found is not None:
             return found
@@ -409,7 +413,11 @@ def _unit_improve_weighted(
         _check_tied_observations(tied, key)
         rows = [
             (p, [
-                (ua, steps.successors(state, joint), sign * steps.step_reward(state, joint))
+                (
+                    ua,
+                    () if at_last else steps.successors(state, joint),
+                    sign * steps.step_reward(state, joint),
+                )
                 for ua, joint in pairs
             ])
             for p, pairs in _joint_support(
@@ -437,17 +445,25 @@ def _unit_improve_weighted(
                 for layers in (_backward(game, walk, team, steps) for walk in walks)
             ]
         qbar: dict = {}
-        for (atom, w), walk, after, rows_by_state in zip(opp_atoms, walks, on_policy, kept):
+        for (atom, w), walk, after, (rows_before, rows_last) in zip(
+            opp_atoms, walks, on_policy, kept
+        ):
             for t, state, p_state, _rows in walk:
                 d = (game.discount**t) * p_state
                 if d <= 0.0:
                     continue
-                key, rows = lookahead_rows(atom, rows_by_state, state)
+                at_last = t == last
+                key, rows = lookahead_rows(
+                    atom, rows_last if at_last else rows_before, state, at_last
+                )
                 row = qbar.setdefault(key, {ua: 0.0 for ua in unit_actions})
                 values = after[t + 1]
                 for p, pairs in rows:
                     for ua, succ, reward in pairs:
-                        if len(succ) == 1:
+                        if not succ:
+                            # the last step: what `0 + pt * 0.0` reads for every row
+                            tail = 0.0
+                        elif len(succ) == 1:
                             # sum's arithmetic on one term: 0 + pt * v
                             ((s2, pt),) = succ
                             tail = 0 + pt * values.get(s2, 0.0)

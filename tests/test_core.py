@@ -210,6 +210,31 @@ class TestStochasticEvaluation:
         with pytest.raises(EvaluationError, match=refused):
             evaluate(g, p1, p2, EvalConfig(exact_bound=widest - 1))
 
+    def test_rows_read_are_validated(self):
+        # transition is asked at steps 0 to H-2 only: a malformed row out of
+        # the last step is never asked, so it is not reported; one at step
+        # H-2 is, and so is a last-step reward beyond the declared bound
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        last = g.horizon - 1
+        p1 = ProductPolicy([UniformPolicy(c) for c in g.action_counts[0]])
+        p2 = ProductPolicy([HashPolicy(c, 5 + m) for m, c in enumerate(g.action_counts[1])])
+
+        def halved_at(step):
+            def transition(state, joint):
+                row = g.transition(state, joint)
+                return tuple((s2, 0.5 * pt) for s2, pt in row) if state[0] == step else row
+
+            return dataclasses.replace(g, transition=transition)
+
+        assert evaluate(halved_at(last), p1, p2) == evaluate(g, p1, p2)
+        with pytest.raises(ValueError, match="transition row .* sums to 0.5"):
+            evaluate(halved_at(last - 1), p1, p2)
+        over = dataclasses.replace(
+            g, reward=lambda s, j: g.reward_bound + 1.0 if s[0] == last else g.reward(s, j)
+        )
+        with pytest.raises(ValueError, match="exceeds the declared bound"):
+            evaluate(over, p1, p2)
+
     def test_uniform_policy_matches_uniform_table(self):
         g = random_stochastic_game(seed=4)
         lazy = ProductPolicy([UniformPolicy(2)] * 2)

@@ -421,7 +421,7 @@ class TestBestResponseSharedStochastic:
         # with 6 actions the fifth observation makes 6^5 > 4096 tables; the
         # start state and its first four successors show five, so the scan
         # stops after 4 transitions, and the diagonal search asks every step
-        # once through the step table the scan filled
+        # before the last once through the step table the scan filled
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
         calls = []
 
@@ -434,7 +434,7 @@ class TestBestResponseSharedStochastic:
         assert len(calls) == 4
         opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
-        for opponent, expected in ((opp, 94), (mix, 52)):
+        for opponent, expected in ((opp, 28), (mix, 28)):
             calls.clear()
             _, value = best_response_shared(counted, opponent, 2)
             assert len(calls) == len(set(calls)) == expected
@@ -510,22 +510,118 @@ class TestStochasticPasses:
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
         zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
         # single passes ask the game; an iterated oracle asks its step table,
-        # which asks the game once per key over all sweeps and rounds
+        # which asks the game once per key over all sweeps and rounds; a
+        # transition is asked only out of a state before the last step (the
+        # skirmish state's first entry is its step)
         passes = [
-            (lambda: evaluate(counted, opp, ProductPolicy([UniformPolicy(6)] * 2)), 1764),
-            (lambda: best_response_joint(counted, opp, 1), 2232),
-            (lambda: advantage_decompose(counted, opp, opp, 1, (4, 4), obs=g.initial[0][0]), 50),
-            (lambda: best_response_joint(counted, mix, 2), 180),
-            (lambda: best_response_individual(counted, mix, 1, zeros), 71),
-            (lambda: sebr(counted, opp, 1, restarts=2), 245),
-            (lambda: sebr(counted, mix, 2, restarts=2), 143),
+            (lambda: evaluate(counted, opp, ProductPolicy([UniformPolicy(6)] * 2)), 1764, 288),
+            (lambda: best_response_joint(counted, opp, 1), 2232, 288),
+            (
+                lambda: advantage_decompose(counted, opp, opp, 1, (4, 4), obs=g.initial[0][0]),
+                50,
+                43,
+            ),
+            (lambda: best_response_joint(counted, mix, 2), 180, 108),
+            (lambda: best_response_individual(counted, mix, 1, zeros), 71, 44),
+            (lambda: sebr(counted, opp, 1, restarts=2), 245, 67),
+            (lambda: sebr(counted, mix, 2, restarts=2), 143, 83),
         ]
-        for run, expected in passes:
+        for run, n_rewards, n_transitions in passes:
             transitions.clear()
             rewards.clear()
             run()
-            assert len(transitions) == len(set(transitions)) == expected
-            assert len(rewards) == expected and set(rewards) == set(transitions)
+            assert len(rewards) == len(set(rewards)) == n_rewards
+            assert len(transitions) == len(set(transitions)) == n_transitions
+            assert set(transitions) == {key for key in rewards if key[0][0] < g.horizon - 1}
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize(
+        "run", ["evaluate", "joint", "joint-mixture", "sebr", "sebr-mixture", "advantage"]
+    )
+    def test_no_transition_out_of_the_last_step(self, run, horizon):
+        # nothing follows the last step, so no pass asks for its successors
+        # rows, down to none at all at H=1; its step rewards are still asked
+        # (the skirmish state's first entry is its step; H=3 is counted key
+        # by key in test_one_callable_call_per_state_and_joint_action)
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
+        transitions, rewards = [], []
+
+        def transition(state, joint):
+            transitions.append(state[0])
+            return g.transition(state, joint)
+
+        def reward(state, joint):
+            rewards.append(state[0])
+            return g.reward(state, joint)
+
+        counted = dataclasses.replace(g, transition=transition, reward=reward)
+        opp = ProductPolicy([HashPolicy(6, 3), HashPolicy(6, 4)])
+        mix = [(opp, 0.5), (ProductPolicy([UniformPolicy(6), ConstantPolicy(6, 2)]), 0.5)]
+        {
+            "evaluate": lambda: evaluate(counted, opp, ProductPolicy([UniformPolicy(6)] * 2)),
+            "joint": lambda: best_response_joint(counted, opp, 1),
+            "joint-mixture": lambda: best_response_joint(counted, mix, 2),
+            "sebr": lambda: sebr(counted, opp, 1, restarts=1),
+            "sebr-mixture": lambda: sebr(counted, mix, 2, restarts=1),
+            "advantage": lambda: advantage_decompose(
+                counted, opp, opp, 1, (4, 4), obs=g.initial[0][0]
+            ),
+        }[run]()
+        assert set(transitions) == set(range(g.horizon - 1))
+        assert set(rewards) == set(range(g.horizon))
+
+    def test_greedy_rows_before_and_at_the_last_step(self):
+        # random_stochastic_game's state does not carry the step, so the
+        # greedy's lookahead meets one state at several steps; the pinned
+        # values are the ones computed when every row carried its successors
+        pinned = {
+            (0, 1): 1.0678445281222317,
+            (0, 2): 1.4274529281596604,
+            (1, 1): 2.2225029541423797,
+            (1, 2): 1.2661515157671814,
+        }
+        for (seed, team), expected in pinned.items():
+            g = random_stochastic_game(horizon=3, seed=seed)
+            atom = ProductPolicy([HashPolicy(2, seed), HashPolicy(2, seed + 9)])
+            mix = [(atom, 0.5), (ProductPolicy([ConstantPolicy(2, 1)] * 2), 0.5)]
+            assert best_response_joint(g, mix, team)[1] == expected
+        # one start state and each row cut to its likeliest successor: a
+        # state the start policy first reaches at the last step is reached
+        # before it by a later candidate, whose lookahead must not read the
+        # last step's rows there (team 2 reads 1.0687731862546412 if it does)
+        g = random_stochastic_game(n_states=4, horizon=3, seed=18)
+        calls = []
+
+        def transition(state, joint):
+            calls.append((state, joint))
+            row = g.transition(state, joint)
+            return ((max(row, key=lambda entry: entry[1])[0], 1.0),)
+
+        revisiting = dataclasses.replace(g, initial=((0, 1.0),), transition=transition)
+        atom = ProductPolicy([HashPolicy(2, 18), HashPolicy(2, 27)])
+        mix = [(atom, 0.5), (ProductPolicy([ConstantPolicy(2, 1)] * 2), 0.5)]
+        for team, expected, asked in ((1, 0.798964594786429, 12), (2, 0.8873997775330039, 20)):
+            calls.clear()
+            assert best_response_joint(revisiting, mix, team)[1] == expected
+            assert len(calls) == asked
+
+    def test_exact_response_refuses_conflicting_observations(self):
+        # the exact response walks each layer in first-reached order; a game
+        # whose observations cannot carry its tables still raises, with
+        # either message
+        g = random_stochastic_game(horizon=3, seed=0)
+        atom = ProductPolicy([HashPolicy(2, 0), HashPolicy(2, 9)])
+        with pytest.raises(oracles.ExactBRUnsupported, match="decision stage"):
+            best_response_joint(g, atom, 1)
+        partial = dataclasses.replace(
+            grid_skirmish(SkirmishConfig(3, 3, 2, 2)), member_obs=lambda team, m, s: (s, m)
+        )
+        opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        diagonal = [(a, a) for a in range(6)]
+        with pytest.raises(oracles.ExactBRUnsupported, match="observe differently"):
+            oracles._unit_best_response_exact(
+                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, opp, EvalConfig(), diagonal
+            )
 
     def test_greedy_keeps_its_lookahead_rows_for_the_call(self, monkeypatch):
         # the unit is free in the lookahead's rows, so each (atom, state)'s
