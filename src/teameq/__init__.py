@@ -51,7 +51,6 @@ from .games import (
     sad,
 )
 from .oracles import (
-    CommChannel,
     MaxminSolution,
     advantage_decompose,
     best_response_individual,
@@ -64,7 +63,6 @@ from .psro import (
     Population,
     PsroConfig,
     PsroResult,
-    SebrConfig,
     extend_population,
     initial_population,
     meta_solve,

@@ -73,7 +73,7 @@ from .games import (
     sad,
 )
 from .oracles import solve_matrix_maxmin
-from .psro import PsroConfig, SebrConfig, run_psro
+from .psro import PsroConfig, run_psro
 
 OUT_ENV = "TEAMEQ_OUT"
 
@@ -507,7 +507,7 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         gain_tol=cfg["tol"],
         seed=cfg["seed"],
         expand_teams={"both": (1, 2), "1": (1,), "2": (2,)}[cfg["expand"]],
-        sebr=SebrConfig(restarts=cfg["restarts"]),
+        sebr_restarts=cfg["restarts"],
     )
     result = run_psro(game, pcfg)
     records = [

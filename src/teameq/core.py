@@ -67,7 +67,13 @@ def _support_of(dist: np.ndarray) -> tuple:
 
 
 class IndividualPolicy:
-    """Tabular per-player policy: observation -> distribution over actions."""
+    """Tabular per-player policy: observation -> distribution over actions.
+
+    ``fallback`` answers observations outside the table.  A fallback that
+    is itself a table is flattened in: its entries sit under the new ones
+    and its own fallback is taken over, so a lookup reaches at most one
+    table and one non-table policy.
+    """
 
     __slots__ = ("n_actions", "_table", "_support", "_fallback")
 
@@ -78,7 +84,7 @@ class IndividualPolicy:
         fallback: "IndividualPolicy | None" = None,
     ):
         self.n_actions = int(n_actions)
-        tab, support = {}, {}
+        tab, support, fallback = self._inherited(fallback)
         for obs, dist in table.items():
             arr = _check_dist(dist, f"policy entry for obs {obs!r}")
             if arr.shape != (self.n_actions,):
@@ -110,7 +116,7 @@ class IndividualPolicy:
         eye = np.eye(n)
         eye.setflags(write=False)
         rows: dict = {}
-        tab, support = {}, {}
+        tab, support, fallback = cls._inherited(fallback)
         for obs, a in actions.items():
             if a not in rows:
                 if not 0 <= a < n:
@@ -123,6 +129,14 @@ class IndividualPolicy:
         policy._support = support
         policy._fallback = fallback
         return policy
+
+    @staticmethod
+    def _inherited(fallback) -> tuple[dict, dict, object]:
+        """Copies of a fallback table's entries and supports, and the
+        policy below it; empty tables over ``fallback`` otherwise."""
+        if isinstance(fallback, IndividualPolicy):
+            return dict(fallback._table), dict(fallback._support), fallback._fallback
+        return {}, {}, fallback
 
     @classmethod
     def deterministic(cls, n_actions: int, action: int, obs_keys: Iterable[Obs] = (NF_OBS,)):

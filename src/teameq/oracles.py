@@ -7,8 +7,8 @@ Four oracles with different cooperative ability:
 - individual: round-robin iterated unilateral best responses, which is sebr
   from one start with no restarts,
 - sebr: sequential coordinate ascent where each member best-responds exactly
-  given its predecessors' updated policies, optionally logged through a
-  communication channel with the per-member advantage decomposition.
+  given its predecessors' updated policies, optionally traced update by
+  update.
 
 All oracles are pure functions, deterministic given (inputs, seed), and
 break ties lexicographically on action indices.  They compute exact values
@@ -926,11 +926,6 @@ def advantage_decompose(
         tensor = _stochastic_q_tensor(game, team, members, opponent, obs, cfg)
         obs_list = game.member_observations(team, obs)
         dists = [m.dist(o) for m, o in zip(members, obs_list)]
-    return _advantage_terms(tensor, dists, team_action, order)
-
-
-def _advantage_terms(tensor, dists, team_action, order) -> np.ndarray:
-    """`advantage_decompose`'s terms from a reward tensor and member dists."""
     fixed: dict[int, int] = {}
     partials = [_contract(tensor, dists, fixed)]
     for member in order:
@@ -957,69 +952,6 @@ def _stochastic_q_tensor(game, team, members, opponent, obs, cfg):
     for ua, value in root.items():
         tensor[ua] = value
     return tensor
-
-
-@dataclass(frozen=True)
-class ChannelEntry:
-    member: int
-    policy_summary: str
-    advantages: tuple[float, ...]
-    team_reward: float
-
-
-class CommChannel:
-    """Ordered log of member updates within one SeBR sweep.
-
-    Entries appear in the sequential order and the log is cleared at each
-    sweep start.  The channel is confined to a single sebr invocation.
-    """
-
-    def __init__(self):
-        self.entries: list[ChannelEntry] = []
-
-    def clear(self) -> None:
-        self.entries = []
-
-    def log(self, entry: ChannelEntry) -> None:
-        self.entries.append(entry)
-
-
-def channel_to_dicts(channel: CommChannel) -> list[dict]:
-    """Structured-text form of a channel log for audit output."""
-    return [
-        {
-            "member": e.member,
-            "policy": e.policy_summary,
-            "advantages": list(e.advantages),
-            "team_reward": e.team_reward,
-        }
-        for e in channel.entries
-    ]
-
-
-def trace_to_dicts(trace: list) -> list[dict]:
-    """Structured-text form of a sebr update trace for audit output."""
-    return [
-        {
-            "restart": r,
-            "sweep": s,
-            "member": m,
-            "value_before": before,
-            "value_after": after,
-        }
-        for r, s, m, before, after in trace
-    ]
-
-
-def _policy_summary(member_policy) -> str:
-    if isinstance(member_policy, (ConstantPolicy,)):
-        return f"const:{member_policy.action}"
-    if isinstance(member_policy, IndividualPolicy):
-        a = member_policy.pure_action(
-            member_policy.observations()[0] if member_policy.observations() else NF_OBS
-        )
-        return f"pure:{a}" if a is not None else "mixed"
-    return type(member_policy).__name__
 
 
 def sebr_starts(game: Game, team: int, incumbent, restarts: int, seed: int):
@@ -1060,33 +992,18 @@ def _as_product(policy, counts) -> ProductPolicy:
     raise DimensionError(f"cannot convert {policy!r} to a product policy")
 
 
-def _channel_entry(game, members, member, order, value, steps) -> ChannelEntry:
-    """Channel record of one member update, with advantage terms from the
-    `sebr` call's table when the team plays a normal-form pure joint action."""
-    advantages: tuple[float, ...] = ()
-    if game.is_normal_form:
-        joint = ProductPolicy(members).pure_joint_action([NF_OBS] * len(members))
-        if joint is not None:
-            dists = [m.dist(NF_OBS) for m in members]
-            terms = _advantage_terms(steps.tensor, dists, joint, order)
-            advantages = tuple(float(x) for x in terms)
-    return ChannelEntry(member, _policy_summary(members[member]), advantages, value)
-
-
 def sebr(
     game: Game,
     opponent,
     team: int,
-    order: tuple[int, ...] | None = None,
     start=None,
     restarts: int = 4,
     max_sweeps: int = 50,
     seed: int = 0,
-    channel: CommChannel | None = None,
     trace: list | None = None,
     cfg: EvalConfig | None = None,
 ):
-    """Sequential best response: members update in ``order``, each
+    """Sequential best response: members update in index order, each
     best-responding exactly given predecessors' updated policies and
     successors' current policies, against a fixed opponent policy or
     mixture.  Each member update weakly improves the team value; a sweep
@@ -1096,21 +1013,16 @@ def sebr(
     ``team_value`` of the policy up to the sign of a zero.
 
     A settled member's update (see `_member_update`) is skipped: it would
-    change nothing, and it is logged and traced as an unchanged update.
+    change nothing, and it is traced as an unchanged update.
     Against a stochastic mixture each start's evaluation keeps its walks
     on the call's step table, where the first greedy update starts from
     them.
-    ``channel``, when given, is cleared at each sweep start and logs every
-    member update with its advantage terms (normal form, pure team joint
-    action); without one nothing is logged.  ``trace``, when given,
-    collects (restart, sweep, member, value_before, value_after) tuples
-    across all updates for auditing.
+    ``trace``, when given, collects one (restart, sweep, member,
+    value_before, value_after) tuple per member update, over all restarts:
+    the record of the call's member updates.
     """
     cfg = cfg or EvalConfig()
     n = game.team_sizes[team - 1]
-    order = tuple(order) if order is not None else tuple(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the team's members")
     atoms = as_mixture(opponent)
     if game.is_normal_form:
         steps = _NormalFormTable(game, team, atoms)
@@ -1127,10 +1039,8 @@ def sebr(
             steps.keep_walks(team, members, atoms, walks, value)
         settled: set = set()
         for sweep in range(max_sweeps):
-            if channel is not None:
-                channel.clear()
             changed = False
-            for member in order:
+            for member in range(n):
                 before = value
                 if member not in settled:
                     new_member, improved, value, fixed = _member_update(
@@ -1142,10 +1052,6 @@ def sebr(
                         settled.clear()
                     if fixed:
                         settled.add(member)
-                if channel is not None:
-                    channel.log(
-                        _channel_entry(game, members, member, order, value, steps)
-                    )
                 if trace is not None:
                     trace.append((restart_idx, sweep, member, before, value))
             if not changed:

@@ -133,14 +133,6 @@ def meta_solve(payoffs, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, floa
 
 
 @dataclass(frozen=True)
-class SebrConfig:
-    """S-PSRO oracle settings: ``restarts`` seeded starts besides the
-    incumbent (see `sebr_starts`)."""
-
-    restarts: int = 4
-
-
-@dataclass(frozen=True)
 class PsroConfig:
     """Loop configuration; the oracle kind selects the PSRO variant:
     sebr -> S-PSRO, shared -> Team-PSRO, individual -> Indep-PSRO,
@@ -148,8 +140,9 @@ class PsroConfig:
     the meta-solve tolerance and ``gain_tol`` the best-response gain at
     which a team stops expanding.  ``expand_teams`` restricts which
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
-    roots the oracles' random streams and ``sebr`` holds the S-PSRO
-    oracle's settings."""
+    roots the oracles' random streams and ``sebr_restarts`` is the number
+    of seeded starts the S-PSRO oracle tries besides the incumbent (see
+    `sebr_starts`)."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -158,7 +151,7 @@ class PsroConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
     expand_teams: tuple[int, ...] = (1, 2)
-    sebr: SebrConfig = field(default_factory=SebrConfig)
+    sebr_restarts: int = 4
 
     def __post_init__(self):
         if self.oracle not in ORACLES:
@@ -238,7 +231,7 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
         opponent_mix,
         team,
         start=incumbent,
-        restarts=cfg.sebr.restarts,
+        restarts=cfg.sebr_restarts,
         seed=subseed(cfg.seed, f"sebr/t{team}/i{iteration}"),
         cfg=eval_cfg,
     )

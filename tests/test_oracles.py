@@ -40,13 +40,11 @@ from teameq.games import (
 )
 from teameq import oracles
 from teameq.oracles import (
-    CommChannel,
     MaxminConvergenceError,
     advantage_decompose,
     best_response_individual,
     best_response_joint,
     best_response_shared,
-    channel_to_dicts,
     sebr,
     solve_matrix_maxmin,
 )
@@ -850,53 +848,6 @@ class TestSebr:
         for _, _, _, before, after in trace:
             assert after >= before - 1e-9
 
-    def test_channel_order_and_clearing(self):
-        g = example1()
-        channel = CommChannel()
-        sebr(g, pure((0, 0)), 1, order=(1, 0), start=pure((0, 0)), restarts=0, channel=channel)
-        # the channel holds exactly the last sweep, in sequential order
-        assert [e.member for e in channel.entries] == [1, 0]
-        assert all(isinstance(e.team_reward, float) for e in channel.entries)
-
-    def test_channel_advantages_sum_matches_identity(self):
-        g = anti_coordination()
-        channel = CommChannel()
-        sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0, channel=channel)
-        for entry in channel.entries:
-            assert len(entry.advantages) == 2
-
-    def test_channel_advantages_are_advantage_decompose(self):
-        # the channel contracts the call's reward tensor; the terms are
-        # those of the public decomposition, bit for bit
-        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=4)
-        opp = [(pure((0, 1), (3, 3)), 0.25), (pure((2, 2), (3, 3)), 0.75)]
-        channel = CommChannel()
-        policy, _ = sebr(g, opp, 1, start=pure((0, 0), (3, 3)), restarts=0, channel=channel)
-        joint = policy.pure_joint_action([0, 0])
-        expected = tuple(float(x) for x in advantage_decompose(g, policy, opp, 1, joint))
-        assert channel.entries[-1].advantages == expected
-
-    def test_no_channel_no_advantages(self, monkeypatch):
-        import teameq.oracles as oracles
-
-        g = example1()
-        opp = pure((0, 0))
-        calls = [0]
-        terms = oracles._advantage_terms
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return terms(*args, **kwargs)
-
-        monkeypatch.setattr(oracles, "_advantage_terms", counted)
-        without = sebr(g, opp, 1, restarts=4, seed=0)
-        assert calls[0] == 0
-        channel = CommChannel()
-        policy, value = sebr(g, opp, 1, restarts=4, seed=0, channel=channel)
-        assert calls[0] > 0 and channel.entries
-        rows = [[m.dist(0).tolist() for m in p.members] for p in (without[0], policy)]
-        assert rows[0] == rows[1] and without[1] == value
-
     def test_deterministic(self):
         g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=9)
         opp = pure((1, 2), (3, 3))
@@ -904,17 +855,6 @@ class TestSebr:
         b, value_b = sebr(g, opp, 1, restarts=4, seed=3)
         assert a.pure_joint_action([0, 0]) == b.pure_joint_action([0, 0])
         assert value_a == value_b == team_value(g, 1, a, opp)
-
-    def test_audit_serialization(self):
-        import json
-
-        from teameq.oracles import channel_to_dicts, trace_to_dicts
-
-        g = example1()
-        channel, trace = CommChannel(), []
-        sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0, channel=channel, trace=trace)
-        assert json.dumps(channel_to_dicts(channel))
-        assert json.dumps(trace_to_dicts(trace))
 
     def test_mixture_opponent(self):
         g = example1()
@@ -985,9 +925,9 @@ _SETTLE_OPPONENTS = {
 
 class TestSettledMembers:
     """A member whose update is provably a fixed point is settled, and its
-    update is skipped until a teammate switches.  The results, traces and
-    channels equal those of running every update: the pinned values,
-    digests and update counts were recorded with every update run."""
+    update is skipped until a teammate switches.  The results and traces
+    equal those of running every update: the pinned values, digests and
+    update counts were recorded with every update run."""
 
     @pytest.fixture
     def updates(self, monkeypatch):
@@ -1076,8 +1016,8 @@ class TestSettledMembers:
     def test_sebr_anti_coordination(self, updates, opponent, value):
         # every pure start; closed-form switches settle at once
         g = anti_coordination()
-        channel, trace = CommChannel(), []
-        policy, got = sebr(g, pure(opponent), 1, restarts=4, seed=0, channel=channel, trace=trace)
+        trace = []
+        policy, got = sebr(g, pure(opponent), 1, restarts=4, seed=0, trace=trace)
         assert got == value
         assert policy.pure_joint_action([0, 0]) == (1, 0)
         low = value - 1.0
@@ -1088,9 +1028,5 @@ class TestSettledMembers:
             (2, 0, 0, value, value), (2, 0, 1, value, value),
             (3, 0, 0, low, value), (3, 0, 1, value, value),
             (3, 1, 0, value, value), (3, 1, 1, value, value),
-        ]
-        assert channel_to_dicts(channel) == [
-            {"member": 0, "policy": "pure:0", "advantages": [0.0, 0.0], "team_reward": value},
-            {"member": 1, "policy": "pure:1", "advantages": [0.0, 0.0], "team_reward": value},
         ]
         assert len(updates) == 8 < len(trace)

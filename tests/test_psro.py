@@ -23,7 +23,6 @@ from teameq.games import (
 )
 from teameq.psro import (
     PsroConfig,
-    SebrConfig,
     extend_population,
     initial_population,
     meta_solve,
@@ -105,6 +104,20 @@ class TestRunPsro:
         g = anti_coordination()
         result = run_psro(g, PsroConfig(oracle="sebr", expand_teams=(1,), seed=0))
         assert result.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_sebr_restarts_reach_the_oracle(self, monkeypatch):
+        import teameq.psro as psro_module
+
+        restarts = []
+        real = psro_module.sebr
+
+        def spy(*args, **kwargs):
+            restarts.append(kwargs["restarts"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(psro_module, "sebr", spy)
+        run_psro(example1(), PsroConfig(oracle="sebr", max_iterations=3, sebr_restarts=1))
+        assert restarts and set(restarts) == {1}
 
     def test_br_gain_nonnegative(self):
         for oracle in ("joint", "sebr", "individual", "shared"):

@@ -12,6 +12,7 @@ test prints the new digest and the repr it hashed.
 
 import pytest
 
+from teameq.core import IndividualPolicy
 from teameq.evaluation import Candidate, exploitability_profile
 from teameq.games import SkirmishConfig, grid_skirmish
 from teameq.psro import PsroConfig, run_psro
@@ -57,3 +58,19 @@ def test_skirmish_spsro_profile(runs, horizon):
     )
     numbers = [(r.class_name, r.opponent_reward, r.applicable, r.note) for r in report.results]
     _check(numbers, PROFILE[horizon])
+
+
+def _chain_depth(member) -> int:
+    """Tables a lookup in ``member`` can pass through."""
+    depth = 0
+    while isinstance(member, IndividualPolicy):
+        depth, member = depth + 1, member.fallback
+    return depth
+
+
+def test_spsro_member_tables_are_flat(runs):
+    # each SeBR update builds a table over the member's previous one; the
+    # earlier tables are copied in, not chained below it
+    pop = runs["sebr", 4, 6].population
+    depths = [_chain_depth(m) for entry in pop.team1 + pop.team2 for m in entry.members]
+    assert max(depths) == 1
