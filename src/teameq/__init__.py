@@ -10,7 +10,6 @@ differing correlation ability.
 __version__ = "0.1.0"
 
 from .core import (
-    EvalConfig,
     IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,

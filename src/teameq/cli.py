@@ -34,13 +34,10 @@ import time
 
 from . import __version__
 from .core import (
-    NF_OBS,
     ConstantPolicy,
     IndividualPolicy,
-    JointMixPolicy,
     NormalFormTeamGame,
     ProductPolicy,
-    SharedPolicy,
     game_from_dict,
     game_to_dict,
     policy_from_dict,
@@ -224,7 +221,6 @@ OPTIONS = {
         "game": None,
         "profile": "all-zeros",
         "klass": "none",
-        "pivot": 0,
         "epsilon": 1e-6,
         "n_init": 16,
         "seed": 0,
@@ -464,7 +460,7 @@ def cmd_solve(cfg: dict, out: str | None) -> int:
 def _correlation_from_flags(cfg) -> object:
     label = cfg["klass"]
     if label == "pivot":
-        return PivotFollowers(pivot=cfg["pivot"])
+        return PivotFollowers()
     if label == "sequential":
         return Sequential(sample_factor=SampleFactor(n_init=cfg["n_init"]), seed=cfg["seed"])
     return NoCorrelation() if label == "none" else Joint()
@@ -503,8 +499,7 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
     pcfg = PsroConfig(
         oracle=cfg["oracle"],
         max_iterations=cfg["iters"],
-        meta_tol=cfg["tol"],
-        gain_tol=cfg["tol"],
+        tol=cfg["tol"],
         seed=cfg["seed"],
         expand_teams={"both": (1, 2), "1": (1,), "2": (2,)}[cfg["expand"]],
         sebr_restarts=cfg["restarts"],
@@ -519,8 +514,8 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         _write_json(
             os.path.join(out, "population.json"),
             {
-                "team1": [policy_to_dict(_serializable(p, game, 1)) for p in result.population.team1],
-                "team2": [policy_to_dict(_serializable(p, game, 2)) for p in result.population.team2],
+                "team1": [policy_to_dict(p) for p in result.population.team1],
+                "team2": [policy_to_dict(p) for p in result.population.team2],
                 "meta_1": [float(w) for w in result.meta_1],
                 "meta_2": [float(w) for w in result.meta_2],
             },
@@ -541,21 +536,6 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         f"(converged={result.converged})"
     )
     return EXIT_OK
-
-
-def _serializable(policy, game, team):
-    """Make population entries serializable: lazy policies become tables."""
-    if isinstance(policy, (JointMixPolicy,)):
-        return policy
-    counts = game.action_counts[team - 1]
-    if isinstance(policy, SharedPolicy):
-        dist = policy.policy.dist(NF_OBS)
-        return SharedPolicy(IndividualPolicy(counts[0], {NF_OBS: dist}), policy.n_members)
-    members = [
-        IndividualPolicy(c, {NF_OBS: m.dist(NF_OBS)})
-        for m, c in zip(policy.members, counts)
-    ]
-    return ProductPolicy(members)
 
 
 def _load_candidate(run_dir: str, team: int, game_spec: str) -> Candidate:

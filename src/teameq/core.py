@@ -7,7 +7,7 @@ horizon.  Only team 1's reward is ever stored; team 2's reward is its
 negation.
 
 Games and policies are immutable after construction and safe to share
-across threads.  Evaluation is a pure function of (game, policies, config).
+across threads.  Evaluation is a pure function of (game, policies).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -483,7 +483,12 @@ class StochasticTeamGame:
     never asked for and never reported.  Joint actions are
     pairs ``(team1_actions, team2_actions)`` of int tuples.  ``member_obs``
     maps (team, member, joint_obs) to the member's private observation and
-    defaults to `full_observation`.
+    defaults to `full_observation`.  ``exact_bound`` caps the (state, joint
+    action) pairs that any exact pass touches in one step: evaluation, and
+    the oracles' dynamic programs, which also count every joint action their
+    free members can complete.  A pass that would touch more raises
+    EvaluationError; a caller that needs a larger budget passes
+    ``dataclasses.replace(game, exact_bound=...)``.
     """
 
     team_sizes: tuple[int, int]
@@ -496,6 +501,7 @@ class StochasticTeamGame:
     reward_bound: float
     member_obs: Callable[[int, int, Obs], Obs] = full_observation
     name: str = ""
+    exact_bound: int = 10**6
 
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
@@ -504,6 +510,8 @@ class StochasticTeamGame:
             raise ValueError("horizon must be >= 1")
         if self.reward_bound < 0:
             raise ValueError("reward bound must be nonnegative")
+        if self.exact_bound < 1:
+            raise ValueError("exact bound must be >= 1")
         total = sum(p for _, p in self.initial)
         if abs(total - 1.0) > DIST_TOL:
             raise ValueError(f"initial distribution sums to {total}, not 1")
@@ -570,21 +578,6 @@ def check_team_policy(game: Game, team: int, policy) -> None:
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """How to evaluate expected team reward: always exactly.
-
-    ``exact_bound`` caps the (state, joint action) pairs that any exact
-    stochastic pass touches in one step: evaluation, and the oracles' dynamic
-    programs, which also count every joint action their free members can
-    complete.  A pass that would touch more raises EvaluationError.
-    """
-
-    # a class constant, not a field, so no caller can set it; perfbench/tracing.py reads it
-    mode: ClassVar[str] = "exact"
-    exact_bound: int = 10**6
 
 
 def team_action_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
@@ -826,14 +819,14 @@ def _complete(slots, completions: dict, team, n_members, unit=(), unit_actions=(
     return out
 
 
-def _budget_error(step_pairs: int, cfg: EvalConfig) -> EvaluationError:
+def _budget_error(game: StochasticTeamGame, step_pairs: int) -> EvaluationError:
     return EvaluationError(
         f"exact budget exceeded ({step_pairs} state-action pairs in one "
-        f"step > {cfg.exact_bound}); raise EvalConfig.exact_bound"
+        f"step > {game.exact_bound}); raise the game's exact_bound"
     )
 
 
-def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=None):
+def _forward(game: StochasticTeamGame, start, support, steps=None):
     """Walk ``game.horizon`` steps from the distribution ``start`` of
     (state, prob) pairs.
 
@@ -846,7 +839,7 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
     probability form the next layer, weighted by the state's and the
     combination's probability (summed over unit actions); only that
     layer's distribution is kept.  Raises EvaluationError when one step
-    touches more than ``cfg.exact_bound`` (state, joint action) pairs.
+    touches more than ``game.exact_bound`` (state, joint action) pairs.
     """
     successors = (game if steps is None else steps).successors
     last = game.horizon - 1
@@ -860,8 +853,8 @@ def _forward(game: StochasticTeamGame, start, support, cfg: EvalConfig, steps=No
         for state, p_state in dist.items():
             combos = support(t, state)
             step_pairs += sum(len(pairs) for _, pairs in combos)
-            if step_pairs > cfg.exact_bound:
-                raise _budget_error(step_pairs, cfg)
+            if step_pairs > game.exact_bound:
+                raise _budget_error(game, step_pairs)
             if t == last:
                 rows = [(p, [(ua, joint, ()) for ua, joint in pairs]) for p, pairs in combos]
             else:
@@ -913,7 +906,7 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
     return q
 
 
-def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None, walk=None):
+def _profile_value(game: StochasticTeamGame, p1, p2, steps=None, walk=None):
     """Expected discounted team-1 reward of the profile (p1, p2), team 1's
     members multiplied first, in one pass over the layers `_forward` walks
     from the initial states, within the same per-step budget.
@@ -954,8 +947,8 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
             combos = support(state)
             # every combination is completed by the one empty unit action
             step_pairs += len(combos)
-            if step_pairs > cfg.exact_bound:
-                raise _budget_error(step_pairs, cfg)
+            if step_pairs > game.exact_bound:
+                raise _budget_error(game, step_pairs)
             if t < last:
                 rows = []
                 for p, ((ua, joint),) in combos:
@@ -977,7 +970,7 @@ def _profile_value(game: StochasticTeamGame, p1, p2, cfg: EvalConfig, steps=None
     return total
 
 
-def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> float:
+def evaluate(game: Game, p1, p2) -> float:
     """Expected team-1 reward of a policy profile (team 2's reward is the
     negation).
 
@@ -985,19 +978,18 @@ def evaluate(game: Game, p1, p2, cfg: EvalConfig | None = None) -> float:
     Normal-form profiles are evaluated exactly (multilinear expectation)
     from joint-action distributions built without checking them again.
     Stochastic profiles use exact finite-horizon dynamic programming within
-    the configured budget.
+    the game's ``exact_bound``.
     """
-    cfg = cfg or EvalConfig()
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
         return _nf_value(game, p1, p2)
     if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
         raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
-    return _profile_value(game, p1, p2, cfg)
+    return _profile_value(game, p1, p2)
 
 
-def mixture_value(game: Game, mix1, mix2, cfg: EvalConfig | None = None) -> float:
+def mixture_value(game: Game, mix1, mix2) -> float:
     """Expected team-1 reward when both sides mix over team policies.
 
     Mixtures are episode-level lotteries: an entry is drawn once, then
@@ -1010,18 +1002,18 @@ def mixture_value(game: Game, mix1, mix2, cfg: EvalConfig | None = None) -> floa
     total = 0.0
     for pol1, w1 in pairs1:
         for pol2, w2 in pairs2:
-            total += w1 * w2 * evaluate(game, pol1, pol2, cfg)
+            total += w1 * w2 * evaluate(game, pol1, pol2)
     return total
 
 
-def team_value(game: Game, team: int, own, opponent, cfg: EvalConfig | None = None) -> float:
+def team_value(game: Game, team: int, own, opponent) -> float:
     """Expected reward of ``team`` when it plays ``own`` against ``opponent``.
 
     Either side may be a policy or a mixture of policies.
     """
     if team == 1:
-        return mixture_value(game, own, opponent, cfg)
-    return -mixture_value(game, opponent, own, cfg)
+        return mixture_value(game, own, opponent)
+    return -mixture_value(game, opponent, own)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     DimensionError,
-    EvalConfig,
     Game,
     IndividualPolicy,
     JointMixPolicy,
@@ -75,7 +74,6 @@ class NoCorrelation:
 
 @dataclass(frozen=True)
 class PivotFollowers:
-    pivot: int = 0
     name = "pivot_followers"
 
 
@@ -146,7 +144,6 @@ def build_deviation_spec(
     correlation: CorrelationClass,
     delta_team: int = 0,
     delta_policy: int = 0,
-    cfg: EvalConfig | None = None,
     *,
     opponent=None,
 ) -> DeviationSpec:
@@ -154,7 +151,7 @@ def build_deviation_spec(
 
     Normal form, by enumeration of pure deviations:
     - NoCorrelation: I = every pure unilateral deviation, C empty.
-    - PivotFollowers: C = one shared policy per pure pivot action, I empty.
+    - PivotFollowers: C = one shared policy per pure action, I empty.
     - Joint: C = every pure team joint action.
     - Sequential: a seeded budgeted subset of the union, individual
       deviations first, then joint actions sampled without replacement.
@@ -166,7 +163,6 @@ def build_deviation_spec(
     `best_response_shared`, joint C `best_response_joint`; Sequential takes
     the member tables, then `sebr_starts`' seeded deterministic products.
     """
-    cfg = cfg or EvalConfig()
     check_team_policy(game, team, candidate)
     n_members = game.team_sizes[team - 1]
     counts = game.action_counts[team - 1]
@@ -183,7 +179,7 @@ def build_deviation_spec(
         members, atoms = _members_view(candidate), as_mixture(opponent)
         steps = _StepTable(game, atoms)
         return [
-            (m, _table_search(game, team, (m,), members, atoms, cfg, steps)[0])
+            (m, _table_search(game, team, (m,), members, atoms, steps)[0])
             for m in range(n_members)
         ]
 
@@ -192,21 +188,19 @@ def build_deviation_spec(
         return DeviationSpec(team, correlation, candidate, tuple(individual_deviations()), ())
 
     if isinstance(correlation, PivotFollowers):
-        if not 0 <= correlation.pivot < n_members:
-            raise ValueError(f"pivot {correlation.pivot} is not a team member")
         if len(set(counts)) != 1:
             raise DimensionError("pivot-followers requires homogeneous action spaces")
         if game.is_normal_form:
             shared = [SharedPolicy(pure(counts[0], a), n_members) for a in range(counts[0])]
         else:
-            shared = [best_response_shared(game, opponent, team, cfg)[0]]
+            shared = [best_response_shared(game, opponent, team)[0]]
         return DeviationSpec(team, correlation, candidate, (), tuple(shared))
 
     if isinstance(correlation, Joint):
         if game.is_normal_form:
             joints = [pol for _, pol in _pure_joint_policies(game, team)]
         else:
-            joints = [best_response_joint(game, opponent, team, cfg)[0]]
+            joints = [best_response_joint(game, opponent, team)[0]]
         return DeviationSpec(team, correlation, candidate, (), tuple(joints))
 
     if isinstance(correlation, Sequential):
@@ -322,12 +316,12 @@ def _witness_for(game, spec, kind, payload, value) -> dict:
     }
 
 
-def _values_against(game: Game, team: int, opponent, cfg: EvalConfig):
+def _values_against(game: Game, team: int, opponent):
     """``team``'s `team_value` of a policy against the fixed ``opponent``,
     as a function of the policy.  On a normal-form game it builds the
     opponent's joint-action distribution once and each policy's once."""
     if not game.is_normal_form:
-        return lambda policy: team_value(game, team, policy, opponent, cfg)
+        return lambda policy: team_value(game, team, policy, opponent)
     mat = game.matrix()
     opp = team_action_dist(game, 3 - team, opponent)
     return lambda policy: _nf_team_value(mat, team, team_action_dist(game, team, policy), opp)
@@ -338,7 +332,6 @@ def verify_equilibrium(
     profile: tuple,
     specs,
     epsilon: float = 1e-6,
-    cfg: EvalConfig | None = None,
 ) -> VerificationReport:
     """Check a candidate profile against per-team deviation spaces.
 
@@ -349,7 +342,6 @@ def verify_equilibrium(
     joint specs this is the correlated-team maxmin check; with
     no-correlation specs it is the Nash check.
     """
-    cfg = cfg or EvalConfig()
     p1, p2 = profile
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
@@ -358,7 +350,7 @@ def verify_equilibrium(
     for team in sorted(spec_map):
         spec = spec_map[team]
         own = p1 if team == 1 else p2
-        value_of = _values_against(game, team, p2 if team == 1 else p1, cfg)
+        value_of = _values_against(game, team, p2 if team == 1 else p1)
         base = value_of(own)
         best_gain, best_witness = -math.inf, {}
         deviations = []

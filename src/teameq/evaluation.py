@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     ConstantPolicy,
-    EvalConfig,
     Game,
     IndividualPolicy,
     ProductPolicy,
@@ -115,7 +114,6 @@ def exploitability_profile(
     game: Game,
     candidate: Candidate,
     classes=CLASS_ORDER,
-    cfg: EvalConfig | None = None,
     seed: int = 0,
     candidate_id: str = "",
 ) -> ExploitReport:
@@ -127,7 +125,6 @@ def exploitability_profile(
     the sebr oracle (its default 4 restarts), and Random the uniform product
     policy.
     """
-    cfg = cfg or EvalConfig()
     opp = 3 - candidate.team
     mix = candidate.mixture()
     counts = game.action_counts[opp - 1]
@@ -136,32 +133,29 @@ def exploitability_profile(
         if name not in CLASS_ORDER:
             raise ValueError(f"unknown correlation class {name!r}")
         if name == "joint":
-            _, reward = best_response_joint(game, mix, opp, cfg=cfg)
+            _, reward = best_response_joint(game, mix, opp)
         elif name == "synchronized":
             if len(set(counts)) != 1:
                 results.append(
                     ClassResult(name, None, applicable=False, note="heterogeneous team")
                 )
                 continue
-            _, reward = best_response_shared(
-                game, mix, opp, cfg=cfg, seed=subseed(seed, "exploit/shared")
-            )
+            _, reward = best_response_shared(game, mix, opp, seed=subseed(seed, "exploit/shared"))
         elif name == "no_correlation":
             start = ProductPolicy([ConstantPolicy(c, 0) for c in counts])
-            _, reward = best_response_individual(game, mix, opp, start, cfg=cfg)
+            _, reward = best_response_individual(game, mix, opp, start)
         elif name == "sequential":
-            _, reward = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"), cfg=cfg)
+            _, reward = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"))
         else:  # random
-            reward = team_value(game, opp, _uniform_product(game, opp), mix, cfg)
+            reward = team_value(game, opp, _uniform_product(game, opp), mix)
         results.append(ClassResult(name, float(reward)))
     return ExploitReport(candidate_id or "candidate", candidate.team, tuple(results))
 
 
-def cross_payoff_matrix(game: Game, entries_a, entries_b, cfg: EvalConfig | None = None):
+def cross_payoff_matrix(game: Game, entries_a, entries_b):
     """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
     On a normal-form game each entry's joint-action distribution is built
     once and every cell is `team_value`'s arithmetic on two of them."""
-    cfg = cfg or EvalConfig()
     out = np.zeros((len(entries_a), len(entries_b)))
     if game.is_normal_form:
         mat = game.matrix()
@@ -173,17 +167,11 @@ def cross_payoff_matrix(game: Game, entries_a, entries_b, cfg: EvalConfig | None
         return out
     for i, a in enumerate(entries_a):
         for j, b in enumerate(entries_b):
-            out[i, j] = team_value(game, 1, a, b, cfg)
+            out[i, j] = team_value(game, 1, a, b)
     return out
 
 
-def rpp(
-    game: Game,
-    pop_a,
-    pop_b,
-    tol: float = 1e-6,
-    cfg: EvalConfig | None = None,
-) -> float:
+def rpp(game: Game, pop_a, pop_b, tol: float = 1e-6) -> float:
     """Relative population performance: the value of the zero-sum meta game
     between two populations (A's team-1 entries vs B's team-2 entries).
 
@@ -193,7 +181,7 @@ def rpp(
     entries_b = pop_b.team2 if isinstance(pop_b, Population) else tuple(pop_b)
     if not entries_a or not entries_b:
         raise ValueError("both populations must be nonempty")
-    matrix = cross_payoff_matrix(game, entries_a, entries_b, cfg)
+    matrix = cross_payoff_matrix(game, entries_a, entries_b)
     return float(solve_matrix_maxmin(matrix, tol=tol).value)
 
 

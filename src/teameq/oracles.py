@@ -12,7 +12,7 @@ Four oracles with different cooperative ability:
 
 All oracles are pure functions, deterministic given (inputs, seed), and
 break ties lexicographically on action indices.  They compute exact values
-only, within an EvalConfig's ``exact_bound``.
+only, within the stochastic game's ``exact_bound``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
     NF_OBS,
     ConstantPolicy,
     DimensionError,
-    EvalConfig,
     EvaluationError,
     Game,
     HashPolicy,
@@ -302,7 +301,6 @@ def _unit_best_response_exact(
     unit: tuple[int, ...],
     own_members: tuple,
     opp_policy,
-    cfg: EvalConfig,
     unit_actions: list[tuple[int, ...]] | None = None,
     steps=None,
 ):
@@ -328,7 +326,7 @@ def _unit_best_response_exact(
             game, team, own_members, opp_policy, state, completions, unit, unit_actions, steps
         )
 
-    q = _backward(game, list(_forward(game, game.initial, support, cfg, steps)), team, steps)
+    q = _backward(game, list(_forward(game, game.initial, support, steps)), team, steps)
     look = game if steps is None else steps
     assign: list[dict] = [dict() for _ in unit]
     for layer in reversed(q):
@@ -360,7 +358,7 @@ def _unit_best_response_exact(
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, cfg, unit_actions=None, value=None, steps=None,
+    game, team, unit, own_members, opp_atoms, unit_actions=None, value=None, steps=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -431,7 +429,7 @@ def _unit_improve_weighted(
     start = steps.kept_walks(team, members, opp_atoms)
     if start is None:
         walks, on_policy = [[] for _ in opp_atoms], None
-        walked = _atoms_value(game, team, members, opp_atoms, cfg, steps, walks)
+        walked = _atoms_value(game, team, members, opp_atoms, steps, walks)
     else:
         walks, walked, on_policy = start
     if value is None:
@@ -491,7 +489,7 @@ def _unit_improve_weighted(
                 counts[member], tables[pos], members[member]
             )
         cand_walks = [[] for _ in opp_atoms]
-        cand_value = _atoms_value(game, team, candidate, opp_atoms, cfg, steps, cand_walks)
+        cand_value = _atoms_value(game, team, candidate, opp_atoms, steps, cand_walks)
         if cand_value <= value + 1e-15:
             fixed = True
             break
@@ -501,19 +499,19 @@ def _unit_improve_weighted(
     return [members[m] for m in unit], value, fixed
 
 
-def _unit_best_response(game, team, unit, own_members, atoms, cfg, unit_actions=None, steps=None):
+def _unit_best_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
     """Exact backward induction against one opponent atom, the guarded greedy
     improvement against a mixture.  Returns (unit members' tables, value)."""
     if len(atoms) == 1:
         return _unit_best_response_exact(
-            game, team, unit, own_members, atoms[0][0], cfg, unit_actions, steps
+            game, team, unit, own_members, atoms[0][0], unit_actions, steps
         )
     return _unit_improve_weighted(
-        game, team, unit, own_members, atoms, cfg, unit_actions=unit_actions, steps=steps
+        game, team, unit, own_members, atoms, unit_actions=unit_actions, steps=steps
     )[:2]
 
 
-def _table_search(game, team, unit, own_members, atoms, cfg, steps):
+def _table_search(game, team, unit, own_members, atoms, steps):
     """Best pure stationary table that every member of ``unit`` plays, the
     other members held at ``own_members``, against opponent atoms that the
     step table ``steps`` registers.  Returns (table, value).
@@ -525,12 +523,12 @@ def _table_search(game, team, unit, own_members, atoms, cfg, steps):
     actions ``(a, ..., a)``; EvaluationError when that does not apply.
     """
     n_actions = game.action_counts[team - 1][unit[0]]
-    obs_set = _reachable_member_obs(game, team, cfg, n_actions, steps)
+    obs_set = _reachable_member_obs(game, team, n_actions, steps)
     if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
         diagonal = [(a,) * len(unit) for a in range(n_actions)]
         try:
             tables, value = _unit_best_response(
-                game, team, unit, own_members, atoms, cfg, diagonal, steps
+                game, team, unit, own_members, atoms, diagonal, steps
             )
         except ExactBRUnsupported as err:
             raise EvaluationError(
@@ -542,7 +540,7 @@ def _table_search(game, team, unit, own_members, atoms, cfg, steps):
     for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
         table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
         trial = [table if m in unit else p for m, p in enumerate(own_members)]
-        val = _value_vs_atoms(game, team, trial, atoms, cfg, steps)
+        val = _value_vs_atoms(game, team, trial, atoms, steps)
         if val > best_val + 1e-15:
             best_val, best_table = val, table
     return best_table, float(best_val)
@@ -552,9 +550,7 @@ def _table_search(game, team, unit, own_members, atoms, cfg, steps):
 # Best-response oracles
 
 
-def best_response_joint(
-    game: Game, opponent, team: int, cfg: EvalConfig | None = None, dists=None
-):
+def best_response_joint(game: Game, opponent, team: int, dists=None):
     """Fully correlated best response: the best pure team joint action
     (normal form, returned as a degenerate joint mix) or the centralized
     deterministic joint policy (stochastic, returned as a product of
@@ -566,7 +562,6 @@ def best_response_joint(
     caller keeps them, as `run_psro` does (see `team_reward_tensor`); the
     result is the same either way.  The joint action is read off the
     argmax's row-major index, not from the list of joint actions."""
-    cfg = cfg or EvalConfig()
     if game.is_normal_form:
         values = team_reward_tensor(game, team, opponent, dists).ravel()
         idx = int(values.argmax())
@@ -578,7 +573,7 @@ def best_response_joint(
         return JointMixPolicy.pure(joint[::-1]), value
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
-    tables, value = _unit_best_response(game, team, unit, base, as_mixture(opponent), cfg)
+    tables, value = _unit_best_response(game, team, unit, base, as_mixture(opponent))
     return ProductPolicy(tables), value
 
 
@@ -588,7 +583,6 @@ def best_response_individual(
     team: int,
     start,
     sweeps: int = 50,
-    cfg: EvalConfig | None = None,
 ):
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
@@ -596,10 +590,10 @@ def best_response_individual(
     joint mix).  Returns ``(policy, value)`` as `sebr` does.
     """
     check_team_policy(game, team, start)
-    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, cfg=cfg)
+    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
 
 
-def _value_vs_atoms(game, team, members, atoms, cfg, steps, walks=None) -> float:
+def _value_vs_atoms(game, team, members, atoms, steps, walks=None) -> float:
     """Exact value of the product of ``members`` against opponent atoms
     ``[(policy, weight), ...]``, by one evaluation per atom, summed in
     `team_value`'s arithmetic.  ``steps`` is the calling oracle's table: on
@@ -617,10 +611,10 @@ def _value_vs_atoms(game, team, members, atoms, cfg, steps, walks=None) -> float
     check_team_policy(game, team, own)
     for atom, _ in atoms:
         check_team_policy(game, 3 - team, atom)
-    return _atoms_value(game, team, members, atoms, cfg, steps, walks)
+    return _atoms_value(game, team, members, atoms, steps, walks)
 
 
-def _atoms_value(game, team, members, atoms, cfg, steps, walks=None) -> float:
+def _atoms_value(game, team, members, atoms, steps, walks=None) -> float:
     """Value of the product of ``members`` against opponent atoms
     ``[(policy, weight), ...]``: one `_profile_value` pass per atom, in
     order, summed in `team_value`'s arithmetic, so it equals the evaluation
@@ -629,13 +623,13 @@ def _atoms_value(game, team, members, atoms, cfg, steps, walks=None) -> float:
     own = ProductPolicy(members)
     sign = 1.0 if team == 1 else -1.0
     values = [
-        _profile_value(game, *((own, atom) if team == 1 else (atom, own)), cfg, steps, walk)
+        _profile_value(game, *((own, atom) if team == 1 else (atom, own)), steps, walk)
         for (atom, _), walk in zip(atoms, walks or [None] * len(atoms))
     ]
     return sum(w * (sign * v) for (_, w), v in zip(atoms, values))
 
 
-def _member_update(game, team, member, members, opponent, cfg, current, steps):
+def _member_update(game, team, member, members, opponent, current, steps):
     """One member's exact pure best response, switch on strict improvement.
 
     ``current`` is the team's value before the update.  Returns (policy,
@@ -669,20 +663,20 @@ def _member_update(game, team, member, members, opponent, cfg, current, steps):
         tables = [IndividualPolicy.deterministic(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
-            game, team, (member,), tuple(members), atoms[0][0], cfg, steps=steps
+            game, team, (member,), tuple(members), atoms[0][0], steps=steps
         )
         if value <= current + _dp_slack(current):
             return members[member], False, current, True
     else:
         tables, value, fixed = _unit_improve_weighted(
-            game, team, (member,), tuple(members), atoms, cfg, value=current, steps=steps
+            game, team, (member,), tuple(members), atoms, value=current, steps=steps
         )
         if value <= current + 1e-15:
             return members[member], False, current, True
         return tables[0], True, value, fixed
     updated = list(members)
     updated[member] = tables[0]
-    after = _value_vs_atoms(game, team, updated, atoms, cfg, steps)
+    after = _value_vs_atoms(game, team, updated, atoms, steps)
     return tables[0], True, after, game.is_normal_form or value <= after + _dp_slack(after)
 
 
@@ -787,9 +781,7 @@ def _ascent_simplex_max(tensor: np.ndarray, seed: int, starts: int = 10):
     return best_p, best_val
 
 
-def best_response_shared(
-    game: Game, opponent, team: int, cfg: EvalConfig | None = None, seed: int = 0
-):
+def best_response_shared(game: Game, opponent, team: int, seed: int = 0):
     """Best shared policy and its value.
 
     Normal form: pure shared actions by enumeration, refined by an exact
@@ -802,7 +794,6 @@ def best_response_shared(
     observe differently at a reached state or their observations do not fix
     the decision stage.
     """
-    cfg = cfg or EvalConfig()
     counts = game.action_counts[team - 1]
     if len(set(counts)) != 1:
         raise DimensionError("shared best response requires homogeneous action spaces")
@@ -828,14 +819,12 @@ def best_response_shared(
     atoms = as_mixture(opponent)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
     table, value = _table_search(
-        game, team, tuple(range(n_members)), base, atoms, cfg, _StepTable(game, atoms)
+        game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms)
     )
     return SharedPolicy(table, n_members), value
 
 
-def _reachable_member_obs(
-    game: StochasticTeamGame, team: int, cfg, n_actions: int, steps=None
-) -> list:
+def _reachable_member_obs(game: StochasticTeamGame, team: int, n_actions: int, steps=None) -> list:
     """Member observations of the states reachable under any play at steps
     0 to H-1 (the steps a policy acts at), sorted.
 
@@ -845,7 +834,7 @@ def _reachable_member_obs(
     returning the observations found so far, once ``n_actions **
     len(observations)`` exceeds TABLE_ENUMERATION_BOUND.  Raises
     EvaluationError when one step would expand more than
-    ``cfg.exact_bound`` (state, joint action) pairs.
+    ``game.exact_bound`` (state, joint action) pairs.
     """
     look = game if steps is None else steps
     every_joint = list(
@@ -876,8 +865,8 @@ def _reachable_member_obs(
                 continue
             expanded.add(state)
             step_pairs += len(every_joint)
-            if step_pairs > cfg.exact_bound:
-                raise _budget_error(step_pairs, cfg)
+            if step_pairs > game.exact_bound:
+                raise _budget_error(game, step_pairs)
             for joint in every_joint:
                 for s2, pt in look.successors(state, joint):
                     if pt > 0.0 and s2 not in nxt:
@@ -900,7 +889,6 @@ def advantage_decompose(
     team_action: tuple[int, ...],
     obs=None,
     order: tuple[int, ...] | None = None,
-    cfg: EvalConfig | None = None,
 ) -> np.ndarray:
     """Per-member advantage terms along ``order``.
 
@@ -909,7 +897,6 @@ def advantage_decompose(
     always marginalizes the opponent under its policy.  The terms sum to
     the joint advantage of ``team_action`` exactly.
     """
-    cfg = cfg or EvalConfig()
     own = p1 if team == 1 else p2
     opponent = p2 if team == 1 else p1
     members = _members_view(own)
@@ -923,7 +910,7 @@ def advantage_decompose(
     else:
         if obs is None:
             raise ValueError("a joint observation is required for stochastic games")
-        tensor = _stochastic_q_tensor(game, team, members, opponent, obs, cfg)
+        tensor = _stochastic_q_tensor(game, team, members, opponent, obs)
         obs_list = game.member_observations(team, obs)
         dists = [m.dist(o) for m, o in zip(members, obs_list)]
     fixed: dict[int, int] = {}
@@ -934,7 +921,7 @@ def advantage_decompose(
     return np.diff(np.array(partials))
 
 
-def _stochastic_q_tensor(game, team, members, opponent, obs, cfg):
+def _stochastic_q_tensor(game, team, members, opponent, obs):
     """Q(obs, .) over the team's joint actions with the opponent
     marginalized, at the full remaining horizon: the team is free at the
     root and plays ``members`` afterwards."""
@@ -947,7 +934,7 @@ def _stochastic_q_tensor(game, team, members, opponent, obs, cfg):
             return _joint_support(game, team, members, opponent, state, {}, unit, team_joints)
         return _joint_support(game, team, members, opponent, state, completions)
 
-    root = _backward(game, list(_forward(game, [(obs, 1.0)], support, cfg)), team)[0][obs]
+    root = _backward(game, list(_forward(game, [(obs, 1.0)], support)), team)[0][obs]
     tensor = np.zeros(game.action_counts[team - 1])
     for ua, value in root.items():
         tensor[ua] = value
@@ -1001,7 +988,6 @@ def sebr(
     max_sweeps: int = 50,
     seed: int = 0,
     trace: list | None = None,
-    cfg: EvalConfig | None = None,
 ):
     """Sequential best response: members update in index order, each
     best-responding exactly given predecessors' updated policies and
@@ -1021,7 +1007,6 @@ def sebr(
     value_before, value_after) tuple per member update, over all restarts:
     the record of the call's member updates.
     """
-    cfg = cfg or EvalConfig()
     n = game.team_sizes[team - 1]
     atoms = as_mixture(opponent)
     if game.is_normal_form:
@@ -1034,7 +1019,7 @@ def sebr(
     ):
         members = list(start_policy.members)
         walks = None if game.is_normal_form or len(atoms) == 1 else [[] for _ in atoms]
-        value = _value_vs_atoms(game, team, members, atoms, cfg, steps, walks)
+        value = _value_vs_atoms(game, team, members, atoms, steps, walks)
         if walks is not None:
             steps.keep_walks(team, members, atoms, walks, value)
         settled: set = set()
@@ -1044,7 +1029,7 @@ def sebr(
                 before = value
                 if member not in settled:
                     new_member, improved, value, fixed = _member_update(
-                        game, team, member, members, opponent, cfg, value, steps
+                        game, team, member, members, opponent, value, steps
                     )
                     if improved:
                         members[member] = new_member

@@ -11,13 +11,12 @@ value, or when no new entry gets appended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     ConstantPolicy,
-    EvalConfig,
     Game,
     ProductPolicy,
     _nf_team_value,
@@ -72,18 +71,17 @@ class Population:
         return [(e, float(w)) for e, w in zip(entries, weights, strict=True) if w > 0.0]
 
 
-def initial_population(game: Game, cfg: EvalConfig | None = None) -> Population:
+def initial_population(game: Game) -> Population:
     """Both teams seeded with the all-zeros deterministic product policy."""
-    cfg = cfg or EvalConfig()
     seeds = []
     for team in (1, 2):
         counts = game.action_counts[team - 1]
         seeds.append(ProductPolicy([ConstantPolicy(c, 0) for c in counts]))
-    value = team_value(game, 1, seeds[0], seeds[1], cfg)
+    value = team_value(game, 1, seeds[0], seeds[1])
     return Population((seeds[0],), (seeds[1],), np.array([[value]]))
 
 
-def _new_line(game, team, entry, pop, cfg, dists=None):
+def _new_line(game, team, entry, pop, dists=None):
     """The meta row (team 1) or column (team 2) the entry would add, and on
     a normal-form game the entry's joint-action distribution (else None).
 
@@ -94,8 +92,8 @@ def _new_line(game, team, entry, pop, cfg, dists=None):
     opponents = pop.team2 if team == 1 else pop.team1
     if not game.is_normal_form:
         if team == 1:
-            return np.array([team_value(game, 1, entry, o, cfg) for o in opponents]), None
-        return np.array([team_value(game, 1, o, entry, cfg) for o in opponents]), None
+            return np.array([team_value(game, 1, entry, o) for o in opponents]), None
+        return np.array([team_value(game, 1, o, entry) for o in opponents]), None
     mat = game.matrix()
     dist = team_action_dist(game, team, entry)
     if dists is None:
@@ -108,17 +106,15 @@ def _new_line(game, team, entry, pop, cfg, dists=None):
 
 
 def extend_population(
-    game: Game, pop: Population, entry, team: int, cfg: EvalConfig | None = None,
-    line: np.ndarray | None = None,
+    game: Game, pop: Population, entry, team: int, line: np.ndarray | None = None
 ) -> Population:
     """Append one entry; existing cells are untouched.  ``line`` is the
     entry's new meta row (team 1) or column (team 2) when the caller has
     already evaluated it, as ``run_psro`` has for its duplicate check;
     otherwise it is evaluated here."""
-    cfg = cfg or EvalConfig()
     check_team_policy(game, team, entry)
     if line is None:
-        line, _ = _new_line(game, team, entry, pop, cfg)
+        line, _ = _new_line(game, team, entry, pop)
     if team == 1:
         payoffs = np.vstack([pop.payoffs, line[None, :]])
         return replace(pop, team1=pop.team1 + (entry,), payoffs=payoffs)
@@ -136,9 +132,9 @@ def meta_solve(payoffs, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, floa
 class PsroConfig:
     """Loop configuration; the oracle kind selects the PSRO variant:
     sebr -> S-PSRO, shared -> Team-PSRO, individual -> Indep-PSRO,
-    joint -> Joint-PSRO.  ``max_iterations`` caps the loop, ``meta_tol`` is
-    the meta-solve tolerance and ``gain_tol`` the best-response gain at
-    which a team stops expanding.  ``expand_teams`` restricts which
+    joint -> Joint-PSRO.  ``max_iterations`` caps the loop; ``tol`` is both
+    the meta-solve tolerance and the best-response gain at which a team
+    stops expanding.  ``expand_teams`` restricts which
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
     roots the oracles' random streams and ``sebr_restarts`` is the number
     of seeded starts the S-PSRO oracle tries besides the incumbent (see
@@ -146,9 +142,7 @@ class PsroConfig:
 
     oracle: str = "sebr"
     max_iterations: int = 40
-    meta_tol: float = 1e-6
-    gain_tol: float = 1e-6
-    eval: EvalConfig = field(default_factory=EvalConfig)
+    tol: float = 1e-6
     seed: int = 0
     expand_teams: tuple[int, ...] = (1, 2)
     sebr_restarts: int = 4
@@ -158,8 +152,8 @@ class PsroConfig:
             raise ValueError(f"oracle must be one of {ORACLES}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.meta_tol <= 0 or self.gain_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if not self.expand_teams or any(t not in (1, 2) for t in self.expand_teams):
             raise ValueError("expand_teams must be a nonempty subset of (1, 2)")
 
@@ -210,22 +204,19 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
     normal-form game (else None); the joint oracle reads the opponent's
     first ``len(opp_weights)``, since entries appended in this iteration
     follow them."""
-    eval_cfg = cfg.eval
     opponent_mix = pop.mixture(3 - team, opp_weights)
     if cfg.oracle == "joint":
         opp_dists = None
         if dists is not None:
             kept = dists[3 - team][: len(opp_weights)]
             opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
-        return best_response_joint(game, opponent_mix, team, cfg=eval_cfg, dists=opp_dists)
+        return best_response_joint(game, opponent_mix, team, dists=opp_dists)
     if cfg.oracle == "shared":
-        return best_response_shared(
-            game, opponent_mix, team, cfg=eval_cfg,
-            seed=subseed(cfg.seed, f"shared/t{team}/i{iteration}"),
-        )
+        seed = subseed(cfg.seed, f"shared/t{team}/i{iteration}")
+        return best_response_shared(game, opponent_mix, team, seed=seed)
     incumbent = _best_entry_vs(pop, team, opp_weights)
     if cfg.oracle == "individual":
-        return best_response_individual(game, opponent_mix, team, incumbent, cfg=eval_cfg)
+        return best_response_individual(game, opponent_mix, team, incumbent)
     return sebr(
         game,
         opponent_mix,
@@ -233,7 +224,6 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
         start=incumbent,
         restarts=cfg.sebr_restarts,
         seed=subseed(cfg.seed, f"sebr/t{team}/i{iteration}"),
-        cfg=eval_cfg,
     )
 
 
@@ -255,7 +245,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     nothing was appended returns the meta solution of its last iteration,
     whose matrix is the final one; a run that hits the cap solves the final
     matrix once more."""
-    pop = initial_population(game, cfg.eval)
+    pop = initial_population(game)
     dists = None
     if game.is_normal_form:
         dists = {t: [team_action_dist(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
@@ -263,7 +253,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
-        meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.meta_tol)
+        meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.tol)
         gains = {1: 0.0, 2: 0.0}
         appended = False
         new_pop = pop
@@ -275,13 +265,13 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             )
             team_meta_value = value if team == 1 else -value
             gains[team] = br_value - team_meta_value
-            if gains[team] <= cfg.gain_tol:
+            if gains[team] <= cfg.tol:
                 continue
-            line, dist = _new_line(game, team, policy, new_pop, cfg.eval, dists)
+            line, dist = _new_line(game, team, policy, new_pop, dists)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
             if _is_duplicate(line, existing):
                 continue
-            new_pop = extend_population(game, new_pop, policy, team, cfg.eval, line=line)
+            new_pop = extend_population(game, new_pop, policy, team, line=line)
             if dists is not None:
                 dists[team].append(dist)
             appended = True
@@ -297,10 +287,10 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
         )
         pop = new_pop
         if not appended:
-            converged = all(gains[t] <= cfg.gain_tol for t in cfg.expand_teams)
+            converged = all(gains[t] <= cfg.tol for t in cfg.expand_teams)
             break
     else:
-        meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.meta_tol)
+        meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.tol)
     return PsroResult(
         population=pop,
         meta_1=meta_1,

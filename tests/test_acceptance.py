@@ -5,6 +5,7 @@ Criterion 10 is a soft directional check: a failure turns into an xfail
 (investigation marker) rather than a suite failure.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from helpers import lp_maxmin, shared_maxmin_grid
 from teameq.core import (
     ConstantPolicy,
-    EvalConfig,
     HashPolicy,
     IndividualPolicy,
     ProductPolicy,
@@ -75,7 +75,7 @@ def test_criterion_2_ctme_two_routes():
     assert abs(sol.value - 1.25) <= 1e-6
     assert np.allclose(sol.row_mix, [0.75, 0.0, 0.0, 0.25], atol=1e-6)
 
-    result = run_psro(g, PsroConfig(oracle="joint", meta_tol=1e-6, gain_tol=1e-6, seed=0))
+    result = run_psro(g, PsroConfig(oracle="joint", tol=1e-6, seed=0))
     assert abs(result.value - sol.value) <= 1e-6
     # the PSRO meta mixture induces the same distribution on joint actions
     induced = {}
@@ -150,7 +150,6 @@ def test_criterion_6_sebr_monotonicity_suite():
             assert after - before >= -1e-9
         updates += len(trace)
 
-    cfg = EvalConfig(exact_bound=10**7)
     for i in range(20):
         horizon = 1 + i % 6
         game = grid_skirmish(
@@ -161,9 +160,10 @@ def test_criterion_6_sebr_monotonicity_suite():
                 discount=(0.9, 0.95)[i % 2],
             )
         )
+        game = dataclasses.replace(game, exact_bound=10**7)
         opp = ProductPolicy([HashPolicy(6, 3000 + i), HashPolicy(6, 4000 + i)])
         trace = []
-        sebr(game, opp, 1, restarts=1, seed=i, trace=trace, cfg=cfg, max_sweeps=4)
+        sebr(game, opp, 1, restarts=1, seed=i, trace=trace, max_sweeps=4)
         assert trace
         for _, _, _, before, after in trace:
             assert after - before >= -1e-9
@@ -199,7 +199,6 @@ def test_criterion_7_advantage_identity():
     # 50 stochastic instances; the joint advantage is rebuilt from the raw
     # transition/reward tables and the core evaluator, independent of the
     # decomposition engine
-    import dataclasses
     import itertools
 
     for i in range(50):

@@ -3,17 +3,21 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from teameq.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    _load_candidate,
     emit_report,
     game_file_dict,
     main,
     parse_game_spec,
 )
+from teameq.evaluation import cross_payoff_matrix
+from teameq.psro import PsroConfig, run_psro
 
 
 def read(path):
@@ -165,6 +169,21 @@ class TestEvalCommand:
         assert rc == EXIT_OK
         header = read(out / "report.csv").splitlines()[0]
         assert header.endswith("sequential,joint,synchronized,no_correlation,random")
+
+    def test_population_file_rebuilds_the_meta_matrix(self, tmp_path):
+        # population.json keeps every entry's tables, lazy SeBR members
+        # included: reloaded, both teams give the run's meta matrix and
+        # meta-strategies bit for bit
+        spec, run = "sad:N=3,A=3", tmp_path / "p"
+        argv = ["psro", "--game", spec, "--oracle", "sebr", "--seed", "0", "--out", str(run)]
+        assert main(argv) == EXIT_OK
+        team1, team2 = (_load_candidate(str(run), t, spec) for t in (1, 2))
+        game = parse_game_spec(spec)
+        result = run_psro(game, PsroConfig(oracle="sebr", seed=0))
+        matrix = cross_payoff_matrix(game, team1.entries, team2.entries)
+        assert np.array_equal(matrix, result.population.payoffs)
+        assert team1.weights == tuple(result.meta_1)
+        assert team2.weights == tuple(result.meta_2)
 
     def test_exploit_from_stochastic_run_names_missing_population(self, tmp_path, capsys):
         run = tmp_path / "p"

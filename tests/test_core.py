@@ -13,7 +13,6 @@ from teameq import core
 from teameq.core import (
     ConstantPolicy,
     DimensionError,
-    EvalConfig,
     EvaluationError,
     HashPolicy,
     IndividualPolicy,
@@ -178,7 +177,7 @@ class TestStochasticEvaluation:
         g = random_stochastic_game(seed=3)
         p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
         with pytest.raises(EvaluationError) as err:
-            evaluate(g, p, p, EvalConfig(exact_bound=2))
+            evaluate(dataclasses.replace(g, exact_bound=2), p, p)
         assert "exact_bound" in str(err.value)
         assert "monte" not in str(err.value).lower()
 
@@ -205,10 +204,15 @@ class TestStochasticEvaluation:
             layer = {s2 for s, joint in pairs for s2, pt in g.successors(s, joint) if pt > 0.0}
         assert widest == 1764
         exact = evaluate(g, p1, p2)
-        assert evaluate(g, p1, p2, EvalConfig(exact_bound=widest)) == exact
+        assert evaluate(dataclasses.replace(g, exact_bound=widest), p1, p2) == exact
         refused = f"[(]{widest} state-action pairs in one step > {widest - 1}[)]"
         with pytest.raises(EvaluationError, match=refused):
-            evaluate(g, p1, p2, EvalConfig(exact_bound=widest - 1))
+            evaluate(dataclasses.replace(g, exact_bound=widest - 1), p1, p2)
+
+    def test_exact_bound_below_one_is_refused(self):
+        g = random_stochastic_game(seed=0)
+        with pytest.raises(ValueError, match="exact bound"):
+            dataclasses.replace(g, exact_bound=0)
 
     def test_rows_read_are_validated(self):
         # transition is asked at steps 0 to H-2 only: a malformed row out of
@@ -266,7 +270,7 @@ class TestStochasticEvaluation:
         p = ProductPolicy([ConstantPolicy(2, 0)] * 2)
         mix = [(p, 1.0 / 65)] * 65
         with pytest.raises(EvaluationError, match="mixture support exceeds 64") as err:
-            team_value(g, 1, mix, p, EvalConfig())
+            team_value(g, 1, mix, p)
         assert "monte" not in str(err.value).lower()
 
 

@@ -13,7 +13,6 @@ from teameq.core import (
     NF_OBS,
     ConstantPolicy,
     DimensionError,
-    EvalConfig,
     HashPolicy,
     IndividualPolicy,
     JointMixPolicy,
@@ -97,15 +96,10 @@ class TestBuildDeviationSpec:
 
     def test_pivot_followers_shared_form(self):
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers(pivot=0))
+        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers())
         assert spec.individual == ()
         assert all(isinstance(p, SharedPolicy) for p in spec.correlated)
         assert len(spec.correlated) == 2
-
-    def test_invalid_pivot(self):
-        g = example1()
-        with pytest.raises(ValueError):
-            build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers(pivot=5))
 
     def test_sequential_budget_and_reproducibility(self):
         g = example1()
@@ -169,7 +163,7 @@ class TestBuildDeviationSpec:
         assert len(calls) == len(set(calls))
         assert [member for member, _ in spec.individual] == [0, 1]
         for member, table in spec.individual:
-            _, best = _unit_best_response_exact(g, 1, (member,), cand.members, opp, EvalConfig())
+            _, best = _unit_best_response_exact(g, 1, (member,), cand.members, opp)
             deviation = ProductPolicy([table if m == member else p for m, p in enumerate(cand.members)])
             assert team_value(g, 1, deviation, opp) == pytest.approx(best, abs=1e-12)
 
@@ -203,7 +197,7 @@ class TestCooperativeAbility:
 
     def test_pivot_followers(self):
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers(0))
+        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers())
         assert pure_joint_count(g, spec) == 2  # (0,0) and (1,1)
 
     def test_joint(self):
@@ -291,7 +285,7 @@ class TestVerifyEquilibrium:
         g = anti_coordination()
         cand, opp = pure((0, 1)), pure((0, 1))
         profile = (cand, opp)
-        classes = [NoCorrelation(), PivotFollowers(0), Sequential(sample_factor=SampleFactor(n_init=8), seed=1), Joint()]
+        classes = [NoCorrelation(), PivotFollowers(), Sequential(sample_factor=SampleFactor(n_init=8), seed=1), Joint()]
         gains = {}
         for corr in classes:
             specs = [build_deviation_spec(g, t, profile[t - 1], corr) for t in (1, 2)]
@@ -385,7 +379,7 @@ class TestStochasticGainsMatchBruteForce:
 
         profile = (side(0), side(1))
         tables = _reachable_tables(game, game.action_counts[0][0])
-        classes = [NoCorrelation(), PivotFollowers(0), Sequential(), Joint()]
+        classes = [NoCorrelation(), PivotFollowers(), Sequential(), Joint()]
         gains = {}
         for corr in classes:
             specs = [

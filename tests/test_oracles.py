@@ -15,7 +15,6 @@ from helpers import lp_maxmin, shared_maxmin_grid
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
-    EvalConfig,
     EvaluationError,
     HashPolicy,
     IndividualPolicy,
@@ -428,7 +427,7 @@ class TestBestResponseSharedStochastic:
             return g.transition(state, joint)
 
         counted = dataclasses.replace(g, transition=transition)
-        assert len(oracles._reachable_member_obs(counted, 1, EvalConfig(), 6)) == 5
+        assert len(oracles._reachable_member_obs(counted, 1, 6)) == 5
         assert len(calls) == 4
         opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
@@ -487,9 +486,8 @@ class TestStochasticPasses:
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
         opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
         with pytest.raises(EvaluationError, match="exact budget exceeded"):
-            advantage_decompose(
-                g, opp, opp, 1, (4, 4), obs=g.initial[0][0], cfg=EvalConfig(exact_bound=10)
-            )
+            small = dataclasses.replace(g, exact_bound=10)
+            advantage_decompose(small, opp, opp, 1, (4, 4), obs=g.initial[0][0])
 
     def test_one_callable_call_per_state_and_joint_action(self):
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
@@ -618,7 +616,7 @@ class TestStochasticPasses:
         diagonal = [(a, a) for a in range(6)]
         with pytest.raises(oracles.ExactBRUnsupported, match="observe differently"):
             oracles._unit_best_response_exact(
-                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, opp, EvalConfig(), diagonal
+                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, opp, diagonal
             )
 
     def test_greedy_keeps_its_lookahead_rows_for_the_call(self, monkeypatch):
@@ -642,9 +640,7 @@ class TestStochasticPasses:
 
         monkeypatch.setattr(oracles, "_joint_support", counted_support)
         monkeypatch.setattr(oracles, "_backward", counted_backward)
-        tables, value, fixed = oracles._unit_improve_weighted(
-            game, 1, (0, 1), zeros, mix, EvalConfig()
-        )
+        tables, value, fixed = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
         assert rounds[0] == 6 * len(mix)
         assert len(asked) == len(set(asked)) > 0
         assert (value, fixed) == (2.709875, True)
@@ -671,13 +667,11 @@ class TestStochasticPasses:
             (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
         ]
         zeros = (ConstantPolicy(6, 0), ConstantPolicy(6, 0))
-        tables, value, fixed = oracles._unit_improve_weighted(
-            game, 1, (0, 1), zeros, mix, EvalConfig()
-        )
+        tables, value, fixed = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
         assert (value, fixed) == (2.709875, True)
         walks[0] = 0
         again, again_value, again_fixed = oracles._unit_improve_weighted(
-            game, 1, (0, 1), tuple(tables), mix, EvalConfig(), value=value
+            game, 1, (0, 1), tuple(tables), mix, value=value
         )
         assert walks[0] == len(mix)
         assert all(a is b for a, b in zip(again, tables))
@@ -694,14 +688,14 @@ class TestStochasticPasses:
         start = (HashPolicy(6, 7), HashPolicy(6, 8))
         steps = _StepTable(game, mix)
         first, value, _ = oracles._unit_improve_weighted(
-            game, 2, (0,), start, mix, EvalConfig(), steps=steps
+            game, 2, (0,), start, mix, steps=steps
         )
         members = (first[0], start[1])
         results = []
         for table in (steps, _StepTable(game, mix)):
             walks[0] = 0
             tables, got, fixed = oracles._unit_improve_weighted(
-                game, 2, (1,), members, mix, EvalConfig(), value=value, steps=table
+                game, 2, (1,), members, mix, value=value, steps=table
             )
             digest = _actions_digest(game, 2, ProductPolicy(tables), states)
             results.append((walks[0], got, fixed, digest))
@@ -797,7 +791,7 @@ class TestAdvantageDecompose:
             terms = advantage_decompose(g, p1, p2, 1, (1, 0), obs=0)
             from teameq.oracles import _stochastic_q_tensor
 
-            tensor = _stochastic_q_tensor(g, 1, p1.members, p2, 0, EvalConfig())
+            tensor = _stochastic_q_tensor(g, 1, p1.members, p2, 0)
             dists = [m.dist(0) for m in p1.members]
             joint_adv = tensor[1, 0] - float(dists[0] @ tensor @ dists[1])
             assert abs(terms.sum() - joint_adv) <= 1e-12
@@ -840,10 +834,10 @@ class TestSebr:
                 assert after >= before - 1e-9
 
     def test_per_update_monotonicity_skirmish(self):
-        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        g = dataclasses.replace(grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3)), exact_bound=10**7)
         opp = ProductPolicy([HashPolicy(6, 11), HashPolicy(6, 12)])
         trace = []
-        sebr(g, opp, 1, restarts=1, seed=0, trace=trace, cfg=EvalConfig(exact_bound=10**7), max_sweeps=5)
+        sebr(g, opp, 1, restarts=1, seed=0, trace=trace, max_sweeps=5)
         assert trace, "no updates traced"
         for _, _, _, before, after in trace:
             assert after >= before - 1e-9

@@ -1,15 +1,15 @@
 """What the benchmark tracer in ``perfbench/`` reads of the package.
 
-The tracer wraps ``core.evaluate`` by name and classifies each call from
-its fourth positional argument's ``mode``; renaming either breaks traced
-runs, so this pins both until the tracer changes.
+The tracer wraps ``core.evaluate`` by name and counts a stochastic call
+made with three arguments as exact; renaming the function breaks traced
+runs, so this pins it until the tracer changes.
 """
 
 import sys
 from pathlib import Path
 
 from teameq import core
-from teameq.core import EvalConfig, ProductPolicy, UniformPolicy
+from teameq.core import ProductPolicy, UniformPolicy
 from teameq.games import SkirmishConfig, grid_skirmish
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,7 +25,7 @@ def test_tracer_counts_exact_evaluation(monkeypatch):
     p = ProductPolicy([UniformPolicy(c) for c in g.action_counts[0]])
     tracer = tracing.Tracer().install()
     try:
-        core.team_value(g, 1, p, p, EvalConfig())
+        core.team_value(g, 1, p, p)
     finally:
         tracer.uninstall()
     assert tracer.counts["core.evaluate.calls_exact"] == 1
