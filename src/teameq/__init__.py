@@ -35,8 +35,6 @@ from .deviation import (
 from .evaluation import (
     Candidate,
     ExploitReport,
-    MatchLedger,
-    elo_ratings,
     exploitability_profile,
     rpp,
 )

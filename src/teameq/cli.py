@@ -3,7 +3,7 @@
 Subcommands: ``game`` (emit a builtin game), ``solve`` (matrix maxmin /
 CTME of a normal-form game), ``verify`` (equilibrium check under a
 correlation class), ``psro`` (population loop with a chosen oracle),
-``eval`` (exploitability profile / rpp / elo) and ``report`` (re-emit run
+``eval`` (exploitability profile / rpp) and ``report`` (re-emit run
 artifacts as CSV or JSON-lines).
 
 Every run writes its manifest before any result file.  All randomness
@@ -55,8 +55,6 @@ from .deviation import (
 from .evaluation import (
     CLASS_ORDER,
     Candidate,
-    MatchLedger,
-    elo_ratings,
     exploitability_profile,
     rpp,
 )
@@ -243,9 +241,6 @@ OPTIONS = {
         "profile": None,
         "team": 1,
         "classes": ",".join(CLASS_ORDER),
-        "matches": None,
-        "k": 32.0,
-        "base": 1200.0,
         "seed": 0,
         "tol": 1e-6,
     },
@@ -256,7 +251,7 @@ CHOICES = {
     "klass": ("none", "pivot", "sequential", "joint"),
     "oracle": ("joint", "shared", "individual", "sebr"),
     "expand": ("both", "1", "2"),
-    "mode": ("exploit", "rpp", "elo"),
+    "mode": ("exploit", "rpp"),
     "format": ("csv", "json-lines"),
 }
 
@@ -594,45 +589,21 @@ def cmd_eval(cfg: dict, out: str | None) -> int:
             print(f"{r.class_name}: {shown}")
         _write_json(os.path.join(out, "summary.json"), payload)
         return EXIT_OK
-    if mode == "rpp":
-        game = parse_game_spec(_require(cfg, "game"))
-        entries_a = _load_candidate(_require(cfg, "run_a"), 1, cfg["game"]).entries
-        entries_b = _load_candidate(_require(cfg, "run_b"), 2, cfg["game"]).entries
-        value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
-        payload = {
-            "command": "eval/rpp",
-            "value": value,
-            "run_a": cfg["run_a"],
-            "run_b": cfg["run_b"],
-            "wall_clock_seconds": time.perf_counter() - t0,
-        }
-        _write_json(os.path.join(out, "rpp.json"), payload)
-        _write_json(os.path.join(out, "summary.json"), payload)
-        print(f"rpp {fmt9(value)}")
-        return EXIT_OK
-    matches = []  # mode "elo"
-    with open(_require(cfg, "matches")) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or (i == 0 and line.lower().startswith("a,")):
-                continue
-            a, b, score = line.split(",")
-            matches.append((a, b, float(score)))
-    ratings = elo_ratings(MatchLedger(tuple(matches)), k=cfg["k"], base=cfg["base"])
+    # mode "rpp"
+    game = parse_game_spec(_require(cfg, "game"))
+    entries_a = _load_candidate(_require(cfg, "run_a"), 1, cfg["game"]).entries
+    entries_b = _load_candidate(_require(cfg, "run_b"), 2, cfg["game"]).entries
+    value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
     payload = {
-        "command": "eval/elo",
-        "ratings": {k_: float(v) for k_, v in sorted(ratings.items())},
+        "command": "eval/rpp",
+        "value": value,
+        "run_a": cfg["run_a"],
+        "run_b": cfg["run_b"],
         "wall_clock_seconds": time.perf_counter() - t0,
     }
-    _write_json(os.path.join(out, "ratings.json"), payload)
-    _write_csv(
-        os.path.join(out, "ratings.csv"),
-        ["player", "rating"],
-        [[k_, v] for k_, v in sorted(ratings.items())],
-    )
+    _write_json(os.path.join(out, "rpp.json"), payload)
     _write_json(os.path.join(out, "summary.json"), payload)
-    for k_, v in sorted(ratings.items()):
-        print(f"{k_}: {fmt9(v)}")
+    print(f"rpp {fmt9(value)}")
     return EXIT_OK
 
 

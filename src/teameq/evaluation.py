@@ -1,4 +1,4 @@
-"""Exploitability profiles, relative population performance, Elo ratings.
+"""Exploitability profiles and relative population performance.
 
 The exploitability profile freezes one team's meta-strategy and reports,
 per opponent correlation class, the opponent team's achievable expected
@@ -122,8 +122,8 @@ def exploitability_profile(
     Joint uses the fully correlated best response, Synchronized the shared
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
-    the sebr oracle (its default 4 restarts), and Random the uniform product
-    policy.
+    the sebr oracle (its default 4 restarts, seeded from ``seed``), and
+    Random the uniform product policy.
     """
     opp = 3 - candidate.team
     mix = candidate.mixture()
@@ -140,7 +140,7 @@ def exploitability_profile(
                     ClassResult(name, None, applicable=False, note="heterogeneous team")
                 )
                 continue
-            _, reward = best_response_shared(game, mix, opp, seed=subseed(seed, "exploit/shared"))
+            _, reward = best_response_shared(game, mix, opp)
         elif name == "no_correlation":
             start = ProductPolicy([ConstantPolicy(c, 0) for c in counts])
             _, reward = best_response_individual(game, mix, opp, start)
@@ -183,46 +183,3 @@ def rpp(game: Game, pop_a, pop_b, tol: float = 1e-6) -> float:
         raise ValueError("both populations must be nonempty")
     matrix = cross_payoff_matrix(game, entries_a, entries_b)
     return float(solve_matrix_maxmin(matrix, tol=tol).value)
-
-
-# Elo ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchLedger:
-    """Ordered match results: (player_a, player_b, score for a in {0, 1/2, 1})."""
-
-    matches: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self):
-        clean = []
-        for a, b, score in self.matches:
-            if not a or not b:
-                raise ValueError("player ids must be non-empty")
-            if float(score) not in (0.0, 0.5, 1.0):
-                raise ValueError(f"score must be 0, 0.5 or 1, got {score}")
-            clean.append((str(a), str(b), float(score)))
-        object.__setattr__(self, "matches", tuple(clean))
-
-
-def elo_expected(rating_a: float, rating_b: float) -> float:
-    return 1.0 / (1.0 + 10.0 ** ((rating_b - rating_a) / 400.0))
-
-
-def elo_ratings(ledger, k: float = 32.0, base: float = 1200.0) -> dict[str, float]:
-    """Sequential Elo updates over a match ledger, deterministic in ledger
-    order.  Total rating is conserved by every update."""
-    if not isinstance(ledger, MatchLedger):
-        ledger = MatchLedger(tuple(ledger))
-    if not ledger.matches:
-        raise ValueError("the match ledger is empty")
-    if k <= 0:
-        raise ValueError("k must be positive")
-    ratings: dict[str, float] = {}
-    for a, b, score in ledger.matches:
-        ra = ratings.setdefault(a, float(base))
-        rb = ratings.setdefault(b, float(base))
-        ea = elo_expected(ra, rb)
-        ratings[a] = ra + k * (score - ea)
-        ratings[b] = rb + k * ((1.0 - score) - (1.0 - ea))
-    return ratings

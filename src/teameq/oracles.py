@@ -18,6 +18,7 @@ only, within the stochastic game's ``exact_bound``.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,6 +60,9 @@ TABLE_ENUMERATION_BOUND = 4096
 
 #: Most rounds of `_unit_improve_weighted`'s guarded greedy improvement.
 GREEDY_ROUNDS = 20
+
+#: Most sub-simplex splits of `_bernstein_simplex_max`.
+_BERNSTEIN_NODE_CAP = 20_000
 
 
 def subseed(seed: int, name: str) -> int:
@@ -694,16 +698,14 @@ def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
 
 def _quadratic_simplex_max(q: np.ndarray):
     """Exact maximum of p^T Q p over the simplex via KKT support
-    enumeration (team of two members)."""
+    enumeration (team of two members); returns (p, value, gap 0)."""
     n = q.shape[0]
     sym = q + q.T
     best_val, best_p = -math.inf, None
     for a in range(n):
-        p = np.zeros(n)
-        p[a] = 1.0
-        val = float(p @ q @ p)
+        val = float(q[a, a])
         if val > best_val:
-            best_val, best_p = val, p
+            best_val, best_p = val, np.eye(n)[a]
     for size in range(2, n + 1):
         for support in itertools.combinations(range(n), size):
             idx = list(support)
@@ -726,68 +728,76 @@ def _quadratic_simplex_max(q: np.ndarray):
             val = float(p @ q @ p)
             if val > best_val + 1e-15:
                 best_val, best_p = val, p
-    return best_p, best_val
+    return best_p, best_val, 0.0
 
 
-def _two_action_poly_max(tensor: np.ndarray):
-    """Exact maximum over q in [0,1] of the shared value of a 2-action
-    team of any size (a degree-n polynomial in q)."""
-    n = tensor.ndim
-    coeffs = np.zeros(n + 1)
-    for joint in itertools.product(range(2), repeat=n):
-        poly = np.array([1.0])
-        for a in joint:
-            factor = np.array([0.0, 1.0]) if a == 1 else np.array([1.0, -1.0])
-            poly = np.convolve(poly, factor)
-        coeffs[: len(poly)] += tensor[joint] * poly
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    candidates = [0.0, 1.0]
-    if np.any(np.abs(deriv) > 0):
-        for root in np.polynomial.polynomial.polyroots(deriv):
-            if abs(root.imag) < 1e-12 and -1e-12 <= root.real <= 1 + 1e-12:
-                candidates.append(min(max(float(root.real), 0.0), 1.0))
-    vals = [
-        (float(np.polynomial.polynomial.polyval(qq, coeffs)), qq) for qq in candidates
-    ]
-    best_val, best_q = max(vals, key=lambda t: (t[0], -t[1]))
-    return np.array([1.0 - best_q, best_q]), best_val
+def _bernstein_simplex_max(tensor: np.ndarray):
+    """Certified maximum of the shared value ``T(p, ..., p)`` over the
+    simplex, by branch-and-bound in the simplicial Bernstein basis (Garloff,
+    LNCS 212, 1985; Leroy, Reliable Computing 2012); returns (p, value, gap).
+
+    On a sub-simplex with vertex rows ``V``, contracting the axis-symmetrised
+    tensor with ``V`` on every member axis gives the value's Bernstein
+    coefficients there: their maximum bounds the value on the sub-simplex
+    from above, and each vertex's value bounds the maximum from below.  The
+    search starts from the pure corners (the lowest index wins a tie), splits
+    the longest edge of the sub-simplex with the highest bound at its
+    midpoint, and keeps a new corner only when it is better by more than
+    1e-15.  It stops once no bound exceeds the best corner by more than
+    ``1e-9 * max(1, max|T|)``, or after `_BERNSTEIN_NODE_CAP` splits; ``gap``
+    is the highest bound left less the value, so the true maximum lies in
+    ``[value, value + gap]`` either way.
+    """
+    n, size = tensor.ndim, tensor.shape[0]
+    tol = 1e-9 * max(1.0, float(np.abs(tensor).max()))
+    # contracting every axis with one V commutes with permuting the axes
+    sym = sum(tensor.transpose(perm) for perm in itertools.permutations(range(n)))
+    sym = sym / math.factorial(n)
+
+    def bound(vertices):
+        out = sym
+        for _ in range(n):
+            out = np.tensordot(out, vertices, axes=([0], [1]))
+        return float(out.max())
+
+    corners = np.eye(size)
+    values = [float(tensor[(a,) * n]) for a in range(size)]
+    best = int(np.argmax(values))
+    best_p, best_val = corners[best], values[best]
+    cut = best_val  # highest bound of a discarded sub-simplex
+    heap = [(-bound(corners), 0, corners)]
+    for split in range(_BERNSTEIN_NODE_CAP):
+        if not heap or -heap[0][0] <= best_val + tol:
+            break
+        _, _, vertices = heapq.heappop(heap)
+        diffs = vertices[:, None, :] - vertices[None, :, :]
+        i, j = np.unravel_index(int(np.argmax((diffs**2).sum(axis=2))), (size, size))
+        mid = 0.5 * (vertices[i] + vertices[j])
+        val = _shared_value(tensor, mid)
+        if val > best_val + 1e-15:
+            best_p, best_val = mid, val
+        for k, corner in enumerate((i, j)):
+            child = vertices.copy()
+            child[corner] = mid
+            upper = bound(child)
+            if upper > best_val + tol:
+                heapq.heappush(heap, (-upper, 2 * split + k + 1, child))
+            else:
+                cut = max(cut, upper)
+    top = -heap[0][0] if heap else -math.inf
+    return best_p, best_val, max(0.0, max(cut, top) - best_val)
 
 
-def _ascent_simplex_max(tensor: np.ndarray, seed: int, starts: int = 10):
-    """Seeded multi-start ascent for shared teams beyond the exact cases."""
-    n_actions = tensor.shape[0]
-    n = tensor.ndim
-    rng = np.random.default_rng(seed)
-    best_val, best_p = -math.inf, None
-    inits = [np.full(n_actions, 1.0 / n_actions)]
-    inits += [rng.dirichlet(np.ones(n_actions)) for _ in range(starts)]
-    for p in inits:
-        p = p.copy()
-        for _ in range(200):
-            grad = tensor
-            for _ in range(n - 1):
-                grad = grad @ p
-            new_p = np.clip(p + 0.5 * (grad - grad @ p * np.ones(n_actions)), 0, None)
-            if new_p.sum() <= 0:
-                break
-            new_p /= new_p.sum()
-            if np.abs(new_p - p).max() < 1e-12:
-                p = new_p
-                break
-            p = new_p
-        val = _shared_value(tensor, p)
-        if val > best_val:
-            best_val, best_p = val, p
-    return best_p, best_val
-
-
-def best_response_shared(game: Game, opponent, team: int, seed: int = 0):
+def best_response_shared(game: Game, opponent, team: int):
     """Best shared policy and its value.
 
-    Normal form: pure shared actions by enumeration, refined by an exact
-    mixed-shared search (exact for two-member teams and for 2-action teams
-    of any size; seeded ascent otherwise); returns the better of the pure
-    and mixed candidates.
+    Normal form: the best mixed shared action, over the simplex.  Two-member
+    teams use exact KKT support enumeration (`_quadratic_simplex_max`);
+    other teams a certified Bernstein branch-and-bound
+    (`_bernstein_simplex_max`), whose value is within ``1e-9 * max(1,
+    max|T|)`` of the maximum unless its node cap is hit.  Both start from the
+    pure shared actions and keep the lowest-index best one on a tie.  No seed
+    is read: the result is a function of the game and the opponent.
 
     Stochastic: the best pure stationary shared table, by `_table_search`
     over the unit of all members.  Raises EvaluationError when the members
@@ -800,22 +810,10 @@ def best_response_shared(game: Game, opponent, team: int, seed: int = 0):
     n_actions, n_members = counts[0], len(counts)
     if game.is_normal_form:
         tensor = team_reward_tensor(game, team, opponent)
-        pure_vals = [tensor[(a,) * n_members] for a in range(n_actions)]
-        best_a = int(np.argmax(pure_vals))
-        best_val = float(pure_vals[best_a])
-        best_dist = np.eye(n_actions)[best_a]
-        if n_members == 2:
-            mix_p, mix_val = _quadratic_simplex_max(tensor)
-        elif n_actions == 2:
-            mix_p, mix_val = _two_action_poly_max(tensor)
-        else:
-            mix_p, mix_val = _ascent_simplex_max(tensor, seed)
-        if mix_p is not None and mix_val > best_val + 1e-15:
-            best_dist, best_val = mix_p, float(mix_val)
-        policy = SharedPolicy(
-            IndividualPolicy(n_actions, {NF_OBS: best_dist}), n_members
-        )
-        return policy, best_val
+        search = _quadratic_simplex_max if n_members == 2 else _bernstein_simplex_max
+        dist, value, _ = search(tensor)
+        policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
+        return policy, value
     atoms = as_mixture(opponent)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
     table, value = _table_search(

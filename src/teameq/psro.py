@@ -136,9 +136,9 @@ class PsroConfig:
     the meta-solve tolerance and the best-response gain at which a team
     stops expanding.  ``expand_teams`` restricts which
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
-    roots the oracles' random streams and ``sebr_restarts`` is the number
-    of seeded starts the S-PSRO oracle tries besides the incumbent (see
-    `sebr_starts`)."""
+    roots SeBR's random streams, the only oracle that reads one, and
+    ``sebr_restarts`` is the number of seeded starts the S-PSRO oracle
+    tries besides the incumbent (see `sebr_starts`)."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -212,8 +212,7 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
             opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
         return best_response_joint(game, opponent_mix, team, dists=opp_dists)
     if cfg.oracle == "shared":
-        seed = subseed(cfg.seed, f"shared/t{team}/i{iteration}")
-        return best_response_shared(game, opponent_mix, team, seed=seed)
+        return best_response_shared(game, opponent_mix, team)
     incumbent = _best_entry_vs(pop, team, opp_weights)
     if cfg.oracle == "individual":
         return best_response_individual(game, opponent_mix, team, incumbent)

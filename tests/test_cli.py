@@ -194,14 +194,12 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "population.json" in err and "normal-form games only" in err
 
-    def test_elo_ratings(self, tmp_path):
-        matches = tmp_path / "m.csv"
-        matches.write_text("a,b,score\na,b,1\n")
-        out = tmp_path / "e"
-        rc = main(["eval", "--mode", "elo", "--matches", str(matches), "--out", str(out)])
-        assert rc == EXIT_OK
-        ratings = json.loads(read(out / "ratings.json"))["ratings"]
-        assert ratings["a"] == pytest.approx(1216.0)
+    def test_dropped_elo_mode(self, tmp_path, capsys):
+        # Elo ratings from a match CSV are gone: the mode and its flags
+        out = str(tmp_path / "e")
+        assert main(["eval", "--mode", "elo", "--out", out]) == EXIT_ERROR
+        assert "--mode must be one of" in capsys.readouterr().err
+        assert main(["eval", "--mode", "rpp", "--matches", "m.csv", "--out", out]) == EXIT_ERROR
 
     def test_rpp_between_runs(self, tmp_path):
         run_a, run_b = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,7 @@
-"""Exploitability profiles, relative population performance, Elo."""
+"""Exploitability profiles and relative population performance."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import lp_maxmin
 from teameq.core import (
@@ -19,9 +17,7 @@ from teameq.core import (
 from teameq.evaluation import (
     CLASS_ORDER,
     Candidate,
-    MatchLedger,
     cross_payoff_matrix,
-    elo_ratings,
     exploitability_profile,
     rpp,
 )
@@ -171,42 +167,3 @@ class TestRpp:
         with pytest.raises(ValueError):
             rpp(g, [], [pure((0, 0))])
 
-
-class TestElo:
-    def test_draw_between_equals(self):
-        ratings = elo_ratings([("a", "b", 0.5)], k=32, base=1200)
-        assert ratings == {"a": 1200.0, "b": 1200.0}
-
-    def test_win_at_equal_ratings(self):
-        ratings = elo_ratings([("a", "b", 1.0)], k=32, base=1200)
-        assert ratings["a"] == pytest.approx(1216.0)
-        assert ratings["b"] == pytest.approx(1184.0)
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            elo_ratings([("", "b", 1.0)])
-
-    def test_empty_ledger_rejected(self):
-        with pytest.raises(ValueError):
-            elo_ratings([])
-
-    def test_invalid_score_rejected(self):
-        with pytest.raises(ValueError):
-            MatchLedger((("a", "b", 0.3),))
-
-    @given(
-        outcomes=st.lists(
-            st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["d", "e"]), st.sampled_from([0.0, 0.5, 1.0])),
-            min_size=1,
-            max_size=30,
-        ),
-        k=st.floats(1.0, 64.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_total_rating_conserved(self, outcomes, k):
-        ratings = elo_ratings(outcomes, k=k, base=1000.0)
-        assert sum(ratings.values()) == pytest.approx(1000.0 * len(ratings), abs=1e-6)
-
-    def test_deterministic_in_ledger_order(self):
-        matches = [("a", "b", 1.0), ("b", "c", 0.0), ("a", "c", 0.5)]
-        assert elo_ratings(matches) == elo_ratings(matches)

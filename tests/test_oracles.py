@@ -270,21 +270,7 @@ class TestBestResponseShared:
             )
             assert value >= pure_best - 1e-12
 
-    @staticmethod
-    def _counted(monkeypatch, name):
-        calls = []
-        real = getattr(oracles, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracles, name, counted)
-        return calls
-
-    def test_two_action_team_of_three_beats_the_q_grid(self, monkeypatch):
-        # three members with two actions: the exact polynomial search in q
-        calls = self._counted(monkeypatch, "_two_action_poly_max")
+    def test_two_action_team_of_three_beats_the_q_grid(self):
         g = random_team_game((3, 3), ((2, 2, 2), (2, 2, 2)), seed=3)
         opp = pure((0, 0, 0), (2, 2, 2))
         joints = list(itertools.product(range(2), repeat=3))
@@ -296,27 +282,53 @@ class TestBestResponseShared:
             return (rewards * q**ones * (1 - q) ** (3 - ones)).sum(axis=-1)
 
         policy, value = best_response_shared(g, opp, 1)
-        assert calls == ["_two_action_poly_max"]
+        _, _, gap = oracles._bernstein_simplex_max(oracles.team_reward_tensor(g, 1, opp))
         dist = policy.policy.dist(0)
         assert 0 < dist[1] < 1  # the optimum is interior on this game
-        assert value >= shared_value(np.linspace(0.0, 1.0, 10_001)).max()
+        assert value >= shared_value(np.linspace(0.0, 1.0, 10_001)).max() - gap
         assert value == pytest.approx(float(shared_value(dist[1])), abs=1e-12)
 
-    def test_sad_team_of_three_ascent(self, monkeypatch):
-        # three members with six actions: the seeded multi-start ascent
-        calls = self._counted(monkeypatch, "_ascent_simplex_max")
+    def test_sad_team_of_three_is_certified(self):
+        # three members with six actions: certified to the search's tolerance
         g = sad(SadConfig(n_players=3, seek_max=3))
         half = IndividualPolicy(6, {0: np.array([0.5, 0, 0, 0, 0, 0.5])})
         opp = ProductPolicy([half] * 3)
-        policy, value = best_response_shared(g, opp, 1, seed=3)
-        assert calls == ["_ascent_simplex_max"]
+        policy, value = best_response_shared(g, opp, 1)
+        tensor = oracles.team_reward_tensor(g, 1, opp)
+        _, _, gap = oracles._bernstein_simplex_max(tensor)
+        assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
         pure_best = max(
             team_value(g, 1, SharedPolicy(IndividualPolicy.deterministic(6, a), 3), opp)
             for a in range(6)
         )
         assert value >= pure_best
-        assert best_response_shared(g, opp, 1, seed=3)[1] == value
+        assert best_response_shared(g, opp, 1)[1] == value
         assert value == pytest.approx(team_value(g, 1, policy, opp), abs=1e-12)
+
+    def test_no_sampled_shared_mix_beats_the_certified_value(self):
+        # member axes that are not symmetric: T(p, ..., p)'s gradient is not
+        # a multiple of T's derivative in one member's slot
+        rng = np.random.default_rng(21)
+        for n_members, n_actions in itertools.product((3, 4), (3, 4)):
+            axes = [[n_members, m] for m in range(n_members)]
+            for _ in range(8):
+                tensor = rng.uniform(-1.0, 1.0, (n_actions,) * n_members)
+                p, value, gap = oracles._bernstein_simplex_max(tensor)
+                assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
+                mixes = rng.dirichlet(np.ones(n_actions), 2000)
+                operands = [x for axis in axes for x in (mixes, axis)]
+                sampled = np.einsum(tensor, list(range(n_members)), *operands, [n_members])
+                assert sampled.max() <= value + gap + 1e-12
+                assert value == oracles._shared_value(tensor, p)
+
+    def test_node_cap_returns_the_best_corner_and_its_gap(self, monkeypatch):
+        tensor = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 3, 3))
+        _, certified, _ = oracles._bernstein_simplex_max(tensor)
+        monkeypatch.setattr(oracles, "_BERNSTEIN_NODE_CAP", 3)
+        p, value, gap = oracles._bernstein_simplex_max(tensor)
+        assert gap > 1e-9  # three splits do not certify this tensor
+        assert value == oracles._shared_value(tensor, p)
+        assert value <= certified <= value + gap
 
     def test_heterogeneous_rejected(self):
         from teameq.core import DimensionError, NormalFormTeamGame

@@ -21,6 +21,7 @@ from teameq.games import (
     grid_skirmish,
     random_team_game,
 )
+from teameq.oracles import best_response_shared, team_reward_tensor
 from teameq.psro import (
     PsroConfig,
     extend_population,
@@ -181,6 +182,24 @@ class TestRunPsro:
         result = run_psro(g, PsroConfig(oracle="joint", max_iterations=1, seed=0))
         assert not result.converged
         assert result.iterations == 1
+
+    def test_team_psro_converges_to_no_shared_gain(self):
+        # teams of three with three actions: a mixed shared deviation that
+        # the oracle misses would end the run falsely converged
+        g = random_team_game((3, 3), ((3, 3, 3), (3, 3, 3)), seed=3)
+        cfg = PsroConfig(oracle="shared", seed=0)
+        result = run_psro(g, cfg)
+        assert result.converged
+        mixes = np.random.default_rng(0).dirichlet(np.ones(3), 2000)
+        operands = [x for m in range(3) for x in (mixes, [3, m])]
+        for team in (1, 2):
+            weights = result.meta_2 if team == 1 else result.meta_1
+            opponent = result.population.mixture(3 - team, weights)
+            meta = result.value if team == 1 else -result.value
+            assert best_response_shared(g, opponent, team)[1] <= meta + cfg.tol
+            tensor = team_reward_tensor(g, team, opponent)
+            sampled = np.einsum(tensor, [0, 1, 2], *operands, [3])
+            assert sampled.max() <= meta + cfg.tol
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -29,9 +29,8 @@ def test_cli_lines_exit_as_documented(tmp_path, monkeypatch):
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("teameq ")
     ]
-    assert len(lines) == 12
+    assert len(lines) == 11
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "matches.csv").write_text("a,b,score\na,b,1\nb,a,0.5\n")
     for line in lines:
         fails = line.startswith("teameq verify") and re.search(r"--class (joint|sequential)", line)
         expected = EXIT_VERIFY_FAIL if fails else EXIT_OK
