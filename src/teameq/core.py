@@ -28,9 +28,6 @@ NF_OBS = 0
 #: Distributions must sum to one within this tolerance.
 DIST_TOL = 1e-12
 
-#: Exact expectation over policy mixtures is allowed up to this support size.
-MIXTURE_SUPPORT_LIMIT = 64
-
 
 class DimensionError(ValueError):
     """Policies and game shapes do not line up."""
@@ -647,12 +644,13 @@ class _StepTable:
     supports of the opponent atoms the call registers at entry.
 
     An iterated search (SeBR, iterated individual best responses, the greedy
-    improvement, the shared table enumeration) walks the same steps from
-    sweep to sweep and round to round, against the same opponent atoms; it
-    builds one table at entry and drops it when it returns, so a table holds
-    one call's keys only.  The searching team's members change within the
-    call, so their supports are never kept; `_joint_support`'s completion
-    lists are, since they depend on supports only.  The greedy improvement
+    improvement, the table search, whose domain walk fills the table that
+    its enumeration or backward induction then reads) walks the same steps
+    from sweep to sweep and round to round, against the same opponent
+    atoms; it builds one table at entry and drops it when it returns, so a
+    table holds one call's keys only.  The searching team's members change
+    within the call, so their supports are never kept; `_joint_support`'s
+    completion lists are, since they depend on supports only.  The greedy improvement
     goes one step further for its lookahead: it keeps, per opponent atom
     and state, apart for the last step, each unit action's successor row
     and step reward for the whole call, since they do not depend on the
@@ -993,12 +991,10 @@ def mixture_value(game: Game, mix1, mix2) -> float:
     """Expected team-1 reward when both sides mix over team policies.
 
     Mixtures are episode-level lotteries: an entry is drawn once, then
-    played for the whole episode.  Exact expectation over the support is
-    used (support limited to MIXTURE_SUPPORT_LIMIT per side).
+    played for the whole episode.  The expectation is exact: one
+    evaluation per pair of positive-weight entries.
     """
     pairs1, pairs2 = as_mixture(mix1), as_mixture(mix2)
-    if len(pairs1) > MIXTURE_SUPPORT_LIMIT or len(pairs2) > MIXTURE_SUPPORT_LIMIT:
-        raise EvaluationError(f"mixture support exceeds {MIXTURE_SUPPORT_LIMIT}")
     total = 0.0
     for pol1, w1 in pairs1:
         for pol2, w2 in pairs2:

@@ -142,8 +142,6 @@ def build_deviation_spec(
     team: int,
     candidate,
     correlation: CorrelationClass,
-    delta_team: int = 0,
-    delta_policy: int = 0,
     *,
     opponent=None,
 ) -> DeviationSpec:
@@ -153,8 +151,9 @@ def build_deviation_spec(
     - NoCorrelation: I = every pure unilateral deviation, C empty.
     - PivotFollowers: C = one shared policy per pure action, I empty.
     - Joint: C = every pure team joint action.
-    - Sequential: a seeded budgeted subset of the union, individual
-      deviations first, then joint actions sampled without replacement.
+    - Sequential: a seeded subset of the union, at most the sample
+      factor's ``n_init`` policies, individual deviations first, then joint
+      actions sampled without replacement.
 
     Stochastic, by exact best responses to ``opponent``, the profile's
     other side (required there, not read on normal form), so the sets are
@@ -204,7 +203,7 @@ def build_deviation_spec(
         return DeviationSpec(team, correlation, candidate, (), tuple(joints))
 
     if isinstance(correlation, Sequential):
-        budget = sample_budget(correlation.sample_factor, delta_team, delta_policy)
+        budget = sample_budget(correlation.sample_factor, 0, 0)
         indiv = individual_deviations()[:budget]
         remaining = budget - len(indiv)
         correlated: list = []

@@ -41,7 +41,6 @@ from .core import (
     StochasticTeamGame,
     _StepTable,
     _backward,
-    _budget_error,
     _forward,
     _joint_support,
     _members_view,
@@ -520,16 +519,55 @@ def _table_search(game, team, unit, own_members, atoms, steps):
     other members held at ``own_members``, against opponent atoms that the
     step table ``steps`` registers.  Returns (table, value).
 
-    Up to TABLE_ENUMERATION_BOUND tables over the reachable member
-    observations, every table is evaluated and the first best wins.
-    Beyond, the unit's members play one common action wherever they
-    observe alike, so `_unit_best_response` searches the diagonal joint
-    actions ``(a, ..., a)``; EvaluationError when that does not apply.
+    The domain is read off one `_forward` walk per atom in which the unit
+    plays every diagonal joint action ``(a, ..., a)``: the unit members'
+    observations at each state walked and at each successor with positive
+    probability.  Where members observe differently, one table can split
+    them, so the walks run again with the unit free over all its joint
+    actions.  Either way these are the observations a unit table can
+    reach, so up to TABLE_ENUMERATION_BOUND tables over the sorted domain
+    every table is evaluated and the first best wins; each plays action 0
+    elsewhere.  The walks stop as soon as the domain passes the bound, and
+    `_unit_best_response` then searches the diagonal, reusing the diagonal
+    walks' completion lists; EvaluationError when that does not apply.
     """
     n_actions = game.action_counts[team - 1][unit[0]]
-    obs_set = _reachable_member_obs(game, team, n_actions, steps)
-    if n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND:
-        diagonal = [(a,) * len(unit) for a in range(n_actions)]
+    diagonal = [(a,) * len(unit) for a in range(n_actions)]
+    domain: set = set()
+
+    def unit_obs(state) -> tuple:
+        obs = steps.member_observations(team, state)
+        return tuple(obs[m] for m in unit)
+
+    def walk_domain(unit_actions):
+        """Fill ``domain`` with the unit free over ``unit_actions``: True
+        when it fits the bound, False once it passes, None when members
+        tied to one action observe differently at a walked state."""
+        tied = _ties_members(unit_actions)
+        completions = steps.completions(team, unit, unit_actions)
+        for atom, _ in atoms:
+            def support(t, state, atom=atom):
+                return _joint_support(
+                    game, team, own_members, atom, state, completions, unit, unit_actions, steps
+                )
+
+            for _t, state, _p, rows in _forward(game, game.initial, support, steps):
+                key = unit_obs(state)
+                if tied and len(set(key)) > 1:
+                    return None
+                domain.update(key)
+                for _, row in rows:
+                    for _ua, _joint, succ in row:
+                        domain.update(o for s2, pt in succ if pt > 0.0 for o in unit_obs(s2))
+                if n_actions ** len(domain) > TABLE_ENUMERATION_BOUND:
+                    return False
+        return True
+
+    fits = walk_domain(diagonal)
+    if fits is None:
+        domain.clear()
+        fits = walk_domain(_unit_action_space(game, team, unit))
+    if not fits:
         try:
             tables, value = _unit_best_response(
                 game, team, unit, own_members, atoms, diagonal, steps
@@ -540,11 +578,13 @@ def _table_search(game, team, unit, own_members, atoms, steps):
                 f"dynamic program does not apply: {err}"
             ) from err
         return tables[0], value
+    obs_list = sorted(domain, key=repr)
+    fallback = ConstantPolicy(n_actions, 0)
     best_val, best_table = -math.inf, None
-    for assignment in itertools.product(range(n_actions), repeat=len(obs_set)):
-        table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_set, assignment)))
+    for assignment in itertools.product(range(n_actions), repeat=len(obs_list)):
+        table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_list, assignment)), fallback)
         trial = [table if m in unit else p for m, p in enumerate(own_members)]
-        val = _value_vs_atoms(game, team, trial, atoms, steps)
+        val = _atoms_value(game, team, trial, atoms, steps)
         if val > best_val + 1e-15:
             best_val, best_table = val, table
     return best_table, float(best_val)
@@ -565,7 +605,8 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
     each positive-weight entry of the opponent mixture, in order, when the
     caller keeps them, as `run_psro` does (see `team_reward_tensor`); the
     result is the same either way.  The joint action is read off the
-    argmax's row-major index, not from the list of joint actions."""
+    argmax's row-major index, not from the list of joint actions.  Raises
+    DimensionError when an opponent atom cannot play for the other team."""
     if game.is_normal_form:
         values = team_reward_tensor(game, team, opponent, dists).ravel()
         idx = int(values.argmax())
@@ -575,9 +616,12 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
             idx, action = divmod(idx, count)
             joint.append(action)
         return JointMixPolicy.pure(joint[::-1]), value
+    atoms = as_mixture(opponent)
+    for atom, _ in atoms:  # the walks read the atoms unchecked
+        check_team_policy(game, 3 - team, atom)
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
-    tables, value = _unit_best_response(game, team, unit, base, as_mixture(opponent))
+    tables, value = _unit_best_response(game, team, unit, base, atoms)
     return ProductPolicy(tables), value
 
 
@@ -800,9 +844,10 @@ def best_response_shared(game: Game, opponent, team: int):
     is read: the result is a function of the game and the opponent.
 
     Stochastic: the best pure stationary shared table, by `_table_search`
-    over the unit of all members.  Raises EvaluationError when the members
-    observe differently at a reached state or their observations do not fix
-    the decision stage.
+    over the unit of all members.  Raises DimensionError when an opponent
+    atom cannot play for the other team; beyond the enumeration bound,
+    EvaluationError when the members observe differently at a reached
+    state or their observations do not fix the decision stage.
     """
     counts = game.action_counts[team - 1]
     if len(set(counts)) != 1:
@@ -815,64 +860,13 @@ def best_response_shared(game: Game, opponent, team: int):
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
         return policy, value
     atoms = as_mixture(opponent)
+    for atom, _ in atoms:  # the walks read the atoms unchecked
+        check_team_policy(game, 3 - team, atom)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
     table, value = _table_search(
         game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms)
     )
     return SharedPolicy(table, n_members), value
-
-
-def _reachable_member_obs(game: StochasticTeamGame, team: int, n_actions: int, steps=None) -> list:
-    """Member observations of the states reachable under any play at steps
-    0 to H-1 (the steps a policy acts at), sorted.
-
-    Breadth-first over every joint action, asking ``steps`` (default: the
-    game) for successors; a state reached again is not expanded again.  A
-    state's observations count as soon as it is reached, and the scan stops,
-    returning the observations found so far, once ``n_actions **
-    len(observations)`` exceeds TABLE_ENUMERATION_BOUND.  Raises
-    EvaluationError when one step would expand more than
-    ``game.exact_bound`` (state, joint action) pairs.
-    """
-    look = game if steps is None else steps
-    every_joint = list(
-        itertools.product(
-            itertools.product(*(range(c) for c in game.action_counts[0])),
-            itertools.product(*(range(c) for c in game.action_counts[1])),
-        )
-    )
-    obs_set: set = set()
-
-    def reach(state) -> bool:
-        """Count ``state``'s observations; True once there are too many."""
-        obs_set.update(look.member_observations(team, state))
-        return n_actions ** len(obs_set) > TABLE_ENUMERATION_BOUND
-
-    layer: dict = {}
-    for state, p in game.initial:
-        if p > 0.0 and state not in layer:
-            layer[state] = None
-            if reach(state):
-                return sorted(obs_set, key=repr)
-    expanded: set = set()
-    for _ in range(game.horizon - 1):
-        nxt: dict = {}
-        step_pairs = 0
-        for state in layer:
-            if state in expanded:
-                continue
-            expanded.add(state)
-            step_pairs += len(every_joint)
-            if step_pairs > game.exact_bound:
-                raise _budget_error(game, step_pairs)
-            for joint in every_joint:
-                for s2, pt in look.successors(state, joint):
-                    if pt > 0.0 and s2 not in nxt:
-                        nxt[s2] = None
-                        if reach(s2):
-                            return sorted(obs_set, key=repr)
-        layer = nxt
-    return sorted(obs_set, key=repr)
 
 
 # ---------------------------------------------------------------------------

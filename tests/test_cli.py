@@ -16,7 +16,9 @@ from teameq.cli import (
     main,
     parse_game_spec,
 )
-from teameq.evaluation import cross_payoff_matrix
+from teameq.core import IndividualPolicy, ProductPolicy, policy_to_dict, team_value
+from teameq.evaluation import Candidate, cross_payoff_matrix, exploitability_profile
+from teameq.games import example1
 from teameq.psro import PsroConfig, run_psro
 
 
@@ -60,7 +62,7 @@ class TestVerifyCommand:
             assert team["budget"] == 0 and team["verdict"] == "PASS"
             assert team["max_gain"] == 0.0 and team["witness"] == {"kind": "none"}
 
-    @pytest.mark.parametrize("horizon", [2, 3, 4, 5])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
     def test_skirmish_checks_answer_for_every_class(self, tmp_path, horizon):
         gains = {}
         for klass in ("none", "pivot", "sequential", "joint"):
@@ -74,6 +76,44 @@ class TestVerifyCommand:
         for team in (0, 1):
             assert gains["joint"][team] >= gains["none"][team]
             assert gains["joint"][team] >= gains["pivot"][team]
+
+    def test_uniform_profile_nash_check(self, tmp_path):
+        # each team's max gain is its best pure unilateral switch away from
+        # the uniform profile, read off team_value
+        out = tmp_path / "v"
+        argv = ["verify", "--game", "example1", "--profile", "uniform", "--class", "none", "--out", str(out)]
+        assert main(argv) == EXIT_VERIFY_FAIL
+        game = example1()
+        uniform = [
+            ProductPolicy([IndividualPolicy.uniform(c) for c in counts])
+            for counts in game.action_counts
+        ]
+        for t, check in zip((1, 2), json.loads(read(out / "verify.json"))["teams"]):
+            own, opp = uniform[t - 1], uniform[2 - t]
+            base = team_value(game, t, own, opp)
+            gains = []
+            for m, c in enumerate(game.action_counts[t - 1]):
+                for a in range(c):
+                    members = list(own.members)
+                    members[m] = IndividualPolicy.deterministic(c, a)
+                    gains.append(team_value(game, t, ProductPolicy(members), opp) - base)
+            assert check["max_gain"] == pytest.approx(max(0.0, max(gains)), abs=1e-12)
+
+    def test_uniform_profile_is_normal_form_only(self, tmp_path, capsys):
+        argv = [
+            "verify", "--game", "skirmish:w=3,h=3,n=2,H=2", "--profile", "uniform",
+            "--class", "none", "--out", str(tmp_path / "v"),
+        ]
+        assert main(argv) == EXIT_ERROR
+        assert "normal form only" in capsys.readouterr().err
+
+    def test_unknown_profile_is_refused(self, tmp_path, capsys):
+        argv = [
+            "verify", "--game", "example1", "--profile", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "v"),
+        ]
+        assert main(argv) == EXIT_ERROR
+        assert "unknown profile spec" in capsys.readouterr().err
 
     def test_manifest_written_before_results(self, tmp_path):
         out = tmp_path / "v"
@@ -169,6 +209,30 @@ class TestEvalCommand:
         assert rc == EXIT_OK
         header = read(out / "report.csv").splitlines()[0]
         assert header.endswith("sequential,joint,synchronized,no_correlation,random")
+
+    def test_exploit_from_profile_file(self, tmp_path):
+        # a profile file holds both teams' policies; team 2's is the
+        # candidate, and the report is the library's profile of it
+        game = example1()
+        team1 = ProductPolicy([IndividualPolicy.uniform(2), IndividualPolicy.deterministic(2, 1)])
+        team2 = ProductPolicy([IndividualPolicy(2, {0: [0.25, 0.75]}), IndividualPolicy.deterministic(2, 0)])
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"team1": policy_to_dict(team1), "team2": policy_to_dict(team2)}))
+        out = tmp_path / "e"
+        argv = [
+            "eval", "--game", "example1", "--mode", "exploit", "--profile", str(spec),
+            "--team", "2", "--out", str(out),
+        ]
+        assert main(argv) == EXIT_OK
+        report = json.loads(read(out / "report.json"))
+        assert report["candidate"] == f"{spec}:team2" and report["team"] == 2
+        expected = exploitability_profile(game, Candidate.single(2, team2)).to_dict()["classes"]
+        assert report["classes"] == expected
+
+    def test_exploit_needs_a_candidate(self, tmp_path, capsys):
+        argv = ["eval", "--game", "example1", "--mode", "exploit", "--out", str(tmp_path / "e")]
+        assert main(argv) == EXIT_ERROR
+        assert "needs --run or --profile" in capsys.readouterr().err
 
     def test_population_file_rebuilds_the_meta_matrix(self, tmp_path):
         # population.json keeps every entry's tables, lazy SeBR members

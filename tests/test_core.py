@@ -25,13 +25,13 @@ from teameq.core import (
     evaluate,
     game_from_dict,
     game_to_dict,
-    mixture_value,
     policy_from_dict,
     policy_to_dict,
     product_to_joint,
     team_action_dist,
     team_value,
 )
+from teameq.evaluation import CLASS_ORDER, Candidate, exploitability_profile
 from teameq.games import (
     SkirmishConfig,
     example1,
@@ -263,16 +263,6 @@ class TestStochasticEvaluation:
                     assert game.member_observations(team, state) == per_member
         assert custom.member_observations(2, states[0]) == ((0, 0, 2), (0, 1, 2))
 
-    def test_mc_mixture_support_limit(self):
-        # evaluation is exact only, so the refusal must not offer a
-        # Monte-Carlo estimate as a way out
-        g = random_stochastic_game(seed=0)
-        p = ProductPolicy([ConstantPolicy(2, 0)] * 2)
-        mix = [(p, 1.0 / 65)] * 65
-        with pytest.raises(EvaluationError, match="mixture support exceeds 64") as err:
-            team_value(g, 1, mix, p)
-        assert "monte" not in str(err.value).lower()
-
 
 class TestValidation:
     def test_distribution_must_sum_to_one(self):
@@ -297,11 +287,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             NormalFormTeamGame((2, 2), ((2, 2), (2, 2)), payoff)
 
-    def test_mixture_support_limit(self):
-        g = example1()
-        entries = [(pure((0, 0)), 1.0 / 128)] * 128
-        with pytest.raises(EvaluationError):
-            mixture_value(g, entries, pure((0, 0)))
+    @pytest.mark.parametrize(
+        "game",
+        [example1(), random_stochastic_game(horizon=2, seed=0)],
+        ids=["example1", "random_stochastic"],
+    )
+    def test_no_mixture_support_limit(self, game):
+        # evaluation is linear in each support, so a 65-entry candidate gets
+        # an answer from every class, and `random` is the weighted sum of the
+        # entries' values against the uniform product
+        if game.is_normal_form:
+            entries = [
+                ProductPolicy([
+                    IndividualPolicy(2, {0: [i / 64, 1 - i / 64]}),
+                    IndividualPolicy.deterministic(2, i % 2),
+                ])
+                for i in range(65)
+            ]
+            uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
+        else:
+            entries = [ProductPolicy([HashPolicy(2, i), HashPolicy(2, i + 100)]) for i in range(65)]
+            uniform = ProductPolicy([UniformPolicy(2)] * 2)
+        weights = np.arange(1, 66) / np.arange(1, 66).sum()
+        cand = Candidate(1, tuple(entries), tuple(weights))
+        report = exploitability_profile(game, cand)
+        assert [r.class_name for r in report.results] == list(CLASS_ORDER)
+        assert all(r.applicable and np.isfinite(r.opponent_reward) for r in report.results)
+        expected = sum(w * team_value(game, 2, uniform, e) for e, w in cand.mixture())
+        assert report.result("random").opponent_reward == expected
 
 
 class TestDeterministicTables:

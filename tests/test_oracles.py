@@ -15,6 +15,7 @@ from helpers import lp_maxmin, shared_maxmin_grid
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
+    DimensionError,
     EvaluationError,
     HashPolicy,
     IndividualPolicy,
@@ -406,10 +407,30 @@ class TestBestResponseSharedStochastic:
             assert value == pytest.approx(best, abs=1e-12)
             assert team_value(g, team, policy, opponent) == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_members_observing_differently_enumerate(self, team):
+        # one table can split members who observe differently, so the
+        # search enumerates over what any unit play reaches: every table
+        # over the 6 (state, member) observations
+        g = dataclasses.replace(
+            random_stochastic_game(horizon=2, seed=0), member_obs=lambda team, m, s: (s, m)
+        )
+        obs = [(s, m) for s in range(3) for m in range(2)]
+        opp = ProductPolicy([HashPolicy(2, 0), HashPolicy(2, 7)])
+        for opponent in (opp, [(opp, 0.4), (SharedPolicy(HashPolicy(2, 3), 2), 0.6)]):
+            _, value = best_response_shared(g, opponent, team)
+            tables = [
+                SharedPolicy(IndividualPolicy.from_actions(2, dict(zip(obs, acts))), 2)
+                for acts in itertools.product(range(2), repeat=len(obs))
+            ]
+            best = max(team_value(g, team, t, opponent) for t in tables)
+            assert value == best
+
     def test_enumeration_asks_each_step_once(self):
-        # the observation scan expands 3 states x 16 joint actions through
-        # the call's step table; every table is then valued through the same
-        # table, whose 48 keys hold the 24 the evaluations walk
+        # the domain walk, with the team free over its diagonal, asks 3
+        # states x 2 shared actions x 4 opponent joint actions through the
+        # call's step table; every table is then valued through the same
+        # table, whose 24 keys hold those the evaluations walk
         g = random_stochastic_game(seed=0)
         calls = []
 
@@ -423,14 +444,15 @@ class TestBestResponseSharedStochastic:
         for opponent in (uniform, [(uniform, 0.5), (hashed, 0.5)]):
             calls.clear()
             _, value = best_response_shared(counted, opponent, 1)
-            assert len(calls) == 48
+            assert len(calls) == 24
             assert value == best_response_shared(g, opponent, 1)[1]
 
     def test_scan_stops_at_the_enumeration_bound(self):
         # with 6 actions the fifth observation makes 6^5 > 4096 tables; the
-        # start state and its first four successors show five, so the scan
-        # stops after 4 transitions, and the diagonal search asks every step
-        # before the last once through the step table the scan filled
+        # start state and its three diagonal successors show four, the first
+        # successor's own successors a fifth, so the domain walk stops after
+        # 2 states x 6 shared actions, and the diagonal search asks every
+        # step before the last once through the step table the walk filled
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
         calls = []
 
@@ -439,11 +461,9 @@ class TestBestResponseSharedStochastic:
             return g.transition(state, joint)
 
         counted = dataclasses.replace(g, transition=transition)
-        assert len(oracles._reachable_member_obs(counted, 1, 6)) == 5
-        assert len(calls) == 4
         opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
-        for opponent, expected in ((opp, 28), (mix, 28)):
+        for opponent, expected in ((opp, 24), (mix, 24)):
             calls.clear()
             _, value = best_response_shared(counted, opponent, 2)
             assert len(calls) == len(set(calls)) == expected
@@ -467,6 +487,23 @@ class TestBestResponseSharedStochastic:
         opp = ProductPolicy([HashPolicy(2, 1), HashPolicy(2, 2)])
         with pytest.raises(EvaluationError, match="decision stage"):
             best_response_shared(g, opp, 1)
+
+
+@pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared])
+@pytest.mark.parametrize(
+    "opponent",
+    [
+        ProductPolicy([ConstantPolicy(9, 8)] * 2),
+        ProductPolicy([ConstantPolicy(6, 0)] * 3),
+    ],
+    ids=["nine-actions", "three-members"],
+)
+def test_stochastic_oracles_check_the_opponent(oracle, opponent):
+    # the oracles' walks read the opponent unchecked, so it is checked at entry
+    g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+    for given in (opponent, [(opponent, 0.5), (ProductPolicy([ConstantPolicy(6, 0)] * 2), 0.5)]):
+        with pytest.raises(DimensionError):
+            oracle(g, given, 1)
 
 
 class TestStochasticPasses:
