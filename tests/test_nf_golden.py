@@ -1,4 +1,5 @@
-"""Normal-form golden digests: PSRO runs, verification reports and rpp.
+"""Normal-form golden digests: maxmin solves, PSRO runs, verification
+reports and rpp.
 
 Each digest is the SHA-256 of the ``repr`` of a result's numbers (floats
 at full precision, so a changed last bit or the sign of a zero shows).
@@ -8,6 +9,7 @@ bit.  On a mismatch the test prints the new digest and the repr it hashed.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from teameq.cli import parse_game_spec
@@ -15,6 +17,7 @@ from teameq.core import IndividualPolicy, ProductPolicy
 from teameq.deviation import Joint, NoCorrelation, build_deviation_spec, verify_equilibrium
 from teameq.evaluation import rpp
 from teameq.games import random_team_game
+from teameq.oracles import MaxminConvergenceError, solve_matrix_maxmin
 from teameq.psro import PsroConfig, run_psro
 
 RANDOM = "random:n1=2,n2=2,actions=3,seed=7"
@@ -124,3 +127,75 @@ def test_rpp_between_runs():
     run_b = run_psro(g, PsroConfig(oracle="individual", seed=0))
     values = (rpp(g, run_a.population, run_b.population), rpp(g, run_b.population, run_a.population))
     _check(values, "d279a77584317d42")
+
+
+def _solution_numbers(sol) -> tuple:
+    return (sol.row_mix.tolist(), sol.col_mix.tolist(), sol.value, sol.gap)
+
+
+def _random_matrix(seed: int) -> np.ndarray:
+    """Seeded rectangular payoffs: integer-valued for seeds 0 mod 4 (ratio
+    ties for Bland's rule), scaled by 1e6 for seeds 3 mod 4 (the relative
+    tolerance)."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(n) for n in rng.integers(1, 13, size=2))
+    if seed % 4 == 0:
+        return rng.integers(-2, 3, size=(rows, cols)).astype(float)
+    mat = rng.uniform(-1.0, 1.0, size=(rows, cols))
+    return mat * 1e6 if seed % 4 == 3 else mat
+
+
+SOLVE_GAMES = (
+    "example1",
+    "anti_coordination",
+    "sad:N=2,A=5",
+    "sad:N=3,A=3",
+    "random:n1=2,n2=2,actions=3,seed=500",
+    "random:n1=2,n2=2,actions=3,seed=501",
+)
+
+SOLVE = {
+    "example1": "fa0b51e7460b463a",
+    "anti_coordination": "f1b467c77ff7a823",
+    "sad:N=2,A=5": "f948f7d4488cbe9d",
+    "sad:N=3,A=3": "c5e1e3b229c4a9c2",
+    "random:n1=2,n2=2,actions=3,seed=500": "73f147b7410df318",
+    "random:n1=2,n2=2,actions=3,seed=501": "ef3151017b7e66f4",
+    "matrix-0": "75fa3c3acc68cf31",
+    "matrix-1": "7bbbf79c3b4c4c8f",
+    "matrix-2": "c8e12426142bc934",
+    "matrix-3": "e21297cc712096d3",
+    "matrix-4": "4c223d471182e0b7",
+    "matrix-5": "131a4f54f9de59c0",
+    "matrix-6": "eaff2e34bba54528",
+    "matrix-7": "d8f62c750702ed9d",
+    "matrix-8": "a67c8567df86df66",
+    "matrix-9": "bac7abf8ff47fd4d",
+    "matrix-10": "6a812d9bfbe5e9da",
+    "matrix-11": "2430c649be59cb47",
+    "matrix-12": "0cd2f63d56cee62d",
+    "matrix-13": "71780cac7ebfbe9f",
+    "matrix-14": "cf0ed2ed52cf5637",
+    "matrix-15": "c827646b9f250220",
+    "matrix-16": "0bc26376194525f4",
+    "matrix-17": "89929b549f581bb5",
+    "matrix-18": "8bd6005bd52efb99",
+    "matrix-19": "72c30b97114e5970",
+    "capped": "27db753d456dd978",
+}
+
+
+def _solve_case(name: str):
+    if name in SOLVE_GAMES:
+        return solve_matrix_maxmin(parse_game_spec(name).matrix(), tol=1e-6)
+    if name == "capped":  # `test_iteration_cap_reports_best`'s solve
+        mat = np.random.default_rng(2).uniform(-1, 1, size=(10, 10))
+        with pytest.raises(MaxminConvergenceError) as exc:
+            solve_matrix_maxmin(mat, tol=1e-13, max_iterations=5)
+        return exc.value.best
+    return solve_matrix_maxmin(_random_matrix(int(name.split("-")[1])), tol=1e-6)
+
+
+@pytest.mark.parametrize("name", list(SOLVE))
+def test_solve_matrix_maxmin(name):
+    _check(_solution_numbers(_solve_case(name)), SOLVE[name])
