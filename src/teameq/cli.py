@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -262,7 +263,7 @@ def _flag(key: str) -> str:
 
 def _converter(key: str, default):
     """Parse one option value from its string form: the default's type,
-    then the allowed choices."""
+    a finite number for a float, then the allowed choices."""
     cast = str if default is None else type(default)
 
     def convert(text: str):
@@ -270,6 +271,8 @@ def _converter(key: str, default):
             value = cast(text)
         except ValueError:
             raise CliError(f"{_flag(key)} expects {cast.__name__}, got {text!r}") from None
+        if cast is float and not math.isfinite(value):
+            raise CliError(f"{_flag(key)} expects a finite number, got {text!r}")
         if key in CHOICES and value not in CHOICES[key]:
             raise CliError(f"{_flag(key)} must be one of {', '.join(CHOICES[key])}, got {text!r}")
         return value

@@ -98,12 +98,18 @@ class MaxminSolution:
     def __post_init__(self):
         for name in ("row_mix", "col_mix"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.min(initial=0.0) < -DIST_TOL or abs(arr.sum() - 1.0) > 1e-9:
+            # written so that a NaN entry fails the test
+            if not (
+                np.minimum.reduce(arr, initial=0.0) >= -DIST_TOL
+                and abs(np.add.reduce(arr) - 1.0) <= 1e-9
+            ):
                 raise ValueError(f"{name} is not a probability vector")
-            arr = np.clip(arr, 0.0, None)
-            arr = arr / arr.sum()
+            arr = np.maximum(arr, 0.0)
+            arr = arr / np.add.reduce(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not (math.isfinite(self.value) and math.isfinite(self.gap)):
+            raise ValueError("value and gap must be finite")
         object.__setattr__(self, "gap", max(float(self.gap), 0.0))
 
     def to_dict(self) -> dict:
@@ -116,13 +122,14 @@ class MaxminSolution:
 
 
 def _certify(matrix: np.ndarray, x: np.ndarray, y: np.ndarray) -> MaxminSolution:
-    x = np.clip(x, 0.0, None)
-    x = x / x.sum()
-    y = np.clip(y, 0.0, None)
-    y = y / y.sum()
-    value = float(x @ matrix @ y)
-    row_slack = float((matrix @ y).max() - value)
-    col_slack = float(value - (x @ matrix).min())
+    x = np.maximum(x, 0.0)
+    x = x / np.add.reduce(x)
+    y = np.maximum(y, 0.0)
+    y = y / np.add.reduce(y)
+    col_payoffs = x @ matrix  # the value is (x @ matrix) @ y, in that order
+    value = float(col_payoffs @ y)
+    row_slack = float(np.maximum.reduce(matrix @ y) - value)
+    col_slack = float(value - np.minimum.reduce(col_payoffs))
     return MaxminSolution(x, y, value, max(row_slack, col_slack, 0.0))
 
 
@@ -130,11 +137,15 @@ def _tableau_solution(matrix: np.ndarray, tableau: np.ndarray, basis: np.ndarray
     """Certify a simplex tableau's duals (row mix) and primal (column mix) on
     the original matrix; a side that clips to all zeros becomes uniform."""
     rows, cols = matrix.shape
-    x = np.clip(tableau[rows, cols:-1], 0.0, None)
+    x = np.maximum(tableau[rows, cols:-1], 0.0)
     y = np.zeros(cols)
     in_q = basis < cols
-    y[basis[in_q]] = np.clip(tableau[:rows, -1][in_q], 0.0, None)
-    return _certify(matrix, x if x.any() else np.ones(rows), y if y.any() else np.ones(cols))
+    y[basis[in_q]] = np.maximum(tableau[:rows, -1][in_q], 0.0)
+    if not np.logical_or.reduce(x):
+        x = np.ones(rows)
+    if not np.logical_or.reduce(y):
+        y = np.ones(cols)
+    return _certify(matrix, x, y)
 
 
 def solve_matrix_maxmin(
@@ -157,36 +168,49 @@ def solve_matrix_maxmin(
     within ±1.  ``max_iterations`` caps the pivots.  Raises
     MaxminConvergenceError, with the current tableau's certified strategies,
     when the cap is hit or the certified gap exceeds the scaled tolerance.
+    Raises ValueError for a ``tol`` that is negative, infinite or NaN (each
+    would switch the certificate off or make it unmeetable; ``tol=0`` asks
+    for a zero gap) and for a negative ``max_iterations``.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("matrix must be 2-d with at least one row and column")
-    if not np.isfinite(mat).all():
+    if not np.logical_and.reduce(np.isfinite(mat), axis=None):
         raise ValueError("matrix entries must be finite")
     rows, cols = mat.shape
-    tol = tol * max(1.0, float(np.abs(mat).max()))
+    tol = tol * max(1.0, float(np.maximum.reduce(np.abs(mat), axis=None)))
+    basis = np.arange(cols, cols + rows)
     tableau = np.zeros((rows + 1, cols + rows + 1))
-    tableau[:rows, :cols] = mat - mat.min() + 1.0
-    tableau[:rows, cols:-1] = np.eye(rows)
+    tableau[:rows, :cols] = mat - np.minimum.reduce(mat, axis=None) + 1.0
+    tableau[np.arange(rows), basis] = 1.0
     tableau[:rows, -1] = 1.0
     tableau[rows, :cols] = -1.0
-    basis = np.arange(cols, cols + rows)
+    objective, rhs = tableau[rows, :-1], tableau[:rows, -1]
     pivots = 0
-    while (entering := (tableau[rows, :-1] < -_SIMPLEX_EPS).nonzero()[0]).size:
+    while True:
+        entering = objective < -_SIMPLEX_EPS
+        j = entering.argmax()  # the first True: Bland's smallest entering index
+        if not entering[j]:
+            break
         if pivots == max_iterations:
             raise MaxminConvergenceError(_tableau_solution(mat, tableau, basis), tol, pivots)
-        j = entering[0]
-        candidates = (tableau[:rows, j] > _SIMPLEX_EPS).nonzero()[0]
+        column = tableau[:rows, j]
+        candidates = (column > _SIMPLEX_EPS).nonzero()[0]
         if not candidates.size:
             break  # only round-off can get here: the LP is bounded
-        ratios = tableau[candidates, -1] / tableau[candidates, j]
+        ratios = rhs[candidates] / column[candidates]
         # absolute tie test: round-off can leave the right-hand side slightly negative
-        ties = candidates[ratios <= ratios.min() + _SIMPLEX_EPS]
+        ties = candidates[ratios <= np.minimum.reduce(ratios) + _SIMPLEX_EPS]
         r = ties[basis[ties].argmin()]
-        tableau[r] /= tableau[r, j]
+        pivot_row = tableau[r]
+        pivot_row /= pivot_row[j]
         factors = tableau[:, j].copy()
         factors[r] = 0.0
-        tableau -= factors[:, None] * tableau[r]
+        tableau -= factors[:, None] * pivot_row
         basis[r] = j
         pivots += 1
     sol = _tableau_solution(mat, tableau, basis)

@@ -11,7 +11,7 @@ value, or when no new entry gets appended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,9 @@ def _new_line(game, team, entry, pop, dists=None):
     else:
         opp_dists = dists[3 - team]
     if team == 1:
-        return np.array([_nf_team_value(mat, 1, dist, d) for d in opp_dists]), dist
+        # `_nf_team_value`'s (own @ matrix) @ opponent, with own @ matrix taken once
+        row = dist @ mat
+        return np.array([0.0 + float(row @ d) for d in opp_dists]), dist
     return np.array([_nf_team_value(mat, 1, d, dist) for d in opp_dists]), dist
 
 
@@ -116,10 +118,12 @@ def extend_population(
     if line is None:
         line, _ = _new_line(game, team, entry, pop)
     if team == 1:
-        payoffs = np.vstack([pop.payoffs, line[None, :]])
-        return replace(pop, team1=pop.team1 + (entry,), payoffs=payoffs)
-    payoffs = np.hstack([pop.payoffs, line[:, None]])
-    return replace(pop, team2=pop.team2 + (entry,), payoffs=payoffs)
+        return Population(
+            pop.team1 + (entry,), pop.team2, np.concatenate((pop.payoffs, line[None, :]))
+        )
+    return Population(
+        pop.team1, pop.team2 + (entry,), np.concatenate((pop.payoffs, line[:, None]), axis=1)
+    )
 
 
 def meta_solve(payoffs, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, float]:
@@ -134,7 +138,8 @@ class PsroConfig:
     sebr -> S-PSRO, shared -> Team-PSRO, individual -> Indep-PSRO,
     joint -> Joint-PSRO.  ``max_iterations`` caps the loop; ``tol`` is both
     the meta-solve tolerance and the best-response gain at which a team
-    stops expanding.  ``expand_teams`` restricts which
+    stops expanding, and must be positive and finite (with a NaN no gain
+    would ever count as converged).  ``expand_teams`` restricts which
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
     roots SeBR's random streams, the only oracle that reads one, and
     ``sebr_restarts`` is the number of seeded starts the S-PSRO oracle
@@ -152,8 +157,8 @@ class PsroConfig:
             raise ValueError(f"oracle must be one of {ORACLES}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not self.expand_teams or any(t not in (1, 2) for t in self.expand_teams):
             raise ValueError("expand_teams must be a nonempty subset of (1, 2)")
 
@@ -229,7 +234,8 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
 def _is_duplicate(line: np.ndarray, existing: np.ndarray) -> bool:
     if existing.size == 0:
         return False
-    return bool(np.any(np.max(np.abs(existing - line[None, :]), axis=1) <= _DUPLICATE_TOL))
+    gaps = np.maximum.reduce(np.abs(existing - line), axis=1)
+    return bool(np.logical_or.reduce(gaps <= _DUPLICATE_TOL))
 
 
 def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:

@@ -359,6 +359,21 @@ class TestErrorContract:
         assert main(["psro", "--iters", "2.5"]) == EXIT_ERROR
         assert "--iters expects int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--game", "example1", "--tol", "nan"],
+            ["psro", "--game", "example1", "--tol", "nan"],
+            ["psro", "--game", "example1", "--tol", "inf"],
+            ["verify", "--game", "example1", "--epsilon", "inf"],
+        ],
+    )
+    def test_non_finite_floats_are_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main([*argv, "--out", str(out)]) == EXIT_ERROR
+        assert f"{argv[-2]} expects a finite number" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "psro" in capsys.readouterr().out
@@ -398,6 +413,14 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"oracle": "bogus"}))
         assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
         assert "--oracle must be one of" in capsys.readouterr().err
+
+    def test_non_finite_config_values_are_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": NaN}')
+        out = tmp_path / "p"
+        assert main(["psro", "--game", "example1", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "--tol expects a finite number, got 'nan'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_unknown_config_keys_are_refused(self, tmp_path, capsys):
         # like an unknown flag: a misspelt key must not fall back to the default

@@ -41,6 +41,7 @@ from teameq.games import (
 from teameq import oracles
 from teameq.oracles import (
     MaxminConvergenceError,
+    MaxminSolution,
     advantage_decompose,
     best_response_individual,
     best_response_joint,
@@ -122,6 +123,35 @@ class TestSolveMatrixMaxmin:
             solve_matrix_maxmin(mat, tol=1e-13, max_iterations=5)
         assert exc.value.best is not None
         assert exc.value.best.gap >= 0.0
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_tolerance_that_switches_off_the_certificate_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_matrix_maxmin([[1.0, -1.0], [-1.0, 1.0]], tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        # a pure saddle point certifies with no round-off
+        sol = solve_matrix_maxmin([[2.0, 1.0], [0.0, -1.0]], tol=0.0)
+        assert sol.value == 1.0 and sol.gap == 0.0
+
+    def test_negative_pivot_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_matrix_maxmin([[1.0]], max_iterations=-1)
+
+    @pytest.mark.parametrize(
+        "row_mix,value,gap",
+        [
+            ([np.nan, 1.0], 0.0, 0.0),
+            ([np.nan], 0.0, 0.0),
+            ([1.0], np.nan, 0.0),
+            ([1.0], 0.0, np.nan),
+            ([1.0], np.inf, 0.0),
+            ([1.0], 0.0, np.inf),
+        ],
+    )
+    def test_solution_refuses_nan_and_non_finite_numbers(self, row_mix, value, gap):
+        with pytest.raises(ValueError):
+            MaxminSolution(np.array(row_mix), np.array([1.0]), value, gap)
 
     def test_deterministic(self):
         mat = np.random.default_rng(3).uniform(-1, 1, size=(8, 8))

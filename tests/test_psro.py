@@ -207,6 +207,11 @@ class TestRunPsro:
         with pytest.raises(ValueError):
             PsroConfig(expand_teams=())
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            PsroConfig(tol=tol)
+
 
 class TestMetaSolveCalls:
     """A run solves each meta matrix once: once per iteration, plus the
