@@ -1,18 +1,24 @@
 """Normal-form golden digests: maxmin solves, PSRO runs, verification
-reports and rpp.
+reports, rpp and the command line's run files.
 
 Each digest is the SHA-256 of the ``repr`` of a result's numbers (floats
 at full precision, so a changed last bit or the sign of a zero shows).
 They guard that faster normal-form evaluation keeps every value bit for
 bit.  On a mismatch the test prints the new digest and the repr it hashed.
+The CLI table keeps, per command, its exit code, its stdout and the
+SHA-256 of each file it writes, less the wall clock and the output path.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import re
 
 import numpy as np
 import pytest
 
-from teameq.cli import parse_game_spec
+from teameq.cli import main, parse_game_spec
 from teameq.core import IndividualPolicy, ProductPolicy
 from teameq.deviation import Joint, NoCorrelation, build_deviation_spec, verify_equilibrium
 from teameq.evaluation import rpp
@@ -199,3 +205,382 @@ def _solve_case(name: str):
 @pytest.mark.parametrize("name", list(SOLVE))
 def test_solve_matrix_maxmin(name):
     _check(_solution_numbers(_solve_case(name)), SOLVE[name])
+
+
+def _cli_steps(spec: str) -> list[tuple]:
+    """(name, argv, directory whose files are hashed) of one game's runs,
+    in order: eval and report read the psro runs."""
+    game = ["--game", spec]
+    steps = [
+        ("game", ["game", *game]),
+        ("solve", ["solve", *game]),
+        ("verify-nash", ["verify", *game, "--profile", "all-zeros", "--class", "none"]),
+    ]
+    for klass in ("none", "pivot", "sequential", "joint"):
+        steps.append((f"verify-{klass}", ["verify", *game, "--profile", "uniform", "--class", klass]))
+    for oracle in ("joint", "shared", "individual", "sebr"):
+        steps.append((f"psro-{oracle}", ["psro", *game, "--oracle", oracle]))
+    steps += [
+        ("exploit-run", ["eval", *game, "--mode", "exploit", "--run", "psro-sebr"]),
+        ("exploit-profile", ["eval", *game, "--mode", "exploit", "--profile", "all-zeros", "--team", "2"]),
+        ("rpp", ["eval", *game, "--mode", "rpp", "--run-a", "psro-sebr", "--run-b", "psro-individual"]),
+    ]
+    runs = [(name, [*argv, "--out", name], name) for name, argv in steps]
+    for fmt in ("csv", "json-lines"):
+        runs.append((f"report-{fmt}", ["report", "--run", "psro-joint", "--format", fmt], "psro-joint"))
+    return runs
+
+
+CLI_GAMES = ("example1", RANDOM)
+
+_VOLATILE = re.compile(rb'^  "(?:wall_clock_seconds|out_dir)": .*\n', re.MULTILINE)
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(_VOLATILE.sub(b"", fh.read())).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """Every CLI step of both games: (exit code, stdout, file digests)."""
+    runs, cwd = {}, os.getcwd()
+    for spec in CLI_GAMES:
+        os.chdir(tmp_path_factory.mktemp("cli"))
+        try:
+            for name, argv, directory in _cli_steps(spec):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                files = {f: _file_digest(os.path.join(directory, f)) for f in sorted(os.listdir(directory))}
+                runs[spec, name] = (code, out.getvalue(), files)
+        finally:
+            os.chdir(cwd)
+    return runs
+
+
+CLI = {
+    ("example1", "game"): (
+        0,
+        "wrote example1 to game/game.json\n",
+        {
+            "game.json": "2e74ae52768894e5",
+            "manifest.json": "fe08877446d03b2a",
+            "summary.json": "18bf82dfa1ca5095",
+        },
+    ),
+    ("example1", "solve"): (
+        0,
+        "value 1.25 gap 0\n",
+        {
+            "manifest.json": "f93d0a5c992465c2",
+            "solution.json": "7d0c439b3edadcc9",
+            "summary.json": "5553ee54e2364a17",
+        },
+    ),
+    ("example1", "verify-nash"): (
+        0,
+        "team 1 [no_correlation] max_gain 0 witness {'kind': 'individual', 'member': 0, 'action': 0} PASS\nteam 2 [no_correlation] max_gain 0 witness {'kind': 'individual', 'member': 0, 'action': 0} PASS\nverdict PASS\n",
+        {
+            "manifest.json": "eaa79b13bf23bd38",
+            "summary.json": "4312a3bb441ddd7b",
+            "verify.json": "4312a3bb441ddd7b",
+        },
+    ),
+    ("example1", "verify-none"): (
+        2,
+        "team 1 [no_correlation] max_gain 0.75 witness {'kind': 'individual', 'member': 0, 'action': 0} FAIL\nteam 2 [no_correlation] max_gain 0.75 witness {'kind': 'individual', 'member': 0, 'action': 0} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "fbc9be2dc5cd0d05",
+            "summary.json": "9c7fec905e61c813",
+            "verify.json": "9c7fec905e61c813",
+        },
+    ),
+    ("example1", "verify-pivot"): (
+        2,
+        "team 1 [pivot_followers] max_gain 1.25 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [pivot_followers] max_gain 0.75 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "38746710b76f6639",
+            "summary.json": "ec81105bf20345b1",
+            "verify.json": "ec81105bf20345b1",
+        },
+    ),
+    ("example1", "verify-sequential"): (
+        2,
+        "team 1 [sequential] max_gain 1.25 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [sequential] max_gain 0.75 witness {'kind': 'individual', 'member': 0, 'action': 0} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "17359c214cc5630d",
+            "summary.json": "8cf3e618faf5650c",
+            "verify.json": "8cf3e618faf5650c",
+        },
+    ),
+    ("example1", "verify-joint"): (
+        2,
+        "team 1 [joint] max_gain 1.25 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [joint] max_gain 0.75 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "5c04f2bac091cb54",
+            "summary.json": "bd41e842c14444e0",
+            "verify.json": "bd41e842c14444e0",
+        },
+    ),
+    ("example1", "psro-joint"): (
+        0,
+        "meta value 1.25 after 3 iterations (converged=True)\n",
+        {
+            "history.csv": "e136768d31bf97c2",
+            "history.json": "336ecabff86dcf8d",
+            "manifest.json": "fc0fa7aae39215ca",
+            "population.json": "c19feca00db355b7",
+            "summary.json": "b8a3b9eb798a48af",
+        },
+    ),
+    ("example1", "psro-shared"): (
+        0,
+        "meta value 1.40192427 after 12 iterations (converged=True)\n",
+        {
+            "history.csv": "eba3ca75ee9da2c9",
+            "history.json": "a546bdf9503d1787",
+            "manifest.json": "4b6cc5412aa49287",
+            "population.json": "3c36274fd1eff66f",
+            "summary.json": "68898a968bf80ca5",
+        },
+    ),
+    ("example1", "psro-individual"): (
+        0,
+        "meta value 1 after 1 iterations (converged=True)\n",
+        {
+            "history.csv": "d15c33ecdfdf0c00",
+            "history.json": "9d06ff81c933c775",
+            "manifest.json": "578ae08cc48c5ceb",
+            "population.json": "96c4b11132bddc6a",
+            "summary.json": "297c1874c0f67fe8",
+        },
+    ),
+    ("example1", "psro-sebr"): (
+        0,
+        "meta value 1.25 after 3 iterations (converged=True)\n",
+        {
+            "history.csv": "e136768d31bf97c2",
+            "history.json": "336ecabff86dcf8d",
+            "manifest.json": "f918a89dc240c7b1",
+            "population.json": "a2996506ca7fbdce",
+            "summary.json": "a77fa63b261488f5",
+        },
+    ),
+    ("example1", "exploit-run"): (
+        0,
+        "sequential: -1.25\njoint: -1.25\nsynchronized: -1.25\nno_correlation: -1.25\nrandom: -2\n",
+        {
+            "manifest.json": "2a16ca0f8b4706af",
+            "report.csv": "fd14a79ba1670a61",
+            "report.json": "2145b0a0fcd14711",
+            "summary.json": "2145b0a0fcd14711",
+        },
+    ),
+    ("example1", "exploit-profile"): (
+        0,
+        "sequential: 2\njoint: 2\nsynchronized: 2\nno_correlation: 1\nrandom: 0.5\n",
+        {
+            "manifest.json": "ec8480e8bd8d5f2d",
+            "report.csv": "f2f1c3753cb41907",
+            "report.json": "9425d4e8f699a347",
+            "summary.json": "9425d4e8f699a347",
+        },
+    ),
+    ("example1", "rpp"): (
+        0,
+        "rpp 2\n",
+        {
+            "manifest.json": "e8c5036a29f43a0d",
+            "rpp.json": "6e99cad2d35e56de",
+            "summary.json": "6e99cad2d35e56de",
+        },
+    ),
+    ("example1", "report-csv"): (
+        0,
+        "wrote psro-joint/history.csv\n",
+        {
+            "history.csv": "e136768d31bf97c2",
+            "history.json": "336ecabff86dcf8d",
+            "manifest.json": "fc0fa7aae39215ca",
+            "population.json": "c19feca00db355b7",
+            "summary.json": "b8a3b9eb798a48af",
+        },
+    ),
+    ("example1", "report-json-lines"): (
+        0,
+        "wrote psro-joint/history.jsonl\n",
+        {
+            "history.csv": "e136768d31bf97c2",
+            "history.json": "336ecabff86dcf8d",
+            "history.jsonl": "dd51b564a521ffae",
+            "manifest.json": "fc0fa7aae39215ca",
+            "population.json": "c19feca00db355b7",
+            "summary.json": "b8a3b9eb798a48af",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "game"): (
+        0,
+        "wrote random(seed=7) to game/game.json\n",
+        {
+            "game.json": "ac95cfb2ffcce065",
+            "manifest.json": "8e5551679cf019e6",
+            "summary.json": "3fa753009cb70956",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "solve"): (
+        0,
+        "value -0.018455407 gap 2.15105711e-16\n",
+        {
+            "manifest.json": "2782b4526b0c03ab",
+            "solution.json": "f95abf4d520f32ce",
+            "summary.json": "a042a7490151d605",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "verify-nash"): (
+        2,
+        "team 1 [no_correlation] max_gain 0.584144613 witness {'kind': 'individual', 'member': 0, 'action': 1} FAIL\nteam 2 [no_correlation] max_gain 1.23966032 witness {'kind': 'individual', 'member': 0, 'action': 2} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "91a4351896771c7a",
+            "summary.json": "740b5f6c42749910",
+            "verify.json": "740b5f6c42749910",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "verify-none"): (
+        2,
+        "team 1 [no_correlation] max_gain 0.0762198861 witness {'kind': 'individual', 'member': 1, 'action': 0} FAIL\nteam 2 [no_correlation] max_gain 0.114660355 witness {'kind': 'individual', 'member': 1, 'action': 0} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "998da28f14e69022",
+            "summary.json": "6d9e1ae7786914fc",
+            "verify.json": "6d9e1ae7786914fc",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "verify-pivot"): (
+        2,
+        "team 1 [pivot_followers] max_gain 0.193402998 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [pivot_followers] max_gain -0.000678965717 witness {'kind': 'correlated', 'joint_action': [2, 2]} PASS\nverdict FAIL\n",
+        {
+            "manifest.json": "97f4575fcc2ab685",
+            "summary.json": "df694f621e5b685d",
+            "verify.json": "df694f621e5b685d",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "verify-sequential"): (
+        2,
+        "team 1 [sequential] max_gain 0.193402998 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [sequential] max_gain 0.259016032 witness {'kind': 'correlated', 'joint_action': [2, 0]} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "80491adb896e6940",
+            "summary.json": "ed28f7f5228fe8a8",
+            "verify.json": "ed28f7f5228fe8a8",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "verify-joint"): (
+        2,
+        "team 1 [joint] max_gain 0.193402998 witness {'kind': 'correlated', 'joint_action': [0, 0]} FAIL\nteam 2 [joint] max_gain 0.259016032 witness {'kind': 'correlated', 'joint_action': [2, 0]} FAIL\nverdict FAIL\n",
+        {
+            "manifest.json": "9162a62efebfef49",
+            "summary.json": "c0d95a9df95e087e",
+            "verify.json": "c0d95a9df95e087e",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "psro-joint"): (
+        0,
+        "meta value -0.018455407 after 7 iterations (converged=True)\n",
+        {
+            "history.csv": "692c6cd199e82174",
+            "history.json": "ede3fe6067a65508",
+            "manifest.json": "a19f761b6066d8f5",
+            "population.json": "0d3b2b99e3c396d1",
+            "summary.json": "c459429d3ca8fd2f",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "psro-shared"): (
+        0,
+        "meta value 0.0375676394 after 20 iterations (converged=True)\n",
+        {
+            "history.csv": "247722c9ab5b72d2",
+            "history.json": "89084697bb72b0f2",
+            "manifest.json": "4842ad5b41561ed0",
+            "population.json": "18194c0c757d84a9",
+            "summary.json": "14d6e3f38f40b6b8",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "psro-individual"): (
+        0,
+        "meta value -0.0351542621 after 6 iterations (converged=True)\n",
+        {
+            "history.csv": "dc9c2648b6226847",
+            "history.json": "1a5eea5fe5964c96",
+            "manifest.json": "e1c492073cee879a",
+            "population.json": "e06073b4de8edf49",
+            "summary.json": "80ebe8c0fa819a55",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "psro-sebr"): (
+        0,
+        "meta value -0.018455407 after 7 iterations (converged=True)\n",
+        {
+            "history.csv": "9aa16b70240efc42",
+            "history.json": "37541ac558d9098f",
+            "manifest.json": "9f792ef7bacec160",
+            "population.json": "50da7c87af2c9944",
+            "summary.json": "f69afd0fa934a2bf",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "exploit-run"): (
+        0,
+        "sequential: 0.018455407\njoint: 0.018455407\nsynchronized: -0.00778175677\nno_correlation: 0.018455407\nrandom: -0.15322782\n",
+        {
+            "manifest.json": "9e039ea1c24e433d",
+            "report.csv": "074e4bccb14ab8c9",
+            "report.json": "9540e97f556f9c08",
+            "summary.json": "9540e97f556f9c08",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "exploit-profile"): (
+        0,
+        "sequential: 0.834335546\njoint: 0.834335546\nsynchronized: 0.748154052\nno_correlation: 0.834335546\nrandom: 0.131463571\n",
+        {
+            "manifest.json": "0528692420a8e829",
+            "report.csv": "db66f6aac229fe45",
+            "report.json": "a5bfdb440dfb9d05",
+            "summary.json": "a5bfdb440dfb9d05",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "rpp"): (
+        0,
+        "rpp 0.0602418379\n",
+        {
+            "manifest.json": "bdb64dd41e962f34",
+            "rpp.json": "46d8af3a95aab75a",
+            "summary.json": "46d8af3a95aab75a",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "report-csv"): (
+        0,
+        "wrote psro-joint/history.csv\n",
+        {
+            "history.csv": "692c6cd199e82174",
+            "history.json": "ede3fe6067a65508",
+            "manifest.json": "a19f761b6066d8f5",
+            "population.json": "0d3b2b99e3c396d1",
+            "summary.json": "c459429d3ca8fd2f",
+        },
+    ),
+    ("random:n1=2,n2=2,actions=3,seed=7", "report-json-lines"): (
+        0,
+        "wrote psro-joint/history.jsonl\n",
+        {
+            "history.csv": "692c6cd199e82174",
+            "history.json": "ede3fe6067a65508",
+            "history.jsonl": "2e9901212d5d9d5d",
+            "manifest.json": "a19f761b6066d8f5",
+            "population.json": "0d3b2b99e3c396d1",
+            "summary.json": "c459429d3ca8fd2f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("spec,step", list(CLI))
+def test_cli_run_files(cli_runs, spec, step):
+    assert cli_runs[spec, step] == CLI[spec, step]
