@@ -6,10 +6,12 @@ correlation class), ``psro`` (population loop with a chosen oracle),
 ``eval`` (exploitability profile / rpp) and ``report`` (re-emit run
 artifacts as CSV or JSON-lines).
 
-Every run writes its manifest before any result file.  All randomness
-flows from the single manifest seed through named sub-streams, so two runs
-with identical manifests and exact evaluation produce byte-identical
-CSVs.  Exit codes: 0 success, 2 verification FAIL, 1 error.
+A run writes no file until its inputs are checked and its work is done;
+then it writes ``manifest.json`` first, its result files, and
+``summary.json`` last, so a refused or failed run leaves no file.  All
+randomness flows from the single manifest seed through named sub-streams,
+so two runs with identical manifests and exact evaluation produce
+byte-identical CSVs.  Exit codes: 0 success, 2 verification FAIL, 1 error.
 
 Each command's options are declared once, in ``OPTIONS``: the key is the
 manifest config key, the flag is ``--key`` with ``-`` for ``_`` (``klass``
@@ -322,84 +324,89 @@ def _require(cfg: dict, key: str):
 
 
 # ---------------------------------------------------------------------------
-# Run directory plumbing
+# Run files
 
 
-def _out_dir(out: str | None) -> str:
-    out = out or os.environ.get(OUT_ENV) or "teameq-run"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_manifest(out: str, command: str, config: dict) -> dict:
-    manifest = {
-        "tool": "teameq",
-        "version": __version__,
-        "command": command,
-        "game": config.get("game"),
-        "config": config,
-        "seed": config.get("seed"),
-        "tolerance": config.get("tol"),
-        "out_dir": out,
-        "wall_clock_seconds": None,
-    }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
-    return manifest
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt9(x) for x in row))
+def _write(path: str, payload) -> None:
+    """Write ``payload``: a str as it is, anything else as indented JSON
+    with sorted keys."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+class _Run:
+    """One command's run.  Its wall clock starts when it is made; `write`
+    is called once the inputs are checked and the work is done, so a
+    refused or failed run leaves no file."""
+
+    def __init__(self, command: str, cfg: dict, out: str | None):
+        self.command, self.cfg = command, cfg
+        self.out = out or os.environ.get(OUT_ENV) or "teameq-run"
+        self.t0 = time.perf_counter()
+
+    def write(self, files: dict, summary: dict, text: str, code: int = EXIT_OK) -> int:
+        """Stamp ``summary`` with the wall clock, write ``manifest.json``,
+        ``files`` (name to payload) in order and ``summary.json``, print
+        ``text`` and return ``code``.  A result file may be the summary
+        itself, and then carries the wall clock too."""
+        summary["wall_clock_seconds"] = time.perf_counter() - self.t0
+        os.makedirs(self.out, exist_ok=True)
+        manifest = {
+            "tool": "teameq",
+            "version": __version__,
+            "command": self.command,
+            "game": self.cfg.get("game"),
+            "config": self.cfg,
+            "seed": self.cfg.get("seed"),
+            "tolerance": self.cfg.get("tol"),
+            "out_dir": self.out,
+            "wall_clock_seconds": None,
+        }
+        for name, payload in {"manifest.json": manifest, **files, "summary.json": summary}.items():
+            _write(os.path.join(self.out, name), payload)
+        print(text)
+        return code
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text: the header, then one line per row, floats at 9
+    significant digits."""
+    return "".join(",".join(fmt9(x) for x in row) + "\n" for row in [header, *rows])
 
 
 HISTORY_COLUMNS = ["iter", "meta_value", "br_gain_1", "br_gain_2", "pop_1", "pop_2"]
 
 
-def history_rows(history) -> list[list]:
-    return [
-        [r.iteration, r.meta_value, r.br_gain_1, r.br_gain_2, r.pop_1, r.pop_2]
-        for r in history
-    ]
-
-
-def emit_report(run_dir: str, fmt: str) -> list[str]:
-    """Re-emit run artifacts from the canonical history.json; idempotent,
-    stable column order, floats at 9 significant digits."""
+def emit_report(run_dir: str, fmt: str) -> str:
+    """Re-emit a run's history from the canonical history.json and return
+    the path written; idempotent, stable column order, floats at 9
+    significant digits."""
     hist_path = os.path.join(run_dir, "history.json")
     if not os.path.exists(hist_path):
         raise CliError(f"missing artifact {hist_path}")
     with open(hist_path) as fh:
         records = json.load(fh)
     rows = [[rec[c] for c in HISTORY_COLUMNS] for rec in records]
-    written = []
     if fmt == "csv":
-        path = os.path.join(run_dir, "history.csv")
-        _write_csv(path, HISTORY_COLUMNS, rows)
-        written.append(path)
+        path, text = os.path.join(run_dir, "history.csv"), _csv(HISTORY_COLUMNS, rows)
     elif fmt == "json-lines":
         path = os.path.join(run_dir, "history.jsonl")
-        lines = [
+        text = "".join(
             json.dumps(
                 {c: (fmt9(v) if isinstance(v, float) else v) for c, v in zip(HISTORY_COLUMNS, row)},
                 sort_keys=True,
             )
+            + "\n"
             for row in rows
-        ]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        written.append(path)
+        )
     else:
         raise CliError(f"unknown report format {fmt!r}")
-    return written
+    _write(path, text)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -408,29 +415,19 @@ def emit_report(run_dir: str, fmt: str) -> list[str]:
 
 def cmd_game(cfg: dict, out: str | None) -> int:
     game = parse_game_spec(_require(cfg, "game"))
-    out = _out_dir(out)
-    write_manifest(out, "game", cfg)
-    t0 = time.perf_counter()
-    _write_json(os.path.join(out, "game.json"), game_file_dict(game, cfg["game"]))
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "command": "game",
-            "name": game.name,
-            "wall_clock_seconds": time.perf_counter() - t0,
-        },
+    run = _Run("game", cfg, out)
+    return run.write(
+        {"game.json": game_file_dict(game, cfg["game"])},
+        {"command": "game", "name": game.name},
+        f"wrote {game.name} to {run.out}/game.json",
     )
-    print(f"wrote {game.name} to {out}/game.json")
-    return EXIT_OK
 
 
 def cmd_solve(cfg: dict, out: str | None) -> int:
     game = parse_game_spec(_require(cfg, "game"))
     if not game.is_normal_form:
         raise CliError("solve works on normal-form games (joint-action matrix)")
-    out = _out_dir(out)
-    write_manifest(out, "solve", cfg)
-    t0 = time.perf_counter()
+    run = _Run("solve", cfg, out)
     solution = solve_matrix_maxmin(game.matrix(), tol=cfg["tol"])
     summary = {
         "command": "solve",
@@ -447,12 +444,12 @@ def cmd_solve(cfg: dict, out: str | None) -> int:
             for a, w in zip(game.joint_actions(2), solution.col_mix)
             if w > 0
         },
-        "wall_clock_seconds": time.perf_counter() - t0,
     }
-    _write_json(os.path.join(out, "solution.json"), solution.to_dict())
-    _write_json(os.path.join(out, "summary.json"), summary)
-    print(f"value {fmt9(solution.value)} gap {fmt9(solution.gap)}")
-    return EXIT_OK
+    return run.write(
+        {"solution.json": solution.to_dict()},
+        summary,
+        f"value {fmt9(solution.value)} gap {fmt9(solution.gap)}",
+    )
 
 
 def _correlation_from_flags(cfg) -> object:
@@ -467,33 +464,31 @@ def _correlation_from_flags(cfg) -> object:
 def cmd_verify(cfg: dict, out: str | None) -> int:
     game = parse_game_spec(_require(cfg, "game"))
     profile = parse_profile_spec(cfg["profile"], game)
-    out = _out_dir(out)
-    write_manifest(out, "verify", cfg)
-    t0 = time.perf_counter()
+    run = _Run("verify", cfg, out)
     correlation = _correlation_from_flags(cfg)
     specs = [
         build_deviation_spec(game, t, profile[t - 1], correlation, opponent=profile[2 - t])
         for t in (1, 2)
     ]
     report = verify_equilibrium(game, profile, specs, epsilon=cfg["epsilon"])
+    lines = [
+        f"team {check.team} [{check.class_name}] max_gain {fmt9(check.max_gain)} "
+        f"witness {check.witness} {'PASS' if check.passed else 'FAIL'}"
+        for check in report.checks
+    ]
+    lines.append(f"verdict {'PASS' if report.passed else 'FAIL'}")
     payload = report.to_dict()
-    payload["wall_clock_seconds"] = time.perf_counter() - t0
-    _write_json(os.path.join(out, "verify.json"), payload)
-    _write_json(os.path.join(out, "summary.json"), payload)
-    for check in report.checks:
-        print(
-            f"team {check.team} [{check.class_name}] max_gain {fmt9(check.max_gain)} "
-            f"witness {check.witness} {'PASS' if check.passed else 'FAIL'}"
-        )
-    print(f"verdict {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return run.write(
+        {"verify.json": payload},
+        payload,
+        "\n".join(lines),
+        EXIT_OK if report.passed else EXIT_VERIFY_FAIL,
+    )
 
 
 def cmd_psro(cfg: dict, out: str | None) -> int:
     game = parse_game_spec(_require(cfg, "game"))
-    out = _out_dir(out)
-    write_manifest(out, "psro", cfg)
-    t0 = time.perf_counter()
+    run = _Run("psro", cfg, out)
     pcfg = PsroConfig(
         oracle=cfg["oracle"],
         max_iterations=cfg["iters"],
@@ -503,21 +498,21 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         sebr_restarts=cfg["restarts"],
     )
     result = run_psro(game, pcfg)
-    records = [
-        dict(zip(HISTORY_COLUMNS, row)) for row in history_rows(result.history)
+    rows = [
+        [r.iteration, r.meta_value, r.br_gain_1, r.br_gain_2, r.pop_1, r.pop_2]
+        for r in result.history
     ]
-    _write_json(os.path.join(out, "history.json"), records)
-    emit_report(out, "csv")
+    files = {
+        "history.json": [dict(zip(HISTORY_COLUMNS, row)) for row in rows],
+        "history.csv": _csv(HISTORY_COLUMNS, rows),
+    }
     if isinstance(game, NormalFormTeamGame):
-        _write_json(
-            os.path.join(out, "population.json"),
-            {
-                "team1": [policy_to_dict(p) for p in result.population.team1],
-                "team2": [policy_to_dict(p) for p in result.population.team2],
-                "meta_1": [float(w) for w in result.meta_1],
-                "meta_2": [float(w) for w in result.meta_2],
-            },
-        )
+        files["population.json"] = {
+            "team1": [policy_to_dict(p) for p in result.population.team1],
+            "team2": [policy_to_dict(p) for p in result.population.team2],
+            "meta_1": [float(w) for w in result.meta_1],
+            "meta_2": [float(w) for w in result.meta_2],
+        }
     summary = {
         "command": "psro",
         "game": game.name,
@@ -526,14 +521,13 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "pop_sizes": [len(result.population.team1), len(result.population.team2)],
-        "wall_clock_seconds": time.perf_counter() - t0,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    print(
+    return run.write(
+        files,
+        summary,
         f"meta value {fmt9(result.value)} after {result.iterations} iterations "
-        f"(converged={result.converged})"
+        f"(converged={result.converged})",
     )
-    return EXIT_OK
 
 
 def _load_candidate(run_dir: str, team: int, game_spec: str) -> Candidate:
@@ -559,61 +553,47 @@ def _load_candidate(run_dir: str, team: int, game_spec: str) -> Candidate:
 
 
 def cmd_eval(cfg: dict, out: str | None) -> int:
-    out = _out_dir(out)
-    write_manifest(out, "eval", cfg)
-    t0 = time.perf_counter()
-    mode = cfg["mode"]
-    if mode == "exploit":
-        game = parse_game_spec(_require(cfg, "game"))
-        team = cfg["team"]
-        if cfg["run"]:
-            candidate = _load_candidate(cfg["run"], team, cfg["game"])
-            cand_id = f"{cfg['run']}:team{team}"
-        elif cfg["profile"]:
-            profile = parse_profile_spec(cfg["profile"], game)
-            candidate = Candidate.single(team, profile[team - 1])
-            cand_id = f"{cfg['profile']}:team{team}"
-        else:
-            raise CliError("eval exploit needs --run or --profile")
-        classes = tuple(c.strip() for c in cfg["classes"].split(",") if c.strip())
-        report = exploitability_profile(
-            game, candidate, classes=classes, seed=cfg["seed"], candidate_id=cand_id
-        )
-        payload = report.to_dict()
-        payload["wall_clock_seconds"] = time.perf_counter() - t0
-        _write_json(os.path.join(out, "report.json"), payload)
-        header = ["candidate", "team"] + list(classes)
-        row = [cand_id, team] + [
-            (r.opponent_reward if r.applicable else "n/a") for r in report.results
-        ]
-        _write_csv(os.path.join(out, "report.csv"), header, [row])
-        for r in report.results:
-            shown = fmt9(r.opponent_reward) if r.applicable else "n/a"
-            print(f"{r.class_name}: {shown}")
-        _write_json(os.path.join(out, "summary.json"), payload)
-        return EXIT_OK
-    # mode "rpp"
+    run = _Run("eval", cfg, out)
     game = parse_game_spec(_require(cfg, "game"))
-    entries_a = _load_candidate(_require(cfg, "run_a"), 1, cfg["game"]).entries
-    entries_b = _load_candidate(_require(cfg, "run_b"), 2, cfg["game"]).entries
-    value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
-    payload = {
-        "command": "eval/rpp",
-        "value": value,
-        "run_a": cfg["run_a"],
-        "run_b": cfg["run_b"],
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    _write_json(os.path.join(out, "rpp.json"), payload)
-    _write_json(os.path.join(out, "summary.json"), payload)
-    print(f"rpp {fmt9(value)}")
-    return EXIT_OK
+    if cfg["mode"] == "rpp":
+        entries_a = _load_candidate(_require(cfg, "run_a"), 1, cfg["game"]).entries
+        entries_b = _load_candidate(_require(cfg, "run_b"), 2, cfg["game"]).entries
+        value = rpp(game, entries_a, entries_b, tol=cfg["tol"])
+        payload = {
+            "command": "eval/rpp",
+            "value": value,
+            "run_a": cfg["run_a"],
+            "run_b": cfg["run_b"],
+        }
+        return run.write({"rpp.json": payload}, payload, f"rpp {fmt9(value)}")
+    team = cfg["team"]
+    if cfg["run"]:
+        candidate = _load_candidate(cfg["run"], team, cfg["game"])
+        cand_id = f"{cfg['run']}:team{team}"
+    elif cfg["profile"]:
+        profile = parse_profile_spec(cfg["profile"], game)
+        candidate = Candidate.single(team, profile[team - 1])
+        cand_id = f"{cfg['profile']}:team{team}"
+    else:
+        raise CliError("eval exploit needs --run or --profile")
+    classes = tuple(c.strip() for c in cfg["classes"].split(",") if c.strip())
+    report = exploitability_profile(
+        game, candidate, classes=classes, seed=cfg["seed"], candidate_id=cand_id
+    )
+    rewards = [r.opponent_reward if r.applicable else "n/a" for r in report.results]
+    payload = report.to_dict()
+    return run.write(
+        {
+            "report.json": payload,
+            "report.csv": _csv(["candidate", "team", *classes], [[cand_id, team, *rewards]]),
+        },
+        payload,
+        "\n".join(f"{r.class_name}: {fmt9(v)}" for r, v in zip(report.results, rewards)),
+    )
 
 
 def cmd_report(cfg: dict, out: str | None) -> int:
-    written = emit_report(_require(cfg, "run"), cfg["format"])
-    for path in written:
-        print(f"wrote {path}")
+    print(f"wrote {emit_report(_require(cfg, 'run'), cfg['format'])}")
     return EXIT_OK
 
 

@@ -317,25 +317,22 @@ class ProductPolicy:
         return f"ProductPolicy({list(self.members)!r})"
 
 
-class SharedPolicy:
-    """All members draw independently from one shared policy.
+class SharedPolicy(ProductPolicy):
+    """All members draw independently from one shared policy: the product
+    policy whose ``n_members`` members are all ``policy``.
 
     This is the parameter-sharing analogue: the shared distribution is
     sampled once per member, not once per team, so a mixed shared policy
     still induces an independent product over members.
     """
 
-    __slots__ = ("policy", "n_members")
+    __slots__ = ("policy",)
 
     def __init__(self, policy, n_members: int):
         if n_members < 1:
             raise ValueError("n_members must be >= 1")
+        super().__init__((policy,) * int(n_members))
         self.policy = policy
-        self.n_members = int(n_members)
-
-    @property
-    def members(self) -> tuple:
-        return (self.policy,) * self.n_members
 
     def __repr__(self):
         return f"SharedPolicy({self.policy!r} x{self.n_members})"
@@ -384,7 +381,7 @@ class JointMixPolicy:
 
 _PURE_WEIGHTS = _check_dist([1.0], "joint-mix weights")
 
-TeamPolicy = ProductPolicy | SharedPolicy | JointMixPolicy
+TeamPolicy = ProductPolicy | JointMixPolicy
 
 #: A mixture over team policies: sequence of (policy, weight) pairs.
 PolicyMixture = Sequence[tuple]
@@ -392,7 +389,7 @@ PolicyMixture = Sequence[tuple]
 
 def as_mixture(policy) -> list[tuple]:
     """Normalise a team policy or (policy, weight) sequence to a mixture."""
-    if isinstance(policy, (ProductPolicy, SharedPolicy, JointMixPolicy)):
+    if isinstance(policy, (ProductPolicy, JointMixPolicy)):
         return [(policy, 1.0)]
     pairs = [(p, float(w)) for p, w in policy]
     total = sum(w for _, w in pairs)
@@ -555,11 +552,6 @@ def check_team_policy(game: Game, team: int, policy) -> None:
         for member, c in zip(policy.members, counts):
             if member.n_actions != c:
                 raise DimensionError("member action count mismatch")
-    elif isinstance(policy, SharedPolicy):
-        if len(set(counts)) != 1:
-            raise DimensionError("shared policy requires homogeneous action spaces")
-        if policy.n_members != len(counts) or policy.policy.n_actions != counts[0]:
-            raise DimensionError("shared policy shape mismatch")
     elif isinstance(policy, JointMixPolicy):
         if not game.is_normal_form:
             raise DimensionError("joint-mix policies apply to normal-form games only")
@@ -618,7 +610,7 @@ def _nf_team_value(matrix: np.ndarray, team: int, own: np.ndarray, opponent: np.
 
 
 def _members_view(policy) -> tuple:
-    if isinstance(policy, (ProductPolicy, SharedPolicy)):
+    if isinstance(policy, ProductPolicy):
         return policy.members
     raise DimensionError(
         "a distributed (product or shared) team policy is required here"
@@ -1069,15 +1061,8 @@ def game_from_dict(data: Mapping) -> NormalFormTeamGame:
 
 
 def policy_to_dict(policy) -> dict:
-    """Serialize a normal-form team policy (variant tag plus tables)."""
-    if isinstance(policy, ProductPolicy):
-        return {
-            "kind": "product",
-            "members": [
-                {"n_actions": m.n_actions, "dist": [float(x) for x in m.dist(NF_OBS)]}
-                for m in policy.members
-            ],
-        }
+    """Serialize a normal-form team policy (variant tag plus tables); a
+    shared policy keeps its own tag, so it is tested before the product."""
     if isinstance(policy, SharedPolicy):
         return {
             "kind": "shared",
@@ -1086,6 +1071,14 @@ def policy_to_dict(policy) -> dict:
                 "n_actions": policy.policy.n_actions,
                 "dist": [float(x) for x in policy.policy.dist(NF_OBS)],
             },
+        }
+    if isinstance(policy, ProductPolicy):
+        return {
+            "kind": "product",
+            "members": [
+                {"n_actions": m.n_actions, "dist": [float(x) for x in m.dist(NF_OBS)]}
+                for m in policy.members
+            ],
         }
     if isinstance(policy, JointMixPolicy):
         return {

@@ -211,8 +211,8 @@ def build_deviation_spec(
             correlated = sebr_starts(game, team, None, remaining, correlation.seed)
         elif remaining > 0:
             exclude = set()
-            if isinstance(candidate, (ProductPolicy, SharedPolicy)):
-                cand_joint = tuple(m.pure_action(0) for m in _members_view(candidate))
+            if isinstance(candidate, ProductPolicy):
+                cand_joint = tuple(m.pure_action(0) for m in candidate.members)
                 if None not in cand_joint:
                     exclude.add(cand_joint)
                     for member, pol in indiv:
@@ -339,8 +339,11 @@ def verify_equilibrium(
     order, individual first, so witness ties break deterministically).
     The verdict is PASS iff neither team gains more than epsilon.  With
     joint specs this is the correlated-team maxmin check; with
-    no-correlation specs it is the Nash check.
+    no-correlation specs it is the Nash check.  A negative, infinite or
+    NaN epsilon raises ValueError: it would decide every verdict itself.
     """
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     p1, p2 = profile
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)

@@ -987,8 +987,6 @@ def sebr_starts(game: Game, team: int, incumbent, restarts: int, seed: int):
 def _as_product(policy, counts) -> ProductPolicy:
     if isinstance(policy, ProductPolicy):
         return policy
-    if isinstance(policy, SharedPolicy):
-        return ProductPolicy(policy.members)
     if isinstance(policy, JointMixPolicy):
         top = int(np.argmax(policy.weights))
         return ProductPolicy.pure(policy.atoms[top], counts)

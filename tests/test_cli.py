@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import teameq.cli as cli
 from teameq.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -115,13 +116,24 @@ class TestVerifyCommand:
         assert main(argv) == EXIT_ERROR
         assert "unknown profile spec" in capsys.readouterr().err
 
-    def test_manifest_written_before_results(self, tmp_path):
+    def test_manifest_written_before_results(self, tmp_path, monkeypatch):
+        written, write = [], cli._write
+
+        def recording_write(path, payload):
+            written.append(path)
+            write(path, payload)
+
+        monkeypatch.setattr(cli, "_write", recording_write)
         out = tmp_path / "v"
         main(["verify", "--game", "example1", "--profile", "all-zeros", "--class", "none", "--out", str(out)])
+        assert written == [str(out / f) for f in ("manifest.json", "verify.json", "summary.json")]
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["command"] == "verify"
         assert manifest["tool"] == "teameq"
-        assert "wall_clock_seconds" in manifest
+        assert manifest["wall_clock_seconds"] is None
+        summary = json.loads(read(out / "summary.json"))
+        assert summary == json.loads(read(out / "verify.json"))
+        assert summary["wall_clock_seconds"] >= 0.0
 
 
 class TestPsroCommand:
@@ -373,6 +385,25 @@ class TestErrorContract:
         assert main([*argv, "--out", str(out)]) == EXIT_ERROR
         assert f"{argv[-2]} expects a finite number" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            (["psro", "--game", "example1", "--iters", "0"], "max_iterations must be positive"),
+            (["solve", "--game", "example1", "--tol", "-1"], "tol must be finite and nonnegative"),
+            (["eval", "--game", "example1", "--mode", "rpp", "--run-b", "b"], "--run-a is required"),
+            (["eval", "--game", "example1", "--mode", "exploit"], "needs --run or --profile"),
+            (["verify", "--game", "example1", "--profile", "missing.json"], "missing file: 'missing.json'"),
+            (["verify", "--game", "example1", "--epsilon", "-1"], "epsilon must be finite and nonnegative"),
+        ],
+        ids=["psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile", "verify-epsilon"],
+    )
+    def test_refused_runs_write_no_file(self, argv, says, tmp_path, monkeypatch, capsys):
+        # inputs are checked and the work done before the first file
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "r"]) == EXIT_ERROR
+        assert says in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK

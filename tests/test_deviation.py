@@ -235,6 +235,17 @@ class TestVerifyEquilibrium:
         assert team1.max_gain == pytest.approx(1.0, abs=1e-9)
         assert team1.witness == {"kind": "correlated", "joint_action": [1, 1]}
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, float("inf"), float("nan")])
+    def test_bad_epsilon_is_refused(self, epsilon):
+        # a negative epsilon FAILs every profile and NaN passes none: the
+        # verdict would come from epsilon, not from the gains
+        g = example1()
+        profile = (pure((0, 0)), pure((0, 0)))
+        specs = [build_deviation_spec(g, t, profile[t - 1], NoCorrelation()) for t in (1, 2)]
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            verify_equilibrium(g, profile, specs, epsilon=epsilon)
+        assert verify_equilibrium(g, profile, specs, epsilon=0.0).passed
+
     def test_ctme_mix_passes_joint(self):
         # the CTME profile comes from the independent LP oracle
         g = example1()
