@@ -3,8 +3,8 @@
 Subcommands: ``game`` (emit a builtin game), ``solve`` (matrix maxmin /
 CTME of a normal-form game), ``verify`` (equilibrium check under a
 correlation class), ``psro`` (population loop with a chosen oracle),
-``eval`` (exploitability profile / rpp) and ``report`` (re-emit run
-artifacts as CSV or JSON-lines).
+``eval`` (exploitability profile / rpp) and ``report`` (re-emit a run's
+history as CSV or JSON-lines into ``--out`` or the run; reads no seed).
 
 A run writes no file until its inputs are checked and its work is done;
 then it writes ``manifest.json`` first, its result files, and
@@ -381,20 +381,21 @@ def _csv(header: list[str], rows: list[list]) -> str:
 HISTORY_COLUMNS = ["iter", "meta_value", "br_gain_1", "br_gain_2", "pop_1", "pop_2"]
 
 
-def emit_report(run_dir: str, fmt: str) -> str:
-    """Re-emit a run's history from the canonical history.json and return
-    the path written; idempotent, stable column order, floats at 9
-    significant digits."""
+def emit_report(run_dir: str, fmt: str, out_dir: str | None = None) -> str:
+    """Re-emit a run's canonical history.json into ``out_dir`` (created;
+    the run's own directory by default) and return the path written;
+    idempotent, stable column order, floats at 9 significant digits."""
     hist_path = os.path.join(run_dir, "history.json")
     if not os.path.exists(hist_path):
         raise CliError(f"missing artifact {hist_path}")
     with open(hist_path) as fh:
         records = json.load(fh)
     rows = [[rec[c] for c in HISTORY_COLUMNS] for rec in records]
+    out_dir = out_dir or run_dir
     if fmt == "csv":
-        path, text = os.path.join(run_dir, "history.csv"), _csv(HISTORY_COLUMNS, rows)
+        path, text = os.path.join(out_dir, "history.csv"), _csv(HISTORY_COLUMNS, rows)
     elif fmt == "json-lines":
-        path = os.path.join(run_dir, "history.jsonl")
+        path = os.path.join(out_dir, "history.jsonl")
         text = "".join(
             json.dumps(
                 {c: (fmt9(v) if isinstance(v, float) else v) for c, v in zip(HISTORY_COLUMNS, row)},
@@ -405,6 +406,7 @@ def emit_report(run_dir: str, fmt: str) -> str:
         )
     else:
         raise CliError(f"unknown report format {fmt!r}")
+    os.makedirs(out_dir, exist_ok=True)
     _write(path, text)
     return path
 
@@ -593,7 +595,7 @@ def cmd_eval(cfg: dict, out: str | None) -> int:
 
 
 def cmd_report(cfg: dict, out: str | None) -> int:
-    print(f"wrote {emit_report(_require(cfg, 'run'), cfg['format'])}")
+    print(f"wrote {emit_report(_require(cfg, 'run'), cfg['format'], out)}")
     return EXIT_OK
 
 

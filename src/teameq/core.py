@@ -247,21 +247,25 @@ class HashPolicy:
     observation picks the action.  Used for reproducible random restarts
     without enumerating the observation space.
 
-    Each instance memoises the support it computed per observation, so an
-    observation is hashed once however often the walks ask for it; the
-    memo holds the observations asked so far and lives as long as the
-    policy.  Observations that compare equal share one entry."""
+    The action is a pure function of ``(n_actions, seed, observation)``.
+    One blake2b state keyed by the seed is built once and copied per call
+    (the digest of keying afresh); a hash state does not pickle, so the
+    policy pickles and copies as its two numbers."""
 
-    __slots__ = ("n_actions", "seed", "_key", "_supports")
+    __slots__ = ("n_actions", "seed", "_keyed")
 
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
         self.seed = int(seed)
-        self._key = self.seed.to_bytes(8, "little", signed=True)
-        self._supports: dict = {}
+        self._keyed = hashlib.blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=True))
+
+    def __reduce__(self):
+        return (HashPolicy, (self.n_actions, self.seed))
 
     def _action(self, obs: Obs) -> int:
-        return self.support(obs)[0][0]
+        h = self._keyed.copy()
+        h.update(repr(obs).encode())
+        return int.from_bytes(h.digest(), "little") % self.n_actions
 
     def dist(self, obs: Obs) -> np.ndarray:
         row = np.zeros(self.n_actions)
@@ -269,13 +273,7 @@ class HashPolicy:
         return row
 
     def support(self, obs: Obs) -> tuple:
-        try:
-            return self._supports[obs]
-        except KeyError:
-            digest = hashlib.blake2b(repr(obs).encode(), digest_size=8, key=self._key).digest()
-            action = int.from_bytes(digest, "little") % self.n_actions
-            found = self._supports[obs] = ((action, 1.0),)
-            return found
+        return ((self._action(obs), 1.0),)
 
     def pure_action(self, obs: Obs) -> int:
         return self._action(obs)

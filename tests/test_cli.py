@@ -182,6 +182,20 @@ class TestReportCommand:
         record = json.loads(lines[0])
         assert set(record) == {"iter", "meta_value", "br_gain_1", "br_gain_2", "pop_1", "pop_2"}
 
+    @pytest.mark.parametrize("fmt, name", [("csv", "history.csv"), ("json-lines", "history.jsonl")])
+    def test_out_directory_gets_the_file(self, tmp_path, fmt, name):
+        # the file goes under --out, created, and the run is left untouched;
+        # --seed is accepted and read by nothing
+        run, out = tmp_path / "p", tmp_path / "d" / "e"
+        main(["psro", "--game", "example1", "--oracle", "joint", "--out", str(run)])
+        before = {f: read(run / f) for f in os.listdir(run)}
+        rc = main(["report", "--run", str(run), "--format", fmt, "--out", str(out), "--seed", "3"])
+        assert rc == EXIT_OK
+        assert os.listdir(out) == [name]
+        assert {f: read(run / f) for f in os.listdir(run)} == before
+        main(["report", "--run", str(run), "--format", fmt])
+        assert read(out / name) == read(run / name)
+
     def test_empty_history_header_only(self, tmp_path):
         run = tmp_path / "r"
         run.mkdir()

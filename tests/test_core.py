@@ -1,11 +1,14 @@
 """Game representation and evaluation tests."""
 
+import copy
 import dataclasses
+import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_value
@@ -334,6 +337,32 @@ class TestDeterministicTables:
             policy = HashPolicy(n, seed)
             assert policy._action(obs) == policy.pure_action(obs) == action
             assert policy.support(obs) == ((action, 1.0),)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.one_of(st.integers(-(2**63), -1), st.integers(0, 2**62), st.integers(2**62, 2**63 - 1)),
+        st.recursive(
+            st.none() | st.integers() | st.text(max_size=3),
+            lambda inner: st.tuples(inner, inner) | st.tuples(inner),
+            max_leaves=6,
+        ),
+    )
+    def test_hash_policy_is_the_keyed_blake2b(self, n, seed, obs):
+        key = seed.to_bytes(8, "little", signed=True)
+        digest = hashlib.blake2b(repr(obs).encode(), digest_size=8, key=key).digest()
+        expected = int.from_bytes(digest, "little") % n
+        assert HashPolicy(n, seed).support(obs) == ((expected, 1.0),)
+
+    def test_hash_policy_copies_act_the_same(self):
+        policy = HashPolicy(6, -(2**63))
+        game = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        joints = list(itertools.product(itertools.product(range(6), repeat=2), repeat=2))
+        states = {s for s0, _ in game.initial for j in joints for s, _ in game.transition(s0, j)}
+        for other in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+            assert (other.n_actions, other.seed) == (6, -(2**63))
+            for obs in [*states, (1, (2, 3)), None, "abc"]:
+                assert other.pure_action(obs) == policy.pure_action(obs)
 
     def test_from_actions_matches_validated_table(self):
         actions = {0: 2, "a": 0, (1, (2, 3)): 2, None: 1}

@@ -1,6 +1,7 @@
 """PSRO loop, meta solving and population bookkeeping."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -334,6 +335,16 @@ class TestSkirmishSPsro:
         # any pass asking for a transition out of the last step, raises the
         # count
         assert self._run()[2] == 1321
+
+    def test_population_does_not_grow_with_use(self):
+        # SeBR's restarts stay in the population as table fallbacks; a
+        # policy that remembered what it was asked would grow the pickled
+        # population every time it is played
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=3))
+        result = run_psro(g, PsroConfig(oracle="sebr", max_iterations=4, seed=0))
+        before = len(pickle.dumps(result.population))
+        exploitability_profile(g, Candidate.from_psro(result, 1), classes=("random",))
+        assert len(pickle.dumps(result.population)) == before
 
     def test_individual_oracle_golden_values(self):
         # Indep-PSRO; its exploitability profile is left unpinned: the
