@@ -861,13 +861,15 @@ def _forward(game: StochasticTeamGame, start, support, steps=None):
         dist = nxt
 
 
-def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dict]:
+def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> tuple[list, list]:
     """Backward induction for ``team`` over ``walk``, the list of tuples
     `_forward` yielded, with step rewards from ``steps`` (default: the
-    game).  Returns one dict per step mapping each state to
-    ``{unit_action: action value}``.  A state's value is its best action
-    value; a successor outside the next layer (reached with probability 0)
-    counts 0, and so does the empty successor row of the last step."""
+    game).  Returns ``(q, values)``: ``q`` holds one dict per step mapping
+    each state to ``{unit_action: action value}``, ``values`` one dict per
+    step, and an empty one after the last, mapping each state to its value,
+    its best action value.  A successor outside the next layer (reached with
+    probability 0) counts 0, and so does the empty successor row of the
+    last step."""
     step_reward = (game if steps is None else steps).step_reward
     sign = 1.0 if team == 1 else -1.0
     q: list[dict] = [{} for _ in range(game.horizon)]
@@ -891,7 +893,7 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> list[dic
                 )
         q[t][state] = acts
         values[t][state] = max(acts.values())
-    return q
+    return q, values
 
 
 def _profile_value(game: StochasticTeamGame, p1, p2, steps=None, walk=None):
@@ -962,8 +964,8 @@ def evaluate(game: Game, p1, p2) -> float:
     """Expected team-1 reward of a policy profile (team 2's reward is the
     negation).
 
-    Both policies are checked with `check_team_policy` once, here.
-    Normal-form profiles are evaluated exactly (multilinear expectation)
+    Both policies are checked with `check_team_policy` once, here, which
+    refuses a joint mix on a stochastic game.  Normal-form profiles are evaluated exactly (multilinear expectation)
     from joint-action distributions built without checking them again.
     Stochastic profiles use exact finite-horizon dynamic programming within
     the game's ``exact_bound``.
@@ -972,8 +974,6 @@ def evaluate(game: Game, p1, p2) -> float:
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
         return _nf_value(game, p1, p2)
-    if isinstance(p1, JointMixPolicy) or isinstance(p2, JointMixPolicy):
-        raise EvaluationError("decompose joint mixtures before exact stochastic evaluation")
     return _profile_value(game, p1, p2)
 
 

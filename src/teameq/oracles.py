@@ -42,6 +42,7 @@ from .core import (
     _StepTable,
     _backward,
     _forward,
+    _joint_dist,
     _joint_support,
     _members_view,
     _nf_team_value,
@@ -223,22 +224,6 @@ def solve_matrix_maxmin(
 # Reward tensors for normal-form oracles
 
 
-def _mixed_dist(size: int, weighted) -> np.ndarray:
-    """The mixture of joint-action distributions ``[(dist, weight), ...]``."""
-    out = np.zeros(size)
-    for dist, w in weighted:
-        out += w * dist
-    return out
-
-
-def _reward_tensor(game: NormalFormTeamGame, team: int, opponent_dist: np.ndarray) -> np.ndarray:
-    """`team_reward_tensor` against the opponent's joint-action distribution."""
-    mat = game.matrix()
-    if team == 1:
-        return (mat @ opponent_dist).reshape(game.action_counts[0])
-    return (-(opponent_dist @ mat)).reshape(game.action_counts[1])
-
-
 def team_reward_tensor(
     game: NormalFormTeamGame, team: int, opponent, dists=None
 ) -> np.ndarray:
@@ -246,36 +231,50 @@ def team_reward_tensor(
     against a fixed opponent policy or mixture; one axis per member.
 
     ``dists`` holds the joint-action distribution of each positive-weight
-    entry of the opponent mixture, in order, when the caller keeps them;
-    otherwise they are built (and the entries checked) here.  Raises
-    ValueError when ``dists`` does not have one distribution per entry."""
-    opp = 3 - team
-    atoms = as_mixture(opponent)
-    if dists is None:
-        dists = [team_action_dist(game, opp, p) for p, _ in atoms]
-    elif len(dists) != len(atoms):
-        raise ValueError(
-            f"{len(dists)} distributions for {len(atoms)} positive-weight opponent entries"
-        )
-    weighted = [(d, w) for d, (_, w) in zip(dists, atoms)]
-    return _reward_tensor(game, team, _mixed_dist(game.joint_count(opp), weighted))
+    entry of the opponent mixture, in order, when the caller keeps them, as
+    `run_psro` does; they are taken unchecked.  Otherwise they are built,
+    and the entries checked, here.  Raises ValueError when ``dists`` does
+    not have one distribution per entry."""
+    return _NormalFormTable(game, team, as_mixture(opponent), dists).tensor
 
 
 class _NormalFormTable:
-    """What one normal-form SeBR call reads in every update, built once at
-    entry: the game's matrix, each opponent atom's joint-action
-    distribution and the team's reward tensor against the opponent.  It
-    takes the place of the stochastic oracles' `_StepTable` and is dropped
-    when the call returns."""
+    """What one normal-form oracle call reads about its opponent atoms
+    ``[(policy, weight), ...]``, built once at entry: the game's matrix,
+    each atom's joint-action distribution and the team's reward tensor
+    against the mixture.  SeBR reads it in place of the stochastic oracles'
+    `_StepTable`; it is dropped when the call returns.  ``dists`` is as in
+    `team_reward_tensor`, which returns this table's tensor."""
 
-    __slots__ = ("matrix", "atom_dists", "tensor")
+    __slots__ = ("_game", "_team", "_atoms", "matrix", "atom_dists", "tensor")
 
-    def __init__(self, game: NormalFormTeamGame, team: int, atoms):
+    def __init__(self, game: NormalFormTeamGame, team: int, atoms, dists=None):
         opp = 3 - team
-        self.matrix = game.matrix()
-        self.atom_dists = [team_action_dist(game, opp, atom) for atom, _ in atoms]
-        weighted = [(d, w) for d, (_, w) in zip(self.atom_dists, atoms)]
-        self.tensor = _reward_tensor(game, team, _mixed_dist(game.joint_count(opp), weighted))
+        if dists is None:
+            dists = [team_action_dist(game, opp, atom) for atom, _ in atoms]
+        elif len(dists) != len(atoms):
+            raise ValueError(
+                f"{len(dists)} distributions for {len(atoms)} positive-weight opponent entries"
+            )
+        mixed = np.zeros(game.joint_count(opp))
+        for dist, (_, w) in zip(dists, atoms):
+            mixed += w * dist
+        matrix = game.matrix()
+        if team == 1:
+            tensor = (matrix @ mixed).reshape(game.action_counts[0])
+        else:
+            tensor = (-(mixed @ matrix)).reshape(game.action_counts[1])
+        self._game, self._team, self._atoms = game, team, atoms
+        self.matrix, self.atom_dists, self.tensor = matrix, dists, tensor
+
+    def value(self, members) -> float:
+        """Value of the product of ``members``, which the caller has
+        checked, against the atoms, summed in `team_value`'s arithmetic."""
+        own = _joint_dist(self._game, self._team, ProductPolicy(members))
+        return sum(
+            w * _nf_team_value(self.matrix, self._team, own, d)
+            for (_, w), d in zip(self._atoms, self.atom_dists)
+        )
 
 
 def _contract(tensor: np.ndarray, dists: list, fixed: dict) -> float:
@@ -353,7 +352,7 @@ def _unit_best_response_exact(
             game, team, own_members, opp_policy, state, completions, unit, unit_actions, steps
         )
 
-    q = _backward(game, list(_forward(game, game.initial, support, steps)), team, steps)
+    q, values = _backward(game, list(_forward(game, game.initial, support, steps)), team, steps)
     look = game if steps is None else steps
     assign: list[dict] = [dict() for _ in unit]
     for layer in reversed(q):
@@ -375,7 +374,7 @@ def _unit_best_response_exact(
                         "member observations do not determine the decision stage; "
                         "exact tabular best response is not expressible"
                     )
-    value = sum(p * max(q[0][s].values()) for s, p in game.initial if p > 0.0)
+    value = sum(p * values[0][s] for s, p in game.initial if p > 0.0)
     counts = game.action_counts[team - 1]
     tables = [
         IndividualPolicy.from_actions(counts[member], assign[pos], own_members[member])
@@ -465,10 +464,7 @@ def _unit_improve_weighted(
     for _ in range(GREEDY_ROUNDS):
         if on_policy is None:
             # on-policy values by step; a state reached only off-policy counts 0
-            on_policy = [
-                [{s: acts[()] for s, acts in layer.items()} for layer in layers] + [{}]
-                for layers in (_backward(game, walk, team, steps) for walk in walks)
-            ]
+            on_policy = [_backward(game, walk, team, steps)[1] for walk in walks]
         qbar: dict = {}
         for (atom, w), walk, after, (rows_before, rows_last) in zip(
             opp_atoms, walks, on_policy, kept
@@ -640,9 +636,7 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
             idx, action = divmod(idx, count)
             joint.append(action)
         return JointMixPolicy.pure(joint[::-1]), value
-    atoms = as_mixture(opponent)
-    for atom, _ in atoms:  # the walks read the atoms unchecked
-        check_team_policy(game, 3 - team, atom)
+    atoms = _opponent_atoms(game, team, opponent)
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
     tables, value = _unit_best_response(game, team, unit, base, atoms)
@@ -661,29 +655,17 @@ def best_response_individual(
     ``start`` is any team policy `sebr` takes as a start (product, shared or
     joint mix).  Returns ``(policy, value)`` as `sebr` does.
     """
-    check_team_policy(game, team, start)
     return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
 
 
-def _value_vs_atoms(game, team, members, atoms, steps, walks=None) -> float:
-    """Exact value of the product of ``members`` against opponent atoms
-    ``[(policy, weight), ...]``, by one evaluation per atom, summed in
-    `team_value`'s arithmetic.  ``steps`` is the calling oracle's table: on
-    a normal-form game a `_NormalFormTable`, whose atom distributions meet
-    the product's, checked once; otherwise a step table that the walks read
-    after `evaluate`'s checks.  ``walks`` is as in `_atoms_value`
-    (stochastic games only)."""
-    own = ProductPolicy(members)
-    if game.is_normal_form:
-        dist = team_action_dist(game, team, own)
-        return sum(
-            w * _nf_team_value(steps.matrix, team, dist, d)
-            for (_, w), d in zip(atoms, steps.atom_dists)
-        )
-    check_team_policy(game, team, own)
+def _opponent_atoms(game: StochasticTeamGame, team: int, opponent) -> list[tuple]:
+    """The positive-weight atoms ``[(policy, weight), ...]`` of a stochastic
+    oracle call's opponent, each checked to play for the other team: the
+    call's walks read them unchecked."""
+    atoms = as_mixture(opponent)
     for atom, _ in atoms:
         check_team_policy(game, 3 - team, atom)
-    return _atoms_value(game, team, members, atoms, steps, walks)
+    return atoms
 
 
 def _atoms_value(game, team, members, atoms, steps, walks=None) -> float:
@@ -701,7 +683,7 @@ def _atoms_value(game, team, members, atoms, steps, walks=None) -> float:
     return sum(w * (sign * v) for (_, w), v in zip(atoms, values))
 
 
-def _member_update(game, team, member, members, opponent, current, steps):
+def _member_update(game, team, member, members, atoms, current, steps):
     """One member's exact pure best response, switch on strict improvement.
 
     ``current`` is the team's value before the update.  Returns (policy,
@@ -710,9 +692,10 @@ def _member_update(game, team, member, members, opponent, current, steps):
     single opponent atom and the guarded greedy improvement for mixtures,
     whose value is the kept policy's evaluation.  The other paths evaluate
     the switched policy once, since the closed-form and DP values can
-    differ from evaluation in the last bits.  ``steps`` is the calling
-    oracle's table: the `_NormalFormTable` of ``opponent`` on a normal-form
-    game, else a step table with the opponent's atoms registered.
+    differ from evaluation in the last bits.  ``atoms`` are the opponent's
+    checked atoms and ``steps`` the calling oracle's table: their
+    `_NormalFormTable` on a normal-form game, else a step table with them
+    registered.
 
     Settled means the same update, run again before any teammate switches,
     provably changes nothing, so `sebr` skips it until a teammate switches.
@@ -725,7 +708,6 @@ def _member_update(game, team, member, members, opponent, current, steps):
     value and an evaluation of the same policy can differ in the last bits
     at any payoff scale.
     """
-    atoms = as_mixture(opponent)
     if game.is_normal_form:
         dists = [m.dist(NF_OBS) for m in members]
         values = _member_values(steps.tensor, dists, member)
@@ -748,8 +730,10 @@ def _member_update(game, team, member, members, opponent, current, steps):
         return tables[0], True, value, fixed
     updated = list(members)
     updated[member] = tables[0]
-    after = _value_vs_atoms(game, team, updated, atoms, steps)
-    return tables[0], True, after, game.is_normal_form or value <= after + _dp_slack(after)
+    if game.is_normal_form:
+        return tables[0], True, steps.value(updated), True
+    after = _atoms_value(game, team, updated, atoms, steps)
+    return tables[0], True, after, value <= after + _dp_slack(after)
 
 
 def _dp_slack(value: float) -> float:
@@ -883,9 +867,7 @@ def best_response_shared(game: Game, opponent, team: int):
         dist, value, _ = search(tensor)
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
         return policy, value
-    atoms = as_mixture(opponent)
-    for atom, _ in atoms:  # the walks read the atoms unchecked
-        check_team_policy(game, 3 - team, atom)
+    atoms = _opponent_atoms(game, team, opponent)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
     table, value = _table_search(
         game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms)
@@ -911,8 +893,11 @@ def advantage_decompose(
     Term m conditions the members earlier in the order on their given
     actions, marginalizes later members under the team's own policy, and
     always marginalizes the opponent under its policy.  The terms sum to
-    the joint advantage of ``team_action`` exactly.
+    the joint advantage of ``team_action`` exactly.  Raises DimensionError
+    when ``p1`` or ``p2`` cannot play for its team.
     """
+    check_team_policy(game, 1, p1)
+    check_team_policy(game, 2, p2)
     own = p1 if team == 1 else p2
     opponent = p2 if team == 1 else p1
     members = _members_view(own)
@@ -921,7 +906,8 @@ def advantage_decompose(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     if game.is_normal_form:
-        tensor = team_reward_tensor(game, team, opponent)
+        opp_dist = [_joint_dist(game, 3 - team, opponent)]
+        tensor = _NormalFormTable(game, team, [(opponent, 1.0)], opp_dist).tensor
         dists = [m.dist(NF_OBS) for m in members]
     else:
         if obs is None:
@@ -950,9 +936,9 @@ def _stochastic_q_tensor(game, team, members, opponent, obs):
             return _joint_support(game, team, members, opponent, state, {}, unit, team_joints)
         return _joint_support(game, team, members, opponent, state, completions)
 
-    root = _backward(game, list(_forward(game, [(obs, 1.0)], support)), team)[0][obs]
+    q, _ = _backward(game, list(_forward(game, [(obs, 1.0)], support)), team)
     tensor = np.zeros(game.action_counts[team - 1])
-    for ua, value in root.items():
+    for ua, value in q[0][obs].items():
         tensor[ua] = value
     return tensor
 
@@ -1016,26 +1002,33 @@ def sebr(
     change nothing, and it is traced as an unchanged update.
     Against a stochastic mixture each start's evaluation keeps its walks
     on the call's step table, where the first greedy update starts from
-    them.
+    them.  The opponent's atoms and ``start`` are checked once, here:
+    raises DimensionError when either cannot play for its team.
     ``trace``, when given, collects one (restart, sweep, member,
     value_before, value_after) tuple per member update, over all restarts:
     the record of the call's member updates.
     """
     n = game.team_sizes[team - 1]
-    atoms = as_mixture(opponent)
+    if start is not None:
+        check_team_policy(game, team, start)
     if game.is_normal_form:
+        atoms = as_mixture(opponent)
         steps = _NormalFormTable(game, team, atoms)
     else:
+        atoms = _opponent_atoms(game, team, opponent)
         steps = _StepTable(game, atoms)
     best_policy, best_value = None, -math.inf
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
-        walks = None if game.is_normal_form or len(atoms) == 1 else [[] for _ in atoms]
-        value = _value_vs_atoms(game, team, members, atoms, steps, walks)
-        if walks is not None:
-            steps.keep_walks(team, members, atoms, walks, value)
+        if game.is_normal_form:
+            value = steps.value(members)
+        else:
+            walks = [[] for _ in atoms] if len(atoms) > 1 else None
+            value = _atoms_value(game, team, members, atoms, steps, walks)
+            if walks:
+                steps.keep_walks(team, members, atoms, walks, value)
         settled: set = set()
         for sweep in range(max_sweeps):
             changed = False
@@ -1043,7 +1036,7 @@ def sebr(
                 before = value
                 if member not in settled:
                     new_member, improved, value, fixed = _member_update(
-                        game, team, member, members, opponent, value, steps
+                        game, team, member, members, atoms, value, steps
                     )
                     if improved:
                         members[member] = new_member

@@ -297,3 +297,29 @@ def test_criterion_10_soft_headline_direction():
             f"{mean_spsro:.6f} > Team-PSRO {mean_team:.6f}; investigate"
         )
     report(10, f"S-PSRO mean {mean_spsro:.6f} <= Team-PSRO mean {mean_team:.6f} (soft)")
+
+
+def test_criterion_10_soft_headline_random_3v3():
+    # criterion 10's game reads 0 for every variant; random 3v3 games tell
+    # them apart.  Gain: both teams' candidates' exact joint best-response
+    # reward over their LP value, summed per game, then averaged over games
+    gains = {oracle: [] for oracle in ("sebr", "shared", "individual")}
+    for game_seed in range(5):
+        game = random_team_game((3, 3), ((3,) * 3, (3,) * 3), seed=game_seed)
+        lp_value = solve_matrix_maxmin(game.matrix()).value
+        for oracle, per_game in gains.items():
+            result = run_psro(game, PsroConfig(oracle=oracle, max_iterations=40, seed=0))
+            total = 0.0
+            for team, opponent_lp in ((1, -lp_value), (2, lp_value)):
+                candidate = Candidate.from_psro(result, team)
+                profile = exploitability_profile(game, candidate, classes=("joint",), seed=0)
+                total += profile.result("joint").opponent_reward - opponent_lp
+            per_game.append(total)
+    means = {oracle: float(np.mean(per_game)) for oracle, per_game in gains.items()}
+    summary = ", ".join(f"{oracle} {mean:.6f}" for oracle, mean in means.items())
+    print(f"\n  mean joint gain over the LP value: {summary}")
+    if means["sebr"] > min(means["shared"], means["individual"]) + 1e-12:
+        pytest.xfail(
+            f"soft criterion: S-PSRO's mean joint gain is not the least ({summary}); investigate"
+        )
+    report(10, f"random 3v3, S-PSRO's mean joint gain is the least: {summary} (soft)")

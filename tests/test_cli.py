@@ -216,6 +216,20 @@ class TestGameAndSolve:
         rc = main(["solve", "--game", str(out / "game.json"), "--out", str(tmp_path / "s")])
         assert rc == EXIT_OK
 
+    def test_builtin_game_file_round_trip(self, tmp_path):
+        # a stochastic builtin is written as its spec; verifying through the
+        # file answers as verifying through the spec does
+        spec = "skirmish:w=3,h=3,n=2,H=2"
+        assert main(["game", "--game", spec, "--out", str(tmp_path / "g")]) == EXIT_OK
+        results = []
+        for game, out in ((spec, "by-spec"), (str(tmp_path / "g" / "game.json"), "by-file")):
+            argv = ["verify", "--game", game, "--profile", "all-zeros", "--class", "none"]
+            assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_VERIFY_FAIL
+            result = json.loads(read(tmp_path / out / "verify.json"))
+            del result["wall_clock_seconds"]
+            results.append(result)
+        assert results[0] == results[1]
+
     def test_solve_value(self, tmp_path):
         out = tmp_path / "s"
         main(["solve", "--game", "example1", "--out", str(out)])

@@ -212,6 +212,17 @@ class TestStochasticEvaluation:
         with pytest.raises(EvaluationError, match=refused):
             evaluate(dataclasses.replace(g, exact_bound=widest - 1), p1, p2)
 
+    def test_joint_mix_is_refused(self):
+        # the policy check refuses a joint mix before any pass is walked
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=2))
+        hashed = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        mix = JointMixPolicy.pure((0, 0))
+        message = "joint-mix policies apply to normal-form games only"
+        with pytest.raises(DimensionError, match=message):
+            evaluate(g, mix, hashed)
+        with pytest.raises(DimensionError, match=message):
+            team_value(g, 1, hashed, [(hashed, 0.5), (mix, 0.5)])
+
     def test_exact_bound_below_one_is_refused(self):
         g = random_stochastic_game(seed=0)
         with pytest.raises(ValueError, match="exact bound"):

@@ -519,7 +519,7 @@ class TestBestResponseSharedStochastic:
             best_response_shared(g, opp, 1)
 
 
-@pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared])
+@pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared, sebr])
 @pytest.mark.parametrize(
     "opponent",
     [
@@ -881,6 +881,26 @@ class TestAdvantageDecompose:
         # for team 2, reward is negated: col (1,0) pays R1=3 -> R2=-3, adv -2
         assert terms.sum() == pytest.approx(-2.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "case", ["seven-action-opponent", "three-member-opponent", "three-action-own"]
+    )
+    def test_policies_checked_at_entry(self, case):
+        # each used to fail deep in the computation, with IndexError, zip's
+        # ValueError and numpy's shape mismatch in turn
+        if case == "three-action-own":
+            own = ProductPolicy([IndividualPolicy.uniform(3), IndividualPolicy.uniform(2)])
+            with pytest.raises(DimensionError):
+                advantage_decompose(example1(), own, pure((0, 0)), 1, (0, 0))
+            return
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+        own = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+        if case == "seven-action-opponent":
+            opp = ProductPolicy([HashPolicy(7, 3), HashPolicy(6, 4)])
+        else:
+            opp = ProductPolicy([HashPolicy(6, 3)] * 3)
+        with pytest.raises(DimensionError):
+            advantage_decompose(g, own, opp, 1, (4, 4), obs=g.initial[0][0])
+
 
 class TestSebr:
     def test_anti_coordination_reaches_heterogeneous(self):
@@ -902,6 +922,24 @@ class TestSebr:
         policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
         assert policy.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, policy, pure((0, 0)))
+
+    @pytest.mark.parametrize("normal_form", [True, False], ids=["example1", "skirmish"])
+    @pytest.mark.parametrize("oracle", ["sebr", "individual"])
+    def test_start_checked_at_entry(self, oracle, normal_form):
+        # the start's members are evaluated unchecked, so a start with a
+        # third member is refused before any pass
+        if normal_form:
+            g, opp = example1(), pure((0, 0))
+            start = pure((0, 0, 0), (2, 2, 2))
+        else:
+            g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+            opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
+            start = ProductPolicy([ConstantPolicy(6, 0)] * 3)
+        with pytest.raises(DimensionError, match="has 2 members, policy has 3"):
+            if oracle == "sebr":
+                sebr(g, opp, 1, start=start, restarts=1)
+            else:
+                best_response_individual(g, opp, 1, start)
 
     def test_per_update_monotonicity_normal_form(self):
         for seed in range(30):
