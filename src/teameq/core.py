@@ -12,9 +12,11 @@ across threads.  Evaluation is a pure function of (game, policies).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
+# hashlib.blake2b is this same type, but importing hashlib also maps
+# OpenSSL's libcrypto, which blake2b never uses
+from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -41,9 +43,9 @@ def _check_dist(dist: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(dist, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{what}: expected a 1-d probability vector")
-    if arr.min(initial=0.0) < -DIST_TOL:
-        raise ValueError(f"{what}: negative probability {arr.min()}")
-    if abs(arr.sum() - 1.0) > DIST_TOL:
+    if not arr.min(initial=0.0) >= -DIST_TOL:
+        raise ValueError(f"{what}: negative or NaN probability {arr.min()}")
+    if not abs(arr.sum() - 1.0) <= DIST_TOL:
         raise ValueError(f"{what}: probabilities sum to {arr.sum()!r}, not 1")
     arr = np.clip(arr, 0.0, None)
     arr = arr / arr.sum()
@@ -257,7 +259,7 @@ class HashPolicy:
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
         self.seed = int(seed)
-        self._keyed = hashlib.blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=True))
+        self._keyed = blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=True))
 
     def __reduce__(self):
         return (HashPolicy, (self.n_actions, self.seed))
@@ -390,8 +392,11 @@ def as_mixture(policy) -> list[tuple]:
     if isinstance(policy, (ProductPolicy, JointMixPolicy)):
         return [(policy, 1.0)]
     pairs = [(p, float(w)) for p, w in policy]
+    for _, w in pairs:
+        if not w >= -1e-12:
+            raise ValueError(f"mixture weight {w} is negative or NaN")
     total = sum(w for _, w in pairs)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"mixture weights sum to {total}, not 1")
     return [(p, w) for p, w in pairs if w > 0.0]
 
@@ -500,12 +505,14 @@ class StochasticTeamGame:
             raise ValueError("discount must lie in [0, 1)")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.reward_bound < 0:
-            raise ValueError("reward bound must be nonnegative")
+        if not 0.0 <= self.reward_bound < math.inf:
+            raise ValueError("reward bound must be finite and nonnegative")
         if self.exact_bound < 1:
             raise ValueError("exact bound must be >= 1")
+        if not all(p >= 0.0 for _, p in self.initial):
+            raise ValueError("initial distribution has a negative or NaN probability")
         total = sum(p for _, p in self.initial)
-        if abs(total - 1.0) > DIST_TOL:
+        if not abs(total - 1.0) <= DIST_TOL:
             raise ValueError(f"initial distribution sums to {total}, not 1")
 
     @property
@@ -514,8 +521,16 @@ class StochasticTeamGame:
 
     def successors(self, obs: Obs, joint_action: tuple) -> tuple[tuple[Obs, float], ...]:
         rows = tuple(self.transition(obs, joint_action))
-        total = rows[0][1] if len(rows) == 1 else sum(p for _, p in rows)
-        if abs(total - 1.0) > DIST_TOL:
+        # one successor needs no sign check: the sum check refuses p != 1
+        if len(rows) == 1:
+            total = rows[0][1]
+        elif all(p >= 0.0 for _, p in rows):
+            total = sum(p for _, p in rows)
+        else:
+            raise ValueError(
+                f"transition row for {obs!r}, {joint_action!r} has a negative or NaN probability"
+            )
+        if not abs(total - 1.0) <= DIST_TOL:
             raise ValueError(
                 f"transition row for {obs!r}, {joint_action!r} sums to {total}, not 1"
             )
@@ -523,9 +538,9 @@ class StochasticTeamGame:
 
     def step_reward(self, obs: Obs, joint_action: tuple) -> float:
         r = float(self.reward(obs, joint_action))
-        if abs(r) > self.reward_bound + 1e-9:
+        if not abs(r) <= self.reward_bound + 1e-9:
             raise ValueError(
-                f"reward {r} exceeds the declared bound {self.reward_bound}"
+                f"reward {r} is NaN or exceeds the declared bound {self.reward_bound}"
             )
         return r
 

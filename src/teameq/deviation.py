@@ -13,7 +13,6 @@ specs carry a sample-factor budget on |I| + |C|.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -289,6 +288,9 @@ def _member_tables(member) -> tuple:
 
 def _tables_digest(members) -> str:
     """Short SHA-256 digest of the member policies' tables."""
+    # imported here: hashlib maps OpenSSL, and only a stochastic witness digests
+    import hashlib
+
     data = repr(tuple(_member_tables(m) for m in members))
     return hashlib.sha256(data.encode()).hexdigest()[:12]
 

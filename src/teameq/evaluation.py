@@ -48,7 +48,7 @@ class Candidate:
         w = np.asarray(self.weights, dtype=float)
         if len(self.entries) != len(w):
             raise ValueError("one weight per entry required")
-        if w.min(initial=0.0) < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
+        if not (w.min(initial=0.0) >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must form a probability vector")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 

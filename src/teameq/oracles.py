@@ -17,10 +17,10 @@ only, within the stochastic game's ``exact_bound``.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
+from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,7 @@ _BERNSTEIN_NODE_CAP = 20_000
 
 def subseed(seed: int, name: str) -> int:
     """Stable named sub-stream of a root seed."""
-    digest = hashlib.blake2b(
+    digest = blake2b(
         name.encode(), digest_size=8, key=int(seed).to_bytes(8, "little", signed=True)
     ).digest()
     return int.from_bytes(digest, "little") >> 1

@@ -48,6 +48,7 @@ from teameq.oracles import (
     best_response_shared,
     sebr,
     solve_matrix_maxmin,
+    subseed,
 )
 
 
@@ -996,6 +997,17 @@ class TestDominanceOrdering:
             assert v_joint >= v_seq - 1e-9
             assert v_joint >= v_shared - 1e-9
             assert v_joint >= v_indiv - 1e-9
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.one_of(st.integers(-(2**63), -1), st.integers(0, 2**62), st.integers(2**62, 2**63 - 1)),
+    st.text(max_size=12),
+)
+def test_subseed_is_the_keyed_blake2b(seed, name):
+    key = seed.to_bytes(8, "little", signed=True)
+    digest = hashlib.blake2b(name.encode(), digest_size=8, key=key).digest()
+    assert subseed(seed, name) == int.from_bytes(digest, "little") >> 1
 
 
 def _digest(obj) -> str:
