@@ -405,6 +405,24 @@ def as_mixture(policy) -> list[tuple]:
 # Games
 
 
+def _check_shape(game) -> None:
+    """Check a game's team sizes and action counts, one positive count per
+    member of each nonempty team, and store them on it as int tuples."""
+    sizes = (int(game.team_sizes[0]), int(game.team_sizes[1]))
+    counts = (
+        tuple(int(c) for c in game.action_counts[0]),
+        tuple(int(c) for c in game.action_counts[1]),
+    )
+    if sizes[0] < 1 or sizes[1] < 1:
+        raise ValueError("team sizes must be positive")
+    if len(counts[0]) != sizes[0] or len(counts[1]) != sizes[1]:
+        raise DimensionError("one action count per player required")
+    if any(c < 1 for c in counts[0] + counts[1]):
+        raise ValueError("action counts must be positive")
+    object.__setattr__(game, "team_sizes", sizes)
+    object.__setattr__(game, "action_counts", counts)
+
+
 @dataclass(frozen=True)
 class NormalFormTeamGame:
     """Two-team zero-sum normal-form game.
@@ -420,17 +438,8 @@ class NormalFormTeamGame:
     name: str = ""
 
     def __post_init__(self):
-        sizes = (int(self.team_sizes[0]), int(self.team_sizes[1]))
-        counts = (
-            tuple(int(c) for c in self.action_counts[0]),
-            tuple(int(c) for c in self.action_counts[1]),
-        )
-        if sizes[0] < 1 or sizes[1] < 1:
-            raise ValueError("team sizes must be positive")
-        if len(counts[0]) != sizes[0] or len(counts[1]) != sizes[1]:
-            raise DimensionError("one action count per player required")
-        if any(c < 1 for c in counts[0] + counts[1]):
-            raise ValueError("action counts must be positive")
+        _check_shape(self)
+        counts = self.action_counts
         payoff = np.asarray(self.payoff, dtype=float)
         if payoff.shape != counts[0] + counts[1]:
             raise DimensionError(
@@ -440,8 +449,6 @@ class NormalFormTeamGame:
             raise ValueError("payoff entries must be finite")
         payoff = payoff.copy()
         payoff.setflags(write=False)
-        object.__setattr__(self, "team_sizes", sizes)
-        object.__setattr__(self, "action_counts", counts)
         object.__setattr__(self, "payoff", payoff)
 
     @property
@@ -501,6 +508,7 @@ class StochasticTeamGame:
     exact_bound: int = 10**6
 
     def __post_init__(self):
+        _check_shape(self)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if self.horizon < 1:
@@ -655,21 +663,17 @@ class _StepTable:
     atoms; it builds one table at entry and drops it when it returns, so a
     table holds one call's keys only.  The searching team's members change
     within the call, so their supports are never kept; `_joint_support`'s
-    completion lists are, since they depend on supports only.  The greedy improvement
-    goes one step further for its lookahead: it keeps, per opponent atom
-    and state, apart for the last step, each unit action's successor row
-    and step reward for the whole call, since they do not depend on the
-    unit's own tables.  The
-    table also keeps the last walks of the searching team's members that
-    it is given, with what was computed from them (see `keep_walks`): the
-    next greedy update of the call starts from them instead of walking
-    again.
+    completion lists are, since they depend on supports only.  The greedy
+    improvement goes one step further for its lookahead: it keeps, per
+    opponent atom and state, apart for the last step, each unit action's
+    successor row and step reward for the whole call, since they do not
+    depend on the unit's own tables.
     Single-pass work (`evaluate`, a meta-game cell, the `random` profile
     class) asks the game directly in one value pass: its keys do not
     repeat, so a table would only cost time and memory.
     """
 
-    __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions", "_walks")
+    __slots__ = ("_game", "_rows", "_rewards", "_obs", "_atoms", "_completions")
 
     def __init__(self, game: StochasticTeamGame, atoms=()):
         self._game = game
@@ -680,7 +684,6 @@ class _StepTable:
         # atoms are keyed by identity
         self._atoms: dict = {atom: {} for atom, _ in atoms}
         self._completions: dict = {}
-        self._walks = None
 
     # a first visit is a miss, so a miss must be cheap: .get, not KeyError
 
@@ -709,22 +712,6 @@ class _StepTable:
         """The ``completions`` dict of every `_joint_support` call of this
         oracle call with the same ``team``, ``unit`` and ``unit_actions``."""
         return self._completions.setdefault((team, unit, tuple(unit_actions)), {})
-
-    def keep_walks(self, team: int, members, atoms, walks: list, value: float, on_policy=None):
-        """Keep the walks ``team``'s product of ``members`` made against
-        ``atoms`` (one list per atom, as `_profile_value` records them), its
-        value against the mixture and, when known, each walk's on-policy
-        state values by step; only the latest are kept."""
-        self._walks = ((team, tuple(members), tuple(atoms)), walks, value, on_policy)
-
-    def kept_walks(self, team: int, members, atoms):
-        """``(walks, value, on-policy values or None)`` kept for ``team``,
-        the very same member and atom objects (policies compare by
-        identity) and equal weights, or None."""
-        kept = self._walks
-        if kept is None or kept[0] != (team, tuple(members), tuple(atoms)):
-            return None
-        return kept[1:]
 
     def supports(self, side: int, policy, state: Obs) -> tuple:
         """`_member_supports` of the team policy ``policy`` playing

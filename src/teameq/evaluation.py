@@ -123,15 +123,23 @@ def exploitability_profile(
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
     the sebr oracle (its default 4 restarts, seeded from ``seed``), and
-    Random the uniform product policy.
+    Random the uniform product policy.  Raises ValueError, before any
+    response is computed, when ``classes`` is empty or names a class twice
+    or one outside `CLASS_ORDER`.
     """
+    classes = tuple(classes)
+    if not classes:
+        raise ValueError("no correlation class to profile")
+    for i, name in enumerate(classes):
+        if name not in CLASS_ORDER:
+            raise ValueError(f"unknown correlation class {name!r}")
+        if name in classes[:i]:
+            raise ValueError(f"correlation class {name!r} is given twice")
     opp = 3 - candidate.team
     mix = candidate.mixture()
     counts = game.action_counts[opp - 1]
     results = []
     for name in classes:
-        if name not in CLASS_ORDER:
-            raise ValueError(f"unknown correlation class {name!r}")
         if name == "joint":
             _, reward = best_response_joint(game, mix, opp)
         elif name == "synchronized":

@@ -128,6 +128,8 @@ class SkirmishConfig:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
+        if self.team_size < 1:
+            raise ValueError("team size must be positive")
         if self.width * self.height < 2 * self.team_size:
             raise ValueError("grid too small for both teams")
         if self.horizon < 1:

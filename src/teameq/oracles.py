@@ -384,7 +384,7 @@ def _unit_best_response_exact(
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, unit_actions=None, value=None, steps=None,
+    game, team, unit, own_members, opp_atoms, unit_actions=None, start=None, steps=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -398,18 +398,19 @@ def _unit_improve_weighted(
     The candidate's walks give that value and, once it is kept, the next
     round's walks.  A candidate whose unit members play the current action
     at every key it scored plays the current policy, so its walks would
-    repeat the current ones: when their value cannot pass the guard it is
-    rejected without a walk.  ``value`` is the starting policy's value
-    against the mixture when the caller already holds it.  ``unit_actions``
-    is as in _unit_best_response_exact.  ``steps`` is the calling oracle's
-    step table, with ``opp_atoms`` registered; without one the greedy builds
-    its own.  The first round starts from the walks ``steps`` kept for the
-    same members and atoms (see `_StepTable.keep_walks`), else it walks
-    them, and the greedy keeps the walks of the policy it returns there.
-    Returns (unit members' policies, value, fixed point), where fixed point
-    says the last round rejected its candidate rather than ending at the
-    GREEDY_ROUNDS cap: the greedy run again from its result, before any
-    other member changes, keeps that result.
+    repeat the current ones: it is rejected without a walk.  ``start`` is
+    ``(walks, value, on-policy values or None)`` of ``own_members`` against
+    the atoms when the caller holds them: one walk per atom as
+    `_atoms_value` records them, their value against the mixture and each
+    walk's on-policy state values by step; without it the greedy walks
+    them.  ``unit_actions`` is as in _unit_best_response_exact.  ``steps``
+    is the calling oracle's step table, with ``opp_atoms`` registered;
+    without one the greedy builds its own.  Returns (unit members'
+    policies, value, fixed point, kept), where fixed point says the last
+    round rejected its candidate rather than ending at the GREEDY_ROUNDS
+    cap: the greedy run again from its result, before any other member
+    changes, keeps that result; kept is the ``start`` triple of the
+    returned policy.
     """
     counts = game.action_counts[team - 1]
     if unit_actions is None:
@@ -452,14 +453,10 @@ def _unit_improve_weighted(
         return found
 
     members = list(own_members)
-    start = steps.kept_walks(team, members, opp_atoms)
     if start is None:
-        walks, on_policy = [[] for _ in opp_atoms], None
-        walked = _atoms_value(game, team, members, opp_atoms, steps, walks)
-    else:
-        walks, walked, on_policy = start
-    if value is None:
-        value = walked
+        walks = [[] for _ in opp_atoms]
+        start = walks, _atoms_value(game, team, members, opp_atoms, steps, walks), None
+    walks, value, on_policy = start
     fixed = False
     for _ in range(GREEDY_ROUNDS):
         if on_policy is None:
@@ -498,8 +495,8 @@ def _unit_improve_weighted(
             best_ua = next(ua for ua in unit_actions if row[ua] == best_val)
             for pos, _m in enumerate(unit):
                 tables[pos][key[pos]] = best_ua[pos]
-        # a candidate that plays the current policy would walk to ``walked``
-        if walked <= value + 1e-15 and all(
+        # a candidate that plays the current policy would walk to ``value``
+        if all(
             members[member].support(obs) == ((a, 1.0),)
             for pos, member in enumerate(unit)
             for obs, a in tables[pos].items()
@@ -516,10 +513,8 @@ def _unit_improve_weighted(
         if cand_value <= value + 1e-15:
             fixed = True
             break
-        members, walks, walked, value = candidate, cand_walks, cand_value, cand_value
-        on_policy = None
-    steps.keep_walks(team, members, opp_atoms, walks, walked, on_policy)
-    return [members[m] for m in unit], value, fixed
+        members, walks, value, on_policy = candidate, cand_walks, cand_value, None
+    return [members[m] for m in unit], value, fixed, (walks, value, on_policy)
 
 
 def _unit_best_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
@@ -683,16 +678,20 @@ def _atoms_value(game, team, members, atoms, steps, walks=None) -> float:
     return sum(w * (sign * v) for (_, w), v in zip(atoms, values))
 
 
-def _member_update(game, team, member, members, atoms, current, steps):
+def _member_update(game, team, member, members, atoms, current, steps, start):
     """One member's exact pure best response, switch on strict improvement.
 
-    ``current`` is the team's value before the update.  Returns (policy,
-    changed, value after the update, settled).  Normal-form updates are
+    ``current`` is the team's value before the update and ``start`` the
+    greedy's start triple for ``members`` (see `_unit_improve_weighted`)
+    or None.  Returns (policy, value after the update, settled, kept),
+    where the policy is ``members[member]`` itself unless the member
+    switched, and kept is the greedy's start triple for the members after
+    the update (None off the greedy path).  Normal-form updates are
     closed-form; the stochastic path uses exact backward induction for a
     single opponent atom and the guarded greedy improvement for mixtures,
-    whose value is the kept policy's evaluation.  The other paths evaluate
-    the switched policy once, since the closed-form and DP values can
-    differ from evaluation in the last bits.  ``atoms`` are the opponent's
+    whose value is its result's evaluation.  The other paths evaluate the
+    switched policy once, since the closed-form and DP values can differ
+    from evaluation in the last bits.  ``atoms`` are the opponent's
     checked atoms and ``steps`` the calling oracle's table: their
     `_NormalFormTable` on a normal-form game, else a step table with them
     registered.
@@ -713,27 +712,25 @@ def _member_update(game, team, member, members, atoms, current, steps):
         values = _member_values(steps.tensor, dists, member)
         best = int(np.argmax(values))
         if values[best] <= float(values @ dists[member]):
-            return members[member], False, current, True
+            return members[member], current, True, None
         tables = [IndividualPolicy.deterministic(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], steps=steps
         )
         if value <= current + _dp_slack(current):
-            return members[member], False, current, True
+            return members[member], current, True, None
     else:
-        tables, value, fixed = _unit_improve_weighted(
-            game, team, (member,), tuple(members), atoms, value=current, steps=steps
+        tables, value, fixed, kept = _unit_improve_weighted(
+            game, team, (member,), tuple(members), atoms, start=start, steps=steps
         )
-        if value <= current + 1e-15:
-            return members[member], False, current, True
-        return tables[0], True, value, fixed
+        return tables[0], value, fixed, kept
     updated = list(members)
     updated[member] = tables[0]
     if game.is_normal_form:
-        return tables[0], True, steps.value(updated), True
+        return tables[0], steps.value(updated), True, None
     after = _atoms_value(game, team, updated, atoms, steps)
-    return tables[0], True, after, value <= after + _dp_slack(after)
+    return tables[0], after, value <= after + _dp_slack(after), None
 
 
 def _dp_slack(value: float) -> float:
@@ -1000,14 +997,20 @@ def sebr(
 
     A settled member's update (see `_member_update`) is skipped: it would
     change nothing, and it is traced as an unchanged update.
-    Against a stochastic mixture each start's evaluation keeps its walks
-    on the call's step table, where the first greedy update starts from
-    them.  The opponent's atoms and ``start`` are checked once, here:
-    raises DimensionError when either cannot play for its team.
+    Against a stochastic mixture the loop holds the walks of its current
+    members, from each start's evaluation on, and each greedy update
+    starts from them and hands back those of its result.  The opponent's
+    atoms and ``start`` are checked once, here: raises DimensionError when
+    either cannot play for its team, and ValueError on a negative
+    ``restarts`` or ``max_sweeps``.
     ``trace``, when given, collects one (restart, sweep, member,
     value_before, value_after) tuple per member update, over all restarts:
     the record of the call's member updates.
     """
+    if restarts < 0 or max_sweeps < 0:
+        raise ValueError(
+            f"restart and sweep counts must be nonnegative, got {restarts} and {max_sweeps}"
+        )
     n = game.team_sizes[team - 1]
     if start is not None:
         check_team_policy(game, team, start)
@@ -1022,23 +1025,24 @@ def sebr(
         sebr_starts(game, team, start, restarts, seed)
     ):
         members = list(start_policy.members)
+        kept = None
         if game.is_normal_form:
             value = steps.value(members)
         else:
             walks = [[] for _ in atoms] if len(atoms) > 1 else None
             value = _atoms_value(game, team, members, atoms, steps, walks)
             if walks:
-                steps.keep_walks(team, members, atoms, walks, value)
+                kept = walks, value, None
         settled: set = set()
         for sweep in range(max_sweeps):
             changed = False
             for member in range(n):
                 before = value
                 if member not in settled:
-                    new_member, improved, value, fixed = _member_update(
-                        game, team, member, members, atoms, value, steps
+                    new_member, value, fixed, kept = _member_update(
+                        game, team, member, members, atoms, value, steps, kept
                     )
-                    if improved:
+                    if new_member is not members[member]:
                         members[member] = new_member
                         changed = True
                         settled.clear()

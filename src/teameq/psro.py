@@ -143,7 +143,7 @@ class PsroConfig:
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
     roots SeBR's random streams, the only oracle that reads one, and
     ``sebr_restarts`` is the number of seeded starts the S-PSRO oracle
-    tries besides the incumbent (see `sebr_starts`)."""
+    tries besides the incumbent (see `sebr_starts`), at least 0."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -157,6 +157,8 @@ class PsroConfig:
             raise ValueError(f"oracle must be one of {ORACLES}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if self.sebr_restarts < 0:
+            raise ValueError("sebr_restarts must be nonnegative")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if not self.expand_teams or any(t not in (1, 2) for t in self.expand_teams):

@@ -423,8 +423,24 @@ class TestErrorContract:
             (["eval", "--game", "example1", "--mode", "exploit"], "needs --run or --profile"),
             (["verify", "--game", "example1", "--profile", "missing.json"], "missing file: 'missing.json'"),
             (["verify", "--game", "example1", "--epsilon", "-1"], "epsilon must be finite and nonnegative"),
+            (["psro", "--game", "example1", "--restarts", "-1"], "sebr_restarts must be nonnegative"),
+            (["psro", "--game", "skirmish:n=0,H=2"], "team size must be positive"),
+            (
+                ["eval", "--mode", "exploit", "--game", "example1", "--profile", "all-zeros",
+                 "--classes", ","],
+                "no correlation class",
+            ),
+            (
+                ["eval", "--mode", "exploit", "--game", "example1", "--profile", "all-zeros",
+                 "--classes", "joint,joint"],
+                "'joint' is given twice",
+            ),
         ],
-        ids=["psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile", "verify-epsilon"],
+        ids=[
+            "psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile",
+            "verify-epsilon", "psro-restarts", "skirmish-empty-team", "exploit-no-class",
+            "exploit-class-twice",
+        ],
     )
     def test_refused_runs_write_no_file(self, argv, says, tmp_path, monkeypatch, capsys):
         # inputs are checked and the work done before the first file

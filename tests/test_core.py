@@ -232,6 +232,21 @@ class TestStochasticEvaluation:
         with pytest.raises(DimensionError, match=message):
             team_value(g, 1, hashed, [(hashed, 0.5), (mix, 0.5)])
 
+    @pytest.mark.parametrize(
+        "shape, error, match",
+        [
+            (dict(action_counts=((6,), (6, 6))), DimensionError, "one action count per player"),
+            (dict(team_sizes=(0, 2)), ValueError, "team sizes must be positive"),
+            (dict(action_counts=((6, 0), (6, 6))), ValueError, "action counts must be positive"),
+        ],
+        ids=["count-missing", "team-empty", "count-zero"],
+    )
+    def test_unplayable_shapes_are_refused(self, shape, error, match):
+        # refused when built, not mid-run inside the first oracle
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=2))
+        with pytest.raises(error, match=match):
+            dataclasses.replace(g, **shape)
+
     def test_exact_bound_below_one_is_refused(self):
         g = random_stochastic_game(seed=0)
         with pytest.raises(ValueError, match="exact bound"):

@@ -111,6 +111,17 @@ class TestExploitabilityProfile:
         report = exploitability_profile(g, Candidate.single(1, pure((0, 0))))
         assert tuple(r.class_name for r in report.results) == CLASS_ORDER
 
+    @pytest.mark.parametrize(
+        "classes, match",
+        [((), "no correlation class"), (("joint", "joint"), "'joint' is given twice")],
+        ids=["none", "twice"],
+    )
+    def test_no_class_or_a_class_twice_is_refused(self, classes, match):
+        # an error, not a report with no class column or two joint columns
+        cand = Candidate.single(1, pure((0, 0)))
+        with pytest.raises(ValueError, match=match):
+            exploitability_profile(example1(), cand, classes=classes)
+
 
 class TestRpp:
     def test_identical_populations_zero_on_antisymmetric_game(self):

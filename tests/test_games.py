@@ -130,6 +130,11 @@ class TestGridSkirmish:
         with pytest.raises(ValueError):
             SkirmishConfig(1, 1, 2, horizon=1)
 
+    @pytest.mark.parametrize("team_size", [0, -1])
+    def test_empty_team_is_refused(self, team_size):
+        with pytest.raises(ValueError, match="team size must be positive"):
+            SkirmishConfig(3, 3, team_size, 2)
+
 
 def _geometric_skirmish(cfg):
     """The skirmish callables as written before the board was tabulated:

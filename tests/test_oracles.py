@@ -258,6 +258,12 @@ class TestBestResponseIndividual:
         assert result.pure_joint_action([0, 0]) == (0, 1)
         assert value == team_value(g, 1, result, pure((0, 0)))
 
+    def test_negative_sweeps_are_refused(self):
+        # an error, not a run of no sweeps (0.0 here, against 2.0)
+        g = example1()
+        with pytest.raises(ValueError, match="nonnegative"):
+            best_response_individual(g, pure((0, 0)), 1, pure((0, 1)), sweeps=-1)
+
     def test_value_never_decreases(self):
         for seed in range(20):
             g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=seed)
@@ -720,10 +726,13 @@ class TestStochasticPasses:
 
         monkeypatch.setattr(oracles, "_joint_support", counted_support)
         monkeypatch.setattr(oracles, "_backward", counted_backward)
-        tables, value, fixed = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
+        tables, value, fixed, kept = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
         assert rounds[0] == 6 * len(mix)
         assert len(asked) == len(set(asked)) > 0
         assert (value, fixed) == (2.709875, True)
+        # the result's walks, with the on-policy values of the rejecting round
+        walks, kept_value, on_policy = kept
+        assert len(walks) == len(on_policy) == len(mix) and kept_value == value
         assert _actions_digest(game, 1, ProductPolicy(tables), states) == "112890a05693cc3b"
 
     @pytest.fixture
@@ -741,46 +750,61 @@ class TestStochasticPasses:
 
     def test_greedy_does_not_walk_a_play_identical_candidate(self, walks):
         # from its own result the greedy's first candidate plays the current
-        # tables at every key it scores: only the start walks are made
+        # tables at every key it scores: only the start walks are made, and
+        # none when the result's walks are handed back as the start
         game, _ = _acting_states(4)
         mix = [
             (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
         ]
         zeros = (ConstantPolicy(6, 0), ConstantPolicy(6, 0))
-        tables, value, fixed = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
+        tables, value, fixed, kept = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
         assert (value, fixed) == (2.709875, True)
-        walks[0] = 0
-        again, again_value, again_fixed = oracles._unit_improve_weighted(
-            game, 1, (0, 1), tuple(tables), mix, value=value
-        )
-        assert walks[0] == len(mix)
-        assert all(a is b for a, b in zip(again, tables))
-        assert (again_value, again_fixed) == (value, True)
+        for start, walked in ((None, len(mix)), (kept, 0)):
+            walks[0] = 0
+            again, again_value, again_fixed, again_kept = oracles._unit_improve_weighted(
+                game, 1, (0, 1), tuple(tables), mix, start=start
+            )
+            assert walks[0] == walked
+            assert all(a is b for a, b in zip(again, tables))
+            assert (again_value, again_fixed) == (value, True)
+        assert again_kept == kept
 
     def test_greedy_starts_from_the_walks_of_the_previous_update(self, walks):
-        # member 1's update starts from the walks member 0's update kept on
-        # the shared step table: one walk per atom fewer than a fresh table,
-        # with the same result
+        # member 1's update starts from the walks member 0's update handed
+        # back: one walk per atom fewer than a fresh start, with the same
+        # result
         game, states = _acting_states(4)
         mix = [
             (ProductPolicy([HashPolicy(6, 130 + i), HashPolicy(6, 131 + i)]), 0.5) for i in (0, 1)
         ]
         start = (HashPolicy(6, 7), HashPolicy(6, 8))
         steps = _StepTable(game, mix)
-        first, value, _ = oracles._unit_improve_weighted(
+        first, value, _, handed = oracles._unit_improve_weighted(
             game, 2, (0,), start, mix, steps=steps
         )
+        assert handed[1] == value
         members = (first[0], start[1])
         results = []
-        for table in (steps, _StepTable(game, mix)):
+        for begin, table in ((handed, steps), (None, _StepTable(game, mix))):
             walks[0] = 0
-            tables, got, fixed = oracles._unit_improve_weighted(
-                game, 2, (1,), members, mix, value=value, steps=table
+            tables, got, fixed, _ = oracles._unit_improve_weighted(
+                game, 2, (1,), members, mix, start=begin, steps=table
             )
             digest = _actions_digest(game, 2, ProductPolicy(tables), states)
             results.append((walks[0], got, fixed, digest))
         (kept, *same), (fresh, *fresh_same) = results
         assert kept == fresh - len(mix) and same == fresh_same
+
+    def test_sebr_hands_each_greedy_update_its_start_walks(self, walks):
+        # the hand-off changes no value, so only the pass count shows it:
+        # 20 passes when every greedy update walks its start again
+        game = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        mix = [
+            (ProductPolicy([HashPolicy(6, 11), HashPolicy(6, 12)]), 0.4),
+            (ProductPolicy([HashPolicy(6, 5), HashPolicy(6, 6)]), 0.6),
+        ]
+        sebr(game, mix, 1, restarts=2, seed=3)
+        assert walks[0] == 12
 
     def test_greedy_lookahead_asks_a_successors_row_before_its_reward(self):
         # a pair the lookahead alone reaches, malformed twice: the row's
@@ -924,6 +948,15 @@ class TestSebr:
         assert policy.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, policy, pure((0, 0)))
 
+    @pytest.mark.parametrize(
+        "counts", [{"restarts": -3}, {"max_sweeps": -1}], ids=["restarts", "sweeps"]
+    )
+    def test_negative_counts_are_refused(self, counts):
+        # an error, not a run with the count clipped to 0
+        g = example1()
+        with pytest.raises(ValueError, match="nonnegative"):
+            sebr(g, pure((0, 0)), 1, start=pure((0, 1)), **counts)
+
     @pytest.mark.parametrize("normal_form", [True, False], ids=["example1", "skirmish"])
     @pytest.mark.parametrize("oracle", ["sebr", "individual"])
     def test_start_checked_at_entry(self, oracle, normal_form):
@@ -1054,13 +1087,14 @@ class TestSettledMembers:
 
     @pytest.fixture
     def updates(self, monkeypatch):
-        """The (changed, settled) flags of every `_member_update` call."""
+        """The (changed, settled) flags of every `_member_update` call: a
+        switch returns a new policy object."""
         flags = []
         real = oracles._member_update
 
-        def counted(*args, **kwargs):
-            out = real(*args, **kwargs)
-            flags.append(out[1::2])
+        def counted(game, team, member, members, *args):
+            out = real(game, team, member, members, *args)
+            flags.append((out[0] is not members[member], out[2]))
             return out
 
         monkeypatch.setattr(oracles, "_member_update", counted)

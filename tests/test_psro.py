@@ -207,6 +207,8 @@ class TestRunPsro:
             PsroConfig(oracle="nope")
         with pytest.raises(ValueError):
             PsroConfig(expand_teams=())
+        with pytest.raises(ValueError, match="sebr_restarts"):
+            PsroConfig(sebr_restarts=-1)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
