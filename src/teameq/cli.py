@@ -38,9 +38,9 @@ import time
 from . import __version__
 from .core import (
     ConstantPolicy,
-    IndividualPolicy,
     NormalFormTeamGame,
     ProductPolicy,
+    UniformPolicy,
     game_from_dict,
     game_to_dict,
     policy_from_dict,
@@ -199,9 +199,9 @@ def parse_profile_spec(spec: str, game):
         )
     if label == "uniform":
         if not game.is_normal_form:
-            raise CliError("uniform table profiles are supported for normal form only")
+            raise CliError("uniform profiles are supported for normal form only")
         return tuple(
-            ProductPolicy([IndividualPolicy.uniform(c) for c in game.action_counts[t]])
+            ProductPolicy([UniformPolicy(c) for c in game.action_counts[t]])
             for t in (0, 1)
         )
     if os.path.exists(spec):
@@ -255,6 +255,7 @@ CHOICES = {
     "oracle": ("joint", "shared", "individual", "sebr"),
     "expand": ("both", "1", "2"),
     "mode": ("exploit", "rpp"),
+    "team": (1, 2),
     "format": ("csv", "json-lines"),
 }
 
@@ -276,7 +277,8 @@ def _converter(key: str, default):
         if cast is float and not math.isfinite(value):
             raise CliError(f"{_flag(key)} expects a finite number, got {text!r}")
         if key in CHOICES and value not in CHOICES[key]:
-            raise CliError(f"{_flag(key)} must be one of {', '.join(CHOICES[key])}, got {text!r}")
+            allowed = ", ".join(map(str, CHOICES[key]))
+            raise CliError(f"{_flag(key)} must be one of {allowed}, got {text!r}")
         return value
 
     return convert

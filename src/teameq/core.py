@@ -18,7 +18,7 @@ import math
 # OpenSSL's libcrypto, which blake2b never uses
 from _blake2 import blake2b
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -137,17 +137,6 @@ class IndividualPolicy:
             return dict(fallback._table), dict(fallback._support), fallback._fallback
         return {}, {}, fallback
 
-    @classmethod
-    def deterministic(cls, n_actions: int, action: int, obs_keys: Iterable[Obs] = (NF_OBS,)):
-        if not 0 <= action < n_actions:
-            raise ValueError(f"action {action} outside [0, {n_actions})")
-        return cls.from_actions(n_actions, dict.fromkeys(obs_keys, action))
-
-    @classmethod
-    def uniform(cls, n_actions: int, obs_keys: Iterable[Obs] = (NF_OBS,)):
-        row = np.full(n_actions, 1.0 / n_actions)
-        return cls(n_actions, {o: row for o in obs_keys})
-
     def dist(self, obs: Obs) -> np.ndarray:
         entry = self._table.get(obs)
         if entry is not None:
@@ -183,25 +172,24 @@ class IndividualPolicy:
 
 
 class ConstantPolicy:
-    """Deterministic policy playing one action at every observation.
-
-    Lazy counterpart of a deterministic :class:`IndividualPolicy`: usable on
-    games whose observation space is expensive to enumerate.
+    """Deterministic policy playing one action at every observation, on
+    either game kind.  Every observation shares one read-only row.
     """
 
-    __slots__ = ("n_actions", "action", "_support")
+    __slots__ = ("n_actions", "action", "_row", "_support")
 
     def __init__(self, n_actions: int, action: int):
         if not 0 <= action < n_actions:
             raise ValueError(f"action {action} outside [0, {n_actions})")
         self.n_actions = int(n_actions)
         self.action = int(action)
+        self._row = np.zeros(self.n_actions)
+        self._row[self.action] = 1.0
+        self._row.setflags(write=False)
         self._support = ((self.action, 1.0),)
 
     def dist(self, obs: Obs) -> np.ndarray:
-        row = np.zeros(self.n_actions)
-        row[self.action] = 1.0
-        return row
+        return self._row
 
     def support(self, obs: Obs) -> tuple:
         return self._support
@@ -214,11 +202,8 @@ class ConstantPolicy:
 
 
 class UniformPolicy:
-    """Uniform policy at every observation.
-
-    Lazy counterpart of :meth:`IndividualPolicy.uniform`: usable on games
-    whose observation space is expensive to enumerate.  Every observation
-    shares one read-only row.
+    """Uniform policy at every observation, on either game kind.  Every
+    observation shares one read-only row.
     """
 
     __slots__ = ("n_actions", "_row", "_support")
@@ -300,10 +285,9 @@ class ProductPolicy:
 
     @classmethod
     def pure(cls, actions: Sequence[int], n_actions: Sequence[int]):
-        """Deterministic product policy playing ``actions`` (normal-form)."""
-        return cls(
-            [IndividualPolicy.deterministic(n, a) for a, n in zip(actions, n_actions, strict=True)]
-        )
+        """Deterministic product policy playing ``actions`` at every
+        observation."""
+        return cls([ConstantPolicy(n, a) for a, n in zip(actions, n_actions, strict=True)])
 
     @property
     def n_members(self) -> int:
@@ -374,17 +358,16 @@ class JointMixPolicy:
     def n_members(self) -> int:
         return len(self.atoms[0])
 
+    def pure_joint_action(self, obs_list: Sequence[Obs]) -> tuple | None:
+        """The one atom, or None if the mix has several."""
+        return self.atoms[0] if len(self.atoms) == 1 else None
+
     def __repr__(self):
         pairs = ", ".join(f"{a}: {w:.4g}" for a, w in zip(self.atoms, self.weights))
         return f"JointMixPolicy({{{pairs}}})"
 
 
 _PURE_WEIGHTS = _check_dist([1.0], "joint-mix weights")
-
-TeamPolicy = ProductPolicy | JointMixPolicy
-
-#: A mixture over team policies: sequence of (policy, weight) pairs.
-PolicyMixture = Sequence[tuple]
 
 
 def as_mixture(policy) -> list[tuple]:
@@ -562,8 +545,16 @@ class StochasticTeamGame:
 Game = NormalFormTeamGame | StochasticTeamGame
 
 
+def check_team(team) -> None:
+    """Raise ValueError unless ``team`` is 1 or 2."""
+    if team not in (1, 2):
+        raise ValueError(f"team must be 1 or 2, got {team!r}")
+
+
 def check_team_policy(game: Game, team: int, policy) -> None:
-    """Raise DimensionError when ``policy`` cannot play for ``team``."""
+    """Raise DimensionError when ``policy`` cannot play for ``team``, and
+    ValueError when ``team`` is not 1 or 2."""
+    check_team(team)
     counts = game.action_counts[team - 1]
     if isinstance(policy, ProductPolicy):
         if policy.n_members != len(counts):
@@ -997,8 +988,10 @@ def mixture_value(game: Game, mix1, mix2) -> float:
 def team_value(game: Game, team: int, own, opponent) -> float:
     """Expected reward of ``team`` when it plays ``own`` against ``opponent``.
 
-    Either side may be a policy or a mixture of policies.
+    Either side may be a policy or a mixture of policies.  Raises
+    ValueError when ``team`` is not 1 or 2.
     """
+    check_team(team)
     if team == 1:
         return mixture_value(game, own, opponent)
     return -mixture_value(game, opponent, own)

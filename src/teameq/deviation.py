@@ -20,16 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    NF_OBS,
+    ConstantPolicy,
     DimensionError,
     Game,
     IndividualPolicy,
-    JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
     _members_view,
     _nf_team_value,
     _StepTable,
     as_mixture,
+    check_team,
     check_team_policy,
     team_action_dist,
     team_value,
@@ -108,6 +110,7 @@ class DeviationSpec:
     budget: int | None = None
 
     def __post_init__(self):
+        check_team(self.team)
         if isinstance(self.correlation, NoCorrelation) and self.correlated:
             raise ValueError("no-correlation specs have an empty correlated set")
         if isinstance(self.correlation, PivotFollowers):
@@ -169,11 +172,9 @@ def build_deviation_spec(
             raise ValueError("stochastic deviation sets need the profile's opponent=")
         check_team_policy(game, 3 - team, opponent)
 
-    pure = IndividualPolicy.deterministic
-
     def individual_deviations():
         if game.is_normal_form:
-            return [(m, pure(c, a)) for m, c in enumerate(counts) for a in range(c)]
+            return [(m, ConstantPolicy(c, a)) for m, c in enumerate(counts) for a in range(c)]
         members, atoms = _members_view(candidate), as_mixture(opponent)
         steps = _StepTable(game, atoms)
         return [
@@ -189,7 +190,9 @@ def build_deviation_spec(
         if len(set(counts)) != 1:
             raise DimensionError("pivot-followers requires homogeneous action spaces")
         if game.is_normal_form:
-            shared = [SharedPolicy(pure(counts[0], a), n_members) for a in range(counts[0])]
+            shared = [
+                SharedPolicy(ConstantPolicy(counts[0], a), n_members) for a in range(counts[0])
+            ]
         else:
             shared = [best_response_shared(game, opponent, team)[0]]
         return DeviationSpec(team, correlation, candidate, (), tuple(shared))
@@ -211,12 +214,12 @@ def build_deviation_spec(
         elif remaining > 0:
             exclude = set()
             if isinstance(candidate, ProductPolicy):
-                cand_joint = tuple(m.pure_action(0) for m in candidate.members)
-                if None not in cand_joint:
+                cand_joint = candidate.pure_joint_action((NF_OBS,) * n_members)
+                if cand_joint is not None:
                     exclude.add(cand_joint)
                     for member, pol in indiv:
                         dev = list(cand_joint)
-                        dev[member] = pol.pure_action(0)
+                        dev[member] = pol.pure_action(NF_OBS)
                         exclude.add(tuple(dev))
             pool = [pol for ja, pol in _pure_joint_policies(game, team) if ja not in exclude]
             rng = np.random.default_rng(correlation.seed)
@@ -227,15 +230,6 @@ def build_deviation_spec(
         )
 
     raise TypeError(f"unknown correlation class {correlation!r}")
-
-
-def _pure_joint_action(policy) -> tuple | None:
-    """The joint action a normal-form team policy plays for sure, or None
-    if it mixes."""
-    if isinstance(policy, JointMixPolicy):
-        return policy.atoms[0] if len(policy.atoms) == 1 else None
-    acts = tuple(m.pure_action(0) for m in _members_view(policy))
-    return None if None in acts else acts
 
 
 # Verification -------------------------------------------------------------
@@ -303,13 +297,13 @@ def _witness_for(game, spec, kind, payload, value) -> dict:
     if kind == "individual":
         member, pol = payload
         if game.is_normal_form:
-            return {"kind": "individual", "member": member, "action": pol.pure_action(0)}
+            return {"kind": "individual", "member": member, "action": pol.pure_action(NF_OBS)}
         return {
             "kind": "individual", "member": member,
             "value": float(value), "tables": _tables_digest([pol]),
         }
     if game.is_normal_form:
-        joint = _pure_joint_action(payload)
+        joint = payload.pure_joint_action((NF_OBS,) * payload.n_members)
         return {"kind": "correlated", "joint_action": None if joint is None else list(joint)}
     return {
         "kind": "correlated",

@@ -16,10 +16,10 @@ import numpy as np
 from .core import (
     ConstantPolicy,
     Game,
-    IndividualPolicy,
     ProductPolicy,
     UniformPolicy,
     _nf_team_value,
+    check_team,
     team_action_dist,
     team_value,
 )
@@ -45,6 +45,7 @@ class Candidate:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        check_team(self.team)
         w = np.asarray(self.weights, dtype=float)
         if len(self.entries) != len(w):
             raise ValueError("one weight per entry required")
@@ -103,13 +104,6 @@ class ExploitReport:
         }
 
 
-def _uniform_product(game: Game, team: int) -> ProductPolicy:
-    counts = game.action_counts[team - 1]
-    if game.is_normal_form:
-        return ProductPolicy([IndividualPolicy.uniform(c) for c in counts])
-    return ProductPolicy([UniformPolicy(c) for c in counts])
-
-
 def exploitability_profile(
     game: Game,
     candidate: Candidate,
@@ -155,7 +149,8 @@ def exploitability_profile(
         elif name == "sequential":
             _, reward = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"))
         else:  # random
-            reward = team_value(game, opp, _uniform_product(game, opp), mix)
+            uniform = ProductPolicy([UniformPolicy(c) for c in counts])
+            reward = team_value(game, opp, uniform, mix)
         results.append(ClassResult(name, float(reward)))
     return ExploitReport(candidate_id or "candidate", candidate.team, tuple(results))
 

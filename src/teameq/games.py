@@ -9,6 +9,7 @@ stochastic game, and seeded random games for property tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,11 +229,14 @@ def random_team_game(
     seed: int = 0,
     enumeration_bound: int = ENUMERATION_BOUND,
 ) -> NormalFormTeamGame:
-    """Seeded game with i.i.d. uniform payoffs; reproducible by seed."""
+    """Seeded game with i.i.d. uniform payoffs; reproducible by seed.
+    Raises ValueError on a NaN, infinite or empty payoff range."""
     shape = tuple(action_counts[0]) + tuple(action_counts[1])
     if int(np.prod(shape)) > enumeration_bound:
         raise ValueError(f"payoff table of {np.prod(shape)} cells exceeds the bound")
     lo, hi = payoff_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"payoff range bounds must be finite, got {payoff_range!r}")
     if hi < lo:
         raise ValueError("empty payoff range")
     rng = np.random.default_rng(seed)

@@ -48,6 +48,7 @@ from .core import (
     _nf_team_value,
     _profile_value,
     as_mixture,
+    check_team,
     check_team_policy,
     team_action_dist,
 )
@@ -621,7 +622,9 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
     caller keeps them, as `run_psro` does (see `team_reward_tensor`); the
     result is the same either way.  The joint action is read off the
     argmax's row-major index, not from the list of joint actions.  Raises
-    DimensionError when an opponent atom cannot play for the other team."""
+    DimensionError when an opponent atom cannot play for the other team,
+    and ValueError when ``team`` is not 1 or 2."""
+    check_team(team)
     if game.is_normal_form:
         values = team_reward_tensor(game, team, opponent, dists).ravel()
         idx = int(values.argmax())
@@ -713,7 +716,7 @@ def _member_update(game, team, member, members, atoms, current, steps, start):
         best = int(np.argmax(values))
         if values[best] <= float(values @ dists[member]):
             return members[member], current, True, None
-        tables = [IndividualPolicy.deterministic(len(values), best)]
+        tables = [ConstantPolicy(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], steps=steps
@@ -852,8 +855,10 @@ def best_response_shared(game: Game, opponent, team: int):
     over the unit of all members.  Raises DimensionError when an opponent
     atom cannot play for the other team; beyond the enumeration bound,
     EvaluationError when the members observe differently at a reached
-    state or their observations do not fix the decision stage.
+    state or their observations do not fix the decision stage.  Raises
+    ValueError when ``team`` is not 1 or 2.
     """
+    check_team(team)
     counts = game.action_counts[team - 1]
     if len(set(counts)) != 1:
         raise DimensionError("shared best response requires homogeneous action spaces")
@@ -891,8 +896,10 @@ def advantage_decompose(
     actions, marginalizes later members under the team's own policy, and
     always marginalizes the opponent under its policy.  The terms sum to
     the joint advantage of ``team_action`` exactly.  Raises DimensionError
-    when ``p1`` or ``p2`` cannot play for its team.
+    when ``p1`` or ``p2`` cannot play for its team, and ValueError when
+    ``team`` is not 1 or 2.
     """
+    check_team(team)
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     own = p1 if team == 1 else p2
@@ -1001,12 +1008,13 @@ def sebr(
     members, from each start's evaluation on, and each greedy update
     starts from them and hands back those of its result.  The opponent's
     atoms and ``start`` are checked once, here: raises DimensionError when
-    either cannot play for its team, and ValueError on a negative
-    ``restarts`` or ``max_sweeps``.
+    either cannot play for its team, and ValueError on a ``team`` other
+    than 1 or 2 or a negative ``restarts`` or ``max_sweeps``.
     ``trace``, when given, collects one (restart, sweep, member,
     value_before, value_after) tuple per member update, over all restarts:
     the record of the call's member updates.
     """
+    check_team(team)
     if restarts < 0 or max_sweeps < 0:
         raise ValueError(
             f"restart and sweep counts must be nonnegative, got {restarts} and {max_sweeps}"

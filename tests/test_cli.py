@@ -17,7 +17,14 @@ from teameq.cli import (
     main,
     parse_game_spec,
 )
-from teameq.core import IndividualPolicy, ProductPolicy, policy_to_dict, team_value
+from teameq.core import (
+    ConstantPolicy,
+    IndividualPolicy,
+    ProductPolicy,
+    UniformPolicy,
+    policy_to_dict,
+    team_value,
+)
 from teameq.evaluation import Candidate, cross_payoff_matrix, exploitability_profile
 from teameq.games import example1
 from teameq.psro import PsroConfig, run_psro
@@ -86,7 +93,7 @@ class TestVerifyCommand:
         assert main(argv) == EXIT_VERIFY_FAIL
         game = example1()
         uniform = [
-            ProductPolicy([IndividualPolicy.uniform(c) for c in counts])
+            ProductPolicy([UniformPolicy(c) for c in counts])
             for counts in game.action_counts
         ]
         for t, check in zip((1, 2), json.loads(read(out / "verify.json"))["teams"]):
@@ -96,7 +103,7 @@ class TestVerifyCommand:
             for m, c in enumerate(game.action_counts[t - 1]):
                 for a in range(c):
                     members = list(own.members)
-                    members[m] = IndividualPolicy.deterministic(c, a)
+                    members[m] = ConstantPolicy(c, a)
                     gains.append(team_value(game, t, ProductPolicy(members), opp) - base)
             assert check["max_gain"] == pytest.approx(max(0.0, max(gains)), abs=1e-12)
 
@@ -254,8 +261,8 @@ class TestEvalCommand:
         # a profile file holds both teams' policies; team 2's is the
         # candidate, and the report is the library's profile of it
         game = example1()
-        team1 = ProductPolicy([IndividualPolicy.uniform(2), IndividualPolicy.deterministic(2, 1)])
-        team2 = ProductPolicy([IndividualPolicy(2, {0: [0.25, 0.75]}), IndividualPolicy.deterministic(2, 0)])
+        team1 = ProductPolicy([UniformPolicy(2), ConstantPolicy(2, 1)])
+        team2 = ProductPolicy([IndividualPolicy(2, {0: [0.25, 0.75]}), ConstantPolicy(2, 0)])
         spec = tmp_path / "f.json"
         spec.write_text(json.dumps({"team1": policy_to_dict(team1), "team2": policy_to_dict(team2)}))
         out = tmp_path / "e"
@@ -435,11 +442,24 @@ class TestErrorContract:
                  "--classes", "joint,joint"],
                 "'joint' is given twice",
             ),
+            *(
+                (
+                    ["eval", "--mode", "exploit", "--game", "example1", "--profile", "all-zeros",
+                     "--team", team],
+                    f"--team must be one of 1, 2, got '{team}'",
+                )
+                for team in ("0", "3", "-1")
+            ),
+            *(
+                (["game", "--game", f"random:{bounds}"], "payoff range bounds must be finite")
+                for bounds in ("lo=nan", "hi=inf", "lo=-inf,hi=0")
+            ),
         ],
         ids=[
             "psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile",
             "verify-epsilon", "psro-restarts", "skirmish-empty-team", "exploit-no-class",
-            "exploit-class-twice",
+            "exploit-class-twice", "exploit-team-0", "exploit-team-3", "exploit-team--1",
+            "random-lo-nan", "random-hi-inf", "random-lo-minus-inf",
         ],
     )
     def test_refused_runs_write_no_file(self, argv, says, tmp_path, monkeypatch, capsys):

@@ -33,6 +33,7 @@ from teameq.core import (
     StochasticTeamGame,
     UniformPolicy,
     _nf_team_value,
+    check_team_policy,
     evaluate,
     game_from_dict,
     game_to_dict,
@@ -43,6 +44,7 @@ from teameq.core import (
     team_action_dist,
     team_value,
 )
+from teameq.deviation import DeviationSpec, Joint, build_deviation_spec
 from teameq.evaluation import CLASS_ORDER, Candidate, exploitability_profile
 from teameq.games import (
     SkirmishConfig,
@@ -50,6 +52,13 @@ from teameq.games import (
     grid_skirmish,
     random_stochastic_game,
     random_team_game,
+)
+from teameq.oracles import (
+    advantage_decompose,
+    best_response_individual,
+    best_response_joint,
+    best_response_shared,
+    sebr,
 )
 
 
@@ -119,7 +128,7 @@ class TestNormalFormEvaluation:
         g = NormalFormTeamGame((2, 1), ((2, 3), (2,)), np.zeros((2, 3, 2)))
         with pytest.raises(DimensionError):
             evaluate(
-                g, SharedPolicy(IndividualPolicy.uniform(2), 2), ProductPolicy.pure((0,), (2,))
+                g, SharedPolicy(UniformPolicy(2), 2), ProductPolicy.pure((0,), (2,))
             )
 
 
@@ -131,7 +140,7 @@ class TestProductToJoint:
 
     def test_uniform(self):
         g = example1()
-        p = ProductPolicy([IndividualPolicy.uniform(2), IndividualPolicy.uniform(2)])
+        p = ProductPolicy([UniformPolicy(2), UniformPolicy(2)])
         jm = product_to_joint(p, g, 1)
         assert len(jm.atoms) == 4
         assert np.allclose(jm.weights, 0.25)
@@ -139,7 +148,7 @@ class TestProductToJoint:
     def test_half_pure(self):
         g = example1()
         p = ProductPolicy(
-            [IndividualPolicy(2, {0: [0.5, 0.5]}), IndividualPolicy.deterministic(2, 0)]
+            [IndividualPolicy(2, {0: [0.5, 0.5]}), ConstantPolicy(2, 0)]
         )
         jm = product_to_joint(p, g, 1)
         assert dict(zip(jm.atoms, jm.weights)) == {(0, 0): 0.5, (1, 0): 0.5}
@@ -187,7 +196,7 @@ class TestStochasticEvaluation:
 
     def test_exact_budget_guard(self):
         g = random_stochastic_game(seed=3)
-        p = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
+        p = ProductPolicy([UniformPolicy(2)] * 2)
         with pytest.raises(EvaluationError) as err:
             evaluate(dataclasses.replace(g, exact_bound=2), p, p)
         assert "exact_bound" in str(err.value)
@@ -280,10 +289,23 @@ class TestStochasticEvaluation:
     def test_uniform_policy_matches_uniform_table(self):
         g = random_stochastic_game(seed=4)
         lazy = ProductPolicy([UniformPolicy(2)] * 2)
-        table = ProductPolicy([IndividualPolicy.uniform(2, obs_keys=range(3))] * 2)
+        table = ProductPolicy([IndividualPolicy(2, dict.fromkeys(range(3), [0.5, 0.5]))] * 2)
         assert evaluate(g, lazy, lazy) == pytest.approx(evaluate(g, table, table), abs=1e-12)
         row = UniformPolicy(3).dist("any")
         assert not row.flags.writeable and UniformPolicy(3).pure_action("any") is None
+
+    def test_constant_policy_shares_one_read_only_row(self):
+        policy = ConstantPolicy(3, 1)
+        row = policy.dist(0)
+        assert row is policy.dist("x") and not row.flags.writeable
+        assert row.tolist() == [0.0, 1.0, 0.0]
+
+    def test_pure_product_plays_at_every_state(self):
+        # a pure product used to be a table keyed by the normal-form
+        # observation alone, so the skirmish's first state raised KeyError
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+        stay = ProductPolicy([ConstantPolicy(6, 4)] * 2)
+        assert evaluate(g, ProductPolicy.pure((4, 4), (6, 6)), stay) == 0.0
 
     def test_member_observations_match_per_member_calls(self):
         # under the default full observation every member sees the state,
@@ -338,14 +360,13 @@ class TestValidation:
             entries = [
                 ProductPolicy([
                     IndividualPolicy(2, {0: [i / 64, 1 - i / 64]}),
-                    IndividualPolicy.deterministic(2, i % 2),
+                    ConstantPolicy(2, i % 2),
                 ])
                 for i in range(65)
             ]
-            uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
         else:
             entries = [ProductPolicy([HashPolicy(2, i), HashPolicy(2, i + 100)]) for i in range(65)]
-            uniform = ProductPolicy([UniformPolicy(2)] * 2)
+        uniform = ProductPolicy([UniformPolicy(2)] * 2)
         weights = np.arange(1, 66) / np.arange(1, 66).sum()
         cand = Candidate(1, tuple(entries), tuple(weights))
         report = exploitability_profile(game, cand)
@@ -370,9 +391,36 @@ class TestValidation:
     )
     def test_nan_and_negative_weights_are_refused(self, build):
         g = example1()
-        u = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
+        u = ProductPolicy([UniformPolicy(2)] * 2)
         with pytest.raises(ValueError, match="negative or NaN|weights must form"):
             build(g, u, pure((1, 1)))
+
+    # each used to answer for team 2 (team 0 or 3) or fail with IndexError
+    @pytest.mark.parametrize("team", [0, 3, -1])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g, t, z: check_team_policy(g, t, z),
+            lambda g, t, z: team_value(g, t, z, z),
+            lambda g, t, z: team_action_dist(g, t, z),
+            lambda g, t, z: build_deviation_spec(g, t, z, Joint()),
+            lambda g, t, z: DeviationSpec(t, Joint(), z, (), ()),
+            lambda g, t, z: Candidate(t, (z,), (1.0,)),
+            lambda g, t, z: best_response_joint(g, z, t),
+            lambda g, t, z: best_response_shared(g, z, t),
+            lambda g, t, z: best_response_individual(g, z, t, z),
+            lambda g, t, z: sebr(g, z, t),
+            lambda g, t, z: advantage_decompose(g, z, z, t, (0, 0)),
+        ],
+        ids=[
+            "check_team_policy", "team_value", "team_action_dist", "build_deviation_spec",
+            "DeviationSpec", "Candidate", "best_response_joint", "best_response_shared",
+            "best_response_individual", "sebr", "advantage_decompose",
+        ],
+    )
+    def test_teams_other_than_1_and_2_are_refused(self, entry, team):
+        with pytest.raises(ValueError, match=f"team must be 1 or 2, got {team}"):
+            entry(example1(), team, pure((0, 0)))
 
 
 def _chain(initial=((0, 1.0),), row=lambda s: ((s + 1, 1.0),), reward=0.5, bound=1.0):
@@ -488,7 +536,7 @@ class TestDeterministicTables:
 
     def test_from_actions_matches_validated_table(self):
         actions = {0: 2, "a": 0, (1, (2, 3)): 2, None: 1}
-        fallback = IndividualPolicy.uniform(3, obs_keys=["other"])
+        fallback = IndividualPolicy(3, {"other": np.full(3, 1 / 3)})
         fast = IndividualPolicy.from_actions(3, actions, fallback)
         slow = IndividualPolicy(3, {o: np.eye(3)[a] for o, a in actions.items()}, fallback)
         assert fast.observations() == slow.observations()

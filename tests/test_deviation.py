@@ -129,7 +129,7 @@ class TestBuildDeviationSpec:
                 team=1,
                 correlation=Sequential(sample_factor=SampleFactor(n_init=1)),
                 candidate=pure((0, 0)),
-                individual=((0, IndividualPolicy.deterministic(2, 0)),) * 2,
+                individual=((0, ConstantPolicy(2, 0)),) * 2,
                 correlated=(),
                 budget=1,
             )

@@ -7,10 +7,10 @@ from helpers import lp_maxmin
 from teameq.core import (
     ConstantPolicy,
     HashPolicy,
-    IndividualPolicy,
     JointMixPolicy,
     NormalFormTeamGame,
     ProductPolicy,
+    UniformPolicy,
     evaluate,
     team_value,
 )
@@ -65,7 +65,7 @@ class TestExploitabilityProfile:
         g = example1()
         cand = Candidate.single(1, pure((1, 0)))
         report = exploitability_profile(g, cand, classes=("random",))
-        uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
+        uniform = ProductPolicy([UniformPolicy(2)] * 2)
         expected = -evaluate(g, pure((1, 0)), uniform)
         assert report.result("random").opponent_reward == pytest.approx(expected, abs=1e-12)
 

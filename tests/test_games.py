@@ -1,6 +1,7 @@
 """Built-in game generators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,14 @@ class TestRandomTeamGame:
     def test_degenerate_range(self):
         g = random_team_game((2, 2), ((2, 2), (2, 2)), payoff_range=(0.0, 0.0), seed=1)
         assert np.all(g.payoff == 0.0)
+
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_non_finite_range_is_refused(self, bounds):
+        # numpy used to fail with OverflowError
+        with pytest.raises(ValueError, match="must be finite"):
+            random_team_game((2, 2), ((2, 2), (2, 2)), payoff_range=bounds, seed=1)
 
     def test_shape(self):
         g = random_team_game((2, 2), ((2, 2), (2, 2)), seed=2)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from teameq.cli import main, parse_game_spec
-from teameq.core import IndividualPolicy, ProductPolicy
+from teameq.core import ProductPolicy, UniformPolicy
 from teameq.deviation import Joint, NoCorrelation, build_deviation_spec, verify_equilibrium
 from teameq.evaluation import rpp
 from teameq.games import random_team_game
@@ -119,7 +119,7 @@ VERIFY = {
 def test_verify_at_uniform_profile(spec, klass):
     g = parse_game_spec(spec)
     profile = tuple(
-        ProductPolicy([IndividualPolicy.uniform(c) for c in counts]) for counts in g.action_counts
+        ProductPolicy([UniformPolicy(c) for c in counts]) for counts in g.action_counts
     )
     correlation = NoCorrelation() if klass == "none" else Joint()
     specs = [build_deviation_spec(g, t, profile[t - 1], correlation) for t in (1, 2)]

@@ -336,7 +336,7 @@ class TestBestResponseShared:
         _, _, gap = oracles._bernstein_simplex_max(tensor)
         assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
         pure_best = max(
-            team_value(g, 1, SharedPolicy(IndividualPolicy.deterministic(6, a), 3), opp)
+            team_value(g, 1, SharedPolicy(ConstantPolicy(6, a), 3), opp)
             for a in range(6)
         )
         assert value >= pure_best
@@ -861,7 +861,7 @@ class TestAdvantageDecompose:
         # joint advantage of (1,1): E[R1 | (1,1)] - E[R1] with the mean
         # enumerated over the four outcomes against team-2 (0,0)
         g = example1()
-        uniform = ProductPolicy([IndividualPolicy.uniform(2)] * 2)
+        uniform = ProductPolicy([UniformPolicy(2)] * 2)
         zeros = pure((0, 0))
         outcomes = [evaluate(g, pure(a), zeros) for a in [(0, 0), (0, 1), (1, 0), (1, 1)]]
         expected = outcomes[3] - np.mean(outcomes)
@@ -913,7 +913,7 @@ class TestAdvantageDecompose:
         # each used to fail deep in the computation, with IndexError, zip's
         # ValueError and numpy's shape mismatch in turn
         if case == "three-action-own":
-            own = ProductPolicy([IndividualPolicy.uniform(3), IndividualPolicy.uniform(2)])
+            own = ProductPolicy([UniformPolicy(3), UniformPolicy(2)])
             with pytest.raises(DimensionError):
                 advantage_decompose(example1(), own, pure((0, 0)), 1, (0, 0))
             return
@@ -947,6 +947,21 @@ class TestSebr:
         policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
         assert policy.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, policy, pure((0, 0)))
+
+    def test_switched_members_are_constant_policies(self):
+        # the normal-form update used to switch to a one-entry table
+        start = ProductPolicy([ConstantPolicy(2, 0)] * 2)
+        policy, _ = sebr(anti_coordination(), pure((0, 0)), 1, start=start, restarts=0)
+        assert policy.pure_joint_action([0, 0]) in ((0, 1), (1, 0))
+        assert all(type(m) is ConstantPolicy for m in policy.members)
+
+    def test_pure_start_on_a_stochastic_game(self):
+        # a pure product used to be a table keyed by the normal-form
+        # observation alone, so the start's evaluation raised KeyError
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+        stay = ProductPolicy([ConstantPolicy(6, 4)] * 2)
+        _, value = sebr(g, stay, 1, start=ProductPolicy.pure((4, 4), (6, 6)), restarts=0)
+        assert value == 0.95
 
     @pytest.mark.parametrize(
         "counts", [{"restarts": -3}, {"max_sweeps": -1}], ids=["restarts", "sweeps"]
