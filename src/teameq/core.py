@@ -604,21 +604,17 @@ def _joint_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
     return out
 
 
-def _nf_value(game: NormalFormTeamGame, p1, p2) -> float:
-    d1 = _joint_dist(game, 1, p1)
-    d2 = _joint_dist(game, 2, p2)
-    return float(d1 @ game.matrix() @ d2)
-
-
-def _nf_team_value(matrix: np.ndarray, team: int, own: np.ndarray, opponent: np.ndarray) -> float:
-    """`team_value` of two normal-form team policies from their joint-action
-    distributions ``own`` and ``opponent`` and the game's `matrix`, in its
-    arithmetic: ``(d1 @ M) @ d2`` plus 0.0 (so -0.0 reads 0.0), negated
-    for team 2.  Loops that evaluate one policy against many keep each
-    distribution once and call this instead of `team_value`."""
+def _nf_values(matrix: np.ndarray, team: int, own: np.ndarray, opponents) -> list[float]:
+    """`team_value` of one normal-form team policy against each of several,
+    from their joint-action distributions ``own`` and ``opponents`` and the
+    game's `matrix`, in its arithmetic: ``(d1 @ M) @ d2`` plus 0.0 (so -0.0
+    reads 0.0), negated for team 2.  Every normal-form value is read here;
+    loops that evaluate one policy against many keep each distribution
+    once instead of calling `team_value`."""
     if team == 1:
-        return 0.0 + float(own @ matrix @ opponent)
-    return -(0.0 + float(opponent @ matrix @ own))
+        row = own @ matrix
+        return [0.0 + float(row @ d) for d in opponents]
+    return [-(0.0 + float(d @ matrix @ own)) for d in opponents]
 
 
 def _members_view(policy) -> tuple:
@@ -966,7 +962,8 @@ def evaluate(game: Game, p1, p2) -> float:
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
-        return _nf_value(game, p1, p2)
+        own, opp = _joint_dist(game, 1, p1), _joint_dist(game, 2, p2)
+        return _nf_values(game.matrix(), 1, own, [opp])[0]
     return _profile_value(game, p1, p2)
 
 
@@ -995,6 +992,28 @@ def team_value(game: Game, team: int, own, opponent) -> float:
     if team == 1:
         return mixture_value(game, own, opponent)
     return -mixture_value(game, opponent, own)
+
+
+def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=None):
+    """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
+
+    On a normal-form game each cell is `_nf_values`' arithmetic on two
+    joint-action distributions: B's are built once, A's one row at a time.
+    ``dists_a`` / ``dists_b`` are the entries' distributions when the
+    caller keeps them, as `run_psro` does; they are taken unchecked."""
+    out = np.zeros((len(entries_a), len(entries_b)))
+    if not game.is_normal_form:
+        for i, a in enumerate(entries_a):
+            for j, b in enumerate(entries_b):
+                out[i, j] = team_value(game, 1, a, b)
+        return out
+    matrix = game.matrix()
+    if dists_b is None:
+        dists_b = [team_action_dist(game, 2, b) for b in entries_b]
+    for i, a in enumerate(entries_a):
+        dist_a = team_action_dist(game, 1, a) if dists_a is None else dists_a[i]
+        out[i] = _nf_values(matrix, 1, dist_a, dists_b)
+    return out
 
 
 # ---------------------------------------------------------------------------

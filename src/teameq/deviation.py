@@ -28,7 +28,7 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     _members_view,
-    _nf_team_value,
+    _nf_values,
     _StepTable,
     as_mixture,
     check_team,
@@ -319,7 +319,7 @@ def _values_against(game: Game, team: int, opponent):
         return lambda policy: team_value(game, team, policy, opponent)
     mat = game.matrix()
     opp = team_action_dist(game, 3 - team, opponent)
-    return lambda policy: _nf_team_value(mat, team, team_action_dist(game, team, policy), opp)
+    return lambda policy: _nf_values(mat, team, team_action_dist(game, team, policy), [opp])[0]
 
 
 def verify_equilibrium(
@@ -337,13 +337,24 @@ def verify_equilibrium(
     joint specs this is the correlated-team maxmin check; with
     no-correlation specs it is the Nash check.  A negative, infinite or
     NaN epsilon raises ValueError: it would decide every verdict itself.
+    So do, before any evaluation, no spec, two specs for one team, and a
+    spec whose ``candidate`` is not the profile's policy for its team (the
+    same object): each would leave a team's verdict unchecked.
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     p1, p2 = profile
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
-    spec_map = {s.team: s for s in (specs if isinstance(specs, (list, tuple)) else specs.values())}
+    spec_map = {}
+    for spec in specs if isinstance(specs, (list, tuple)) else specs.values():
+        if spec.team in spec_map:
+            raise ValueError(f"team {spec.team} has two deviation specs")
+        if spec.candidate is not (p1, p2)[spec.team - 1]:
+            raise ValueError(f"team {spec.team}'s spec was built for another candidate")
+        spec_map[spec.team] = spec
+    if not spec_map:
+        raise ValueError("no deviation spec to verify")
     checks = []
     for team in sorted(spec_map):
         spec = spec_map[team]

@@ -18,9 +18,8 @@ from .core import (
     Game,
     ProductPolicy,
     UniformPolicy,
-    _nf_team_value,
     check_team,
-    team_action_dist,
+    cross_payoff_matrix,
     team_value,
 )
 from .oracles import (
@@ -153,25 +152,6 @@ def exploitability_profile(
             reward = team_value(game, opp, uniform, mix)
         results.append(ClassResult(name, float(reward)))
     return ExploitReport(candidate_id or "candidate", candidate.team, tuple(results))
-
-
-def cross_payoff_matrix(game: Game, entries_a, entries_b):
-    """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
-    On a normal-form game each entry's joint-action distribution is built
-    once and every cell is `team_value`'s arithmetic on two of them."""
-    out = np.zeros((len(entries_a), len(entries_b)))
-    if game.is_normal_form:
-        mat = game.matrix()
-        dists_b = [team_action_dist(game, 2, b) for b in entries_b]
-        for i, a in enumerate(entries_a):
-            dist_a = team_action_dist(game, 1, a)
-            for j, dist_b in enumerate(dists_b):
-                out[i, j] = _nf_team_value(mat, 1, dist_a, dist_b)
-        return out
-    for i, a in enumerate(entries_a):
-        for j, b in enumerate(entries_b):
-            out[i, j] = team_value(game, 1, a, b)
-    return out
 
 
 def rpp(game: Game, pop_a, pop_b, tol: float = 1e-6) -> float:

@@ -45,7 +45,7 @@ from .core import (
     _joint_dist,
     _joint_support,
     _members_view,
-    _nf_team_value,
+    _nf_values,
     _profile_value,
     as_mixture,
     check_team,
@@ -272,10 +272,8 @@ class _NormalFormTable:
         """Value of the product of ``members``, which the caller has
         checked, against the atoms, summed in `team_value`'s arithmetic."""
         own = _joint_dist(self._game, self._team, ProductPolicy(members))
-        return sum(
-            w * _nf_team_value(self.matrix, self._team, own, d)
-            for (_, w), d in zip(self._atoms, self.atom_dists)
-        )
+        values = _nf_values(self.matrix, self._team, own, self.atom_dists)
+        return sum(w * v for (_, w), v in zip(self._atoms, values))
 
 
 def _contract(tensor: np.ndarray, dists: list, fixed: dict) -> float:
@@ -897,9 +895,15 @@ def advantage_decompose(
     always marginalizes the opponent under its policy.  The terms sum to
     the joint advantage of ``team_action`` exactly.  Raises DimensionError
     when ``p1`` or ``p2`` cannot play for its team, and ValueError when
-    ``team`` is not 1 or 2.
+    ``team`` is not 1 or 2 or ``team_action`` is not one of its joint
+    actions (one integer action in ``[0, count)`` per member).
     """
     check_team(team)
+    counts = game.action_counts[team - 1]
+    if len(team_action) != len(counts) or not all(
+        a in range(c) for a, c in zip(team_action, counts)
+    ):
+        raise ValueError(f"{tuple(team_action)} is not a joint action of team {team}")
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     own = p1 if team == 1 else p2

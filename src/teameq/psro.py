@@ -19,8 +19,8 @@ from .core import (
     ConstantPolicy,
     Game,
     ProductPolicy,
-    _nf_team_value,
     check_team_policy,
+    cross_payoff_matrix,
     team_action_dist,
     team_value,
 )
@@ -84,27 +84,15 @@ def initial_population(game: Game) -> Population:
 def _new_line(game, team, entry, pop, dists=None):
     """The meta row (team 1) or column (team 2) the entry would add, and on
     a normal-form game the entry's joint-action distribution (else None).
-
-    On a normal-form game each cell is `team_value`'s arithmetic on the two
-    distributions, so the entry is checked once.  ``dists`` maps each team
-    to its entries' distributions when the caller keeps them, as `run_psro`
-    does; otherwise the opponents' are built here."""
-    opponents = pop.team2 if team == 1 else pop.team1
-    if not game.is_normal_form:
-        if team == 1:
-            return np.array([team_value(game, 1, entry, o) for o in opponents]), None
-        return np.array([team_value(game, 1, o, entry) for o in opponents]), None
-    mat = game.matrix()
-    dist = team_action_dist(game, team, entry)
-    if dists is None:
-        opp_dists = [team_action_dist(game, 3 - team, o) for o in opponents]
-    else:
-        opp_dists = dists[3 - team]
+    ``dists`` maps each team to its entries' distributions when the caller
+    keeps them, as `run_psro` does; otherwise the opponents' are built by
+    `cross_payoff_matrix`."""
+    dist = team_action_dist(game, team, entry) if game.is_normal_form else None
+    own = None if dist is None else [dist]
+    opp = None if dists is None else dists[3 - team]
     if team == 1:
-        # `_nf_team_value`'s (own @ matrix) @ opponent, with own @ matrix taken once
-        row = dist @ mat
-        return np.array([0.0 + float(row @ d) for d in opp_dists]), dist
-    return np.array([_nf_team_value(mat, 1, d, dist) for d in opp_dists]), dist
+        return cross_payoff_matrix(game, (entry,), pop.team2, own, opp)[0], dist
+    return cross_payoff_matrix(game, pop.team1, (entry,), opp, own)[:, 0], dist
 
 
 def extend_population(
@@ -234,8 +222,6 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
 
 
 def _is_duplicate(line: np.ndarray, existing: np.ndarray) -> bool:
-    if existing.size == 0:
-        return False
     gaps = np.maximum.reduce(np.abs(existing - line), axis=1)
     return bool(np.logical_or.reduce(gaps <= _DUPLICATE_TOL))
 

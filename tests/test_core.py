@@ -32,7 +32,7 @@ from teameq.core import (
     SharedPolicy,
     StochasticTeamGame,
     UniformPolicy,
-    _nf_team_value,
+    _nf_values,
     check_team_policy,
     evaluate,
     game_from_dict,
@@ -119,7 +119,7 @@ class TestNormalFormEvaluation:
             j2 = JointMixPolicy([(0, 2), (1, 0)], [0.3, 0.7])
             for team, own, opp in ((1, p1, p2), (1, p1, j2), (2, p2, p1), (2, j2, p1)):
                 dists = team_action_dist(g, team, own), team_action_dist(g, 3 - team, opp)
-                got = _nf_team_value(g.matrix(), team, *dists)
+                got = _nf_values(g.matrix(), team, dists[0], [dists[1]])[0]
                 assert repr(got) == repr(team_value(g, team, own, opp))
         with pytest.raises(DimensionError):
             team_action_dist(g, 1, ProductPolicy.pure((0,), (2,)))

@@ -246,6 +246,30 @@ class TestVerifyEquilibrium:
             verify_equilibrium(g, profile, specs, epsilon=epsilon)
         assert verify_equilibrium(g, profile, specs, epsilon=0.0).passed
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("team-twice", "team 1 has two deviation specs"),
+            ("no-spec", "no deviation spec"),
+            ("other-candidate", "built for another candidate"),
+        ],
+    )
+    def test_unchecked_teams_are_refused(self, case, message):
+        # the joint spec's gain of 1.0 used to be dropped for the Nash spec
+        # after it, and no spec or another candidate's spec read PASS
+        g = example1()
+        zeros = pure((0, 0))
+        specs = {
+            "team-twice": [
+                build_deviation_spec(g, 1, zeros, Joint()),
+                build_deviation_spec(g, 1, zeros, NoCorrelation()),
+            ],
+            "no-spec": [],
+            "other-candidate": [build_deviation_spec(g, 1, pure((1, 1)), Joint())],
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            verify_equilibrium(g, (zeros, zeros), specs)
+
     def test_ctme_mix_passes_joint(self):
         # the CTME profile comes from the independent LP oracle
         g = example1()

@@ -12,6 +12,7 @@ from teameq.core import (
     ProductPolicy,
     UniformPolicy,
     evaluate,
+    team_action_dist,
     team_value,
 )
 from teameq.evaluation import (
@@ -172,6 +173,26 @@ class TestRpp:
                 assert matrix[i, j] == team_value(g, 1, a, b)
         lp_val, _ = lp_maxmin(matrix)
         assert rpp(g, pop_a, pop_b) == pytest.approx(lp_val, abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["normal-form", "stochastic"])
+    def test_meta_matrix_is_the_cross_payoff_table(self, kind):
+        # run_psro builds its meta lines with this builder, from its kept
+        # distributions on normal form, so rebuilding the table with or
+        # without them gives the run's matrix bit for bit
+        if kind == "normal-form":
+            g, cfg = example1(), PsroConfig(oracle="joint")
+        else:
+            g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+            cfg = PsroConfig(oracle="sebr", max_iterations=3)
+        pop = run_psro(g, cfg).population
+        assert len(pop.team1) > 1 and len(pop.team2) > 1
+        tables = [cross_payoff_matrix(g, pop.team1, pop.team2)]
+        if kind == "normal-form":
+            dists_a = [team_action_dist(g, 1, a) for a in pop.team1]
+            dists_b = [team_action_dist(g, 2, b) for b in pop.team2]
+            tables.append(cross_payoff_matrix(g, pop.team1, pop.team2, dists_a, dists_b))
+        for table in tables:
+            assert table.tobytes() == pop.payoffs.tobytes()
 
     def test_empty_population_rejected(self):
         g = example1()

@@ -926,6 +926,25 @@ class TestAdvantageDecompose:
         with pytest.raises(DimensionError):
             advantage_decompose(g, own, opp, 1, (4, 4), obs=g.initial[0][0])
 
+    @pytest.mark.parametrize("kind", ["normal-form", "stochastic"])
+    @pytest.mark.parametrize("case", ["negative", "count", "fraction", "short", "long"])
+    def test_team_action_checked_at_entry(self, kind, case):
+        # numpy read -1 as the last action, 0.5 was cut to 0 and the extra
+        # entry went unread; an action at the count and a short tuple raised
+        # IndexError
+        if kind == "normal-form":
+            g, obs, p = example1(), None, pure((0, 0))
+        else:
+            g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
+            obs, p = g.initial[0][0], ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        count = g.action_counts[0][0]
+        action = {
+            "negative": (-1, 0), "count": (count, 0), "fraction": (0.5, 0),
+            "short": (0,), "long": (0, 0, 1),
+        }
+        with pytest.raises(ValueError, match="is not a joint action of team 1"):
+            advantage_decompose(g, p, p, 1, action[case], obs=obs)
+
 
 class TestSebr:
     def test_anti_coordination_reaches_heterogeneous(self):

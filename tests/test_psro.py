@@ -121,6 +121,20 @@ class TestRunPsro:
         run_psro(example1(), PsroConfig(oracle="sebr", max_iterations=3, sebr_restarts=1))
         assert restarts and set(restarts) == {1}
 
+    def test_duplicate_responses_are_not_appended(self, monkeypatch):
+        # each team's oracle hands back its seed entry with a gain above tol:
+        # both new lines equal existing ones only if oriented as the matrix is
+        import teameq.psro as psro_module
+
+        def seed_entry(game, team, pop, *args, **kwargs):
+            return pop.entries(team)[0], 10.0
+
+        monkeypatch.setattr(psro_module, "_oracle_response", seed_entry)
+        result = run_psro(example1(), PsroConfig(oracle="joint"))
+        assert (result.iterations, result.converged) == (1, False)
+        assert (len(result.population.team1), len(result.population.team2)) == (1, 1)
+        assert result.history[0].br_gain_1 > 0 and result.history[0].br_gain_2 > 0
+
     def test_br_gain_nonnegative(self):
         for oracle in ("joint", "sebr", "individual", "shared"):
             for seed in range(5):
