@@ -3,17 +3,15 @@
 A deviation spec collects, for one team and one equilibrium candidate, the
 individual deviation set I (one member changes, teammates stay at the
 candidate) and the correlated deviation set C (coordinated team changes).
-On a normal-form game the sets enumerate pure deviations.  On a stochastic
-game they are the oracles' exact best responses to the profile's other
-side, so they are specific to that profile.
+Both hold the oracles' best responses to the profile's other side, so a
+spec is specific to that profile; sequential specs instead carry a seeded
+sample within a sample-factor budget on |I| + |C|.
 With joint-correlation specs the verification is the full correlated-team
-maxmin check; with no-correlation specs it is the Nash check; sequential
-specs carry a sample-factor budget on |I| + |C|.
+maxmin check; with no-correlation specs it is the Nash check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,17 +26,22 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     _members_view,
-    _nf_values,
     _StepTable,
     as_mixture,
     check_team,
     check_team_policy,
-    team_action_dist,
     team_value,
 )
-from .oracles import _table_search, best_response_joint, best_response_shared, sebr_starts
+from .oracles import (
+    _member_values,
+    _table_search,
+    best_response_joint,
+    best_response_shared,
+    sebr_starts,
+    team_reward_tensor,
+)
 
-JOINT_POLICY_BOUND = 10**6  # pure team joint policies a spec may enumerate
+JOINT_POLICY_BOUND = 10**6  # pure team joint actions a sequential spec may sample from
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,10 @@ class Sequential:
     seed: int = 0
     name = "sequential"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"sequential seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class Joint:
@@ -98,8 +105,9 @@ class DeviationSpec:
     """Deviation policy space of one team against a fixed candidate.
 
     ``individual`` holds (member, replacement policy) pairs with teammates
-    fixed at the candidate; ``correlated`` holds whole team policies.  On a
-    stochastic game both hold best responses to the profile's other side.
+    fixed at the candidate; ``correlated`` holds whole team policies.  Both
+    hold best responses to the profile's other side, except a sequential
+    spec's seeded sample.
     """
 
     team: int
@@ -127,18 +135,6 @@ class DeviationSpec:
         return self.correlation.name
 
 
-def _pure_joint_policies(game: Game, team: int):
-    """Each pure joint action of a normal-form team with its pure product."""
-    counts = game.action_counts[team - 1]
-    total = int(np.prod(counts))
-    if total > JOINT_POLICY_BOUND:
-        raise ValueError(f"{total} pure joint policies exceed the bound {JOINT_POLICY_BOUND}")
-    return [
-        (joint, ProductPolicy.pure(joint, counts))
-        for joint in itertools.product(*(range(c) for c in counts))
-    ]
-
-
 def build_deviation_spec(
     game: Game,
     team: int,
@@ -147,35 +143,37 @@ def build_deviation_spec(
     *,
     opponent=None,
 ) -> DeviationSpec:
-    """Construct the deviation space of ``team`` for one correlation class.
-
-    Normal form, by enumeration of pure deviations:
-    - NoCorrelation: I = every pure unilateral deviation, C empty.
-    - PivotFollowers: C = one shared policy per pure action, I empty.
-    - Joint: C = every pure team joint action.
-    - Sequential: a seeded subset of the union, at most the sample
-      factor's ``n_init`` policies, individual deviations first, then joint
-      actions sampled without replacement.
-
-    Stochastic, by exact best responses to ``opponent``, the profile's
-    other side (required there, not read on normal form), so the sets are
-    specific to the profile: I holds one `oracles._table_search` table per
-    member with its teammates at the candidate, pivot C
-    `best_response_shared`, joint C `best_response_joint`; Sequential takes
-    the member tables, then `sebr_starts`' seeded deterministic products.
+    """Construct the deviation space of ``team`` for one correlation class:
+    the oracles' best responses to ``opponent``, the profile's other side
+    (required), so the sets are specific to the profile.
+    - NoCorrelation: I = each member's best response with its teammates at
+      the candidate (normal form: its first best pure action, SeBR's
+      closed-form update; stochastic: its `oracles._table_search` table).
+    - PivotFollowers: C = the best pure shared policy (normal form: the
+      first best diagonal joint action; stochastic: `best_response_shared`).
+    - Joint: C = `best_response_joint`'s policy.
+    - Sequential: a seeded sample of at most the sample factor's ``n_init``
+      policies: every pure unilateral deviation (normal form) or the
+      NoCorrelation tables (stochastic) first, then pure joint actions drawn
+      without replacement or `sebr_starts`' seeded deterministic products.
     """
     check_team_policy(game, team, candidate)
+    if opponent is None:
+        raise ValueError("a deviation spec needs the profile's other side as opponent=")
+    check_team_policy(game, 3 - team, opponent)
     n_members = game.team_sizes[team - 1]
     counts = game.action_counts[team - 1]
-    if not game.is_normal_form:
-        if opponent is None:
-            raise ValueError("stochastic deviation sets need the profile's opponent=")
-        check_team_policy(game, 3 - team, opponent)
 
-    def individual_deviations():
+    def best_member_deviations():
+        members = _members_view(candidate)
         if game.is_normal_form:
-            return [(m, ConstantPolicy(c, a)) for m, c in enumerate(counts) for a in range(c)]
-        members, atoms = _members_view(candidate), as_mixture(opponent)
+            tensor = team_reward_tensor(game, team, opponent)
+            dists = [m.dist(NF_OBS) for m in members]
+            return [
+                (m, ConstantPolicy(c, int(np.argmax(_member_values(tensor, dists, m)))))
+                for m, c in enumerate(counts)
+            ]
+        atoms = as_mixture(opponent)
         steps = _StepTable(game, atoms)
         return [
             (m, _table_search(game, team, (m,), members, atoms, steps)[0])
@@ -183,35 +181,38 @@ def build_deviation_spec(
         ]
 
     if isinstance(correlation, NoCorrelation):
-        _members_view(candidate)  # must be distributed
-        return DeviationSpec(team, correlation, candidate, tuple(individual_deviations()), ())
+        return DeviationSpec(team, correlation, candidate, tuple(best_member_deviations()), ())
 
     if isinstance(correlation, PivotFollowers):
         if len(set(counts)) != 1:
             raise DimensionError("pivot-followers requires homogeneous action spaces")
         if game.is_normal_form:
-            shared = [
-                SharedPolicy(ConstantPolicy(counts[0], a), n_members) for a in range(counts[0])
-            ]
+            tensor = team_reward_tensor(game, team, opponent)
+            best = int(np.argmax(tensor[(np.arange(counts[0]),) * n_members]))
+            shared = SharedPolicy(ConstantPolicy(counts[0], best), n_members)
         else:
-            shared = [best_response_shared(game, opponent, team)[0]]
-        return DeviationSpec(team, correlation, candidate, (), tuple(shared))
+            shared = best_response_shared(game, opponent, team)[0]
+        return DeviationSpec(team, correlation, candidate, (), (shared,))
 
     if isinstance(correlation, Joint):
-        if game.is_normal_form:
-            joints = [pol for _, pol in _pure_joint_policies(game, team)]
-        else:
-            joints = [best_response_joint(game, opponent, team)[0]]
-        return DeviationSpec(team, correlation, candidate, (), tuple(joints))
+        joint = best_response_joint(game, opponent, team)[0]
+        return DeviationSpec(team, correlation, candidate, (), (joint,))
 
     if isinstance(correlation, Sequential):
         budget = sample_budget(correlation.sample_factor, 0, 0)
-        indiv = individual_deviations()[:budget]
+        if game.is_normal_form:
+            indiv = [(m, ConstantPolicy(c, a)) for m, c in enumerate(counts) for a in range(c)]
+        else:
+            indiv = best_member_deviations()
+        indiv = indiv[:budget]
         remaining = budget - len(indiv)
         correlated: list = []
         if remaining > 0 and not game.is_normal_form:
             correlated = sebr_starts(game, team, None, remaining, correlation.seed)
         elif remaining > 0:
+            total = game.joint_count(team)
+            if total > JOINT_POLICY_BOUND:
+                raise ValueError(f"{total} joint actions exceed the bound {JOINT_POLICY_BOUND}")
             exclude = set()
             if isinstance(candidate, ProductPolicy):
                 cand_joint = candidate.pure_joint_action((NF_OBS,) * n_members)
@@ -221,10 +222,10 @@ def build_deviation_spec(
                         dev = list(cand_joint)
                         dev[member] = pol.pure_action(NF_OBS)
                         exclude.add(tuple(dev))
-            pool = [pol for ja, pol in _pure_joint_policies(game, team) if ja not in exclude]
+            pool = [ja for ja in game.joint_actions(team) if ja not in exclude]
             rng = np.random.default_rng(correlation.seed)
             idx = rng.choice(len(pool), size=min(remaining, len(pool)), replace=False)
-            correlated = [pool[i] for i in idx]
+            correlated = [ProductPolicy.pure(pool[i], counts) for i in idx]
         return DeviationSpec(
             team, correlation, candidate, tuple(indiv), tuple(correlated), budget=budget
         )
@@ -311,17 +312,6 @@ def _witness_for(game, spec, kind, payload, value) -> dict:
     }
 
 
-def _values_against(game: Game, team: int, opponent):
-    """``team``'s `team_value` of a policy against the fixed ``opponent``,
-    as a function of the policy.  On a normal-form game it builds the
-    opponent's joint-action distribution once and each policy's once."""
-    if not game.is_normal_form:
-        return lambda policy: team_value(game, team, policy, opponent)
-    mat = game.matrix()
-    opp = team_action_dist(game, 3 - team, opponent)
-    return lambda policy: _nf_values(mat, team, team_action_dist(game, team, policy), [opp])[0]
-
-
 def verify_equilibrium(
     game: Game,
     profile: tuple,
@@ -358,9 +348,8 @@ def verify_equilibrium(
     checks = []
     for team in sorted(spec_map):
         spec = spec_map[team]
-        own = p1 if team == 1 else p2
-        value_of = _values_against(game, team, p2 if team == 1 else p1)
-        base = value_of(own)
+        own, opponent = (p1, p2) if team == 1 else (p2, p1)
+        base = team_value(game, team, own, opponent)
         best_gain, best_witness = -math.inf, {}
         deviations = []
         if spec.individual:
@@ -374,7 +363,7 @@ def verify_equilibrium(
         if not deviations:
             best_gain, best_witness = 0.0, {"kind": "none"}
         for kind, payload, dev_policy in deviations:
-            value = value_of(dev_policy)
+            value = team_value(game, team, dev_policy, opponent)
             gain = value - base
             if gain > best_gain:
                 best_gain = gain

@@ -51,12 +51,18 @@ def test_criterion_1_example1_ground_truth():
     assert evaluate(g, *zeros) == 1.0
     assert evaluate(g, pure((1, 1)), pure((0, 0))) == 2.0
 
-    nc_specs = [build_deviation_spec(g, t, zeros[t - 1], NoCorrelation()) for t in (1, 2)]
+    nc_specs = [
+        build_deviation_spec(g, t, zeros[t - 1], NoCorrelation(), opponent=zeros[2 - t])
+        for t in (1, 2)
+    ]
     nc = verify_equilibrium(g, zeros, nc_specs, epsilon=1e-9)
     assert nc.passed
     assert all(abs(c.max_gain) <= 1e-9 for c in nc.checks)
 
-    joint_specs = [build_deviation_spec(g, t, zeros[t - 1], Joint()) for t in (1, 2)]
+    joint_specs = [
+        build_deviation_spec(g, t, zeros[t - 1], Joint(), opponent=zeros[2 - t])
+        for t in (1, 2)
+    ]
     joint = verify_equilibrium(g, zeros, joint_specs, epsilon=1e-9)
     assert not joint.passed
     team1 = joint.checks[0]

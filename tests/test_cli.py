@@ -454,12 +454,20 @@ class TestErrorContract:
                 (["game", "--game", f"random:{bounds}"], "payoff range bounds must be finite")
                 for bounds in ("lo=nan", "hi=inf", "lo=-inf,hi=0")
             ),
+            *(
+                (
+                    ["verify", "--game", game, "--class", "sequential", "--seed", "-1"],
+                    "sequential seed must be nonnegative, got -1",
+                )
+                for game in ("example1", "skirmish:w=3,h=3,n=2,H=1")
+            ),
         ],
         ids=[
             "psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile",
             "verify-epsilon", "psro-restarts", "skirmish-empty-team", "exploit-no-class",
             "exploit-class-twice", "exploit-team-0", "exploit-team-3", "exploit-team--1",
             "random-lo-nan", "random-hi-inf", "random-lo-minus-inf",
+            "verify-seed-normal-form", "verify-seed-stochastic",
         ],
     )
     def test_refused_runs_write_no_file(self, argv, says, tmp_path, monkeypatch, capsys):

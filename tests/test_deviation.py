@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import lp_maxmin
+from teameq.cli import parse_game_spec
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
@@ -18,6 +19,7 @@ from teameq.core import (
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
+    UniformPolicy,
     team_value,
 )
 from teameq.deviation import (
@@ -32,6 +34,7 @@ from teameq.deviation import (
     sample_budget,
     verify_equilibrium,
 )
+from teameq.evaluation import Candidate, exploitability_profile
 from teameq.games import (
     SkirmishConfig,
     anti_coordination,
@@ -83,29 +86,43 @@ class TestSampleBudget:
 
 class TestBuildDeviationSpec:
     def test_no_correlation_counts(self):
+        # one deviation per member: its first best pure action with the
+        # teammate at the candidate
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), NoCorrelation())
-        assert len(spec.individual) == 4  # 2 + 2 pure deviations
+        zeros = pure((0, 0))
+        spec = build_deviation_spec(g, 1, zeros, NoCorrelation(), opponent=zeros)
         assert spec.correlated == ()
+        assert [m for m, _ in spec.individual] == [0, 1]
+        for member, pol in spec.individual:
+            values = [
+                team_value(g, 1, pure((a, 0) if member == 0 else (0, a)), zeros) for a in (0, 1)
+            ]
+            assert pol.pure_action(NF_OBS) == int(np.argmax(values))
 
     def test_joint_counts(self):
+        # one deviation: the joint oracle's policy
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), Joint())
-        assert len(spec.correlated) == 4
+        zeros = pure((0, 0))
+        spec = build_deviation_spec(g, 1, zeros, Joint(), opponent=zeros)
         assert spec.individual == ()
+        assert repr(spec.correlated) == repr((best_response_joint(g, zeros, 1)[0],))
 
     def test_pivot_followers_shared_form(self):
+        # one shared policy: the first best diagonal joint action
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers())
+        zeros = pure((0, 0))
+        spec = build_deviation_spec(g, 1, zeros, PivotFollowers(), opponent=zeros)
         assert spec.individual == ()
-        assert all(isinstance(p, SharedPolicy) for p in spec.correlated)
-        assert len(spec.correlated) == 2
+        (shared,) = spec.correlated
+        assert isinstance(shared, SharedPolicy)
+        values = [team_value(g, 1, pure((a, a)), zeros) for a in (0, 1)]
+        assert shared.pure_joint_action((NF_OBS,) * 2) == (int(np.argmax(values)),) * 2
 
     def test_sequential_budget_and_reproducibility(self):
         g = example1()
         corr = Sequential(sample_factor=SampleFactor(n_init=3), seed=17)
-        spec1 = build_deviation_spec(g, 1, pure((0, 0)), corr)
-        spec2 = build_deviation_spec(g, 1, pure((0, 0)), corr)
+        spec1 = build_deviation_spec(g, 1, pure((0, 0)), corr, opponent=pure((0, 0)))
+        spec2 = build_deviation_spec(g, 1, pure((0, 0)), corr, opponent=pure((0, 0)))
         assert len(spec1.individual) + len(spec1.correlated) == 3
 
         def fingerprint(spec):
@@ -118,7 +135,7 @@ class TestBuildDeviationSpec:
     def test_sequential_fills_with_joints(self):
         g = example1()
         corr = Sequential(sample_factor=SampleFactor(n_init=5), seed=2)
-        spec = build_deviation_spec(g, 1, pure((0, 0)), corr)
+        spec = build_deviation_spec(g, 1, pure((0, 0)), corr, opponent=pure((0, 0)))
         assert len(spec.individual) == 4 and len(spec.correlated) == 1
         # the only joint action not representable as a unilateral move is (1,1)
         assert tuple(m.pure_action(0) for m in spec.correlated[0].members) == (1, 1)
@@ -174,9 +191,12 @@ class TestBuildDeviationSpec:
             build_deviation_spec(g, 1, cand, Joint())
         spec = build_deviation_spec(g, 1, cand, Joint(), opponent=cand)
         assert repr(spec.correlated) == repr((best_response_joint(g, cand, 1)[0],))
-        # a normal-form spec does not read the opponent
-        nf_spec = build_deviation_spec(example1(), 1, pure((0, 0)), Joint(), opponent=object())
-        assert len(nf_spec.correlated) == 4
+        # a normal-form spec is the joint oracle's policy too
+        nf, zeros = example1(), pure((0, 0))
+        with pytest.raises(ValueError, match="opponent"):
+            build_deviation_spec(nf, 1, zeros, Joint())
+        nf_spec = build_deviation_spec(nf, 1, zeros, Joint(), opponent=zeros)
+        assert repr(nf_spec.correlated) == repr((best_response_joint(nf, zeros, 1)[0],))
 
 
 def pure_joint_count(game, spec):
@@ -184,26 +204,28 @@ def pure_joint_count(game, spec):
     joint actions on a normal-form game; on a stochastic one the seeded
     products, whose hashed members are pure at every observation."""
     if game.is_normal_form:
-        keys = {tuple(m.pure_action(NF_OBS) for m in p.members) for p in spec.correlated}
-        return len({k for k in keys if None not in k})
+        keys = {p.pure_joint_action((NF_OBS,) * p.n_members) for p in spec.correlated}
+        return len(keys - {None})
     return len({tuple(m.seed for m in p.members) for p in spec.correlated})
 
 
 class TestCooperativeAbility:
     def test_no_correlation_is_zero(self):
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), NoCorrelation())
+        spec = build_deviation_spec(g, 1, pure((0, 0)), NoCorrelation(), opponent=pure((0, 0)))
         assert pure_joint_count(g, spec) == 0
 
     def test_pivot_followers(self):
+        # one shared pure policy: the best of (0,0) and (1,1)
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers())
-        assert pure_joint_count(g, spec) == 2  # (0,0) and (1,1)
+        spec = build_deviation_spec(g, 1, pure((0, 0)), PivotFollowers(), opponent=pure((0, 0)))
+        assert pure_joint_count(g, spec) == 1
 
     def test_joint(self):
+        # one pure joint action: the joint oracle's
         g = example1()
-        spec = build_deviation_spec(g, 1, pure((0, 0)), Joint())
-        assert pure_joint_count(g, spec) == 4
+        spec = build_deviation_spec(g, 1, pure((0, 0)), Joint(), opponent=pure((0, 0)))
+        assert pure_joint_count(g, spec) == 1
 
     def test_stochastic_sequential_counts_seeded_products(self):
         # a budget of 5 holds the two member tables, then three seeded
@@ -216,11 +238,29 @@ class TestCooperativeAbility:
         assert pure_joint_count(g, spec) == 3
 
 
+def product_profile(game, kind):
+    """All-zeros, uniform or seeded Dirichlet (normal form) product policies
+    for both teams."""
+    rng = np.random.default_rng(11)
+
+    def member(c):
+        if kind == "zeros":
+            return ConstantPolicy(c, 0)
+        if kind == "uniform":
+            return UniformPolicy(c)
+        return IndividualPolicy(c, {NF_OBS: rng.dirichlet(np.ones(c))})
+
+    return tuple(ProductPolicy([member(c) for c in counts]) for counts in game.action_counts)
+
+
 class TestVerifyEquilibrium:
     def test_nash_passes_no_correlation(self):
         g = example1()
         profile = (pure((0, 0)), pure((0, 0)))
-        specs = [build_deviation_spec(g, t, profile[t - 1], NoCorrelation()) for t in (1, 2)]
+        specs = [
+            build_deviation_spec(g, t, profile[t - 1], NoCorrelation(), opponent=profile[2 - t])
+            for t in (1, 2)
+        ]
         report = verify_equilibrium(g, profile, specs, epsilon=1e-9)
         assert report.passed
         assert all(c.max_gain == pytest.approx(0.0, abs=1e-9) for c in report.checks)
@@ -228,7 +268,10 @@ class TestVerifyEquilibrium:
     def test_joint_check_fails_with_witness(self):
         g = example1()
         profile = (pure((0, 0)), pure((0, 0)))
-        specs = [build_deviation_spec(g, t, profile[t - 1], Joint()) for t in (1, 2)]
+        specs = [
+            build_deviation_spec(g, t, profile[t - 1], Joint(), opponent=profile[2 - t])
+            for t in (1, 2)
+        ]
         report = verify_equilibrium(g, profile, specs, epsilon=1e-9)
         assert not report.passed
         team1 = report.checks[0]
@@ -241,7 +284,10 @@ class TestVerifyEquilibrium:
         # verdict would come from epsilon, not from the gains
         g = example1()
         profile = (pure((0, 0)), pure((0, 0)))
-        specs = [build_deviation_spec(g, t, profile[t - 1], NoCorrelation()) for t in (1, 2)]
+        specs = [
+            build_deviation_spec(g, t, profile[t - 1], NoCorrelation(), opponent=profile[2 - t])
+            for t in (1, 2)
+        ]
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             verify_equilibrium(g, profile, specs, epsilon=epsilon)
         assert verify_equilibrium(g, profile, specs, epsilon=0.0).passed
@@ -261,11 +307,11 @@ class TestVerifyEquilibrium:
         zeros = pure((0, 0))
         specs = {
             "team-twice": [
-                build_deviation_spec(g, 1, zeros, Joint()),
-                build_deviation_spec(g, 1, zeros, NoCorrelation()),
+                build_deviation_spec(g, 1, zeros, Joint(), opponent=zeros),
+                build_deviation_spec(g, 1, zeros, NoCorrelation(), opponent=zeros),
             ],
             "no-spec": [],
-            "other-candidate": [build_deviation_spec(g, 1, pure((1, 1)), Joint())],
+            "other-candidate": [build_deviation_spec(g, 1, pure((1, 1)), Joint(), opponent=zeros)],
         }[case]
         with pytest.raises(ValueError, match=message):
             verify_equilibrium(g, (zeros, zeros), specs)
@@ -285,13 +331,16 @@ class TestVerifyEquilibrium:
             col_mix[col_mix > 1e-9] / col_mix[col_mix > 1e-9].sum(),
         )
         profile = (mix1, mix2)
-        specs = [build_deviation_spec(g, t, profile[t - 1], Joint()) for t in (1, 2)]
+        specs = [
+            build_deviation_spec(g, t, profile[t - 1], Joint(), opponent=profile[2 - t])
+            for t in (1, 2)
+        ]
         report = verify_equilibrium(g, profile, specs, epsilon=1e-6)
         assert report.passed
 
     def test_monotone_verification_strength(self):
-        # joint deviation sets contain every unilateral deviation of a pure
-        # product candidate, so the joint gain dominates
+        # every unilateral deviation of a pure product candidate is a pure
+        # joint action, so the best joint gain dominates
         for seed in range(15):
             g = random_team_game((2, 2), ((2, 2), (2, 2)), seed=seed)
             cand = pure((seed % 2, (seed >> 1) % 2))
@@ -301,16 +350,16 @@ class TestVerifyEquilibrium:
                 g,
                 profile,
                 [
-                    build_deviation_spec(g, 1, cand, NoCorrelation()),
-                    build_deviation_spec(g, 2, opp, NoCorrelation()),
+                    build_deviation_spec(g, 1, cand, NoCorrelation(), opponent=opp),
+                    build_deviation_spec(g, 2, opp, NoCorrelation(), opponent=cand),
                 ],
             ).checks[0].max_gain
             g_joint = verify_equilibrium(
                 g,
                 profile,
                 [
-                    build_deviation_spec(g, 1, cand, Joint()),
-                    build_deviation_spec(g, 2, opp, Joint()),
+                    build_deviation_spec(g, 1, cand, Joint(), opponent=opp),
+                    build_deviation_spec(g, 2, opp, Joint(), opponent=cand),
                 ],
             ).checks[0].max_gain
             assert g_joint >= g_nc - 1e-12
@@ -323,7 +372,10 @@ class TestVerifyEquilibrium:
         classes = [NoCorrelation(), PivotFollowers(), Sequential(sample_factor=SampleFactor(n_init=8), seed=1), Joint()]
         gains = {}
         for corr in classes:
-            specs = [build_deviation_spec(g, t, profile[t - 1], corr) for t in (1, 2)]
+            specs = [
+                build_deviation_spec(g, t, profile[t - 1], corr, opponent=profile[2 - t])
+                for t in (1, 2)
+            ]
             gains[corr.name] = verify_equilibrium(g, profile, specs).checks[0].max_gain
         assert gains["joint"] <= 1e-9
         assert all(v <= gains["joint"] + 1e-9 for v in gains.values())
@@ -361,11 +413,36 @@ class TestVerifyEquilibrium:
         assert len(digests) == 2
         assert _tables_digest([ConstantPolicy(6, 0)]) != _tables_digest([ConstantPolicy(6, 1)])
 
+    @pytest.mark.parametrize(
+        "spec,profile",
+        [
+            ("anti_coordination", "zeros"),
+            ("anti_coordination", "uniform"),
+            ("skirmish:w=3,h=3,n=2,H=2", "zeros"),
+        ],
+    )
+    def test_joint_reaches_the_profile_value(self, spec, profile):
+        # verify's joint class and the exploitability profile's read one
+        # best deviation value: base plus max gain is the opponent's reward
+        g = parse_game_spec(spec)
+        sides = product_profile(g, profile)
+        specs = [
+            build_deviation_spec(g, t, sides[t - 1], Joint(), opponent=sides[2 - t])
+            for t in (1, 2)
+        ]
+        report = verify_equilibrium(g, sides, specs)
+        for check in report.checks:
+            opp = 3 - check.team
+            base = team_value(g, check.team, sides[check.team - 1], sides[opp - 1])
+            frozen = Candidate.single(opp, sides[opp - 1])
+            reward = exploitability_profile(g, frozen, classes=("joint",)).result("joint")
+            assert base + check.max_gain == pytest.approx(reward.opponent_reward, abs=1e-12)
+
     def test_individual_deviation_needs_distributed_candidate(self):
         g = example1()
         mix = JointMixPolicy([(0, 0), (1, 1)], [0.5, 0.5])
         with pytest.raises(DimensionError):
-            build_deviation_spec(g, 1, mix, NoCorrelation())
+            build_deviation_spec(g, 1, mix, NoCorrelation(), opponent=pure((0, 0)))
 
 
 def _reachable_tables(game, n_actions):
@@ -445,3 +522,59 @@ class TestStochasticGainsMatchBruteForce:
             # the sequential budget (16) holds every member table, then
             # seeded products: between the unilateral and the joint gain
             assert none - 1e-12 <= got["sequential"] <= joint + 1e-12
+
+
+class TestNormalFormGainsMatchBruteForce:
+    """Each class's best deviation reaches the maximum over every pure
+    deviation that class may take: member x action for ``none``, every
+    diagonal joint action for ``pivot``, every joint action for ``joint``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "example1",
+            "anti_coordination",
+            "sad:N=3,A=3",
+            "random:n1=3,n2=3,actions=3,seed=3",
+            "random:n1=3,n2=2,actions=3,seed=8",
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["zeros", "uniform", "dirichlet"])
+    def test_max_gains(self, spec, kind):
+        game = parse_game_spec(spec)
+        profile = product_profile(game, kind)
+        for team in (1, 2):
+            own, opp = profile[team - 1], profile[2 - team]
+            counts = game.action_counts[team - 1]
+            base = team_value(game, team, own, opp)
+
+            def gain(policy):
+                return team_value(game, team, policy, opp) - base
+
+            def unilateral(member, action):
+                members = list(own.members)
+                members[member] = ConstantPolicy(counts[member], action)
+                return ProductPolicy(members)
+
+            def joint(actions):
+                return ProductPolicy.pure(actions, counts)
+
+            brute = {
+                "no_correlation": max(
+                    gain(unilateral(m, a)) for m, c in enumerate(counts) for a in range(c)
+                ),
+                "pivot_followers": max(
+                    gain(joint((a,) * len(counts))) for a in range(counts[0])
+                ),
+                "joint": max(gain(joint(ja)) for ja in game.joint_actions(team)),
+            }
+            for corr in (NoCorrelation(), PivotFollowers(), Joint()):
+                dev_spec = build_deviation_spec(game, team, own, corr, opponent=opp)
+                (check,) = verify_equilibrium(game, profile, [dev_spec]).checks
+                assert check.max_gain == pytest.approx(brute[corr.name], abs=1e-12)
+                witness = check.witness
+                if witness["kind"] == "individual":
+                    witnessed = unilateral(witness["member"], witness["action"])
+                else:
+                    witnessed = joint(witness["joint_action"])
+                assert gain(witnessed) == pytest.approx(check.max_gain, abs=1e-12)

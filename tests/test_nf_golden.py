@@ -122,7 +122,10 @@ def test_verify_at_uniform_profile(spec, klass):
         ProductPolicy([UniformPolicy(c) for c in counts]) for counts in g.action_counts
     )
     correlation = NoCorrelation() if klass == "none" else Joint()
-    specs = [build_deviation_spec(g, t, profile[t - 1], correlation) for t in (1, 2)]
+    specs = [
+        build_deviation_spec(g, t, profile[t - 1], correlation, opponent=profile[2 - t])
+        for t in (1, 2)
+    ]
     report = verify_equilibrium(g, profile, specs)
     _check(report.to_dict(), VERIFY[spec, klass])
 
