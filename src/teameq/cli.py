@@ -332,12 +332,10 @@ def _require(cfg: dict, key: str):
 def _write(path: str, payload) -> None:
     """Write ``payload``: a str as it is, anything else as indented JSON
     with sorted keys."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", newline="") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fh.write(payload)
 
 
 class _Run:

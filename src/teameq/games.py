@@ -77,16 +77,18 @@ def sad(cfg: SadConfig, enumeration_bound: int = ENUMERATION_BOUND) -> NormalFor
     n, amax, bonus = cfg.n_players, cfg.seek_max, cfg.attack_bonus
     n_actions = cfg.n_actions
     attack, defend = amax + 1, amax + 2
-    joints = list(itertools.product(range(n_actions), repeat=n))
-    if (len(joints) ** 2) > enumeration_bound:
+    n_joints = n_actions**n
+    if n_joints**2 > enumeration_bound:
         raise ValueError(
-            f"SAD joint-action table has {len(joints) ** 2} cells, "
+            f"SAD joint-action table has {n_joints ** 2} cells, "
             f"over the bound {enumeration_bound}"
         )
+    # one row per joint action, in itertools.product order
+    joints = np.indices((n_actions,) * n).reshape(n, -1).T
     norm = n * amax if amax > 0 else 1
-    seek = np.array([sum(a for a in j if a <= amax) / norm for j in joints])
-    atk = np.array([sum(a == attack for a in j) / n for j in joints])
-    has_def = np.array([float(any(a == defend for a in j)) for j in joints])
+    seek = np.where(joints <= amax, joints, 0).sum(axis=1) / norm
+    atk = (joints == attack).sum(axis=1) / n
+    has_def = (joints == defend).any(axis=1).astype(float)
     matrix = (
         seek[:, None]
         - seek[None, :]

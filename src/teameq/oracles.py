@@ -65,6 +65,10 @@ GREEDY_ROUNDS = 20
 #: Most sub-simplex splits of `_bernstein_simplex_max`.
 _BERNSTEIN_NODE_CAP = 20_000
 
+#: Most KKT systems `_quadratic_simplex_max` solves in one stack, which
+#: bounds its memory for large action counts.
+_KKT_STACK = 4096
+
 
 def subseed(seed: int, name: str) -> int:
     """Stable named sub-stream of a root seed."""
@@ -748,7 +752,15 @@ def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
 
 def _quadratic_simplex_max(q: np.ndarray):
     """Exact maximum of p^T Q p over the simplex via KKT support
-    enumeration (team of two members); returns (p, value, gap 0)."""
+    enumeration (team of two members); returns (p, value, gap 0).
+
+    The KKT systems of one support size are solved as stacks of at most
+    `_KKT_STACK`, in `itertools.combinations` order.  A system whose LU
+    factorization meets an exact zero pivot (sign 0 from `slogdet`, where
+    `solve` would raise) is skipped; the others are solved together, which
+    runs the same LAPACK ``gesv`` on each and so gives the same bits as one
+    solve per support.
+    """
     n = q.shape[0]
     sym = q + q.T
     best_val, best_p = -math.inf, None
@@ -757,27 +769,27 @@ def _quadratic_simplex_max(q: np.ndarray):
         if val > best_val:
             best_val, best_p = val, np.eye(n)[a]
     for size in range(2, n + 1):
-        for support in itertools.combinations(range(n), size):
-            idx = list(support)
-            lhs = np.zeros((size + 1, size + 1))
-            lhs[:size, :size] = sym[np.ix_(idx, idx)]
-            lhs[:size, size] = -1.0
-            lhs[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            try:
-                sol = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            ps = sol[:size]
-            if ps.min() < -1e-12:
-                continue
-            p = np.zeros(n)
-            p[idx] = np.clip(ps, 0.0, None)
-            p = p / p.sum()
-            val = float(p @ q @ p)
-            if val > best_val + 1e-15:
-                best_val, best_p = val, p
+        supports = itertools.combinations(range(n), size)
+        for _ in range(0, math.comb(n, size), _KKT_STACK):
+            idx = np.array(list(itertools.islice(supports, _KKT_STACK)))
+            lhs = np.zeros((len(idx), size + 1, size + 1))
+            lhs[:, :size, :size] = sym[idx[:, :, None], idx[:, None, :]]
+            lhs[:, :size, size] = -1.0
+            lhs[:, size, :size] = 1.0
+            regular = np.linalg.slogdet(lhs)[0] != 0
+            # a 3-D right-hand side: numpy 2 reads a 2-D one as matrices
+            rhs = np.zeros((int(regular.sum()), size + 1, 1))
+            rhs[:, size] = 1.0
+            sols = np.linalg.solve(lhs[regular], rhs)[:, :size, 0]
+            # a NaN solution passes the negated test and never wins below
+            feasible = ~(np.minimum.reduce(sols, axis=1) < -1e-12)
+            for support, ps in zip(idx[regular][feasible], sols[feasible]):
+                p = np.zeros(n)
+                p[support] = np.clip(ps, 0.0, None)
+                p = p / p.sum()
+                val = float(p @ q @ p)
+                if val > best_val + 1e-15:
+                    best_val, best_p = val, p
     return best_p, best_val, 0.0
 
 
@@ -845,7 +857,9 @@ def best_response_shared(game: Game, opponent, team: int):
     teams use exact KKT support enumeration (`_quadratic_simplex_max`);
     other teams a certified Bernstein branch-and-bound
     (`_bernstein_simplex_max`), whose value is within ``1e-9 * max(1,
-    max|T|)`` of the maximum unless its node cap is hit.  Both start from the
+    max|T|)`` of the maximum unless its node cap is hit.  The KKT systems
+    are solved as one stack per support size, with the singular ones
+    screened out before the solve.  Both searches start from the
     pure shared actions and keep the lowest-index best one on a tie.  No seed
     is read: the result is a function of the game and the opponent.
 

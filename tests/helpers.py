@@ -2,7 +2,8 @@
 
 The LP solver here is the dual route for the simplex maxmin
 implementation and must stay independent of it; the recursive value is
-the reference for the layered exact evaluation.
+the reference for the layered exact evaluation, and the per-support KKT
+loop the reference for the stacked shared-oracle kernel.
 """
 
 import itertools
@@ -87,3 +88,46 @@ def brute_force_value(game, p1, p2):
         return total
 
     return sum(p * value(s, 0) for s, p in game.initial)
+
+
+def kkt_system(sym, support):
+    """KKT matrix of p^T Q p's stationary points on ``support``, with
+    ``sym = Q + Q^T``: the rows ``sym[S, S] p - lambda = 0`` and ``sum p = 1``."""
+    idx = list(support)
+    size = len(idx)
+    lhs = np.zeros((size + 1, size + 1))
+    lhs[:size, :size] = sym[np.ix_(idx, idx)]
+    lhs[:size, size] = -1.0
+    lhs[size, :size] = 1.0
+    return lhs
+
+
+def quadratic_simplex_max_loop(q):
+    """Maximum of p^T Q p over the simplex by KKT support enumeration, one
+    ``np.linalg.solve`` per support; returns (p, value, gap 0) with the
+    tie rule of ``_quadratic_simplex_max``."""
+    n = q.shape[0]
+    sym = q + q.T
+    best_val, best_p = -math.inf, None
+    for a in range(n):
+        val = float(q[a, a])
+        if val > best_val:
+            best_val, best_p = val, np.eye(n)[a]
+    for size in range(2, n + 1):
+        for support in itertools.combinations(range(n), size):
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            try:
+                sol = np.linalg.solve(kkt_system(sym, support), rhs)
+            except np.linalg.LinAlgError:
+                continue
+            ps = sol[:size]
+            if ps.min() < -1e-12:
+                continue
+            p = np.zeros(n)
+            p[list(support)] = np.clip(ps, 0.0, None)
+            p = p / p.sum()
+            val = float(p @ q @ p)
+            if val > best_val + 1e-15:
+                best_val, best_p = val, p
+    return best_p, best_val, 0.0

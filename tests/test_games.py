@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,36 @@ class TestSad:
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
             sad(SadConfig(2, 3), enumeration_bound=10)
+
+    def test_oversized_game_is_refused_before_enumerating(self):
+        # ten actions for each of eight members: 10^8 joint actions per team
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the bound"):
+                sad(SadConfig(8, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "n,amax,bonus", list(itertools.product((1, 2, 3), range(5), (1.0, 2.5)))
+    )
+    def test_matrix_is_the_per_cell_formula(self, n, amax, bonus):
+        n_actions = amax + 3
+        attack, defend = amax + 1, amax + 2
+        norm = n * amax if amax > 0 else 1
+        joints = list(itertools.product(range(n_actions), repeat=n))
+        seek = [sum(a for a in j if a <= amax) / norm for j in joints]
+        atk = [sum(a == attack for a in j) / n for j in joints]
+        has_def = [float(any(a == defend for a in j)) for j in joints]
+        cells = [
+            seek[r] - seek[c] + bonus * (atk[r] * (1.0 - has_def[c]) - atk[c] * (1.0 - has_def[r]))
+            for r in range(len(joints))
+            for c in range(len(joints))
+        ]
+        matrix = sad(SadConfig(n, amax, bonus)).matrix()
+        assert matrix.tobytes() == np.array(cells).reshape(len(joints), -1).tobytes()
 
 
 class TestAntiCoordination:

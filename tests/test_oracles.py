@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import lp_maxmin, shared_maxmin_grid
+from helpers import kkt_system, lp_maxmin, quadratic_simplex_max_loop, shared_maxmin_grid
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
@@ -367,6 +367,53 @@ class TestBestResponseShared:
         assert gap > 1e-9  # three splits do not certify this tensor
         assert value == oracles._shared_value(tensor, p)
         assert value <= certified <= value + gap
+
+    @pytest.mark.parametrize("stack", [oracles._KKT_STACK, 7])
+    @settings(derandomize=True, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_kkt_stacks_match_the_per_support_loop(self, stack, n, seed, integer):
+        # small-integer matrices make many singular KKT systems; a stack of
+        # 7 splits every support size with more than 7 supports
+        rng = np.random.default_rng(seed)
+        if integer:
+            q = rng.integers(-2, 3, (n, n)).astype(float)
+        else:
+            q = rng.uniform(-1.0, 1.0, (n, n))
+        p_loop, value_loop, _ = quadratic_simplex_max_loop(q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_KKT_STACK", stack)
+            p, value, gap = oracles._quadratic_simplex_max(q)
+        assert p.tobytes() == p_loop.tobytes()
+        assert np.float64(value).tobytes() == np.float64(value_loop).tobytes()
+        assert gap == 0.0
+
+    @pytest.mark.parametrize("stack", [oracles._KKT_STACK, 1])
+    def test_kkt_tie_keeps_the_first_support(self, stack, monkeypatch):
+        # supports {0, 1} and {2, 3} both reach 0.5; combinations order
+        # meets {0, 1} first
+        q = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+        monkeypatch.setattr(oracles, "_KKT_STACK", stack)
+        p, value, _ = oracles._quadratic_simplex_max(q)
+        assert p.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert value == 0.5
+
+    def test_the_slogdet_screen_is_where_solve_raises(self):
+        rng = np.random.default_rng(5)
+        raised_seen = set()
+        for n in (2, 3, 4, 5, 6) * 6:
+            q = rng.integers(-1, 2, (n, n)).astype(float)
+            sym = q + q.T
+            for size in range(2, n + 1):
+                lhs = np.stack([kkt_system(sym, s) for s in itertools.combinations(range(n), size)])
+                for system, sign in zip(lhs, np.linalg.slogdet(lhs)[0]):
+                    try:
+                        np.linalg.solve(system, np.eye(size + 1)[size])
+                        raised = False
+                    except np.linalg.LinAlgError:
+                        raised = True
+                    assert (sign == 0) == raised
+                    raised_seen.add(raised)
+        assert raised_seen == {False, True}
 
     def test_heterogeneous_rejected(self):
         from teameq.core import DimensionError, NormalFormTeamGame
