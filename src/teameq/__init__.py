@@ -48,6 +48,7 @@ from .games import (
     sad,
 )
 from .oracles import (
+    BestResponse,
     MaxminSolution,
     advantage_decompose,
     best_response_individual,

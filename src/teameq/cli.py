@@ -522,6 +522,7 @@ def cmd_psro(cfg: dict, out: str | None) -> int:
         "meta_value": result.value,
         "iterations": result.iterations,
         "converged": result.converged,
+        "certified": result.certified,
         "pop_sizes": [len(result.population.team1), len(result.population.team2)],
     }
     return run.write(

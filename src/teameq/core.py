@@ -607,14 +607,15 @@ def _joint_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
 def _nf_values(matrix: np.ndarray, team: int, own: np.ndarray, opponents) -> list[float]:
     """`team_value` of one normal-form team policy against each of several,
     from their joint-action distributions ``own`` and ``opponents`` and the
-    game's `matrix`, in its arithmetic: ``(d1 @ M) @ d2`` plus 0.0 (so -0.0
-    reads 0.0), negated for team 2.  Every normal-form value is read here;
-    loops that evaluate one policy against many keep each distribution
-    once instead of calling `team_value`."""
+    game's `matrix`, in its arithmetic: ``(d1 @ M) @ d2`` plus 0.0 for team
+    1 and 0.0 less it for team 2, so a zero reads 0.0 for both teams.
+    Every normal-form value is read here; loops that evaluate one policy
+    against many keep each distribution once instead of calling
+    `team_value`."""
     if team == 1:
         row = own @ matrix
         return [0.0 + float(row @ d) for d in opponents]
-    return [-(0.0 + float(d @ matrix @ own)) for d in opponents]
+    return [0.0 - float(d @ matrix @ own) for d in opponents]
 
 
 def _members_view(policy) -> tuple:
@@ -991,7 +992,7 @@ def team_value(game: Game, team: int, own, opponent) -> float:
     check_team(team)
     if team == 1:
         return mixture_value(game, own, opponent)
-    return -mixture_value(game, opponent, own)
+    return 0.0 - mixture_value(game, opponent, own)
 
 
 def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=None):

@@ -176,7 +176,7 @@ def build_deviation_spec(
         atoms = as_mixture(opponent)
         steps = _StepTable(game, atoms)
         return [
-            (m, _table_search(game, team, (m,), members, atoms, steps)[0])
+            (m, _table_search(game, team, (m,), members, atoms, steps).policy)
             for m in range(n_members)
         ]
 
@@ -191,11 +191,11 @@ def build_deviation_spec(
             best = int(np.argmax(tensor[(np.arange(counts[0]),) * n_members]))
             shared = SharedPolicy(ConstantPolicy(counts[0], best), n_members)
         else:
-            shared = best_response_shared(game, opponent, team)[0]
+            shared = best_response_shared(game, opponent, team).policy
         return DeviationSpec(team, correlation, candidate, (), (shared,))
 
     if isinstance(correlation, Joint):
-        joint = best_response_joint(game, opponent, team)[0]
+        joint = best_response_joint(game, opponent, team).policy
         return DeviationSpec(team, correlation, candidate, (), (joint,))
 
     if isinstance(correlation, Sequential):

@@ -23,6 +23,7 @@ from .core import (
     team_value,
 )
 from .oracles import (
+    BestResponse,
     best_response_individual,
     best_response_joint,
     best_response_shared,
@@ -67,10 +68,15 @@ class Candidate:
 
 @dataclass(frozen=True)
 class ClassResult:
+    """One class's opponent reward, with the certificate gap and method of
+    the `BestResponse` that made it (None for both when not applicable)."""
+
     class_name: str
     opponent_reward: float | None
     applicable: bool = True
     note: str = ""
+    gap: float | None = None
+    method: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -78,6 +84,8 @@ class ClassResult:
             "opponent_reward": None if self.opponent_reward is None else float(self.opponent_reward),
             "applicable": self.applicable,
             "note": self.note,
+            "gap": None if self.gap is None else float(self.gap),
+            "method": self.method,
         }
 
 
@@ -116,9 +124,9 @@ def exploitability_profile(
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
     the sebr oracle (its default 4 restarts, seeded from ``seed``), and
-    Random the uniform product policy.  Raises ValueError, before any
-    response is computed, when ``classes`` is empty or names a class twice
-    or one outside `CLASS_ORDER`.
+    Random the uniform product policy (method evaluation, gap 0).  Raises
+    ValueError, before any response is computed, when ``classes`` is empty
+    or names a class twice or one outside `CLASS_ORDER`.
     """
     classes = tuple(classes)
     if not classes:
@@ -134,23 +142,21 @@ def exploitability_profile(
     results = []
     for name in classes:
         if name == "joint":
-            _, reward = best_response_joint(game, mix, opp)
+            br = best_response_joint(game, mix, opp)
         elif name == "synchronized":
             if len(set(counts)) != 1:
-                results.append(
-                    ClassResult(name, None, applicable=False, note="heterogeneous team")
-                )
+                results.append(ClassResult(name, None, applicable=False, note="heterogeneous team"))
                 continue
-            _, reward = best_response_shared(game, mix, opp)
+            br = best_response_shared(game, mix, opp)
         elif name == "no_correlation":
             start = ProductPolicy([ConstantPolicy(c, 0) for c in counts])
-            _, reward = best_response_individual(game, mix, opp, start)
+            br = best_response_individual(game, mix, opp, start)
         elif name == "sequential":
-            _, reward = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"))
+            br = sebr(game, mix, opp, seed=subseed(seed, "exploit/sebr"))
         else:  # random
             uniform = ProductPolicy([UniformPolicy(c) for c in counts])
-            reward = team_value(game, opp, uniform, mix)
-        results.append(ClassResult(name, float(reward)))
+            br = BestResponse(uniform, team_value(game, opp, uniform, mix), 0.0, "evaluation")
+        results.append(ClassResult(name, float(br.value), gap=br.gap, method=br.method))
     return ExploitReport(candidate_id or "candidate", candidate.team, tuple(results))
 
 

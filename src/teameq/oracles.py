@@ -12,7 +12,7 @@ Four oracles with different cooperative ability:
 
 All oracles are pure functions, deterministic given (inputs, seed), and
 break ties lexicographically on action indices.  They compute exact values
-only, within the stochastic game's ``exact_bound``.
+only, within the stochastic game's ``exact_bound``, as a `BestResponse`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import heapq
 import itertools
 import math
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,6 +89,20 @@ class MaxminConvergenceError(RuntimeError):
 
 class ExactBRUnsupported(RuntimeError):
     """Exact tabular best response is not expressible for this game/policy."""
+
+
+@dataclass(frozen=True)
+class BestResponse:
+    """One oracle answer: ``policy`` and its ``value`` against the opponent,
+    made by the search ``method`` (exact_dp, enumeration, kkt, bernstein,
+    greedy or coordinate_ascent).  The best value over the oracle's policy
+    class lies in ``[value, value + gap]``; ``gap`` is None for a local
+    search, which bounds that value from below only."""
+
+    policy: object
+    value: float
+    gap: float | None
+    method: str
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,7 @@ class _NormalFormTable:
         if team == 1:
             tensor = (matrix @ mixed).reshape(game.action_counts[0])
         else:
-            tensor = (-(mixed @ matrix)).reshape(game.action_counts[1])
+            tensor = (0.0 - mixed @ matrix).reshape(game.action_counts[1])
         self._game, self._team, self._atoms = game, team, atoms
         self.matrix, self.atom_dists, self.tensor = matrix, dists, tensor
 
@@ -522,20 +536,23 @@ def _unit_improve_weighted(
 
 def _unit_best_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
     """Exact backward induction against one opponent atom, the guarded greedy
-    improvement against a mixture.  Returns (unit members' tables, value)."""
+    improvement against a mixture: a `BestResponse` whose policy is the
+    unit members' tables."""
     if len(atoms) == 1:
-        return _unit_best_response_exact(
+        tables, value = _unit_best_response_exact(
             game, team, unit, own_members, atoms[0][0], unit_actions, steps
         )
-    return _unit_improve_weighted(
+        return BestResponse(tables, value, 0.0, "exact_dp")
+    tables, value, _, _ = _unit_improve_weighted(
         game, team, unit, own_members, atoms, unit_actions=unit_actions, steps=steps
-    )[:2]
+    )
+    return BestResponse(tables, value, None, "greedy")
 
 
 def _table_search(game, team, unit, own_members, atoms, steps):
     """Best pure stationary table that every member of ``unit`` plays, the
     other members held at ``own_members``, against opponent atoms that the
-    step table ``steps`` registers.  Returns (table, value).
+    step table ``steps`` registers: a `BestResponse` whose policy is the table.
 
     The domain is read off one `_forward` walk per atom in which the unit
     plays every diagonal joint action ``(a, ..., a)``: the unit members'
@@ -587,15 +604,13 @@ def _table_search(game, team, unit, own_members, atoms, steps):
         fits = walk_domain(_unit_action_space(game, team, unit))
     if not fits:
         try:
-            tables, value = _unit_best_response(
-                game, team, unit, own_members, atoms, diagonal, steps
-            )
+            br = _unit_best_response(game, team, unit, own_members, atoms, diagonal, steps)
         except ExactBRUnsupported as err:
             raise EvaluationError(
                 "too many pure tables to enumerate, and the diagonal "
                 f"dynamic program does not apply: {err}"
             ) from err
-        return tables[0], value
+        return replace(br, policy=br.policy[0])
     obs_list = sorted(domain, key=repr)
     fallback = ConstantPolicy(n_actions, 0)
     best_val, best_table = -math.inf, None
@@ -605,7 +620,7 @@ def _table_search(game, team, unit, own_members, atoms, steps):
         val = _atoms_value(game, team, trial, atoms, steps)
         if val > best_val + 1e-15:
             best_val, best_table = val, table
-    return best_table, float(best_val)
+    return BestResponse(best_table, float(best_val), 0.0, "enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +631,8 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
     """Fully correlated best response: the best pure team joint action
     (normal form, returned as a degenerate joint mix) or the centralized
     deterministic joint policy (stochastic, returned as a product of
-    deterministic member policies).  Returns ``(policy, value)``.  Ties
-    break to the lexicographically smallest joint action.
+    deterministic member policies, by `_unit_best_response`).  Ties break
+    to the lexicographically smallest joint action.
 
     On a normal-form game ``dists`` holds the joint-action distribution of
     each positive-weight entry of the opponent mixture, in order, when the
@@ -635,12 +650,12 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
         for count in reversed(game.action_counts[team - 1]):
             idx, action = divmod(idx, count)
             joint.append(action)
-        return JointMixPolicy.pure(joint[::-1]), value
+        return BestResponse(JointMixPolicy.pure(joint[::-1]), value, 0.0, "enumeration")
     atoms = _opponent_atoms(game, team, opponent)
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
-    tables, value = _unit_best_response(game, team, unit, base, atoms)
-    return ProductPolicy(tables), value
+    br = _unit_best_response(game, team, unit, base, atoms)
+    return replace(br, policy=ProductPolicy(br.policy))
 
 
 def best_response_individual(
@@ -653,7 +668,7 @@ def best_response_individual(
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
     ``start`` is any team policy `sebr` takes as a start (product, shared or
-    joint mix).  Returns ``(policy, value)`` as `sebr` does.
+    joint mix).  Returns `sebr`'s `BestResponse`.
     """
     return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
 
@@ -851,7 +866,7 @@ def _bernstein_simplex_max(tensor: np.ndarray):
 
 
 def best_response_shared(game: Game, opponent, team: int):
-    """Best shared policy and its value.
+    """Best shared policy and its value, as a `BestResponse`.
 
     Normal form: the best mixed shared action, over the simplex.  Two-member
     teams use exact KKT support enumeration (`_quadratic_simplex_max`);
@@ -878,15 +893,15 @@ def best_response_shared(game: Game, opponent, team: int):
     if game.is_normal_form:
         tensor = team_reward_tensor(game, team, opponent)
         search = _quadratic_simplex_max if n_members == 2 else _bernstein_simplex_max
-        dist, value, _ = search(tensor)
+        dist, value, gap = search(tensor)
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
-        return policy, value
+        return BestResponse(policy, value, gap, "kkt" if n_members == 2 else "bernstein")
     atoms = _opponent_atoms(game, team, opponent)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
-    table, value = _table_search(
+    br = _table_search(
         game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms)
     )
-    return SharedPolicy(table, n_members), value
+    return replace(br, policy=SharedPolicy(br.policy, n_members))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,9 +1030,9 @@ def sebr(
     best-responding exactly given predecessors' updated policies and
     successors' current policies, against a fixed opponent policy or
     mixture.  Each member update weakly improves the team value; a sweep
-    with no change terminates the ascent.  Returns ``(policy, value)`` for
+    with no change terminates the ascent.  Returns the `BestResponse` of
     the highest-value result over the restart set (ties keep the earliest
-    start); the value is the one the updates carried, equal to
+    start); its value is the one the updates carried, equal to
     ``team_value`` of the policy up to the sign of a zero.
 
     A settled member's update (see `_member_update`) is skipped: it would
@@ -1081,4 +1096,4 @@ def sebr(
         if value > best_value + 1e-15:
             best_value = value
             best_policy = ProductPolicy(members)
-    return best_policy, best_value
+    return BestResponse(best_policy, best_value, None, "coordinate_ascent")

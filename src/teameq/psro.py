@@ -161,6 +161,8 @@ class IterationRecord:
     br_gain_2: float
     pop_1: int
     pop_2: int
+    gap_1: float | None = None  # the answer's gap; None: local or not expanded
+    gap_2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,7 @@ class PsroResult:
     history: tuple[IterationRecord, ...]
     converged: bool
     iterations: int
+    certified: bool = False  # every expanded team's last answer has a gap
 
 
 def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | None:
@@ -194,7 +197,7 @@ def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | N
 
 def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: int, dists=None):
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
-    returns (policy, value vs the opponent mixture).  ``dists`` is
+    returns its `BestResponse` against the opponent mixture.  ``dists`` is
     `run_psro`'s record of each entry's joint-action distribution on a
     normal-form game (else None); the joint oracle reads the opponent's
     first ``len(opp_weights)``, since entries appended in this iteration
@@ -247,24 +250,24 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
         meta_1, meta_2, value = meta_solve(pop.payoffs, cfg.tol)
-        gains = {1: 0.0, 2: 0.0}
+        gains, gaps = {1: 0.0, 2: 0.0}, {1: None, 2: None}
         appended = False
         new_pop = pop
         for team in (1, 2):
             if team not in cfg.expand_teams:
                 continue
-            policy, br_value = _oracle_response(
+            br = _oracle_response(
                 game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, dists
             )
             team_meta_value = value if team == 1 else -value
-            gains[team] = br_value - team_meta_value
+            gains[team], gaps[team] = br.value - team_meta_value, br.gap
             if gains[team] <= cfg.tol:
                 continue
-            line, dist = _new_line(game, team, policy, new_pop, dists)
+            line, dist = _new_line(game, team, br.policy, new_pop, dists)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
             if _is_duplicate(line, existing):
                 continue
-            new_pop = extend_population(game, new_pop, policy, team, line=line)
+            new_pop = extend_population(game, new_pop, br.policy, team, line=line)
             if dists is not None:
                 dists[team].append(dist)
             appended = True
@@ -276,6 +279,8 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
                 br_gain_2=float(gains[2]),
                 pop_1=len(new_pop.team1),
                 pop_2=len(new_pop.team2),
+                gap_1=gaps[1],
+                gap_2=gaps[2],
             )
         )
         pop = new_pop
@@ -292,4 +297,5 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
         history=tuple(history),
         converged=converged,
         iterations=iteration,
+        certified=all(gaps[t] is not None for t in cfg.expand_teams),
     )

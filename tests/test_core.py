@@ -48,6 +48,7 @@ from teameq.deviation import DeviationSpec, Joint, build_deviation_spec
 from teameq.evaluation import CLASS_ORDER, Candidate, exploitability_profile
 from teameq.games import (
     SkirmishConfig,
+    anti_coordination,
     example1,
     grid_skirmish,
     random_stochastic_game,
@@ -59,6 +60,7 @@ from teameq.oracles import (
     best_response_joint,
     best_response_shared,
     sebr,
+    team_reward_tensor,
 )
 
 
@@ -123,6 +125,21 @@ class TestNormalFormEvaluation:
                 assert repr(got) == repr(team_value(g, team, own, opp))
         with pytest.raises(DimensionError):
             team_action_dist(g, 1, ProductPolicy.pure((0,), (2,)))
+
+    def test_a_zero_value_is_positive_for_both_teams(self):
+        # team 2 reads 0.0 less team 1's value, so a zero never reads -0.0
+        z = pure((0, 1))
+        skirmish = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=1))
+        zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        for game, profile in ((anti_coordination(), z), (skirmish, zeros)):
+            for team in (1, 2):
+                value = team_value(game, team, profile, profile)
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        g = anti_coordination()
+        dist = team_action_dist(g, 2, z)
+        assert math.copysign(1.0, _nf_values(g.matrix(), 2, dist, [dist])[0]) == 1.0
+        tensor = team_reward_tensor(g, 2, z)
+        assert (tensor == 0.0).any() and not np.signbit(tensor[tensor == 0.0]).any()
 
     def test_shared_policy_needs_homogeneous_spaces(self):
         g = NormalFormTeamGame((2, 1), ((2, 3), (2,)), np.zeros((2, 3, 2)))

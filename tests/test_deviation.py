@@ -105,7 +105,7 @@ class TestBuildDeviationSpec:
         zeros = pure((0, 0))
         spec = build_deviation_spec(g, 1, zeros, Joint(), opponent=zeros)
         assert spec.individual == ()
-        assert repr(spec.correlated) == repr((best_response_joint(g, zeros, 1)[0],))
+        assert repr(spec.correlated) == repr((best_response_joint(g, zeros, 1).policy,))
 
     def test_pivot_followers_shared_form(self):
         # one shared policy: the first best diagonal joint action
@@ -190,13 +190,13 @@ class TestBuildDeviationSpec:
         with pytest.raises(ValueError, match="opponent"):
             build_deviation_spec(g, 1, cand, Joint())
         spec = build_deviation_spec(g, 1, cand, Joint(), opponent=cand)
-        assert repr(spec.correlated) == repr((best_response_joint(g, cand, 1)[0],))
+        assert repr(spec.correlated) == repr((best_response_joint(g, cand, 1).policy,))
         # a normal-form spec is the joint oracle's policy too
         nf, zeros = example1(), pure((0, 0))
         with pytest.raises(ValueError, match="opponent"):
             build_deviation_spec(nf, 1, zeros, Joint())
         nf_spec = build_deviation_spec(nf, 1, zeros, Joint(), opponent=zeros)
-        assert repr(nf_spec.correlated) == repr((best_response_joint(nf, zeros, 1)[0],))
+        assert repr(nf_spec.correlated) == repr((best_response_joint(nf, zeros, 1).policy,))
 
 
 def pure_joint_count(game, spec):

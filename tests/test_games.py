@@ -118,9 +118,9 @@ class TestAntiCoordination:
         # joint coordination reaches 1; independent shared play caps at 0.5
         g = anti_coordination()
         zeros = ProductPolicy.pure((0, 0), (2, 2))
-        _, joint_value = best_response_joint(g, zeros, 1)
+        joint_value = best_response_joint(g, zeros, 1).value
         assert joint_value == pytest.approx(1.0, abs=1e-12)
-        _, shared_value = best_response_shared(g, zeros, 1)
+        shared_value = best_response_shared(g, zeros, 1).value
         assert shared_value == pytest.approx(0.5, abs=1e-9)
 
 

@@ -334,7 +334,7 @@ CLI = {
             "history.json": "336ecabff86dcf8d",
             "manifest.json": "fc0fa7aae39215ca",
             "population.json": "c19feca00db355b7",
-            "summary.json": "b8a3b9eb798a48af",
+            "summary.json": "8f2cc67e7b3a598b",
         },
     ),
     ("example1", "psro-shared"): (
@@ -345,7 +345,7 @@ CLI = {
             "history.json": "a546bdf9503d1787",
             "manifest.json": "4b6cc5412aa49287",
             "population.json": "3c36274fd1eff66f",
-            "summary.json": "68898a968bf80ca5",
+            "summary.json": "6a1620a89f705296",
         },
     ),
     ("example1", "psro-individual"): (
@@ -356,7 +356,7 @@ CLI = {
             "history.json": "9d06ff81c933c775",
             "manifest.json": "578ae08cc48c5ceb",
             "population.json": "96c4b11132bddc6a",
-            "summary.json": "297c1874c0f67fe8",
+            "summary.json": "a54c20211ab87b18",
         },
     ),
     ("example1", "psro-sebr"): (
@@ -367,7 +367,7 @@ CLI = {
             "history.json": "336ecabff86dcf8d",
             "manifest.json": "f918a89dc240c7b1",
             "population.json": "a2996506ca7fbdce",
-            "summary.json": "a77fa63b261488f5",
+            "summary.json": "eac9445c81dad9ab",
         },
     ),
     ("example1", "exploit-run"): (
@@ -376,8 +376,8 @@ CLI = {
         {
             "manifest.json": "2a16ca0f8b4706af",
             "report.csv": "fd14a79ba1670a61",
-            "report.json": "2145b0a0fcd14711",
-            "summary.json": "2145b0a0fcd14711",
+            "report.json": "78de86e423043098",
+            "summary.json": "78de86e423043098",
         },
     ),
     ("example1", "exploit-profile"): (
@@ -386,8 +386,8 @@ CLI = {
         {
             "manifest.json": "ec8480e8bd8d5f2d",
             "report.csv": "f2f1c3753cb41907",
-            "report.json": "9425d4e8f699a347",
-            "summary.json": "9425d4e8f699a347",
+            "report.json": "c95e58603092f858",
+            "summary.json": "c95e58603092f858",
         },
     ),
     ("example1", "rpp"): (
@@ -407,7 +407,7 @@ CLI = {
             "history.json": "336ecabff86dcf8d",
             "manifest.json": "fc0fa7aae39215ca",
             "population.json": "c19feca00db355b7",
-            "summary.json": "b8a3b9eb798a48af",
+            "summary.json": "8f2cc67e7b3a598b",
         },
     ),
     ("example1", "report-json-lines"): (
@@ -419,7 +419,7 @@ CLI = {
             "history.jsonl": "dd51b564a521ffae",
             "manifest.json": "fc0fa7aae39215ca",
             "population.json": "c19feca00db355b7",
-            "summary.json": "b8a3b9eb798a48af",
+            "summary.json": "8f2cc67e7b3a598b",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "game"): (
@@ -493,7 +493,7 @@ CLI = {
             "history.json": "ede3fe6067a65508",
             "manifest.json": "a19f761b6066d8f5",
             "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "c459429d3ca8fd2f",
+            "summary.json": "b970345c77750a00",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-shared"): (
@@ -504,7 +504,7 @@ CLI = {
             "history.json": "89084697bb72b0f2",
             "manifest.json": "4842ad5b41561ed0",
             "population.json": "18194c0c757d84a9",
-            "summary.json": "14d6e3f38f40b6b8",
+            "summary.json": "2860a29edc8b36cf",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-individual"): (
@@ -515,7 +515,7 @@ CLI = {
             "history.json": "1a5eea5fe5964c96",
             "manifest.json": "e1c492073cee879a",
             "population.json": "e06073b4de8edf49",
-            "summary.json": "80ebe8c0fa819a55",
+            "summary.json": "c8b1f57a657874ff",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-sebr"): (
@@ -526,7 +526,7 @@ CLI = {
             "history.json": "37541ac558d9098f",
             "manifest.json": "9f792ef7bacec160",
             "population.json": "50da7c87af2c9944",
-            "summary.json": "f69afd0fa934a2bf",
+            "summary.json": "6b5fa416b15314c2",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "exploit-run"): (
@@ -535,8 +535,8 @@ CLI = {
         {
             "manifest.json": "9e039ea1c24e433d",
             "report.csv": "074e4bccb14ab8c9",
-            "report.json": "9540e97f556f9c08",
-            "summary.json": "9540e97f556f9c08",
+            "report.json": "3764e88d000f5ecd",
+            "summary.json": "3764e88d000f5ecd",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "exploit-profile"): (
@@ -545,8 +545,8 @@ CLI = {
         {
             "manifest.json": "0528692420a8e829",
             "report.csv": "db66f6aac229fe45",
-            "report.json": "a5bfdb440dfb9d05",
-            "summary.json": "a5bfdb440dfb9d05",
+            "report.json": "6d8de77d2bb5ccfe",
+            "summary.json": "6d8de77d2bb5ccfe",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "rpp"): (
@@ -566,7 +566,7 @@ CLI = {
             "history.json": "ede3fe6067a65508",
             "manifest.json": "a19f761b6066d8f5",
             "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "c459429d3ca8fd2f",
+            "summary.json": "b970345c77750a00",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "report-json-lines"): (
@@ -578,7 +578,7 @@ CLI = {
             "history.jsonl": "2e9901212d5d9d5d",
             "manifest.json": "a19f761b6066d8f5",
             "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "c459429d3ca8fd2f",
+            "summary.json": "b970345c77750a00",
         },
     ),
 }

@@ -39,6 +39,7 @@ from teameq.games import (
     sad,
 )
 from teameq import oracles
+from teameq.evaluation import Candidate, exploitability_profile
 from teameq.oracles import (
     MaxminConvergenceError,
     MaxminSolution,
@@ -70,11 +71,10 @@ def pure(actions, counts=(2, 2)):
 
 
 def _checked_value(game, team, result, opponent):
-    """An oracle's (policy, value) result reduced to its value, after
-    checking it against an evaluation of the policy."""
-    policy, value = result
-    assert value == team_value(game, team, policy, opponent)
-    return value
+    """An oracle's `BestResponse` reduced to its value, after checking it
+    against an evaluation of the policy."""
+    assert result.value == team_value(game, team, result.policy, opponent)
+    return result.value
 
 
 class TestSolveMatrixMaxmin:
@@ -188,17 +188,20 @@ class TestSolveMatrixMaxmin:
 class TestBestResponseJoint:
     def test_example1_vs_zeros(self):
         g = example1()
-        br, value = best_response_joint(g, pure((0, 0)), 1)
+        answer = best_response_joint(g, pure((0, 0)), 1)
+        br, value = answer.policy, answer.value
         assert br.atoms == ((1, 1),) and value == 2.0
 
     def test_example1_vs_01(self):
         g = example1()
-        br, value = best_response_joint(g, pure((0, 1)), 1)
+        answer = best_response_joint(g, pure((0, 1)), 1)
+        br, value = answer.policy, answer.value
         assert br.atoms == ((0, 0),) and value == 2.0
 
     def test_lexicographic_tie_break(self):
         g = anti_coordination()
-        br, value = best_response_joint(g, pure((0, 0)), 1)
+        answer = best_response_joint(g, pure((0, 0)), 1)
+        br, value = answer.policy, answer.value
         assert br.atoms == ((0, 1),) and value == 1.0  # ties with (1, 0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -222,7 +225,8 @@ class TestBestResponseJoint:
             first = int(np.argmax(values))
             dists = [team_action_dist(g, 3 - team, p) for p, w in opponent if w > 0.0]
             for kept in (None, dists):
-                br, value = best_response_joint(g, opponent, team, dists=kept)
+                answer = best_response_joint(g, opponent, team, dists=kept)
+                br, value = answer.policy, answer.value
                 assert br.atoms == (g.joint_actions(team)[first],)
                 assert value == values[first]
             with pytest.raises(ValueError, match="distributions"):
@@ -233,28 +237,32 @@ class TestBestResponseIndividual:
     def test_stuck_at_zeros(self):
         # unilateral moves from (0,0) lose: -1 and 0 against value 1
         g = example1()
-        result, value = best_response_individual(g, pure((0, 0)), 1, pure((0, 0)))
+        answer = best_response_individual(g, pure((0, 0)), 1, pure((0, 0)))
+        result, value = answer.policy, answer.value
         assert result.pure_joint_action([0, 0]) == (0, 0)
         assert evaluate(g, result, pure((0, 0))) == 1.0
         assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_stays_at_bonus(self):
         g = example1()
-        result, value = best_response_individual(g, pure((0, 0)), 1, pure((1, 1)))
+        answer = best_response_individual(g, pure((0, 0)), 1, pure((1, 1)))
+        result, value = answer.policy, answer.value
         assert result.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_joint_mix_start_is_its_top_atom(self):
         g = example1()
         start = JointMixPolicy(((0, 0), (1, 1)), (0.25, 0.75))
-        result, value = best_response_individual(g, pure((0, 0)), 1, start)
+        answer = best_response_individual(g, pure((0, 0)), 1, start)
+        result, value = answer.policy, answer.value
         assert result.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, result, pure((0, 0)))
 
     def test_zero_sweeps_noop(self):
         g = example1()
         start = pure((0, 1))
-        result, value = best_response_individual(g, pure((0, 0)), 1, start, sweeps=0)
+        answer = best_response_individual(g, pure((0, 0)), 1, start, sweeps=0)
+        result, value = answer.policy, answer.value
         assert result.pure_joint_action([0, 0]) == (0, 1)
         assert value == team_value(g, 1, result, pure((0, 0)))
 
@@ -270,7 +278,8 @@ class TestBestResponseIndividual:
             opp = pure((seed % 3, (seed + 1) % 3), (3, 3))
             start = pure((0, 0), (3, 3))
             v0 = evaluate(g, start, opp)
-            result, value = best_response_individual(g, opp, 1, start)
+            answer = best_response_individual(g, opp, 1, start)
+            result, value = answer.policy, answer.value
             assert evaluate(g, result, opp) >= v0 - 1e-12
             assert value == team_value(g, 1, result, opp)
 
@@ -279,21 +288,24 @@ class TestBestResponseShared:
     def test_example1_vs_01(self):
         # E[reward] = 2 - 3q, maximized at q = 0
         g = example1()
-        policy, value = best_response_shared(g, pure((0, 1)), 1)
+        answer = best_response_shared(g, pure((0, 1)), 1)
+        policy, value = answer.policy, answer.value
         assert value == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(policy.policy.dist(0), [1.0, 0.0])
 
     def test_example1_vs_zeros(self):
         # E[reward] = 1 - 3q + 4q^2, maximized at q = 1
         g = example1()
-        policy, value = best_response_shared(g, pure((0, 0)), 1)
+        answer = best_response_shared(g, pure((0, 0)), 1)
+        policy, value = answer.policy, answer.value
         assert value == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(policy.policy.dist(0), [0.0, 1.0])
 
     def test_anti_coordination_interior(self):
         # 2q(1-q) maximized at q = 0.5 with value 0.5
         g = anti_coordination()
-        policy, value = best_response_shared(g, pure((0, 0)), 1)
+        answer = best_response_shared(g, pure((0, 0)), 1)
+        policy, value = answer.policy, answer.value
         assert value == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(policy.policy.dist(0), [0.5, 0.5], atol=1e-9)
 
@@ -302,7 +314,7 @@ class TestBestResponseShared:
         for seed in range(20):
             g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=seed)
             opp = pure((rng.integers(3), rng.integers(3)), (3, 3))
-            _, value = best_response_shared(g, opp, 1)
+            value = best_response_shared(g, opp, 1).value
             pure_best = max(
                 evaluate(g, pure((a, a), (3, 3)), opp) for a in range(3)
             )
@@ -319,7 +331,8 @@ class TestBestResponseShared:
             ones = np.array(joints).sum(axis=1)
             return (rewards * q**ones * (1 - q) ** (3 - ones)).sum(axis=-1)
 
-        policy, value = best_response_shared(g, opp, 1)
+        answer = best_response_shared(g, opp, 1)
+        policy, value = answer.policy, answer.value
         _, _, gap = oracles._bernstein_simplex_max(oracles.team_reward_tensor(g, 1, opp))
         dist = policy.policy.dist(0)
         assert 0 < dist[1] < 1  # the optimum is interior on this game
@@ -331,7 +344,8 @@ class TestBestResponseShared:
         g = sad(SadConfig(n_players=3, seek_max=3))
         half = IndividualPolicy(6, {0: np.array([0.5, 0, 0, 0, 0, 0.5])})
         opp = ProductPolicy([half] * 3)
-        policy, value = best_response_shared(g, opp, 1)
+        answer = best_response_shared(g, opp, 1)
+        policy, value = answer.policy, answer.value
         tensor = oracles.team_reward_tensor(g, 1, opp)
         _, _, gap = oracles._bernstein_simplex_max(tensor)
         assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
@@ -340,7 +354,7 @@ class TestBestResponseShared:
             for a in range(6)
         )
         assert value >= pure_best
-        assert best_response_shared(g, opp, 1)[1] == value
+        assert best_response_shared(g, opp, 1).value == value
         assert value == pytest.approx(team_value(g, 1, policy, opp), abs=1e-12)
 
     def test_no_sampled_shared_mix_beats_the_certified_value(self):
@@ -462,12 +476,14 @@ class TestBestResponseSharedStochastic:
         g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
         opp = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
         if oracle == "shared":
-            policy, value = best_response_shared(g, opp, team)
+            answer = best_response_shared(g, opp, team)
+            policy, value = answer.policy, answer.value
             team_actions = [(a, a) for a in range(6)]
             assert isinstance(policy, SharedPolicy)
-            assert value <= best_response_joint(g, opp, team)[1] + 1e-9
+            assert value <= best_response_joint(g, opp, team).value + 1e-9
         else:
-            policy, value = best_response_joint(g, opp, team)
+            answer = best_response_joint(g, opp, team)
+            policy, value = answer.policy, answer.value
             team_actions = list(itertools.product(range(6), repeat=2))
         expected = sum(
             p * _expectimax(g, team, opp, s, g.horizon, team_actions) for s, p in g.initial
@@ -486,7 +502,8 @@ class TestBestResponseSharedStochastic:
             for acts in itertools.product(range(2), repeat=3)
         ]
         for opponent in (opp_a, [(opp_a, 0.4), (opp_b, 0.6)]):
-            policy, value = best_response_shared(g, opponent, team)
+            answer = best_response_shared(g, opponent, team)
+            policy, value = answer.policy, answer.value
             best = max(team_value(g, team, t, opponent) for t in tables)
             assert value == pytest.approx(best, abs=1e-12)
             assert team_value(g, team, policy, opponent) == pytest.approx(value, abs=1e-12)
@@ -502,7 +519,7 @@ class TestBestResponseSharedStochastic:
         obs = [(s, m) for s in range(3) for m in range(2)]
         opp = ProductPolicy([HashPolicy(2, 0), HashPolicy(2, 7)])
         for opponent in (opp, [(opp, 0.4), (SharedPolicy(HashPolicy(2, 3), 2), 0.6)]):
-            _, value = best_response_shared(g, opponent, team)
+            value = best_response_shared(g, opponent, team).value
             tables = [
                 SharedPolicy(IndividualPolicy.from_actions(2, dict(zip(obs, acts))), 2)
                 for acts in itertools.product(range(2), repeat=len(obs))
@@ -527,9 +544,9 @@ class TestBestResponseSharedStochastic:
         hashed = ProductPolicy([HashPolicy(2, 0), HashPolicy(2, 7)])
         for opponent in (uniform, [(uniform, 0.5), (hashed, 0.5)]):
             calls.clear()
-            _, value = best_response_shared(counted, opponent, 1)
+            value = best_response_shared(counted, opponent, 1).value
             assert len(calls) == 24
-            assert value == best_response_shared(g, opponent, 1)[1]
+            assert value == best_response_shared(g, opponent, 1).value
 
     def test_scan_stops_at_the_enumeration_bound(self):
         # with 6 actions the fifth observation makes 6^5 > 4096 tables; the
@@ -549,9 +566,9 @@ class TestBestResponseSharedStochastic:
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
         for opponent, expected in ((opp, 24), (mix, 24)):
             calls.clear()
-            _, value = best_response_shared(counted, opponent, 2)
+            value = best_response_shared(counted, opponent, 2).value
             assert len(calls) == len(set(calls)) == expected
-            assert value == best_response_shared(g, opponent, 2)[1]
+            assert value == best_response_shared(g, opponent, 2).value
 
     @pytest.mark.parametrize("mixture", [False, True])
     def test_partial_observation_refused(self, mixture):
@@ -604,9 +621,9 @@ class TestStochasticPasses:
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
         start = g.initial[0][0]
         value = {
-            "joint": lambda game: best_response_joint(game, opp, 1)[1],
-            "joint-mixture": lambda game: best_response_joint(game, mix, 2)[1],
-            "shared": lambda game: best_response_shared(game, opp, 2)[1],
+            "joint": lambda game: best_response_joint(game, opp, 1).value,
+            "joint-mixture": lambda game: best_response_joint(game, mix, 2).value,
+            "shared": lambda game: best_response_shared(game, opp, 2).value,
             "sebr": lambda game: _checked_value(game, 1, sebr(game, opp, 1, restarts=1), opp),
             "advantage": lambda game: tuple(
                 advantage_decompose(game, opp, opp, 1, (4, 4), obs=start)
@@ -713,7 +730,7 @@ class TestStochasticPasses:
             g = random_stochastic_game(horizon=3, seed=seed)
             atom = ProductPolicy([HashPolicy(2, seed), HashPolicy(2, seed + 9)])
             mix = [(atom, 0.5), (ProductPolicy([ConstantPolicy(2, 1)] * 2), 0.5)]
-            assert best_response_joint(g, mix, team)[1] == expected
+            assert best_response_joint(g, mix, team).value == expected
         # one start state and each row cut to its likeliest successor: a
         # state the start policy first reaches at the last step is reached
         # before it by a later candidate, whose lookahead must not read the
@@ -731,7 +748,7 @@ class TestStochasticPasses:
         mix = [(atom, 0.5), (ProductPolicy([ConstantPolicy(2, 1)] * 2), 0.5)]
         for team, expected, asked in ((1, 0.798964594786429, 12), (2, 0.8873997775330039, 20)):
             calls.clear()
-            assert best_response_joint(revisiting, mix, team)[1] == expected
+            assert best_response_joint(revisiting, mix, team).value == expected
             assert len(calls) == asked
 
     def test_exact_response_refuses_conflicting_observations(self):
@@ -882,9 +899,9 @@ class TestStochasticPasses:
         mix = [(opp, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
         for run in (lambda: sebr(counted, opp, 1, restarts=2), lambda: sebr(counted, mix, 2)):
             calls[0] = 0
-            value = run()[1]
+            value = run().value
             once = calls[0]
-            assert run()[1] == value
+            assert run().value == value
             assert calls[0] == 2 * once > 0
 
 
@@ -996,7 +1013,8 @@ class TestAdvantageDecompose:
 class TestSebr:
     def test_anti_coordination_reaches_heterogeneous(self):
         g = anti_coordination()
-        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        answer = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        policy, value = answer.policy, answer.value
         joint = policy.pure_joint_action([0, 0])
         assert joint in ((0, 1), (1, 0))
         assert evaluate(g, policy, pure((0, 0))) == 1.0
@@ -1004,20 +1022,22 @@ class TestSebr:
 
     def test_example1_local_optimum(self):
         g = example1()
-        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        answer = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=0)
+        policy, value = answer.policy, answer.value
         assert policy.pure_joint_action([0, 0]) == (0, 0)
         assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_example1_restarts_escape(self):
         g = example1()
-        policy, value = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
+        answer = sebr(g, pure((0, 0)), 1, start=pure((0, 0)), restarts=4)
+        policy, value = answer.policy, answer.value
         assert policy.pure_joint_action([0, 0]) == (1, 1)
         assert value == team_value(g, 1, policy, pure((0, 0)))
 
     def test_switched_members_are_constant_policies(self):
         # the normal-form update used to switch to a one-entry table
         start = ProductPolicy([ConstantPolicy(2, 0)] * 2)
-        policy, _ = sebr(anti_coordination(), pure((0, 0)), 1, start=start, restarts=0)
+        policy = sebr(anti_coordination(), pure((0, 0)), 1, start=start, restarts=0).policy
         assert policy.pure_joint_action([0, 0]) in ((0, 1), (1, 0))
         assert all(type(m) is ConstantPolicy for m in policy.members)
 
@@ -1026,7 +1046,7 @@ class TestSebr:
         # observation alone, so the start's evaluation raised KeyError
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 2))
         stay = ProductPolicy([ConstantPolicy(6, 4)] * 2)
-        _, value = sebr(g, stay, 1, start=ProductPolicy.pure((4, 4), (6, 6)), restarts=0)
+        value = sebr(g, stay, 1, start=ProductPolicy.pure((4, 4), (6, 6)), restarts=0).value
         assert value == 0.95
 
     @pytest.mark.parametrize(
@@ -1077,15 +1097,18 @@ class TestSebr:
     def test_deterministic(self):
         g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=9)
         opp = pure((1, 2), (3, 3))
-        a, value_a = sebr(g, opp, 1, restarts=4, seed=3)
-        b, value_b = sebr(g, opp, 1, restarts=4, seed=3)
+        answer = sebr(g, opp, 1, restarts=4, seed=3)
+        a, value_a = answer.policy, answer.value
+        answer = sebr(g, opp, 1, restarts=4, seed=3)
+        b, value_b = answer.policy, answer.value
         assert a.pure_joint_action([0, 0]) == b.pure_joint_action([0, 0])
         assert value_a == value_b == team_value(g, 1, a, opp)
 
     def test_mixture_opponent(self):
         g = example1()
         mix = [(pure((0, 0)), 0.5), (pure((0, 1)), 0.5)]
-        policy, returned = sebr(g, mix, 1, restarts=4, seed=0)
+        answer = sebr(g, mix, 1, restarts=4, seed=0)
+        policy, returned = answer.policy, answer.value
         value = team_value(g, 1, policy, mix)
         assert returned == value
         # exhaustive check over pure products
@@ -1100,12 +1123,14 @@ class TestDominanceOrdering:
         for seed in range(15):
             g = random_team_game((2, 2), ((2, 2), (2, 2)), seed=100 + seed)
             opp = ProductPolicy([HashPolicy(2, seed + 5), HashPolicy(2, seed + 6)])
-            _, v_joint = best_response_joint(g, opp, 1)
-            _, v_shared = best_response_shared(g, opp, 1)
-            indiv, returned_indiv = best_response_individual(g, opp, 1, pure((0, 0)))
+            v_joint = best_response_joint(g, opp, 1).value
+            v_shared = best_response_shared(g, opp, 1).value
+            answer = best_response_individual(g, opp, 1, pure((0, 0)))
+            indiv, returned_indiv = answer.policy, answer.value
             v_indiv = evaluate(g, indiv, opp)
             assert returned_indiv == team_value(g, 1, indiv, opp)
-            seq, returned_seq = sebr(g, opp, 1, restarts=2, seed=seed)
+            answer = sebr(g, opp, 1, restarts=2, seed=seed)
+            seq, returned_seq = answer.policy, answer.value
             v_seq = evaluate(g, seq, opp)
             assert returned_seq == team_value(g, 1, seq, opp)
             assert v_joint >= v_seq - 1e-9
@@ -1193,7 +1218,8 @@ class TestSettledMembers:
     def test_sebr_skirmish(self, updates, opponent, team, value, entries, actions, trace_digest):
         game, states = _acting_states(3)
         trace = []
-        policy, got = sebr(game, _SETTLE_OPPONENTS[opponent], team, restarts=2, seed=3, trace=trace)
+        answer = sebr(game, _SETTLE_OPPONENTS[opponent], team, restarts=2, seed=3, trace=trace)
+        policy, got = answer.policy, answer.value
         assert got == value
         assert len(trace) == entries and _digest(trace) == trace_digest
         assert _actions_digest(game, team, policy, states) == actions
@@ -1212,7 +1238,8 @@ class TestSettledMembers:
     def test_individual_skirmish(self, updates, opponent, team, value, every_update, actions):
         game, states = _acting_states(3)
         zeros = ProductPolicy([ConstantPolicy(6, 0)] * 2)
-        policy, got = best_response_individual(game, _SETTLE_OPPONENTS[opponent], team, zeros)
+        answer = best_response_individual(game, _SETTLE_OPPONENTS[opponent], team, zeros)
+        policy, got = answer.policy, answer.value
         assert got == value
         assert _actions_digest(game, team, policy, states) == actions
         assert len(updates) < every_update
@@ -1227,7 +1254,8 @@ class TestSettledMembers:
         ):
             updates.clear()
             trace = []
-            policy, got = sebr(game, _SETTLE_OPPONENTS["mix"], team, restarts=2, seed=3, trace=trace)
+            answer = sebr(game, _SETTLE_OPPONENTS["mix"], team, restarts=2, seed=3, trace=trace)
+            policy, got = answer.policy, answer.value
             assert got == value
             assert len(trace) == entries and _digest(trace) == trace_digest
             assert _actions_digest(game, team, policy, states) == actions
@@ -1241,7 +1269,7 @@ class TestSettledMembers:
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3, damage=37.3, discount=0.9))
         opp = ProductPolicy([HashPolicy(6, 0), HashPolicy(6, 100)])
         trace = []
-        _, value = sebr(g, opp, 1, restarts=0, max_sweeps=4, trace=trace)
+        value = sebr(g, opp, 1, restarts=0, max_sweeps=4, trace=trace).value
         assert value == 63.783
         assert trace == [
             (0, 0, 0, 0.0, 30.213), (0, 0, 1, 30.213, 63.783),
@@ -1255,7 +1283,8 @@ class TestSettledMembers:
         # every pure start; closed-form switches settle at once
         g = anti_coordination()
         trace = []
-        policy, got = sebr(g, pure(opponent), 1, restarts=4, seed=0, trace=trace)
+        answer = sebr(g, pure(opponent), 1, restarts=4, seed=0, trace=trace)
+        policy, got = answer.policy, answer.value
         assert got == value
         assert policy.pure_joint_action([0, 0]) == (1, 0)
         low = value - 1.0
@@ -1268,3 +1297,86 @@ class TestSettledMembers:
             (3, 1, 0, value, value), (3, 1, 1, value, value),
         ]
         assert len(updates) == 8 < len(trace)
+
+
+_PATH_ATOM = ProductPolicy([HashPolicy(6, 17), HashPolicy(6, 29)])
+_PATH_MIX = [(_PATH_ATOM, 0.5), (ProductPolicy([ConstantPolicy(6, 4)] * 2), 0.5)]
+
+
+def _skirmish(horizon):
+    return grid_skirmish(SkirmishConfig(3, 3, 2, horizon))
+
+
+def _three_member_game():
+    return random_team_game((3, 3), ((3, 3, 3), (3, 3, 3)), seed=3)
+
+
+def _profile_class(game, name):
+    zeros = ProductPolicy([ConstantPolicy(c, 0) for c in game.action_counts[0]])
+    return exploitability_profile(game, Candidate.single(1, zeros), classes=(name,)).results[0]
+
+
+#: id: (answer, its method, the largest gap it may report or None for no gap)
+_PATHS = {
+    "nf-joint": (lambda: best_response_joint(example1(), pure((0, 1)), 1), "enumeration", 0.0),
+    "nf-shared-two": (lambda: best_response_shared(example1(), pure((0, 1)), 1), "kkt", 0.0),
+    "nf-shared-three": (
+        lambda: best_response_shared(
+            _three_member_game(), ProductPolicy([UniformPolicy(3)] * 3), 1
+        ),
+        "bernstein",
+        1e-9,
+    ),
+    "joint-one-atom": (lambda: best_response_joint(_skirmish(2), _PATH_ATOM, 1), "exact_dp", 0.0),
+    "shared-diagonal-dp": (
+        lambda: best_response_shared(_skirmish(3), _PATH_ATOM, 1), "exact_dp", 0.0
+    ),
+    "joint-mixture": (lambda: best_response_joint(_skirmish(2), _PATH_MIX, 1), "greedy", None),
+    "shared-mixture-past-bound": (
+        lambda: best_response_shared(_skirmish(2), _PATH_MIX, 1), "greedy", None
+    ),
+    "shared-enumeration": (
+        lambda: best_response_shared(_skirmish(2), _PATH_ATOM, 1), "enumeration", 0.0
+    ),
+    "nf-sebr": (lambda: sebr(example1(), pure((0, 1)), 1), "coordinate_ascent", None),
+    "sebr": (lambda: sebr(_skirmish(2), _PATH_MIX, 1, restarts=1), "coordinate_ascent", None),
+    "individual": (
+        lambda: best_response_individual(_skirmish(2), _PATH_ATOM, 1, _PATH_ATOM),
+        "coordinate_ascent",
+        None,
+    ),
+    "profile-random": (lambda: _profile_class(example1(), "random"), "evaluation", 0.0),
+    "profile-synchronized-not-applicable": (
+        lambda: _profile_class(random_team_game((2, 2), ((2, 2), (2, 3)), seed=0), "synchronized"),
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_every_path_names_itself(path):
+    answer, method, largest_gap = _PATHS[path]
+    got = answer()
+    assert got.method == method
+    if largest_gap is None:
+        assert got.gap is None
+    else:
+        assert 0.0 <= got.gap <= largest_gap
+
+
+def test_an_answer_is_read_by_its_fields():
+    answer = best_response_joint(example1(), pure((0, 1)), 1)
+    with pytest.raises(TypeError):
+        policy, value = answer
+    assert (answer.value, answer.gap, answer.method) == (2.0, 0.0, "enumeration")
+
+
+def test_bernstein_node_cap_reports_its_gap(monkeypatch):
+    # a capped branch-and-bound still certifies [value, value + gap]
+    g, opp = _three_member_game(), ProductPolicy([UniformPolicy(3)] * 3)
+    full = best_response_shared(g, opp, 1)
+    monkeypatch.setattr(oracles, "_BERNSTEIN_NODE_CAP", 1)
+    capped = best_response_shared(g, opp, 1)
+    assert capped.method == "bernstein" and capped.gap > 0.0
+    assert capped.value <= full.value <= capped.value + capped.gap

@@ -22,7 +22,7 @@ from teameq.games import (
     grid_skirmish,
     random_team_game,
 )
-from teameq.oracles import best_response_shared, team_reward_tensor
+from teameq.oracles import BestResponse, best_response_shared, team_reward_tensor
 from teameq.psro import (
     PsroConfig,
     extend_population,
@@ -127,13 +127,25 @@ class TestRunPsro:
         import teameq.psro as psro_module
 
         def seed_entry(game, team, pop, *args, **kwargs):
-            return pop.entries(team)[0], 10.0
+            return BestResponse(pop.entries(team)[0], 10.0, 0.0, "enumeration")
 
         monkeypatch.setattr(psro_module, "_oracle_response", seed_entry)
         result = run_psro(example1(), PsroConfig(oracle="joint"))
         assert (result.iterations, result.converged) == (1, False)
         assert (len(result.population.team1), len(result.population.team2)) == (1, 1)
         assert result.history[0].br_gain_1 > 0 and result.history[0].br_gain_2 > 0
+
+    def test_certified_when_every_expanded_answer_has_a_gap(self):
+        # Joint-PSRO enumerates on normal form; SeBR is a local search
+        joint = run_psro(example1(), PsroConfig(oracle="joint"))
+        assert joint.certified
+        assert all(r.gap_1 == r.gap_2 == 0.0 for r in joint.history)
+        seq = run_psro(example1(), PsroConfig(oracle="sebr"))
+        assert not seq.certified
+        assert all(r.gap_1 is None and r.gap_2 is None for r in seq.history)
+        # a frozen team has no answer, so it neither has a gap nor needs one
+        frozen = run_psro(example1(), PsroConfig(oracle="joint", expand_teams=(1,)))
+        assert frozen.certified and frozen.history[-1].gap_2 is None
 
     def test_br_gain_nonnegative(self):
         for oracle in ("joint", "sebr", "individual", "shared"):
@@ -211,7 +223,7 @@ class TestRunPsro:
             weights = result.meta_2 if team == 1 else result.meta_1
             opponent = result.population.mixture(3 - team, weights)
             meta = result.value if team == 1 else -result.value
-            assert best_response_shared(g, opponent, team)[1] <= meta + cfg.tol
+            assert best_response_shared(g, opponent, team).value <= meta + cfg.tol
             tensor = team_reward_tensor(g, team, opponent)
             sampled = np.einsum(tensor, [0, 1, 2], *operands, [3])
             assert sampled.max() <= meta + cfg.tol
