@@ -40,6 +40,8 @@ class EvaluationError(ValueError):
 
 
 def _check_dist(dist: np.ndarray, what: str) -> np.ndarray:
+    """A validated probability row, read-only and as given but for clipping
+    negatives to 0 (not renormalised, so a row read back plays its bits)."""
     arr = np.asarray(dist, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{what}: expected a 1-d probability vector")
@@ -47,8 +49,7 @@ def _check_dist(dist: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what}: negative or NaN probability {arr.min()}")
     if not abs(arr.sum() - 1.0) <= DIST_TOL:
         raise ValueError(f"{what}: probabilities sum to {arr.sum()!r}, not 1")
-    arr = np.clip(arr, 0.0, None)
-    arr = arr / arr.sum()
+    arr = np.maximum(arr, 0.0)
     arr.setflags(write=False)
     return arr
 

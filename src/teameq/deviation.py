@@ -34,6 +34,7 @@ from .core import (
 )
 from .oracles import (
     _member_values,
+    _slack,
     _table_search,
     best_response_joint,
     best_response_shared,
@@ -155,7 +156,7 @@ def build_deviation_spec(
     - Sequential: a seeded sample of at most the sample factor's ``n_init``
       policies: every pure unilateral deviation (normal form) or the
       NoCorrelation tables (stochastic) first, then pure joint actions drawn
-      without replacement or `sebr_starts`' seeded deterministic products.
+      without replacement or `sebr_starts`' deterministic products.
     """
     check_team_policy(game, team, candidate)
     if opponent is None:
@@ -174,9 +175,9 @@ def build_deviation_spec(
                 for m, c in enumerate(counts)
             ]
         atoms = as_mixture(opponent)
-        steps = _StepTable(game, atoms)
+        steps, slack = _StepTable(game, atoms), _slack(game)
         return [
-            (m, _table_search(game, team, (m,), members, atoms, steps).policy)
+            (m, _table_search(game, team, (m,), members, atoms, steps, slack).policy)
             for m in range(n_members)
         ]
 

@@ -78,6 +78,31 @@ def subseed(seed: int, name: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
+def _slack(payoffs) -> float:
+    """`_beats`' margin for a game or payoff array, computed once per oracle
+    call or run: 1e-9 times the payoff scale, ``max - min`` of the payoffs
+    (0 when constant) or a stochastic game's ``reward_bound``."""
+    if isinstance(payoffs, StochasticTeamGame):
+        return 1e-9 * payoffs.reward_bound
+    return 1e-9 * float(np.ptp(getattr(payoffs, "payoff", payoffs)))
+
+
+def _beats(value, incumbent, slack):
+    """The one rule of every keep, switch, restart and incumbent choice: a
+    candidate wins by more than ``slack`` (elementwise on arrays), and as
+    candidates are scanned in order, ties go to the earliest."""
+    return value > incumbent + slack
+
+
+def _first_best(values, slack) -> int:
+    """Index of the entry an in-order `_beats` scan of ``values`` keeps."""
+    best = 0
+    for i in range(1, len(values)):
+        if _beats(values[i], values[best], slack):
+            best = i
+    return best
+
+
 class MaxminConvergenceError(RuntimeError):
     """The maxmin simplex hit its pivot cap or could not certify ``tol``;
     carries the certified strategies of its last tableau."""
@@ -174,23 +199,22 @@ def solve_matrix_maxmin(
     """Maxmin (equilibrium) of a zero-sum matrix game.
 
     The row player maximizes ``row_mix @ matrix @ col_mix``.  The matrix is
-    shifted to be strictly positive, ``A = matrix - min(matrix) + 1``, and
-    the column player's linear program ``max 1·q s.t. A q <= 1, q >= 0`` is
+    made positive and unit-free, ``A = (matrix - min(matrix)) / 2**e + 1``
+    with ``2**e`` the power of two above its range (1 if constant), and the
+    column player's linear program ``max 1·q s.t. A q <= 1, q >= 0`` is
     solved by a dense-tableau simplex started from the slack basis.  Pivots
     follow Bland's rule (smallest entering index, ratio ties to the smallest
     basis index), so the simplex cannot cycle.  ``col_mix`` is the
     normalised optimal ``q`` and ``row_mix`` the normalised duals from the
     objective row; both carry a gap certificate on the original matrix.
-    Deterministic for fixed inputs.
 
-    ``tol`` is relative to the payoff scale: the certified gap must not
-    exceed ``tol * max(1, max|matrix|)``, so it is absolute for payoffs
-    within ±1.  ``max_iterations`` caps the pivots.  Raises
+    The certified gap must not exceed ``tol`` times the payoff range, 0 for
+    a constant matrix; ``max_iterations`` caps the pivots.  Raises
     MaxminConvergenceError, with the current tableau's certified strategies,
-    when the cap is hit or the certified gap exceeds the scaled tolerance.
-    Raises ValueError for a ``tol`` that is negative, infinite or NaN (each
-    would switch the certificate off or make it unmeetable; ``tol=0`` asks
-    for a zero gap) and for a negative ``max_iterations``.
+    when the cap is hit or the gap exceeds that.  Raises ValueError for a
+    ``tol`` that is negative, infinite or NaN (each would switch the
+    certificate off or make it unmeetable), a negative ``max_iterations``
+    and a payoff range that overflows.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -202,10 +226,15 @@ def solve_matrix_maxmin(
     if not np.logical_and.reduce(np.isfinite(mat), axis=None):
         raise ValueError("matrix entries must be finite")
     rows, cols = mat.shape
-    tol = tol * max(1.0, float(np.maximum.reduce(np.abs(mat), axis=None)))
+    low = float(np.minimum.reduce(mat, axis=None))
+    span = float(np.maximum.reduce(mat, axis=None)) - low
+    if span == math.inf:
+        raise ValueError("matrix payoff range must be finite")
+    tol = tol * span
+    unit = math.ldexp(1.0, math.frexp(span)[1]) if span > 0.0 else 1.0
     basis = np.arange(cols, cols + rows)
     tableau = np.zeros((rows + 1, cols + rows + 1))
-    tableau[:rows, :cols] = mat - np.minimum.reduce(mat, axis=None) + 1.0
+    tableau[:rows, :cols] = (mat - low) / unit + 1.0
     tableau[np.arange(rows), basis] = 1.0
     tableau[:rows, -1] = 1.0
     tableau[rows, :cols] = -1.0
@@ -401,7 +430,7 @@ def _unit_best_response_exact(
 
 
 def _unit_improve_weighted(
-    game, team, unit, own_members, opp_atoms, unit_actions=None, start=None, steps=None,
+    game, team, unit, own_members, opp_atoms, slack, unit_actions=None, start=None, steps=None,
 ):
     """Occupancy-weighted greedy improvement of the unit's policy against a
     mixture of opponent atoms, iterated to a local fixed point.
@@ -411,23 +440,21 @@ def _unit_improve_weighted(
     tabular analogue of on-policy improvement.  Each round scores the
     unit's actions by a one-step lookahead over the current policy's walks
     against every atom, then keeps the greedy candidate only if its value
-    beats the current value by more than 1e-15 (keep-if-better guard).
-    The candidate's walks give that value and, once it is kept, the next
-    round's walks.  A candidate whose unit members play the current action
-    at every key it scored plays the current policy, so its walks would
-    repeat the current ones: it is rejected without a walk.  ``start`` is
-    ``(walks, value, on-policy values or None)`` of ``own_members`` against
-    the atoms when the caller holds them: one walk per atom as
-    `_atoms_value` records them, their value against the mixture and each
-    walk's on-policy state values by step; without it the greedy walks
-    them.  ``unit_actions`` is as in _unit_best_response_exact.  ``steps``
-    is the calling oracle's step table, with ``opp_atoms`` registered;
-    without one the greedy builds its own.  Returns (unit members'
-    policies, value, fixed point, kept), where fixed point says the last
-    round rejected its candidate rather than ending at the GREEDY_ROUNDS
-    cap: the greedy run again from its result, before any other member
-    changes, keeps that result; kept is the ``start`` triple of the
-    returned policy.
+    `_beats` the current one by ``slack`` (keep-if-better guard); its walks
+    give that value and, once it is kept, the next round's walks.  A
+    candidate that plays the current action at every key it scored plays
+    the current policy, so it is rejected without a walk.  ``start`` is
+    ``(walks, value, on-policy values or None)`` of ``own_members`` when
+    the caller holds them: one walk per atom as `_atoms_value` records
+    them, their value against the mixture and each walk's on-policy state
+    values by step; without it the greedy walks them.  ``unit_actions`` is
+    as in _unit_best_response_exact.  ``steps`` is the calling oracle's
+    step table, with ``opp_atoms`` registered; without one the greedy
+    builds its own.  Returns (unit members' policies, value, fixed point,
+    kept), where fixed point says the last round rejected its candidate
+    rather than ending at the GREEDY_ROUNDS cap: the greedy run again from
+    its result, before any other member changes, keeps that result; kept
+    is the ``start`` triple of the returned policy.
     """
     counts = game.action_counts[team - 1]
     if unit_actions is None:
@@ -527,29 +554,29 @@ def _unit_improve_weighted(
             )
         cand_walks = [[] for _ in opp_atoms]
         cand_value = _atoms_value(game, team, candidate, opp_atoms, steps, cand_walks)
-        if cand_value <= value + 1e-15:
+        if not _beats(cand_value, value, slack):
             fixed = True
             break
         members, walks, value, on_policy = candidate, cand_walks, cand_value, None
     return [members[m] for m in unit], value, fixed, (walks, value, on_policy)
 
 
-def _unit_best_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
+def _unit_best_response(game, team, unit, own_members, atoms, slack, unit_actions=None, steps=None):
     """Exact backward induction against one opponent atom, the guarded greedy
-    improvement against a mixture: a `BestResponse` whose policy is the
-    unit members' tables."""
+    improvement (with ``slack``) against a mixture: a `BestResponse` whose
+    policy is the unit members' tables."""
     if len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, unit, own_members, atoms[0][0], unit_actions, steps
         )
         return BestResponse(tables, value, 0.0, "exact_dp")
     tables, value, _, _ = _unit_improve_weighted(
-        game, team, unit, own_members, atoms, unit_actions=unit_actions, steps=steps
+        game, team, unit, own_members, atoms, slack, unit_actions=unit_actions, steps=steps
     )
     return BestResponse(tables, value, None, "greedy")
 
 
-def _table_search(game, team, unit, own_members, atoms, steps):
+def _table_search(game, team, unit, own_members, atoms, steps, slack):
     """Best pure stationary table that every member of ``unit`` plays, the
     other members held at ``own_members``, against opponent atoms that the
     step table ``steps`` registers: a `BestResponse` whose policy is the table.
@@ -561,10 +588,11 @@ def _table_search(game, team, unit, own_members, atoms, steps):
     them, so the walks run again with the unit free over all its joint
     actions.  Either way these are the observations a unit table can
     reach, so up to TABLE_ENUMERATION_BOUND tables over the sorted domain
-    every table is evaluated and the first best wins; each plays action 0
-    elsewhere.  The walks stop as soon as the domain passes the bound, and
-    `_unit_best_response` then searches the diagonal, reusing the diagonal
-    walks' completion lists; EvaluationError when that does not apply.
+    every table is evaluated and the first best by `_beats` with ``slack``
+    wins; each plays action 0 elsewhere.  The walks stop as soon as the
+    domain passes the bound, and `_unit_best_response` then searches the
+    diagonal, reusing the diagonal walks' completion lists; EvaluationError
+    when that does not apply.
     """
     n_actions = game.action_counts[team - 1][unit[0]]
     diagonal = [(a,) * len(unit) for a in range(n_actions)]
@@ -604,7 +632,7 @@ def _table_search(game, team, unit, own_members, atoms, steps):
         fits = walk_domain(_unit_action_space(game, team, unit))
     if not fits:
         try:
-            br = _unit_best_response(game, team, unit, own_members, atoms, diagonal, steps)
+            br = _unit_best_response(game, team, unit, own_members, atoms, slack, diagonal, steps)
         except ExactBRUnsupported as err:
             raise EvaluationError(
                 "too many pure tables to enumerate, and the diagonal "
@@ -618,7 +646,7 @@ def _table_search(game, team, unit, own_members, atoms, steps):
         table = IndividualPolicy.from_actions(n_actions, dict(zip(obs_list, assignment)), fallback)
         trial = [table if m in unit else p for m, p in enumerate(own_members)]
         val = _atoms_value(game, team, trial, atoms, steps)
-        if val > best_val + 1e-15:
+        if _beats(val, best_val, slack):
             best_val, best_table = val, table
     return BestResponse(best_table, float(best_val), 0.0, "enumeration")
 
@@ -654,7 +682,7 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
     atoms = _opponent_atoms(game, team, opponent)
     unit = tuple(range(game.team_sizes[team - 1]))
     base = tuple(ConstantPolicy(c, 0) for c in game.action_counts[team - 1])
-    br = _unit_best_response(game, team, unit, base, atoms)
+    br = _unit_best_response(game, team, unit, base, atoms, _slack(game))
     return replace(br, policy=ProductPolicy(br.policy))
 
 
@@ -698,51 +726,46 @@ def _atoms_value(game, team, members, atoms, steps, walks=None) -> float:
     return sum(w * (sign * v) for (_, w), v in zip(atoms, values))
 
 
-def _member_update(game, team, member, members, atoms, current, steps, start):
-    """One member's exact pure best response, switch on strict improvement.
+def _member_update(game, team, member, members, atoms, current, steps, start, slack):
+    """One member's exact pure best response, switch when it `_beats` the
+    current value by ``slack``.
 
     ``current`` is the team's value before the update and ``start`` the
     greedy's start triple for ``members`` (see `_unit_improve_weighted`)
     or None.  Returns (policy, value after the update, settled, kept),
     where the policy is ``members[member]`` itself unless the member
-    switched, and kept is the greedy's start triple for the members after
-    the update (None off the greedy path).  Normal-form updates are
-    closed-form; the stochastic path uses exact backward induction for a
-    single opponent atom and the guarded greedy improvement for mixtures,
-    whose value is its result's evaluation.  The other paths evaluate the
-    switched policy once, since the closed-form and DP values can differ
-    from evaluation in the last bits.  ``atoms`` are the opponent's
-    checked atoms and ``steps`` the calling oracle's table: their
-    `_NormalFormTable` on a normal-form game, else a step table with them
-    registered.
+    switched, and kept is the greedy's start triple after the update (None
+    off the greedy path).  Normal-form updates are closed-form; stochastic
+    ones exact backward induction against one opponent atom and the
+    guarded greedy against a mixture.  A closed-form or DP switch is
+    evaluated once, since those values can differ from evaluation in the
+    last bits.  ``atoms`` are the opponent's checked atoms and ``steps``
+    the calling oracle's `_NormalFormTable` or step table.
 
     Settled means the same update, run again before any teammate switches,
     provably changes nothing, so `sebr` skips it until a teammate switches.
     It holds when the update made no change; after a closed-form switch
     (the member's values do not depend on its own row); after a DP switch
-    whose value is at most the evaluated value plus `_dp_slack` of it (the
-    DP value does not depend on the member's own table, so the guard would
-    reject it); and after a greedy switch that ended on a rejected
-    candidate.  The single-atom DP guard uses the same relative slack: a DP
-    value and an evaluation of the same policy can differ in the last bits
-    at any payoff scale.
+    whose value does not beat the evaluated value (the DP value does not
+    depend on the member's own table, so the guard would reject it); and
+    after a greedy switch that ended on a rejected candidate.
     """
     if game.is_normal_form:
         dists = [m.dist(NF_OBS) for m in members]
         values = _member_values(steps.tensor, dists, member)
-        best = int(np.argmax(values))
-        if values[best] <= float(values @ dists[member]):
+        best = _first_best(values, slack)
+        if not _beats(values[best], float(values @ dists[member]), slack):
             return members[member], current, True, None
         tables = [ConstantPolicy(len(values), best)]
     elif len(atoms) == 1:
         tables, value = _unit_best_response_exact(
             game, team, (member,), tuple(members), atoms[0][0], steps=steps
         )
-        if value <= current + _dp_slack(current):
+        if not _beats(value, current, slack):
             return members[member], current, True, None
     else:
         tables, value, fixed, kept = _unit_improve_weighted(
-            game, team, (member,), tuple(members), atoms, start=start, steps=steps
+            game, team, (member,), tuple(members), atoms, slack, start=start, steps=steps
         )
         return tables[0], value, fixed, kept
     updated = list(members)
@@ -750,12 +773,7 @@ def _member_update(game, team, member, members, atoms, current, steps, start):
     if game.is_normal_form:
         return tables[0], steps.value(updated), True, None
     after = _atoms_value(game, team, updated, atoms, steps)
-    return tables[0], after, value <= after + _dp_slack(after), None
-
-
-def _dp_slack(value: float) -> float:
-    """Round-off allowance between a DP value and an evaluation near ``value``."""
-    return 1e-12 * max(1.0, abs(value))
+    return tables[0], after, not _beats(value, after, slack), None
 
 
 def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
@@ -765,9 +783,10 @@ def _shared_value(tensor: np.ndarray, dist: np.ndarray) -> float:
     return float(out)
 
 
-def _quadratic_simplex_max(q: np.ndarray):
+def _quadratic_simplex_max(q: np.ndarray, slack: float):
     """Exact maximum of p^T Q p over the simplex via KKT support
-    enumeration (team of two members); returns (p, value, gap 0).
+    enumeration (team of two members); returns (p, value, gap 0).  The pure
+    corners, then the supports by size, are scanned with `_beats`.
 
     The KKT systems of one support size are solved as stacks of at most
     `_KKT_STACK`, in `itertools.combinations` order.  A system whose LU
@@ -778,11 +797,8 @@ def _quadratic_simplex_max(q: np.ndarray):
     """
     n = q.shape[0]
     sym = q + q.T
-    best_val, best_p = -math.inf, None
-    for a in range(n):
-        val = float(q[a, a])
-        if val > best_val:
-            best_val, best_p = val, np.eye(n)[a]
+    corner = _first_best([float(q[a, a]) for a in range(n)], slack)
+    best_val, best_p = float(q[corner, corner]), np.eye(n)[corner]
     for size in range(2, n + 1):
         supports = itertools.combinations(range(n), size)
         for _ in range(0, math.comb(n, size), _KKT_STACK):
@@ -803,12 +819,12 @@ def _quadratic_simplex_max(q: np.ndarray):
                 p[support] = np.clip(ps, 0.0, None)
                 p = p / p.sum()
                 val = float(p @ q @ p)
-                if val > best_val + 1e-15:
+                if _beats(val, best_val, slack):
                     best_val, best_p = val, p
     return best_p, best_val, 0.0
 
 
-def _bernstein_simplex_max(tensor: np.ndarray):
+def _bernstein_simplex_max(tensor: np.ndarray, slack: float):
     """Certified maximum of the shared value ``T(p, ..., p)`` over the
     simplex, by branch-and-bound in the simplicial Bernstein basis (Garloff,
     LNCS 212, 1985; Leroy, Reliable Computing 2012); returns (p, value, gap).
@@ -817,16 +833,15 @@ def _bernstein_simplex_max(tensor: np.ndarray):
     tensor with ``V`` on every member axis gives the value's Bernstein
     coefficients there: their maximum bounds the value on the sub-simplex
     from above, and each vertex's value bounds the maximum from below.  The
-    search starts from the pure corners (the lowest index wins a tie), splits
-    the longest edge of the sub-simplex with the highest bound at its
-    midpoint, and keeps a new corner only when it is better by more than
-    1e-15.  It stops once no bound exceeds the best corner by more than
-    ``1e-9 * max(1, max|T|)``, or after `_BERNSTEIN_NODE_CAP` splits; ``gap``
-    is the highest bound left less the value, so the true maximum lies in
-    ``[value, value + gap]`` either way.
+    search starts from the pure corners, splits the longest edge of the
+    sub-simplex with the highest bound at its midpoint, and keeps a corner,
+    pure or new, or a sub-simplex's bound only when it `_beats` the best
+    corner by ``slack``.  It stops once no bound left does, or after
+    `_BERNSTEIN_NODE_CAP` splits; ``gap`` is the highest bound left less
+    the value, so the true maximum lies in ``[value, value + gap]`` either
+    way, and ``gap <= slack`` unless the cap is hit.
     """
     n, size = tensor.ndim, tensor.shape[0]
-    tol = 1e-9 * max(1.0, float(np.abs(tensor).max()))
     # contracting every axis with one V commutes with permuting the axes
     sym = sum(tensor.transpose(perm) for perm in itertools.permutations(range(n)))
     sym = sym / math.factorial(n)
@@ -838,26 +853,25 @@ def _bernstein_simplex_max(tensor: np.ndarray):
         return float(out.max())
 
     corners = np.eye(size)
-    values = [float(tensor[(a,) * n]) for a in range(size)]
-    best = int(np.argmax(values))
-    best_p, best_val = corners[best], values[best]
+    best = _first_best([float(tensor[(a,) * n]) for a in range(size)], slack)
+    best_p, best_val = corners[best], float(tensor[(best,) * n])
     cut = best_val  # highest bound of a discarded sub-simplex
     heap = [(-bound(corners), 0, corners)]
     for split in range(_BERNSTEIN_NODE_CAP):
-        if not heap or -heap[0][0] <= best_val + tol:
+        if not heap or not _beats(-heap[0][0], best_val, slack):
             break
         _, _, vertices = heapq.heappop(heap)
         diffs = vertices[:, None, :] - vertices[None, :, :]
         i, j = np.unravel_index(int(np.argmax((diffs**2).sum(axis=2))), (size, size))
         mid = 0.5 * (vertices[i] + vertices[j])
         val = _shared_value(tensor, mid)
-        if val > best_val + 1e-15:
+        if _beats(val, best_val, slack):
             best_p, best_val = mid, val
         for k, corner in enumerate((i, j)):
             child = vertices.copy()
             child[corner] = mid
             upper = bound(child)
-            if upper > best_val + tol:
+            if _beats(upper, best_val, slack):
                 heapq.heappush(heap, (-upper, 2 * split + k + 1, child))
             else:
                 cut = max(cut, upper)
@@ -871,12 +885,10 @@ def best_response_shared(game: Game, opponent, team: int):
     Normal form: the best mixed shared action, over the simplex.  Two-member
     teams use exact KKT support enumeration (`_quadratic_simplex_max`);
     other teams a certified Bernstein branch-and-bound
-    (`_bernstein_simplex_max`), whose value is within ``1e-9 * max(1,
-    max|T|)`` of the maximum unless its node cap is hit.  The KKT systems
-    are solved as one stack per support size, with the singular ones
-    screened out before the solve.  Both searches start from the
-    pure shared actions and keep the lowest-index best one on a tie.  No seed
-    is read: the result is a function of the game and the opponent.
+    (`_bernstein_simplex_max`), whose value is within the game's `_slack`
+    of the maximum unless its node cap is hit.  Both start from the pure
+    shared actions and decide by `_beats`.  No seed is read: the result is
+    a function of the game and the opponent.
 
     Stochastic: the best pure stationary shared table, by `_table_search`
     over the unit of all members.  Raises DimensionError when an opponent
@@ -893,13 +905,13 @@ def best_response_shared(game: Game, opponent, team: int):
     if game.is_normal_form:
         tensor = team_reward_tensor(game, team, opponent)
         search = _quadratic_simplex_max if n_members == 2 else _bernstein_simplex_max
-        dist, value, gap = search(tensor)
+        dist, value, gap = search(tensor, _slack(game))
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
         return BestResponse(policy, value, gap, "kkt" if n_members == 2 else "bernstein")
     atoms = _opponent_atoms(game, team, opponent)
     base = tuple(ConstantPolicy(n_actions, 0) for _ in range(n_members))
     br = _table_search(
-        game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms)
+        game, team, tuple(range(n_members)), base, atoms, _StepTable(game, atoms), _slack(game)
     )
     return replace(br, policy=SharedPolicy(br.policy, n_members))
 
@@ -982,26 +994,19 @@ def _stochastic_q_tensor(game, team, members, opponent, obs):
 
 def sebr_starts(game: Game, team: int, incumbent, restarts: int, seed: int):
     """Start set for SeBR: the incumbent plus either every pure product
-    policy (when at most ``restarts`` exist, normal form) or ``restarts``
-    seeded random deterministic products."""
+    policy (when at most ``restarts`` exist, on either game kind) or
+    ``restarts`` seeded random deterministic products."""
     counts = game.action_counts[team - 1]
     starts: list[ProductPolicy] = []
     if incumbent is not None:
         starts.append(_as_product(incumbent, counts))
-    if restarts > 0:
-        if game.is_normal_form and int(np.prod(counts)) <= restarts:
-            for joint in itertools.product(*(range(c) for c in counts)):
-                starts.append(ProductPolicy.pure(joint, counts))
-        else:
-            for i in range(restarts):
-                starts.append(
-                    ProductPolicy(
-                        [
-                            HashPolicy(c, subseed(seed, f"sebr-start/{i}/{m}"))
-                            for m, c in enumerate(counts)
-                        ]
-                    )
-                )
+    if math.prod(counts) <= restarts:
+        for joint in itertools.product(*(range(c) for c in counts)):
+            starts.append(ProductPolicy.pure(joint, counts))
+    else:
+        for i in range(restarts):
+            seeds = [subseed(seed, f"sebr-start/{i}/{m}") for m in range(len(counts))]
+            starts.append(ProductPolicy([HashPolicy(c, s) for c, s in zip(counts, seeds)]))
     if not starts:
         starts.append(ProductPolicy([ConstantPolicy(c, 0) for c in counts]))
     return starts
@@ -1031,21 +1036,19 @@ def sebr(
     successors' current policies, against a fixed opponent policy or
     mixture.  Each member update weakly improves the team value; a sweep
     with no change terminates the ascent.  Returns the `BestResponse` of
-    the highest-value result over the restart set (ties keep the earliest
-    start); its value is the one the updates carried, equal to
-    ``team_value`` of the policy up to the sign of a zero.
+    the best result over the restart set by `_beats` with the game's
+    `_slack`, as every update decides; its value is the one the updates
+    carried, equal to ``team_value`` of the policy up to the sign of a zero.
 
-    A settled member's update (see `_member_update`) is skipped: it would
-    change nothing, and it is traced as an unchanged update.
-    Against a stochastic mixture the loop holds the walks of its current
-    members, from each start's evaluation on, and each greedy update
-    starts from them and hands back those of its result.  The opponent's
-    atoms and ``start`` are checked once, here: raises DimensionError when
-    either cannot play for its team, and ValueError on a ``team`` other
-    than 1 or 2 or a negative ``restarts`` or ``max_sweeps``.
-    ``trace``, when given, collects one (restart, sweep, member,
-    value_before, value_after) tuple per member update, over all restarts:
-    the record of the call's member updates.
+    A settled member's update (see `_member_update`) is skipped and traced
+    as an unchanged one.  Against a stochastic mixture the loop holds the
+    walks of its current members, and each greedy update starts from them
+    and hands back those of its result.  The opponent's atoms and ``start``
+    are checked once, here: raises DimensionError when either cannot play
+    for its team, and ValueError on a ``team`` other than 1 or 2 or a
+    negative ``restarts`` or ``max_sweeps``.  ``trace``, when given,
+    collects one (restart, sweep, member, value_before, value_after) tuple
+    per member update, over all restarts.
     """
     check_team(team)
     if restarts < 0 or max_sweeps < 0:
@@ -1061,6 +1064,7 @@ def sebr(
     else:
         atoms = _opponent_atoms(game, team, opponent)
         steps = _StepTable(game, atoms)
+    slack = _slack(game)
     best_policy, best_value = None, -math.inf
     for restart_idx, start_policy in enumerate(
         sebr_starts(game, team, start, restarts, seed)
@@ -1081,7 +1085,7 @@ def sebr(
                 before = value
                 if member not in settled:
                     new_member, value, fixed, kept = _member_update(
-                        game, team, member, members, atoms, value, steps, kept
+                        game, team, member, members, atoms, value, steps, kept, slack
                     )
                     if new_member is not members[member]:
                         members[member] = new_member
@@ -1093,7 +1097,7 @@ def sebr(
                     trace.append((restart_idx, sweep, member, before, value))
             if not changed:
                 break
-        if value > best_value + 1e-15:
+        if _beats(value, best_value, slack):
             best_value = value
             best_policy = ProductPolicy(members)
     return BestResponse(best_policy, best_value, None, "coordinate_ascent")

@@ -26,6 +26,8 @@ from .core import (
 )
 from .oracles import (
     MaxminSolution,
+    _beats,
+    _slack,
     best_response_individual,
     best_response_joint,
     best_response_shared,
@@ -35,9 +37,6 @@ from .oracles import (
 )
 
 ORACLES = ("joint", "shared", "individual", "sebr")
-
-#: Largest meta-line difference at which a response counts as a duplicate.
-_DUPLICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,13 @@ class PsroResult:
     certified: bool = False  # every expanded team's last answer has a gap
 
 
-def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | None:
+def _best_entry_vs(pop: Population, team: int, opp_weights, slack: float) -> ProductPolicy | None:
     """Population entry with the highest value against the opponent
-    meta-strategy (used as the incumbent start for local oracles).  The
-    values are read off the meta matrix, summed in ``mixture_value``'s
-    order, so they equal ``team_value`` against the opponent mixture."""
+    meta-strategy by `_beats` with ``slack``, so of the entries a meta
+    equilibrium makes indifferent the earliest wins (the incumbent start
+    for local oracles).  The values are read off the meta matrix, summed in
+    ``mixture_value``'s order, so they equal ``team_value`` against the
+    opponent mixture."""
     lines = pop.payoffs if team == 1 else pop.payoffs.T
     best, best_val = None, -math.inf
     for entry, line in zip(pop.entries(team), lines):
@@ -190,18 +191,18 @@ def _best_entry_vs(pop: Population, team: int, opp_weights) -> ProductPolicy | N
             if w > 0.0:
                 total += float(w) * cell
         val = total if team == 1 else -total
-        if val > best_val:
+        if _beats(val, best_val, slack):
             best, best_val = entry, val
     return best
 
 
-def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: int, dists=None):
+def _oracle_response(game, team, pop, opp_weights, cfg, iteration, slack, dists=None):
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
-    returns its `BestResponse` against the opponent mixture.  ``dists`` is
-    `run_psro`'s record of each entry's joint-action distribution on a
-    normal-form game (else None); the joint oracle reads the opponent's
-    first ``len(opp_weights)``, since entries appended in this iteration
-    follow them."""
+    returns its `BestResponse` against the opponent mixture.  ``slack`` is
+    the game's `_slack` and ``dists`` `run_psro`'s record of each entry's
+    joint-action distribution on a normal-form game (else None); the joint
+    oracle reads the opponent's first ``len(opp_weights)``, since entries
+    appended in this iteration follow them."""
     opponent_mix = pop.mixture(3 - team, opp_weights)
     if cfg.oracle == "joint":
         opp_dists = None
@@ -211,22 +212,11 @@ def _oracle_response(game, team, pop, opp_weights, cfg: PsroConfig, iteration: i
         return best_response_joint(game, opponent_mix, team, dists=opp_dists)
     if cfg.oracle == "shared":
         return best_response_shared(game, opponent_mix, team)
-    incumbent = _best_entry_vs(pop, team, opp_weights)
+    incumbent = _best_entry_vs(pop, team, opp_weights, slack)
     if cfg.oracle == "individual":
         return best_response_individual(game, opponent_mix, team, incumbent)
-    return sebr(
-        game,
-        opponent_mix,
-        team,
-        start=incumbent,
-        restarts=cfg.sebr_restarts,
-        seed=subseed(cfg.seed, f"sebr/t{team}/i{iteration}"),
-    )
-
-
-def _is_duplicate(line: np.ndarray, existing: np.ndarray) -> bool:
-    gaps = np.maximum.reduce(np.abs(existing - line), axis=1)
-    return bool(np.logical_or.reduce(gaps <= _DUPLICATE_TOL))
+    seed = subseed(cfg.seed, f"sebr/t{team}/i{iteration}")
+    return sebr(game, opponent_mix, team, start=incumbent, restarts=cfg.sebr_restarts, seed=seed)
 
 
 def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
@@ -242,6 +232,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     whose matrix is the final one; a run that hits the cap solves the final
     matrix once more."""
     pop = initial_population(game)
+    slack = _slack(game)
     dists = None
     if game.is_normal_form:
         dists = {t: [team_action_dist(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
@@ -257,7 +248,7 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             if team not in cfg.expand_teams:
                 continue
             br = _oracle_response(
-                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, dists
+                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, slack, dists
             )
             team_meta_value = value if team == 1 else -value
             gains[team], gaps[team] = br.value - team_meta_value, br.gap
@@ -265,7 +256,8 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
                 continue
             line, dist = _new_line(game, team, br.policy, new_pop, dists)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
-            if _is_duplicate(line, existing):
+            # a duplicate: an existing line no cell differs from by more than the slack
+            if not _beats(np.maximum.reduce(np.abs(existing - line), axis=1), 0.0, slack).all():
                 continue
             new_pop = extend_population(game, new_pop, br.policy, team, line=line)
             if dists is not None:

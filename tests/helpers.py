@@ -3,7 +3,8 @@
 The LP solver here is the dual route for the simplex maxmin
 implementation and must stay independent of it; the recursive value is
 the reference for the layered exact evaluation, and the per-support KKT
-loop the reference for the stacked shared-oracle kernel.
+loop the reference for the stacked shared-oracle kernel.  `one_step`
+writes a normal-form game as the stochastic game it is.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from teameq.core import DimensionError, NormalFormTeamGame
+from teameq.core import NF_OBS, DimensionError, NormalFormTeamGame, StochasticTeamGame
 
 
 def lp_maxmin(matrix):
@@ -102,16 +103,17 @@ def kkt_system(sym, support):
     return lhs
 
 
-def quadratic_simplex_max_loop(q):
+def quadratic_simplex_max_loop(q, slack):
     """Maximum of p^T Q p over the simplex by KKT support enumeration, one
     ``np.linalg.solve`` per support; returns (p, value, gap 0) with the
-    tie rule of ``_quadratic_simplex_max``."""
+    tie rule of ``_quadratic_simplex_max``: a candidate replaces the best
+    one only when it is higher by more than ``slack``."""
     n = q.shape[0]
     sym = q + q.T
     best_val, best_p = -math.inf, None
     for a in range(n):
         val = float(q[a, a])
-        if val > best_val:
+        if val > best_val + slack:
             best_val, best_p = val, np.eye(n)[a]
     for size in range(2, n + 1):
         for support in itertools.combinations(range(n), size):
@@ -128,6 +130,17 @@ def quadratic_simplex_max_loop(q):
             p[list(support)] = np.clip(ps, 0.0, None)
             p = p / p.sum()
             val = float(p @ q @ p)
-            if val > best_val + 1e-15:
+            if val > best_val + slack:
                 best_val, best_p = val, p
     return best_p, best_val, 0.0
+
+
+def one_step(game: NormalFormTeamGame) -> StochasticTeamGame:
+    """``game`` as a one-state, one-step stochastic game: every member
+    observes the state `NF_OBS`, so policies play alike on both kinds."""
+    payoff = game.payoff
+    return StochasticTeamGame(
+        game.team_sizes, game.action_counts, ((NF_OBS, 1.0),),
+        lambda s, joint: ((s, 1.0),), lambda s, joint: float(payoff[joint[0] + joint[1]]),
+        discount=0.0, horizon=1, reward_bound=float(np.abs(payoff).max()), name=game.name,
+    )

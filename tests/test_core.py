@@ -47,12 +47,14 @@ from teameq.core import (
 from teameq.deviation import DeviationSpec, Joint, build_deviation_spec
 from teameq.evaluation import CLASS_ORDER, Candidate, exploitability_profile
 from teameq.games import (
+    SadConfig,
     SkirmishConfig,
     anti_coordination,
     example1,
     grid_skirmish,
     random_stochastic_game,
     random_team_game,
+    sad,
 )
 from teameq.oracles import (
     advantage_decompose,
@@ -600,6 +602,16 @@ class TestSerialization:
         assert evaluate(g, restored, opp) == pytest.approx(
             evaluate(g, policy, opp), abs=1e-12
         )
+
+    def test_a_round_trip_plays_the_same_bits(self):
+        # a row read back is kept as written, not divided by its sum again
+        g = sad(SadConfig(3, 3))
+        uniform = ProductPolicy([UniformPolicy(6)] * 3)
+        restored = policy_from_dict(policy_to_dict(uniform))
+        for member in restored.members:
+            assert member.dist(NF_OBS).tobytes() == UniformPolicy(6).dist(NF_OBS).tobytes()
+        before = team_value(g, 1, uniform, uniform)
+        assert team_value(g, 1, restored, restored).hex() == before.hex()
 
 
 def _product_combinations(slots) -> list:

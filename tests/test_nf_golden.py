@@ -53,26 +53,26 @@ def _check(obj, expected):
 
 
 JOINT_PSRO = {
-    500: "037939faec464220",
-    501: "f66a4a3b97eef17a",
-    502: "8c0252994c359d2b",
-    503: "8d0ef238d2eb7a3d",
-    504: "b2cc04afc0cdb029",
-    505: "6be77f68cc85aabb",
-    506: "7e7b8effda823a39",
-    507: "06c84e0b5756fc0f",
-    508: "6105093035ed7f6b",
-    509: "14d6fa085c8311fc",
-    510: "ed9e908ffcd8bd91",
-    511: "097250f45b64be8a",
-    512: "09e645934f17082c",
-    513: "123c9d331532b1c1",
-    514: "b31224a742b440f4",
-    515: "beb614e408ccf7f5",
-    516: "3e3750b8b0cd63aa",
-    517: "2fd41a1f752fbdd1",
-    518: "741702ad65fcf2e5",
-    519: "22dd7c444cdadd47",
+    500: "9aa1b10a08807238",
+    501: "4c85181a00c41897",
+    502: "dc28e714972055d5",
+    503: "9e1005ce4bf44ebd",
+    504: "18fe605f245980ae",
+    505: "3bbb21f9057822ed",
+    506: "bc6eda51d03c6ff2",
+    507: "5b55f309460258ac",
+    508: "5d7c76003dfa2ba4",
+    509: "cad35d65b808da64",
+    510: "f0ba6c9725f13dac",
+    511: "edc3f5e68bf3bb2e",
+    512: "462d452e5b8f4e0b",
+    513: "b70cf70ee099d642",
+    514: "184ea04984043241",
+    515: "5da119233257f514",
+    516: "ed51806d550f675f",
+    517: "29e36ccf9beda55f",
+    518: "e6eed5105db122d3",
+    519: "bce050177d06efb8",
 }
 
 
@@ -84,18 +84,18 @@ def test_joint_psro_criterion_8_games(game_seed):
 
 
 LOCAL_PSRO = {
-    ("example1", "sebr"): "9dfe26f8b32b464a",
+    ("example1", "sebr"): "fda7a58bad742e98",
     ("example1", "individual"): "6177133a7315c327",
-    ("example1", "shared"): "f0e78fba7db99349",
+    ("example1", "shared"): "199ecd3b7e33bb22",
     ("anti_coordination", "sebr"): "fcfdf35d99bfbc57",
     ("anti_coordination", "individual"): "fcfdf35d99bfbc57",
     ("anti_coordination", "shared"): "ad0b60284912d5ed",
     ("sad:N=2,A=5", "sebr"): "fcfdf35d99bfbc57",
     ("sad:N=2,A=5", "individual"): "fcfdf35d99bfbc57",
     ("sad:N=2,A=5", "shared"): "fcfdf35d99bfbc57",
-    (RANDOM, "sebr"): "a0a87ea8e4d9c1e7",
-    (RANDOM, "individual"): "5a02f69a86764057",
-    (RANDOM, "shared"): "0bfd0c9785c6fe36",
+    (RANDOM, "sebr"): "06288585cf7515e7",
+    (RANDOM, "individual"): "690975ef9f460a71",
+    (RANDOM, "shared"): "31234149fd5fbe23",
 }
 
 
@@ -135,7 +135,7 @@ def test_rpp_between_runs():
     run_a = run_psro(g, PsroConfig(oracle="sebr", seed=0))
     run_b = run_psro(g, PsroConfig(oracle="individual", seed=0))
     values = (rpp(g, run_a.population, run_b.population), rpp(g, run_b.population, run_a.population))
-    _check(values, "d279a77584317d42")
+    _check(values, "d7de3ee2a0618d82")
 
 
 def _solution_numbers(sol) -> tuple:
@@ -164,33 +164,33 @@ SOLVE_GAMES = (
 )
 
 SOLVE = {
-    "example1": "fa0b51e7460b463a",
+    "example1": "24dae3cf43ad4674",
     "anti_coordination": "f1b467c77ff7a823",
     "sad:N=2,A=5": "f948f7d4488cbe9d",
     "sad:N=3,A=3": "c5e1e3b229c4a9c2",
-    "random:n1=2,n2=2,actions=3,seed=500": "73f147b7410df318",
-    "random:n1=2,n2=2,actions=3,seed=501": "ef3151017b7e66f4",
-    "matrix-0": "75fa3c3acc68cf31",
-    "matrix-1": "7bbbf79c3b4c4c8f",
-    "matrix-2": "c8e12426142bc934",
-    "matrix-3": "e21297cc712096d3",
-    "matrix-4": "4c223d471182e0b7",
-    "matrix-5": "131a4f54f9de59c0",
-    "matrix-6": "eaff2e34bba54528",
-    "matrix-7": "d8f62c750702ed9d",
-    "matrix-8": "a67c8567df86df66",
-    "matrix-9": "bac7abf8ff47fd4d",
-    "matrix-10": "6a812d9bfbe5e9da",
+    "random:n1=2,n2=2,actions=3,seed=500": "7f552872663c2e47",
+    "random:n1=2,n2=2,actions=3,seed=501": "c4afaf9e0a3b1014",
+    "matrix-0": "2bd256b95ecfa969",
+    "matrix-1": "c6eec668eb3faffe",
+    "matrix-2": "e396b417a99daf00",
+    "matrix-3": "4baa059f5bb1d962",
+    "matrix-4": "f6d0b13db986e470",
+    "matrix-5": "4b22a87ea58e2d00",
+    "matrix-6": "87c3823615581bee",
+    "matrix-7": "605a0ba9f74164ad",
+    "matrix-8": "32acd5011d08f1f6",
+    "matrix-9": "4a55cc96d8f314d1",
+    "matrix-10": "58bd49f7c8aba84b",
     "matrix-11": "2430c649be59cb47",
-    "matrix-12": "0cd2f63d56cee62d",
-    "matrix-13": "71780cac7ebfbe9f",
+    "matrix-12": "91da4e80a61ff35c",
+    "matrix-13": "3a29520b740dc30f",
     "matrix-14": "cf0ed2ed52cf5637",
-    "matrix-15": "c827646b9f250220",
-    "matrix-16": "0bc26376194525f4",
-    "matrix-17": "89929b549f581bb5",
-    "matrix-18": "8bd6005bd52efb99",
-    "matrix-19": "72c30b97114e5970",
-    "capped": "27db753d456dd978",
+    "matrix-15": "dd82a5c37fced023",
+    "matrix-16": "c1db75b82cf27899",
+    "matrix-17": "411753e028d987f9",
+    "matrix-18": "7063fde24c25173f",
+    "matrix-19": "60f8c87ac7ad4b0f",
+    "capped": "0fdedc09c7cc9eaa",
 }
 
 
@@ -274,11 +274,11 @@ CLI = {
     ),
     ("example1", "solve"): (
         0,
-        "value 1.25 gap 0\n",
+        "value 1.25 gap 6.66133815e-16\n",
         {
             "manifest.json": "f93d0a5c992465c2",
-            "solution.json": "7d0c439b3edadcc9",
-            "summary.json": "5553ee54e2364a17",
+            "solution.json": "2670d39347dccf72",
+            "summary.json": "5490032d70898658",
         },
     ),
     ("example1", "verify-nash"): (
@@ -330,22 +330,22 @@ CLI = {
         0,
         "meta value 1.25 after 3 iterations (converged=True)\n",
         {
-            "history.csv": "e136768d31bf97c2",
-            "history.json": "336ecabff86dcf8d",
+            "history.csv": "59c408d823ee230b",
+            "history.json": "c020643cd2d22c1f",
             "manifest.json": "fc0fa7aae39215ca",
-            "population.json": "c19feca00db355b7",
-            "summary.json": "8f2cc67e7b3a598b",
+            "population.json": "019e93c704c1c976",
+            "summary.json": "87403b737c517c08",
         },
     ),
     ("example1", "psro-shared"): (
         0,
         "meta value 1.40192427 after 12 iterations (converged=True)\n",
         {
-            "history.csv": "eba3ca75ee9da2c9",
-            "history.json": "a546bdf9503d1787",
+            "history.csv": "38e4b17bee61d50e",
+            "history.json": "8f2e02f922d133e2",
             "manifest.json": "4b6cc5412aa49287",
-            "population.json": "3c36274fd1eff66f",
-            "summary.json": "6a1620a89f705296",
+            "population.json": "0d1652f7877742f0",
+            "summary.json": "e854aafbd0deea54",
         },
     ),
     ("example1", "psro-individual"): (
@@ -363,11 +363,11 @@ CLI = {
         0,
         "meta value 1.25 after 3 iterations (converged=True)\n",
         {
-            "history.csv": "e136768d31bf97c2",
-            "history.json": "336ecabff86dcf8d",
+            "history.csv": "59c408d823ee230b",
+            "history.json": "c020643cd2d22c1f",
             "manifest.json": "f918a89dc240c7b1",
-            "population.json": "a2996506ca7fbdce",
-            "summary.json": "eac9445c81dad9ab",
+            "population.json": "b8eca57dc3dee2f2",
+            "summary.json": "9357a7d592bf836e",
         },
     ),
     ("example1", "exploit-run"): (
@@ -403,23 +403,23 @@ CLI = {
         0,
         "wrote psro-joint/history.csv\n",
         {
-            "history.csv": "e136768d31bf97c2",
-            "history.json": "336ecabff86dcf8d",
+            "history.csv": "59c408d823ee230b",
+            "history.json": "c020643cd2d22c1f",
             "manifest.json": "fc0fa7aae39215ca",
-            "population.json": "c19feca00db355b7",
-            "summary.json": "8f2cc67e7b3a598b",
+            "population.json": "019e93c704c1c976",
+            "summary.json": "87403b737c517c08",
         },
     ),
     ("example1", "report-json-lines"): (
         0,
         "wrote psro-joint/history.jsonl\n",
         {
-            "history.csv": "e136768d31bf97c2",
-            "history.json": "336ecabff86dcf8d",
-            "history.jsonl": "dd51b564a521ffae",
+            "history.csv": "59c408d823ee230b",
+            "history.json": "c020643cd2d22c1f",
+            "history.jsonl": "d0920bae57eae1cb",
             "manifest.json": "fc0fa7aae39215ca",
-            "population.json": "c19feca00db355b7",
-            "summary.json": "8f2cc67e7b3a598b",
+            "population.json": "019e93c704c1c976",
+            "summary.json": "87403b737c517c08",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "game"): (
@@ -433,11 +433,11 @@ CLI = {
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "solve"): (
         0,
-        "value -0.018455407 gap 2.15105711e-16\n",
+        "value -0.018455407 gap 8.46545056e-16\n",
         {
             "manifest.json": "2782b4526b0c03ab",
-            "solution.json": "f95abf4d520f32ce",
-            "summary.json": "a042a7490151d605",
+            "solution.json": "2db18ad7cb697a1e",
+            "summary.json": "36a4afc7982c4926",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "verify-nash"): (
@@ -489,44 +489,44 @@ CLI = {
         0,
         "meta value -0.018455407 after 7 iterations (converged=True)\n",
         {
-            "history.csv": "692c6cd199e82174",
-            "history.json": "ede3fe6067a65508",
+            "history.csv": "a858b1cdb5bb4952",
+            "history.json": "2c84a1bdb4fd58e6",
             "manifest.json": "a19f761b6066d8f5",
-            "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "b970345c77750a00",
+            "population.json": "06d7f3bcb01fdec4",
+            "summary.json": "ef0650464ff3976c",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-shared"): (
         0,
         "meta value 0.0375676394 after 20 iterations (converged=True)\n",
         {
-            "history.csv": "247722c9ab5b72d2",
-            "history.json": "89084697bb72b0f2",
+            "history.csv": "1abbc88bd01eac94",
+            "history.json": "e8dd526c575ee940",
             "manifest.json": "4842ad5b41561ed0",
-            "population.json": "18194c0c757d84a9",
-            "summary.json": "2860a29edc8b36cf",
+            "population.json": "e6a51373bc178505",
+            "summary.json": "00f9276ab029e088",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-individual"): (
         0,
-        "meta value -0.0351542621 after 6 iterations (converged=True)\n",
+        "meta value -0.018455407 after 8 iterations (converged=True)\n",
         {
-            "history.csv": "dc9c2648b6226847",
-            "history.json": "1a5eea5fe5964c96",
+            "history.csv": "02158ae72ee6281d",
+            "history.json": "03e416059adfe977",
             "manifest.json": "e1c492073cee879a",
-            "population.json": "e06073b4de8edf49",
-            "summary.json": "c8b1f57a657874ff",
+            "population.json": "0c5bad899b499fb1",
+            "summary.json": "7598206719b41f1a",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "psro-sebr"): (
         0,
         "meta value -0.018455407 after 7 iterations (converged=True)\n",
         {
-            "history.csv": "9aa16b70240efc42",
-            "history.json": "37541ac558d9098f",
+            "history.csv": "2096a6ce500883a1",
+            "history.json": "99536ef868d0d9c1",
             "manifest.json": "9f792ef7bacec160",
-            "population.json": "50da7c87af2c9944",
-            "summary.json": "6b5fa416b15314c2",
+            "population.json": "83541827744ec32a",
+            "summary.json": "b938be8d877a8ae7",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "exploit-run"): (
@@ -535,8 +535,8 @@ CLI = {
         {
             "manifest.json": "9e039ea1c24e433d",
             "report.csv": "074e4bccb14ab8c9",
-            "report.json": "3764e88d000f5ecd",
-            "summary.json": "3764e88d000f5ecd",
+            "report.json": "3bb5a16f23c175b5",
+            "summary.json": "3bb5a16f23c175b5",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "exploit-profile"): (
@@ -551,34 +551,34 @@ CLI = {
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "rpp"): (
         0,
-        "rpp 0.0602418379\n",
+        "rpp -0.018455407\n",
         {
             "manifest.json": "bdb64dd41e962f34",
-            "rpp.json": "46d8af3a95aab75a",
-            "summary.json": "46d8af3a95aab75a",
+            "rpp.json": "8b38ce92281b282c",
+            "summary.json": "8b38ce92281b282c",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "report-csv"): (
         0,
         "wrote psro-joint/history.csv\n",
         {
-            "history.csv": "692c6cd199e82174",
-            "history.json": "ede3fe6067a65508",
+            "history.csv": "a858b1cdb5bb4952",
+            "history.json": "2c84a1bdb4fd58e6",
             "manifest.json": "a19f761b6066d8f5",
-            "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "b970345c77750a00",
+            "population.json": "06d7f3bcb01fdec4",
+            "summary.json": "ef0650464ff3976c",
         },
     ),
     ("random:n1=2,n2=2,actions=3,seed=7", "report-json-lines"): (
         0,
         "wrote psro-joint/history.jsonl\n",
         {
-            "history.csv": "692c6cd199e82174",
-            "history.json": "ede3fe6067a65508",
-            "history.jsonl": "2e9901212d5d9d5d",
+            "history.csv": "a858b1cdb5bb4952",
+            "history.json": "2c84a1bdb4fd58e6",
+            "history.jsonl": "26d57b2f8e2817bd",
             "manifest.json": "a19f761b6066d8f5",
-            "population.json": "0d3b2b99e3c396d1",
-            "summary.json": "b970345c77750a00",
+            "population.json": "06d7f3bcb01fdec4",
+            "summary.json": "ef0650464ff3976c",
         },
     ),
 }

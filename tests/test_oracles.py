@@ -100,6 +100,12 @@ class TestSolveMatrixMaxmin:
         with pytest.raises(ValueError):
             solve_matrix_maxmin([[np.nan, 0.0]])
 
+    @pytest.mark.parametrize("matrix", [[[1e308, -1e308]], [[1.7e308], [-1.7e308]]])
+    def test_an_overflowing_payoff_range_is_refused(self, matrix):
+        # its tolerance would be infinite, switching the certificate off
+        with pytest.raises(ValueError, match="payoff range"):
+            solve_matrix_maxmin(matrix)
+
     def test_duality_certificate_small(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -333,7 +339,9 @@ class TestBestResponseShared:
 
         answer = best_response_shared(g, opp, 1)
         policy, value = answer.policy, answer.value
-        _, _, gap = oracles._bernstein_simplex_max(oracles.team_reward_tensor(g, 1, opp))
+        _, _, gap = oracles._bernstein_simplex_max(
+            oracles.team_reward_tensor(g, 1, opp), oracles._slack(g)
+        )
         dist = policy.policy.dist(0)
         assert 0 < dist[1] < 1  # the optimum is interior on this game
         assert value >= shared_value(np.linspace(0.0, 1.0, 10_001)).max() - gap
@@ -347,8 +355,8 @@ class TestBestResponseShared:
         answer = best_response_shared(g, opp, 1)
         policy, value = answer.policy, answer.value
         tensor = oracles.team_reward_tensor(g, 1, opp)
-        _, _, gap = oracles._bernstein_simplex_max(tensor)
-        assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
+        _, _, gap = oracles._bernstein_simplex_max(tensor, oracles._slack(g))
+        assert gap <= oracles._slack(g)
         pure_best = max(
             team_value(g, 1, SharedPolicy(ConstantPolicy(6, a), 3), opp)
             for a in range(6)
@@ -365,8 +373,9 @@ class TestBestResponseShared:
             axes = [[n_members, m] for m in range(n_members)]
             for _ in range(8):
                 tensor = rng.uniform(-1.0, 1.0, (n_actions,) * n_members)
-                p, value, gap = oracles._bernstein_simplex_max(tensor)
-                assert gap <= 1e-9 * max(1.0, np.abs(tensor).max())
+                slack = oracles._slack(tensor)
+                p, value, gap = oracles._bernstein_simplex_max(tensor, slack)
+                assert gap <= slack
                 mixes = rng.dirichlet(np.ones(n_actions), 2000)
                 operands = [x for axis in axes for x in (mixes, axis)]
                 sampled = np.einsum(tensor, list(range(n_members)), *operands, [n_members])
@@ -375,9 +384,10 @@ class TestBestResponseShared:
 
     def test_node_cap_returns_the_best_corner_and_its_gap(self, monkeypatch):
         tensor = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 3, 3))
-        _, certified, _ = oracles._bernstein_simplex_max(tensor)
+        slack = oracles._slack(tensor)
+        _, certified, _ = oracles._bernstein_simplex_max(tensor, slack)
         monkeypatch.setattr(oracles, "_BERNSTEIN_NODE_CAP", 3)
-        p, value, gap = oracles._bernstein_simplex_max(tensor)
+        p, value, gap = oracles._bernstein_simplex_max(tensor, slack)
         assert gap > 1e-9  # three splits do not certify this tensor
         assert value == oracles._shared_value(tensor, p)
         assert value <= certified <= value + gap
@@ -393,10 +403,11 @@ class TestBestResponseShared:
             q = rng.integers(-2, 3, (n, n)).astype(float)
         else:
             q = rng.uniform(-1.0, 1.0, (n, n))
-        p_loop, value_loop, _ = quadratic_simplex_max_loop(q)
+        slack = oracles._slack(q)
+        p_loop, value_loop, _ = quadratic_simplex_max_loop(q, slack)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracles, "_KKT_STACK", stack)
-            p, value, gap = oracles._quadratic_simplex_max(q)
+            p, value, gap = oracles._quadratic_simplex_max(q, slack)
         assert p.tobytes() == p_loop.tobytes()
         assert np.float64(value).tobytes() == np.float64(value_loop).tobytes()
         assert gap == 0.0
@@ -407,7 +418,7 @@ class TestBestResponseShared:
         # meets {0, 1} first
         q = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
         monkeypatch.setattr(oracles, "_KKT_STACK", stack)
-        p, value, _ = oracles._quadratic_simplex_max(q)
+        p, value, _ = oracles._quadratic_simplex_max(q, oracles._slack(q))
         assert p.tolist() == [0.5, 0.5, 0.0, 0.0]
         assert value == 0.5
 
@@ -790,7 +801,9 @@ class TestStochasticPasses:
 
         monkeypatch.setattr(oracles, "_joint_support", counted_support)
         monkeypatch.setattr(oracles, "_backward", counted_backward)
-        tables, value, fixed, kept = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
+        tables, value, fixed, kept = oracles._unit_improve_weighted(
+            game, 1, (0, 1), zeros, mix, oracles._slack(game)
+        )
         assert rounds[0] == 6 * len(mix)
         assert len(asked) == len(set(asked)) > 0
         assert (value, fixed) == (2.709875, True)
@@ -821,12 +834,14 @@ class TestStochasticPasses:
             (ProductPolicy([HashPolicy(6, 120 + i), HashPolicy(6, 121 + i)]), 0.5) for i in (0, 1)
         ]
         zeros = (ConstantPolicy(6, 0), ConstantPolicy(6, 0))
-        tables, value, fixed, kept = oracles._unit_improve_weighted(game, 1, (0, 1), zeros, mix)
+        tables, value, fixed, kept = oracles._unit_improve_weighted(
+            game, 1, (0, 1), zeros, mix, oracles._slack(game)
+        )
         assert (value, fixed) == (2.709875, True)
         for start, walked in ((None, len(mix)), (kept, 0)):
             walks[0] = 0
             again, again_value, again_fixed, again_kept = oracles._unit_improve_weighted(
-                game, 1, (0, 1), tuple(tables), mix, start=start
+                game, 1, (0, 1), tuple(tables), mix, oracles._slack(game), start=start
             )
             assert walks[0] == walked
             assert all(a is b for a, b in zip(again, tables))
@@ -844,7 +859,7 @@ class TestStochasticPasses:
         start = (HashPolicy(6, 7), HashPolicy(6, 8))
         steps = _StepTable(game, mix)
         first, value, _, handed = oracles._unit_improve_weighted(
-            game, 2, (0,), start, mix, steps=steps
+            game, 2, (0,), start, mix, oracles._slack(game), steps=steps
         )
         assert handed[1] == value
         members = (first[0], start[1])
@@ -852,7 +867,7 @@ class TestStochasticPasses:
         for begin, table in ((handed, steps), (None, _StepTable(game, mix))):
             walks[0] = 0
             tables, got, fixed, _ = oracles._unit_improve_weighted(
-                game, 2, (1,), members, mix, start=begin, steps=table
+                game, 2, (1,), members, mix, oracles._slack(game), start=begin, steps=table
             )
             digest = _actions_digest(game, 2, ProductPolicy(tables), states)
             results.append((walks[0], got, fixed, digest))
@@ -1325,7 +1340,7 @@ _PATHS = {
             _three_member_game(), ProductPolicy([UniformPolicy(3)] * 3), 1
         ),
         "bernstein",
-        1e-9,
+        oracles._slack(_three_member_game()),
     ),
     "joint-one-atom": (lambda: best_response_joint(_skirmish(2), _PATH_ATOM, 1), "exact_dp", 0.0),
     "shared-diagonal-dp": (

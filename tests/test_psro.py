@@ -336,25 +336,25 @@ class TestSkirmishSPsro:
         assert history == [
             (1, 0.0, 3.705, 2.755, 2, 2),
             (2, 3.705, 0.0, 5.5575, 2, 3),
-            (3, -1.1400000000000001, 4.016794871794872, 0.9143750000000002, 3, 4),
+            (3, -1.14, 4.016794871794872, 0.9143750000000004, 3, 4),
             (4, 0.04749999999999999, 2.7075, 1.9, 4, 5),
         ]
         assert result.population.payoffs.tolist() == [
             [0.0, -2.755, -0.9025, -2.755, -0.9025],
             [3.705, 3.705, -1.8525, 0.04749999999999999, -1.8525],
             [3.705, 3.705, 2.755, 0.04749999999999999, -1.8525],
-            [2.755, 2.755, 1.805, 2.755, 0.0],
+            [2.755, 2.755, 1.805, 2.755, 0.95],
         ]
         assert result.meta_1.tolist() == [0.0, 0.0, 0.0, 1.0]
         assert result.meta_2.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert (result.value, result.converged, result.iterations) == (0.0, False, 4)
+        assert (result.value, result.converged, result.iterations) == (0.95, False, 4)
         report = exploitability_profile(g, Candidate.from_psro(result, 1), seed=0)
         assert [(r.class_name, r.opponent_reward) for r in report.results] == [
             ("sequential", 1.8525),
-            ("joint", 2.755),
-            ("synchronized", 0.9025),
+            ("joint", 1.8524999999999998),
+            ("synchronized", 1.805),
             ("no_correlation", 0.9025),
-            ("random", -0.021587577160493747),
+            ("random", -0.10187210648148094),
         ]
 
     def test_transition_calls(self):
@@ -362,7 +362,7 @@ class TestSkirmishSPsro:
         # an oracle asking the game again for a step it already walked, or
         # any pass asking for a transition out of the last step, raises the
         # count
-        assert self._run()[2] == 1321
+        assert self._run()[2] == 1407
 
     def test_population_does_not_grow_with_use(self):
         # SeBR's restarts stay in the population as table fallbacks; a
@@ -385,16 +385,16 @@ class TestSkirmishSPsro:
         assert history == [
             (1, 0.0, 3.705, 2.755, 2, 2),
             (2, 3.705, 0.0, 5.5575, 2, 3),
-            (3, -1.1400000000000001, 4.016794871794872, 0.9143750000000002, 3, 4),
-            (4, 0.04749999999999999, 1.8050000000000002, 0.9499999999999998, 4, 5),
+            (3, -1.14, 2.1996153846153845, 0.9143750000000004, 3, 4),
+            (4, 0.9025, 0.9500000000000001, 1.805, 4, 5),
         ]
         assert result.population.payoffs.tolist() == [
-            [0.0, -2.755, -0.9025, -2.755, -0.9025],
-            [3.705, 3.705, -1.8525, 0.04749999999999999, -0.9025],
-            [3.705, 3.705, 2.755, 0.04749999999999999, -0.9025],
-            [3.705, 3.705, -1.8525, 1.8525, -0.9025],
+            [0.0, -2.755, -0.9025, -2.755, -0.95],
+            [3.705, 3.705, -1.8525, 0.04749999999999999, 0.04749999999999999],
+            [2.755, 1.805, 0.95, 0.9025, -0.9025],
+            [1.8525, 1.8525, 0.95, 1.8525, 1.8525],
         ]
-        assert result.meta_1.tolist() == [0.0, 0.7938144329896907, 0.20618556701030932, 0.0]
-        assert result.meta_2.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert (result.value, result.converged, result.iterations) == (-0.9025, False, 4)
-        assert calls == 439
+        assert result.meta_1.tolist() == [0.0, 0.0, 0.32758620689655193, 0.6724137931034481]
+        assert result.meta_2.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert (result.value, result.converged, result.iterations) == (0.95, False, 4)
+        assert calls == 456

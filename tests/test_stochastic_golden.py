@@ -20,15 +20,15 @@ from teameq.psro import PsroConfig, run_psro
 from test_nf_golden import _check, _run_numbers
 
 PSRO = {
-    ("sebr", 4, 6): "e06f34165e0f03b0",
-    ("sebr", 5, 6): "1ba487ff2de2951f",
-    ("individual", 4, 4): "1c3d2ae378788c5c",
-    ("joint", 4, 4): "d26f2925c182a66a",
+    ("sebr", 4, 6): "12f2762e07c1c5c6",
+    ("sebr", 5, 6): "54c38f4d8c769b19",
+    ("individual", 4, 4): "15ee1a247e9ec0bb",
+    ("joint", 4, 4): "329104a1aeea9e4a",
 }
 
 PROFILE = {
-    4: "bf5476bfa354f9e7",
-    5: "b78c937c7e2ac618",
+    4: "6682aa0743ea8274",
+    5: "ae9cf6dae27a2ceb",
 }
 
 
