@@ -17,8 +17,11 @@ Each command's options are declared once, in ``OPTIONS``: the key is the
 manifest config key, the flag is ``--key`` with ``-`` for ``_`` (``klass``
 is ``--class``), and the default gives the type (``str`` where it is
 ``None``); ``CHOICES`` lists the allowed values of a few keys.  Every
-command also takes ``--out/-o`` and ``--config``.  Only the invoked
-command's parser is built.
+command also takes ``--out`` (or ``-o``) and ``--config``.  A flag is
+given as ``--key VALUE`` or ``--key=VALUE``, spelled in full and at most
+once; the token after a bare flag is its value even when it starts with
+``-`` (``--seed -1``), unless it is one of the command's own flags.
+``-h``/``--help`` after a command lists its flags, defaults and choices.
 
 Config precedence: command-line flags override the optional ``--config``
 JSON file, which overrides the defaults.  File values go through the same
@@ -28,7 +31,6 @@ manifest records.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -84,13 +86,6 @@ class CliError(Exception):
     """User-facing CLI error (exit code 1)."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; the exit-code contract
-    # reserves 2 for verification FAIL, so usage errors become errors.
-    def error(self, message):
-        raise CliError(message)
-
-
 def fmt9(x) -> str:
     """Floats printed with 9 significant digits."""
     if isinstance(x, float):
@@ -136,10 +131,14 @@ def _kv_spec(name: str, body: str) -> dict:
     return out
 
 
+def _spec_name(spec: str) -> str:
+    """The builtin game a spec names (a key of ``_SPEC_KEYS`` if any)."""
+    return spec.partition(":")[0].strip().lower().replace("-", "_")
+
+
 def parse_game_spec(spec: str):
     """Builtin game spec ('example1', 'sad:N=2,A=3', ...) or a JSON file path."""
-    name, _, body = spec.partition(":")
-    name = name.strip().lower().replace("-", "_")
+    name, body = _spec_name(spec), spec.partition(":")[2]
     if name not in _SPEC_KEYS:
         if os.path.exists(spec):
             with open(spec) as fh:
@@ -184,8 +183,14 @@ def parse_game_spec(spec: str):
 
 
 def game_file_dict(game, spec: str) -> dict:
+    """The ``game.json`` record of ``game``, made from ``spec``: a
+    normal-form game's payoffs, else the builtin spec the game is built
+    from, read out of the file when ``spec`` is a builtin game file."""
     if isinstance(game, NormalFormTeamGame):
         return game_to_dict(game)
+    while _spec_name(spec) not in _SPEC_KEYS:
+        with open(spec) as fh:
+            spec = json.load(fh)["spec"]
     return {"type": "builtin", "spec": spec, "name": game.name}
 
 
@@ -284,38 +289,66 @@ def _converter(key: str, default):
     return convert
 
 
-def build_parser(command: str) -> _Parser:
-    """The parser of one command: its ``OPTIONS`` plus --out/-o and --config."""
-    parser = _Parser(prog=f"teameq {command}")
-    parser.add_argument("--out", "-o", help=f"output directory (default ${OUT_ENV} or ./teameq-run)")
-    parser.add_argument("--config", help="JSON config file (flags override it)")
+def _help(command: str) -> str:
+    """The usage of one command: every flag with its default and choices."""
+    lines = [
+        f"usage: teameq {command} [--key VALUE | --key=VALUE ...]",
+        "",
+        f"  --out, -o DIR  output directory (default ${OUT_ENV} or ./teameq-run)",
+        "  --config FILE  JSON config file (flags override it)",
+    ]
     for key, default in OPTIONS[command].items():
-        parser.add_argument(
-            _flag(key),
-            dest=key,
-            type=_converter(key, default),
-            choices=CHOICES.get(key),
-            help=None if default is None else f"default {default}",
-        )
-    return parser
+        line = f"  {_flag(key):<13}  " + ("no default" if default is None else f"default {default}")
+        if key in CHOICES:
+            line += "; one of " + ", ".join(map(str, CHOICES[key]))
+        lines.append(line)
+    return "\n".join(lines)
 
 
-def _merged_config(command: str, args: argparse.Namespace) -> dict:
+def _read_flags(command: str, args: list[str]) -> dict:
+    """The flags ``args`` give one command, keyed by config key (``out``
+    and ``config`` too), each option's value converted by its
+    ``_converter``.  An unknown or abbreviated flag, a flag given twice
+    (``-o`` is ``--out``) and a flag without its value are refused."""
+    options = OPTIONS[command]
+    keys = {"-h": "help", "--help": "help", "-o": "out", "--out": "out", "--config": "config"}
+    keys.update((_flag(key), key) for key in options)
+    flags, tokens = {}, iter(args)
+    for token in tokens:
+        flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        key = keys.get(flag)
+        if key is None:
+            raise CliError(f"unrecognized argument {token!r} for {command}")
+        if key == "help":
+            print(_help(command))
+            raise SystemExit(0)
+        if key in flags:
+            raise CliError(f"{_flag(key)} is given twice, again as {token!r}; give each flag once")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.partition("=")[0] in keys:
+                raise CliError(f"{flag} expects a value")
+        flags[key] = _converter(key, options[key])(value) if key in options else value
+    return flags
+
+
+def _merged_config(command: str, flags: dict) -> dict:
     """Defaults, then the --config file's values, then the flags given."""
     options = OPTIONS[command]
     merged = dict(options)
-    if args.config:
-        with open(args.config) as fh:
+    path = flags.get("config")
+    if path:
+        with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise CliError(f"--config {args.config} must hold a JSON object")
+            raise CliError(f"--config {path} must hold a JSON object")
         unknown = [key for key in data if key not in options]
         if unknown:
             raise CliError(f"unrecognized config keys for {command}: {', '.join(unknown)}")
         for key, value in data.items():
             if value is not None:
                 merged[key] = _converter(key, options[key])(str(value))
-    merged.update({k: v for k, v in vars(args).items() if k in options and v is not None})
+    merged.update((key, value) for key, value in flags.items() if key in options)
     return merged
 
 
@@ -622,8 +655,8 @@ def main(argv=None) -> int:
     try:
         if command not in _COMMANDS:
             raise CliError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
-        args = build_parser(command).parse_args(argv[1:])
-        return _COMMANDS[command](_merged_config(command, args), args.out)
+        flags = _read_flags(command, argv[1:])
+        return _COMMANDS[command](_merged_config(command, flags), flags.get("out"))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestGameAndSolve:
             results.append(result)
         assert results[0] == results[1]
 
+    def test_builtin_game_file_copy_stands_alone(self, tmp_path, monkeypatch):
+        # a copy made from a builtin game file holds the spec, not the path
+        # of its source, so it still runs once the source is gone
+        monkeypatch.chdir(tmp_path)
+        assert main(["game", "--game", "skirmish:w=3,h=3,n=2,H=2", "--out", "runs/a"]) == EXIT_OK
+        assert main(["game", "--game", "runs/a/game.json", "--out", "runs/b"]) == EXIT_OK
+        assert read("runs/b/game.json") == read("runs/a/game.json")
+        shutil.rmtree("runs/a")
+        argv = ["psro", "--game", "runs/b/game.json", "--oracle", "sebr", "--iters", "2"]
+        assert main(argv + ["--out", "runs/c"]) == EXIT_OK
+
     def test_solve_value(self, tmp_path):
         out = tmp_path / "s"
         main(["solve", "--game", "example1", "--out", str(out)])
@@ -461,13 +473,17 @@ class TestErrorContract:
                 )
                 for game in ("example1", "skirmish:w=3,h=3,n=2,H=1")
             ),
+            (
+                ["verify", "--game", "example1", "--class", "sequential", "--seed=-1"],
+                "sequential seed must be nonnegative, got -1",
+            ),
         ],
         ids=[
             "psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile",
             "verify-epsilon", "psro-restarts", "skirmish-empty-team", "exploit-no-class",
             "exploit-class-twice", "exploit-team-0", "exploit-team-3", "exploit-team--1",
             "random-lo-nan", "random-hi-inf", "random-lo-minus-inf",
-            "verify-seed-normal-form", "verify-seed-stochastic",
+            "verify-seed-normal-form", "verify-seed-stochastic", "verify-seed-equals",
         ],
     )
     def test_refused_runs_write_no_file(self, argv, says, tmp_path, monkeypatch, capsys):
@@ -476,6 +492,59 @@ class TestErrorContract:
         assert main([*argv, "--out", "r"]) == EXIT_ERROR
         assert says in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            (["--ora", "joint"], "unrecognized argument '--ora'"),
+            (["--oracle", "joint", "--iter", "2"], "unrecognized argument '--iter'"),
+            (["--oracle", "joint", "--seed", "1", "--seed", "2"], "--seed is given twice"),
+            (["--oracle=joint", "--oracle", "shared"], "--oracle is given twice"),
+            (["--oracle", "joint", "-o", "s"], "--out is given twice, again as '-o'"),
+            (["--oracle", "joint", "--seed"], "--seed expects a value"),
+            (["--oracle", "--seed", "1"], "--oracle expects a value"),
+        ],
+        ids=["abbreviated", "abbreviated-iters", "seed-twice", "oracle-twice", "out-and-o",
+             "no-value", "flag-as-value"],
+    )
+    def test_flags_are_spelled_in_full_and_given_once(self, argv, says, tmp_path, monkeypatch, capsys):
+        # a prefix or a repeat must not let one reading silently win
+        monkeypatch.chdir(tmp_path)
+        assert main(["psro", "--game", "example1", "--out", "r", *argv]) == EXIT_ERROR
+        assert says in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            (["--oracle", "joint", "--seed", "5", "--out", "r"], ["--oracle=joint", "--seed=5", "--out=r"]),
+            (["--oracle", "joint", "--out", "r"], ["--oracle", "joint", "-o", "r"]),
+        ],
+        ids=["key-equals-value", "o-for-out"],
+    )
+    def test_flag_forms_write_the_same_manifest(self, forms, tmp_path, monkeypatch):
+        manifests = []
+        for i, flags in enumerate(forms):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            assert main(["psro", "--game", "example1", "--iters", "3", *flags]) == EXIT_OK
+            manifests.append(read("r/manifest.json"))
+        assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("help_flag", ["--help", "-h"])
+    def test_command_help_lists_every_flag(self, command, help_flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", "r", help_flag])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.split()[:2] == ["--out,", "-o"] for line in lines)
+        assert any(line.split()[:1] == ["--config"] for line in lines)
+        for key, default in cli.OPTIONS[command].items():
+            [line] = [line for line in lines if line.split()[:1] == [cli._flag(key)]]
+            if default is not None:
+                assert f"default {default}" in line
+            assert all(str(choice) in line for choice in cli.CHOICES.get(key, ()))
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
