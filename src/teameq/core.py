@@ -956,10 +956,10 @@ def evaluate(game: Game, p1, p2) -> float:
     negation).
 
     Both policies are checked with `check_team_policy` once, here, which
-    refuses a joint mix on a stochastic game.  Normal-form profiles are evaluated exactly (multilinear expectation)
-    from joint-action distributions built without checking them again.
-    Stochastic profiles use exact finite-horizon dynamic programming within
-    the game's ``exact_bound``.
+    refuses a joint mix on a stochastic game.  Normal-form profiles are
+    evaluated exactly (multilinear expectation) from joint-action
+    distributions built without checking them again; stochastic ones by
+    exact finite-horizon dynamic programming within ``exact_bound``.
     """
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)

@@ -124,7 +124,10 @@ def exploitability_profile(
     oracle (reported not-applicable on heterogeneous teams), NoCorrelation
     iterated unilateral best responses from the all-zeros start, Sequential
     the sebr oracle (its default 4 restarts, seeded from ``seed``), and
-    Random the uniform product policy (method evaluation, gap 0).  Raises
+    Random the uniform product policy (method evaluation, gap 0).  Against
+    a mixture on a stochastic game, Joint's response is the guarded
+    greedy (method greedy, gap None): a lower bound on the class's reward,
+    which can read below the other classes.  Raises
     ValueError, before any response is computed, when ``classes`` is empty
     or names a class twice or one outside `CLASS_ORDER`.
     """

@@ -22,6 +22,7 @@ import itertools
 import math
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -367,44 +368,72 @@ def _check_tied_observations(tied: bool, key: tuple) -> None:
         )
 
 
-def _unit_best_response_exact(
-    game: StochasticTeamGame,
-    team: int,
-    unit: tuple[int, ...],
-    own_members: tuple,
-    opp_policy,
-    unit_actions: list[tuple[int, ...]] | None = None,
-    steps=None,
-):
-    """Exact finite-horizon best response of a unit of members (all others,
-    including the single opponent team policy, held fixed).
+def _belief_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
+    """Exact finite-horizon best response of a unit of members, the others
+    held at ``own_members``, against opponent atoms ``[(policy, weight),
+    ...]`` of which one is drawn before play and held: `_backward` over the
+    nodes ``(state, posterior)`` that `_forward` walks.  The posterior is
+    each atom's weight given the opponent joint actions seen so far,
+    normalised, and weighs the atoms' combinations of the fixed players'
+    actions.  Against one atom it is the constant ``(1.0,)``, so the nodes
+    are the states.  ``unit_actions`` restricts the unit's joint actions
+    (default: all, lexicographic); ``steps`` is the calling oracle's step
+    table (default: the game against one atom, a new table otherwise).
 
-    Backward induction over the layered reachable graph.  Requires the unit
-    members' observations to determine the dynamic-programming stage (the
-    built-in skirmish encodes the step counter in the state); raises
-    ExactBRUnsupported otherwise.  ``unit_actions`` restricts the unit's
-    joint actions (default: all of them, lexicographic); when it ties the
-    members to one common action they must observe alike at every reached
-    state, else ExactBRUnsupported.  ``steps`` is the calling oracle's
-    step table (default: the game).  Returns (member tables, value).
+    Against one atom, returns (member tables, value): the first best unit
+    action at each state.  The members' observations must determine the
+    decision stage (the built-in skirmish encodes the step counter in the
+    state), and members that ``unit_actions`` ties to one action must
+    observe alike at every reached state; else ExactBRUnsupported.  Against
+    a mixture, returns (None, value): the best history-dependent value,
+    which no table reaches but which bounds every table's.
     """
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
-    tied = _ties_members(unit_actions)
+    if steps is None and len(atoms) > 1:
+        steps = _StepTable(game, atoms)
+    look = game if steps is None else steps
     completions = {} if steps is None else steps.completions(team, unit, unit_actions)
 
-    def support(t, state):
+    def combos(t, state, atom=atoms[0][0]):
         return _joint_support(
-            game, team, own_members, opp_policy, state, completions, unit, unit_actions, steps
+            game, team, own_members, atom, state, completions, unit, unit_actions, steps
         )
 
-    q, values = _backward(game, list(_forward(game, game.initial, support, steps)), team, steps)
-    look = game if steps is None else steps
-    assign: list[dict] = [dict() for _ in unit]
+    if len(atoms) == 1:
+        support, nodes, start = combos, look, game.initial
+    else:
+        # the posterior after each (node, opponent joint action) walked
+        total, after = sum(w for _, w in atoms), {}
+        start = [((s, tuple(w / total for _, w in atoms)), p) for s, p in game.initial]
+
+        def support(t, node):
+            merged: dict = {}
+            for i, ((atom, _), b) in enumerate(zip(atoms, node[1])):
+                for p, pairs in combos(t, node[0], atom) if b > 0.0 else ():
+                    merged.setdefault(pairs[0][1], (pairs, [0.0] * len(atoms)))[1][i] = b * p
+            out = []
+            for pairs, weights in merged.values():
+                prob = sum(weights)
+                after.setdefault((node, pairs[0][1][2 - team]), tuple(w / prob for w in weights))
+                out.append((prob, pairs))
+            return out
+
+        nodes = SimpleNamespace(
+            successors=lambda node, joint: tuple(
+                ((s2, after[node, joint[2 - team]]), pt)
+                for s2, pt in look.successors(node[0], joint)
+            ),
+            step_reward=lambda node, joint: look.step_reward(node[0], joint),
+        )
+    q, values = _backward(game, list(_forward(game, start, support, nodes)), team, nodes)
+    value = float(sum(p * values[0][node] for node, p in start if p > 0.0))
+    if len(atoms) > 1:
+        return None, value
+    tied, assign = _ties_members(unit_actions), [{} for _ in unit]
     for layer in reversed(q):
         # _backward fills each layer in reverse first-reached order
-        for state in reversed(layer):
-            acts = layer[state]
+        for state, acts in reversed(layer.items()):
             best_val = max(acts.values())
             # unit_actions is lexicographically ordered: first max wins
             best_ua = next(ua for ua in unit_actions if acts[ua] == best_val)
@@ -412,21 +441,16 @@ def _unit_best_response_exact(
             key = tuple(obs[member] for member in unit)
             _check_tied_observations(tied, key)
             for pos, obs in enumerate(key):
-                prev = assign[pos].get(obs)
-                if prev is None:
-                    assign[pos][obs] = best_ua[pos]
-                elif prev != best_ua[pos]:
+                if assign[pos].setdefault(obs, best_ua[pos]) != best_ua[pos]:
                     raise ExactBRUnsupported(
                         "member observations do not determine the decision stage; "
                         "exact tabular best response is not expressible"
                     )
-    value = sum(p * values[0][s] for s, p in game.initial if p > 0.0)
     counts = game.action_counts[team - 1]
-    tables = [
+    return [
         IndividualPolicy.from_actions(counts[member], assign[pos], own_members[member])
         for pos, member in enumerate(unit)
-    ]
-    return tables, float(value)
+    ], value
 
 
 def _unit_improve_weighted(
@@ -448,7 +472,7 @@ def _unit_improve_weighted(
     the caller holds them: one walk per atom as `_atoms_value` records
     them, their value against the mixture and each walk's on-policy state
     values by step; without it the greedy walks them.  ``unit_actions`` is
-    as in _unit_best_response_exact.  ``steps`` is the calling oracle's
+    as in `_belief_response`.  ``steps`` is the calling oracle's
     step table, with ``opp_atoms`` registered; without one the greedy
     builds its own.  Returns (unit members' policies, value, fixed point,
     kept), where fixed point says the last round rejected its candidate
@@ -562,13 +586,11 @@ def _unit_improve_weighted(
 
 
 def _unit_best_response(game, team, unit, own_members, atoms, slack, unit_actions=None, steps=None):
-    """Exact backward induction against one opponent atom, the guarded greedy
+    """`_belief_response` against one opponent atom, the guarded greedy
     improvement (with ``slack``) against a mixture: a `BestResponse` whose
     policy is the unit members' tables."""
     if len(atoms) == 1:
-        tables, value = _unit_best_response_exact(
-            game, team, unit, own_members, atoms[0][0], unit_actions, steps
-        )
+        tables, value = _belief_response(game, team, unit, own_members, atoms, unit_actions, steps)
         return BestResponse(tables, value, 0.0, "exact_dp")
     tables, value, _, _ = _unit_improve_weighted(
         game, team, unit, own_members, atoms, slack, unit_actions=unit_actions, steps=steps
@@ -736,8 +758,8 @@ def _member_update(game, team, member, members, atoms, current, steps, start, sl
     where the policy is ``members[member]`` itself unless the member
     switched, and kept is the greedy's start triple after the update (None
     off the greedy path).  Normal-form updates are closed-form; stochastic
-    ones exact backward induction against one opponent atom and the
-    guarded greedy against a mixture.  A closed-form or DP switch is
+    ones `_belief_response` against one opponent atom and the guarded
+    greedy against a mixture.  A closed-form or DP switch is
     evaluated once, since those values can differ from evaluation in the
     last bits.  ``atoms`` are the opponent's checked atoms and ``steps``
     the calling oracle's `_NormalFormTable` or step table.
@@ -758,9 +780,7 @@ def _member_update(game, team, member, members, atoms, current, steps, start, sl
             return members[member], current, True, None
         tables = [ConstantPolicy(len(values), best)]
     elif len(atoms) == 1:
-        tables, value = _unit_best_response_exact(
-            game, team, (member,), tuple(members), atoms[0][0], steps=steps
-        )
+        tables, value = _belief_response(game, team, (member,), tuple(members), atoms, steps=steps)
         if not _beats(value, current, slack):
             return members[member], current, True, None
     else:

@@ -3,10 +3,13 @@
 The LP solver here is the dual route for the simplex maxmin
 implementation and must stay independent of it; the recursive value is
 the reference for the layered exact evaluation, and the per-support KKT
-loop the reference for the stacked shared-oracle kernel.  `one_step`
+loop the reference for the stacked shared-oracle kernel.  The belief
+recursion is the reference for the exact best response against a
+mixture of opponent policies.  `one_step`
 writes a normal-form game as the stochastic game it is.
 """
 
+import functools
 import itertools
 import math
 
@@ -89,6 +92,48 @@ def brute_force_value(game, p1, p2):
         return total
 
     return sum(p * value(s, 0) for s, p in game.initial)
+
+
+def belief_value(game, team, atoms):
+    """Best expected discounted reward of ``team``, every member free,
+    against an opponent team policy drawn once from ``atoms`` ``[(policy,
+    weight), ...]``, when the team sees the state and the opponent's joint
+    actions: plain recursion over (steps left, state, posterior), the
+    posterior updated by Bayes' rule on each opponent joint action."""
+    sign = 1.0 if team == 1 else -1.0
+    own_joints = list(itertools.product(*(range(c) for c in game.action_counts[team - 1])))
+
+    @functools.cache
+    def value(state, posterior, left):
+        if left == 0:
+            return 0.0
+        obs = game.member_observations(3 - team, state)
+        probs = []
+        for atom, _ in atoms:
+            dists = [m.dist(o) for m, o in zip(atom.members, obs)]
+            probs.append({
+                acts: math.prod(d[a] for d, a in zip(dists, acts))
+                for acts in itertools.product(*(range(len(d)) for d in dists))
+            })
+        best = -math.inf
+        for own in own_joints:
+            total = 0.0
+            for opp in probs[0]:
+                weights = [w * p[opp] for w, p in zip(posterior, probs)]
+                mass = sum(weights)
+                if mass == 0.0:
+                    continue
+                joint = (own, opp) if team == 1 else (opp, own)
+                after = tuple(w / mass for w in weights)
+                tail = sum(
+                    pt * value(s2, after, left - 1) for s2, pt in game.successors(state, joint)
+                )
+                total += mass * (sign * game.step_reward(state, joint) + game.discount * tail)
+            best = max(best, total)
+        return best
+
+    prior = tuple(w for _, w in atoms)
+    return sum(p * value(s, prior, game.horizon) for s, p in game.initial)
 
 
 def kkt_system(sym, support):

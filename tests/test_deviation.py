@@ -43,7 +43,7 @@ from teameq.games import (
     random_stochastic_game,
     random_team_game,
 )
-from teameq.oracles import _unit_best_response_exact, best_response_joint
+from teameq.oracles import _belief_response, best_response_joint
 
 
 def pure(actions, counts=(2, 2)):
@@ -180,7 +180,7 @@ class TestBuildDeviationSpec:
         assert len(calls) == len(set(calls))
         assert [member for member, _ in spec.individual] == [0, 1]
         for member, table in spec.individual:
-            _, best = _unit_best_response_exact(g, 1, (member,), cand.members, opp)
+            _, best = _belief_response(g, 1, (member,), cand.members, [(opp, 1.0)])
             deviation = ProductPolicy([table if m == member else p for m, p in enumerate(cand.members)])
             assert team_value(g, 1, deviation, opp) == pytest.approx(best, abs=1e-12)
 

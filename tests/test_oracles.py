@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import kkt_system, lp_maxmin, quadratic_simplex_max_loop, shared_maxmin_grid
+from helpers import (
+    belief_value,
+    kkt_system,
+    lp_maxmin,
+    quadratic_simplex_max_loop,
+    shared_maxmin_grid,
+)
 from teameq.core import (
     NF_OBS,
     ConstantPolicy,
@@ -776,8 +782,8 @@ class TestStochasticPasses:
         opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
         diagonal = [(a, a) for a in range(6)]
         with pytest.raises(oracles.ExactBRUnsupported, match="observe differently"):
-            oracles._unit_best_response_exact(
-                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, opp, diagonal
+            oracles._belief_response(
+                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, [(opp, 1.0)], diagonal
             )
 
     def test_greedy_keeps_its_lookahead_rows_for_the_call(self, monkeypatch):
@@ -918,6 +924,74 @@ class TestStochasticPasses:
             once = calls[0]
             assert run().value == value
             assert calls[0] == 2 * once > 0
+
+
+def _belief_mixture(n_members):
+    """Three opponent atoms, one of them mixed, so the posterior update is
+    weighted by the opponent's action probabilities."""
+    return [
+        (ProductPolicy([HashPolicy(6, 11 + m) for m in range(n_members)]), 0.5),
+        (ProductPolicy([ConstantPolicy(6, 5)] * n_members), 0.2),
+        (ProductPolicy([UniformPolicy(6)] * n_members), 0.3),
+    ]
+
+
+class TestBeliefResponse:
+    """`oracles._belief_response`: the one backward induction of every exact
+    stochastic best response, over (state, posterior) nodes."""
+
+    @staticmethod
+    def _value(game, team, atoms):
+        n = game.team_sizes[team - 1]
+        unit, base = tuple(range(n)), (ConstantPolicy(6, 0),) * n
+        return oracles._belief_response(game, team, unit, base, atoms)
+
+    @pytest.mark.parametrize("width, team", [(2, 1), (2, 2), (3, 2)])
+    def test_mixture_value_is_sandwiched(self, width, team):
+        # every deterministic Markov table <= the history-dependent value <=
+        # the weighted values of a response that knows the drawn atom
+        g = grid_skirmish(SkirmishConfig(width, 1, 1, 2))
+        mix = _belief_mixture(1)
+        states, layer = [], {g.initial[0][0]}
+        for _ in range(g.horizon):
+            states += sorted(layer)
+            layer = {
+                s2
+                for s in layer
+                for joint in itertools.product([(a,) for a in range(6)], repeat=2)
+                for s2, _ in g.successors(s, joint)
+            }
+        tables = [
+            ProductPolicy([IndividualPolicy.from_actions(6, dict(zip(states, acts)))])
+            for acts in itertools.product(range(6), repeat=len(states))
+        ]
+        markov = max(team_value(g, team, table, mix) for table in tables)
+        policy, value = self._value(g, team, mix)
+        informed = sum(w * self._value(g, team, [(atom, 1.0)])[1] for atom, w in mix)
+        assert policy is None
+        assert markov <= value + 1e-12
+        assert value <= informed + 1e-12
+
+    @pytest.mark.parametrize("horizon", [3, 4])
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_mixture_value_is_the_belief_recursion(self, horizon, team):
+        g = grid_skirmish(SkirmishConfig(3, 3, 1, horizon))
+        mix = _belief_mixture(1)
+        value = self._value(g, team, mix)[1]
+        assert value == pytest.approx(belief_value(g, team, mix), abs=1e-12)
+
+    @pytest.mark.parametrize("team", [1, 2])
+    def test_one_atom_is_its_exact_best_response(self, team):
+        # against one atom the posterior stays (1.0,); an atom mixed with
+        # itself stays at (0.5, 0.5), and every weight product is exact, so
+        # the belief nodes read the one-atom value bit for bit
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        atom = _belief_mixture(2)[0][0]
+        tables, value = self._value(g, team, [(atom, 1.0)])
+        answer = best_response_joint(g, atom, team)
+        assert (value, answer.method, answer.gap) == (answer.value, "exact_dp", 0.0)
+        assert repr(ProductPolicy(tables)) == repr(answer.policy)
+        assert self._value(g, team, [(atom, 0.5), (atom, 0.5)]) == (None, value)
 
 
 class TestSharedMaxminGrid:

@@ -12,9 +12,11 @@ test prints the new digest and the repr it hashed.
 
 import pytest
 
-from teameq.core import IndividualPolicy
+from teameq import oracles
+from teameq.core import ConstantPolicy, IndividualPolicy
 from teameq.evaluation import Candidate, exploitability_profile
 from teameq.games import SkirmishConfig, grid_skirmish
+from teameq.oracles import best_response_joint
 from teameq.psro import PsroConfig, run_psro
 
 from test_nf_golden import _check, _run_numbers
@@ -58,6 +60,42 @@ def test_skirmish_spsro_profile(runs, horizon):
     )
     numbers = [(r.class_name, r.opponent_reward, r.applicable, r.note) for r in report.results]
     _check(numbers, PROFILE[horizon])
+
+
+#: The joint class's exact value against each positive-weight atom of team
+#: 1's S-PSRO candidate, in entry order.
+ATOM_JOINT = {
+    4: (3.5197499999999993, 2.709875, 4.51725),
+    5: (6.098762499999999, 6.098762499999999, 6.098762499999999),
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(ATOM_JOINT))
+def test_joint_value_against_each_atom(runs, horizon):
+    atoms = Candidate.from_psro(runs["sebr", horizon, 6], 1).mixture()
+    answers = [best_response_joint(_skirmish(horizon), atom, 2) for atom, _ in atoms]
+    assert tuple(a.value for a in answers) == ATOM_JOINT[horizon]
+    assert {(a.method, a.gap) for a in answers} == {("exact_dp", 0.0)}
+
+
+def test_belief_value_bounds_every_profile_class(runs):
+    # against the mixture the history-dependent response reads between
+    # every class the profile computes (sequential at two seeds; at the
+    # second, SeBR's Markov policy reaches the value) and the response that
+    # knows the drawn atom
+    game = _skirmish(4)
+    candidate = Candidate.from_psro(runs["sebr", 4, 6], 1)
+    mix = candidate.mixture()
+    _, value = oracles._belief_response(game, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, mix)
+    assert value == pytest.approx(4.083193423502095, abs=1e-9)
+    readings = [r.opponent_reward for r in exploitability_profile(game, candidate, seed=0).results]
+    readings += [
+        r.opponent_reward
+        for r in exploitability_profile(game, candidate, ("sequential",), seed=400).results
+    ]
+    assert all(reading <= value + 1e-9 for reading in readings)
+    assert readings[-1] == pytest.approx(value, abs=1e-9)
+    assert value < sum(w * v for (_, w), v in zip(mix, ATOM_JOINT[4]))
 
 
 def _chain_depth(member) -> int:
