@@ -605,18 +605,60 @@ def _joint_dist(game: NormalFormTeamGame, team: int, policy) -> np.ndarray:
     return out
 
 
-def _nf_values(matrix: np.ndarray, team: int, own: np.ndarray, opponents) -> list[float]:
+def _pure_action(member) -> int | None:
+    """The action a member policy plays with probability exactly 1.0 at the
+    normal-form observation, or None.  `_check_dist` keeps a row's bits, so
+    a valid single-entry row can read 1 - 1e-13: that one is mixed here."""
+    support = member.support(NF_OBS)
+    if len(support) == 1 and support[0][1] == 1.0:
+        return support[0][0]
+    return None
+
+
+def _pure_index(game: NormalFormTeamGame, team: int, policy) -> int | None:
+    """Row-major joint index of a checked normal-form team policy that plays
+    one joint action with probability exactly 1.0, or None when it is
+    mixed: a product or shared policy whose every member is pure, or a joint
+    mix of one atom with weight 1.0."""
+    if isinstance(policy, JointMixPolicy):
+        if len(policy.atoms) != 1 or policy.weights[0] != 1.0:
+            return None
+        actions = policy.atoms[0]
+    else:
+        actions = [_pure_action(member) for member in policy.members]
+        if None in actions:
+            return None
+    idx = 0
+    for action, count in zip(actions, game.action_counts[team - 1]):
+        idx = idx * count + action
+    return idx
+
+
+def _nf_values(matrix: np.ndarray, team: int, own, opponents, rows=None) -> list[float]:
     """`team_value` of one normal-form team policy against each of several,
-    from their joint-action distributions ``own`` and ``opponents`` and the
-    game's `matrix`, in its arithmetic: ``(d1 @ M) @ d2`` plus 0.0 for team
-    1 and 0.0 less it for team 2, so a zero reads 0.0 for both teams.
-    Every normal-form value is read here; loops that evaluate one policy
-    against many keep each distribution once instead of calling
+    from ``own``, its joint-action distribution or, when it is pure, its
+    `_pure_index`, the opponents' distributions ``opponents`` and the game's
+    `matrix`, in `team_value`'s arithmetic: ``(d1 @ M) @ d2`` plus 0.0 for
+    team 1 and 0.0 less it for team 2, so a zero reads 0.0 for both teams.
+
+    A pure ``own`` is read by index: team 1's ``own @ M`` is the row
+    ``M[idx]``, and team 2's ``(d @ M) @ own`` is the entry ``(d @ M)[idx]``.
+    Either product has one nonzero term, 1.0 times the entry, so it is that
+    entry up to the sign of a zero, which the 0.0 normalises: the value is
+    the distribution's bit for bit.  ``rows``, team 2 only, holds each
+    opponent's ``d @ M`` when the caller keeps them, as `_NormalFormTable`
+    does.  Every normal-form value is read here; loops that evaluate one
+    policy against many keep each distribution once instead of calling
     `team_value`."""
+    pure = isinstance(own, int)
     if team == 1:
-        row = own @ matrix
+        row = matrix[own] if pure else own @ matrix
         return [0.0 + float(row @ d) for d in opponents]
-    return [0.0 - float(d @ matrix @ own) for d in opponents]
+    if rows is None:
+        rows = [d @ matrix for d in opponents]
+    if pure:
+        return [0.0 - float(r[own]) for r in rows]
+    return [0.0 - float(r @ own) for r in rows]
 
 
 def _members_view(policy) -> tuple:
@@ -629,10 +671,11 @@ def _members_view(policy) -> tuple:
 
 # Every exact stochastic pass (evaluation and the oracles' dynamic programs)
 # walks the same finite-horizon layered graph: _joint_support lists the joint
-# actions played at a state, _forward walks the layers, _backward runs
-# backward induction over a recorded walk, and _profile_value sums a
-# profile's value in one pass over the layers, recording the walk only for
-# a caller that passes a list (the guarded greedy, whose lookahead needs it).
+# actions played at a state, _forward walks the layers reached (no state
+# probabilities), _backward runs backward induction over a recorded walk,
+# and _profile_value sums a profile's value in one pass over the layers,
+# recording the walk, state probabilities included, only for a caller that
+# passes a list (the guarded greedy, whose lookahead weighs by them).
 # The passes ask ``steps`` for each (state, joint action)'s step reward, for
 # its successors row at steps 0 to H-2 only (no value reads a row out of
 # the last step, which counts 0), and for member observations: the game
@@ -806,30 +849,30 @@ def _budget_error(game: StochasticTeamGame, step_pairs: int) -> EvaluationError:
 
 
 def _forward(game: StochasticTeamGame, start, support, steps=None):
-    """Walk ``game.horizon`` steps from the distribution ``start`` of
-    (state, prob) pairs.
+    """Walk ``game.horizon`` steps from the states of ``start``, (state,
+    prob) pairs, that have positive probability.
 
-    Yields ``(t, state, prob, rows)`` step by step, states in first-reached
+    Yields ``(t, state, None, rows)`` step by step, states in first-reached
     order; ``rows`` is ``support(t, state)`` with each joint action's
     successor row, from ``steps`` (default: the game), added:
     ``[(prob, [(unit_action, joint, successors), ...])]``.  Nothing follows
     the last step, so its rows carry the empty successor row ``()`` and
-    ``steps`` is not asked for them.  Before it, successors with positive
-    probability form the next layer, weighted by the state's and the
-    combination's probability (summed over unit actions); only that
-    layer's distribution is kept.  Raises EvaluationError when one step
-    touches more than ``game.exact_bound`` (state, joint action) pairs.
+    ``steps`` is not asked for them.  Before it, the successors with
+    positive probability form the next layer.  The walk is one of
+    reachability: no state probability is multiplied out, since
+    `_backward` reads none.  Only `_profile_value`'s walks carry them, in
+    the third slot, and those are what the greedy reads.  Raises
+    EvaluationError when one step touches more than ``game.exact_bound``
+    (state, joint action) pairs.
     """
     successors = (game if steps is None else steps).successors
     last = game.horizon - 1
-    dist: dict[Obs, float] = {}
-    for state, p in start:
-        if p > 0.0:
-            dist[state] = dist.get(state, 0.0) + p
+    # dicts as ordered sets: a state keeps the place it was first reached at
+    layer = dict.fromkeys(state for state, p in start if p > 0.0)
     for t in range(game.horizon):
         step_pairs = 0
-        nxt: dict[Obs, float] = {}
-        for state, p_state in dist.items():
+        nxt: dict = {}
+        for state in layer:
             combos = support(t, state)
             step_pairs += sum(len(pairs) for _, pairs in combos)
             if step_pairs > game.exact_bound:
@@ -839,26 +882,26 @@ def _forward(game: StochasticTeamGame, start, support, steps=None):
             else:
                 rows = []
                 for p, pairs in combos:
-                    w = p_state * p
                     row = []
                     for ua, joint in pairs:
                         succ = successors(state, joint)
                         for s2, pt in succ:
                             if pt > 0.0:
-                                nxt[s2] = nxt.get(s2, 0.0) + w * pt
+                                nxt[s2] = None
                         row.append((ua, joint, succ))
                     rows.append((p, row))
-            yield t, state, p_state, rows
-        dist = nxt
+            yield t, state, None, rows
+        layer = nxt
 
 
 def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> tuple[list, list]:
     """Backward induction for ``team`` over ``walk``, the list of tuples
-    `_forward` yielded, with step rewards from ``steps`` (default: the
-    game).  Returns ``(q, values)``: ``q`` holds one dict per step mapping
-    each state to ``{unit_action: action value}``, ``values`` one dict per
-    step, and an empty one after the last, mapping each state to its value,
-    its best action value.  A successor outside the next layer (reached with
+    `_forward` yielded or `_profile_value` recorded (their third slot is
+    not read), with step rewards from ``steps`` (default: the game).
+    Returns ``(q, values)``: ``q`` holds one dict per step mapping each
+    state to ``{unit_action: action value}``, ``values`` one dict per step,
+    and an empty one after the last, mapping each state to its value, its
+    best action value.  A successor outside the next layer (reached with
     probability 0) counts 0, and so does the empty successor row of the
     last step."""
     step_reward = (game if steps is None else steps).step_reward
@@ -899,7 +942,9 @@ def _profile_value(game: StochasticTeamGame, p1, p2, steps=None, walk=None):
     rewards; a state at the last step asks step rewards only, as in
     `_forward`.  The value sums ``discount**t * (p_state * p) * reward``
     state by state in first-reached order.  ``walk``, when given, is a list
-    that receives the tuples `_forward` would yield, for `_backward`.
+    that receives the tuples `_forward` would yield, for `_backward`, but
+    with each state's probability in the third slot: the greedy weighs its
+    lookahead by them.
     """
     if steps is None:
         completions: dict = {}
@@ -959,13 +1004,16 @@ def evaluate(game: Game, p1, p2) -> float:
     refuses a joint mix on a stochastic game.  Normal-form profiles are
     evaluated exactly (multilinear expectation) from joint-action
     distributions built without checking them again; stochastic ones by
-    exact finite-horizon dynamic programming within ``exact_bound``.
+    exact finite-horizon dynamic programming within ``exact_bound``; a pure
+    team-1 policy is read by its joint index (see `_nf_values`).
     """
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
-        own, opp = _joint_dist(game, 1, p1), _joint_dist(game, 2, p2)
-        return _nf_values(game.matrix(), 1, own, [opp])[0]
+        own = _pure_index(game, 1, p1)
+        if own is None:
+            own = _joint_dist(game, 1, p1)
+        return _nf_values(game.matrix(), 1, own, [_joint_dist(game, 2, p2)])[0]
     return _profile_value(game, p1, p2)
 
 
@@ -999,10 +1047,13 @@ def team_value(game: Game, team: int, own, opponent) -> float:
 def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=None):
     """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
 
-    On a normal-form game each cell is `_nf_values`' arithmetic on two
-    joint-action distributions: B's are built once, A's one row at a time.
-    ``dists_a`` / ``dists_b`` are the entries' distributions when the
-    caller keeps them, as `run_psro` does; they are taken unchecked."""
+    On a normal-form game each cell is `_nf_values`' arithmetic: B's
+    joint-action distributions are built once, and A's entries are read one
+    row at a time, a pure entry by its joint index and a mixed one by its
+    distribution.  ``dists_a`` / ``dists_b`` are the entries' distributions
+    when the caller keeps them, as `run_psro` does; they are taken
+    unchecked, with their entries.  An A entry given without one is checked
+    here, even when its index is read."""
     out = np.zeros((len(entries_a), len(entries_b)))
     if not game.is_normal_form:
         for i, a in enumerate(entries_a):
@@ -1013,8 +1064,12 @@ def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=
     if dists_b is None:
         dists_b = [team_action_dist(game, 2, b) for b in entries_b]
     for i, a in enumerate(entries_a):
-        dist_a = team_action_dist(game, 1, a) if dists_a is None else dists_a[i]
-        out[i] = _nf_values(matrix, 1, dist_a, dists_b)
+        if dists_a is None:
+            check_team_policy(game, 1, a)
+        own = _pure_index(game, 1, a)
+        if own is None:
+            own = _joint_dist(game, 1, a) if dists_a is None else dists_a[i]
+        out[i] = _nf_values(matrix, 1, own, dists_b)
     return out
 
 

@@ -169,9 +169,8 @@ def build_deviation_spec(
         members = _members_view(candidate)
         if game.is_normal_form:
             tensor = team_reward_tensor(game, team, opponent)
-            dists = [m.dist(NF_OBS) for m in members]
             return [
-                (m, ConstantPolicy(c, int(np.argmax(_member_values(tensor, dists, m)))))
+                (m, ConstantPolicy(c, int(np.argmax(_member_values(tensor, members, m)))))
                 for m, c in enumerate(counts)
             ]
         atoms = as_mixture(opponent)

@@ -47,6 +47,8 @@ from .core import (
     _joint_support,
     _members_view,
     _nf_values,
+    _pure_action,
+    _pure_index,
     _profile_value,
     as_mixture,
     check_team,
@@ -293,9 +295,10 @@ class _NormalFormTable:
     each atom's joint-action distribution and the team's reward tensor
     against the mixture.  SeBR reads it in place of the stochastic oracles'
     `_StepTable`; it is dropped when the call returns.  ``dists`` is as in
-    `team_reward_tensor`, which returns this table's tensor."""
+    `team_reward_tensor`, which returns this table's tensor.  For team 2 it
+    also keeps each atom's ``d @ matrix``, built on the first `value` call."""
 
-    __slots__ = ("_game", "_team", "_atoms", "matrix", "atom_dists", "tensor")
+    __slots__ = ("_game", "_team", "_atoms", "_rows", "matrix", "atom_dists", "tensor")
 
     def __init__(self, game: NormalFormTeamGame, team: int, atoms, dists=None):
         opp = 3 - team
@@ -313,14 +316,22 @@ class _NormalFormTable:
             tensor = (matrix @ mixed).reshape(game.action_counts[0])
         else:
             tensor = (0.0 - mixed @ matrix).reshape(game.action_counts[1])
-        self._game, self._team, self._atoms = game, team, atoms
+        self._game, self._team, self._atoms, self._rows = game, team, atoms, None
         self.matrix, self.atom_dists, self.tensor = matrix, dists, tensor
 
     def value(self, members) -> float:
         """Value of the product of ``members``, which the caller has
-        checked, against the atoms, summed in `team_value`'s arithmetic."""
-        own = _joint_dist(self._game, self._team, ProductPolicy(members))
-        values = _nf_values(self.matrix, self._team, own, self.atom_dists)
+        checked, against the atoms, summed in `team_value`'s arithmetic.
+        Pure members are read by their joint index (`_nf_values`): team 1
+        reads one matrix row, team 2 one entry of each atom's ``d @ matrix``,
+        which the table builds once, on its first call, for both paths."""
+        policy = ProductPolicy(members)
+        own = _pure_index(self._game, self._team, policy)
+        if own is None:
+            own = _joint_dist(self._game, self._team, policy)
+        if self._team == 2 and self._rows is None:
+            self._rows = [d @ self.matrix for d in self.atom_dists]
+        values = _nf_values(self.matrix, self._team, own, self.atom_dists, self._rows)
         return sum(w * v for (_, w), v in zip(self._atoms, values))
 
 
@@ -335,10 +346,18 @@ def _contract(tensor: np.ndarray, dists: list, fixed: dict) -> float:
     return float(out)
 
 
-def _member_values(tensor: np.ndarray, dists: list, member: int) -> np.ndarray:
-    """Team-reward vector over one member's actions, others at their dists."""
+def _member_values(tensor: np.ndarray, members, member: int) -> np.ndarray:
+    """Team-reward vector over one member's actions, the other ``members``
+    playing their normal-form rows.  When every teammate is pure
+    (`_pure_action`), it is the tensor indexed at their actions, copied to
+    a fresh row as the products' result is: each product with a one-hot
+    row has one nonzero term, 1.0 times the entry, so indexing gives the
+    products' values up to the sign of a zero."""
+    picks = [slice(None) if i == member else _pure_action(m) for i, m in enumerate(members)]
+    if None not in picks:
+        return tensor[tuple(picks)].copy()
     out = np.moveaxis(tensor, member, 0)
-    rest = [d for i, d in enumerate(dists) if i != member]
+    rest = [m.dist(NF_OBS) for i, m in enumerate(members) if i != member]
     for d in reversed(rest):
         out = out @ d
     return out
@@ -714,13 +733,17 @@ def best_response_individual(
     team: int,
     start,
     sweeps: int = 50,
+    dists=None,
 ):
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
     ``start`` is any team policy `sebr` takes as a start (product, shared or
-    joint mix).  Returns `sebr`'s `BestResponse`.
+    joint mix), and ``dists`` the opponent's kept distributions, as in
+    `sebr`.  Returns `sebr`'s `BestResponse`.
     """
-    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
+    return sebr(
+        game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, dists=dists
+    )
 
 
 def _opponent_atoms(game: StochasticTeamGame, team: int, opponent) -> list[tuple]:
@@ -773,10 +796,9 @@ def _member_update(game, team, member, members, atoms, current, steps, start, sl
     after a greedy switch that ended on a rejected candidate.
     """
     if game.is_normal_form:
-        dists = [m.dist(NF_OBS) for m in members]
-        values = _member_values(steps.tensor, dists, member)
+        values = _member_values(steps.tensor, members, member)
         best = _first_best(values, slack)
-        if not _beats(values[best], float(values @ dists[member]), slack):
+        if not _beats(values[best], float(values @ members[member].dist(NF_OBS)), slack):
             return members[member], current, True, None
         tables = [ConstantPolicy(len(values), best)]
     elif len(atoms) == 1:
@@ -899,10 +921,14 @@ def _bernstein_simplex_max(tensor: np.ndarray, slack: float):
     return best_p, best_val, max(0.0, max(cut, top) - best_val)
 
 
-def best_response_shared(game: Game, opponent, team: int):
+def best_response_shared(game: Game, opponent, team: int, dists=None):
     """Best shared policy and its value, as a `BestResponse`.
 
-    Normal form: the best mixed shared action, over the simplex.  Two-member
+    Normal form: the best mixed shared action, over the simplex, on the
+    reward tensor against the opponent; ``dists`` holds the joint-action
+    distribution of each positive-weight opponent entry, in order, when the
+    caller keeps them, as `run_psro` does, and is taken unchecked (see
+    `team_reward_tensor`; the result is the same either way).  Two-member
     teams use exact KKT support enumeration (`_quadratic_simplex_max`);
     other teams a certified Bernstein branch-and-bound
     (`_bernstein_simplex_max`), whose value is within the game's `_slack`
@@ -923,7 +949,7 @@ def best_response_shared(game: Game, opponent, team: int):
         raise DimensionError("shared best response requires homogeneous action spaces")
     n_actions, n_members = counts[0], len(counts)
     if game.is_normal_form:
-        tensor = team_reward_tensor(game, team, opponent)
+        tensor = team_reward_tensor(game, team, opponent, dists)
         search = _quadratic_simplex_max if n_members == 2 else _bernstein_simplex_max
         dist, value, gap = search(tensor, _slack(game))
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
@@ -1050,6 +1076,7 @@ def sebr(
     max_sweeps: int = 50,
     seed: int = 0,
     trace: list | None = None,
+    dists=None,
 ):
     """Sequential best response: members update in index order, each
     best-responding exactly given predecessors' updated policies and
@@ -1069,6 +1096,11 @@ def sebr(
     negative ``restarts`` or ``max_sweeps``.  ``trace``, when given,
     collects one (restart, sweep, member, value_before, value_after) tuple
     per member update, over all restarts.
+
+    On a normal-form game ``dists`` holds the joint-action distribution of
+    each positive-weight opponent entry, in order, when the caller keeps
+    them, as `run_psro` does; they are taken unchecked, with their entries
+    (see `team_reward_tensor`), and the result is the same either way.
     """
     check_team(team)
     if restarts < 0 or max_sweeps < 0:
@@ -1080,7 +1112,7 @@ def sebr(
         check_team_policy(game, team, start)
     if game.is_normal_form:
         atoms = as_mixture(opponent)
-        steps = _NormalFormTable(game, team, atoms)
+        steps = _NormalFormTable(game, team, atoms, dists)
     else:
         atoms = _opponent_atoms(game, team, opponent)
         steps = _StepTable(game, atoms)

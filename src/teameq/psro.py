@@ -200,23 +200,27 @@ def _oracle_response(game, team, pop, opp_weights, cfg, iteration, slack, dists=
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
     returns its `BestResponse` against the opponent mixture.  ``slack`` is
     the game's `_slack` and ``dists`` `run_psro`'s record of each entry's
-    joint-action distribution on a normal-form game (else None); the joint
-    oracle reads the opponent's first ``len(opp_weights)``, since entries
-    appended in this iteration follow them."""
+    joint-action distribution on a normal-form game (else None).  Every
+    oracle reads the opponent's first ``len(opp_weights)`` of them, those
+    of the positive-weight entries, since entries appended in this
+    iteration follow them."""
     opponent_mix = pop.mixture(3 - team, opp_weights)
+    opp_dists = None
+    if dists is not None:
+        kept = dists[3 - team][: len(opp_weights)]
+        opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
     if cfg.oracle == "joint":
-        opp_dists = None
-        if dists is not None:
-            kept = dists[3 - team][: len(opp_weights)]
-            opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
         return best_response_joint(game, opponent_mix, team, dists=opp_dists)
     if cfg.oracle == "shared":
-        return best_response_shared(game, opponent_mix, team)
+        return best_response_shared(game, opponent_mix, team, dists=opp_dists)
     incumbent = _best_entry_vs(pop, team, opp_weights, slack)
     if cfg.oracle == "individual":
-        return best_response_individual(game, opponent_mix, team, incumbent)
+        return best_response_individual(game, opponent_mix, team, incumbent, dists=opp_dists)
     seed = subseed(cfg.seed, f"sebr/t{team}/i{iteration}")
-    return sebr(game, opponent_mix, team, start=incumbent, restarts=cfg.sebr_restarts, seed=seed)
+    return sebr(
+        game, opponent_mix, team, start=incumbent, restarts=cfg.sebr_restarts, seed=seed,
+        dists=opp_dists,
+    )
 
 
 def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:

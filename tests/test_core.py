@@ -33,7 +33,9 @@ from teameq.core import (
     StochasticTeamGame,
     UniformPolicy,
     _nf_values,
+    _pure_index,
     check_team_policy,
+    cross_payoff_matrix,
     evaluate,
     game_from_dict,
     game_to_dict,
@@ -57,6 +59,8 @@ from teameq.games import (
     sad,
 )
 from teameq.oracles import (
+    _member_values,
+    _NormalFormTable,
     advantage_decompose,
     best_response_individual,
     best_response_joint,
@@ -111,22 +115,84 @@ class TestNormalFormEvaluation:
             evaluate(g, ProductPolicy.pure((0,), (2,)), pure((0, 0)))
 
     def test_distribution_values_are_team_value_bit_for_bit(self):
-        # the loops that keep joint-action distributions read values this way
+        # the loops that keep joint-action distributions read values this
+        # way; a policy pure with probability exactly 1.0 is read by its
+        # joint index, on every path, and a near-pure one by its distribution
         rng = np.random.default_rng(1)
+        shape = (3, 2, 2, 3)
         games = [random_team_game((2, 2), ((3, 2), (2, 3)), seed=s) for s in range(4)]
-        games.append(NormalFormTeamGame((2, 2), ((3, 2), (2, 3)), np.zeros((3, 2, 2, 3))))
+        games.append(NormalFormTeamGame((2, 2), ((3, 2), (2, 3)), np.zeros(shape)))
+        signed_zeros = np.where(rng.random(shape) < 0.4, -0.0, rng.integers(-1, 2, shape) * 1.0)
+        games.append(NormalFormTeamGame((2, 2), ((3, 2), (2, 3)), signed_zeros))
+        assert np.signbit(games[-1].payoff[games[-1].payoff == 0.0]).any()
+        near = IndividualPolicy(3, {NF_OBS: [1 - 1e-13, 0, 0]})
         for g in games:
             p1, p2 = (
                 ProductPolicy([IndividualPolicy(c, {0: rng.dirichlet(np.ones(c))}) for c in counts])
                 for counts in g.action_counts
             )
             j2 = JointMixPolicy([(0, 2), (1, 0)], [0.3, 0.7])
-            for team, own, opp in ((1, p1, p2), (1, p1, j2), (2, p2, p1), (2, j2, p1)):
+            pure_policies = {
+                team: [
+                    ProductPolicy([ConstantPolicy(c, c - 1) for c in counts]),
+                    ProductPolicy([HashPolicy(c, 7 * team + m) for m, c in enumerate(counts)]),
+                    ProductPolicy.pure((1, 0), counts),
+                    JointMixPolicy.pure((team % 2, 1)),
+                ]
+                for team, counts in ((1, g.action_counts[0]), (2, g.action_counts[1]))
+            }
+            near_pure = {
+                1: [
+                    ProductPolicy([near, ConstantPolicy(2, 1)]),
+                    JointMixPolicy([(2, 1)], [1 - 1e-13]),
+                ],
+                2: [
+                    ProductPolicy([ConstantPolicy(2, 1), near]),
+                    JointMixPolicy([(1, 2)], [1 - 1e-13]),
+                ],
+            }
+            cases = [(1, p1, p2), (1, p1, j2), (2, p2, p1), (2, j2, p1)]
+            for team in (1, 2):
+                opponents = ((p2, j2) if team == 1 else (p1,)) + tuple(pure_policies[3 - team])
+                for own in pure_policies[team] + near_pure[team]:
+                    cases += [(team, own, opp) for opp in opponents]
+            for team, own, opp in cases:
+                expected = repr(team_value(g, team, own, opp))
                 dists = team_action_dist(g, team, own), team_action_dist(g, 3 - team, opp)
                 got = _nf_values(g.matrix(), team, dists[0], [dists[1]])[0]
-                assert repr(got) == repr(team_value(g, team, own, opp))
+                assert repr(got) == expected
+                idx = _pure_index(g, team, own)
+                assert (idx is None) == any(own is q for q in (p1, p2, j2, *near_pure[team]))
+                if idx is not None:
+                    assert dists[0][idx] == 1.0
+                    assert repr(_nf_values(g.matrix(), team, idx, [dists[1]])[0]) == expected
+                # the paths that pass the index when the policy is pure
+                if team == 1:
+                    cross = float(cross_payoff_matrix(g, [own], [opp])[0, 0])
+                else:
+                    cross = 0.0 - float(cross_payoff_matrix(g, [opp], [own])[0, 0])
+                assert repr(cross) == expected
+                if isinstance(own, ProductPolicy):
+                    table = _NormalFormTable(g, team, [(opp, 1.0)])
+                    assert repr(table.value(own.members)) == expected
+                    assert repr(table.value(own.members)) == expected  # with the kept rows
         with pytest.raises(DimensionError):
             team_action_dist(g, 1, ProductPolicy.pure((0,), (2,)))
+        # with pure teammates a member's values index the tensor; equal
+        # (up to the sign of a zero) to contracting each teammate's row
+        for sizes in ((3, 2), (2, 3, 2)):
+            g = random_team_game((len(sizes), 2), (sizes, (2, 2)), seed=3)
+            opponent = ProductPolicy([UniformPolicy(2), ConstantPolicy(2, 1)])
+            base = team_reward_tensor(g, 1, opponent)
+            for tensor in (base, np.where(base > 0.0, -0.0, 0.0)):
+                for member in range(len(sizes)):
+                    members = [HashPolicy(c, 3 + m) for m, c in enumerate(sizes)]
+                    members[member] = UniformPolicy(sizes[member])
+                    moved = np.moveaxis(tensor, member, 0)
+                    for i in reversed([i for i in range(len(sizes)) if i != member]):
+                        moved = moved @ members[i].dist(NF_OBS)
+                    got = _member_values(tensor, members, member)
+                    assert got.shape == moved.shape and (got == moved).all()
 
     def test_a_zero_value_is_positive_for_both_teams(self):
         # team 2 reads 0.0 less team 1's value, so a zero never reads -0.0

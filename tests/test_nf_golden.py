@@ -27,6 +27,7 @@ from teameq.oracles import MaxminConvergenceError, solve_matrix_maxmin
 from teameq.psro import PsroConfig, run_psro
 
 RANDOM = "random:n1=2,n2=2,actions=3,seed=7"
+LARGE = "random:n1=5,n2=5,actions=3,seed=0"
 
 
 def _digest(obj) -> str:
@@ -96,6 +97,9 @@ LOCAL_PSRO = {
     (RANDOM, "sebr"): "06288585cf7515e7",
     (RANDOM, "individual"): "690975ef9f460a71",
     (RANDOM, "shared"): "31234149fd5fbe23",
+    # teams of five: 243 joint actions a side, 40 and 37 iterations
+    (LARGE, "sebr"): "379b74e473f89c52",
+    (LARGE, "individual"): "ddd939ff7879ca5c",
 }
 
 

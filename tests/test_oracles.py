@@ -607,6 +607,33 @@ class TestBestResponseSharedStochastic:
             best_response_shared(g, opp, 1)
 
 
+@pytest.mark.parametrize("oracle", ["shared", "individual", "sebr"])
+def test_kept_distributions_give_the_same_answer(oracle):
+    # like the joint oracle, the other normal-form oracles take the opponent
+    # entries' kept joint-action distributions, as run_psro hands them over
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=5)
+    rng = np.random.default_rng(5)
+    mixed = ProductPolicy([IndividualPolicy(3, {NF_OBS: rng.dirichlet(np.ones(3))}) for _ in range(2)])
+    opponent = [(mixed, 0.5), (pure((1, 2), (3, 3)), 0.0), (JointMixPolicy.pure((2, 0)), 0.5)]
+    dists = [team_action_dist(g, 2, p) for p, w in opponent if w > 0.0]
+    calls = {
+        "shared": lambda team, kept: best_response_shared(g, opponent, team, dists=kept),
+        "individual": lambda team, kept: best_response_individual(
+            g, opponent, team, pure((0, 1), (3, 3)), dists=kept
+        ),
+        "sebr": lambda team, kept: sebr(g, opponent, team, seed=3, dists=kept),
+    }
+    for team in (1, 2):
+        answers = [calls[oracle](team, kept) for kept in (None, dists)]
+        numbers = [
+            (a.value, a.gap, a.method, [m.dist(NF_OBS).tolist() for m in a.policy.members])
+            for a in answers
+        ]
+        assert numbers[0] == numbers[1]
+        with pytest.raises(ValueError, match="distributions"):
+            calls[oracle](team, dists[:1])
+
+
 @pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared, sebr])
 @pytest.mark.parametrize(
     "opponent",

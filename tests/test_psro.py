@@ -310,6 +310,21 @@ def test_joint_run_builds_each_distribution_once(monkeypatch):
     assert sorted(calls) == [1] * len(pop.team1) + [2] * len(pop.team2)
 
 
+@pytest.mark.parametrize("oracle", ["joint", "shared", "individual", "sebr"])
+def test_every_oracle_reads_the_kept_distributions(monkeypatch, oracle):
+    # run_psro hands each normal-form oracle the opponent entries' kept
+    # distributions, so no oracle builds one
+    import teameq.oracles as oracles_module
+
+    def refused(game, team, policy):
+        raise AssertionError("an oracle built a joint-action distribution")
+
+    monkeypatch.setattr(oracles_module, "team_action_dist", refused)
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+    result = run_psro(g, PsroConfig(oracle=oracle, max_iterations=8, seed=0))
+    assert result.iterations > 2
+
+
 class TestSkirmishSPsro:
     """S-PSRO and Indep-PSRO on the 3x3 2v2 skirmish at H=3, 4 iterations,
     seed 0."""
