@@ -146,12 +146,12 @@ def _solution_numbers(sol) -> tuple:
     return (sol.row_mix.tolist(), sol.col_mix.tolist(), sol.value, sol.gap)
 
 
-def _random_matrix(seed: int) -> np.ndarray:
-    """Seeded rectangular payoffs: integer-valued for seeds 0 mod 4 (ratio
-    ties for Bland's rule), scaled by 1e6 for seeds 3 mod 4 (the relative
-    tolerance)."""
+def _random_matrix(seed: int, side: int = 12) -> np.ndarray:
+    """Seeded rectangular payoffs with sides up to ``side``: integer-valued
+    for seeds 0 mod 4 (ratio ties for Bland's rule), scaled by 1e6 for seeds
+    3 mod 4 (the relative tolerance)."""
     rng = np.random.default_rng(seed)
-    rows, cols = (int(n) for n in rng.integers(1, 13, size=2))
+    rows, cols = (int(n) for n in rng.integers(1, side + 1, size=2))
     if seed % 4 == 0:
         return rng.integers(-2, 3, size=(rows, cols)).astype(float)
     mat = rng.uniform(-1.0, 1.0, size=(rows, cols))
@@ -166,6 +166,18 @@ SOLVE_GAMES = (
     "random:n1=2,n2=2,actions=3,seed=500",
     "random:n1=2,n2=2,actions=3,seed=501",
 )
+
+_ZEROS = np.array([[0.0, -0.0, 1.0], [-0.0, 1.0, 0.0], [1.0, 0.0, -0.0]])
+
+#: Edge shapes of the simplex's decisions: no pivot (span 0), one row or
+#: column, and signed zeros in the payoffs.
+SOLVE_MATRICES = {
+    "constant": np.full((3, 4), -2.5),
+    "row": np.random.default_rng(3).uniform(-1.0, 1.0, size=(1, 7)),
+    "column": np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 1)),
+    "signed-zeros": _ZEROS,
+    "signed-zeros-constant": _ZEROS[:2, :2],
+}
 
 SOLVE = {
     "example1": "24dae3cf43ad4674",
@@ -195,23 +207,60 @@ SOLVE = {
     "matrix-18": "7063fde24c25173f",
     "matrix-19": "60f8c87ac7ad4b0f",
     "capped": "0fdedc09c7cc9eaa",
+    # recorded before the simplex's decisions moved to Python floats
+    "constant": "6d2c61686151b838",
+    "row": "4b3e3ea19acbc156",
+    "column": "09047713f77e5bd9",
+    "signed-zeros": "64d8b8b4df1d2ec4",
+    "signed-zeros-constant": "5097d8794626261b",
+    "large-20": "4e25d932cf09aa2f",
+    "large-21": "9109dcac9c502eef",
+    "large-22": "ac8a8165babc4078",
+    "large-23": "d69705485fdd0eb3",
+    "large-24": "f6b9f9f74eee6740",
+    "large-25": "20f2cc6244f36c90",
+    "large-26": "d34a88c60e8d59c1",
+    "large-27": "d38b9e83dce3b28d",
+    "large-28": "ee774b953a049921",
+    "large-29": "d24d7e431edbe0b6",
+    "cap-0": "0aa24b16e337e933",
+    "cap-1": "107dd8f3f0035ebb",
+    "tol-0": "cc3269fde529b88d",
 }
+
+_CAP_MATRIX = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 7))
 
 
 def _solve_case(name: str):
     if name in SOLVE_GAMES:
         return solve_matrix_maxmin(parse_game_spec(name).matrix(), tol=1e-6)
+    if name in SOLVE_MATRICES:
+        return solve_matrix_maxmin(SOLVE_MATRICES[name], tol=1e-6)
+    if name.startswith("large-"):
+        return solve_matrix_maxmin(_random_matrix(int(name[6:]), side=40), tol=1e-6)
     if name == "capped":  # `test_iteration_cap_reports_best`'s solve
         mat = np.random.default_rng(2).uniform(-1, 1, size=(10, 10))
         with pytest.raises(MaxminConvergenceError) as exc:
             solve_matrix_maxmin(mat, tol=1e-13, max_iterations=5)
         return exc.value.best
+    if name.startswith("cap-"):  # the slack basis (uniform sides) and one pivot on
+        with pytest.raises(MaxminConvergenceError) as exc:
+            solve_matrix_maxmin(_CAP_MATRIX, max_iterations=int(name[4:]))
+        return exc.value.best
+    if name == "tol-0":  # converged, but the round-off gap exceeds a zero tolerance
+        with pytest.raises(MaxminConvergenceError) as exc:
+            solve_matrix_maxmin(np.random.default_rng(0).uniform(-1, 1, size=(6, 7)), tol=0.0)
+        return exc.value.best, str(exc.value)
     return solve_matrix_maxmin(_random_matrix(int(name.split("-")[1])), tol=1e-6)
 
 
 @pytest.mark.parametrize("name", list(SOLVE))
 def test_solve_matrix_maxmin(name):
-    _check(_solution_numbers(_solve_case(name)), SOLVE[name])
+    case = _solve_case(name)
+    if name == "tol-0":
+        _check((_solution_numbers(case[0]), case[1]), SOLVE[name])
+    else:
+        _check(_solution_numbers(case), SOLVE[name])
 
 
 def _cli_steps(spec: str) -> list[tuple]:
