@@ -146,14 +146,14 @@ class MaxminSolution:
     def __post_init__(self):
         for name in ("row_mix", "col_mix"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            low, total = np.minimum.reduce(arr, initial=0.0), np.add.reduce(arr)
             # written so that a NaN entry fails the test
-            if not (
-                np.minimum.reduce(arr, initial=0.0) >= -DIST_TOL
-                and abs(np.add.reduce(arr) - 1.0) <= 1e-9
-            ):
+            if not (low >= -DIST_TOL and abs(total - 1.0) <= 1e-9):
                 raise ValueError(f"{name} is not a probability vector")
-            arr = np.maximum(arr, 0.0)
-            arr = arr / np.add.reduce(arr)
+            arr = np.maximum(arr, 0.0)  # -0.0 becomes 0.0 too
+            if low < 0.0:  # else the clip kept the sum
+                total = np.add.reduce(arr)
+            arr = arr / total
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (math.isfinite(self.value) and math.isfinite(self.gap)):
@@ -169,31 +169,24 @@ class MaxminSolution:
         }
 
 
-def _certify(matrix: np.ndarray, x: np.ndarray, y: np.ndarray) -> MaxminSolution:
-    x = np.maximum(x, 0.0)
-    x = x / np.add.reduce(x)
-    y = np.maximum(y, 0.0)
-    y = y / np.add.reduce(y)
+def _tableau_solution(matrix: np.ndarray, tableau: np.ndarray, basis: list[int]) -> MaxminSolution:
+    """Certify a simplex tableau's duals (row mix) and primal (column mix) on
+    the original matrix; a side that clips to all zeros becomes uniform."""
+    rows, cols = matrix.shape
+    q = [0.0] * cols
+    for k, b in zip(basis, tableau[:rows, -1].tolist()):
+        if k < cols:
+            q[k] = b
+    mixes = []
+    for mix in (np.maximum(tableau[rows, cols:-1], 0.0), np.maximum(q, 0.0)):
+        total = np.add.reduce(mix)
+        mixes.append(mix / total if total else np.full(mix.size, 1.0 / mix.size))
+    x, y = mixes
     col_payoffs = x @ matrix  # the value is (x @ matrix) @ y, in that order
     value = float(col_payoffs @ y)
     row_slack = float(np.maximum.reduce(matrix @ y) - value)
     col_slack = float(value - np.minimum.reduce(col_payoffs))
     return MaxminSolution(x, y, value, max(row_slack, col_slack, 0.0))
-
-
-def _tableau_solution(matrix: np.ndarray, tableau: np.ndarray, basis: np.ndarray) -> MaxminSolution:
-    """Certify a simplex tableau's duals (row mix) and primal (column mix) on
-    the original matrix; a side that clips to all zeros becomes uniform."""
-    rows, cols = matrix.shape
-    x = np.maximum(tableau[rows, cols:-1], 0.0)
-    y = np.zeros(cols)
-    in_q = basis < cols
-    y[basis[in_q]] = np.maximum(tableau[:rows, -1][in_q], 0.0)
-    if not np.logical_or.reduce(x):
-        x = np.ones(rows)
-    if not np.logical_or.reduce(y):
-        y = np.ones(cols)
-    return _certify(matrix, x, y)
 
 
 def solve_matrix_maxmin(
@@ -207,57 +200,63 @@ def solve_matrix_maxmin(
     column player's linear program ``max 1·q s.t. A q <= 1, q >= 0`` is
     solved by a dense-tableau simplex started from the slack basis.  Pivots
     follow Bland's rule (smallest entering index, ratio ties to the smallest
-    basis index), so the simplex cannot cycle.  ``col_mix`` is the
-    normalised optimal ``q`` and ``row_mix`` the normalised duals from the
-    objective row; both carry a gap certificate on the original matrix.
+    basis index), decided on Python floats, so the simplex cannot cycle.
+    ``col_mix`` is the normalised optimal ``q`` and ``row_mix`` the
+    normalised duals from the objective row; both carry a gap certificate
+    on the original matrix.
 
     The certified gap must not exceed ``tol`` times the payoff range, 0 for
     a constant matrix; ``max_iterations`` caps the pivots.  Raises
     MaxminConvergenceError, with the current tableau's certified strategies,
     when the cap is hit or the gap exceeds that.  Raises ValueError for a
     ``tol`` that is negative, infinite or NaN (each would switch the
-    certificate off or make it unmeetable), a negative ``max_iterations``
-    and a payoff range that overflows.
+    certificate off or make it unmeetable), a ``max_iterations`` that is
+    negative or not integral (NaN and infinity included) and a payoff range
+    that overflows.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations!r}")
+    if max_iterations % 1 != 0:  # NaN and infinity too
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("matrix must be 2-d with at least one row and column")
-    if not np.logical_and.reduce(np.isfinite(mat), axis=None):
-        raise ValueError("matrix entries must be finite")
     rows, cols = mat.shape
     low = float(np.minimum.reduce(mat, axis=None))
-    span = float(np.maximum.reduce(mat, axis=None)) - low
+    high = float(np.maximum.reduce(mat, axis=None))
+    if not -math.inf < low <= high < math.inf:  # a NaN fails the test too
+        raise ValueError("matrix entries must be finite")
+    span = high - low
     if span == math.inf:
         raise ValueError("matrix payoff range must be finite")
     tol = tol * span
     unit = math.ldexp(1.0, math.frexp(span)[1]) if span > 0.0 else 1.0
-    basis = np.arange(cols, cols + rows)
+    basis = list(range(cols, cols + rows))
     tableau = np.zeros((rows + 1, cols + rows + 1))
     tableau[:rows, :cols] = (mat - low) / unit + 1.0
-    tableau[np.arange(rows), basis] = 1.0
+    np.fill_diagonal(tableau[:rows, cols:-1], 1.0)
     tableau[:rows, -1] = 1.0
     tableau[rows, :cols] = -1.0
     objective, rhs = tableau[rows, :-1], tableau[:rows, -1]
     pivots = 0
-    while True:
-        entering = objective < -_SIMPLEX_EPS
-        j = entering.argmax()  # the first True: Bland's smallest entering index
-        if not entering[j]:
+    while True:  # Bland's rule, decided on Python floats
+        j = next((k for k, v in enumerate(objective.tolist()) if v < -_SIMPLEX_EPS), None)
+        if j is None:
             break
         if pivots == max_iterations:
             raise MaxminConvergenceError(_tableau_solution(mat, tableau, basis), tol, pivots)
-        column = tableau[:rows, j]
-        candidates = (column > _SIMPLEX_EPS).nonzero()[0]
-        if not candidates.size:
+        ratios = [
+            (b / c, i)
+            for i, (c, b) in enumerate(zip(tableau[:rows, j].tolist(), rhs.tolist()))
+            if c > _SIMPLEX_EPS
+        ]
+        if not ratios:
             break  # only round-off can get here: the LP is bounded
-        ratios = rhs[candidates] / column[candidates]
         # absolute tie test: round-off can leave the right-hand side slightly negative
-        ties = candidates[ratios <= np.minimum.reduce(ratios) + _SIMPLEX_EPS]
-        r = ties[basis[ties].argmin()]
+        bound = min(ratios)[0] + _SIMPLEX_EPS
+        r = min((basis[i], i) for ratio, i in ratios if ratio <= bound)[1]
         pivot_row = tableau[r]
         pivot_row /= pivot_row[j]
         factors = tableau[:, j].copy()

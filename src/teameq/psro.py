@@ -11,6 +11,7 @@ value, or when no new entry gets appended.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,8 @@ class PsroConfig:
     populations grow (a frozen opponent is treated as gain 0).  ``seed``
     roots SeBR's random streams, the only oracle that reads one, and
     ``sebr_restarts`` is the number of seeded starts the S-PSRO oracle
-    tries besides the incumbent (see `sebr_starts`), at least 0."""
+    tries besides the incumbent (see `sebr_starts`), at least 0.  Both counts
+    must be integers; ValueError otherwise."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -142,6 +144,9 @@ class PsroConfig:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
+        for name in ("max_iterations", "sebr_restarts"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.sebr_restarts < 0:

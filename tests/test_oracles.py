@@ -151,6 +151,19 @@ class TestSolveMatrixMaxmin:
         with pytest.raises(ValueError, match="max_iterations"):
             solve_matrix_maxmin([[1.0]], max_iterations=-1)
 
+    @pytest.mark.parametrize("cap", [2.5, np.nan, np.inf])
+    def test_pivot_cap_that_is_not_integral_is_refused(self, cap):
+        # 2.5 and NaN would never equal the pivot count and so cap nothing
+        mat = np.random.default_rng(2).uniform(-1, 1, size=(10, 10))
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            solve_matrix_maxmin(mat, max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", [2, 2.0, np.int64(2)])
+    def test_integral_pivot_cap_stops_after_that_many_pivots(self, cap):
+        mat = np.random.default_rng(2).uniform(-1, 1, size=(10, 10))
+        with pytest.raises(MaxminConvergenceError, match="after 2 pivots"):
+            solve_matrix_maxmin(mat, max_iterations=cap)
+
     @pytest.mark.parametrize(
         "row_mix,value,gap",
         [

@@ -236,6 +236,25 @@ class TestRunPsro:
         with pytest.raises(ValueError, match="sebr_restarts"):
             PsroConfig(sebr_restarts=-1)
 
+    @pytest.mark.parametrize(
+        "field,count",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", 2.0),
+            ("max_iterations", np.nan),
+            ("sebr_restarts", 1.5),
+            ("sebr_restarts", np.nan),
+        ],
+    )
+    def test_count_that_is_not_an_integer_is_refused(self, field, count):
+        # `range` would raise TypeError mid-run; the config refuses it up front
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PsroConfig(**{field: count})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = PsroConfig(max_iterations=np.int64(2), sebr_restarts=np.int32(1))
+        assert run_psro(example1(), cfg).iterations <= 2
+
     @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol"):
