@@ -634,28 +634,55 @@ def _pure_index(game: NormalFormTeamGame, team: int, policy) -> int | None:
     return idx
 
 
+def _pricing_key(game: NormalFormTeamGame, team: int, policy, check: bool = True):
+    """A normal-form team policy's key: its `_pure_index` when it is pure,
+    else its joint-action distribution.  Checks ``policy`` first unless
+    ``check`` is False."""
+    if check:
+        check_team_policy(game, team, policy)
+    idx = _pure_index(game, team, policy)
+    return _joint_dist(game, team, policy) if idx is None else idx
+
+
+def _entry_keys(game: NormalFormTeamGame, team: int, entries, given=None):
+    """The `_pricing_key` of each of ``team``'s ``entries``, each checked
+    here, or the keys ``given`` for them, taken unchecked like the entries.
+    A key that is not a numpy array is an index, so a numpy integer is read
+    as the same index.  ValueError unless there is one key per entry."""
+    if given is None:
+        return [_pricing_key(game, team, e) for e in entries]
+    if len(given) != len(entries):
+        raise ValueError(f"{len(given)} keys for {len(entries)} entries")
+    return given
+
+
+def _key_rows(matrix: np.ndarray, keys) -> list:
+    """Each team-1 key's ``d @ M``; an index's is the row ``M[idx]``."""
+    return [k @ matrix if isinstance(k, np.ndarray) else matrix[k] for k in keys]
+
+
 def _nf_values(matrix: np.ndarray, team: int, own, opponents, rows=None) -> list[float]:
     """`team_value` of one normal-form team policy against each of several,
-    from ``own``, its joint-action distribution or, when it is pure, its
-    `_pure_index`, the opponents' distributions ``opponents`` and the game's
-    `matrix`, in `team_value`'s arithmetic: ``(d1 @ M) @ d2`` plus 0.0 for
-    team 1 and 0.0 less it for team 2, so a zero reads 0.0 for both teams.
+    from the `_pricing_key` ``own`` of the policy and ``opponents`` of the
+    opponents, and the game's `matrix`, in `team_value`'s arithmetic:
+    ``(d1 @ M) @ d2`` plus 0.0 for team 1 and 0.0 less it for team 2, so a
+    zero reads 0.0 for both teams.
 
-    A pure ``own`` is read by index: team 1's ``own @ M`` is the row
-    ``M[idx]``, and team 2's ``(d @ M) @ own`` is the entry ``(d @ M)[idx]``.
-    Either product has one nonzero term, 1.0 times the entry, so it is that
-    entry up to the sign of a zero, which the 0.0 normalises: the value is
-    the distribution's bit for bit.  ``rows``, team 2 only, holds each
-    opponent's ``d @ M`` when the caller keeps them, as `_NormalFormTable`
-    does.  Every normal-form value is read here; loops that evaluate one
-    policy against many keep each distribution once instead of calling
-    `team_value`."""
-    pure = isinstance(own, int)
+    A pure policy is read by index: team 1's ``d1 @ M`` is the row
+    ``M[idx]`` and ``row @ d2`` the entry ``row[idx]``, and likewise for
+    team 2.  Each product has one nonzero term, 1.0 times the entry, so it
+    is that entry up to the sign of a zero, which the 0.0 normalises: the
+    value is the distribution's bit for bit.  ``rows``, team 2 only, holds
+    the opponents' `_key_rows` when the caller keeps them, as
+    `_NormalFormTable` does.  Every normal-form value is read here; loops
+    that evaluate one policy against many keep each key once instead of
+    calling `team_value`."""
+    pure = not isinstance(own, np.ndarray)
     if team == 1:
         row = matrix[own] if pure else own @ matrix
-        return [0.0 + float(row @ d) for d in opponents]
+        return [0.0 + float(row @ d if isinstance(d, np.ndarray) else row[d]) for d in opponents]
     if rows is None:
-        rows = [d @ matrix for d in opponents]
+        rows = _key_rows(matrix, opponents)
     if pure:
         return [0.0 - float(r[own]) for r in rows]
     return [0.0 - float(r @ own) for r in rows]
@@ -1002,18 +1029,16 @@ def evaluate(game: Game, p1, p2) -> float:
 
     Both policies are checked with `check_team_policy` once, here, which
     refuses a joint mix on a stochastic game.  Normal-form profiles are
-    evaluated exactly (multilinear expectation) from joint-action
-    distributions built without checking them again; stochastic ones by
-    exact finite-horizon dynamic programming within ``exact_bound``; a pure
-    team-1 policy is read by its joint index (see `_nf_values`).
+    evaluated exactly (multilinear expectation) from each policy's
+    `_pricing_key`, taken without checking it again, so a pure policy is
+    read by its joint index (see `_nf_values`); stochastic ones by exact
+    finite-horizon dynamic programming within ``exact_bound``.
     """
     check_team_policy(game, 1, p1)
     check_team_policy(game, 2, p2)
     if game.is_normal_form:
-        own = _pure_index(game, 1, p1)
-        if own is None:
-            own = _joint_dist(game, 1, p1)
-        return _nf_values(game.matrix(), 1, own, [_joint_dist(game, 2, p2)])[0]
+        own = _pricing_key(game, 1, p1, check=False)
+        return _nf_values(game.matrix(), 1, own, [_pricing_key(game, 2, p2, check=False)])[0]
     return _profile_value(game, p1, p2)
 
 
@@ -1047,13 +1072,13 @@ def team_value(game: Game, team: int, own, opponent) -> float:
 def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=None):
     """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
 
-    On a normal-form game each cell is `_nf_values`' arithmetic: B's
-    joint-action distributions are built once, and A's entries are read one
-    row at a time, a pure entry by its joint index and a mixed one by its
-    distribution.  ``dists_a`` / ``dists_b`` are the entries' distributions
-    when the caller keeps them, as `run_psro` does; they are taken
-    unchecked, with their entries.  An A entry given without one is checked
-    here, even when its index is read."""
+    On a normal-form game each cell is `_nf_values`' arithmetic: each
+    entry's key is taken once, and A's entries are read one row at a time,
+    a pure entry by its joint index and a mixed one by its distribution.
+    ``dists_a`` / ``dists_b`` are the entries' keys when the caller keeps
+    them, as `run_psro` does: a pure entry's joint index, else its
+    distribution, used as given (see `_entry_keys`).  Entries given
+    without keys are checked here."""
     out = np.zeros((len(entries_a), len(entries_b)))
     if not game.is_normal_form:
         for i, a in enumerate(entries_a):
@@ -1061,15 +1086,9 @@ def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=
                 out[i, j] = team_value(game, 1, a, b)
         return out
     matrix = game.matrix()
-    if dists_b is None:
-        dists_b = [team_action_dist(game, 2, b) for b in entries_b]
-    for i, a in enumerate(entries_a):
-        if dists_a is None:
-            check_team_policy(game, 1, a)
-        own = _pure_index(game, 1, a)
-        if own is None:
-            own = _joint_dist(game, 1, a) if dists_a is None else dists_a[i]
-        out[i] = _nf_values(matrix, 1, own, dists_b)
+    keys_b = _entry_keys(game, 2, entries_b, dists_b)
+    for i, own in enumerate(_entry_keys(game, 1, entries_a, dists_a)):
+        out[i] = _nf_values(matrix, 1, own, keys_b)
     return out
 
 

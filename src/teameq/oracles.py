@@ -42,18 +42,18 @@ from .core import (
     StochasticTeamGame,
     _StepTable,
     _backward,
+    _entry_keys,
     _forward,
-    _joint_dist,
     _joint_support,
+    _key_rows,
     _members_view,
     _nf_values,
-    _pure_action,
-    _pure_index,
+    _pricing_key,
     _profile_value,
+    _pure_action,
     as_mixture,
     check_team,
     check_team_policy,
-    team_action_dist,
 )
 
 #: Pivot and reduced-cost threshold of the maxmin simplex.
@@ -280,57 +280,54 @@ def team_reward_tensor(
     """Expected reward of ``team`` for each of its pure joint actions
     against a fixed opponent policy or mixture; one axis per member.
 
-    ``dists`` holds the joint-action distribution of each positive-weight
-    entry of the opponent mixture, in order, when the caller keeps them, as
-    `run_psro` does; they are taken unchecked.  Otherwise they are built,
-    and the entries checked, here.  Raises ValueError when ``dists`` does
-    not have one distribution per entry."""
+    ``dists`` holds the key of each positive-weight entry of the opponent
+    mixture, in order, when the caller keeps them, as `run_psro` does: a
+    pure entry's joint index, else its joint-action distribution, taken
+    unchecked.  Otherwise the entries are checked and keyed here.  Raises
+    ValueError unless there is one key per entry (see `core._entry_keys`)."""
     return _NormalFormTable(game, team, as_mixture(opponent), dists).tensor
 
 
 class _NormalFormTable:
     """What one normal-form oracle call reads about its opponent atoms
     ``[(policy, weight), ...]``, built once at entry: the game's matrix,
-    each atom's joint-action distribution and the team's reward tensor
-    against the mixture.  SeBR reads it in place of the stochastic oracles'
-    `_StepTable`; it is dropped when the call returns.  ``dists`` is as in
-    `team_reward_tensor`, which returns this table's tensor.  For team 2 it
-    also keeps each atom's ``d @ matrix``, built on the first `value` call."""
+    each atom's `_pricing_key` and the team's reward tensor against the
+    mixture, to whose distribution a pure atom adds its weight at its index
+    (the floats its weight times a one-hot vector gives).  SeBR reads it in
+    place of the stochastic oracles' `_StepTable`; it is dropped when the
+    call returns.  ``dists`` is as in `team_reward_tensor`, which returns
+    this table's tensor.  For team 2 it also keeps the atoms' `_key_rows`,
+    built on the first `value` call."""
 
-    __slots__ = ("_game", "_team", "_atoms", "_rows", "matrix", "atom_dists", "tensor")
+    __slots__ = ("_game", "_team", "_atoms", "_rows", "matrix", "atom_keys", "tensor")
 
     def __init__(self, game: NormalFormTeamGame, team: int, atoms, dists=None):
         opp = 3 - team
-        if dists is None:
-            dists = [team_action_dist(game, opp, atom) for atom, _ in atoms]
-        elif len(dists) != len(atoms):
-            raise ValueError(
-                f"{len(dists)} distributions for {len(atoms)} positive-weight opponent entries"
-            )
+        keys = _entry_keys(game, opp, [atom for atom, _ in atoms], dists)
         mixed = np.zeros(game.joint_count(opp))
-        for dist, (_, w) in zip(dists, atoms):
-            mixed += w * dist
+        for key, (_, w) in zip(keys, atoms):
+            if isinstance(key, np.ndarray):
+                mixed += w * key
+            else:
+                mixed[key] += w
         matrix = game.matrix()
         if team == 1:
             tensor = (matrix @ mixed).reshape(game.action_counts[0])
         else:
             tensor = (0.0 - mixed @ matrix).reshape(game.action_counts[1])
         self._game, self._team, self._atoms, self._rows = game, team, atoms, None
-        self.matrix, self.atom_dists, self.tensor = matrix, dists, tensor
+        self.matrix, self.atom_keys, self.tensor = matrix, keys, tensor
 
     def value(self, members) -> float:
         """Value of the product of ``members``, which the caller has
         checked, against the atoms, summed in `team_value`'s arithmetic.
         Pure members are read by their joint index (`_nf_values`): team 1
-        reads one matrix row, team 2 one entry of each atom's ``d @ matrix``,
-        which the table builds once, on its first call, for both paths."""
-        policy = ProductPolicy(members)
-        own = _pure_index(self._game, self._team, policy)
-        if own is None:
-            own = _joint_dist(self._game, self._team, policy)
+        reads one matrix row, team 2 one entry of each atom's row, which the
+        table takes once, on its first call, for both paths."""
+        own = _pricing_key(self._game, self._team, ProductPolicy(members), check=False)
         if self._team == 2 and self._rows is None:
-            self._rows = [d @ self.matrix for d in self.atom_dists]
-        values = _nf_values(self.matrix, self._team, own, self.atom_dists, self._rows)
+            self._rows = _key_rows(self.matrix, self.atom_keys)
+        values = _nf_values(self.matrix, self._team, own, self.atom_keys, self._rows)
         return sum(w * v for (_, w), v in zip(self._atoms, values))
 
 
@@ -702,13 +699,13 @@ def best_response_joint(game: Game, opponent, team: int, dists=None):
     deterministic member policies, by `_unit_best_response`).  Ties break
     to the lexicographically smallest joint action.
 
-    On a normal-form game ``dists`` holds the joint-action distribution of
-    each positive-weight entry of the opponent mixture, in order, when the
-    caller keeps them, as `run_psro` does (see `team_reward_tensor`); the
-    result is the same either way.  The joint action is read off the
-    argmax's row-major index, not from the list of joint actions.  Raises
-    DimensionError when an opponent atom cannot play for the other team,
-    and ValueError when ``team`` is not 1 or 2."""
+    On a normal-form game ``dists`` holds the key of each positive-weight
+    opponent entry (a pure entry's joint index, else its distribution), in
+    order, when the caller keeps them, as `run_psro` does (see
+    `team_reward_tensor`); the result is the same either way.  The joint
+    action is read off the argmax's row-major index, not from the list of
+    joint actions.  Raises DimensionError when an opponent atom cannot play
+    for the other team, and ValueError when ``team`` is not 1 or 2."""
     check_team(team)
     if game.is_normal_form:
         values = team_reward_tensor(game, team, opponent, dists).ravel()
@@ -737,8 +734,8 @@ def best_response_individual(
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
     ``start`` is any team policy `sebr` takes as a start (product, shared or
-    joint mix), and ``dists`` the opponent's kept distributions, as in
-    `sebr`.  Returns `sebr`'s `BestResponse`.
+    joint mix), and ``dists`` the opponent's kept keys (a pure entry's is
+    its joint index), as in `sebr`.  Returns `sebr`'s `BestResponse`.
     """
     return sebr(
         game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, dists=dists
@@ -924,16 +921,16 @@ def best_response_shared(game: Game, opponent, team: int, dists=None):
     """Best shared policy and its value, as a `BestResponse`.
 
     Normal form: the best mixed shared action, over the simplex, on the
-    reward tensor against the opponent; ``dists`` holds the joint-action
-    distribution of each positive-weight opponent entry, in order, when the
-    caller keeps them, as `run_psro` does, and is taken unchecked (see
-    `team_reward_tensor`; the result is the same either way).  Two-member
-    teams use exact KKT support enumeration (`_quadratic_simplex_max`);
-    other teams a certified Bernstein branch-and-bound
-    (`_bernstein_simplex_max`), whose value is within the game's `_slack`
-    of the maximum unless its node cap is hit.  Both start from the pure
-    shared actions and decide by `_beats`.  No seed is read: the result is
-    a function of the game and the opponent.
+    reward tensor against the opponent; ``dists`` holds the key of each
+    positive-weight opponent entry (a pure entry's joint index, else its
+    distribution), in order, when the caller keeps them, as `run_psro`
+    does, and is taken unchecked (see `team_reward_tensor`; the result is
+    the same either way).  Two-member teams use exact KKT support
+    enumeration (`_quadratic_simplex_max`); other teams a certified
+    Bernstein branch-and-bound (`_bernstein_simplex_max`), whose value is
+    within the game's `_slack` of the maximum unless its node cap is hit.
+    Both start from the pure shared actions and decide by `_beats`.  No
+    seed is read: the result is a function of the game and the opponent.
 
     Stochastic: the best pure stationary shared table, by `_table_search`
     over the unit of all members.  Raises DimensionError when an opponent
@@ -1000,8 +997,8 @@ def advantage_decompose(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     if game.is_normal_form:
-        opp_dist = [_joint_dist(game, 3 - team, opponent)]
-        tensor = _NormalFormTable(game, team, [(opponent, 1.0)], opp_dist).tensor
+        opp_key = [_pricing_key(game, 3 - team, opponent, check=False)]
+        tensor = _NormalFormTable(game, team, [(opponent, 1.0)], opp_key).tensor
         dists = [m.dist(NF_OBS) for m in members]
     else:
         if obs is None:
@@ -1096,10 +1093,11 @@ def sebr(
     collects one (restart, sweep, member, value_before, value_after) tuple
     per member update, over all restarts.
 
-    On a normal-form game ``dists`` holds the joint-action distribution of
-    each positive-weight opponent entry, in order, when the caller keeps
-    them, as `run_psro` does; they are taken unchecked, with their entries
-    (see `team_reward_tensor`), and the result is the same either way.
+    On a normal-form game ``dists`` holds the key of each positive-weight
+    opponent entry (a pure entry's joint index, else its distribution), in
+    order, when the caller keeps them, as `run_psro` does; they are taken
+    unchecked, with their entries (see `team_reward_tensor`), and the
+    result is the same either way.
     """
     check_team(team)
     if restarts < 0 or max_sweeps < 0:

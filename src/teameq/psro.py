@@ -20,9 +20,9 @@ from .core import (
     ConstantPolicy,
     Game,
     ProductPolicy,
+    _pricing_key,
     check_team_policy,
     cross_payoff_matrix,
-    team_action_dist,
     team_value,
 )
 from .oracles import (
@@ -83,16 +83,16 @@ def initial_population(game: Game) -> Population:
 
 def _new_line(game, team, entry, pop, dists=None):
     """The meta row (team 1) or column (team 2) the entry would add, and on
-    a normal-form game the entry's joint-action distribution (else None).
-    ``dists`` maps each team to its entries' distributions when the caller
-    keeps them, as `run_psro` does; otherwise the opponents' are built by
-    `cross_payoff_matrix`."""
-    dist = team_action_dist(game, team, entry) if game.is_normal_form else None
-    own = None if dist is None else [dist]
+    a normal-form game the entry's key (else None), checked and taken here
+    once: its joint index when it is pure, else its distribution.  ``dists``
+    maps each team to its entries' keys when the caller keeps them, as
+    `run_psro` does, else `cross_payoff_matrix` takes the opponents'."""
+    key = _pricing_key(game, team, entry) if game.is_normal_form else None
+    own = None if key is None else [key]
     opp = None if dists is None else dists[3 - team]
     if team == 1:
-        return cross_payoff_matrix(game, (entry,), pop.team2, own, opp)[0], dist
-    return cross_payoff_matrix(game, pop.team1, (entry,), opp, own)[:, 0], dist
+        return cross_payoff_matrix(game, (entry,), pop.team2, own, opp)[0], key
+    return cross_payoff_matrix(game, pop.team1, (entry,), opp, own)[:, 0], key
 
 
 def extend_population(
@@ -132,7 +132,7 @@ class PsroConfig:
     roots SeBR's random streams, the only oracle that reads one, and
     ``sebr_restarts`` is the number of seeded starts the S-PSRO oracle
     tries besides the incumbent (see `sebr_starts`), at least 0.  Both counts
-    must be integers; ValueError otherwise."""
+    and the seed must be integers; ValueError otherwise."""
 
     oracle: str = "sebr"
     max_iterations: int = 40
@@ -144,7 +144,7 @@ class PsroConfig:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
-        for name in ("max_iterations", "sebr_restarts"):
+        for name in ("max_iterations", "sebr_restarts", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations < 1:
@@ -205,10 +205,10 @@ def _oracle_response(game, team, pop, opp_weights, cfg, iteration, slack, dists=
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
     returns its `BestResponse` against the opponent mixture.  ``slack`` is
     the game's `_slack` and ``dists`` `run_psro`'s record of each entry's
-    joint-action distribution on a normal-form game (else None).  Every
-    oracle reads the opponent's first ``len(opp_weights)`` of them, those
-    of the positive-weight entries, since entries appended in this
-    iteration follow them."""
+    key on a normal-form game (else None).  Every oracle reads the
+    opponent's first ``len(opp_weights)`` of them, those of the
+    positive-weight entries, since entries appended in this iteration
+    follow them."""
     opponent_mix = pop.mixture(3 - team, opp_weights)
     opp_dists = None
     if dists is not None:
@@ -234,17 +234,18 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     both teams' best-response gains fall within the tolerance (restricted
     equilibrium) or the iteration cap is hit (reported, not fatal).
 
-    On a normal-form game the run keeps each entry's joint-action
-    distribution from the moment it joins, so a new meta line costs one
-    distribution and one contraction per cell.  A run that stops because
-    nothing was appended returns the meta solution of its last iteration,
-    whose matrix is the final one; a run that hits the cap solves the final
-    matrix once more."""
+    On a normal-form game the run keeps each entry's key from the moment it
+    joins: a pure entry's joint index, as every Joint-PSRO entry's is, else
+    its distribution.  So no one-hot distribution is built, and a new meta
+    line costs one key and one contraction per cell.  A run that stops
+    because nothing was appended returns the meta solution of its last
+    iteration, whose matrix is the final one; a run that hits the cap
+    solves the final matrix once more."""
     pop = initial_population(game)
     slack = _slack(game)
     dists = None
     if game.is_normal_form:
-        dists = {t: [team_action_dist(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
+        dists = {t: [_pricing_key(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
     history: list[IterationRecord] = []
     converged = False
     iteration = 0
@@ -263,14 +264,14 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             gains[team], gaps[team] = br.value - team_meta_value, br.gap
             if gains[team] <= cfg.tol:
                 continue
-            line, dist = _new_line(game, team, br.policy, new_pop, dists)
+            line, key = _new_line(game, team, br.policy, new_pop, dists)
             existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
             # a duplicate: an existing line no cell differs from by more than the slack
             if not _beats(np.maximum.reduce(np.abs(existing - line), axis=1), 0.0, slack).all():
                 continue
             new_pop = extend_population(game, new_pop, br.policy, team, line=line)
             if dists is not None:
-                dists[team].append(dist)
+                dists[team].append(key)
             appended = True
         history.append(
             IterationRecord(

@@ -33,6 +33,7 @@ from teameq.core import (
     StochasticTeamGame,
     UniformPolicy,
     _nf_values,
+    _pricing_key,
     _pure_index,
     check_team_policy,
     cross_payoff_matrix,
@@ -156,6 +157,7 @@ class TestNormalFormEvaluation:
                 opponents = ((p2, j2) if team == 1 else (p1,)) + tuple(pure_policies[3 - team])
                 for own in pure_policies[team] + near_pure[team]:
                     cases += [(team, own, opp) for opp in opponents]
+            mixed_opp = {1: p2, 2: p1}
             for team, own, opp in cases:
                 expected = repr(team_value(g, team, own, opp))
                 dists = team_action_dist(g, team, own), team_action_dist(g, 3 - team, opp)
@@ -166,16 +168,43 @@ class TestNormalFormEvaluation:
                 if idx is not None:
                     assert dists[0][idx] == 1.0
                     assert repr(_nf_values(g.matrix(), team, idx, [dists[1]])[0]) == expected
-                # the paths that pass the index when the policy is pure
-                if team == 1:
-                    cross = float(cross_payoff_matrix(g, [own], [opp])[0, 0])
-                else:
-                    cross = 0.0 - float(cross_payoff_matrix(g, [opp], [own])[0, 0])
-                assert repr(cross) == expected
+                # every mix of index and distribution keys, on both sides
+                keys = _pricing_key(g, team, own), _pricing_key(g, 3 - team, opp)
+                assert isinstance(keys[0], int) == (idx is not None)
+                for own_key in {id(k): k for k in (dists[0], keys[0])}.values():
+                    for opp_key in {id(k): k for k in (dists[1], keys[1])}.values():
+                        got = _nf_values(g.matrix(), team, own_key, [opp_key])[0]
+                        assert repr(got) == expected
+                # the paths that pass the index when the policy is pure, and
+                # the keys given as they are, Python or numpy integers
+                as_numpy = [k if isinstance(k, np.ndarray) else np.int64(k) for k in keys]
+                for given in (None, keys, as_numpy):
+                    kept = (None, None) if given is None else ([given[0]], [given[1]])
+                    if team == 1:
+                        cross = float(cross_payoff_matrix(g, [own], [opp], *kept)[0, 0])
+                    else:
+                        kept = kept[::-1]
+                        cross = 0.0 - float(cross_payoff_matrix(g, [opp], [own], *kept)[0, 0])
+                    assert repr(cross) == expected
+                # an opponent mixture of index and distribution atoms, with
+                # one atom given twice: adding a pure atom's weight at its
+                # index gives the floats of adding its one-hot distribution
+                atoms = [(opp, 0.3), (mixed_opp[team], 0.45), (opp, 0.25)]
+                atom_dists = [team_action_dist(g, 3 - team, a) for a, _ in atoms]
+                tables = [
+                    _NormalFormTable(g, team, atoms, kept)
+                    for kept in (atom_dists, None, [keys[1], atom_dists[1], as_numpy[1]])
+                ]
+                reference = repr(tables[0].tensor.tolist())
+                assert all(repr(t.tensor.tolist()) == reference for t in tables)
                 if isinstance(own, ProductPolicy):
                     table = _NormalFormTable(g, team, [(opp, 1.0)])
                     assert repr(table.value(own.members)) == expected
                     assert repr(table.value(own.members)) == expected  # with the kept rows
+                    mixed_value = repr(tables[0].value(own.members))
+                    for t in tables[1:]:
+                        assert repr(t.value(own.members)) == mixed_value
+                        assert repr(t.value(own.members)) == mixed_value  # kept rows
         with pytest.raises(DimensionError):
             team_action_dist(g, 1, ProductPolicy.pure((0,), (2,)))
         # with pure teammates a member's values index the tensor; equal

@@ -254,7 +254,7 @@ class TestBestResponseJoint:
                 br, value = answer.policy, answer.value
                 assert br.atoms == (g.joint_actions(team)[first],)
                 assert value == values[first]
-            with pytest.raises(ValueError, match="distributions"):
+            with pytest.raises(ValueError, match="keys for"):
                 best_response_joint(g, opponent, team, dists=dists[:1])
 
 
@@ -620,31 +620,42 @@ class TestBestResponseSharedStochastic:
             best_response_shared(g, opp, 1)
 
 
-@pytest.mark.parametrize("oracle", ["shared", "individual", "sebr"])
+@pytest.mark.parametrize("oracle", ["joint", "shared", "individual", "sebr"])
 def test_kept_distributions_give_the_same_answer(oracle):
-    # like the joint oracle, the other normal-form oracles take the opponent
-    # entries' kept joint-action distributions, as run_psro hands them over
+    # every normal-form oracle takes the opponent entries' kept keys, as
+    # run_psro hands them over: a pure entry's joint index (a Python or a
+    # numpy integer) or any entry's joint-action distribution
     g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=5)
     rng = np.random.default_rng(5)
     mixed = ProductPolicy([IndividualPolicy(3, {NF_OBS: rng.dirichlet(np.ones(3))}) for _ in range(2)])
     opponent = [(mixed, 0.5), (pure((1, 2), (3, 3)), 0.0), (JointMixPolicy.pure((2, 0)), 0.5)]
     dists = [team_action_dist(g, 2, p) for p, w in opponent if w > 0.0]
+    keys = [dists[0], 6]  # joint action (2, 0) of two three-action members
+    assert dists[1][6] == 1.0
     calls = {
+        "joint": lambda team, kept: best_response_joint(g, opponent, team, dists=kept),
         "shared": lambda team, kept: best_response_shared(g, opponent, team, dists=kept),
         "individual": lambda team, kept: best_response_individual(
             g, opponent, team, pure((0, 1), (3, 3)), dists=kept
         ),
         "sebr": lambda team, kept: sebr(g, opponent, team, seed=3, dists=kept),
     }
+
+    def policy_numbers(policy):
+        if isinstance(policy, JointMixPolicy):
+            return policy.atoms, policy.weights.tolist()
+        return [m.dist(NF_OBS).tolist() for m in policy.members]
+
     for team in (1, 2):
-        answers = [calls[oracle](team, kept) for kept in (None, dists)]
-        numbers = [
-            (a.value, a.gap, a.method, [m.dist(NF_OBS).tolist() for m in a.policy.members])
-            for a in answers
-        ]
-        assert numbers[0] == numbers[1]
-        with pytest.raises(ValueError, match="distributions"):
+        given = (None, dists, keys, [dists[0], np.int64(6)], [dists[0], np.uint8(6)])
+        answers = [calls[oracle](team, kept) for kept in given]
+        numbers = [(repr(a.value), a.gap, a.method, policy_numbers(a.policy)) for a in answers]
+        assert all(n == numbers[0] for n in numbers)
+        with pytest.raises(ValueError, match="keys for"):
             calls[oracle](team, dists[:1])
+        for index in (9, np.int64(9)):  # one past the last joint action
+            with pytest.raises(IndexError):
+                calls[oracle](team, [dists[0], index])
 
 
 @pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared, sebr])

@@ -244,16 +244,24 @@ class TestRunPsro:
             ("max_iterations", np.nan),
             ("sebr_restarts", 1.5),
             ("sebr_restarts", np.nan),
+            ("seed", 2.5),
+            ("seed", np.nan),
+            ("seed", np.inf),
         ],
     )
     def test_count_that_is_not_an_integer_is_refused(self, field, count):
-        # `range` would raise TypeError mid-run; the config refuses it up front
+        # `range` would raise TypeError mid-run, and SeBR's sub-seeds would
+        # truncate a fractional seed or fail on a NaN; the config refuses
+        # each up front
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             PsroConfig(**{field: count})
 
     def test_numpy_integer_counts_are_accepted(self):
-        cfg = PsroConfig(max_iterations=np.int64(2), sebr_restarts=np.int32(1))
-        assert run_psro(example1(), cfg).iterations <= 2
+        cfg = PsroConfig(max_iterations=np.int64(2), sebr_restarts=np.int32(1), seed=np.int64(2))
+        result = run_psro(example1(), cfg)
+        assert result.iterations <= 2
+        same = run_psro(example1(), PsroConfig(max_iterations=2, sebr_restarts=1, seed=2))
+        assert result.history == same.history
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
@@ -306,39 +314,73 @@ class TestMetaSolveCalls:
         self._assert_last_solve_returned(solves, result)
 
 
-def test_joint_run_builds_each_distribution_once(monkeypatch):
-    # the run keeps every entry's joint-action distribution from the moment
-    # it joins, and the joint oracle reads the kept ones
+def _count_keys_and_builds(monkeypatch):
+    """Record each policy the run keys (with its key) and each policy any
+    module builds a joint-action distribution for."""
     import teameq.core as core_module
-    import teameq.oracles as oracles_module
     import teameq.psro as psro_module
 
-    calls = []
-    original = core_module.team_action_dist
+    keyed, built = [], []
+    key_of, dist_of = psro_module._pricing_key, core_module._joint_dist
 
-    def counted(game, team, policy):
-        calls.append(team)
-        return original(game, team, policy)
+    def counted_key(game, team, policy, check=True):
+        keyed.append((policy, key_of(game, team, policy, check)))
+        return keyed[-1][1]
 
-    for module in (core_module, oracles_module, psro_module):
-        monkeypatch.setattr(module, "team_action_dist", counted)
+    def counted_dist(game, team, policy):
+        built.append(policy)
+        return dist_of(game, team, policy)
+
+    monkeypatch.setattr(psro_module, "_pricing_key", counted_key)
+    monkeypatch.setattr(core_module, "_joint_dist", counted_dist)
+    return keyed, built
+
+
+def _ids(policies):
+    return sorted(map(id, policies))
+
+
+def test_joint_run_keys_each_entry_once(monkeypatch):
+    # the run keys every entry once, when it joins; a Joint-PSRO entry plays
+    # one joint action, so its key is its joint index and no joint-action
+    # distribution is built for it, nor by the oracles reading the keys
+    keyed, built = _count_keys_and_builds(monkeypatch)
     g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
     result = run_psro(g, PsroConfig(oracle="joint", max_iterations=18, seed=0))
     assert result.converged and result.iterations > 2
     pop = result.population
-    assert sorted(calls) == [1] * len(pop.team1) + [2] * len(pop.team2)
+    assert _ids(p for p, _ in keyed) == _ids(pop.team1 + pop.team2)
+    assert all(type(key) is int for _, key in keyed)
+    assert built == []
+
+
+def test_team_run_builds_one_distribution_per_mixed_entry(monkeypatch):
+    # Team-PSRO's shared entries mix: each one's distribution is built
+    # once, when it is keyed, and a pure entry's never
+    keyed, built = _count_keys_and_builds(monkeypatch)
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+    result = run_psro(g, PsroConfig(oracle="shared", max_iterations=18, seed=0))
+    pop = result.population
+    entries = pop.team1 + pop.team2
+    assert _ids(p for p, _ in keyed) == _ids(entries)
+    mixed = [p for p, key in keyed if isinstance(key, np.ndarray)]
+    assert mixed and len(mixed) < len(entries)
+    assert _ids(built) == _ids(mixed)
 
 
 @pytest.mark.parametrize("oracle", ["joint", "shared", "individual", "sebr"])
 def test_every_oracle_reads_the_kept_distributions(monkeypatch, oracle):
     # run_psro hands each normal-form oracle the opponent entries' kept
-    # distributions, so no oracle builds one
+    # keys, so no oracle keys an opponent entry itself
     import teameq.oracles as oracles_module
 
-    def refused(game, team, policy):
-        raise AssertionError("an oracle built a joint-action distribution")
+    original = oracles_module._entry_keys
 
-    monkeypatch.setattr(oracles_module, "team_action_dist", refused)
+    def kept_only(game, team, entries, given=None):
+        assert given is not None, "an oracle keyed its opponent's entries"
+        return original(game, team, entries, given)
+
+    monkeypatch.setattr(oracles_module, "_entry_keys", kept_only)
     g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
     result = run_psro(g, PsroConfig(oracle=oracle, max_iterations=8, seed=0))
     assert result.iterations > 2
