@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 # hashlib.blake2b is this same type, but importing hashlib also maps
 # OpenSSL's libcrypto, which blake2b never uses
 from _blake2 import blake2b
@@ -29,6 +30,13 @@ NF_OBS = 0
 
 #: Distributions must sum to one within this tolerance.
 DIST_TOL = 1e-12
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (numpy's pass)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DimensionError(ValueError):
@@ -238,13 +246,14 @@ class HashPolicy:
     The action is a pure function of ``(n_actions, seed, observation)``.
     One blake2b state keyed by the seed is built once and copied per call
     (the digest of keying afresh); a hash state does not pickle, so the
-    policy pickles and copies as its two numbers."""
+    policy pickles and copies as its two numbers.  ValueError unless
+    ``seed`` is an integer."""
 
     __slots__ = ("n_actions", "seed", "_keyed")
 
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         self._keyed = blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=True))
 
     def __reduce__(self):
@@ -371,8 +380,26 @@ class JointMixPolicy:
 _PURE_WEIGHTS = _check_dist([1.0], "joint-mix weights")
 
 
-def as_mixture(policy) -> list[tuple]:
-    """Normalise a team policy or (policy, weight) sequence to a mixture."""
+class _PricedMixture(tuple):
+    """An immutable mixture ``((policy, weight), ...)`` of positive-weight
+    team policies and the tuple ``keys`` of their `_pricing_key`, taken when
+    they were checked for a team with action counts ``counts`` (both None
+    when none were kept), as `psro.Population.mixture` returns it; see
+    `oracles._NormalFormTable`."""
+
+    def __new__(cls, atoms, keys=None, counts=None):
+        mix = super().__new__(cls, atoms)
+        object.__setattr__(mix, "keys", keys)
+        object.__setattr__(mix, "counts", counts)
+        return mix
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a priced mixture is immutable")
+
+
+def as_mixture(policy) -> Sequence[tuple]:
+    """Normalise a team policy or (policy, weight) sequence to a mixture.
+    A `_PricedMixture` is returned as it is, after the weight checks."""
     if isinstance(policy, (ProductPolicy, JointMixPolicy)):
         return [(policy, 1.0)]
     pairs = [(p, float(w)) for p, w in policy]
@@ -382,6 +409,8 @@ def as_mixture(policy) -> list[tuple]:
     total = sum(w for _, w in pairs)
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"mixture weights sum to {total}, not 1")
+    if isinstance(policy, _PricedMixture):
+        return policy
     return [(p, w) for p, w in pairs if w > 0.0]
 
 
@@ -642,18 +671,6 @@ def _pricing_key(game: NormalFormTeamGame, team: int, policy, check: bool = True
         check_team_policy(game, team, policy)
     idx = _pure_index(game, team, policy)
     return _joint_dist(game, team, policy) if idx is None else idx
-
-
-def _entry_keys(game: NormalFormTeamGame, team: int, entries, given=None):
-    """The `_pricing_key` of each of ``team``'s ``entries``, each checked
-    here, or the keys ``given`` for them, taken unchecked like the entries.
-    A key that is not a numpy array is an index, so a numpy integer is read
-    as the same index.  ValueError unless there is one key per entry."""
-    if given is None:
-        return [_pricing_key(game, team, e) for e in entries]
-    if len(given) != len(entries):
-        raise ValueError(f"{len(given)} keys for {len(entries)} entries")
-    return given
 
 
 def _key_rows(matrix: np.ndarray, keys) -> list:
@@ -1069,25 +1086,27 @@ def team_value(game: Game, team: int, own, opponent) -> float:
     return 0.0 - mixture_value(game, opponent, own)
 
 
-def cross_payoff_matrix(game: Game, entries_a, entries_b, dists_a=None, dists_b=None):
+def cross_payoff_matrix(game: Game, entries_a, entries_b):
     """Team-1 reward of every pairing: A's entries field team 1, B's team 2.
 
-    On a normal-form game each cell is `_nf_values`' arithmetic: each
-    entry's key is taken once, and A's entries are read one row at a time,
-    a pure entry by its joint index and a mixed one by its distribution.
-    ``dists_a`` / ``dists_b`` are the entries' keys when the caller keeps
-    them, as `run_psro` does: a pure entry's joint index, else its
-    distribution, used as given (see `_entry_keys`).  Entries given
-    without keys are checked here."""
+    On a normal-form game each entry is checked and keyed once, and the
+    cells are `_key_table`'s."""
+    if game.is_normal_form:
+        keys_b = [_pricing_key(game, 2, b) for b in entries_b]
+        return _key_table(game.matrix(), [_pricing_key(game, 1, a) for a in entries_a], keys_b)
     out = np.zeros((len(entries_a), len(entries_b)))
-    if not game.is_normal_form:
-        for i, a in enumerate(entries_a):
-            for j, b in enumerate(entries_b):
-                out[i, j] = team_value(game, 1, a, b)
-        return out
-    matrix = game.matrix()
-    keys_b = _entry_keys(game, 2, entries_b, dists_b)
-    for i, own in enumerate(_entry_keys(game, 1, entries_a, dists_a)):
+    for i, a in enumerate(entries_a):
+        for j, b in enumerate(entries_b):
+            out[i, j] = team_value(game, 1, a, b)
+    return out
+
+
+def _key_table(matrix: np.ndarray, keys_a, keys_b) -> np.ndarray:
+    """Team-1 reward of every pairing of team-1 keys ``keys_a`` with team-2
+    keys ``keys_b``, one `_nf_values` row per team-1 key: a pure entry is
+    read by its joint index and a mixed one by its distribution."""
+    out = np.zeros((len(keys_a), len(keys_b)))
+    for i, own in enumerate(keys_a):
         out[i] = _nf_values(matrix, 1, own, keys_b)
     return out
 

@@ -25,6 +25,7 @@ from .core import (
     IndividualPolicy,
     ProductPolicy,
     SharedPolicy,
+    _integer,
     _members_view,
     _StepTable,
     as_mixture,
@@ -49,16 +50,17 @@ JOINT_POLICY_BOUND = 10**6  # pure team joint actions a sequential spec may samp
 class SampleFactor:
     """Linear growth budget for evaluated deviation policies: f_team per
     added teammate, f_policy per added individual policy, on top of an
-    initial count."""
+    initial count.  ValueError unless both rates are nonnegative and finite
+    and ``n_init`` is a nonnegative integer."""
 
     f_team: float = 0.0
     f_policy: float = 0.0
     n_init: int = 0
 
     def __post_init__(self):
-        if self.f_team < 0 or self.f_policy < 0:
-            raise ValueError("growth rates must be nonnegative")
-        if self.n_init < 0:
+        if not (0 <= self.f_team < math.inf and 0 <= self.f_policy < math.inf):
+            raise ValueError("growth rates must be nonnegative and finite")
+        if _integer("n_init", self.n_init) < 0:
             raise ValueError("n_init must be nonnegative")
 
 
@@ -89,7 +91,7 @@ class Sequential:
     name = "sequential"
 
     def __post_init__(self):
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValueError(f"sequential seed must be nonnegative, got {self.seed}")
 
 

@@ -18,6 +18,7 @@ from .core import (
     Game,
     ProductPolicy,
     UniformPolicy,
+    _integer,
     check_team,
     cross_payoff_matrix,
     team_value,
@@ -129,8 +130,10 @@ def exploitability_profile(
     greedy (method greedy, gap None): a lower bound on the class's reward,
     which can read below the other classes.  Raises
     ValueError, before any response is computed, when ``classes`` is empty
-    or names a class twice or one outside `CLASS_ORDER`.
+    or names a class twice or one outside `CLASS_ORDER`, or ``seed`` is not
+    an integer.
     """
+    _integer("seed", seed)
     classes = tuple(classes)
     if not classes:
         raise ValueError("no correlation class to profile")

@@ -40,9 +40,10 @@ from .core import (
     ProductPolicy,
     SharedPolicy,
     StochasticTeamGame,
+    _integer,
+    _PricedMixture,
     _StepTable,
     _backward,
-    _entry_keys,
     _forward,
     _joint_support,
     _key_rows,
@@ -74,10 +75,10 @@ _KKT_STACK = 4096
 
 
 def subseed(seed: int, name: str) -> int:
-    """Stable named sub-stream of a root seed."""
-    digest = blake2b(
-        name.encode(), digest_size=8, key=int(seed).to_bytes(8, "little", signed=True)
-    ).digest()
+    """Stable named sub-stream of a root seed.  ValueError unless ``seed`` is
+    an integer."""
+    key = _integer("seed", seed).to_bytes(8, "little", signed=True)
+    digest = blake2b(name.encode(), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little") >> 1
 
 
@@ -274,18 +275,10 @@ def solve_matrix_maxmin(
 # Reward tensors for normal-form oracles
 
 
-def team_reward_tensor(
-    game: NormalFormTeamGame, team: int, opponent, dists=None
-) -> np.ndarray:
+def team_reward_tensor(game: NormalFormTeamGame, team: int, opponent) -> np.ndarray:
     """Expected reward of ``team`` for each of its pure joint actions
-    against a fixed opponent policy or mixture; one axis per member.
-
-    ``dists`` holds the key of each positive-weight entry of the opponent
-    mixture, in order, when the caller keeps them, as `run_psro` does: a
-    pure entry's joint index, else its joint-action distribution, taken
-    unchecked.  Otherwise the entries are checked and keyed here.  Raises
-    ValueError unless there is one key per entry (see `core._entry_keys`)."""
-    return _NormalFormTable(game, team, as_mixture(opponent), dists).tensor
+    against a fixed opponent policy or mixture; one axis per member."""
+    return _NormalFormTable(game, team, as_mixture(opponent)).tensor
 
 
 class _NormalFormTable:
@@ -293,17 +286,21 @@ class _NormalFormTable:
     ``[(policy, weight), ...]``, built once at entry: the game's matrix,
     each atom's `_pricing_key` and the team's reward tensor against the
     mixture, to whose distribution a pure atom adds its weight at its index
-    (the floats its weight times a one-hot vector gives).  SeBR reads it in
-    place of the stochastic oracles' `_StepTable`; it is dropped when the
-    call returns.  ``dists`` is as in `team_reward_tensor`, which returns
-    this table's tensor.  For team 2 it also keeps the atoms' `_key_rows`,
-    built on the first `value` call."""
+    (the floats its weight times a one-hot vector gives).  The atoms are
+    checked and keyed here, unless they come as a `_PricedMixture` keyed
+    for the opponent's action counts, which checked them for those counts.
+    SeBR reads the table in place of the stochastic oracles' `_StepTable`;
+    it is dropped when the call returns.  For team 2 it also keeps the
+    atoms' `_key_rows`, built on the first `value` call."""
 
     __slots__ = ("_game", "_team", "_atoms", "_rows", "matrix", "atom_keys", "tensor")
 
-    def __init__(self, game: NormalFormTeamGame, team: int, atoms, dists=None):
+    def __init__(self, game: NormalFormTeamGame, team: int, atoms):
         opp = 3 - team
-        keys = _entry_keys(game, opp, [atom for atom, _ in atoms], dists)
+        if isinstance(atoms, _PricedMixture) and atoms.counts == game.action_counts[opp - 1]:
+            keys = atoms.keys
+        else:
+            keys = [_pricing_key(game, opp, atom) for atom, _ in atoms]
         mixed = np.zeros(game.joint_count(opp))
         for key, (_, w) in zip(keys, atoms):
             if isinstance(key, np.ndarray):
@@ -692,23 +689,20 @@ def _table_search(game, team, unit, own_members, atoms, steps, slack):
 # Best-response oracles
 
 
-def best_response_joint(game: Game, opponent, team: int, dists=None):
+def best_response_joint(game: Game, opponent, team: int):
     """Fully correlated best response: the best pure team joint action
     (normal form, returned as a degenerate joint mix) or the centralized
     deterministic joint policy (stochastic, returned as a product of
     deterministic member policies, by `_unit_best_response`).  Ties break
     to the lexicographically smallest joint action.
 
-    On a normal-form game ``dists`` holds the key of each positive-weight
-    opponent entry (a pure entry's joint index, else its distribution), in
-    order, when the caller keeps them, as `run_psro` does (see
-    `team_reward_tensor`); the result is the same either way.  The joint
-    action is read off the argmax's row-major index, not from the list of
-    joint actions.  Raises DimensionError when an opponent atom cannot play
-    for the other team, and ValueError when ``team`` is not 1 or 2."""
+    On a normal-form game the joint action is read off the argmax's
+    row-major index, not from the list of joint actions.  Raises
+    DimensionError when an opponent atom cannot play for the other team,
+    and ValueError when ``team`` is not 1 or 2."""
     check_team(team)
     if game.is_normal_form:
-        values = team_reward_tensor(game, team, opponent, dists).ravel()
+        values = team_reward_tensor(game, team, opponent).ravel()
         idx = int(values.argmax())
         value = float(values[idx])
         joint = []
@@ -729,17 +723,13 @@ def best_response_individual(
     team: int,
     start,
     sweeps: int = 50,
-    dists=None,
 ):
     """Round-robin iterated pure unilateral best responses until a fixed
     point or the sweep cap: `sebr` from ``start`` alone, with no restarts.
     ``start`` is any team policy `sebr` takes as a start (product, shared or
-    joint mix), and ``dists`` the opponent's kept keys (a pure entry's is
-    its joint index), as in `sebr`.  Returns `sebr`'s `BestResponse`.
+    joint mix).  Returns `sebr`'s `BestResponse`.
     """
-    return sebr(
-        game, opponent, team, start=start, restarts=0, max_sweeps=sweeps, dists=dists
-    )
+    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
 
 
 def _opponent_atoms(game: StochasticTeamGame, team: int, opponent) -> list[tuple]:
@@ -917,16 +907,12 @@ def _bernstein_simplex_max(tensor: np.ndarray, slack: float):
     return best_p, best_val, max(0.0, max(cut, top) - best_val)
 
 
-def best_response_shared(game: Game, opponent, team: int, dists=None):
+def best_response_shared(game: Game, opponent, team: int):
     """Best shared policy and its value, as a `BestResponse`.
 
     Normal form: the best mixed shared action, over the simplex, on the
-    reward tensor against the opponent; ``dists`` holds the key of each
-    positive-weight opponent entry (a pure entry's joint index, else its
-    distribution), in order, when the caller keeps them, as `run_psro`
-    does, and is taken unchecked (see `team_reward_tensor`; the result is
-    the same either way).  Two-member teams use exact KKT support
-    enumeration (`_quadratic_simplex_max`); other teams a certified
+    reward tensor against the opponent.  Two-member teams use exact KKT
+    support enumeration (`_quadratic_simplex_max`); other teams a certified
     Bernstein branch-and-bound (`_bernstein_simplex_max`), whose value is
     within the game's `_slack` of the maximum unless its node cap is hit.
     Both start from the pure shared actions and decide by `_beats`.  No
@@ -945,7 +931,7 @@ def best_response_shared(game: Game, opponent, team: int, dists=None):
         raise DimensionError("shared best response requires homogeneous action spaces")
     n_actions, n_members = counts[0], len(counts)
     if game.is_normal_form:
-        tensor = team_reward_tensor(game, team, opponent, dists)
+        tensor = team_reward_tensor(game, team, opponent)
         search = _quadratic_simplex_max if n_members == 2 else _bernstein_simplex_max
         dist, value, gap = search(tensor, _slack(game))
         policy = SharedPolicy(IndividualPolicy(n_actions, {NF_OBS: dist}), n_members)
@@ -997,8 +983,9 @@ def advantage_decompose(
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the team's members")
     if game.is_normal_form:
-        opp_key = [_pricing_key(game, 3 - team, opponent, check=False)]
-        tensor = _NormalFormTable(game, team, [(opponent, 1.0)], opp_key).tensor
+        opp_key = (_pricing_key(game, 3 - team, opponent, check=False),)
+        atoms = _PricedMixture([(opponent, 1.0)], opp_key, game.action_counts[2 - team])
+        tensor = _NormalFormTable(game, team, atoms).tensor
         dists = [m.dist(NF_OBS) for m in members]
     else:
         if obs is None:
@@ -1072,7 +1059,6 @@ def sebr(
     max_sweeps: int = 50,
     seed: int = 0,
     trace: list | None = None,
-    dists=None,
 ):
     """Sequential best response: members update in index order, each
     best-responding exactly given predecessors' updated policies and
@@ -1088,28 +1074,23 @@ def sebr(
     walks of its current members, and each greedy update starts from them
     and hands back those of its result.  The opponent's atoms and ``start``
     are checked once, here: raises DimensionError when either cannot play
-    for its team, and ValueError on a ``team`` other than 1 or 2 or a
-    negative ``restarts`` or ``max_sweeps``.  ``trace``, when given,
-    collects one (restart, sweep, member, value_before, value_after) tuple
-    per member update, over all restarts.
-
-    On a normal-form game ``dists`` holds the key of each positive-weight
-    opponent entry (a pure entry's joint index, else its distribution), in
-    order, when the caller keeps them, as `run_psro` does; they are taken
-    unchecked, with their entries (see `team_reward_tensor`), and the
-    result is the same either way.
+    for its team, and ValueError on a ``team`` other than 1 or 2, a
+    negative ``restarts`` or ``max_sweeps`` or a ``seed`` that is not an
+    integer.  ``trace``, when given, collects one (restart, sweep, member,
+    value_before, value_after) tuple per member update, over all restarts.
     """
     check_team(team)
     if restarts < 0 or max_sweeps < 0:
         raise ValueError(
             f"restart and sweep counts must be nonnegative, got {restarts} and {max_sweeps}"
         )
+    _integer("seed", seed)
     n = game.team_sizes[team - 1]
     if start is not None:
         check_team_policy(game, team, start)
     if game.is_normal_form:
         atoms = as_mixture(opponent)
-        steps = _NormalFormTable(game, team, atoms, dists)
+        steps = _NormalFormTable(game, team, atoms)
     else:
         atoms = _opponent_atoms(game, team, opponent)
         steps = _StepTable(game, atoms)

@@ -11,8 +11,7 @@ value, or when no new entry gets appended.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +19,12 @@ from .core import (
     ConstantPolicy,
     Game,
     ProductPolicy,
+    _integer,
+    _key_table,
+    _PricedMixture,
     _pricing_key,
     check_team_policy,
     cross_payoff_matrix,
-    team_value,
 )
 from .oracles import (
     MaxminSolution,
@@ -46,11 +47,19 @@ class Population:
 
     ``payoffs[a, b]`` is the expected team-1 reward of team-1 entry ``a``
     against team-2 entry ``b``; every cell is present (no holes).
+
+    On a normal-form game `initial_population` and `extend_population`
+    check and key each entry once, when it joins, and keep its
+    `_pricing_key` (``keys``, one tuple per team) with the game's action
+    counts that keyed it (``key_counts``).  The constructor takes neither,
+    so a population built by hand keeps no keys.
     """
 
     team1: tuple
     team2: tuple
     payoffs: np.ndarray
+    keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    key_counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         payoffs = np.asarray(self.payoffs, dtype=float)
@@ -66,52 +75,52 @@ class Population:
     def entries(self, team: int) -> tuple:
         return self.team1 if team == 1 else self.team2
 
-    def mixture(self, team: int, weights) -> list[tuple]:
+    def mixture(self, team: int, weights) -> _PricedMixture:
+        """The positive-weight entries of ``team`` with their weights, and
+        their kept keys when the population keeps them."""
         entries = self.entries(team)
-        return [(e, float(w)) for e, w in zip(entries, weights, strict=True) if w > 0.0]
+        pairs = [(e, float(w)) for e, w in zip(entries, weights, strict=True) if w > 0.0]
+        if self.keys is None:
+            return _PricedMixture(pairs)
+        keys = tuple(k for k, w in zip(self.keys[team - 1], weights) if w > 0.0)
+        return _PricedMixture(pairs, keys, self.key_counts[team - 1])
 
 
 def initial_population(game: Game) -> Population:
-    """Both teams seeded with the all-zeros deterministic product policy."""
-    seeds = []
-    for team in (1, 2):
-        counts = game.action_counts[team - 1]
-        seeds.append(ProductPolicy([ConstantPolicy(c, 0) for c in counts]))
-    value = team_value(game, 1, seeds[0], seeds[1])
-    return Population((seeds[0],), (seeds[1],), np.array([[value]]))
+    """Both teams seeded with the all-zeros deterministic product policy:
+    the team-2 seed appended by `extend_population` to the team-1 seed."""
+    seeds = [ProductPolicy([ConstantPolicy(c, 0) for c in counts]) for counts in game.action_counts]
+    return extend_population(game, Population((seeds[0],), (), np.zeros((1, 0))), seeds[1], 2)
 
 
-def _new_line(game, team, entry, pop, dists=None):
-    """The meta row (team 1) or column (team 2) the entry would add, and on
-    a normal-form game the entry's key (else None), checked and taken here
-    once: its joint index when it is pure, else its distribution.  ``dists``
-    maps each team to its entries' keys when the caller keeps them, as
-    `run_psro` does, else `cross_payoff_matrix` takes the opponents'."""
-    key = _pricing_key(game, team, entry) if game.is_normal_form else None
-    own = None if key is None else [key]
-    opp = None if dists is None else dists[3 - team]
-    if team == 1:
-        return cross_payoff_matrix(game, (entry,), pop.team2, own, opp)[0], key
-    return cross_payoff_matrix(game, pop.team1, (entry,), opp, own)[:, 0], key
+def extend_population(game: Game, pop: Population, entry, team: int) -> Population:
+    """Append one entry, checked here; existing cells are untouched.
 
-
-def extend_population(
-    game: Game, pop: Population, entry, team: int, line: np.ndarray | None = None
-) -> Population:
-    """Append one entry; existing cells are untouched.  ``line`` is the
-    entry's new meta row (team 1) or column (team 2) when the caller has
-    already evaluated it, as ``run_psro`` has for its duplicate check;
-    otherwise it is evaluated here."""
+    On a normal-form game the entry is keyed here, once, and its meta row
+    (team 1) or column (team 2) is `core._key_table`'s from the kept keys
+    of the other team's entries, the arithmetic of `cross_payoff_matrix`.
+    A population without keys for the game's action counts (one built by
+    hand) has its entries checked and keyed here first."""
     check_team_policy(game, team, entry)
-    if line is None:
-        line, _ = _new_line(game, team, entry, pop)
+    keys = None
+    if not game.is_normal_form:
+        pair = ((entry,), pop.team2) if team == 1 else (pop.team1, (entry,))
+        line = cross_payoff_matrix(game, *pair)
+    else:
+        keys = pop.keys
+        if pop.key_counts != game.action_counts:
+            keys = tuple(tuple(_pricing_key(game, t, e) for e in pop.entries(t)) for t in (1, 2))
+        key = (_pricing_key(game, team, entry, check=False),)
+        pair = (key, keys[1]) if team == 1 else (keys[0], key)
+        line = _key_table(game.matrix(), *pair)
+        keys = (keys[0] + key, keys[1]) if team == 1 else (keys[0], keys[1] + key)
     if team == 1:
-        return Population(
-            pop.team1 + (entry,), pop.team2, np.concatenate((pop.payoffs, line[None, :]))
-        )
-    return Population(
-        pop.team1, pop.team2 + (entry,), np.concatenate((pop.payoffs, line[:, None]), axis=1)
-    )
+        grown = Population(pop.team1 + (entry,), pop.team2, np.concatenate((pop.payoffs, line)))
+    else:
+        grown = Population(pop.team1, pop.team2 + (entry,), np.concatenate((pop.payoffs, line), 1))
+    object.__setattr__(grown, "keys", keys)
+    object.__setattr__(grown, "key_counts", None if keys is None else game.action_counts)
+    return grown
 
 
 def meta_solve(payoffs, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, float]:
@@ -145,8 +154,7 @@ class PsroConfig:
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}")
         for name in ("max_iterations", "sebr_restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _integer(name, getattr(self, name))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.sebr_restarts < 0:
@@ -201,30 +209,21 @@ def _best_entry_vs(pop: Population, team: int, opp_weights, slack: float) -> Pro
     return best
 
 
-def _oracle_response(game, team, pop, opp_weights, cfg, iteration, slack, dists=None):
+def _oracle_response(game, team, pop, opp_weights, cfg, iteration, slack):
     """One oracle call against the opponent's meta-strategy ``opp_weights``;
-    returns its `BestResponse` against the opponent mixture.  ``slack`` is
-    the game's `_slack` and ``dists`` `run_psro`'s record of each entry's
-    key on a normal-form game (else None).  Every oracle reads the
-    opponent's first ``len(opp_weights)`` of them, those of the
-    positive-weight entries, since entries appended in this iteration
-    follow them."""
+    returns its `BestResponse` against the opponent mixture, which carries
+    the population's kept keys.  ``slack`` is the game's `_slack`."""
     opponent_mix = pop.mixture(3 - team, opp_weights)
-    opp_dists = None
-    if dists is not None:
-        kept = dists[3 - team][: len(opp_weights)]
-        opp_dists = [d for d, w in zip(kept, opp_weights, strict=True) if w > 0.0]
     if cfg.oracle == "joint":
-        return best_response_joint(game, opponent_mix, team, dists=opp_dists)
+        return best_response_joint(game, opponent_mix, team)
     if cfg.oracle == "shared":
-        return best_response_shared(game, opponent_mix, team, dists=opp_dists)
+        return best_response_shared(game, opponent_mix, team)
     incumbent = _best_entry_vs(pop, team, opp_weights, slack)
     if cfg.oracle == "individual":
-        return best_response_individual(game, opponent_mix, team, incumbent, dists=opp_dists)
+        return best_response_individual(game, opponent_mix, team, incumbent)
     seed = subseed(cfg.seed, f"sebr/t{team}/i{iteration}")
     return sebr(
-        game, opponent_mix, team, start=incumbent, restarts=cfg.sebr_restarts, seed=seed,
-        dists=opp_dists,
+        game, opponent_mix, team, start=incumbent, restarts=cfg.sebr_restarts, seed=seed
     )
 
 
@@ -234,18 +233,17 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
     both teams' best-response gains fall within the tolerance (restricted
     equilibrium) or the iteration cap is hit (reported, not fatal).
 
-    On a normal-form game the run keeps each entry's key from the moment it
-    joins: a pure entry's joint index, as every Joint-PSRO entry's is, else
-    its distribution.  So no one-hot distribution is built, and a new meta
-    line costs one key and one contraction per cell.  A run that stops
+    On a normal-form game the population keeps each entry's key from the
+    moment it joins: a pure entry's joint index, as every Joint-PSRO
+    entry's is, else its distribution.  So no one-hot distribution is
+    built, the oracles read the kept keys, and a new meta line costs one
+    key and one contraction per cell.  A response is appended first and
+    dropped when its line duplicates an existing one.  A run that stops
     because nothing was appended returns the meta solution of its last
     iteration, whose matrix is the final one; a run that hits the cap
     solves the final matrix once more."""
     pop = initial_population(game)
     slack = _slack(game)
-    dists = None
-    if game.is_normal_form:
-        dists = {t: [_pricing_key(game, t, e) for e in pop.entries(t)] for t in (1, 2)}
     history: list[IterationRecord] = []
     converged = False
     iteration = 0
@@ -258,21 +256,17 @@ def run_psro(game: Game, cfg: PsroConfig) -> PsroResult:
             if team not in cfg.expand_teams:
                 continue
             br = _oracle_response(
-                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, slack, dists
+                game, team, pop, meta_2 if team == 1 else meta_1, cfg, iteration, slack
             )
             team_meta_value = value if team == 1 else -value
             gains[team], gaps[team] = br.value - team_meta_value, br.gap
             if gains[team] <= cfg.tol:
                 continue
-            line, key = _new_line(game, team, br.policy, new_pop, dists)
-            existing = new_pop.payoffs if team == 1 else new_pop.payoffs.T
+            grown = extend_population(game, new_pop, br.policy, team)
+            lines = grown.payoffs if team == 1 else grown.payoffs.T
             # a duplicate: an existing line no cell differs from by more than the slack
-            if not _beats(np.maximum.reduce(np.abs(existing - line), axis=1), 0.0, slack).all():
-                continue
-            new_pop = extend_population(game, new_pop, br.policy, team, line=line)
-            if dists is not None:
-                dists[team].append(key)
-            appended = True
+            if _beats(np.maximum.reduce(np.abs(lines[:-1] - lines[-1]), axis=1), 0.0, slack).all():
+                new_pop, appended = grown, True
         history.append(
             IterationRecord(
                 iteration=iteration,

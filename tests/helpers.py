@@ -6,7 +6,9 @@ the reference for the layered exact evaluation, and the per-support KKT
 loop the reference for the stacked shared-oracle kernel.  The belief
 recursion is the reference for the exact best response against a
 mixture of opponent policies.  `one_step`
-writes a normal-form game as the stochastic game it is.
+writes a normal-form game as the stochastic game it is, and
+`population_mixtures` gives one opponent mixture with and without the
+keys a population keeps.
 """
 
 import functools
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from teameq.core import NF_OBS, DimensionError, NormalFormTeamGame, StochasticTeamGame
+from teameq.psro import Population, extend_population, initial_population
 
 
 def lp_maxmin(matrix):
@@ -189,3 +192,20 @@ def one_step(game: NormalFormTeamGame) -> StochasticTeamGame:
         lambda s, joint: ((s, 1.0),), lambda s, joint: float(payoff[joint[0] + joint[1]]),
         discount=0.0, horizon=1, reward_bound=float(np.abs(payoff).max()), name=game.name,
     )
+
+
+def population_mixtures(game, team, opponent):
+    """The opponent mixture ``opponent``, ``[(policy, weight), ...]`` for
+    team ``3 - team``, three ways: as given; as the `Population.mixture` of
+    a population grown by `extend_population`, which keeps its entries'
+    keys; and as that of the same population built by hand, which keeps
+    none.  The populations' first entry is the seed, at weight 0."""
+    opp = 3 - team
+    pop = initial_population(game)
+    for policy, _ in opponent:
+        pop = extend_population(game, pop, policy, opp)
+    hand = Population(pop.team1, pop.team2, pop.payoffs)
+    weights = [0.0] + [w for _, w in opponent]
+    keyed, plain = pop.mixture(opp, weights), hand.mixture(opp, weights)
+    assert keyed.keys is not None and plain.keys is None
+    return opponent, keyed, plain

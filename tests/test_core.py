@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_value
+from helpers import brute_force_value, population_mixtures
 import teameq
 from teameq import core
 from teameq.core import (
@@ -69,10 +69,23 @@ from teameq.oracles import (
     sebr,
     team_reward_tensor,
 )
+from teameq.psro import extend_population, initial_population
 
 
 def pure(actions, counts=(2, 2)):
     return ProductPolicy.pure(actions, counts)
+
+
+@pytest.mark.parametrize("seed", [2.5, float("nan"), float("inf")])
+def test_hash_policy_seed_must_be_an_integer(seed):
+    # 2.5 would play exactly as 2; NaN and infinity failed inside the hash
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        HashPolicy(6, seed)
+    numpy_seeded = HashPolicy(6, np.int64(2))
+    assert type(numpy_seeded.seed) is int and repr(numpy_seeded) == repr(HashPolicy(6, 2))
+    assert [numpy_seeded.pure_action(o) for o in range(50)] == [
+        HashPolicy(6, 2).pure_action(o) for o in range(50)
+    ]
 
 
 class TestNormalFormEvaluation:
@@ -116,9 +129,9 @@ class TestNormalFormEvaluation:
             evaluate(g, ProductPolicy.pure((0,), (2,)), pure((0, 0)))
 
     def test_distribution_values_are_team_value_bit_for_bit(self):
-        # the loops that keep joint-action distributions read values this
-        # way; a policy pure with probability exactly 1.0 is read by its
-        # joint index, on every path, and a near-pure one by its distribution
+        # the loops that keep pricing keys read values this way; a policy
+        # pure with probability exactly 1.0 is read by its joint index, on
+        # every path, and a near-pure one by its distribution
         rng = np.random.default_rng(1)
         shape = (3, 2, 2, 3)
         games = [random_team_game((2, 2), ((3, 2), (2, 3)), seed=s) for s in range(4)]
@@ -175,34 +188,35 @@ class TestNormalFormEvaluation:
                     for opp_key in {id(k): k for k in (dists[1], keys[1])}.values():
                         got = _nf_values(g.matrix(), team, own_key, [opp_key])[0]
                         assert repr(got) == expected
-                # the paths that pass the index when the policy is pure, and
-                # the keys given as they are, Python or numpy integers
-                as_numpy = [k if isinstance(k, np.ndarray) else np.int64(k) for k in keys]
-                for given in (None, keys, as_numpy):
-                    kept = (None, None) if given is None else ([given[0]], [given[1]])
-                    if team == 1:
-                        cross = float(cross_payoff_matrix(g, [own], [opp], *kept)[0, 0])
-                    else:
-                        kept = kept[::-1]
-                        cross = 0.0 - float(cross_payoff_matrix(g, [opp], [own], *kept)[0, 0])
-                    assert repr(cross) == expected
+                # the table builder keys both entries itself, and a
+                # population prices the pair from the keys it keeps
+                pop = initial_population(g)
+                for t, entry in ((team, own), (3 - team, opp)):
+                    pop = extend_population(g, pop, entry, t)
+                pair = [own, opp] if team == 1 else [opp, own]
+                for cell in (cross_payoff_matrix(g, pair[:1], pair[1:])[0, 0], pop.payoffs[1, 1]):
+                    assert repr(float(cell) if team == 1 else 0.0 - float(cell)) == expected
                 # an opponent mixture of index and distribution atoms, with
                 # one atom given twice: adding a pure atom's weight at its
-                # index gives the floats of adding its one-hot distribution
+                # index gives the floats of adding its one-hot distribution,
+                # from the atoms and from a population's kept keys alike
                 atoms = [(opp, 0.3), (mixed_opp[team], 0.45), (opp, 0.25)]
                 atom_dists = [team_action_dist(g, 3 - team, a) for a, _ in atoms]
-                tables = [
-                    _NormalFormTable(g, team, atoms, kept)
-                    for kept in (atom_dists, None, [keys[1], atom_dists[1], as_numpy[1]])
-                ]
-                reference = repr(tables[0].tensor.tolist())
+                mixed = np.zeros(g.joint_count(3 - team))
+                for d, (_, w) in zip(atom_dists, atoms):
+                    mixed += w * d
+                onehot = g.matrix() @ mixed if team == 1 else 0.0 - mixed @ g.matrix()
+                mixes = population_mixtures(g, team, atoms)
+                tables = [_NormalFormTable(g, team, mix) for mix in mixes]
+                reference = repr(onehot.reshape(g.action_counts[team - 1]).tolist())
                 assert all(repr(t.tensor.tolist()) == reference for t in tables)
                 if isinstance(own, ProductPolicy):
                     table = _NormalFormTable(g, team, [(opp, 1.0)])
                     assert repr(table.value(own.members)) == expected
                     assert repr(table.value(own.members)) == expected  # with the kept rows
-                    mixed_value = repr(tables[0].value(own.members))
-                    for t in tables[1:]:
+                    values = _nf_values(g.matrix(), team, dists[0], atom_dists)
+                    mixed_value = repr(sum(w * v for (_, w), v in zip(atoms, values)))
+                    for t in tables:
                         assert repr(t.value(own.members)) == mixed_value
                         assert repr(t.value(own.members)) == mixed_value  # kept rows
         with pytest.raises(DimensionError):

@@ -83,6 +83,26 @@ class TestSampleBudget:
         with pytest.raises(ValueError):
             sample_budget(SampleFactor(), -1, 0)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"f_team": float("nan")}, "finite"),
+            ({"f_team": float("inf")}, "finite"),
+            ({"f_policy": float("nan")}, "finite"),
+            ({"f_policy": float("inf")}, "finite"),
+            ({"n_init": 2.5}, "integer"),
+            ({"n_init": float("inf")}, "integer"),
+            ({"n_init": float("nan")}, "integer"),
+        ],
+    )
+    def test_non_finite_rates_and_non_integer_counts_are_refused(self, kwargs, match):
+        # a NaN or infinite rate would fail every sequential spec at build
+        # time, an infinite count overflow, and n_init=2.5 budget 2
+        with pytest.raises(ValueError, match=match):
+            SampleFactor(**kwargs)
+        sf = SampleFactor(f_team=1.5, f_policy=0.5, n_init=np.int64(3))
+        assert sample_budget(sf, 2, 1) == 6
+
 
 class TestBuildDeviationSpec:
     def test_no_correlation_counts(self):
@@ -131,6 +151,21 @@ class TestBuildDeviationSpec:
             return indiv, corr_sig
 
         assert fingerprint(spec1) == fingerprint(spec2)
+
+    @pytest.mark.parametrize("seed", [2.5, float("nan"), float("inf")])
+    def test_sequential_seed_must_be_an_integer(self, seed):
+        # 2.5 would sample as 2; NaN would be accepted and 2.5 fail later
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Sequential(seed=seed)
+        g = example1()
+        specs = [
+            build_deviation_spec(
+                g, 1, pure((0, 0)), Sequential(SampleFactor(n_init=5), s), opponent=pure((0, 0))
+            )
+            for s in (2, np.int64(2))
+        ]
+        sampled = [[p.members[0].pure_action(0) for p in spec.correlated] for spec in specs]
+        assert sampled[0] == sampled[1] == [1]
 
     def test_sequential_fills_with_joints(self):
         g = example1()

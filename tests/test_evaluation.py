@@ -12,7 +12,6 @@ from teameq.core import (
     ProductPolicy,
     UniformPolicy,
     evaluate,
-    team_action_dist,
     team_value,
 )
 from teameq.evaluation import (
@@ -32,7 +31,7 @@ from teameq.games import (
     sad,
 )
 from teameq.oracles import solve_matrix_maxmin
-from teameq.psro import PsroConfig, run_psro
+from teameq.psro import Population, PsroConfig, extend_population, run_psro
 
 
 def pure(actions, counts=(2, 2)):
@@ -123,6 +122,21 @@ class TestExploitabilityProfile:
         with pytest.raises(ValueError, match=match):
             exploitability_profile(example1(), cand, classes=classes)
 
+    @pytest.mark.parametrize("seed", [2.5, float("nan"), float("inf")])
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.9 read the seed-2 sequential value; NaN and infinity failed
+        # inside the hash; refused before any class is computed
+        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=7)
+        cand = Candidate.single(1, ProductPolicy.pure((0, 0), (3, 3)))
+        for classes in (("sequential",), ("joint",)):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                exploitability_profile(g, cand, classes=classes, seed=seed)
+        reports = [
+            exploitability_profile(g, cand, classes=("sequential",), seed=s).to_dict()
+            for s in (2, np.int64(2))
+        ]
+        assert reports[0] == reports[1]
+
 
 class TestRpp:
     def test_identical_populations_zero_on_antisymmetric_game(self):
@@ -176,9 +190,10 @@ class TestRpp:
 
     @pytest.mark.parametrize("kind", ["normal-form", "stochastic"])
     def test_meta_matrix_is_the_cross_payoff_table(self, kind):
-        # run_psro builds its meta lines with this builder, from its kept
-        # distributions on normal form, so rebuilding the table with or
-        # without them gives the run's matrix bit for bit
+        # run_psro's meta lines are this builder's cells, priced on normal
+        # form from the keys the population keeps, so rebuilding the table
+        # from the entries, or growing a hand-built seed population (which
+        # keeps no keys) entry by entry, gives the run's matrix bit for bit
         if kind == "normal-form":
             g, cfg = example1(), PsroConfig(oracle="joint")
         else:
@@ -186,12 +201,11 @@ class TestRpp:
             cfg = PsroConfig(oracle="sebr", max_iterations=3)
         pop = run_psro(g, cfg).population
         assert len(pop.team1) > 1 and len(pop.team2) > 1
-        tables = [cross_payoff_matrix(g, pop.team1, pop.team2)]
-        if kind == "normal-form":
-            dists_a = [team_action_dist(g, 1, a) for a in pop.team1]
-            dists_b = [team_action_dist(g, 2, b) for b in pop.team2]
-            tables.append(cross_payoff_matrix(g, pop.team1, pop.team2, dists_a, dists_b))
-        for table in tables:
+        grown = Population(pop.team1[:1], pop.team2[:1], pop.payoffs[:1, :1])
+        for team in (1, 2):
+            for entry in pop.entries(team)[1:]:
+                grown = extend_population(g, grown, entry, team)
+        for table in (cross_payoff_matrix(g, pop.team1, pop.team2), grown.payoffs):
             assert table.tobytes() == pop.payoffs.tobytes()
 
     def test_empty_population_rejected(self):

@@ -15,6 +15,7 @@ from helpers import (
     belief_value,
     kkt_system,
     lp_maxmin,
+    population_mixtures,
     quadratic_simplex_max_loop,
     shared_maxmin_grid,
 )
@@ -31,7 +32,6 @@ from teameq.core import (
     UniformPolicy,
     _StepTable,
     evaluate,
-    team_action_dist,
     team_value,
 )
 from teameq.games import (
@@ -56,6 +56,7 @@ from teameq.oracles import (
     sebr,
     solve_matrix_maxmin,
     subseed,
+    team_reward_tensor,
 )
 
 
@@ -248,14 +249,11 @@ class TestBestResponseJoint:
             opponent = [(product, 0.5), (ProductPolicy([ConstantPolicy(c, 0) for c in counts]), 0.0), (mix, 0.5)]
             values = [team_value(g, team, JointMixPolicy.pure(ja), opponent) for ja in g.joint_actions(team)]
             first = int(np.argmax(values))
-            dists = [team_action_dist(g, 3 - team, p) for p, w in opponent if w > 0.0]
-            for kept in (None, dists):
-                answer = best_response_joint(g, opponent, team, dists=kept)
+            for mix in population_mixtures(g, team, opponent):
+                answer = best_response_joint(g, mix, team)
                 br, value = answer.policy, answer.value
                 assert br.atoms == (g.joint_actions(team)[first],)
                 assert value == values[first]
-            with pytest.raises(ValueError, match="keys for"):
-                best_response_joint(g, opponent, team, dists=dists[:1])
 
 
 class TestBestResponseIndividual:
@@ -620,42 +618,70 @@ class TestBestResponseSharedStochastic:
             best_response_shared(g, opp, 1)
 
 
+def _policy_numbers(policy):
+    if isinstance(policy, JointMixPolicy):
+        return policy.atoms, policy.weights.tolist()
+    return [m.dist(NF_OBS).tolist() for m in policy.members]
+
+
 @pytest.mark.parametrize("oracle", ["joint", "shared", "individual", "sebr"])
-def test_kept_distributions_give_the_same_answer(oracle):
-    # every normal-form oracle takes the opponent entries' kept keys, as
-    # run_psro hands them over: a pure entry's joint index (a Python or a
-    # numpy integer) or any entry's joint-action distribution
+def test_kept_distributions_give_the_same_answer(monkeypatch, oracle):
+    # every normal-form oracle reads the keys a population keeps for its
+    # opponent entries (a pure entry's joint index, a mixed one's
+    # distribution) instead of keying them, and answers bit for bit as
+    # from the plain mixture and from a hand-built population's mixture
     g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=5)
     rng = np.random.default_rng(5)
     mixed = ProductPolicy([IndividualPolicy(3, {NF_OBS: rng.dirichlet(np.ones(3))}) for _ in range(2)])
     opponent = [(mixed, 0.5), (pure((1, 2), (3, 3)), 0.0), (JointMixPolicy.pure((2, 0)), 0.5)]
-    dists = [team_action_dist(g, 2, p) for p, w in opponent if w > 0.0]
-    keys = [dists[0], 6]  # joint action (2, 0) of two three-action members
-    assert dists[1][6] == 1.0
     calls = {
-        "joint": lambda team, kept: best_response_joint(g, opponent, team, dists=kept),
-        "shared": lambda team, kept: best_response_shared(g, opponent, team, dists=kept),
-        "individual": lambda team, kept: best_response_individual(
-            g, opponent, team, pure((0, 1), (3, 3)), dists=kept
+        "joint": lambda team, mix: best_response_joint(g, mix, team),
+        "shared": lambda team, mix: best_response_shared(g, mix, team),
+        "individual": lambda team, mix: best_response_individual(
+            g, mix, team, pure((0, 1), (3, 3))
         ),
-        "sebr": lambda team, kept: sebr(g, opponent, team, seed=3, dists=kept),
+        "sebr": lambda team, mix: sebr(g, mix, team, seed=3),
     }
+    keyed = []
+    key_of = oracles._pricing_key
 
-    def policy_numbers(policy):
-        if isinstance(policy, JointMixPolicy):
-            return policy.atoms, policy.weights.tolist()
-        return [m.dist(NF_OBS).tolist() for m in policy.members]
+    def recorded(game, team, policy, check=True):
+        keyed.append(policy)
+        return key_of(game, team, policy, check)
 
+    monkeypatch.setattr(oracles, "_pricing_key", recorded)
     for team in (1, 2):
-        given = (None, dists, keys, [dists[0], np.int64(6)], [dists[0], np.uint8(6)])
-        answers = [calls[oracle](team, kept) for kept in given]
-        numbers = [(repr(a.value), a.gap, a.method, policy_numbers(a.policy)) for a in answers]
+        numbers = []
+        for mix in population_mixtures(g, team, opponent):
+            keyed.clear()
+            answer = calls[oracle](team, mix)
+            policy = _policy_numbers(answer.policy)
+            numbers.append((repr(answer.value), answer.gap, answer.method, policy))
+            keyed_entries = [p for p in keyed if any(p is q for q, _ in opponent)]
+            assert (keyed_entries == []) == (getattr(mix, "keys", None) is not None)
         assert all(n == numbers[0] for n in numbers)
-        with pytest.raises(ValueError, match="keys for"):
-            calls[oracle](team, dists[:1])
-        for index in (9, np.int64(9)):  # one past the last joint action
-            with pytest.raises(IndexError):
-                calls[oracle](team, [dists[0], index])
+
+
+def test_kept_keys_are_read_only_for_the_action_counts_that_keyed_them():
+    # a population keys its entries for its game's action counts; read on a
+    # game whose opponent team has other counts its mixture is keyed again:
+    # a joint mix has another index there, and a product of three-action
+    # members cannot play against four-action ones
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=5)
+    other = random_team_game((2, 2), ((3, 3), (3, 4)), seed=6)
+    atoms = [(JointMixPolicy.pure((2, 0)), 0.5), (JointMixPolicy.pure((1, 2)), 0.5)]
+    plain, keyed, _ = population_mixtures(g, 1, atoms)
+    assert keyed.keys == (6, 5) and keyed.counts == (3, 3)
+    expected = team_reward_tensor(other, 1, plain)
+    assert repr(team_reward_tensor(other, 1, keyed).tolist()) == repr(expected.tolist())
+    stale = [(JointMixPolicy.pure(other.joint_actions(2)[k]), 0.5) for k in keyed.keys]
+    assert not np.array_equal(team_reward_tensor(other, 1, stale), expected)
+    for oracle in (best_response_joint, best_response_shared, lambda *a: sebr(*a, seed=3)):
+        answers = [oracle(other, mix, 1) for mix in (plain, keyed)]
+        assert len({(repr(a.value), repr(_policy_numbers(a.policy))) for a in answers}) == 1
+    _, keyed, _ = population_mixtures(g, 1, [(pure((2, 0), (3, 3)), 1.0)])
+    with pytest.raises(DimensionError):
+        best_response_joint(other, keyed, 1)
 
 
 @pytest.mark.parametrize("oracle", [best_response_joint, best_response_shared, sebr])
@@ -1287,6 +1313,20 @@ def test_subseed_is_the_keyed_blake2b(seed, name):
     key = seed.to_bytes(8, "little", signed=True)
     digest = hashlib.blake2b(name.encode(), digest_size=8, key=key).digest()
     assert subseed(seed, name) == int.from_bytes(digest, "little") >> 1
+
+
+@pytest.mark.parametrize("seed", [2.5, float("nan"), float("inf")])
+def test_subseed_and_sebr_refuse_a_non_integer_seed(seed):
+    # 2.5 would read as 2; NaN and infinity failed inside the hash
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=7)
+    opponent = ProductPolicy.pure((0, 0), (3, 3))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        subseed(seed, "sebr")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sebr(g, opponent, 1, seed=seed)
+    assert subseed(np.int64(2), "sebr") == subseed(2, "sebr")
+    answers = [sebr(g, opponent, 1, seed=s) for s in (2, np.int64(2))]
+    assert len({(repr(a.value), repr(_policy_numbers(a.policy))) for a in answers}) == 1
 
 
 def _digest(obj) -> str:

@@ -8,9 +8,12 @@ import pytest
 
 from helpers import lp_maxmin
 from teameq.core import (
+    ConstantPolicy,
+    DimensionError,
     IndividualPolicy,
     JointMixPolicy,
     ProductPolicy,
+    cross_payoff_matrix,
     evaluate,
     mixture_value,
 )
@@ -24,6 +27,7 @@ from teameq.games import (
 )
 from teameq.oracles import BestResponse, best_response_shared, team_reward_tensor
 from teameq.psro import (
+    Population,
     PsroConfig,
     extend_population,
     initial_population,
@@ -81,9 +85,30 @@ class TestExtendPopulation:
         pop2 = extend_population(g, pop, pure((1, 1)), 1)
         assert pop2.payoffs[1, 0] == 2.0
 
-    def test_no_holes_invariant(self):
-        from teameq.psro import Population
+    def test_hand_built_population_extends_like_a_grown_one(self):
+        # a population built by hand keeps no keys: extending it checks and
+        # keys its entries first, and gives the grown population's cells
+        # and keys
+        g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=5)
+        mixed = ProductPolicy([IndividualPolicy(3, {0: [0.2, 0.3, 0.5]}), ConstantPolicy(3, 1)])
+        grown = extend_population(g, initial_population(g), mixed, 2)
+        hand = Population(grown.team1, grown.team2, grown.payoffs)
+        assert hand.keys is None and grown.keys is not None
+        joint = JointMixPolicy([(2, 1), (0, 0)], [0.5, 0.5])
+        pops = [extend_population(g, pop, joint, 1) for pop in (grown, hand)]
+        table = cross_payoff_matrix(g, pops[0].team1, pops[0].team2)
+        for pop in pops:
+            assert pop.payoffs.tobytes() == table.tobytes()
+            assert pop.key_counts == g.action_counts
+            assert repr(pop.keys) == repr(pops[0].keys)
+        assert pops[0].keys[0][0] == 0 and pops[0].keys[1][0] == 0
+        assert [type(k) for k in pops[0].keys[1]] == [int, np.ndarray]
+        # the hand-built entries are checked as they are keyed
+        bad = Population((pure((0, 0)),), grown.team2, grown.payoffs)
+        with pytest.raises(DimensionError):
+            extend_population(g, bad, joint, 1)
 
+    def test_no_holes_invariant(self):
         with pytest.raises(ValueError):
             Population((pure((0, 0)),), (pure((0, 0)),), np.zeros((2, 1)))
 
@@ -368,22 +393,48 @@ def test_team_run_builds_one_distribution_per_mixed_entry(monkeypatch):
     assert _ids(built) == _ids(mixed)
 
 
+def test_joint_run_checks_each_entry_once(monkeypatch):
+    # an entry is checked when it joins the population and never again, by
+    # the loop or by an oracle reading it: 9 checks for the 9 entries
+    import teameq.core as core_module
+    import teameq.oracles as oracles_module
+    import teameq.psro as psro_module
+
+    checked = []
+    check = core_module.check_team_policy
+
+    def counted(game, team, policy):
+        checked.append(policy)
+        return check(game, team, policy)
+
+    for module in (core_module, oracles_module, psro_module):
+        monkeypatch.setattr(module, "check_team_policy", counted)
+    g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
+    result = run_psro(g, PsroConfig(oracle="joint", max_iterations=18, seed=0))
+    entries = result.population.team1 + result.population.team2
+    assert len(checked) == len(entries) == 9
+    assert _ids(checked) == _ids(entries)
+
+
 @pytest.mark.parametrize("oracle", ["joint", "shared", "individual", "sebr"])
 def test_every_oracle_reads_the_kept_distributions(monkeypatch, oracle):
-    # run_psro hands each normal-form oracle the opponent entries' kept
-    # keys, so no oracle keys an opponent entry itself
+    # each oracle's opponent mixture carries the population's keys, so no
+    # oracle keys an opponent entry itself
     import teameq.oracles as oracles_module
 
-    original = oracles_module._entry_keys
+    keyed = []
+    key_of = oracles_module._pricing_key
 
-    def kept_only(game, team, entries, given=None):
-        assert given is not None, "an oracle keyed its opponent's entries"
-        return original(game, team, entries, given)
+    def recorded(game, team, policy, check=True):
+        keyed.append(policy)
+        return key_of(game, team, policy, check)
 
-    monkeypatch.setattr(oracles_module, "_entry_keys", kept_only)
+    monkeypatch.setattr(oracles_module, "_pricing_key", recorded)
     g = random_team_game((2, 2), ((3, 3), (3, 3)), seed=500)
     result = run_psro(g, PsroConfig(oracle=oracle, max_iterations=8, seed=0))
     assert result.iterations > 2
+    entries = result.population.team1 + result.population.team2
+    assert not [p for p in keyed if any(p is e for e in entries)]
 
 
 class TestSkirmishSPsro:
