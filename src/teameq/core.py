@@ -68,6 +68,231 @@ def _support_of(dist: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Seeded draws
+#
+# _DefaultRng is numpy's ``default_rng(seed)`` stream, bit for bit, for
+# the two Generator methods teameq draws with, computed without importing
+# numpy.random (whose secrets -> hmac import maps OpenSSL).  numpy pins only
+# its bit generators' streams across versions; the port pins the methods
+# too, so a seed gives the same draws on every numpy.
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier (O'Neill 2014; numpy's default).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: ``uniform`` steps this many states in Python ints and reaches every
+#: further state as one jump from them.
+_PCG_BLOCK = 1024
+#: Blocks per broadcast chunk of ``uniform`` (128 KiB per uint64 temporary).
+_PCG_CHUNK = 16
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hashmix, its constant advancing per call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` as PCG64 reads it:
+    (initial state, stream), each two words high first."""
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ (value >> 16)
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [generate(pool[i % 4]) for i in range(8)]
+    w = [halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _xsl_rr(state: int) -> int:
+    """PCG64's output: the state's two halves xored, rotated right by its top
+    six bits."""
+    x = ((state >> 64) ^ state) & _M64
+    rot = state >> 122
+    return (x >> rot | x << (64 - rot)) & _M64
+
+
+def _uint64_limbs(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as their (high, low) uint64 limbs, fresh arrays."""
+    packed = b"".join(v.to_bytes(16, "little") for v in values)
+    limbs = np.frombuffer(packed, dtype="<u8").reshape(-1, 2).astype(np.uint64)
+    return limbs[:, 1], limbs[:, 0]
+
+
+def _unit_draws(high: np.ndarray, low: np.ndarray, out=None) -> np.ndarray:
+    """``_xsl_rr``'s top 53 bits times ``2**-53`` for states given as limbs,
+    overwriting both; rotating by ``-rot & 63`` shifts by 0 for ``rot`` 0."""
+    rot = high >> 58
+    high ^= low
+    np.right_shift(high, rot, out=low)
+    rot = -rot
+    rot &= 63
+    high <<= rot
+    low |= high
+    low >>= 11
+    return np.multiply(low, 2.0**-53, out=out)
+
+
+class _DefaultRng:
+    """numpy's ``default_rng(seed)`` for ``uniform`` and for ``choice``
+    without replacement, bit for bit: SeedSequence's pool, then PCG64's
+    128-bit LCG with its XSL-RR output and its buffered 32-bit half-words.
+    ValueError unless ``seed`` is a nonnegative integer."""
+
+    def __init__(self, seed: int):
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        initstate, stream = _seed_sequence(seed)
+        self._inc = (stream << 1 | 1) & _M128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _M128
+        self._half = None
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        return _xsl_rr(self._state)
+
+    def _next32(self) -> int:
+        """The low half of a fresh 64-bit draw, then its high half."""
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _M32
+
+    def _bounded(self, top: int) -> int:
+        """Uniform integer in ``[0, top]`` for ``top < 2**32 - 1``: Lemire's
+        multiply-and-reject on 32-bit draws; ``top`` 0 draws nothing."""
+        if top == 0:
+            return 0
+        span = top + 1
+        m = self._next32() * span
+        if (m & _M32) < span:
+            floor = (1 << 32) % span
+            while (m & _M32) < floor:
+                m = self._next32() * span
+        return m >> 32
+
+    def uniform(self, lo: float, hi: float, shape: tuple) -> np.ndarray:
+        """``Generator.uniform(lo, hi, shape)``: ``lo + (hi - lo) * u`` per
+        cell in C order, ``u`` a 64-bit draw's top 53 bits times ``2**-53``.
+        ValueError when ``hi - lo`` overflows."""
+        lo, hi = float(lo), float(hi)
+        width = hi - lo
+        if not math.isfinite(width):
+            raise ValueError(f"range width {hi!r} - {lo!r} overflows")
+        n = math.prod(shape)
+        head = []
+        state = self._state
+        for _ in range(min(n, _PCG_BLOCK)):
+            state = (state * _PCG_MULT + self._inc) & _M128
+            head.append(state)
+        x_hi, x_lo = _uint64_limbs(head)
+        if n <= _PCG_BLOCK:
+            self._state = state
+            u = _unit_draws(x_hi, x_lo)
+        else:
+            u = self._broadcast_draws(head, x_hi, x_lo, n)
+        u *= width
+        u += lo
+        return u.reshape(-1)[:n].reshape(shape)
+
+    def _broadcast_draws(self, head: list, x_hi, x_lo, n: int) -> np.ndarray:
+        """Unit draws for states 1 to ``n`` from the first block's, in rows
+        of ``_PCG_BLOCK``, and the stream advanced past state ``n``: state
+        ``k * _PCG_BLOCK + i`` is ``a_k * head[i] + c_k`` (mod 2**128), one
+        broadcast multiply-add per row on (high, low) uint64 limbs.  The
+        low limbs' full product goes by 32-bit halves (Hacker's Delight's
+        mulhi), so no partial sum overflows."""
+        rows = -(-n // _PCG_BLOCK)
+        jump_a, jump_c = 1, 0
+        for _ in range(_PCG_BLOCK):
+            jump_a, jump_c = jump_a * _PCG_MULT & _M128, (jump_c * _PCG_MULT + self._inc) & _M128
+        coeffs = [(1, 0)]
+        for _ in range(rows - 1):
+            a, c = coeffs[-1]
+            coeffs.append((a * jump_a & _M128, (c * jump_a + jump_c) & _M128))
+        a_k, c_k = coeffs[(n - 1) // _PCG_BLOCK]
+        self._state = (a_k * head[(n - 1) % _PCG_BLOCK] + c_k) & _M128
+        x0, x1 = x_lo & _M32, x_lo >> 32
+        a_hi, a_lo = (col[:, None] for col in _uint64_limbs(a for a, _ in coeffs))
+        c_hi, c_lo = (col[:, None] for col in _uint64_limbs(c for _, c in coeffs))
+        out = np.empty((rows, _PCG_BLOCK))
+        for r in range(0, rows, _PCG_CHUNK):
+            rs = slice(r, r + _PCG_CHUNK)
+            y0, y1 = a_lo[rs] & _M32, a_lo[rs] >> 32
+            ll = x0 * y0
+            mid = x0 * y1
+            mid += ll >> 32
+            mid2 = x1 * y0
+            mid2 += mid & _M32
+            ll &= _M32
+            low = mid2 << 32
+            low |= ll
+            high = x1 * y1
+            high += mid >> 32
+            high += mid2 >> 32
+            high += x_hi * a_lo[rs]
+            high += x_lo * a_hi[rs]
+            high += c_hi[rs]
+            low += c_lo[rs]
+            high += low < c_lo[rs]
+            _unit_draws(high, low, out=out[rs])
+        return out
+
+    def choice(self, pop: int, k: int) -> list[int]:
+        """``Generator.choice(pop, k, replace=False)`` as ints, for
+        ``0 <= k <= pop < 2**32 - 1``: above 10,000 with ``k > pop // 50`` a
+        Fisher-Yates pass over the last ``k`` slots of ``range(pop)``; else
+        Floyd's draw (Bentley & Floyd 1987), then a shuffle of it."""
+        if not 0 <= k <= pop < _M32:
+            raise ValueError(f"cannot sample {k} of {pop} without replacement")
+        if pop > 10000 and k > pop // 50:
+            moved: dict = {}
+            for i in range(pop - 1, max(pop - k, 1) - 1, -1):
+                j = self._bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(i, i) for i in range(pop - k, pop)]
+        drawn: list = []
+        seen = set()
+        for j in range(pop - k, pop):
+            v = self._bounded(j)
+            if v in seen:
+                v = j
+            seen.add(v)
+            drawn.append(v)
+        for i in range(k - 1, 0, -1):
+            j = self._bounded(i)
+            drawn[i], drawn[j] = drawn[j], drawn[i]
+        return drawn
+
+
+# ---------------------------------------------------------------------------
 # Individual (per-player) policies
 #
 # Every member policy offers dist(obs), the action distribution as a numpy

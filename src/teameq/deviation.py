@@ -25,6 +25,7 @@ from .core import (
     IndividualPolicy,
     ProductPolicy,
     SharedPolicy,
+    _DefaultRng,
     _integer,
     _members_view,
     _StepTable,
@@ -225,8 +226,7 @@ def build_deviation_spec(
                         dev[member] = pol.pure_action(NF_OBS)
                         exclude.add(tuple(dev))
             pool = [ja for ja in game.joint_actions(team) if ja not in exclude]
-            rng = np.random.default_rng(correlation.seed)
-            idx = rng.choice(len(pool), size=min(remaining, len(pool)), replace=False)
+            idx = _DefaultRng(correlation.seed).choice(len(pool), min(remaining, len(pool)))
             correlated = [ProductPolicy.pure(pool[i], counts) for i in idx]
         return DeviationSpec(
             team, correlation, candidate, tuple(indiv), tuple(correlated), budget=budget

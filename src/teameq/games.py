@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NormalFormTeamGame, StochasticTeamGame
+from .core import NormalFormTeamGame, StochasticTeamGame, _DefaultRng, _integer
 
 #: Guard against accidentally enumerating astronomically many joint actions.
 ENUMERATION_BOUND = 10**7
@@ -232,17 +232,22 @@ def random_team_game(
     enumeration_bound: int = ENUMERATION_BOUND,
 ) -> NormalFormTeamGame:
     """Seeded game with i.i.d. uniform payoffs; reproducible by seed.
-    Raises ValueError on a NaN, infinite or empty payoff range."""
+
+    The payoffs are numpy's ``default_rng(seed).uniform(lo, hi, shape)``,
+    drawn by ``core._DefaultRng`` without importing numpy.random.  Raises
+    ValueError on a NaN, infinite or empty payoff range, on one whose width
+    ``hi - lo`` overflows, and on a seed that is not a nonnegative integer."""
+    rng = _DefaultRng(seed)
     shape = tuple(action_counts[0]) + tuple(action_counts[1])
-    if int(np.prod(shape)) > enumeration_bound:
-        raise ValueError(f"payoff table of {np.prod(shape)} cells exceeds the bound")
+    cells = math.prod(shape)  # np.prod would wrap past 2**63 and pass the bound
+    if cells > enumeration_bound:
+        raise ValueError(f"payoff table of {cells} cells exceeds the bound")
     lo, hi = payoff_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"payoff range bounds must be finite, got {payoff_range!r}")
     if hi < lo:
         raise ValueError("empty payoff range")
-    rng = np.random.default_rng(seed)
-    payoff = rng.uniform(lo, hi, size=shape)
+    payoff = rng.uniform(lo, hi, shape)
     return NormalFormTeamGame(
         team_sizes, action_counts, payoff, name=f"random(seed={seed})"
     )
@@ -256,7 +261,14 @@ def random_stochastic_game(
     discount: float = 0.9,
     seed: int = 0,
 ) -> StochasticTeamGame:
-    """Small dense random stochastic game for property tests."""
+    """Small dense random stochastic game for property tests.
+
+    Drawn by numpy's own Generator, not ``core._DefaultRng``: its Dirichlet
+    rows come from numpy's ziggurat exponential tables, and no command line
+    path builds this game.  ValueError unless ``seed`` is a nonnegative
+    integer (numpy would draw a fresh OS-entropy game for None)."""
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     n1, n2 = team_sizes
     joints = list(

@@ -3,10 +3,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import teameq
 import teameq.cli as cli
 from teameq.cli import (
     EXIT_ERROR,
@@ -466,6 +470,8 @@ class TestErrorContract:
                 (["game", "--game", f"random:{bounds}"], "payoff range bounds must be finite")
                 for bounds in ("lo=nan", "hi=inf", "lo=-inf,hi=0")
             ),
+            (["game", "--game", "random:lo=-1e308,hi=1e308"], "range width 1e+308 - -1e+308 overflows"),
+            (["game", "--game", "random:seed=-1"], "seed must be nonnegative, got -1"),
             *(
                 (
                     ["verify", "--game", game, "--class", "sequential", "--seed", "-1"],
@@ -482,7 +488,7 @@ class TestErrorContract:
             "psro-iters", "solve-tol", "rpp-run-a", "exploit-candidate", "verify-profile",
             "verify-epsilon", "psro-restarts", "skirmish-empty-team", "exploit-no-class",
             "exploit-class-twice", "exploit-team-0", "exploit-team-3", "exploit-team--1",
-            "random-lo-nan", "random-hi-inf", "random-lo-minus-inf",
+            "random-lo-nan", "random-hi-inf", "random-lo-minus-inf", "random-wide", "random-seed",
             "verify-seed-normal-form", "verify-seed-stochastic", "verify-seed-equals",
         ],
     )
@@ -608,3 +614,25 @@ class TestConfigPrecedence:
         rc = main(["game", "--game", "example1"])
         assert rc == EXIT_OK
         assert os.path.exists(tmp_path / "envout" / "game.json")
+
+
+def test_normal_form_commands_load_no_numpy_random(tmp_path):
+    # a clean interpreter, since pytest's already holds numpy.random: random
+    # games and sequential samples come from core._DefaultRng, so neither
+    # numpy.random nor the OpenSSL its secrets import maps is ever loaded
+    game = "random:n1=2,n2=2,actions=3,seed=500"
+    code = (
+        "import sys\n"
+        "from teameq.cli import main\n"
+        f"main(['solve', '--game', {game!r}, '--out', 's'])\n"
+        f"main(['psro', '--game', {game!r}, '--oracle', 'sebr', '--out', 'p'])\n"
+        f"main(['verify', '--game', {game!r}, '--class', 'sequential', '--out', 'v'])\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = str(Path(teameq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert all((tmp_path / run / "manifest.json").exists() for run in ("s", "p", "v"))

@@ -16,6 +16,7 @@ from teameq.games import (
     anti_coordination,
     example1,
     grid_skirmish,
+    random_stochastic_game,
     random_team_game,
     sad,
 )
@@ -295,3 +296,42 @@ class TestRandomTeamGame:
     def test_shape(self):
         g = random_team_game((2, 2), ((2, 2), (2, 2)), seed=2)
         assert g.payoff.size == 16
+
+    def test_table_beyond_int64_cells_is_refused(self):
+        # 3**40 cells: a wrapped int64 product would read negative and pass the bound
+        with pytest.raises(ValueError, match=f"payoff table of {3**40} cells exceeds the bound"):
+            random_team_game((20, 20), ((3,) * 20, (3,) * 20))
+
+    def test_overflowing_range_width_is_refused(self):
+        # both bounds are finite, but hi - lo is not; numpy failed with OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            random_team_game((1, 1), ((2,), (2,)), payoff_range=(-1e308, 1e308))
+
+
+_RANDOM_GAMES = {
+    "team": lambda seed: random_team_game((1, 1), ((2,), (2,)), seed=seed),
+    "stochastic": lambda seed: random_stochastic_game(2, (1, 1), horizon=1, seed=seed),
+}
+each_random_game = pytest.mark.parametrize("build", _RANDOM_GAMES.values(), ids=_RANDOM_GAMES.keys())
+
+
+class TestRandomGameSeeds:
+    """Each random game generator reads its seed through ``core._integer``."""
+
+    @each_random_game
+    def test_seed_none_is_refused(self, build):
+        # numpy would draw fresh OS entropy, a different game on every call
+        with pytest.raises(ValueError, match="seed must be an integer, got None"):
+            build(None)
+
+    @each_random_game
+    def test_non_integer_seed_is_refused(self, build):
+        # numpy's TypeError used to escape
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            build(2.5)
+
+    @each_random_game
+    def test_negative_seed_is_refused(self, build):
+        # numpy's bare "expected non-negative integer" used to escape
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            build(-1)
