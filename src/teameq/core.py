@@ -749,11 +749,11 @@ class StochasticTeamGame:
         _check_shape(self)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if self.horizon < 1:
+        if _integer("horizon", self.horizon) < 1:
             raise ValueError("horizon must be >= 1")
         if not 0.0 <= self.reward_bound < math.inf:
             raise ValueError("reward bound must be finite and nonnegative")
-        if self.exact_bound < 1:
+        if _integer("exact_bound", self.exact_bound) < 1:
             raise ValueError("exact bound must be >= 1")
         if not all(p >= 0.0 for _, p in self.initial):
             raise ValueError("initial distribution has a negative or NaN probability")
@@ -945,6 +945,8 @@ def _members_view(policy) -> tuple:
 # and _profile_value sums a profile's value in one pass over the layers,
 # recording the walk, state probabilities included, only for a caller that
 # passes a list (the guarded greedy, whose lookahead weighs by them).
+# _belief_value, the value against a mixture, is the one pass that keeps no
+# walk: it values (t, state, posterior) nodes depth first.
 # The passes ask ``steps`` for each (state, joint action)'s step reward, for
 # its successors row at steps 0 to H-2 only (no value reads a row out of
 # the last step, which counts 0), and for member observations: the game
@@ -1197,6 +1199,66 @@ def _backward(game: StochasticTeamGame, walk, team: int, steps=None) -> tuple[li
         q[t][state] = acts
         values[t][state] = max(acts.values())
     return q, values
+
+
+def _belief_value(game: StochasticTeamGame, team: int, atoms) -> float:
+    """Best history-dependent value of the whole ``team`` against opponent
+    atoms ``[(policy, weight), ...]``, one drawn before play and held: no
+    table reaches it, but it bounds every table's.  Each node ``(t, state,
+    posterior)`` is valued once, depth first on an explicit stack, so any
+    horizon fits, in `_backward`'s arithmetic; the posterior is each atom's
+    normalised weight given the opponent joint actions seen.  Each step's
+    (state, joint action) pairs count against ``game.exact_bound``."""
+    unit = tuple(range(game.team_sizes[team - 1]))
+    unit_actions = list(itertools.product(*(range(c) for c in game.action_counts[team - 1])))
+    sign, last = 1.0 if team == 1 else -1.0, game.horizon - 1
+    completions, memo, step_pairs = {}, {}, [0] * game.horizon
+
+    def node(t, state, belief):
+        merged: dict = {}
+        for i, ((atom, _), b) in enumerate(zip(atoms, belief)):
+            if b > 0.0:
+                slots = _member_supports(game, 3 - team, _members_view(atom), state)
+                for p, pairs in _complete(slots, completions, team, len(unit), unit, unit_actions):
+                    merged.setdefault(pairs[0][1], (pairs, [0.0] * len(atoms)))[1][i] = b * p
+        step_pairs[t] += len(merged) * len(unit_actions)
+        if step_pairs[t] > game.exact_bound:
+            raise _budget_error(game, step_pairs[t])
+        acts = [0.0] * len(unit_actions)
+        for pairs, weights in merged.values():
+            prob = sum(weights)
+            after = tuple(w / prob for w in weights)
+            for k, (_, joint) in enumerate(pairs):
+                # no successor after the last step; one with probability 0 would add 0
+                terms = []
+                for s2, pt in game.successors(state, joint) if t < last else ():
+                    if pt > 0.0:
+                        terms.append(pt * (yield t + 1, s2, after))
+                tail = sum(terms)
+                acts[k] += prob * (sign * game.step_reward(state, joint) + game.discount * tail)
+        return max(acts)
+
+    def root():
+        total = sum(w for _, w in atoms)
+        prior, terms = tuple(w / total for _, w in atoms), []
+        for s, p in game.initial:
+            if p > 0.0:
+                terms.append(p * (yield 0, s, prior))
+        return float(sum(terms))
+
+    stack, sent = [(None, root())], None
+    while stack:
+        key, gen = stack[-1]
+        try:
+            child = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = memo[key] = done.value
+            continue
+        sent = memo.get(child)
+        if sent is None:
+            stack.append((child, node(*child)))
+    return sent
 
 
 def _profile_value(game: StochasticTeamGame, p1, p2, steps=None, walk=None):

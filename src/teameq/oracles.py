@@ -22,7 +22,6 @@ import itertools
 import math
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib's OpenSSL
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -380,68 +379,28 @@ def _check_tied_observations(tied: bool, key: tuple) -> None:
         )
 
 
-def _belief_response(game, team, unit, own_members, atoms, unit_actions=None, steps=None):
+def _belief_response(game, team, unit, own_members, atom, unit_actions=None, steps=None):
     """Exact finite-horizon best response of a unit of members, the others
-    held at ``own_members``, against opponent atoms ``[(policy, weight),
-    ...]`` of which one is drawn before play and held: `_backward` over the
-    nodes ``(state, posterior)`` that `_forward` walks.  The posterior is
-    each atom's weight given the opponent joint actions seen so far,
-    normalised, and weighs the atoms' combinations of the fixed players'
-    actions.  Against one atom it is the constant ``(1.0,)``, so the nodes
-    are the states.  ``unit_actions`` restricts the unit's joint actions
-    (default: all, lexicographic); ``steps`` is the calling oracle's step
-    table (default: the game against one atom, a new table otherwise).
-
-    Against one atom, returns (member tables, value): the first best unit
-    action at each state.  The members' observations must determine the
-    decision stage (the built-in skirmish encodes the step counter in the
-    state), and members that ``unit_actions`` ties to one action must
-    observe alike at every reached state; else ExactBRUnsupported.  Against
-    a mixture, returns (None, value): the best history-dependent value,
-    which no table reaches but which bounds every table's.
-    """
+    held at ``own_members``, against one opponent policy ``atom``, by
+    `_backward` over the states `_forward` walks: (member tables, value), the
+    first best unit action at each state.  ``unit_actions`` restricts the
+    unit's joint actions (default: all, lexicographic); ``steps`` is the
+    calling oracle's step table (default: the game).  The members'
+    observations must determine the decision stage (the skirmish encodes the
+    step in the state), and members that ``unit_actions`` ties to one action
+    must observe alike at every reached state; else ExactBRUnsupported."""
     if unit_actions is None:
         unit_actions = _unit_action_space(game, team, unit)
-    if steps is None and len(atoms) > 1:
-        steps = _StepTable(game, atoms)
     look = game if steps is None else steps
     completions = {} if steps is None else steps.completions(team, unit, unit_actions)
 
-    def combos(t, state, atom=atoms[0][0]):
+    def support(t, state):
         return _joint_support(
             game, team, own_members, atom, state, completions, unit, unit_actions, steps
         )
 
-    if len(atoms) == 1:
-        support, nodes, start = combos, look, game.initial
-    else:
-        # the posterior after each (node, opponent joint action) walked
-        total, after = sum(w for _, w in atoms), {}
-        start = [((s, tuple(w / total for _, w in atoms)), p) for s, p in game.initial]
-
-        def support(t, node):
-            merged: dict = {}
-            for i, ((atom, _), b) in enumerate(zip(atoms, node[1])):
-                for p, pairs in combos(t, node[0], atom) if b > 0.0 else ():
-                    merged.setdefault(pairs[0][1], (pairs, [0.0] * len(atoms)))[1][i] = b * p
-            out = []
-            for pairs, weights in merged.values():
-                prob = sum(weights)
-                after.setdefault((node, pairs[0][1][2 - team]), tuple(w / prob for w in weights))
-                out.append((prob, pairs))
-            return out
-
-        nodes = SimpleNamespace(
-            successors=lambda node, joint: tuple(
-                ((s2, after[node, joint[2 - team]]), pt)
-                for s2, pt in look.successors(node[0], joint)
-            ),
-            step_reward=lambda node, joint: look.step_reward(node[0], joint),
-        )
-    q, values = _backward(game, list(_forward(game, start, support, nodes)), team, nodes)
-    value = float(sum(p * values[0][node] for node, p in start if p > 0.0))
-    if len(atoms) > 1:
-        return None, value
+    q, values = _backward(game, list(_forward(game, game.initial, support, steps)), team, steps)
+    value = float(sum(p * values[0][state] for state, p in game.initial if p > 0.0))
     tied, assign = _ties_members(unit_actions), [{} for _ in unit]
     for layer in reversed(q):
         # _backward fills each layer in reverse first-reached order
@@ -602,7 +561,9 @@ def _unit_best_response(game, team, unit, own_members, atoms, slack, unit_action
     improvement (with ``slack``) against a mixture: a `BestResponse` whose
     policy is the unit members' tables."""
     if len(atoms) == 1:
-        tables, value = _belief_response(game, team, unit, own_members, atoms, unit_actions, steps)
+        tables, value = _belief_response(
+            game, team, unit, own_members, atoms[0][0], unit_actions, steps
+        )
         return BestResponse(tables, value, 0.0, "exact_dp")
     tables, value, _, _ = _unit_improve_weighted(
         game, team, unit, own_members, atoms, slack, unit_actions=unit_actions, steps=steps
@@ -729,7 +690,7 @@ def best_response_individual(
     ``start`` is any team policy `sebr` takes as a start (product, shared or
     joint mix).  Returns `sebr`'s `BestResponse`.
     """
-    return sebr(game, opponent, team, start=start, restarts=0, max_sweeps=sweeps)
+    return sebr(game, opponent, team, start, restarts=0, max_sweeps=_integer("sweeps", sweeps))
 
 
 def _opponent_atoms(game: StochasticTeamGame, team: int, opponent) -> list[tuple]:
@@ -788,7 +749,7 @@ def _member_update(game, team, member, members, atoms, current, steps, start, sl
             return members[member], current, True, None
         tables = [ConstantPolicy(len(values), best)]
     elif len(atoms) == 1:
-        tables, value = _belief_response(game, team, (member,), tuple(members), atoms, steps=steps)
+        tables, value = _belief_response(game, team, (member,), members, atoms[0][0], steps=steps)
         if not _beats(value, current, slack):
             return members[member], current, True, None
     else:
@@ -1075,12 +1036,13 @@ def sebr(
     and hands back those of its result.  The opponent's atoms and ``start``
     are checked once, here: raises DimensionError when either cannot play
     for its team, and ValueError on a ``team`` other than 1 or 2, a
-    negative ``restarts`` or ``max_sweeps`` or a ``seed`` that is not an
-    integer.  ``trace``, when given, collects one (restart, sweep, member,
+    ``restarts`` or ``max_sweeps`` that is negative or not an integer (NaN
+    and infinity included) or a ``seed`` that is not an integer.
+    ``trace``, when given, collects one (restart, sweep, member,
     value_before, value_after) tuple per member update, over all restarts.
     """
     check_team(team)
-    if restarts < 0 or max_sweeps < 0:
+    if _integer("restarts", restarts) < 0 or _integer("max_sweeps", max_sweeps) < 0:
         raise ValueError(
             f"restart and sweep counts must be nonnegative, got {restarts} and {max_sweeps}"
         )

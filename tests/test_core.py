@@ -389,6 +389,23 @@ class TestStochasticEvaluation:
         with pytest.raises(ValueError, match="exact bound"):
             dataclasses.replace(g, exact_bound=0)
 
+    @pytest.mark.parametrize("name", ["horizon", "exact_bound"])
+    @pytest.mark.parametrize("count", [2.5, math.nan, 3.0])
+    def test_non_integer_horizon_and_exact_bound_are_refused(self, name, count):
+        # a NaN exact_bound once turned the budget off, and a NaN or
+        # fractional horizon failed mid-evaluation with TypeError
+        g = random_stochastic_game(seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            dataclasses.replace(g, **{name: count})
+
+    def test_numpy_integer_horizon_and_exact_bound_pass(self):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, horizon=2))
+        opp = ProductPolicy([ConstantPolicy(6, 0)] * 2)
+        numpy_ints = dataclasses.replace(g, horizon=np.int64(2), exact_bound=np.int32(10**6))
+        assert best_response_joint(numpy_ints, opp, 1).value == 1.9
+        with pytest.raises(EvaluationError, match=r"\(36 state-action pairs in one step > 10\)"):
+            best_response_joint(dataclasses.replace(numpy_ints, exact_bound=np.int64(10)), opp, 1)
+
     def test_rows_read_are_validated(self):
         # transition is asked at steps 0 to H-2 only: a malformed row out of
         # the last step is never asked, so it is not reported; one at step

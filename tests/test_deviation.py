@@ -215,7 +215,7 @@ class TestBuildDeviationSpec:
         assert len(calls) == len(set(calls))
         assert [member for member, _ in spec.individual] == [0, 1]
         for member, table in spec.individual:
-            _, best = _belief_response(g, 1, (member,), cand.members, [(opp, 1.0)])
+            _, best = _belief_response(g, 1, (member,), cand.members, opp)
             deviation = ProductPolicy([table if m == member else p for m, p in enumerate(cand.members)])
             assert team_value(g, 1, deviation, opp) == pytest.approx(best, abs=1e-12)
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from teameq.core import (
     JointMixPolicy,
     ProductPolicy,
     SharedPolicy,
+    StochasticTeamGame,
     UniformPolicy,
+    _belief_value,
     _StepTable,
     evaluate,
     team_value,
@@ -859,9 +862,7 @@ class TestStochasticPasses:
         opp = ProductPolicy([HashPolicy(6, 1), HashPolicy(6, 2)])
         diagonal = [(a, a) for a in range(6)]
         with pytest.raises(oracles.ExactBRUnsupported, match="observe differently"):
-            oracles._belief_response(
-                partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, [(opp, 1.0)], diagonal
-            )
+            oracles._belief_response(partial, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, opp, diagonal)
 
     def test_greedy_keeps_its_lookahead_rows_for_the_call(self, monkeypatch):
         # the unit is free in the lookahead's rows, so each (atom, state)'s
@@ -1014,14 +1015,16 @@ def _belief_mixture(n_members):
 
 
 class TestBeliefResponse:
-    """`oracles._belief_response`: the one backward induction of every exact
-    stochastic best response, over (state, posterior) nodes."""
+    """`oracles._belief_response`, the one backward induction of every exact
+    stochastic best response against one opponent policy, and
+    `core._belief_value`, the history-dependent value against a mixture
+    over (t, state, posterior) nodes."""
 
     @staticmethod
-    def _value(game, team, atoms):
+    def _response(game, team, atom):
         n = game.team_sizes[team - 1]
         unit, base = tuple(range(n)), (ConstantPolicy(6, 0),) * n
-        return oracles._belief_response(game, team, unit, base, atoms)
+        return oracles._belief_response(game, team, unit, base, atom)
 
     @pytest.mark.parametrize("width, team", [(2, 1), (2, 2), (3, 2)])
     def test_mixture_value_is_sandwiched(self, width, team):
@@ -1043,9 +1046,9 @@ class TestBeliefResponse:
             for acts in itertools.product(range(6), repeat=len(states))
         ]
         markov = max(team_value(g, team, table, mix) for table in tables)
-        policy, value = self._value(g, team, mix)
-        informed = sum(w * self._value(g, team, [(atom, 1.0)])[1] for atom, w in mix)
-        assert policy is None
+        value = _belief_value(g, team, mix)
+        informed = sum(w * self._response(g, team, atom)[1] for atom, w in mix)
+        assert type(value) is float
         assert markov <= value + 1e-12
         assert value <= informed + 1e-12
 
@@ -1054,7 +1057,7 @@ class TestBeliefResponse:
     def test_mixture_value_is_the_belief_recursion(self, horizon, team):
         g = grid_skirmish(SkirmishConfig(3, 3, 1, horizon))
         mix = _belief_mixture(1)
-        value = self._value(g, team, mix)[1]
+        value = _belief_value(g, team, mix)
         assert value == pytest.approx(belief_value(g, team, mix), abs=1e-12)
 
     @pytest.mark.parametrize("team", [1, 2])
@@ -1064,11 +1067,58 @@ class TestBeliefResponse:
         # the belief nodes read the one-atom value bit for bit
         g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
         atom = _belief_mixture(2)[0][0]
-        tables, value = self._value(g, team, [(atom, 1.0)])
+        tables, value = self._response(g, team, atom)
         answer = best_response_joint(g, atom, team)
         assert (value, answer.method, answer.gap) == (answer.value, "exact_dp", 0.0)
         assert repr(ProductPolicy(tables)) == repr(answer.policy)
-        assert self._value(g, team, [(atom, 0.5), (atom, 0.5)]) == (None, value)
+        for mix in ([(atom, 1.0)], [(atom, 0.5), (atom, 0.5)]):
+            assert _belief_value(g, team, mix).hex() == value.hex()
+
+    #: `_belief_value` on the 3x3 2v2 skirmish at H=3, as float.hex, for
+    #: teams 1 and 2: three atoms, one of them mixed, and two atoms, one
+    #: of them shared.
+    PINNED = [
+        (_belief_mixture(2), ("0x1.2134af787a5f9p+1", "0x1.d5f1b2132a4c8p+0")),
+        (
+            [
+                (ProductPolicy([HashPolicy(6, 11), HashPolicy(6, 12)]), 0.4),
+                (SharedPolicy(HashPolicy(6, 5), 2), 0.6),
+            ],
+            ("0x1.1b53f7ced9168p+1", "0x1.34dd2f1a9fbe7p+1"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("mix, expected", PINNED, ids=["three-atoms", "shared-atom"])
+    def test_mixture_value_is_pinned(self, mix, expected):
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        assert tuple(_belief_value(g, team, mix).hex() for team in (1, 2)) == expected
+
+    def test_mixture_value_keeps_the_exact_budget(self):
+        # the busiest step has 622080 (state, joint action) pairs over its
+        # belief nodes
+        g = grid_skirmish(SkirmishConfig(3, 3, 2, 3))
+        mix = _belief_mixture(2)
+        at_bound = dataclasses.replace(g, exact_bound=622080)
+        assert _belief_value(at_bound, 1, mix).hex() == "0x1.2134af787a5f9p+1"
+        below = dataclasses.replace(g, exact_bound=622079)
+        message = r"exact budget exceeded \(622080 state-action pairs in one step > 622079\)"
+        with pytest.raises(EvaluationError, match=message):
+            _belief_value(below, 1, mix)
+
+    def test_mixture_value_takes_any_horizon(self):
+        # one state, 2000 steps: deeper than Python's recursion limit
+        g = StochasticTeamGame(
+            team_sizes=(1, 1),
+            action_counts=((2,), (2,)),
+            initial=((0, 1.0),),
+            transition=lambda s, joint: ((0, 1.0),),
+            reward=lambda s, joint: 1.0 if joint[0] == joint[1] else -1.0,
+            discount=0.9,
+            horizon=2000,
+            reward_bound=1.0,
+        )
+        mix = [(ProductPolicy([ConstantPolicy(2, a)]), 0.5) for a in (0, 1)]
+        assert _belief_value(g, 1, mix).hex() == "0x1.1fffffffffffdp+3"
 
 
 class TestSharedMaxminGrid:
@@ -1223,6 +1273,30 @@ class TestSebr:
         g = example1()
         with pytest.raises(ValueError, match="nonnegative"):
             sebr(g, pure((0, 0)), 1, start=pure((0, 1)), **counts)
+
+    @pytest.mark.parametrize(
+        "oracle, name, count",
+        [
+            ("sebr", "restarts", 2.5),
+            ("sebr", "restarts", math.nan),
+            ("sebr", "max_sweeps", 2.5),
+            ("sebr", "max_sweeps", math.inf),
+            ("individual", "sweeps", 2.5),
+            ("individual", "sweeps", math.nan),
+        ],
+    )
+    def test_non_integer_counts_are_refused_before_any_work(self, monkeypatch, oracle, name, count):
+        # once a TypeError, max_sweeps' only after the start was evaluated
+        def no_work(*args):
+            raise AssertionError("evaluated before the counts were checked")
+
+        monkeypatch.setattr(oracles, "_NormalFormTable", no_work)
+        g, opp, start = example1(), pure((0, 0)), pure((0, 1))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            if oracle == "sebr":
+                sebr(g, opp, 1, start=start, **{name: count})
+            else:
+                best_response_individual(g, opp, 1, start, sweeps=count)
 
     @pytest.mark.parametrize("normal_form", [True, False], ids=["example1", "skirmish"])
     @pytest.mark.parametrize("oracle", ["sebr", "individual"])

@@ -12,8 +12,7 @@ test prints the new digest and the repr it hashed.
 
 import pytest
 
-from teameq import oracles
-from teameq.core import ConstantPolicy, IndividualPolicy
+from teameq.core import IndividualPolicy, _belief_value
 from teameq.evaluation import Candidate, exploitability_profile
 from teameq.games import SkirmishConfig, grid_skirmish
 from teameq.oracles import best_response_joint
@@ -78,16 +77,28 @@ def test_joint_value_against_each_atom(runs, horizon):
     assert {(a.method, a.gap) for a in answers} == {("exact_dp", 0.0)}
 
 
+#: `core._belief_value` of the responding team against each team's
+#: S-PSRO candidate, as float.hex, by (horizon, candidate team).
+BELIEF_VALUE = {
+    (4, 1): "0x1.05530a824bc2fp+2",
+    (4, 2): "0x1.031733c767324p+2",
+    (5, 1): "0x1.6856aa58320c2p+2",
+    (5, 2): "0x1.86521ff2e48e8p+2",
+}
+
+
 def test_belief_value_bounds_every_profile_class(runs):
     # against the mixture the history-dependent response reads between
     # every class the profile computes (sequential at two seeds; at the
     # second, SeBR's Markov policy reaches the value) and the response that
     # knows the drawn atom
+    for (horizon, team), expected in BELIEF_VALUE.items():
+        mix = Candidate.from_psro(runs["sebr", horizon, 6], team).mixture()
+        assert _belief_value(_skirmish(horizon), 3 - team, mix).hex() == expected
     game = _skirmish(4)
     candidate = Candidate.from_psro(runs["sebr", 4, 6], 1)
     mix = candidate.mixture()
-    _, value = oracles._belief_response(game, 2, (0, 1), (ConstantPolicy(6, 0),) * 2, mix)
-    assert value == pytest.approx(4.083193423502095, abs=1e-9)
+    value = _belief_value(game, 2, mix)
     readings = [r.opponent_reward for r in exploitability_profile(game, candidate, seed=0).results]
     readings += [
         r.opponent_reward
